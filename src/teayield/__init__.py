@@ -14,9 +14,8 @@ from .dataset import (CANONICAL_SCHEMA, CorrelationReport, FeatureMatrix,
                       derive_avg_temp, generate_synthetic, load_csv, pearson,
                       render_csv, write_csv)
 from .ensemble import (BaseLearner, EnsembleConfig, EnsembleModel, PoolReport,
-                       PreprocessState, compute_weights, predict_ensemble,
-                       predict_members, rank_learners, select_learners,
-                       train_pool)
+                       compute_weights, predict_ensemble, predict_members,
+                       rank_learners, select_learners, train_pool)
 from .errors import ConfigError, DataError, FitError, TeaYieldError
 from .evaluation import (CVResult, FoldPlan, GridSearchResult, MetricsReport,
                          cross_validate, grid_search, holdout_split,
@@ -24,10 +23,10 @@ from .evaluation import (CVResult, FoldPlan, GridSearchResult, MetricsReport,
 from .feature_select import (RankedFeatures, ReliefParams, SelectionResult,
                              rrelieff, sequential_forward_select)
 from .pipeline import (StageReport, evaluate_pipeline, fit_preprocess,
-                       stage_report, train_ensemble_pipeline, train_single_mlp)
-from .preprocess import (OutlierReport, ScalerState, apply_scaler,
-                         cooks_distance, fit_scaler, invert_scaler,
-                         log_transform, remove_outliers)
+                       stage_report, train_ensemble_pipeline)
+from .preprocess import (OutlierReport, PreprocessState, ScalerState,
+                         apply_scaler, cooks_distance, fit_scaler,
+                         invert_scaler, log_transform, remove_outliers)
 from .regressors import (GPRModel, LinearModel, MLPModel, MLPTrainConfig,
                          fit_gpr, fit_mlp, fit_ols, predict, predict_gpr)
 from .serialize import load_model, save_model

@@ -19,10 +19,10 @@ from pathlib import Path
 from .config import PipelineConfig, load_config, paper_defaults
 from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, correlation_report,
                       generate_synthetic, load_csv, render_csv, write_csv)
-from .ensemble import EnsembleModel, predict_ensemble
+from .ensemble import predict_ensemble
 from .errors import DataError, TeaYieldError
 from .pipeline import evaluate_pipeline, prepare_input, train_ensemble_pipeline
-from .preprocess import cooks_distance
+from .preprocess import cooks_distance, independent_columns
 from .serialize import load_model, save_model
 
 
@@ -84,7 +84,8 @@ def cmd_inspect(args) -> int:
     out = _out_dir(args.out)
     report = correlation_report(m)
     report.to_csv(out / "correlation.csv")
-    outliers = cooks_distance(m, cfg.outlier_threshold_for(m.n_samples))
+    outliers = cooks_distance(m.subset(independent_columns(m)),
+                              cfg.outlier_threshold_for(m.n_samples))
     outliers.to_csv(out / "outliers.csv")
     print(f"correlation and outlier reports written to {out} "
           f"({len(outliers.flagged)} samples flagged at threshold "
@@ -95,6 +96,7 @@ def cmd_inspect(args) -> int:
 def cmd_train(args) -> int:
     cfg = _read_config(args)
     m = _load_data(args.data, cfg)
+    Path(args.model).parent.mkdir(parents=True, exist_ok=True)
     result = train_ensemble_pipeline(m, cfg)
     save_model(result.model, args.model)
     out = _out_dir(args.out) if args.out else Path(args.model).parent
@@ -137,8 +139,6 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _read_config(args)
     model = load_model(args.model)
-    if not isinstance(model, EnsembleModel):
-        raise DataError(f"{args.model}: predict needs an ensemble model file")
     m = _load_data(args.data, cfg, month_encoding=model.preprocess.month_encoding)
     preds = predict_ensemble(model, m)
     buf = io.StringIO()

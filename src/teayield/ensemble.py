@@ -25,11 +25,11 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .dataset import FeatureMatrix, derive_avg_temp
+from .dataset import FeatureMatrix
 from .errors import ConfigError, DataError, FitError
 from .evaluation import FoldPlan, make_folds
 from .feature_select import ReliefParams, rank_order, rrelieff
-from .preprocess import ScalerState, apply_scaler, log_transform
+from .preprocess import PreprocessState
 from .regressors import HIDDEN_RANGE, MLPModel, MLPTrainConfig, fit_mlp, predict
 from .util import derive_seed
 
@@ -81,38 +81,6 @@ class LearnerRanking:
 class LearnerSelection:
     selected_positions: tuple[int, ...]
     trace: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class PreprocessState:
-    """Everything needed to map a raw schema row to model inputs and the
-    model output back to yield units.  Stages replay in fit order."""
-
-    month_encoding: str
-    add_avg_temp: bool
-    stage_order: tuple[str, ...]
-    selected_features: tuple[str, ...]
-    scaler: ScalerState | None
-    log_features: tuple[str, ...]
-    log_target: bool
-    target_center: float
-    target_scale: float
-
-    def apply_features(self, m: FeatureMatrix) -> FeatureMatrix:
-        if self.add_avg_temp and "avg_temp" not in m.column_names:
-            m = derive_avg_temp(m)
-        for stage in self.stage_order:
-            if stage == "feature_selection":
-                missing = [c for c in self.selected_features
-                           if c not in m.column_names]
-                if missing:
-                    raise DataError(f"input data lacks model columns {missing}")
-                m = m.subset(self.selected_features)
-            elif stage == "feature_scaling" and self.scaler is not None:
-                m = apply_scaler(self.scaler, m)
-            elif stage == "feature_transformation" and self.log_features:
-                m = log_transform(m, self.log_features)
-        return m
 
 
 @dataclass(frozen=True)
@@ -350,15 +318,10 @@ def assemble(pool: Sequence[BaseLearner], selection: LearnerSelection,
     return EnsembleModel(learners, weights, b, c, cfg.literal_weights, preprocess)
 
 
-def _invert_target(state: PreprocessState, z: np.ndarray) -> np.ndarray:
-    y = z * state.target_scale + state.target_center
-    return np.exp(y) if state.log_target else y
-
-
 def predict_members(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
     """Per-learner predictions on raw schema data, in original yield units."""
     feats = e.preprocess.apply_features(m)
-    return np.vstack([_invert_target(e.preprocess, predict(bl.model, feats))
+    return np.vstack([e.preprocess.invert_target(predict(bl.model, feats))
                       for bl in e.learners])
 
 
@@ -371,7 +334,7 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
     """
     feats = e.preprocess.apply_features(m)
     stacked = np.vstack([predict(bl.model, feats) for bl in e.learners])
-    return _invert_target(e.preprocess, e.weights @ stacked)
+    return e.preprocess.invert_target(e.weights @ stacked)
 
 
 def build_pool_report(pool: Sequence[BaseLearner], ranking: LearnerRanking,

@@ -1,61 +1,27 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels, written in numpy.
 
 Two inner loops dominate runtime in this package: full-batch gradient-descent
 training of the shallow networks (thousands of fits during pool training,
 per-fold retraining, and repeated stability runs) and the neighbor
-accumulation loop of the relief-style feature ranker.  Both are written once
-as plain numpy functions; when numba is importable the same bodies are
-compiled with ``@njit``, otherwise they run as ordinary Python.
-
-Set ``TEAYIELD_DISABLE_NUMBA=1`` in the environment to force the pure-numpy
-interpreters (slower, but useful for debugging and on platforms where numba
-is unavailable).  Both paths execute the identical statements, so they agree
-up to floating-point rounding inside the underlying BLAS calls.  Kernels are
-single-threaded on purpose: results never depend on thread count.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+accumulation loop of the relief-style feature ranker.  The kernels start no
+threads of their own; BLAS threads are left at the library's default.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("TEAYIELD_DISABLE_NUMBA", "").strip() not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _DISABLED = True
-
-if _DISABLED:
-    def _jit(fn):
-        return fn
-else:
-    def _jit(fn):
-        return _njit(cache=True, fastmath=False)(fn)
-
-
-def numba_enabled() -> bool:
-    return not _DISABLED
-
-
-def backend() -> str:
-    return "numpy" if _DISABLED else "numba"
 
 
 # ---------------------------------------------------------------------------
 # Shallow network: one tanh hidden layer, identity output, MSE loss.
 # ---------------------------------------------------------------------------
 
-def _mlp_forward_impl(X, W1, b1, w2, b2):
+def mlp_forward(X, W1, b1, w2, b2):
     A1 = np.tanh(np.dot(X, W1) + b1)
     return np.dot(A1, w2) + b2
 
 
-def _mlp_loss_grads_impl(X, y, W1, b1, w2, b2):
+def mlp_loss_grads(X, y, W1, b1, w2, b2):
     # Mean-squared-error loss and its exact gradients via backpropagation.
     n = X.shape[0]
     A1 = np.tanh(np.dot(X, W1) + b1)
@@ -70,7 +36,7 @@ def _mlp_loss_grads_impl(X, y, W1, b1, w2, b2):
     return loss, gW1, gb1, gw2, gb2
 
 
-def _mlp_train_impl(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
+def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
     """Full-batch gradient descent with optional early stopping.
 
     ``Xv``/``yv`` hold the held-out shard; pass zero rows to disable early
@@ -94,8 +60,6 @@ def _mlp_train_impl(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
     losses = np.empty(max_epochs)
     n_run = 0
     for epoch in range(max_epochs):
-        # mlp_loss_grads / mlp_forward resolve to the jitted versions when
-        # numba is active, so the whole loop stays inside compiled code.
         loss, gW1, gb1, gw2, gb2 = mlp_loss_grads(X, y, W1, b1, w2, b2s)
         losses[epoch] = loss
         n_run = epoch + 1
@@ -128,49 +92,29 @@ def _mlp_train_impl(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
 # Relief-style accumulation for regression.
 # ---------------------------------------------------------------------------
 
-def _relief_accumulate_impl(Xn, yn, sample_idx, k, rank_w):
+def relief_accumulate(Xn, yn, sample_idx, k, rank_w):
     """Accumulate the three relief statistics over sampled instances.
 
     ``Xn`` and ``yn`` are range-normalized, so per-feature value diffs and
     the target diff are already in [0, 1] and the Manhattan distance is the
     plain sum of feature diffs.  ``rank_w`` holds the k neighbor influence
     weights (summing to 1).  Distance ties resolve toward the lower row
-    index, which keeps both backends bit-for-bit aligned.
+    index (a stable sort), and neighbors are added nearest first, so the
+    sums are accumulated in a fixed order.
     """
-    n, f = Xn.shape
     ndc = 0.0
-    nda = np.zeros(f)
-    ndcda = np.zeros(f)
-    for s in range(sample_idx.shape[0]):
-        i = sample_idx[s]
+    nda = np.zeros(Xn.shape[1])
+    ndcda = np.zeros(Xn.shape[1])
+    for i in sample_idx:
         dist = np.abs(Xn - Xn[i]).sum(axis=1)
-        best_d = np.full(k, np.inf)
-        best_j = np.full(k, -1, dtype=np.int64)
-        for j in range(n):
-            if j == i:
-                continue
-            d = dist[j]
-            if d < best_d[k - 1]:
-                pos = k - 1
-                while pos > 0 and best_d[pos - 1] > d:
-                    best_d[pos] = best_d[pos - 1]
-                    best_j[pos] = best_j[pos - 1]
-                    pos -= 1
-                best_d[pos] = d
-                best_j[pos] = j
+        dist[i] = np.inf
+        nearest = np.argsort(dist, kind="stable")[:k]
         for r in range(k):
-            j = best_j[r]
+            j = nearest[r]
             w = rank_w[r]
             dy = abs(yn[i] - yn[j])
             ndc += w * dy
-            for a in range(f):
-                da = abs(Xn[i, a] - Xn[j, a])
-                nda[a] += w * da
-                ndcda[a] += w * da * dy
+            da = np.abs(Xn[i] - Xn[j])
+            nda += w * da
+            ndcda += w * da * dy
     return ndc, nda, ndcda
-
-
-mlp_forward = _jit(_mlp_forward_impl)
-mlp_loss_grads = _jit(_mlp_loss_grads_impl)
-mlp_train = _jit(_mlp_train_impl)
-relief_accumulate = _jit(_relief_accumulate_impl)

@@ -14,26 +14,24 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import PipelineConfig
 from .dataset import FeatureMatrix, derive_avg_temp
-from .ensemble import (BaseLearner, EnsembleModel, PoolReport, PreprocessState,
-                       assemble, build_pool_report, predict_ensemble,
-                       rank_learners, select_learners, train_pool)
+from .ensemble import (EnsembleModel, PoolReport, assemble, build_pool_report,
+                       predict_ensemble, rank_learners, select_learners,
+                       train_pool)
 from .errors import DataError, FitError
 from .evaluation import (FoldPlan, MetricsReport, cross_validate, holdout_split,
                          make_folds, metrics)
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
                              sequential_forward_select)
-from .preprocess import (OutlierReport, ScalerState, apply_scaler,
+from .preprocess import (OutlierReport, PreprocessState, apply_scaler,
                          cooks_distance, fit_scaler, independent_columns,
                          log_transform, remove_outliers)
-from .regressors import (fit_mlp, make_gpr_factory, make_linear_factory,
-                         make_mlp_factory)
+from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -41,18 +39,7 @@ log = logging.getLogger(__name__)
 STAGE_MODELS = ("mlr", "gpr", "mlp")
 
 # Seed stream tags for the master seed.
-_TAG_SELECT, _TAG_POOL, _TAG_PICK, _TAG_STAGE, _TAG_HOLDOUT, _TAG_SINGLE = range(1, 7)
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Fitted feature-side preprocessing for one stage prefix."""
-
-    stage_order: tuple[str, ...]
-    selected: tuple[str, ...] | None
-    scaler: ScalerState | None
-    log_features: tuple[str, ...]
-    log_target: bool
+_TAG_SELECT, _TAG_POOL, _TAG_PICK, _TAG_STAGE, _TAG_HOLDOUT = range(1, 6)
 
 
 @dataclass(frozen=True)
@@ -103,15 +90,16 @@ def sfs_evaluator(cfg: PipelineConfig):
 
 def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int,
               stages: tuple[str, ...] | None = None
-              ) -> tuple[FeatureMatrix, ChainState, ChainArtifacts]:
+              ) -> tuple[FeatureMatrix, PreprocessState, ChainArtifacts]:
     """Fit the staged preprocessing on training data.
 
-    Returns the transformed training matrix (outlier rows dropped), the
-    fitted state to apply elsewhere, and the per-stage artifacts.
+    Returns the transformed training matrix (outlier rows dropped, target
+    logged if the chain logs it), the fitted chain to apply elsewhere (target
+    center 0, scale 1), and the per-stage artifacts.
     """
     if stages is None:
         stages = cfg.stages
-    selected = None
+    selected = m.column_names
     scaler = None
     log_features: tuple[str, ...] = ()
     log_target = False
@@ -151,24 +139,12 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int,
                 columns.append(m.target_name)
             if columns:
                 m = log_transform(m, columns)
-    state = ChainState(tuple(stages), selected, scaler, log_features, log_target)
+    state = PreprocessState(
+        month_encoding=cfg.month_encoding, add_avg_temp=True,
+        stage_order=tuple(stages), selected_features=selected, scaler=scaler,
+        log_features=log_features, log_target=log_target,
+        target_center=0.0, target_scale=1.0)
     return m, state, ChainArtifacts(ranked, selection, outliers)
-
-
-def apply_chain(state: ChainState, m: FeatureMatrix) -> FeatureMatrix:
-    """Apply a fitted chain to new data (features and target; no row drops)."""
-    for stage in state.stage_order:
-        if stage == "feature_selection" and state.selected is not None:
-            m = m.subset(state.selected)
-        elif stage == "feature_scaling" and state.scaler is not None:
-            m = apply_scaler(state.scaler, m)
-        elif stage == "feature_transformation":
-            columns = list(state.log_features)
-            if state.log_target:
-                columns.append(m.target_name)
-            if columns:
-                m = log_transform(m, columns)
-    return m
 
 
 def prepare_input(m: FeatureMatrix) -> FeatureMatrix:
@@ -189,14 +165,8 @@ def fit_preprocess(m: FeatureMatrix, cfg: PipelineConfig
     if sd == 0.0:
         raise FitError("target is constant after preprocessing; cannot train")
     processed = processed.with_target((processed.target - mu) / sd)
-    state = PreprocessState(
-        month_encoding=cfg.month_encoding, add_avg_temp=True,
-        stage_order=chain.stage_order,
-        selected_features=(chain.selected if chain.selected is not None
-                           else m.column_names),
-        scaler=chain.scaler, log_features=chain.log_features,
-        log_target=chain.log_target, target_center=mu, target_scale=sd)
-    return processed, state, artifacts
+    return (processed, replace(chain, target_center=mu, target_scale=sd),
+            artifacts)
 
 
 @dataclass(frozen=True)
@@ -220,30 +190,6 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
                           artifacts)
 
 
-def train_single_mlp(m: FeatureMatrix, cfg: PipelineConfig, seed: int,
-                     hidden_size: int | None = None) -> EnsembleModel:
-    """A single network wrapped as a one-member ensemble (baseline runs).
-
-    ``hidden_size=None`` draws the width uniformly from the base-learner
-    range, i.e. the pool recipe trained on the full data without ensembling.
-    """
-    from dataclasses import replace as _replace
-
-    from .regressors import HIDDEN_RANGE
-
-    processed, state, _ = fit_preprocess(m, cfg)
-    if hidden_size is None:
-        rng = np.random.default_rng(derive_seed(seed, 0))
-        hidden_size = int(rng.integers(HIDDEN_RANGE[0], HIDDEN_RANGE[1] + 1))
-    mlp_cfg = _replace(cfg.mlp, hidden_size=hidden_size)
-    model = fit_mlp(processed, mlp_cfg, derive_seed(seed, 1))
-    learner = BaseLearner(model, hidden_size,
-                          tuple(range(processed.n_samples)),
-                          model.train_error, int(seed))
-    return EnsembleModel((learner,), np.array([1.0]), 1.0,
-                         model.train_error, False, state)
-
-
 def _stage_factories(cfg: PipelineConfig) -> dict:
     return {
         "mlr": lambda rep_seed: make_linear_factory(0.0, drop_dependent=True),
@@ -260,11 +206,10 @@ def _chain_cv_rmse(raw: FeatureMatrix, stages: tuple[str, ...],
 
     Chains per (stage prefix, fold) are cached and seeded independently of
     the model, so the three models share the identical fitted preprocessing.
-    Scoring happens in the units of the transformed target, exactly as the
-    trained model sees them.
+    Predictions are mapped back to yield units through each fold's chain
+    before scoring, so every stage is scored in the same units.
     """
     oof = np.empty(raw.n_samples)
-    truth = np.empty(raw.n_samples)
     for fold in range(plan.k):
         train_rows, eval_rows = plan.fold_indices(fold)
         key = (stages, fold)
@@ -273,21 +218,21 @@ def _chain_cv_rmse(raw: FeatureMatrix, stages: tuple[str, ...],
                                           derive_seed(chain_seed, fold), stages)
             chain_cache[key] = (train_m, chain)
         train_m, chain = chain_cache[key]
-        eval_m = apply_chain(chain, raw.take_rows(eval_rows))
+        eval_m = chain.apply_features(raw.take_rows(eval_rows))
         predict_fn = factory(train_m, derive_seed(fit_seed, fold))
-        oof[eval_rows] = np.asarray(predict_fn(eval_m), dtype=np.float64)
-        truth[eval_rows] = eval_m.target
-    resid = oof - truth
-    return math.sqrt(float((resid * resid).mean()))
+        oof[eval_rows] = chain.invert_target(
+            np.asarray(predict_fn(eval_m), dtype=np.float64))
+    return metrics(raw.target, oof).rmse
 
 
 def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageReport:
     """CV RMSE of each in-scope model after each cumulative pipeline stage.
 
     The "raw" column uses no preprocessing; subsequent columns add the
-    configured stages one at a time in order.  The network cell is the mean
-    of ``mlp_replicates`` independently seeded trainings.  All models in a
-    column share one fold plan.
+    configured stages one at a time in order.  Every cell is scored in
+    yield units.  The network cell is the mean of ``mlp_replicates``
+    independently seeded trainings.  All models in a column share one fold
+    plan.
     """
     raw = prepare_input(raw)
     stage_names = ("raw",) + tuple(cfg.stages)
@@ -301,8 +246,9 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     for j, stage in enumerate(stage_names):
         stages = tuple(cfg.stages[:j])
         if cfg.paper_faithful:
-            stage_m, _, _ = fit_chain(raw, cfg, derive_seed(seed, _TAG_STAGE, j),
-                                      stages)
+            stage_m, stage_chain, _ = fit_chain(
+                raw, cfg, derive_seed(seed, _TAG_STAGE, j), stages)
+            stage_truth = stage_chain.invert_target(stage_m.target)
             stage_plan = make_folds(stage_m.n_samples, cfg.cv_folds,
                                     derive_seed(seed, _TAG_STAGE))
         rep_cell: tuple[float, ...] = ()
@@ -314,9 +260,10 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
                 factory = factories[model](fit_seed)
                 try:
                     if cfg.paper_faithful:
-                        values.append(cross_validate(stage_m, factory,
-                                                     stage_plan,
-                                                     fit_seed).pooled_rmse)
+                        oof = cross_validate(stage_m, factory, stage_plan,
+                                             fit_seed).oof_predictions
+                        values.append(metrics(
+                            stage_truth, stage_chain.invert_target(oof)).rmse)
                     else:
                         values.append(_chain_cv_rmse(
                             raw, stages, cfg, factory, plan, fit_seed,

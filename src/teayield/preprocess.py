@@ -3,8 +3,9 @@
 Three stages: standardization to zero mean and unit variance, natural-log
 transformation of strictly positive columns, and influence-based outlier
 flagging via Cook's distance on an ordinary-least-squares fit of the target
-on all features plus an intercept.  Fit states are immutable; apply
-operations are pure.
+on all features plus an intercept.  ``PreprocessState`` is the fitted chain
+that replays them on new rows.  Fit states are immutable; apply operations
+are pure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FeatureMatrix
+from .dataset import FeatureMatrix, derive_avg_temp
 from .errors import DataError, FitError
 
 
@@ -26,6 +27,53 @@ class ScalerState:
     columns: tuple[str, ...]
     means: np.ndarray
     stds: np.ndarray
+
+
+@dataclass(frozen=True)
+class PreprocessState:
+    """A fitted preprocessing chain.
+
+    It maps raw schema rows to model inputs, replaying the feature stages in
+    fit order (outlier removal only ever drops training rows), and maps the
+    target to model units and back: forward ``log`` (if ``log_target``),
+    then ``(y - target_center) / target_scale``.  Chains fitted for
+    cross-validation keep center 0 and scale 1, which change no value.
+    """
+
+    month_encoding: str
+    add_avg_temp: bool
+    stage_order: tuple[str, ...]
+    selected_features: tuple[str, ...]
+    scaler: ScalerState | None
+    log_features: tuple[str, ...]
+    log_target: bool
+    target_center: float
+    target_scale: float
+
+    def apply_features(self, m: FeatureMatrix) -> FeatureMatrix:
+        if self.add_avg_temp and "avg_temp" not in m.column_names:
+            m = derive_avg_temp(m)
+        for stage in self.stage_order:
+            if stage == "feature_selection":
+                missing = [c for c in self.selected_features
+                           if c not in m.column_names]
+                if missing:
+                    raise DataError(f"input data lacks model columns {missing}")
+                m = m.subset(self.selected_features)
+            elif stage == "feature_scaling" and self.scaler is not None:
+                m = apply_scaler(self.scaler, m)
+            elif stage == "feature_transformation" and self.log_features:
+                m = log_transform(m, self.log_features)
+        return m
+
+    def transform_target(self, y: np.ndarray) -> np.ndarray:
+        if self.log_target:
+            y = _checked_log(y, "target")
+        return (y - self.target_center) / self.target_scale
+
+    def invert_target(self, z: np.ndarray) -> np.ndarray:
+        y = z * self.target_scale + self.target_center
+        return np.exp(y) if self.log_target else y
 
 
 @dataclass(frozen=True)
@@ -91,6 +139,15 @@ def invert_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
     return m.replace_columns(updates)
 
 
+def _checked_log(col: np.ndarray, name: str) -> np.ndarray:
+    bad = np.nonzero(col <= 0.0)[0]
+    if bad.size:
+        raise DataError(
+            f"log transform needs positive values; row {int(bad[0])}, "
+            f"column {name!r} has {col[bad[0]]!r}")
+    return np.log(col)
+
+
 def log_transform(m: FeatureMatrix, columns: Sequence[str]) -> FeatureMatrix:
     """Natural log on the selected columns (the target name is allowed).
 
@@ -101,16 +158,10 @@ def log_transform(m: FeatureMatrix, columns: Sequence[str]) -> FeatureMatrix:
     updates = {}
     target = m.target
     for name in columns:
-        col = target if name == m.target_name else m.column(name)
-        bad = np.nonzero(col <= 0.0)[0]
-        if bad.size:
-            raise DataError(
-                f"log transform needs positive values; row {int(bad[0])}, "
-                f"column {name!r} has {col[bad[0]]!r}")
         if name == m.target_name:
-            target = np.log(col)
+            target = _checked_log(target, name)
         else:
-            updates[name] = np.log(col)
+            updates[name] = _checked_log(m.column(name), name)
     out = m.replace_columns(updates) if updates else m
     if target is not m.target:
         out = out.with_target(target)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -337,7 +337,3 @@ def make_mlp_factory(config: MLPTrainConfig) -> LearnerFactory:
             return predict(model, m.subset(train.column_names)) * sd + mu
         return predict_fn
     return factory
-
-
-def mlp_config_with(config: MLPTrainConfig, **changes) -> MLPTrainConfig:
-    return replace(config, **changes)

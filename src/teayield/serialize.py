@@ -1,10 +1,11 @@
 """Versioned model persistence.
 
 Format: one JSON document, ``{"format": "teayield-model", "version": 1,
-"kind": <linear|gpr|mlp|ensemble>, ...}``.  Float64 arrays are embedded as
-base64 of their little-endian bytes, scalars as plain JSON numbers, so a
-round trip is prediction-exact; keys are sorted and separators fixed, so the
-same model always serializes to the same bytes.
+"kind": "ensemble", ...}``; ensembles are the only kind the command line
+trains, saves and scores.  Float64 arrays are embedded as base64 of their
+little-endian bytes, scalars as plain JSON numbers, so a round trip is
+prediction-exact; keys are sorted and separators fixed, so the same model
+always serializes to the same bytes.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ import json
 from dataclasses import asdict
 
 import numpy as np
-import scipy.linalg
 
-from .ensemble import BaseLearner, EnsembleModel, PreprocessState
+from .ensemble import BaseLearner, EnsembleModel
 from .errors import DataError
-from .preprocess import ScalerState
-from .regressors import (GPRModel, LinearModel, MLPModel, MLPTrainConfig,
-                         _sq_dists)
+from .preprocess import PreprocessState, ScalerState
+from .regressors import MLPModel, MLPTrainConfig
 
 FORMAT_NAME = "teayield-model"
 FORMAT_VERSION = 1
@@ -35,35 +34,6 @@ def _enc_array(a: np.ndarray) -> dict:
 def _dec_array(obj: dict) -> np.ndarray:
     raw = base64.b64decode(obj["data"])
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
-
-
-def _enc_linear(m: LinearModel) -> dict:
-    return {"coefficients": _enc_array(m.coefficients),
-            "intercept": m.intercept, "ridge_lambda": m.ridge_lambda}
-
-
-def _dec_linear(obj: dict) -> LinearModel:
-    return LinearModel(_dec_array(obj["coefficients"]), obj["intercept"],
-                       obj["ridge_lambda"])
-
-
-def _enc_gpr(m: GPRModel) -> dict:
-    # The Cholesky factor is recomputed on load from the stored jitter; the
-    # same inputs factor to the same bits, so predictions are unchanged.
-    return {"signal_var": m.signal_var, "length_scale": m.length_scale,
-            "noise_var": m.noise_var, "jitter": m.jitter,
-            "x_train": _enc_array(m.x_train), "y_train": _enc_array(m.y_train)}
-
-
-def _dec_gpr(obj: dict) -> GPRModel:
-    x = _dec_array(obj["x_train"])
-    y = _dec_array(obj["y_train"])
-    sv, ls, nv = obj["signal_var"], obj["length_scale"], obj["noise_var"]
-    k = sv * np.exp(-_sq_dists(x, x) / (2.0 * ls ** 2))
-    c = k + (nv + obj["jitter"]) * np.eye(x.shape[0])
-    lower = np.linalg.cholesky(c)
-    alpha = scipy.linalg.cho_solve((lower, True), y)
-    return GPRModel(sv, ls, nv, x, y, lower, alpha, obj["jitter"])
 
 
 def _enc_mlp(m: MLPModel) -> dict:
@@ -130,28 +100,20 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
                          obj["weight_c"], obj["literal_weights"], state)
 
 
-_ENCODERS = {LinearModel: ("linear", _enc_linear), GPRModel: ("gpr", _enc_gpr),
-             MLPModel: ("mlp", _enc_mlp), EnsembleModel: ("ensemble",
-                                                          _enc_ensemble)}
-_DECODERS = {"linear": _dec_linear, "gpr": _dec_gpr, "mlp": _dec_mlp,
-             "ensemble": _dec_ensemble}
+def model_to_json(model: EnsembleModel) -> str:
+    if not isinstance(model, EnsembleModel):
+        raise DataError(f"cannot serialize object of type {type(model).__name__}")
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+           "kind": "ensemble", "model": _enc_ensemble(model)}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def model_to_json(model) -> str:
-    for cls, (kind, encoder) in _ENCODERS.items():
-        if isinstance(model, cls):
-            doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-                   "kind": kind, "model": encoder(model)}
-            return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    raise DataError(f"cannot serialize object of type {type(model).__name__}")
-
-
-def save_model(model, path) -> None:
+def save_model(model: EnsembleModel, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(model_to_json(model))
 
 
-def load_model(path):
+def load_model(path) -> EnsembleModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -164,9 +126,9 @@ def load_model(path):
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {doc.get('version')}")
     kind = doc.get("kind")
-    if kind not in _DECODERS:
+    if kind != "ensemble":
         raise DataError(f"{path}: unknown model kind {kind!r}")
     try:
-        return _DECODERS[kind](doc["model"])
+        return _dec_ensemble(doc["model"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: corrupt model document ({exc})") from None

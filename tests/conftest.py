@@ -37,6 +37,16 @@ def bench_config(seed: int = 10) -> PipelineConfig:
                                     mlp=replace(mlp, hidden_size=5)))
 
 
+def tiny_config(seed: int = 10) -> PipelineConfig:
+    """``bench_config`` cut down to run in seconds: 50-epoch networks, a pool
+    of three, 5 folds and one network replicate per stage-report cell."""
+    base = bench_config(seed)
+    mlp = replace(base.mlp, epochs=50)
+    return replace(base, mlp=mlp, cv_folds=5, mlp_replicates=1,
+                   ensemble=replace(base.ensemble, pool_size=3,
+                                    mlp=replace(mlp, hidden_size=5)))
+
+
 def planted_outlier_rows(m: FeatureMatrix, spec: SyntheticSpec) -> set[int]:
     """The generator plants outliers on the highest-rainfall rows."""
     if spec.n_outliers == 0:

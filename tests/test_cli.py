@@ -1,0 +1,34 @@
+import pytest
+
+from teayield.cli import main
+from teayield.config import render_config
+from teayield.serialize import load_model
+
+from conftest import tiny_config
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A tiny config and a synthetic data file written by ``synth``."""
+    work = tmp_path_factory.mktemp("cli")
+    (work / "tiny.ini").write_text(render_config(tiny_config()),
+                                   encoding="utf-8")
+    assert main(["synth", "--config", str(work / "tiny.ini"),
+                 "--out", str(work / "data.csv")]) == 0
+    return work
+
+
+def test_inspect_accepts_a_synth_file(workdir):
+    out = workdir / "inspect"
+    assert main(["inspect", "--data", str(workdir / "data.csv"),
+                 "--config", str(workdir / "tiny.ini"), "--out", str(out)]) == 0
+    assert (out / "correlation.csv").is_file()
+    assert (out / "outliers.csv").is_file()
+
+
+def test_train_creates_the_model_directory(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert main(["train", "--data", "data.csv", "--config", "tiny.ini",
+                 "--model", "nodir/m.json"]) == 0
+    assert len(load_model(workdir / "nodir" / "m.json").learners) >= 1
+    assert (workdir / "nodir" / "pool_report.csv").is_file()

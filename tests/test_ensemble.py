@@ -6,14 +6,15 @@ import pytest
 
 from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
 from teayield.ensemble import (BaseLearner, EnsembleConfig, EnsembleModel,
-                               PreprocessState, assemble, build_pool_report,
-                               compute_weights, pool_predictions,
-                               predict_ensemble, predict_members,
-                               rank_learners, resolve_weight_params,
-                               select_learners, train_pool)
+                               assemble, build_pool_report, compute_weights,
+                               pool_predictions, predict_ensemble,
+                               predict_members, rank_learners,
+                               resolve_weight_params, select_learners,
+                               train_pool)
 from teayield.errors import ConfigError, DataError, FitError
 from teayield.feature_select import ReliefParams
 from teayield.pipeline import fit_preprocess, train_ensemble_pipeline
+from teayield.preprocess import PreprocessState
 from teayield.regressors import MLPTrainConfig, predict
 
 from conftest import bench_config, random_matrix

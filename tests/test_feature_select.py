@@ -82,6 +82,21 @@ class TestRRelieff:
             oracle = brute_force_relief(m, k, np.full(k, 1.0 / k))
             np.testing.assert_allclose(ranked.weights, oracle, atol=1e-10)
 
+    def test_matches_brute_force_with_ties_and_rank_decay(self):
+        # Feature values on a 0..4 grid make the normalized values and their
+        # distance sums exact, so many neighbors tie; with a steep rank decay
+        # both the tie-break and the neighbor order change the weights.
+        for seed in range(6):
+            r = np.random.default_rng(seed)
+            n, f, k = 40, 3, 7
+            values = r.integers(0, 5, size=(n, f)).astype(float)
+            values[:2] = [[0.0] * f, [4.0] * f]
+            m = FeatureMatrix(tuple(f"x{i}" for i in range(f)), values,
+                              r.normal(size=n), "y")
+            ranked = rrelieff(m, k=k, seed=0, decay_sigma=2.0)
+            oracle = brute_force_relief(m, k, neighbor_rank_weights(k, 2.0))
+            np.testing.assert_allclose(ranked.weights, oracle, atol=1e-10)
+
     def test_weights_within_unit_interval(self, rng):
         m = random_matrix(rng, 50, 6)
         ranked = rrelieff(m, k=7, seed=2)
