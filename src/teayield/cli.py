@@ -55,10 +55,10 @@ def _file_schema(path, cfg: PipelineConfig) -> tuple[str, ...]:
     return CANONICAL_SCHEMA + extras
 
 
-def _load_data(path, cfg: PipelineConfig,
-               month_encoding: str | None = None) -> FeatureMatrix:
+def _load_data(path, cfg: PipelineConfig, month_encoding: str | None = None,
+               require_target: bool = True) -> FeatureMatrix:
     return load_csv(path, _file_schema(path, cfg),
-                    month_encoding or cfg.month_encoding)
+                    month_encoding or cfg.month_encoding, require_target)
 
 
 def _out_dir(path) -> Path:
@@ -139,7 +139,8 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _read_config(args)
     model = load_model(args.model)
-    m = _load_data(args.data, cfg, month_encoding=model.preprocess.month_encoding)
+    m = _load_data(args.data, cfg, month_encoding=model.preprocess.month_encoding,
+                   require_target=False)
     preds = predict_ensemble(model, m)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -188,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("evaluate", cmd_evaluate,
         "stage-by-stage report plus hold-out metrics",
         data=True, out_required=True)
-    add("predict", cmd_predict, "score schema rows with a saved model",
+    add("predict", cmd_predict,
+        "score schema rows with a saved model (the yield column is optional)",
         data=True, model_in=True,
         out_help="predictions CSV path (stdout if omitted)")
     return parser

@@ -231,13 +231,16 @@ def encode_months(months: np.ndarray, encoding: str) -> np.ndarray:
 
 
 def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
-             month_encoding: str = "cyclic") -> FeatureMatrix:
+             month_encoding: str = "cyclic",
+             require_target: bool = True) -> FeatureMatrix:
     """Read a monthly-observation CSV into a FeatureMatrix.
 
     The header must contain exactly the ``schema`` columns (any order).
     Schema columns beyond the canonical set are read as extra numeric
     features.  Missing values and unparseable or non-finite cells are load
-    errors naming the offending data row (1-based) and column.
+    errors naming the offending data row (1-based) and column.  With
+    ``require_target`` false the ``yield`` column may be left out, as when
+    scoring new rows; the target of such a file reads as zeros.
     """
     schema = tuple(schema)
     missing_canonical = [c for c in CANONICAL_SCHEMA if c not in schema]
@@ -258,6 +261,9 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate columns in header")
+        has_target = require_target or TARGET_COLUMN in header
+        if not has_target:
+            schema = tuple(c for c in schema if c != TARGET_COLUMN)
         missing = sorted(set(schema) - set(header))
         extra = sorted(set(header) - set(schema))
         if missing or extra:
@@ -287,7 +293,8 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
                     labor_training=cells["labor_training"].strip(),
                     pesticide_used=_parse_bool(cells["pesticide_used"],
                                                "pesticide_used"),
-                    yield_kg=_parse_float(cells["yield"], "yield"),
+                    yield_kg=(_parse_float(cells[TARGET_COLUMN], TARGET_COLUMN)
+                              if has_target else 0.0),
                 )
                 extras = [_parse_float(cells[c], c) for c in extra_features]
             except DataError as exc:

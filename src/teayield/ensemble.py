@@ -27,7 +27,7 @@ from scipy.special import expit
 
 from .dataset import FeatureMatrix
 from .errors import ConfigError, DataError, FitError
-from .evaluation import FoldPlan, make_folds
+from .evaluation import make_folds
 from .feature_select import ReliefParams, rank_order, rrelieff
 from .preprocess import PreprocessState
 from .regressors import HIDDEN_RANGE, MLPModel, MLPTrainConfig, fit_mlp, predict
@@ -110,6 +110,8 @@ class PoolEntry:
     train_error: float
     relief_weight: float
     selected: bool
+    epochs_run: int
+    subsample_rows: int
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,13 @@ class PoolReport:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["learner", "seed", "hidden", "train_mse",
-                             "relief_weight", "selected"])
+                             "relief_weight", "selected", "epochs_run",
+                             "subsample_rows"])
             for e in self.entries:
                 writer.writerow([e.index, e.seed, e.hidden_size,
                                  repr(float(e.train_error)),
-                                 repr(float(e.relief_weight)), int(e.selected)])
+                                 repr(float(e.relief_weight)), int(e.selected),
+                                 e.epochs_run, e.subsample_rows])
 
 
 def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
@@ -342,6 +346,7 @@ def build_pool_report(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     chosen = set(selection.selected_positions)
     entries = tuple(
         PoolEntry(i, bl.seed, bl.hidden_size, bl.train_error,
-                  float(ranking.weights[i]), i in chosen)
+                  float(ranking.weights[i]), i in chosen,
+                  bl.model.epochs_run, len(bl.subsample_indices))
         for i, bl in enumerate(pool))
     return PoolReport(entries, selection.trace)

@@ -1,19 +1,18 @@
+import csv
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
-from teayield.ensemble import (BaseLearner, EnsembleConfig, EnsembleModel,
-                               assemble, build_pool_report, compute_weights,
-                               pool_predictions, predict_ensemble,
-                               predict_members, rank_learners,
-                               resolve_weight_params, select_learners,
-                               train_pool)
+from teayield.dataset import SyntheticSpec, generate_synthetic
+from teayield.ensemble import (EnsembleConfig, EnsembleModel,
+                               build_pool_report, compute_weights,
+                               predict_ensemble, predict_members,
+                               rank_learners, resolve_weight_params,
+                               select_learners, train_pool)
 from teayield.errors import ConfigError, DataError, FitError
-from teayield.feature_select import ReliefParams
-from teayield.pipeline import fit_preprocess, train_ensemble_pipeline
+from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
 from teayield.regressors import MLPTrainConfig, predict
 
@@ -307,5 +306,15 @@ class TestPoolReport:
         path = tmp_path / "pool.csv"
         report.to_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "learner,seed,hidden,train_mse,relief_weight,selected"
+        assert lines[0] == ("learner,seed,hidden,train_mse,relief_weight,"
+                            "selected,epochs_run,subsample_rows")
         assert len(lines) == 6
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["epochs_run"]) for r in rows] == [
+            bl.model.epochs_run for bl in pool]
+        assert [int(r["subsample_rows"]) for r in rows] == [
+            len(bl.subsample_indices) for bl in pool]
+        # epochs_run tells members that stopped early from those that ran
+        # every epoch.
+        assert any(bl.model.epochs_run < cfg.mlp.epochs for bl in pool)

@@ -4,8 +4,7 @@ import pytest
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
 from teayield.evaluation import cross_validate, make_folds
-from teayield.feature_select import (RankedFeatures, ReliefParams,
-                                     neighbor_rank_weights, rrelieff,
+from teayield.feature_select import (neighbor_rank_weights, rrelieff,
                                      sequential_forward_select)
 from teayield.regressors import make_linear_factory
 from teayield.util import derive_seed

@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from teayield import kernels
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
 from teayield.preprocess import apply_scaler, fit_scaler
-from teayield.regressors import (GPRModel, MLPTrainConfig, fit_gpr, fit_mlp,
-                                 fit_ols, predict, predict_gpr)
+from teayield.regressors import (MLPTrainConfig, fit_gpr, fit_mlp, fit_ols,
+                                 predict, predict_gpr)
 
 from conftest import random_matrix
 
@@ -204,8 +200,14 @@ class TestMLP:
                 b1 = rng.normal(scale=0.1, size=h_size)
                 w2 = rng.normal(scale=0.5, size=h_size)
                 b2 = float(rng.normal())
-                _, gw1, gb1, gw2, gb2 = kernels.mlp_loss_grads(
-                    x, y, w1, b1, w2, b2)
+                # One full-batch step at lr=1 with no shard moves every
+                # parameter by minus its gradient, up to the rounding of
+                # the subtraction.
+                w1n, b1n, w2n, b2n, _, epochs, status = kernels.mlp_train(
+                    x, y, np.empty((0, f)), np.empty(0), w1, b1, w2, b2,
+                    1.0, 1, 1)
+                assert (epochs, status) == (1, 0)
+                gw1, gb1, gw2, gb2 = w1 - w1n, b1 - b1n, w2 - w2n, b2 - b2n
                 fw1, fb1, fw2, fb2 = finite_difference_grads(
                     x, y, w1.copy(), b1.copy(), w2.copy(), b2)
                 for a, b in ((gw1, fw1), (gb1, fb1), (gw2, fw2)):
