@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 from .dataset import MONTH_ENCODINGS, SyntheticSpec
@@ -109,9 +110,12 @@ def _parse_int(text: str, where: str) -> int:
 
 def _parse_float(text: str, where: str) -> float:
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {text!r} as a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {text.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_list(text: str) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -44,11 +45,34 @@ def _enc_mlp(m: MLPModel) -> dict:
             "epochs_run": m.epochs_run, "train_error": m.train_error}
 
 
+def _dec_shaped(obj: dict, shape: tuple, what: str) -> np.ndarray:
+    a = _dec_array(obj)
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _dec_finite(value, what: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _dec_mlp(obj: dict) -> MLPModel:
-    return MLPModel(obj["hidden_size"], _dec_array(obj["w_hidden"]),
-                    _dec_array(obj["b_hidden"]), _dec_array(obj["w_out"]),
-                    obj["b_out"], MLPTrainConfig(**obj["config"]), obj["seed"],
-                    obj["epochs_run"], obj["train_error"])
+    h = obj["hidden_size"]
+    if isinstance(h, bool) or not isinstance(h, int) or h < 1:
+        raise ValueError(f"hidden_size must be a positive integer, got {h!r}")
+    w_hidden = _dec_array(obj["w_hidden"])
+    if w_hidden.ndim != 2 or w_hidden.shape[1] != h:
+        raise ValueError(f"w_hidden has shape {w_hidden.shape}, "
+                         f"expected (features, {h})")
+    return MLPModel(h, w_hidden, _dec_shaped(obj["b_hidden"], (h,), "b_hidden"),
+                    _dec_shaped(obj["w_out"], (h,), "w_out"),
+                    _dec_finite(obj["b_out"], "b_out"),
+                    MLPTrainConfig(**obj["config"]), obj["seed"],
+                    obj["epochs_run"],
+                    _dec_finite(obj["train_error"], "train_error"))
 
 
 def _enc_ensemble(m: EnsembleModel) -> dict:
@@ -79,6 +103,13 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
     }
 
 
+def _dec_scaler(obj: dict) -> ScalerState:
+    columns = tuple(obj["columns"])
+    shape = (len(columns),)
+    return ScalerState(columns, _dec_shaped(obj["means"], shape, "scaler means"),
+                       _dec_shaped(obj["stds"], shape, "scaler stds"))
+
+
 def _dec_ensemble(obj: dict) -> EnsembleModel:
     pre = obj["preprocess"]
     scaler = pre["scaler"]
@@ -86,9 +117,7 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         month_encoding=pre["month_encoding"], add_avg_temp=pre["add_avg_temp"],
         stage_order=tuple(pre["stage_order"]),
         selected_features=tuple(pre["selected_features"]),
-        scaler=None if scaler is None else ScalerState(
-            tuple(scaler["columns"]), _dec_array(scaler["means"]),
-            _dec_array(scaler["stds"])),
+        scaler=None if scaler is None else _dec_scaler(scaler),
         log_features=tuple(pre["log_features"]), log_target=pre["log_target"],
         target_center=pre["target_center"], target_scale=pre["target_scale"])
     learners = tuple(
@@ -96,6 +125,8 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
                     tuple(bl["subsample_indices"]), bl["train_error"],
                     bl["seed"])
         for bl in obj["learners"])
+    if len({bl.model.w_hidden.shape[0] for bl in learners}) > 1:
+        raise ValueError("learners disagree on the number of input features")
     return EnsembleModel(learners, _dec_array(obj["weights"]), obj["weight_b"],
                          obj["weight_c"], obj["literal_weights"], state)
 

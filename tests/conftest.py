@@ -25,6 +25,7 @@ import pytest
 
 from teayield.config import PipelineConfig, paper_defaults
 from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
+from teayield.serialize import _dec_array, _enc_array
 
 
 def bench_config(seed: int = 10) -> PipelineConfig:
@@ -45,6 +46,20 @@ def tiny_config(seed: int = 10) -> PipelineConfig:
     return replace(base, mlp=mlp, cv_folds=5, mlp_replicates=1,
                    ensemble=replace(base.ensemble, pool_size=3,
                                     mlp=replace(mlp, hidden_size=5)))
+
+
+def corrupt_model_doc(doc: dict, path: tuple, key: str, change) -> None:
+    """Replace one entry of a model document's ``model`` object in place.
+
+    ``path`` leads from ``doc["model"]`` to the object holding ``key``.  A
+    callable ``change`` maps the decoded array stored there to the array to
+    store instead; any other value is stored as given.
+    """
+    obj = doc["model"]
+    for step in path:
+        obj = obj[step]
+    obj[key] = (_enc_array(change(_dec_array(obj[key]))) if callable(change)
+                else change)
 
 
 def planted_outlier_rows(m: FeatureMatrix, spec: SyntheticSpec) -> set[int]:

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -6,7 +7,7 @@ from teayield.cli import main
 from teayield.config import render_config
 from teayield.serialize import load_model
 
-from conftest import tiny_config
+from conftest import corrupt_model_doc, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +58,36 @@ def test_predict_scores_rows_without_a_yield_column(workdir):
                  "--model", str(workdir / "other" / "m.json")] + cfg) == 1
     assert main(["evaluate", "--data", str(no_yield),
                  "--out", str(workdir / "eval")] + cfg) == 1
+
+
+@pytest.fixture(scope="module")
+def model_doc(workdir):
+    """The JSON document of a model trained on the synth file."""
+    model = workdir / "trained" / "m.json"
+    assert main(["train", "--data", str(workdir / "data.csv"),
+                 "--model", str(model),
+                 "--config", str(workdir / "tiny.ini")]) == 0
+    return model.read_text(encoding="utf-8")
+
+
+FIRST_MLP = ("learners", 0, "mlp")
+CORRUPTIONS = {
+    "b_hidden of length 1": (FIRST_MLP, "b_hidden", lambda a: a[:1]),
+    "scaler means of length 1": (("preprocess", "scaler"), "means",
+                                 lambda a: a[:1]),
+    "w_out shorter than hidden_size": (FIRST_MLP, "w_out", lambda a: a[:-1]),
+    "string b_out": (FIRST_MLP, "b_out", "0.5"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_predict_rejects_corrupt_model_arrays(workdir, model_doc, corruption,
+                                              capsys):
+    doc = json.loads(model_doc)
+    corrupt_model_doc(doc, *CORRUPTIONS[corruption])
+    bad = workdir / "trained" / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["predict", "--data", str(workdir / "data.csv"),
+                 "--model", str(bad), "--out", str(workdir / "bad.csv"),
+                 "--config", str(workdir / "tiny.ini")]) == 1
+    assert "corrupt model document" in capsys.readouterr().err

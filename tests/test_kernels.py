@@ -2,9 +2,14 @@
 
 ``reference_mlp_train`` and ``reference_loss_grads`` are the earlier
 implementation of ``kernels.mlp_train``, kept as written: a separate forward
-pass on the early-stopping shard after every update and one array per
-parameter.  The fused kernel only regroups that arithmetic, so parameters,
-losses, epoch counts and status must match bit for bit.
+pass on the early-stopping shard after every update, one array per parameter,
+and the hidden bias added and summed on its own.  The fused kernel folds that
+bias into its matrix products through a ones column on the inputs.  With 2 to
+14 input features those products round as the plain loop's did on OpenBLAS
+0.3.31, so parameters, losses, epoch counts and status must match bit for
+bit.  Outside that range they may differ in the last bits; there the
+parameters and losses must agree to ``rtol=1e-9`` with the same epoch count
+and status.
 """
 
 from __future__ import annotations
@@ -139,10 +144,22 @@ def test_divergence_keeps_the_non_finite_loss():
 
 
 @pytest.mark.parametrize("n,nv,f,h", [(77, 14, 6, 5), (102, 18, 9, 12),
-                                      (153, 27, 4, 30), (184, 33, 11, 17)])
+                                      (153, 27, 4, 30), (184, 33, 11, 17),
+                                      (92, 16, 2, 17), (130, 23, 14, 9)])
 def test_workload_shapes(n, nv, f, h):
     problem = make_problem(n * h, n, nv, f, h)
     assert_same_run(problem, 0.05, 400, 20)
+
+
+@pytest.mark.parametrize("nv", [0, 16])
+@pytest.mark.parametrize("f", [1, 16, 28])
+def test_feature_counts_outside_the_bit_identical_range(f, nv):
+    problem = make_problem(f + nv, 92, nv, f, 17)
+    got = kernels.mlp_train(*problem, 0.05, 300, 20)
+    want = reference_mlp_train(*problem, 0.05, 300, 20)
+    for g, w in zip(got[:5], want[:5]):
+        np.testing.assert_allclose(np.asarray(g), np.asarray(w), rtol=1e-9)
+    assert got[5:] == want[5:]
 
 
 def test_a_shape_where_a_stacked_output_product_changes_bits():

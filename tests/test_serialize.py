@@ -8,7 +8,7 @@ from teayield.errors import DataError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.serialize import load_model, model_to_json, save_model
 
-from conftest import tiny_config
+from conftest import corrupt_model_doc, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +41,28 @@ def test_unknown_or_removed_kind_is_rejected(model, tmp_path, kind):
 def test_only_ensembles_are_saved(model):
     with pytest.raises(DataError, match="cannot serialize"):
         model_to_json(model.learners[0].model)
+
+
+FIRST_MLP = ("learners", 0, "mlp")
+CORRUPTIONS = {
+    "w_hidden 1-D": (FIRST_MLP, "w_hidden", lambda a: a[0]),
+    "w_hidden too few hidden units": (FIRST_MLP, "w_hidden",
+                                      lambda a: a[:, :-1]),
+    "learners disagree on features": (("learners", -1, "mlp"), "w_hidden",
+                                      lambda a: a[:-1]),
+    "NaN train_error": (FIRST_MLP, "train_error", float("nan")),
+    "boolean b_out": (FIRST_MLP, "b_out", True),
+    "scaler stds too long": (("preprocess", "scaler"), "stds",
+                             lambda a: np.append(a, 1.0)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
+    assert len(model.learners) >= 2
+    doc = json.loads(model_to_json(model))
+    corrupt_model_doc(doc, *CORRUPTIONS[corruption])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="corrupt model document"):
+        load_model(path)
