@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import PipelineConfig, load_config, paper_defaults
@@ -29,7 +30,6 @@ from .serialize import load_model, save_model
 def _read_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else paper_defaults()
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -48,6 +48,8 @@ def _file_schema(path, cfg: PipelineConfig) -> tuple[str, ...]:
             header = next(csv.reader(fh), None)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     if not header:
         raise DataError(f"{path}: empty file")
     extras = tuple(h.strip() for h in header
@@ -117,20 +119,17 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args.out)
     evaluation.stage.to_csv(out / "stage_report.csv")
     scored = evaluation.holdout
-    lines = [f"mae = {scored.mae!r}", f"mse = {scored.mse!r}",
-             f"rmse = {scored.rmse!r}",
-             f"r2 = {'undefined' if scored.r2 is None else repr(scored.r2)}"]
+    metrics = [("mae", repr(scored.mae)), ("mse", repr(scored.mse)),
+               ("rmse", repr(scored.rmse)),
+               ("r2", "undefined" if scored.r2 is None else repr(scored.r2))]
+    lines = [f"{metric} = {text}" for metric, text in metrics]
     (out / "holdout_metrics.txt").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
     with open(out / "holdout_metrics.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "value"])
-        writer.writerow(["mae", repr(scored.mae)])
-        writer.writerow(["mse", repr(scored.mse)])
-        writer.writerow(["rmse", repr(scored.rmse)])
-        writer.writerow(["r2", "undefined" if scored.r2 is None
-                         else repr(scored.r2)])
+        writer.writerows(metrics)
     print("\n".join(lines))
     print(f"stage report and hold-out metrics written to {out}", file=sys.stderr)
     return 0

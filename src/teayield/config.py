@@ -4,15 +4,17 @@
 constant of the method (outlier threshold 0.5, 100-learner pool, hidden
 sizes 5-30, 10-fold CV) is a default here, and everything else is an
 explicit, documented choice.  ``render_config`` writes the INI text back
-out, so the shipped default file can never drift from the code.
+out, so the shipped default file can never drift from the code.  ``OPTIONS``
+is the single list of INI options; ``load_config`` and ``render_config`` are
+loops over it.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .dataset import MONTH_ENCODINGS, SyntheticSpec
 from .ensemble import EnsembleConfig
@@ -118,14 +120,88 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
-def _parse_list(text: str) -> tuple[str, ...]:
+def _parse_list(text: str, where: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _parse_optional(text: str, parse, sentinels, where: str):
-    if text.strip().lower() in sentinels:
-        return None
-    return parse(text, where)
+# Value kind -> (parse INI text, format a value as INI text).
+_KINDS = {
+    "int": (_parse_int, str),
+    "float": (_parse_float, repr),
+    "bool": (_parse_bool, lambda value: str(value).lower()),
+    "str": (lambda text, where: text.strip(), str),
+    "list": (_parse_list, ", ".join),
+}
+
+
+def _nested(section: str, key: str, kind: str, none_word: str | None = None):
+    """A row for the field ``key`` of the sub-config named ``section``."""
+    return section, key, (section, key), kind, none_word
+
+
+# The single list of INI options, in file order.  Each row is (section, key,
+# attribute path from a PipelineConfig, value kind, the word that stands for
+# None if the option may be None).  ``ensemble.mlp`` has no row: it is the
+# [mlp] section with ``hidden_size=5`` (see load_config).
+# ``synth.interaction_coef`` has none yet: its row would add a line to the
+# benchmark's committed config, which must equal render_config's output.
+OPTIONS = (
+    ("pipeline", "seed", ("seed",), "int", None),
+    ("pipeline", "month_encoding", ("month_encoding",), "str", None),
+    ("pipeline", "paper_faithful", ("paper_faithful",), "bool", None),
+    ("pipeline", "stages", ("stages",), "list", None),
+    ("data", "feature_columns", ("feature_columns",), "list", "auto"),
+    ("scaling", "columns", ("scale_columns",), "list", "all"),
+    ("transform", "log_features", ("log_features",), "list", None),
+    ("transform", "log_target", ("log_target",), "bool", None),
+    ("outliers", "threshold", ("outlier_threshold",), "float", None),
+    ("outliers", "rule", ("outlier_rule",), "str", None),
+    _nested("relieff", "k", "int"),
+    _nested("relieff", "iterations", "int", "all"),
+    _nested("relieff", "decay_sigma", "float", "none"),
+    ("sfs", "evaluator", ("sfs_evaluator",), "str", None),
+    ("sfs", "ridge_lambda", ("sfs_ridge_lambda",), "float", None),
+    ("sfs", "patience", ("sfs_patience",), "int", None),
+    _nested("mlp", "hidden_size", "int"),
+    _nested("mlp", "learning_rate", "float"),
+    _nested("mlp", "epochs", "int"),
+    _nested("mlp", "early_stop_fraction", "float"),
+    _nested("mlp", "patience", "int"),
+    ("gpr", "signal_var", ("gpr_signal_var",), "float", None),
+    ("gpr", "length_scale", ("gpr_length_scale",), "float", None),
+    ("gpr", "noise_var", ("gpr_noise_var",), "float", None),
+    _nested("ensemble", "pool_size", "int"),
+    _nested("ensemble", "subsample_fraction", "float"),
+    _nested("ensemble", "bootstrap", "bool"),
+    _nested("ensemble", "oof_errors", "bool"),
+    _nested("ensemble", "weight_b", "float", "auto"),
+    _nested("ensemble", "weight_c", "float", "auto"),
+    _nested("ensemble", "literal_weights", "bool"),
+    ("ensemble", "patience", ("ensemble_patience",), "int", None),
+    ("evaluation", "cv_folds", ("cv_folds",), "int", None),
+    ("evaluation", "holdout_fraction", ("holdout_fraction",), "float", None),
+    ("evaluation", "mlp_replicates", ("mlp_replicates",), "int", None),
+    ("synth", "n", ("synth_n",), "int", None),
+    _nested("synth", "noise_scale", "float"),
+    _nested("synth", "n_distractors", "int"),
+    _nested("synth", "n_outliers", "int"),
+    _nested("synth", "outlier_shift", "float"),
+    _nested("synth", "rain_coef", "float"),
+    _nested("synth", "temp_coef", "float"),
+    _nested("synth", "ph_coef", "float"),
+    _nested("synth", "humidity_coef", "float"),
+    _nested("synth", "season_amp", "float"),
+    _nested("synth", "base_log_yield", "float"),
+    _nested("synth", "start_year", "int"),
+)
+
+
+def _with_value(obj, path: tuple[str, ...], value):
+    """``obj`` with the attribute at ``path`` replaced by ``value``."""
+    head, *rest = path
+    if rest:
+        value = _with_value(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
 
 
 def load_config(path) -> PipelineConfig:
@@ -136,123 +212,33 @@ def load_config(path) -> PipelineConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot open {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if parser.defaults():
+        raise ConfigError(f"{path}: options in [{parser.default_section}] "
+                          "are not supported; put them in their sections")
 
+    sections = {row[0] for row in OPTIONS}
+    options = {(row[0], row[1]): row[2:] for row in OPTIONS}
     cfg = paper_defaults()
-    relieff = cfg.relieff
-    mlp = cfg.mlp
-    ens = cfg.ensemble
-    synth = cfg.synth
-    updates: dict = {}
-
-    def handle(section: str, key: str, raw: str) -> None:
-        nonlocal relieff, mlp, ens, synth
-        where = f"{path}: [{section}] {key}"
-        field = (section, key)
-        if field == ("pipeline", "seed"):
-            updates["seed"] = _parse_int(raw, where)
-        elif field == ("pipeline", "month_encoding"):
-            updates["month_encoding"] = raw.strip()
-        elif field == ("pipeline", "paper_faithful"):
-            updates["paper_faithful"] = _parse_bool(raw, where)
-        elif field == ("pipeline", "stages"):
-            updates["stages"] = _parse_list(raw)
-        elif field == ("data", "feature_columns"):
-            updates["feature_columns"] = _parse_optional(
-                raw, lambda t, w: _parse_list(t), ("auto",), where)
-        elif field == ("scaling", "columns"):
-            updates["scale_columns"] = _parse_optional(
-                raw, lambda t, w: _parse_list(t), ("all",), where)
-        elif field == ("transform", "log_features"):
-            updates["log_features"] = _parse_list(raw)
-        elif field == ("transform", "log_target"):
-            updates["log_target"] = _parse_bool(raw, where)
-        elif field == ("outliers", "threshold"):
-            updates["outlier_threshold"] = _parse_float(raw, where)
-        elif field == ("outliers", "rule"):
-            updates["outlier_rule"] = raw.strip()
-        elif field == ("relieff", "k"):
-            relieff = replace(relieff, k=_parse_int(raw, where))
-        elif field == ("relieff", "iterations"):
-            relieff = replace(relieff, iterations=_parse_optional(
-                raw, _parse_int, ("all",), where))
-        elif field == ("relieff", "decay_sigma"):
-            relieff = replace(relieff, decay_sigma=_parse_optional(
-                raw, _parse_float, ("none",), where))
-        elif field == ("sfs", "evaluator"):
-            updates["sfs_evaluator"] = raw.strip()
-        elif field == ("sfs", "ridge_lambda"):
-            updates["sfs_ridge_lambda"] = _parse_float(raw, where)
-        elif field == ("sfs", "patience"):
-            updates["sfs_patience"] = _parse_int(raw, where)
-        elif field == ("mlp", "hidden_size"):
-            mlp = replace(mlp, hidden_size=_parse_int(raw, where))
-        elif field == ("mlp", "learning_rate"):
-            mlp = replace(mlp, learning_rate=_parse_float(raw, where))
-        elif field == ("mlp", "epochs"):
-            mlp = replace(mlp, epochs=_parse_int(raw, where))
-        elif field == ("mlp", "early_stop_fraction"):
-            mlp = replace(mlp, early_stop_fraction=_parse_float(raw, where))
-        elif field == ("mlp", "patience"):
-            mlp = replace(mlp, patience=_parse_int(raw, where))
-        elif field == ("gpr", "signal_var"):
-            updates["gpr_signal_var"] = _parse_float(raw, where)
-        elif field == ("gpr", "length_scale"):
-            updates["gpr_length_scale"] = _parse_float(raw, where)
-        elif field == ("gpr", "noise_var"):
-            updates["gpr_noise_var"] = _parse_float(raw, where)
-        elif field == ("ensemble", "pool_size"):
-            ens = replace(ens, pool_size=_parse_int(raw, where))
-        elif field == ("ensemble", "subsample_fraction"):
-            ens = replace(ens, subsample_fraction=_parse_float(raw, where))
-        elif field == ("ensemble", "bootstrap"):
-            ens = replace(ens, bootstrap=_parse_bool(raw, where))
-        elif field == ("ensemble", "oof_errors"):
-            ens = replace(ens, oof_errors=_parse_bool(raw, where))
-        elif field == ("ensemble", "weight_b"):
-            ens = replace(ens, weight_b=_parse_optional(
-                raw, _parse_float, ("auto",), where))
-        elif field == ("ensemble", "weight_c"):
-            ens = replace(ens, weight_c=_parse_optional(
-                raw, _parse_float, ("auto",), where))
-        elif field == ("ensemble", "literal_weights"):
-            ens = replace(ens, literal_weights=_parse_bool(raw, where))
-        elif field == ("ensemble", "patience"):
-            updates["ensemble_patience"] = _parse_int(raw, where)
-        elif field == ("evaluation", "cv_folds"):
-            updates["cv_folds"] = _parse_int(raw, where)
-        elif field == ("evaluation", "holdout_fraction"):
-            updates["holdout_fraction"] = _parse_float(raw, where)
-        elif field == ("evaluation", "mlp_replicates"):
-            updates["mlp_replicates"] = _parse_int(raw, where)
-        elif field == ("synth", "n"):
-            updates["synth_n"] = _parse_int(raw, where)
-        elif section == "synth" and key in (
-                "noise_scale", "n_distractors", "n_outliers", "outlier_shift",
-                "rain_coef", "temp_coef", "ph_coef", "humidity_coef",
-                "season_amp", "base_log_yield", "start_year"):
-            if key in ("n_distractors", "n_outliers", "start_year"):
-                synth = replace(synth, **{key: _parse_int(raw, where)})
-            else:
-                synth = replace(synth, **{key: _parse_float(raw, where)})
-        else:
-            raise ConfigError(f"{where}: unknown option")
-
-    known_sections = ("pipeline", "data", "scaling", "transform", "outliers",
-                      "relieff", "sfs", "mlp", "gpr", "ensemble", "evaluation",
-                      "synth")
     try:
         for section in parser.sections():
-            if section not in known_sections:
+            if section not in sections:
                 raise ConfigError(f"{path}: unknown section [{section}]")
             for key, raw in parser.items(section):
-                handle(section, key, raw)
+                where = f"{path}: [{section}] {key}"
+                if (section, key) not in options:
+                    raise ConfigError(f"{where}: unknown option")
+                attr, kind, none_word = options[section, key]
+                value = (None if raw.strip().lower() == none_word
+                         else _KINDS[kind][0](raw, where))
+                cfg = _with_value(cfg, attr, value)
         # The ensemble trains with the [mlp] settings; its hidden size is
         # redrawn per learner, so the template value is immaterial.
-        return replace(cfg, relieff=relieff, mlp=mlp,
-                       ensemble=replace(ens, mlp=replace(mlp, hidden_size=5)),
-                       synth=synth, **updates)
+        return _with_value(cfg, ("ensemble", "mlp"),
+                           replace(cfg.mlp, hidden_size=5))
     except ConfigError:
         raise
     except (FitError, DataError, ValueError) as exc:
@@ -261,78 +247,10 @@ def load_config(path) -> PipelineConfig:
 
 def render_config(cfg: PipelineConfig) -> str:
     """Serialize a config back to INI text (inverse of load_config)."""
-    def fmt_list(values) -> str:
-        return ", ".join(values) if values else ""
-
-    out = io.StringIO()
-    out.write("[pipeline]\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"month_encoding = {cfg.month_encoding}\n")
-    out.write(f"paper_faithful = {str(cfg.paper_faithful).lower()}\n")
-    out.write(f"stages = {fmt_list(cfg.stages)}\n\n")
-    out.write("[data]\n")
-    out.write("feature_columns = "
-              + ("auto" if cfg.feature_columns is None
-                 else fmt_list(cfg.feature_columns)) + "\n\n")
-    out.write("[scaling]\n")
-    out.write("columns = "
-              + ("all" if cfg.scale_columns is None
-                 else fmt_list(cfg.scale_columns)) + "\n\n")
-    out.write("[transform]\n")
-    out.write(f"log_features = {fmt_list(cfg.log_features)}\n")
-    out.write(f"log_target = {str(cfg.log_target).lower()}\n\n")
-    out.write("[outliers]\n")
-    out.write(f"threshold = {cfg.outlier_threshold!r}\n")
-    out.write(f"rule = {cfg.outlier_rule}\n\n")
-    out.write("[relieff]\n")
-    out.write(f"k = {cfg.relieff.k}\n")
-    out.write("iterations = "
-              + ("all" if cfg.relieff.iterations is None
-                 else str(cfg.relieff.iterations)) + "\n")
-    out.write("decay_sigma = "
-              + ("none" if cfg.relieff.decay_sigma is None
-                 else repr(cfg.relieff.decay_sigma)) + "\n\n")
-    out.write("[sfs]\n")
-    out.write(f"evaluator = {cfg.sfs_evaluator}\n")
-    out.write(f"ridge_lambda = {cfg.sfs_ridge_lambda!r}\n")
-    out.write(f"patience = {cfg.sfs_patience}\n\n")
-    out.write("[mlp]\n")
-    out.write(f"hidden_size = {cfg.mlp.hidden_size}\n")
-    out.write(f"learning_rate = {cfg.mlp.learning_rate!r}\n")
-    out.write(f"epochs = {cfg.mlp.epochs}\n")
-    out.write(f"early_stop_fraction = {cfg.mlp.early_stop_fraction!r}\n")
-    out.write(f"patience = {cfg.mlp.patience}\n\n")
-    out.write("[gpr]\n")
-    out.write(f"signal_var = {cfg.gpr_signal_var!r}\n")
-    out.write(f"length_scale = {cfg.gpr_length_scale!r}\n")
-    out.write(f"noise_var = {cfg.gpr_noise_var!r}\n\n")
-    out.write("[ensemble]\n")
-    out.write(f"pool_size = {cfg.ensemble.pool_size}\n")
-    out.write(f"subsample_fraction = {cfg.ensemble.subsample_fraction!r}\n")
-    out.write(f"bootstrap = {str(cfg.ensemble.bootstrap).lower()}\n")
-    out.write(f"oof_errors = {str(cfg.ensemble.oof_errors).lower()}\n")
-    out.write("weight_b = " + ("auto" if cfg.ensemble.weight_b is None
-                               else repr(cfg.ensemble.weight_b)) + "\n")
-    out.write("weight_c = " + ("auto" if cfg.ensemble.weight_c is None
-                               else repr(cfg.ensemble.weight_c)) + "\n")
-    out.write(f"literal_weights = {str(cfg.ensemble.literal_weights).lower()}\n")
-    out.write(f"patience = {cfg.ensemble_patience}\n\n")
-    out.write("[evaluation]\n")
-    out.write(f"cv_folds = {cfg.cv_folds}\n")
-    out.write(f"holdout_fraction = {cfg.holdout_fraction!r}\n")
-    out.write(f"mlp_replicates = {cfg.mlp_replicates}\n\n")
-    out.write("[synth]\n")
-    out.write(f"n = {cfg.synth_n}\n")
-    s = cfg.synth
-    out.write(f"noise_scale = {s.noise_scale!r}\n")
-    out.write(f"n_distractors = {s.n_distractors}\n")
-    out.write(f"n_outliers = {s.n_outliers}\n")
-    out.write(f"outlier_shift = {s.outlier_shift!r}\n")
-    out.write(f"rain_coef = {s.rain_coef!r}\n")
-    out.write(f"temp_coef = {s.temp_coef!r}\n")
-    out.write(f"ph_coef = {s.ph_coef!r}\n")
-    out.write(f"humidity_coef = {s.humidity_coef!r}\n")
-    out.write(f"season_amp = {s.season_amp!r}\n")
-    out.write(f"base_log_yield = {s.base_log_yield!r}\n")
-    out.write(f"start_year = {s.start_year}\n")
-    return out.getvalue()
+    sections: dict[str, list[str]] = {}
+    for section, key, attr, kind, none_word in OPTIONS:
+        value = reduce(getattr, attr, cfg)
+        text = none_word if value is None else _KINDS[kind][1](value)
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    return "\n".join(f"[{section}]\n" + "".join(lines)
+                     for section, lines in sections.items())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -230,6 +231,15 @@ def encode_months(months: np.ndarray, encoding: str) -> np.ndarray:
     raise DataError(f"unknown month encoding {encoding!r}; choose from {MONTH_ENCODINGS}")
 
 
+@contextmanager
+def _utf8_text(path):
+    """Turn a decoding failure while reading ``path`` into a DataError."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
              month_encoding: str = "cyclic",
              require_target: bool = True) -> FeatureMatrix:
@@ -252,7 +262,7 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    with fh:
+    with fh, _utf8_text(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)

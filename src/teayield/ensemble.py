@@ -96,7 +96,8 @@ class EnsembleModel:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape[0] != len(self.learners) or not self.learners:
             raise DataError("one weight per learner required, at least one learner")
-        if abs(float(w.sum()) - 1.0) > 1e-12 or np.any(w <= 0.0):
+        if (not np.all(np.isfinite(w)) or abs(float(w.sum()) - 1.0) > 1e-12
+                or np.any(w <= 0.0)):
             raise DataError("weights must be strictly positive and sum to 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)

@@ -32,9 +32,12 @@ def _enc_array(a: np.ndarray) -> dict:
             "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
 
 
-def _dec_array(obj: dict) -> np.ndarray:
+def _dec_array(obj: dict, what: str = "array") -> np.ndarray:
     raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} holds non-finite values")
+    return a
 
 
 def _enc_mlp(m: MLPModel) -> dict:
@@ -46,7 +49,7 @@ def _enc_mlp(m: MLPModel) -> dict:
 
 
 def _dec_shaped(obj: dict, shape: tuple, what: str) -> np.ndarray:
-    a = _dec_array(obj)
+    a = _dec_array(obj, what)
     if a.shape != shape:
         raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
     return a
@@ -63,7 +66,7 @@ def _dec_mlp(obj: dict) -> MLPModel:
     h = obj["hidden_size"]
     if isinstance(h, bool) or not isinstance(h, int) or h < 1:
         raise ValueError(f"hidden_size must be a positive integer, got {h!r}")
-    w_hidden = _dec_array(obj["w_hidden"])
+    w_hidden = _dec_array(obj["w_hidden"], "w_hidden")
     if w_hidden.ndim != 2 or w_hidden.shape[1] != h:
         raise ValueError(f"w_hidden has shape {w_hidden.shape}, "
                          f"expected (features, {h})")
@@ -119,7 +122,8 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         selected_features=tuple(pre["selected_features"]),
         scaler=None if scaler is None else _dec_scaler(scaler),
         log_features=tuple(pre["log_features"]), log_target=pre["log_target"],
-        target_center=pre["target_center"], target_scale=pre["target_scale"])
+        target_center=_dec_finite(pre["target_center"], "target_center"),
+        target_scale=_dec_finite(pre["target_scale"], "target_scale"))
     learners = tuple(
         BaseLearner(_dec_mlp(bl["mlp"]), bl["hidden_size"],
                     tuple(bl["subsample_indices"]), bl["train_error"],
@@ -127,8 +131,10 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         for bl in obj["learners"])
     if len({bl.model.w_hidden.shape[0] for bl in learners}) > 1:
         raise ValueError("learners disagree on the number of input features")
-    return EnsembleModel(learners, _dec_array(obj["weights"]), obj["weight_b"],
-                         obj["weight_c"], obj["literal_weights"], state)
+    return EnsembleModel(learners, _dec_array(obj["weights"], "weights"),
+                         _dec_finite(obj["weight_b"], "weight_b"),
+                         _dec_finite(obj["weight_c"], "weight_c"),
+                         obj["literal_weights"], state)
 
 
 def model_to_json(model: EnsembleModel) -> str:
@@ -150,7 +156,7 @@ def load_model(path) -> EnsembleModel:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError(f"{path}: not a {FORMAT_NAME} file")

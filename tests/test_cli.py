@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -77,6 +78,7 @@ CORRUPTIONS = {
                                  lambda a: a[:1]),
     "w_out shorter than hidden_size": (FIRST_MLP, "w_out", lambda a: a[:-1]),
     "string b_out": (FIRST_MLP, "b_out", "0.5"),
+    "NaN target_scale": (("preprocess",), "target_scale", float("nan")),
 }
 
 
@@ -91,3 +93,34 @@ def test_predict_rejects_corrupt_model_arrays(workdir, model_doc, corruption,
                  "--model", str(bad), "--out", str(workdir / "bad.csv"),
                  "--config", str(workdir / "tiny.ini")]) == 1
     assert "corrupt model document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_file", ["config", "data", "data, listed columns",
+                                      "model"])
+def test_non_utf8_input_exits_1_naming_the_file(workdir, model_doc, bad_file,
+                                                capsys):
+    """One 0xff byte in any input file is a user error, not an internal one.
+
+    With ``feature_columns = auto`` the data file's header is read for its
+    column names before the rows are loaded; with the columns listed in the
+    config only the row loader reads the file.
+    """
+    listed = workdir / "listed.ini"
+    extras = ("distractor_1", "distractor_2", "distractor_3")
+    listed.write_text(render_config(replace(tiny_config(),
+                                            feature_columns=extras)),
+                      encoding="utf-8")
+    files = {"config": workdir / "tiny.ini", "data": workdir / "data.csv",
+             "model": workdir / "trained" / "m.json"}
+    if bad_file == "data, listed columns":
+        bad_file, files["config"] = "data", listed
+    bad = workdir / f"non_utf8_{files[bad_file].name}"
+    bad.write_bytes(b"\xff" + files[bad_file].read_bytes())
+    files[bad_file] = bad
+    capsys.readouterr()
+    assert main(["predict", "--data", str(files["data"]),
+                 "--model", str(files["model"]),
+                 "--config", str(files["config"]),
+                 "--out", str(workdir / "non_utf8.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err

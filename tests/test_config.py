@@ -1,9 +1,16 @@
 import configparser
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teayield.config import load_config, render_config
+from teayield.config import (OPTIONS, OUTLIER_RULES, PIPELINE_STAGES,
+                             SFS_EVALUATORS, load_config, paper_defaults,
+                             render_config)
+from teayield.dataset import MONTH_ENCODINGS
 from teayield.errors import ConfigError
+from teayield.regressors import HIDDEN_RANGE
 
 from conftest import tiny_config
 
@@ -24,3 +31,128 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
         parser.write(fh)
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*finite"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n",
+    "[DEFAULT]\nseed = 3\n\n[pipeline]\nmonth_encoding = cyclic\n",
+])
+def test_options_in_the_default_section_are_rejected(tmp_path, text):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        load_config(path)
+
+
+# Fields the table leaves out on purpose: the ensemble's network settings are
+# the [mlp] section with hidden_size=5, and interaction_coef is not written
+# yet, since rendering it would change the benchmark's committed config.
+NOT_IN_TABLE = {("ensemble", "mlp"), ("synth", "interaction_coef")}
+
+
+def _field_paths(obj, prefix=()):
+    for f in fields(obj):
+        path = prefix + (f.name,)
+        value = getattr(obj, f.name)
+        if is_dataclass(value) and path not in NOT_IN_TABLE:
+            yield from _field_paths(value, path)
+        else:
+            yield path
+
+
+def test_every_config_field_has_a_table_row():
+    paths = set(_field_paths(paper_defaults()))
+    assert NOT_IN_TABLE <= paths
+    assert paths - NOT_IN_TABLE == {row[2] for row in OPTIONS}
+    assert len({(row[0], row[1]) for row in OPTIONS}) == len(OPTIONS)
+
+
+NONE_WORDS = {row[4] for row in OPTIONS} - {None}
+names = st.lists(st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1,
+                         max_size=8).filter(lambda s: s not in NONE_WORDS),
+                 max_size=4).map(tuple)
+numbers = st.floats(allow_nan=False, allow_infinity=False)
+fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+VALUES = {
+    ("seed",): st.integers(min_value=0),
+    ("month_encoding",): st.sampled_from(MONTH_ENCODINGS),
+    ("paper_faithful",): st.booleans(),
+    ("stages",): st.lists(st.sampled_from(PIPELINE_STAGES),
+                          unique=True).map(tuple),
+    ("feature_columns",): st.none() | names,
+    ("scale_columns",): st.none() | names,
+    ("log_features",): names,
+    ("log_target",): st.booleans(),
+    ("outlier_threshold",): numbers,
+    ("outlier_rule",): st.sampled_from(OUTLIER_RULES),
+    ("relieff", "k"): st.integers(),
+    ("relieff", "iterations"): st.none() | st.integers(),
+    ("relieff", "decay_sigma"): st.none() | numbers,
+    ("sfs_evaluator",): st.sampled_from(SFS_EVALUATORS),
+    ("sfs_ridge_lambda",): numbers,
+    ("sfs_patience",): st.integers(),
+    ("mlp", "hidden_size"): st.integers(*HIDDEN_RANGE),
+    ("mlp", "learning_rate"): st.floats(0.0, exclude_min=True,
+                                        allow_infinity=False),
+    ("mlp", "epochs"): st.integers(min_value=1),
+    ("mlp", "early_stop_fraction"): st.floats(0.0, 1.0, exclude_max=True),
+    ("mlp", "patience"): st.integers(min_value=1),
+    ("gpr_signal_var",): numbers,
+    ("gpr_length_scale",): numbers,
+    ("gpr_noise_var",): numbers,
+    ("ensemble", "pool_size"): st.integers(min_value=1),
+    ("ensemble", "subsample_fraction"): st.floats(0.0, 1.0, exclude_min=True),
+    ("ensemble", "bootstrap"): st.booleans(),
+    ("ensemble", "oof_errors"): st.booleans(),
+    ("ensemble", "weight_b"): st.none() | numbers,
+    ("ensemble", "weight_c"): st.none() | numbers,
+    ("ensemble", "literal_weights"): st.booleans(),
+    ("ensemble_patience",): st.integers(),
+    ("cv_folds",): st.integers(min_value=2),
+    ("holdout_fraction",): fractions,
+    ("mlp_replicates",): st.integers(min_value=1),
+    ("synth_n",): st.integers(),
+    ("synth", "noise_scale"): st.floats(0.0, allow_infinity=False),
+    ("synth", "n_distractors"): st.integers(min_value=0),
+    ("synth", "n_outliers"): st.integers(min_value=0),
+    ("synth", "outlier_shift"): numbers,
+    ("synth", "rain_coef"): numbers,
+    ("synth", "temp_coef"): numbers,
+    ("synth", "ph_coef"): numbers,
+    ("synth", "humidity_coef"): numbers,
+    ("synth", "season_amp"): numbers,
+    ("synth", "base_log_yield"): numbers,
+    ("synth", "start_year"): st.integers(),
+}
+
+
+def test_the_strategy_varies_every_table_row():
+    assert set(VALUES) == {row[2] for row in OPTIONS}
+
+
+def _set(obj, path, value):
+    head, *rest = path
+    if rest:
+        value = _set(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
+@st.composite
+def configs(draw):
+    cfg = paper_defaults()
+    for path, values in VALUES.items():
+        cfg = _set(cfg, path, draw(values))
+    return replace(cfg, ensemble=replace(
+        cfg.ensemble, mlp=replace(cfg.mlp, hidden_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=configs())
+def test_render_then_load_is_exact(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "round_trip.ini"
+    text = render_config(cfg)
+    path.write_text(text, encoding="utf-8")
+    loaded = load_config(path)
+    assert loaded == cfg
+    assert render_config(loaded) == text

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ def test_only_ensembles_are_saved(model):
         model_to_json(model.learners[0].model)
 
 
+def one_nan(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
 FIRST_MLP = ("learners", 0, "mlp")
 CORRUPTIONS = {
     "w_hidden 1-D": (FIRST_MLP, "w_hidden", lambda a: a[0]),
@@ -54,6 +61,14 @@ CORRUPTIONS = {
     "boolean b_out": (FIRST_MLP, "b_out", True),
     "scaler stds too long": (("preprocess", "scaler"), "stds",
                              lambda a: np.append(a, 1.0)),
+    "NaN in w_hidden": (FIRST_MLP, "w_hidden", one_nan),
+    "NaN in b_hidden": (FIRST_MLP, "b_hidden", one_nan),
+    "NaN in w_out": (FIRST_MLP, "w_out", one_nan),
+    "NaN in the ensemble weights": ((), "weights", one_nan),
+    "NaN target_center": (("preprocess",), "target_center", float("nan")),
+    "NaN target_scale": (("preprocess",), "target_scale", float("nan")),
+    "NaN weight_b": ((), "weight_b", float("nan")),
+    "NaN weight_c": ((), "weight_c", float("nan")),
 }
 
 
@@ -66,3 +81,10 @@ def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="corrupt model document"):
         load_model(path)
+
+
+def test_non_finite_ensemble_weights_are_rejected(model):
+    weights = np.full(len(model.learners), 1.0 / len(model.learners))
+    weights[0] = np.nan
+    with pytest.raises(DataError, match="weights must be"):
+        replace(model, weights=weights)
