@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,6 +49,8 @@ def _file_schema(path, cfg: PipelineConfig) -> tuple[str, ...]:
         raise DataError(f"cannot open {path}: {exc}") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if not header:
         raise DataError(f"{path}: empty file")
     extras = tuple(h.strip() for h in header
@@ -141,16 +142,19 @@ def cmd_predict(args) -> int:
     m = _load_data(args.data, cfg, month_encoding=model.preprocess.month_encoding,
                    require_target=False)
     preds = predict_ensemble(model, m)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "prediction"])
-    for i, value in enumerate(preds):
-        writer.writerow([i, repr(float(value))])
+
+    def write(fh) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["row", "prediction"])
+        writer.writerows([i, repr(v)] for i, v in enumerate(map(float, preds)))
+
     if args.out:
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
         print(f"wrote {len(preds)} predictions to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(buf.getvalue())
+        write(sys.stdout)
     return 0
 
 

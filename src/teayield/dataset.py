@@ -12,8 +12,9 @@ provenance but never exposed as model features.  The month is a categorical
 from __future__ import annotations
 
 import csv
-import io
 import math
+import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -33,38 +34,6 @@ CANONICAL_SCHEMA = (
 CARRIED_COLUMNS = ("year", "month", "labor_cost", "labor_training", "pesticide_used")
 TARGET_COLUMN = "yield"
 MONTH_ENCODINGS = ("cyclic", "integer", "onehot")
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One monthly observation. Ranges are validated on construction."""
-
-    year: int
-    month: int
-    min_temp: float
-    max_temp: float
-    humidity: float
-    rainfall: float
-    soil_ph: float
-    labor_cost: float
-    labor_training: str
-    pesticide_used: bool
-    yield_kg: float
-
-    def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise DataError(f"month must be in 1..12, got {self.month}")
-        if self.min_temp > self.max_temp:
-            raise DataError(
-                f"min_temp {self.min_temp} exceeds max_temp {self.max_temp}")
-        if not 0.0 <= self.humidity <= 100.0:
-            raise DataError(f"humidity must be in [0, 100], got {self.humidity}")
-        if self.rainfall < 0.0:
-            raise DataError(f"rainfall must be >= 0, got {self.rainfall}")
-        if not 0.0 <= self.soil_ph <= 14.0:
-            raise DataError(f"soil_ph must be in [0, 14], got {self.soil_ph}")
-        if self.yield_kg < 0.0:
-            raise DataError(f"yield must be >= 0, got {self.yield_kg}")
 
 
 @dataclass(frozen=True)
@@ -232,12 +201,116 @@ def encode_months(months: np.ndarray, encoding: str) -> np.ndarray:
 
 
 @contextmanager
-def _utf8_text(path):
-    """Turn a decoding failure while reading ``path`` into a DataError."""
+def _csv_text(path):
+    """Turn a decoding or CSV syntax failure while reading ``path`` into a
+    DataError."""
     try:
         yield
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
+# Canonical number columns in the order a row's cells are parsed; all but
+# labor_cost are model features.
+_FLOAT_COLUMNS = ("min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
+                  "labor_cost")
+_BASE_FEATURES = _FLOAT_COLUMNS[:-1]
+
+# Range rules in the order a row's violations are reported: the columns a
+# rule reads, a vectorised test for bad values, and the message.
+_RANGE_RULES = (
+    (("month",), lambda mo: (mo < 1) | (mo > 12),
+     "month must be in 1..12, got {}"),
+    (("min_temp", "max_temp"), lambda lo, hi: lo > hi,
+     "min_temp {} exceeds max_temp {}"),
+    (("humidity",), lambda h: (h < 0.0) | (h > 100.0),
+     "humidity must be in [0, 100], got {}"),
+    (("rainfall",), lambda r: r < 0.0, "rainfall must be >= 0, got {}"),
+    (("soil_ph",), lambda ph: (ph < 0.0) | (ph > 14.0),
+     "soil_ph must be in [0, 14], got {}"),
+    ((TARGET_COLUMN,), lambda y: y < 0.0, "yield must be >= 0, got {}"),
+)
+
+
+class _Columns:
+    """A CSV file's data rows parsed into one buffer per column, and each
+    row's data-row number in the file.  Year and month stay Python ints, as
+    the matrix carries them and a year has no bound."""
+
+    def __init__(self, extra: Sequence[str]):
+        self.cells = {c: array("d")
+                      for c in (*_FLOAT_COLUMNS, TARGET_COLUMN, *extra)}
+        self.cells.update(year=[], month=[], labor_training=[],
+                          pesticide_used=array("b"))
+        self.rows = array("q")
+
+    def first_error(self, path, n: int,
+                    message: str | None = None) -> DataError | None:
+        """The error to report once the first ``n`` rows are read and the
+        next failed with ``message``: the earliest of those rows that breaks
+        a range rule, naming the first rule it breaks, comes first."""
+        first = None
+        if n:
+            cols = {c: np.frombuffer(self.cells[c], count=n)
+                    for c in (*_BASE_FEATURES, TARGET_COLUMN)}
+            cols["month"] = np.array(self.cells["month"][:n])
+            for names, is_bad, text in _RANGE_RULES:
+                bad = np.flatnonzero(is_bad(*(cols[c] for c in names)))
+                if bad.size and (first is None or bad[0] < first[0]):
+                    i = int(bad[0])
+                    first = (i, text.format(*(self.cells[c][i] for c in names)))
+        if first is not None:
+            message = f"row {self.rows[first[0]]}: {first[1]}"
+        return None if message is None else DataError(f"{path}: {message}")
+
+
+def _read_rows(path, reader, at: Mapping[str, int], width: int,
+               extra: Sequence[str]) -> _Columns:
+    """Parse every data row of ``reader`` into columns.
+
+    A row-local error is only raised once the rows before it have passed the
+    range rules, so the earliest bad row is the one reported.  Without a
+    yield column the target reads as zeros.
+    """
+    cols = _Columns(extra)
+
+    def step(name, parse):
+        return at.get(name, 0), name, parse, cols.cells[name].append
+
+    canonical = [step("year", _parse_int), step("month", _parse_int),
+                 *(step(c, _parse_float) for c in _FLOAT_COLUMNS),
+                 step("labor_training", lambda cell, _: sys.intern(cell.strip())),
+                 step("pesticide_used", _parse_bool),
+                 step(TARGET_COLUMN, _parse_float if TARGET_COLUMN in at
+                      else lambda cell, _: 0.0)]
+    extras = [step(c, _parse_float) for c in extra]
+    n = 0
+    for r, raw in enumerate(reader, start=1):
+        if not any(cell.strip() for cell in raw):
+            continue
+        if len(raw) != width:
+            raise cols.first_error(
+                path, n, f"row {r} has {len(raw)} cells, expected {width}")
+        try:
+            for j, name, parse, append in canonical:
+                append(parse(raw[j], name))
+        except DataError as exc:
+            raise cols.first_error(path, n, f"row {r}: {exc}") from None
+        cols.rows.append(r)
+        n += 1
+        try:
+            for j, name, parse, append in extras:
+                append(parse(raw[j], name))
+        except DataError as exc:
+            raise cols.first_error(path, n, f"row {r}: {exc}") from None
+    if n == 0:
+        raise DataError(f"{path}: no data rows")
+    error = cols.first_error(path, n)
+    if error is not None:
+        raise error
+    return cols
 
 
 def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
@@ -247,10 +320,19 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
 
     The header must contain exactly the ``schema`` columns (any order).
     Schema columns beyond the canonical set are read as extra numeric
-    features.  Missing values and unparseable or non-finite cells are load
-    errors naming the offending data row (1-based) and column.  With
-    ``require_target`` false the ``yield`` column may be left out, as when
-    scoring new rows; the target of such a file reads as zeros.
+    features.  With ``require_target`` false the ``yield`` column may be
+    left out, as when scoring new rows; the target of such a file reads as
+    zeros.  Rows are parsed into one buffer per column and the range rules
+    run over whole columns, so no per-row object is kept.
+
+    A bad row is reported by its data-row number (1-based, blank rows
+    counted though skipped).  Of several bad rows the earliest is reported;
+    within a row, the first failure in this order: the cell count; a
+    missing, unparseable or non-finite cell of year, month, min_temp,
+    max_temp, humidity, rainfall, soil_ph, labor_cost, pesticide_used or
+    yield; month in 1..12, min_temp <= max_temp, humidity in [0, 100],
+    rainfall >= 0, soil_ph in [0, 14], yield >= 0; then a bad cell of an
+    extra column, in schema order.
     """
     schema = tuple(schema)
     missing_canonical = [c for c in CANONICAL_SCHEMA if c not in schema]
@@ -262,7 +344,7 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    with fh, _utf8_text(path):
+    with fh, _csv_text(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -280,70 +362,18 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
             raise DataError(
                 f"{path}: header mismatch (missing {missing or 'none'}, "
                 f"unexpected {extra or 'none'})")
-        pos = {name: header.index(name) for name in schema}
-
-        rows = []
-        for r, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != len(header):
-                raise DataError(f"{path}: row {r} has {len(raw)} cells, "
-                                f"expected {len(header)}")
-            cells = {name: raw[pos[name]] for name in schema}
-            try:
-                record = SampleRecord(
-                    year=_parse_int(cells["year"], "year"),
-                    month=_parse_int(cells["month"], "month"),
-                    min_temp=_parse_float(cells["min_temp"], "min_temp"),
-                    max_temp=_parse_float(cells["max_temp"], "max_temp"),
-                    humidity=_parse_float(cells["humidity"], "humidity"),
-                    rainfall=_parse_float(cells["rainfall"], "rainfall"),
-                    soil_ph=_parse_float(cells["soil_ph"], "soil_ph"),
-                    labor_cost=_parse_float(cells["labor_cost"], "labor_cost"),
-                    labor_training=cells["labor_training"].strip(),
-                    pesticide_used=_parse_bool(cells["pesticide_used"],
-                                               "pesticide_used"),
-                    yield_kg=(_parse_float(cells[TARGET_COLUMN], TARGET_COLUMN)
-                              if has_target else 0.0),
-                )
-                extras = [_parse_float(cells[c], c) for c in extra_features]
-            except DataError as exc:
-                raise DataError(f"{path}: row {r}: {exc}") from None
-            rows.append((record, extras))
-
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    records = [rec for rec, _ in rows]
-    months = np.array([rec.month for rec in records], dtype=np.float64)
+        at = {name: header.index(name) for name in schema}
+        cells = _read_rows(path, reader, at, len(header), extra_features).cells
 
     # Canonical feature order regardless of file column order: the base
     # numeric features, then any extra schema columns, then the encoded month.
-    names: list[str] = ["min_temp", "max_temp", "humidity", "rainfall", "soil_ph"]
-    columns: list[np.ndarray] = [
-        np.array([rec.min_temp for rec in records]),
-        np.array([rec.max_temp for rec in records]),
-        np.array([rec.humidity for rec in records]),
-        np.array([rec.rainfall for rec in records]),
-        np.array([rec.soil_ph for rec in records]),
-    ]
-    for j, col in enumerate(extra_features):
-        names.append(col)
-        columns.append(np.array([ex[j] for _, ex in rows]))
-    enc = encode_months(months, month_encoding)
-    for j, enc_name in enumerate(month_columns(month_encoding)):
-        names.append(enc_name)
-        columns.append(enc[:, j])
-
-    carried = {
-        "year": tuple(rec.year for rec in records),
-        "month": tuple(rec.month for rec in records),
-        "labor_cost": tuple(rec.labor_cost for rec in records),
-        "labor_training": tuple(rec.labor_training for rec in records),
-        "pesticide_used": tuple(int(rec.pesticide_used) for rec in records),
-    }
-    return FeatureMatrix(tuple(names), np.column_stack(columns),
-                         np.array([rec.yield_kg for rec in records]),
+    months = np.array(cells["month"], dtype=np.float64)
+    values = np.column_stack(
+        [np.frombuffer(cells[c]) for c in (*_BASE_FEATURES, *extra_features)]
+        + [encode_months(months, month_encoding)])
+    names = (*_BASE_FEATURES, *extra_features, *month_columns(month_encoding))
+    carried = {c: tuple(cells[c]) for c in CARRIED_COLUMNS}
+    return FeatureMatrix(names, values, np.frombuffer(cells[TARGET_COLUMN]),
                          TARGET_COLUMN, carried)
 
 
@@ -367,22 +397,24 @@ def render_csv(m: FeatureMatrix) -> str:
     header = ["year", "month", *known, *extras,
               "labor_cost", "labor_training", "pesticide_used", TARGET_COLUMN]
 
-    def fmt(v) -> str:
-        return repr(float(v))
+    def fmt(col):
+        return map(repr, np.asarray(col, dtype=np.float64).tolist())
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(m.n_samples):
-        row = [str(m.carried["year"][i]), str(m.carried["month"][i])]
-        row += [fmt(m.column(c)[i]) for c in known]
-        row += [fmt(m.column(c)[i]) for c in extras]
-        row += [fmt(m.carried["labor_cost"][i]),
-                str(m.carried["labor_training"][i]),
-                str(int(m.carried["pesticide_used"][i])),
-                fmt(m.target[i])]
-        writer.writerow(row)
-    return buf.getvalue()
+    def text(cell) -> str:
+        # Quoted as csv.writer quotes, and also when it holds a carriage
+        # return, which csv.writer leaves bare and csv.reader ends a row at.
+        cell = str(cell)
+        if any(c in cell for c in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    columns = [map(str, m.carried["year"]), map(str, m.carried["month"]),
+               *(fmt(m.column(c)) for c in known + extras),
+               fmt(m.carried["labor_cost"]), map(text, m.carried["labor_training"]),
+               (str(int(v)) for v in m.carried["pesticide_used"]),
+               fmt(m.target)]
+    rows = [map(text, header), *zip(*columns)]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def write_csv(m: FeatureMatrix, path) -> None:

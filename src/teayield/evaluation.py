@@ -1,4 +1,4 @@
-"""Metrics, data splitting, k-fold cross-validation, and grid search.
+"""Metrics, data splitting and k-fold cross-validation.
 
 The harness is model-agnostic: it takes learner factories (see
 ``regressors``), so any preprocessing a factory performs is refit on every
@@ -8,7 +8,6 @@ lives in ``pipeline.stage_report``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +26,6 @@ class MetricsReport:
     mse: float
     rmse: float
     r2: float | None
-
-    def as_dict(self) -> dict:
-        return {"mae": self.mae, "mse": self.mse, "rmse": self.rmse,
-                "r2": self.r2}
 
 
 @dataclass(frozen=True)
@@ -56,20 +51,6 @@ class CVResult:
     mean_rmse: float
     oof_predictions: np.ndarray
     plan: FoldPlan
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    params: dict
-    rmse: float | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    best_params: dict
-    best_rmse: float
-    trace: tuple[GridPoint, ...]
 
 
 def metrics(y_true, y_pred) -> MetricsReport:
@@ -147,34 +128,3 @@ def holdout_split(m: FeatureMatrix, test_fraction: float,
     test_rows = np.sort(perm[:n_test])
     train_rows = np.sort(perm[n_test:])
     return m.take_rows(train_rows), m.take_rows(test_rows)
-
-
-def grid_search(m: FeatureMatrix, family, grid: dict, plan: FoldPlan,
-                seed: int = 0) -> GridSearchResult:
-    """Exhaustive CV over a parameter lattice.
-
-    ``family(params)`` must return a learner factory.  Failed points are
-    recorded and skipped.  Ties break toward the lexicographically smallest
-    parameter value tuple (keys compared in sorted order).
-    """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise DataError("grid must have at least one value per parameter")
-    keys = sorted(grid)
-    trace = []
-    best: tuple | None = None
-    best_params: dict | None = None
-    best_rmse = math.inf
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        params = dict(zip(keys, combo))
-        try:
-            rmse = cross_validate(m, family(params), plan, seed).pooled_rmse
-        except TeaYieldError as exc:
-            trace.append(GridPoint(params, None, str(exc)))
-            continue
-        trace.append(GridPoint(params, rmse))
-        if rmse < best_rmse or (rmse == best_rmse and best is not None
-                                and combo < best):
-            best, best_params, best_rmse = combo, params, rmse
-    if best_params is None:
-        raise DataError("every grid point failed to fit")
-    return GridSearchResult(best_params, best_rmse, tuple(trace))

@@ -131,14 +131,6 @@ def apply_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
     return m.replace_columns(updates)
 
 
-def invert_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
-    """Undo apply_scaler: x * std + mean on each fitted column."""
-    updates = {}
-    for name, mu, sd in zip(s.columns, s.means, s.stds):
-        updates[name] = m.column(name) * sd + mu
-    return m.replace_columns(updates)
-
-
 def _checked_log(col: np.ndarray, name: str) -> np.ndarray:
     bad = np.nonzero(col <= 0.0)[0]
     if bad.size:

@@ -247,6 +247,15 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int,
                     np.array(losses) if track_history else None)
 
 
+def predict_mlp(model: MLPModel, x: np.ndarray) -> np.ndarray:
+    """The network's outputs for the rows of the input array ``x``."""
+    if x.shape[1] != model.w_hidden.shape[0]:
+        raise DataError(f"matrix has {x.shape[1]} features, model expects "
+                        f"{model.w_hidden.shape[0]}")
+    return kernels.mlp_forward(x, model.w_hidden, model.b_hidden,
+                               model.w_out, model.b_out)
+
+
 def predict(model, m: FeatureMatrix) -> np.ndarray:
     """Uniform batch prediction for any fitted model."""
     x = _feature_array(m)
@@ -261,11 +270,7 @@ def predict(model, m: FeatureMatrix) -> np.ndarray:
                             f"{model.x_train.shape[1]}")
         return _gpr_cross(model, x) @ model.alpha
     if isinstance(model, MLPModel):
-        if x.shape[1] != model.w_hidden.shape[0]:
-            raise DataError(f"matrix has {x.shape[1]} features, model expects "
-                            f"{model.w_hidden.shape[0]}")
-        return kernels.mlp_forward(x, model.w_hidden, model.b_hidden,
-                                   model.w_out, model.b_out)
+        return predict_mlp(model, x)
     raise DataError(f"cannot predict with object of type {type(model).__name__}")
 
 

@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from teayield.config import PipelineConfig, paper_defaults
 from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
@@ -102,3 +103,47 @@ def random_matrix(rng, n: int, f: int, target_noise: float = 1.0) -> FeatureMatr
     beta = rng.normal(size=f)
     target = values @ beta + target_noise * rng.normal(size=n)
     return FeatureMatrix(tuple(f"x{i}" for i in range(f)), values, target, "y")
+
+
+# Replacement cells for ``mutate_csv``; the last one becomes a lone 0xff byte.
+FUZZ_CELLS = ("", "nan", "inf", "1e400", "-0", " 3 ", "\udcff")
+
+
+def csv_edits():
+    """Strategy for up to four edits of a CSV file, for ``mutate_csv``."""
+    n = st.integers(0, 2**16)
+    return st.lists(st.tuples(st.sampled_from(("drop", "swap", "set", "byte")),
+                              n, n, n), max_size=4)
+
+
+def mutate_csv(text: str, edits) -> bytes:
+    """The bytes of CSV ``text`` after ``edits``.
+
+    Each edit is ``(kind, a, b, c)``, its numbers taken modulo the size they
+    index: ``drop`` removes cell b of line a, ``swap`` exchanges cells b and
+    c of line a, ``set`` replaces cell b of line a by ``FUZZ_CELLS[c]``, and
+    ``byte`` sets byte a of the encoded file to c (mod 256) once the cell
+    edits are done.  Lines are split on plain commas.
+    """
+    lines = [line.split(",") for line in text.splitlines()]
+    byte_edits = []
+    for kind, a, b, c in edits:
+        if kind == "byte":
+            byte_edits.append((a, c))
+            continue
+        cells = lines[a % len(lines)]
+        if not cells:
+            continue
+        j = b % len(cells)
+        if kind == "drop":
+            del cells[j]
+        elif kind == "swap":
+            k = c % len(cells)
+            cells[j], cells[k] = cells[k], cells[j]
+        else:
+            cells[j] = FUZZ_CELLS[c % len(FUZZ_CELLS)]
+    data = bytearray("".join(",".join(cells) + "\n" for cells in lines)
+                     .encode("utf-8", "surrogateescape"))
+    for a, c in byte_edits:
+        data[a % len(data)] = c % 256
+    return bytes(data)

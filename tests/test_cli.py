@@ -3,12 +3,13 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from teayield.cli import main
 from teayield.config import render_config
 from teayield.serialize import load_model
 
-from conftest import corrupt_model_doc, tiny_config
+from conftest import corrupt_model_doc, csv_edits, mutate_csv, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,21 @@ def test_train_creates_the_model_directory(workdir, monkeypatch):
                  "--model", "nodir/m.json"]) == 0
     assert len(load_model(workdir / "nodir" / "m.json").learners) >= 1
     assert (workdir / "nodir" / "pool_report.csv").is_file()
+
+
+def test_predict_creates_the_output_directory(workdir, model_doc, capsys):
+    """The predictions go straight to ``--out``, or to stdout, with the same
+    bytes either way."""
+    args = ["predict", "--data", str(workdir / "data.csv"),
+            "--model", str(workdir / "trained" / "m.json"),
+            "--config", str(workdir / "tiny.ini")]
+    capsys.readouterr()
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    out = workdir / "predict_nodir" / "p.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert stdout.startswith("row,prediction\n0,")
 
 
 def test_predict_scores_rows_without_a_yield_column(workdir):
@@ -124,3 +140,18 @@ def test_non_utf8_input_exits_1_naming_the_file(workdir, model_doc, bad_file,
                  "--out", str(workdir / "non_utf8.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+
+
+@given(edits=csv_edits())
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_predict_on_mutated_data_exits_0_or_1(workdir, model_doc, edits,
+                                              capsys):
+    data = workdir / "mutated.csv"
+    data.write_bytes(mutate_csv((workdir / "data.csv").read_text(
+        encoding="utf-8"), edits))
+    code = main(["predict", "--data", str(data),
+                 "--model", str(workdir / "trained" / "m.json"),
+                 "--config", str(workdir / "tiny.ini"),
+                 "--out", str(workdir / "mutated_predictions.csv")])
+    assert code in (0, 1), capsys.readouterr().err

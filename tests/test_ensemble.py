@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from teayield.dataset import SyntheticSpec, generate_synthetic
-from teayield.ensemble import (EnsembleConfig, EnsembleModel,
-                               build_pool_report, compute_weights,
-                               predict_ensemble, predict_members,
+from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
+                               EnsembleModel, build_pool_report,
+                               compute_weights, predict_ensemble,
                                rank_learners, resolve_weight_params,
                                select_learners, train_pool)
 from teayield.errors import ConfigError, DataError, FitError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
-from teayield.regressors import MLPTrainConfig, predict
+from teayield.regressors import MLPModel, MLPTrainConfig, predict
 
 from conftest import bench_config, random_matrix
 
@@ -227,6 +227,13 @@ def one_member_state(m):
                            target_center=0.0, target_scale=1.0)
 
 
+def member_predictions(model, m):
+    """(members, rows): each member's prediction in yield units."""
+    feats = model.preprocess.apply_features(m)
+    return np.vstack([model.preprocess.invert_target(predict(bl.model, feats))
+                      for bl in model.learners])
+
+
 class TestPredictEnsemble:
     def build(self, m, pool, weights):
         eps = [bl.train_error for bl in pool]
@@ -242,7 +249,7 @@ class TestPredictEnsemble:
     def test_equal_weights_average(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=2), seed=11)
         model = self.build(small_matrix, pool, [0.5, 0.5])
-        members = predict_members(model, small_matrix)
+        members = member_predictions(model, small_matrix)
         np.testing.assert_allclose(predict_ensemble(model, small_matrix),
                                    members.mean(axis=0), atol=1e-12)
 
@@ -255,7 +262,7 @@ class TestPredictEnsemble:
         w = compute_weights(eps, b, c)
         model = EnsembleModel(tuple(pool), w, b, c, False,
                               one_member_state(small_matrix))
-        members = predict_members(model, small_matrix)
+        members = member_predictions(model, small_matrix)
         combined = predict_ensemble(model, small_matrix)
         assert np.all(combined >= members.min(axis=0) - 1e-12)
         assert np.all(combined <= members.max(axis=0) + 1e-12)
@@ -274,6 +281,46 @@ class TestPredictEnsemble:
         with pytest.raises(DataError, match="sum to 1"):
             EnsembleModel(tuple(pool), np.array([0.7, 0.6]), 1.0, 0.0, False,
                           one_member_state(small_matrix))
+
+
+class TestBlockScoring:
+    """``predict_ensemble`` scores in row blocks, bit-equal to one pass."""
+
+    @staticmethod
+    def model(rng, m, hidden, members=4):
+        f = m.n_features
+        learners = tuple(
+            BaseLearner(MLPModel(hidden, rng.normal(size=(f, hidden)),
+                                 rng.normal(size=hidden),
+                                 0.3 * rng.normal(size=hidden),
+                                 float(rng.normal()),
+                                 MLPTrainConfig(hidden_size=hidden), i, 1, 0.1),
+                        hidden, (0,), 0.1, i)
+            for i in range(members))
+        weights = rng.random(members)
+        state = replace(one_member_state(m), log_target=True,
+                        target_center=3.8, target_scale=0.5)
+        return EnsembleModel(learners, weights / weights.sum(), 1.0, 0.1,
+                             False, state)
+
+    @pytest.mark.parametrize("hidden", [5, 28])
+    @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
+                                   2 * SCORE_BLOCK + 3])
+    def test_bit_equal_to_one_pass(self, rng, hidden, n):
+        m = random_matrix(rng, n, 6)
+        model = self.model(rng, m, hidden)
+        feats = model.preprocess.apply_features(m)
+        one_pass = model.preprocess.invert_target(
+            model.weights @ np.vstack([predict(bl.model, feats)
+                                       for bl in model.learners]))
+        np.testing.assert_array_equal(predict_ensemble(model, m), one_pass)
+
+    def test_input_count_is_checked(self, rng):
+        m = random_matrix(rng, 10, 6)
+        model = self.model(rng, m, 5)
+        with pytest.raises(DataError, match="matrix has 5 features, model "
+                                            "expects 6"):
+            predict_ensemble(model, m.subset(m.column_names[:5]))
 
 
 class TestFullPipelineDeterminism:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError
-from teayield.evaluation import (cross_validate, grid_search, holdout_split,
-                                 make_folds, metrics)
-from teayield.regressors import make_gpr_factory, make_linear_factory
+from teayield.evaluation import cross_validate, holdout_split, make_folds, metrics
+from teayield.regressors import make_linear_factory
 from teayield.util import derive_seed
 
 from conftest import random_matrix
@@ -178,58 +177,3 @@ class TestHoldoutSplit:
     def test_degenerate_fraction(self, rng):
         with pytest.raises(DataError):
             holdout_split(random_matrix(rng, 10, 2), 0.0, seed=0)
-
-
-class TestGridSearch:
-    def family(self):
-        return lambda params: make_gpr_factory(1.0, params["length_scale"],
-                                               params["noise_var"])
-
-    def test_single_point_grid(self, rng):
-        m = random_matrix(rng, 25, 2)
-        res = grid_search(m, self.family(),
-                          {"length_scale": [1.5], "noise_var": [0.1]},
-                          make_folds(25, 5, 0))
-        assert res.best_params == {"length_scale": 1.5, "noise_var": 0.1}
-        assert len(res.trace) == 1
-
-    def test_planted_optimum_wins_or_no_worse(self, rng):
-        # target generated by a GP-friendly smooth function, near-noiseless
-        values = rng.uniform(-2, 2, size=(40, 1))
-        target = np.sin(2.0 * values[:, 0])
-        m = FeatureMatrix(("x",), values, target)
-        plan = make_folds(40, 5, 1)
-        grid = {"length_scale": [0.05, 0.5, 5.0], "noise_var": [1e-6, 0.5]}
-        res = grid_search(m, self.family(), grid, plan)
-        planted = {"length_scale": 0.5, "noise_var": 1e-6}
-        planted_rmse = [p.rmse for p in res.trace if p.params == planted][0]
-        assert res.best_rmse <= planted_rmse
-
-    def test_trace_length_equals_grid_size(self, rng):
-        m = random_matrix(rng, 20, 2)
-        grid = {"length_scale": [0.5, 1.0, 2.0], "noise_var": [0.1, 0.3]}
-        res = grid_search(m, self.family(), grid, make_folds(20, 4, 0))
-        assert len(res.trace) == 6
-
-    def test_best_equals_argmin_of_trace(self, rng):
-        m = random_matrix(rng, 30, 2)
-        grid = {"length_scale": [0.5, 1.0, 2.0], "noise_var": [0.05, 0.2]}
-        res = grid_search(m, self.family(), grid, make_folds(30, 5, 2))
-        best = min((p for p in res.trace if p.rmse is not None),
-                   key=lambda p: p.rmse)
-        assert res.best_rmse == best.rmse
-
-    def test_failed_points_recorded_and_skipped(self, rng):
-        m = random_matrix(rng, 20, 2)
-
-        def family(params):
-            if params["length_scale"] < 0:
-                return make_gpr_factory(1.0, params["length_scale"], 0.1)
-            return make_gpr_factory(1.0, params["length_scale"], 0.1)
-
-        res = grid_search(m, family, {"length_scale": [-1.0, 1.0]},
-                          make_folds(20, 4, 0))
-        failed = [p for p in res.trace if p.rmse is None]
-        assert len(failed) == 1
-        assert failed[0].error is not None
-        assert res.best_params == {"length_scale": 1.0}

@@ -7,7 +7,7 @@ from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
 from teayield.preprocess import (OutlierReport, apply_scaler, cooks_distance,
                                  fit_scaler, independent_columns,
-                                 invert_scaler, log_transform, remove_outliers)
+                                 log_transform, remove_outliers)
 
 from conftest import random_matrix
 
@@ -66,8 +66,8 @@ class TestScaler:
     def test_invert_is_identity(self, seed):
         m = random_matrix(np.random.default_rng(seed), 15, 3)
         s = fit_scaler(m)
-        back = invert_scaler(s, apply_scaler(s, m))
-        np.testing.assert_allclose(back.values, m.values, atol=1e-12)
+        back = apply_scaler(s, m).values * s.stds + s.means
+        np.testing.assert_allclose(back, m.values, atol=1e-12)
 
     def test_unknown_column(self, rng):
         m = random_matrix(rng, 10, 2)
