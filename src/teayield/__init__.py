@@ -17,8 +17,8 @@ from .ensemble import (BaseLearner, EnsembleConfig, EnsembleModel, PoolReport,
                        compute_weights, predict_ensemble, rank_learners,
                        select_learners, train_pool)
 from .errors import ConfigError, DataError, FitError, TeaYieldError
-from .evaluation import (CVResult, FoldPlan, MetricsReport, cross_validate,
-                         holdout_split, make_folds, metrics)
+from .evaluation import (FoldPlan, MetricsReport, cross_validate,
+                         forward_select, holdout_split, make_folds, metrics)
 from .feature_select import (RankedFeatures, ReliefParams, SelectionResult,
                              rrelieff, sequential_forward_select)
 from .pipeline import (StageReport, evaluate_pipeline, fit_preprocess,

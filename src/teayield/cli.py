@@ -11,7 +11,6 @@ path is given.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import DataError, TeaYieldError
 from .pipeline import evaluate_pipeline, prepare_input, train_ensemble_pipeline
 from .preprocess import cooks_distance, independent_columns
 from .serialize import load_model, save_model
+from .util import write_table
 
 
 def _read_config(args) -> PipelineConfig:
@@ -33,40 +33,27 @@ def _read_config(args) -> PipelineConfig:
     return cfg
 
 
-def _file_schema(path, cfg: PipelineConfig) -> tuple[str, ...]:
-    """Canonical schema plus extra feature columns.
-
-    With ``feature_columns = auto`` the extras are taken from the file header
-    itself (any non-canonical column becomes a numeric feature); otherwise
-    they are exactly the configured list.
-    """
-    if cfg.feature_columns is not None:
-        return CANONICAL_SCHEMA + tuple(cfg.feature_columns)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: unreadable CSV: {exc}") from None
-    if not header:
-        raise DataError(f"{path}: empty file")
-    extras = tuple(h.strip() for h in header
-                   if h.strip() not in CANONICAL_SCHEMA)
-    return CANONICAL_SCHEMA + extras
-
-
 def _load_data(path, cfg: PipelineConfig, month_encoding: str | None = None,
                require_target: bool = True) -> FeatureMatrix:
-    return load_csv(path, _file_schema(path, cfg),
-                    month_encoding or cfg.month_encoding, require_target)
+    # With ``feature_columns = auto`` the extra features are the file's own
+    # non-canonical columns; otherwise exactly the configured list.
+    schema = (None if cfg.feature_columns is None
+              else CANONICAL_SCHEMA + tuple(cfg.feature_columns))
+    return load_csv(path, schema, month_encoding or cfg.month_encoding,
+                    require_target)
 
 
-def _out_dir(path) -> Path:
+def _output(path, directory: bool = False) -> Path:
+    """``path`` made ready to write: the directory itself, or a file's
+    parent directory, is created, and a file path may not be a directory.
+    A failure is a DataError naming the path."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+    if not directory and out.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
     return out
 
 
@@ -74,7 +61,7 @@ def cmd_synth(args) -> int:
     cfg = _read_config(args)
     m = generate_synthetic(cfg.synth_n, cfg.seed, cfg.synth)
     if args.out:
-        write_csv(m, args.out)
+        write_csv(m, _output(args.out))
         print(f"wrote {m.n_samples} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(render_csv(m))
@@ -84,7 +71,7 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     cfg = _read_config(args)
     m = prepare_input(_load_data(args.data, cfg))
-    out = _out_dir(args.out)
+    out = _output(args.out, directory=True)
     report = correlation_report(m)
     report.to_csv(out / "correlation.csv")
     outliers = cooks_distance(m.subset(independent_columns(m)),
@@ -99,10 +86,10 @@ def cmd_inspect(args) -> int:
 def cmd_train(args) -> int:
     cfg = _read_config(args)
     m = _load_data(args.data, cfg)
-    Path(args.model).parent.mkdir(parents=True, exist_ok=True)
+    model_path = _output(args.model)
+    out = _output(args.out, directory=True) if args.out else model_path.parent
     result = train_ensemble_pipeline(m, cfg)
-    save_model(result.model, args.model)
-    out = _out_dir(args.out) if args.out else Path(args.model).parent
+    save_model(result.model, model_path)
     result.pool_report.to_csv(out / "pool_report.csv")
     if result.artifacts.ranked is not None:
         result.artifacts.ranked.to_csv(out / "feature_rank.csv")
@@ -116,8 +103,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _read_config(args)
     m = _load_data(args.data, cfg)
+    out = _output(args.out, directory=True)
     evaluation = evaluate_pipeline(m, cfg)
-    out = _out_dir(args.out)
     evaluation.stage.to_csv(out / "stage_report.csv")
     scored = evaluation.holdout
     metrics = [("mae", repr(scored.mae)), ("mse", repr(scored.mse)),
@@ -126,11 +113,7 @@ def cmd_evaluate(args) -> int:
     lines = [f"{metric} = {text}" for metric, text in metrics]
     (out / "holdout_metrics.txt").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
-    with open(out / "holdout_metrics.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerows(metrics)
+    write_table(out / "holdout_metrics.csv", ["metric", "value"], metrics)
     print("\n".join(lines))
     print(f"stage report and hold-out metrics written to {out}", file=sys.stderr)
     return 0
@@ -138,23 +121,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _read_config(args)
+    out = _output(args.out) if args.out else None
     model = load_model(args.model)
     m = _load_data(args.data, cfg, month_encoding=model.preprocess.month_encoding,
                    require_target=False)
     preds = predict_ensemble(model, m)
-
-    def write(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "prediction"])
-        writer.writerows([i, repr(v)] for i, v in enumerate(map(float, preds)))
-
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
+    write_table(out, ["row", "prediction"],
+                ([i, repr(v)] for i, v in enumerate(map(float, preds))))
+    if out is not None:
         print(f"wrote {len(preds)} predictions to {args.out}", file=sys.stderr)
-    else:
-        write(sys.stdout)
     return 0
 
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .util import as_float_array
+from .util import as_float_array, write_table
 
 # On-disk column order. Everything not carried and not the target is a
 # numeric feature; extra schema columns (e.g. synthetic distractors) are
@@ -138,14 +138,11 @@ class CorrelationReport:
     target_name: str = TARGET_COLUMN
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["feature", *self.feature_names,
-                             f"{self.target_name}_correlation"])
-            for i, name in enumerate(self.feature_names):
-                writer.writerow([name,
-                                 *[repr(float(v)) for v in self.matrix[i]],
-                                 repr(float(self.target_correlations[i]))])
+        write_table(path, ["feature", *self.feature_names,
+                           f"{self.target_name}_correlation"],
+                    ([name, *[repr(float(v)) for v in self.matrix[i]],
+                      repr(float(self.target_correlations[i]))]
+                     for i, name in enumerate(self.feature_names)))
 
 
 def _parse_float(cell: str, col: str) -> float:
@@ -313,17 +310,19 @@ def _read_rows(path, reader, at: Mapping[str, int], width: int,
     return cols
 
 
-def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
+def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
              month_encoding: str = "cyclic",
              require_target: bool = True) -> FeatureMatrix:
     """Read a monthly-observation CSV into a FeatureMatrix.
 
     The header must contain exactly the ``schema`` columns (any order).
     Schema columns beyond the canonical set are read as extra numeric
-    features.  With ``require_target`` false the ``yield`` column may be
-    left out, as when scoring new rows; the target of such a file reads as
-    zeros.  Rows are parsed into one buffer per column and the range rules
-    run over whole columns, so no per-row object is kept.
+    features; ``schema=None`` takes them from the header, in header order,
+    so the schema is the canonical set plus every other header column.
+    With ``require_target`` false the ``yield`` column may be left out, as
+    when scoring new rows; the target of such a file reads as zeros.  Rows
+    are parsed into one buffer per column and the range rules run over
+    whole columns, so no per-row object is kept.
 
     A bad row is reported by its data-row number (1-based, blank rows
     counted though skipped).  Of several bad rows the earliest is reported;
@@ -334,11 +333,12 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
     rainfall >= 0, soil_ph in [0, 14], yield >= 0; then a bad cell of an
     extra column, in schema order.
     """
-    schema = tuple(schema)
-    missing_canonical = [c for c in CANONICAL_SCHEMA if c not in schema]
-    if missing_canonical:
-        raise DataError(f"schema is missing canonical columns {missing_canonical}")
-    extra_features = [c for c in schema if c not in CANONICAL_SCHEMA]
+    if schema is not None:
+        schema = tuple(schema)
+        missing_canonical = [c for c in CANONICAL_SCHEMA if c not in schema]
+        if missing_canonical:
+            raise DataError(
+                f"schema is missing canonical columns {missing_canonical}")
 
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -346,13 +346,15 @@ def load_csv(path, schema: Sequence[str] = CANONICAL_SCHEMA,
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh, _csv_text(path):
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise DataError(f"{path}: empty file")
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate columns in header")
+        if schema is None:
+            schema = CANONICAL_SCHEMA + tuple(
+                h for h in header if h not in CANONICAL_SCHEMA)
+        extra_features = [c for c in schema if c not in CANONICAL_SCHEMA]
         has_target = require_target or TARGET_COLUMN in header
         if not has_target:
             schema = tuple(c for c in schema if c != TARGET_COLUMN)

@@ -4,8 +4,9 @@ The procedure: train a pool of single-hidden-layer networks with random
 hidden sizes and random training subsamples for diversity; rank the pool by
 running the relief feature ranker on the matrix of learner predictions
 (each learner is a "feature", the true target is the target); walk the
-ranked order adding learners while cross-validated RMSE of the weighted
-combination strictly improves; weight the survivors by a decreasing
+ranked order with ``evaluation.forward_select``, the search feature
+selection uses too, adding learners while cross-validated RMSE of the
+weighted combination strictly improves; weight the survivors by a decreasing
 logistic in their training error,
 
     raw_i = 1 / (1 + exp(b * (eps_i - c))),   w_i = raw_i / sum(raw),
@@ -17,7 +18,6 @@ records travels inside the model.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -27,12 +27,12 @@ from scipy.special import expit
 
 from .dataset import FeatureMatrix
 from .errors import ConfigError, DataError, FitError
-from .evaluation import make_folds
+from .evaluation import forward_select, make_folds
 from .feature_select import ReliefParams, rank_order, rrelieff
 from .preprocess import PreprocessState
 from .regressors import (HIDDEN_RANGE, MLPModel, MLPTrainConfig, fit_mlp,
                          predict, predict_mlp)
-from .util import derive_seed
+from .util import derive_seed, write_table
 
 # Rows predict_ensemble scores at once; at 30 hidden units one block's
 # hidden activations take about 1 MB.
@@ -79,7 +79,6 @@ class BaseLearner:
 class LearnerRanking:
     order: np.ndarray
     weights: np.ndarray
-    params: ReliefParams
 
 
 @dataclass(frozen=True)
@@ -126,16 +125,12 @@ class PoolReport:
     trace: tuple[tuple[int, float], ...]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["learner", "seed", "hidden", "train_mse",
-                             "relief_weight", "selected", "epochs_run",
-                             "subsample_rows"])
-            for e in self.entries:
-                writer.writerow([e.index, e.seed, e.hidden_size,
-                                 repr(float(e.train_error)),
-                                 repr(float(e.relief_weight)), int(e.selected),
-                                 e.epochs_run, e.subsample_rows])
+        write_table(path, ["learner", "seed", "hidden", "train_mse",
+                           "relief_weight", "selected", "epochs_run",
+                           "subsample_rows"],
+                    ([e.index, e.seed, e.hidden_size, repr(float(e.train_error)),
+                      repr(float(e.relief_weight)), int(e.selected),
+                      e.epochs_run, e.subsample_rows] for e in self.entries))
 
 
 def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
@@ -204,7 +199,7 @@ def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
                           seed=0, decay_sigma=relief.decay_sigma)
         for pos, i in enumerate(good):
             weights[i] = ranked.weights[pos]
-    return LearnerRanking(rank_order(weights), weights, relief)
+    return LearnerRanking(rank_order(weights), weights)
 
 
 def resolve_weight_params(errors: Sequence[float],
@@ -255,19 +250,17 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     Cross-validation retrains each prefix member per fold (same hidden size,
     subsample redrawn from the fold's training rows, fold-derived seeds) so
     no learner scores rows it saw in training.  Combination weights are
-    recomputed per prefix from the fold-trained members' errors.  Stops after
-    ``patience`` consecutive non-improving prefix sizes and returns the best
-    prefix of the ranked order.
+    recomputed per prefix from the fold-trained members' errors.  The search
+    is ``evaluation.forward_select``: it stops after ``patience`` consecutive
+    non-improving prefix sizes and keeps the best prefix of the ranked order.
     """
-    if patience < 1:
-        raise DataError(f"patience must be >= 1, got {patience}")
     if not pool:
         raise DataError("cannot select from an empty pool")
     plan = make_folds(m.n_samples, folds, seed)
     fold_rows = [plan.fold_indices(f) for f in range(plan.k)]
     fold_train = [m.take_rows(tr) for tr, _ in fold_rows]
     fold_eval = [m.take_rows(ev) for _, ev in fold_rows]
-    cache: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
+    cache: dict[tuple[int, int, int], tuple[float, np.ndarray]] = {}
 
     def member(fold: int, pos: int) -> tuple[float, np.ndarray]:
         # Fold copies are seeded by the learner's own seed, not its rank
@@ -288,34 +281,19 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
         return cache[key]
 
     order = [int(i) for i in ranking.order]
-    trace: list[tuple[int, float]] = []
-    best_rmse = np.inf
-    best_size = 0
-    bad = 0
-    for size in range(1, len(order) + 1):
+
+    def score(size: int) -> float:
         oof = np.empty(m.n_samples)
         for fold in range(plan.k):
-            eps = []
-            preds = []
-            for pos in order[:size]:
-                e, p = member(fold, pos)
-                eps.append(e)
-                preds.append(p)
+            eps, preds = zip(*(member(fold, pos) for pos in order[:size]))
             b, c = resolve_weight_params(eps, cfg)
             w = compute_weights(eps, b, c, cfg.literal_weights)
             oof[fold_rows[fold][1]] = w @ np.vstack(preds)
         resid = oof - m.target
-        rmse = math.sqrt(float((resid * resid).mean()))
-        trace.append((size, rmse))
-        if rmse < best_rmse:
-            best_rmse = rmse
-            best_size = size
-            bad = 0
-        else:
-            bad += 1
-            if bad >= patience:
-                break
-    return LearnerSelection(tuple(order[:best_size]), tuple(trace))
+        return math.sqrt(float((resid * resid).mean()))
+
+    best_size, trace = forward_select(len(order), score, patience)
+    return LearnerSelection(tuple(order[:best_size]), trace)
 
 
 def assemble(pool: Sequence[BaseLearner], selection: LearnerSelection,

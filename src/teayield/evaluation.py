@@ -1,9 +1,12 @@
-"""Metrics, data splitting and k-fold cross-validation.
+"""Metrics, data splitting, k-fold cross-validation and forward selection.
 
 The harness is model-agnostic: it takes learner factories (see
 ``regressors``), so any preprocessing a factory performs is refit on every
-training fold and never sees the scored rows.  The staged pipeline report
-lives in ``pipeline.stage_report``.
+training fold and never sees the scored rows.  ``forward_select`` is the
+one greedy search over a ranked candidate list (Caruana et al. 2004,
+*Ensemble selection from libraries of models*): feature selection walks
+ranked features with it, learner selection ranked pool members.  The staged
+pipeline report lives in ``pipeline.stage_report``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ class MetricsReport:
 class FoldPlan:
     k: int
     assignment: np.ndarray
-    seed: int
 
     @property
     def n(self) -> int:
@@ -42,15 +44,6 @@ class FoldPlan:
         """(train_rows, eval_rows) for one fold."""
         mask = self.assignment == fold
         return np.nonzero(~mask)[0], np.nonzero(mask)[0]
-
-
-@dataclass(frozen=True)
-class CVResult:
-    fold_metrics: tuple[MetricsReport, ...]
-    pooled_rmse: float
-    mean_rmse: float
-    oof_predictions: np.ndarray
-    plan: FoldPlan
 
 
 def metrics(y_true, y_pred) -> MetricsReport:
@@ -81,22 +74,23 @@ def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
     assignment[perm] = np.arange(n) % k
-    return FoldPlan(int(k), assignment, int(seed))
+    return FoldPlan(int(k), assignment)
 
 
 def cross_validate(m: FeatureMatrix, factory, plan: FoldPlan,
-                   seed: int = 0) -> CVResult:
-    """Fit on out-of-fold rows, score in-fold, pool over the concatenation.
+                   seed: int = 0) -> np.ndarray:
+    """The read-only out-of-fold predictions: each fold's rows scored by a
+    model fit on the other folds.
 
     ``factory(train_matrix, fit_seed)`` must return a prediction closure and
     is called once per fold with a fold-derived seed, so results do not
-    depend on evaluation order.
+    depend on evaluation order.  ``metrics(m.target, oof).rmse`` is the
+    pooled CV RMSE.
     """
     if plan.n != m.n_samples:
         raise DataError(f"fold plan covers {plan.n} samples, matrix has "
                         f"{m.n_samples}")
     oof = np.empty(m.n_samples)
-    reports = []
     for fold in range(plan.k):
         train_rows, eval_rows = plan.fold_indices(fold)
         try:
@@ -108,11 +102,38 @@ def cross_validate(m: FeatureMatrix, factory, plan: FoldPlan,
             raise DataError(f"fold {fold}: factory returned shape {preds.shape}, "
                             f"expected ({eval_rows.shape[0]},)")
         oof[eval_rows] = preds
-        reports.append(metrics(m.target[eval_rows], preds))
-    pooled = metrics(m.target, oof)
-    mean_rmse = float(np.mean([r.rmse for r in reports]))
     oof.flags.writeable = False
-    return CVResult(tuple(reports), pooled.rmse, mean_rmse, oof, plan)
+    return oof
+
+
+def forward_select(n_candidates: int, score, patience: int
+                   ) -> tuple[int, tuple[tuple[int, float], ...]]:
+    """Greedy forward selection over a ranked list of ``n_candidates``.
+
+    ``score(size)`` is the error of the first ``size`` candidates.  Prefixes
+    grow one candidate at a time; a prefix becomes the best only when its
+    score is strictly lower than every earlier one, and the walk stops after
+    ``patience`` consecutive prefixes that are not.  Returns the best size
+    (0 if no prefix was scored) and the ``(size, score)`` trace.
+    """
+    if patience < 1:
+        raise DataError(f"patience must be >= 1, got {patience}")
+    trace = []
+    best_score = math.inf
+    best_size = 0
+    bad = 0
+    for size in range(1, n_candidates + 1):
+        value = score(size)
+        trace.append((size, value))
+        if value < best_score:
+            best_score = value
+            best_size = size
+            bad = 0
+        else:
+            bad += 1
+            if bad >= patience:
+                break
+    return best_size, tuple(trace)
 
 
 def holdout_split(m: FeatureMatrix, test_fraction: float,

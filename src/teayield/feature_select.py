@@ -11,13 +11,13 @@ The final weight per feature is
 
 which is positive for features whose variation coincides with target
 variation among near neighbors.  Subset selection then walks the ranked
-order, cross-validating each prefix and stopping once adding features no
-longer strictly reduces pooled RMSE.
+order with ``evaluation.forward_select``, the search learner selection uses
+too: each prefix is scored by its pooled cross-validated RMSE, and the walk
+stops once adding features no longer strictly reduces it.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,8 @@ import numpy as np
 from . import kernels
 from .dataset import FeatureMatrix
 from .errors import DataError, FitError, TeaYieldError
-from .evaluation import cross_validate, make_folds
-from .util import derive_seed
+from .evaluation import cross_validate, forward_select, make_folds, metrics
+from .util import derive_seed, write_table
 
 
 @dataclass(frozen=True)
@@ -41,32 +41,24 @@ class RankedFeatures:
     feature_names: tuple[str, ...]
     weights: np.ndarray
     order: np.ndarray
-    params: ReliefParams
 
     def ordered_names(self) -> tuple[str, ...]:
         return tuple(self.feature_names[i] for i in self.order)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["feature", "weight", "rank"])
-            for rank, i in enumerate(self.order, start=1):
-                writer.writerow([self.feature_names[i],
-                                 repr(float(self.weights[i])), rank])
+        write_table(path, ["feature", "weight", "rank"],
+                    ([self.feature_names[i], repr(float(self.weights[i])), rank]
+                     for rank, i in enumerate(self.order, start=1)))
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     selected: tuple[str, ...]
     trace: tuple[tuple[int, float], ...]
-    evaluator_name: str
 
     def trace_to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["subset_size", "cv_rmse"])
-            for size, rmse in self.trace:
-                writer.writerow([size, repr(float(rmse))])
+        write_table(path, ["subset_size", "cv_rmse"],
+                    ([size, repr(float(rmse))] for size, rmse in self.trace))
 
 
 def neighbor_rank_weights(k: int, decay_sigma: float | None) -> np.ndarray:
@@ -129,8 +121,7 @@ def rrelieff(m: FeatureMatrix, k: int = 10, iterations: int | None = None,
     rank_w = neighbor_rank_weights(k, decay_sigma)
     ndc, nda, ndcda = kernels.relief_accumulate(xn, yn, sample_idx, k, rank_w)
     weights = relief_weights_from_counts(ndc, nda, ndcda, sample_idx.shape[0])
-    params = ReliefParams(k, iterations, decay_sigma)
-    return RankedFeatures(m.column_names, weights, rank_order(weights), params)
+    return RankedFeatures(m.column_names, weights, rank_order(weights))
 
 
 def _dedupe_exact(m: FeatureMatrix, names: list[str]) -> list[str]:
@@ -147,42 +138,28 @@ def _dedupe_exact(m: FeatureMatrix, names: list[str]) -> list[str]:
 
 def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
                               evaluator, folds: int = 10, seed: int = 0,
-                              patience: int = 1,
-                              evaluator_name: str = "evaluator") -> SelectionResult:
+                              patience: int = 1) -> SelectionResult:
     """Grow prefixes of the ranked order while CV RMSE strictly improves.
 
     ``evaluator`` is a learner factory (see ``regressors``); every prefix is
     scored with the same fold plan and a prefix-derived fit seed, so a trace
     entry can be reproduced by rerunning ``cross_validate`` on that prefix.
-    Stops after ``patience`` consecutive non-improving prefix sizes and
-    returns the best prefix seen.
+    The search is ``evaluation.forward_select``: it stops after ``patience``
+    consecutive non-improving prefix sizes and keeps the best prefix seen.
     """
-    if patience < 1:
-        raise DataError(f"patience must be >= 1, got {patience}")
     order_names = list(ranked.ordered_names())
     if not order_names:
         raise DataError("ranked feature list is empty")
     plan = make_folds(m.n_samples, folds, seed)
-    trace: list[tuple[int, float]] = []
-    best_rmse = np.inf
-    best_size = 0
-    bad = 0
-    for size in range(1, len(order_names) + 1):
+
+    def score(size: int) -> float:
         prefix = order_names[:size]
         sub = m.subset(_dedupe_exact(m, prefix))
         try:
-            rmse = cross_validate(sub, evaluator, plan,
-                                  derive_seed(seed, size)).pooled_rmse
+            oof = cross_validate(sub, evaluator, plan, derive_seed(seed, size))
         except TeaYieldError as exc:
             raise type(exc)(f"prefix of size {size} ({prefix}): {exc}") from exc
-        trace.append((size, rmse))
-        if rmse < best_rmse:
-            best_rmse = rmse
-            best_size = size
-            bad = 0
-        else:
-            bad += 1
-            if bad >= patience:
-                break
-    return SelectionResult(tuple(order_names[:best_size]), tuple(trace),
-                           evaluator_name)
+        return metrics(sub.target, oof).rmse
+
+    best_size, trace = forward_select(len(order_names), score, patience)
+    return SelectionResult(tuple(order_names[:best_size]), trace)

@@ -12,7 +12,6 @@ removal only ever drops training rows; scored rows are never removed.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, replace
 
@@ -32,7 +31,7 @@ from .preprocess import (OutlierReport, PreprocessState, apply_scaler,
                          cooks_distance, fit_scaler, independent_columns,
                          log_transform, remove_outliers)
 from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
-from .util import derive_seed
+from .util import derive_seed, write_table
 
 log = logging.getLogger(__name__)
 
@@ -66,14 +65,12 @@ class StageReport:
                                self.stage_names.index(stage)])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model", "stage", "cv_rmse", "replicates", "mode"])
-            for i, model in enumerate(self.model_names):
-                for j, stage in enumerate(self.stage_names):
-                    reps = len(self.mlp_replicates[j]) if model == "mlp" else 1
-                    writer.writerow([model, stage, repr(float(self.rmse[i, j])),
-                                     reps, self.mode])
+        write_table(path, ["model", "stage", "cv_rmse", "replicates", "mode"],
+                    ([model, stage, repr(float(self.rmse[i, j])),
+                      len(self.mlp_replicates[j]) if model == "mlp" else 1,
+                      self.mode]
+                     for i, model in enumerate(self.model_names)
+                     for j, stage in enumerate(self.stage_names)))
 
 
 def sfs_evaluator(cfg: PipelineConfig):
@@ -114,8 +111,7 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int,
                               decay_sigma=cfg.relieff.decay_sigma)
             selection = sequential_forward_select(
                 m, ranked, sfs_evaluator(cfg), folds=cfg.cv_folds,
-                seed=derive_seed(seed, 2), patience=cfg.sfs_patience,
-                evaluator_name=cfg.sfs_evaluator)
+                seed=derive_seed(seed, 2), patience=cfg.sfs_patience)
             selected = selection.selected
             m = m.subset(selected)
         elif stage == "feature_scaling":
@@ -192,10 +188,10 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
 
 def _stage_factories(cfg: PipelineConfig) -> dict:
     return {
-        "mlr": lambda rep_seed: make_linear_factory(0.0, drop_dependent=True),
-        "gpr": lambda rep_seed: make_gpr_factory(
-            cfg.gpr_signal_var, cfg.gpr_length_scale, cfg.gpr_noise_var),
-        "mlp": lambda rep_seed: make_mlp_factory(cfg.mlp),
+        "mlr": make_linear_factory(0.0, drop_dependent=True),
+        "gpr": make_gpr_factory(cfg.gpr_signal_var, cfg.gpr_length_scale,
+                                cfg.gpr_noise_var),
+        "mlp": make_mlp_factory(cfg.mlp),
     }
 
 
@@ -254,14 +250,14 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
         rep_cell: tuple[float, ...] = ()
         for i, model in enumerate(STAGE_MODELS):
             reps = cfg.mlp_replicates if model == "mlp" else 1
+            factory = factories[model]
             values = []
             for r in range(reps):
                 fit_seed = derive_seed(seed, _TAG_STAGE, j, i, r)
-                factory = factories[model](fit_seed)
                 try:
                     if cfg.paper_faithful:
                         oof = cross_validate(stage_m, factory, stage_plan,
-                                             fit_seed).oof_predictions
+                                             fit_seed)
                         values.append(metrics(
                             stage_truth, stage_chain.invert_target(oof)).rmse)
                     else:

@@ -10,7 +10,6 @@ are pure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .dataset import FeatureMatrix, derive_avg_temp
 from .errors import DataError, FitError
+from .util import write_table
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,10 @@ class OutlierReport:
     leverages: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "cooks_distance", "flagged"])
-            flagged = set(self.flagged)
-            for i, d in enumerate(self.distances):
-                writer.writerow([i, repr(float(d)), int(i in flagged)])
+        flagged = set(self.flagged)
+        write_table(path, ["index", "cooks_distance", "flagged"],
+                    ([i, repr(float(d)), int(i in flagged)]
+                     for i, d in enumerate(self.distances)))
 
 
 def _resolve_columns(m: FeatureMatrix, columns: Sequence[str] | None,

@@ -39,18 +39,15 @@ class GPRModel:
 
     The prior mean is zero, so callers are expected to center (typically
     standardize) the target before fitting.  ``chol_lower`` factors
-    K + noise_var*I + jitter*I; ``jitter`` records the escalation the fit
-    needed, so reloading a serialized model rebuilds the identical factor.
+    K + noise_var*I plus whatever diagonal jitter the fit needed.
     """
 
     signal_var: float
     length_scale: float
     noise_var: float
     x_train: np.ndarray
-    y_train: np.ndarray
     chol_lower: np.ndarray
     alpha: np.ndarray
-    jitter: float
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ class MLPModel:
     seed: int
     epochs_run: int
     train_error: float
-    loss_history: np.ndarray | None = None
 
 
 def _feature_array(m: FeatureMatrix) -> np.ndarray:
@@ -164,7 +160,7 @@ def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0
                     f"{length_scale}, noise_var={noise_var})") from None
     alpha = scipy.linalg.cho_solve((lower, True), m.target)
     return GPRModel(float(signal_var), float(length_scale), float(noise_var),
-                    x, np.array(m.target), lower, alpha, float(jitter))
+                    x, lower, alpha)
 
 
 def _gpr_cross(g: GPRModel, x: np.ndarray) -> np.ndarray:
@@ -194,8 +190,7 @@ def predict_gpr(g: GPRModel, x) -> tuple[float, float]:
     return mean, var
 
 
-def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int,
-            track_history: bool = False) -> MLPModel:
+def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
     """Train the shallow network with full-batch gradient descent on MSE.
 
     Features are assumed standardized (training tends to stall or diverge
@@ -230,7 +225,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int,
         x_fit, y_fit = x, y
         x_val, y_val = np.empty((0, f)), np.empty(0)
 
-    w1, b1, w2, b2, losses, epochs_run, status = kernels.mlp_train(
+    w1, b1, w2, b2, _, epochs_run, status = kernels.mlp_train(
         x_fit, y_fit, x_val, y_val, w1, b1, w2, b2,
         config.learning_rate, config.epochs, config.patience)
     if status != 0:
@@ -243,8 +238,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int,
     resid = kernels.mlp_forward(x, w1, b1, w2, b2) - y
     train_error = float((resid * resid).mean())
     return MLPModel(h, w1, b1, w2, float(b2), config, int(seed),
-                    int(epochs_run), train_error,
-                    np.array(losses) if track_history else None)
+                    int(epochs_run), train_error)
 
 
 def predict_mlp(model: MLPModel, x: np.ndarray) -> np.ndarray:

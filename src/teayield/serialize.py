@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .ensemble import BaseLearner, EnsembleModel
-from .errors import DataError
+from .errors import DataError, FitError
 from .preprocess import PreprocessState, ScalerState
 from .regressors import MLPModel, MLPTrainConfig
 
@@ -167,5 +167,5 @@ def load_model(path) -> EnsembleModel:
         raise DataError(f"{path}: unknown model kind {kind!r}")
     try:
         return _dec_ensemble(doc["model"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FitError) as exc:
         raise DataError(f"{path}: corrupt model document ({exc})") from None

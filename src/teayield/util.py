@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import sys
+from contextlib import nullcontext
+
 import numpy as np
 
 
@@ -22,3 +26,13 @@ def as_float_array(x, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
+
+
+def write_table(path, header, rows) -> None:
+    """Write a report table as CSV: UTF-8, ``\\n`` line ends, a header row
+    and then ``rows``; to standard output when ``path`` is None."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -116,16 +116,17 @@ def csv_edits():
                               n, n, n), max_size=4)
 
 
-def mutate_csv(text: str, edits) -> bytes:
+def mutate_csv(text: str, edits, sep: str = ",") -> bytes:
     """The bytes of CSV ``text`` after ``edits``.
 
     Each edit is ``(kind, a, b, c)``, its numbers taken modulo the size they
     index: ``drop`` removes cell b of line a, ``swap`` exchanges cells b and
     c of line a, ``set`` replaces cell b of line a by ``FUZZ_CELLS[c]``, and
     ``byte`` sets byte a of the encoded file to c (mod 256) once the cell
-    edits are done.  Lines are split on plain commas.
+    edits are done.  Lines are split into cells at each ``sep``: plain
+    commas by default, ``"="`` to edit the keys and values of an INI file.
     """
-    lines = [line.split(",") for line in text.splitlines()]
+    lines = [line.split(sep) for line in text.splitlines()]
     byte_edits = []
     for kind, a, b, c in edits:
         if kind == "byte":
@@ -142,7 +143,7 @@ def mutate_csv(text: str, edits) -> bytes:
             cells[j], cells[k] = cells[k], cells[j]
         else:
             cells[j] = FUZZ_CELLS[c % len(FUZZ_CELLS)]
-    data = bytearray("".join(",".join(cells) + "\n" for cells in lines)
+    data = bytearray("".join(sep.join(cells) + "\n" for cells in lines)
                      .encode("utf-8", "surrogateescape"))
     for a, c in byte_edits:
         data[a % len(data)] = c % 256

@@ -39,6 +39,53 @@ def test_train_creates_the_model_directory(workdir, monkeypatch):
     assert (workdir / "nodir" / "pool_report.csv").is_file()
 
 
+def test_synth_creates_the_output_directory(workdir):
+    out = workdir / "synth_nodir" / "s.csv"
+    assert main(["synth", "--config", str(workdir / "tiny.ini"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (workdir / "data.csv").read_bytes()
+
+
+# Output arguments that cannot be written, each the last argument: a path
+# below a regular file, or a file path that is an existing directory.
+UNWRITABLE = {
+    "synth into a directory": ["synth", "--out", "{dir}"],
+    "inspect below a file": ["inspect", "--data", "{data}",
+                             "--out", "{file}/x"],
+    "train a model into a directory": ["train", "--data", "{data}",
+                                       "--model", "{dir}"],
+    "train a model below a file": ["train", "--data", "{data}",
+                                   "--model", "{file}/m.json"],
+    "train reports below a file": ["train", "--data", "{data}",
+                                   "--model", "{dir}/m.json",
+                                   "--out", "{file}/r"],
+    "evaluate below a file": ["evaluate", "--data", "{data}",
+                              "--out", "{file}/x"],
+    "predict below a file": ["predict", "--data", "{data}",
+                             "--model", "{model}", "--out", "{file}/p.csv"],
+    "predict into a directory": ["predict", "--data", "{data}",
+                                 "--model", "{model}", "--out", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_exits_1_before_any_work(workdir, model_doc, case,
+                                                   tmp_path, capsys):
+    """The path is checked before the command trains or scores, and the
+    error names it; nothing is written."""
+    places = {"data": workdir / "data.csv", "dir": tmp_path / "existing",
+              "file": tmp_path / "afile",
+              "model": workdir / "trained" / "m.json"}
+    places["dir"].mkdir()
+    places["file"].write_text("not a directory\n", encoding="utf-8")
+    args = [arg.format(**places) for arg in UNWRITABLE[case]]
+    capsys.readouterr()
+    assert main(args + ["--config", str(workdir / "tiny.ini")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {args[-1]}: ")
+    assert list(places["dir"].iterdir()) == []
+
+
 def test_predict_creates_the_output_directory(workdir, model_doc, capsys):
     """The predictions go straight to ``--out``, or to stdout, with the same
     bytes either way."""

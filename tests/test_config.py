@@ -1,5 +1,7 @@
 import configparser
+import tempfile
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,10 @@ from teayield.config import (OPTIONS, OUTLIER_RULES, PIPELINE_STAGES,
                              SFS_EVALUATORS, load_config, paper_defaults,
                              render_config)
 from teayield.dataset import MONTH_ENCODINGS
-from teayield.errors import ConfigError
+from teayield.errors import ConfigError, DataError
 from teayield.regressors import HIDDEN_RANGE
 
-from conftest import tiny_config
+from conftest import bench_config, csv_edits, mutate_csv, tiny_config
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -156,3 +158,18 @@ def test_render_then_load_is_exact(tmp_path_factory, cfg):
     loaded = load_config(path)
     assert loaded == cfg
     assert render_config(loaded) == text
+
+
+@given(edits=csv_edits())
+@settings(max_examples=150, deadline=None)
+def test_mutated_ini_files_load_or_raise_config_error(edits):
+    """Lines are cut at ``=``, so an edit can drop, swap or replace a key or
+    a value, or set any byte of the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.ini"
+        path.write_bytes(mutate_csv(render_config(bench_config()), edits,
+                                    sep="="))
+        try:
+            load_config(path)
+        except (ConfigError, DataError):
+            pass

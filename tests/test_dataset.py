@@ -84,6 +84,29 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="empty"):
             load_csv(path)
 
+    @pytest.mark.parametrize("schema", [None, CANONICAL_SCHEMA])
+    def test_blank_first_line_is_an_empty_file(self, tmp_path, schema):
+        path = tmp_path / "d.csv"
+        write_rows(path, CANONICAL_SCHEMA, [sample_row()])
+        path.write_text("\n" + path.read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="empty file"):
+            load_csv(path, schema)
+
+    def test_schema_none_takes_the_extras_from_the_header(self, tmp_path):
+        m = generate_synthetic(30, 5, SyntheticSpec(n_distractors=2))
+        path = tmp_path / "d.csv"
+        write_csv(m, path)
+        text = path.read_text(encoding="utf-8").replace(
+            "distractor_1", "extra_b").replace("distractor_2", "extra_a")
+        path.write_text(text, encoding="utf-8")
+        auto = load_csv(path, None)
+        listed = load_csv(path, CANONICAL_SCHEMA + ("extra_b", "extra_a"))
+        assert auto.column_names == listed.column_names
+        assert auto.column_names.index("extra_b") < auto.column_names.index("extra_a")
+        np.testing.assert_array_equal(auto.values, listed.values)
+        np.testing.assert_array_equal(auto.target, listed.target)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "d.csv"
         write_rows(path, CANONICAL_SCHEMA, [])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError
-from teayield.evaluation import cross_validate, holdout_split, make_folds, metrics
+from teayield.evaluation import (cross_validate, forward_select, holdout_split,
+                                 make_folds, metrics)
 from teayield.regressors import make_linear_factory
 from teayield.util import derive_seed
 
@@ -94,9 +95,8 @@ class TestCrossValidate:
         values = rng.normal(size=(40, 3))
         m = FeatureMatrix(("a", "b", "c"), values,
                           values @ np.array([1.0, -2.0, 0.5]) + 4.0)
-        result = cross_validate(m, make_linear_factory(0.0),
-                                make_folds(40, 5, 0))
-        assert result.pooled_rmse < 1e-8
+        oof = cross_validate(m, make_linear_factory(0.0), make_folds(40, 5, 0))
+        assert metrics(m.target, oof).rmse < 1e-8
 
     def test_mean_predictor_r2_not_positive(self, rng):
         m = random_matrix(rng, 50, 2, target_noise=0.2)
@@ -105,22 +105,21 @@ class TestCrossValidate:
             mu = float(train.target.mean())
             return lambda eval_m: np.full(eval_m.n_samples, mu)
 
-        result = cross_validate(m, factory, make_folds(50, 5, 1))
-        oof = result.oof_predictions
+        oof = cross_validate(m, factory, make_folds(50, 5, 1))
         assert metrics(m.target, oof).r2 <= 0.0
 
     def test_pooled_rmse_matches_manual_concatenation(self, rng):
         m = random_matrix(rng, 30, 2, target_noise=0.5)
         plan = make_folds(30, 5, 2)
         factory = make_linear_factory(0.0)
-        result = cross_validate(m, factory, plan, seed=4)
+        oof = cross_validate(m, factory, plan, seed=4)
         manual = np.empty(30)
         for fold in range(5):
             train_rows, eval_rows = plan.fold_indices(fold)
             fn = factory(m.take_rows(train_rows), derive_seed(4, fold))
             manual[eval_rows] = fn(m.take_rows(eval_rows))
         expected = math.sqrt(float(np.mean((manual - m.target) ** 2)))
-        assert result.pooled_rmse == pytest.approx(expected, abs=1e-12)
+        assert metrics(m.target, oof).rmse == pytest.approx(expected, abs=1e-12)
 
     def test_no_sample_in_both_sides_and_scalers_differ(self, rng):
         m = random_matrix(rng, 40, 2)
@@ -177,3 +176,27 @@ class TestHoldoutSplit:
     def test_degenerate_fraction(self, rng):
         with pytest.raises(DataError):
             holdout_split(random_matrix(rng, 10, 2), 0.0, seed=0)
+
+
+class TestForwardSelect:
+    SCORES = (3.0, 2.0, 2.0, 1.0, 5.0, 5.0, 0.5)
+
+    @pytest.mark.parametrize("patience, best, scored", [
+        (1, 2, 3), (2, 4, 6), (3, 7, 7), (10, 7, 7)])
+    def test_keeps_strict_improvements_and_stops_after_patience_misses(
+            self, patience, best, scored):
+        calls = []
+
+        def score(size):
+            calls.append(size)
+            return self.SCORES[size - 1]
+
+        size, trace = forward_select(len(self.SCORES), score, patience)
+        assert size == best
+        assert calls == list(range(1, scored + 1))
+        assert trace == tuple((s, self.SCORES[s - 1]) for s in calls)
+
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_is_rejected(self, patience):
+        with pytest.raises(DataError, match="patience must be >= 1"):
+            forward_select(3, lambda size: 1.0, patience)

@@ -3,7 +3,7 @@ import pytest
 
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
-from teayield.evaluation import cross_validate, make_folds
+from teayield.evaluation import cross_validate, make_folds, metrics
 from teayield.feature_select import (neighbor_rank_weights, rrelieff,
                                      sequential_forward_select)
 from teayield.regressors import make_linear_factory
@@ -185,9 +185,9 @@ class TestSequentialForwardSelect:
         plan = make_folds(m.n_samples, 5, 3)
         order = list(ranked.ordered_names())
         for size, rmse in result.trace:
-            rerun = cross_validate(m.subset(order[:size]), self.evaluator(),
-                                   plan, derive_seed(3, size)).pooled_rmse
-            assert rerun == pytest.approx(rmse, abs=1e-12)
+            oof = cross_validate(m.subset(order[:size]), self.evaluator(),
+                                 plan, derive_seed(3, size))
+            assert metrics(m.target, oof).rmse == pytest.approx(rmse, abs=1e-12)
 
     def test_selected_nonempty_and_bounded(self, rng):
         for seed in range(5):

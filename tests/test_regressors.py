@@ -215,15 +215,25 @@ class TestMLP:
                     assert np.max(np.abs(a - b) / denom) < 1e-4
                 assert abs(gb2 - fb2) / max(abs(fb2), 1e-8) < 1e-4
 
-    def test_loss_non_increasing_at_small_lr(self, rng):
+    def test_loss_non_increasing_at_small_lr(self, rng, monkeypatch):
         m = random_matrix(rng, 60, 3, target_noise=0.3)
         scaled = apply_scaler(fit_scaler(m), m)
         config = MLPTrainConfig(10, learning_rate=1e-3, epochs=1500,
                                 early_stop_fraction=0.15, patience=1500)
-        model = fit_mlp(scaled, config, seed=3, track_history=True)
-        diffs = np.diff(model.loss_history)
+        histories = []
+        original = kernels.mlp_train
+
+        def recording(*args):
+            result = original(*args)
+            histories.append(result[4])
+            return result
+
+        monkeypatch.setattr(kernels, "mlp_train", recording)
+        fit_mlp(scaled, config, seed=3)
+        (losses,) = histories
+        diffs = np.diff(losses)
         violations = int((diffs > 0).sum())
-        assert violations <= max(1, int(0.01 * len(model.loss_history)))
+        assert violations <= max(1, int(0.01 * len(losses)))
 
     def test_bit_identical_across_runs(self, rng):
         m = random_matrix(rng, 40, 3)

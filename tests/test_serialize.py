@@ -1,15 +1,20 @@
 import json
+import tempfile
 from dataclasses import replace
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teayield.ensemble import predict_ensemble
-from teayield.errors import DataError
+from teayield.errors import ConfigError, DataError, TeaYieldError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.serialize import load_model, model_to_json, save_model
 
-from conftest import corrupt_model_doc, tiny_config
+from conftest import corrupt_model_doc, csv_edits, mutate_csv, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +74,7 @@ CORRUPTIONS = {
     "NaN target_scale": (("preprocess",), "target_scale", float("nan")),
     "NaN weight_b": ((), "weight_b", float("nan")),
     "NaN weight_c": ((), "weight_c", float("nan")),
+    "training patience 0": (FIRST_MLP + ("config",), "patience", 0),
 }
 
 
@@ -88,3 +94,45 @@ def test_non_finite_ensemble_weights_are_rejected(model):
     weights[0] = np.nan
     with pytest.raises(DataError, match="weights must be"):
         replace(model, weights=weights)
+
+
+# Values the model fuzz property puts in place of one part of the document.
+FUZZ_VALUES = (None, True, 0, -1, 2**63, 1e308, float("nan"), "", "x", [],
+               {}, [0.5])
+
+
+def _parts(obj, path=()):
+    """The path to every value inside a JSON document, containers included."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _parts(value, path + (key,))
+
+
+@given(part=st.integers(0, 2**16), value=st.sampled_from(FUZZ_VALUES),
+       edits=csv_edits())
+@settings(max_examples=150, deadline=None)
+def test_mutated_model_files_load_and_score_or_raise(model, canonical_raw,
+                                                     part, value, edits):
+    """One part of the document is replaced by ``value``, then the JSON
+    text is edited as comma-separated cells.  Loading raises a DataError or
+    ConfigError, or gives a model that scores rows or raises a
+    TeaYieldError."""
+    doc = json.loads(model_to_json(model))
+    parts = list(_parts(doc))
+    *head, last = parts[part % len(parts)]
+    reduce(lambda obj, key: obj[key], head, doc)[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_bytes(mutate_csv(json.dumps(doc), edits))
+        try:
+            loaded = load_model(path)
+        except (ConfigError, DataError):
+            return
+    try:
+        with np.errstate(over="ignore"):
+            preds = predict_ensemble(loaded, canonical_raw)
+    except TeaYieldError:
+        return
+    assert preds.shape == (canonical_raw.n_samples,)
