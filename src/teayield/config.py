@@ -74,6 +74,10 @@ class PipelineConfig:
         if self.outlier_rule not in OUTLIER_RULES:
             raise ConfigError(f"outlier rule must be one of {OUTLIER_RULES}, "
                               f"got {self.outlier_rule!r}")
+        for name, patience in (("[sfs] patience", self.sfs_patience),
+                               ("[ensemble] patience", self.ensemble_patience)):
+            if patience < 1:
+                raise ConfigError(f"{name} must be >= 1, got {patience}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if not 0.0 < self.holdout_fraction < 1.0:

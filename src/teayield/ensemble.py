@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import FeatureMatrix
 from .errors import ConfigError, DataError, FitError
@@ -214,6 +213,19 @@ def resolve_weight_params(errors: Sequence[float],
     return b, c
 
 
+def _falling_logistic(z: float) -> float:
+    """1 / (1 + e^z), or 0.0 where e^z overflows.
+
+    ``math.exp`` is libm's, as in ``scipy.special.expit``, so the value is
+    bit-identical to ``expit(-z)``; numpy's vectorised ``exp`` rounds a few
+    per cent of inputs differently.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(z))
+    except OverflowError:
+        return 0.0
+
+
 def compute_weights(errors, b: float, c: float,
                     literal: bool = False) -> np.ndarray:
     """Normalized learner weights from training errors.
@@ -234,7 +246,8 @@ def compute_weights(errors, b: float, c: float,
         z = b * (np.abs(eps) - c)
         raw = np.exp(z - z.max())
     else:
-        raw = expit(-b * (eps - c))
+        raw = np.array([_falling_logistic(z)
+                        for z in (b * (eps - c)).tolist()])
     total = float(raw.sum())
     if total <= 0.0:
         raise FitError(f"all raw weights underflowed to zero (b={b}, c={c}, "
@@ -319,6 +332,9 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
     0.3.31 the result is bit-identical to scoring all rows at once for the
     tested sizes and the benchmark's 50,000 rows; in both forms the last
     bit of a row can depend on where BLAS splits the rows between threads.
+
+    A model whose values are finite but extreme can map rows to inf or NaN;
+    that is a DataError naming how many rows and the first of them.
     """
     x = e.preprocess.apply_features(m).values
     n = x.shape[0]
@@ -327,7 +343,13 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
     for lo, hi in zip(edges[:-1], edges[1:]):
         out[lo:hi] = e.weights @ np.vstack([predict_mlp(bl.model, x[lo:hi])
                                             for bl in e.learners])
-    return e.preprocess.invert_target(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = e.preprocess.invert_target(out)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise DataError(f"{bad.size} of {n} predictions are not finite, "
+                        f"the first in row {bad[0]}")
+    return out
 
 
 def build_pool_report(pool: Sequence[BaseLearner], ranking: LearnerRanking,

@@ -1,10 +1,10 @@
 """Hot numeric kernels, written in numpy.
 
 Two inner loops dominate runtime in this package: full-batch gradient-descent
-training of the shallow networks (thousands of fits during pool training,
-per-fold retraining, and repeated stability runs) and the neighbor
-accumulation loop of the relief-style feature ranker.  The kernels start no
-threads of their own; BLAS threads are left at the library's default.
+training of the shallow networks (thousands of fits during pool training and
+per-fold retraining) and the neighbor accumulation loop of the relief-style
+feature ranker.  The kernels start no threads of their own; BLAS threads are
+left at the library's default.
 
 The networks are tiny (tens to a couple of hundred rows, 5 to 30 hidden
 units), so an epoch costs more in numpy call dispatch than in arithmetic.

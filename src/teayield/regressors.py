@@ -3,7 +3,9 @@ regression with a squared-exponential kernel, and the single-hidden-layer
 network used as the ensemble base learner.
 
 Fitted models are immutable and thread-safe for prediction; fitting is
-single-threaded and fully determined by (data, config, seed).
+single-threaded and fully determined by (data, config, seed).  ``scipy.linalg``
+is imported inside the two GP functions that call it, so that importing the
+package, training and predicting never pay scipy's start-up cost.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .dataset import FeatureMatrix
@@ -133,6 +134,8 @@ def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0
     If the Cholesky fails, a diagonal jitter starting at 1e-10 * mean(diag K)
     escalates tenfold up to 1e-4 * mean(diag K) before giving up.
     """
+    import scipy.linalg
+
     if signal_var <= 0 or length_scale <= 0:
         raise FitError("signal_var and length_scale must be > 0")
     if noise_var < 0:
@@ -175,6 +178,8 @@ def predict_gpr(g: GPRModel, x) -> tuple[float, float]:
     reverts to signal_var + noise_var.  Tiny negative values from rounding
     are clamped to zero; a clamp larger than 1e-8 is logged.
     """
+    import scipy.linalg
+
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if x.shape[1] != g.x_train.shape[1]:
         raise DataError(f"query has {x.shape[1]} features, model expects "

@@ -1,15 +1,21 @@
+import configparser
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from teayield.cli import main
 from teayield.config import render_config
 from teayield.serialize import load_model
 
 from conftest import corrupt_model_doc, csv_edits, mutate_csv, tiny_config
+from test_imports import PACKAGE
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +208,119 @@ def test_predict_on_mutated_data_exits_0_or_1(workdir, model_doc, edits,
                  "--config", str(workdir / "tiny.ini"),
                  "--out", str(workdir / "mutated_predictions.csv")])
     assert code in (0, 1), capsys.readouterr().err
+
+
+# Prints the scipy modules loaded after importing the command line, after
+# ``train`` and after ``predict``, with each command's exit code.
+NO_SCIPY_SCRIPT = """\
+import sys
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+from teayield.cli import main
+print("import", scipy_modules())
+data, config, model, out = sys.argv[1:]
+code = main(["train", "--data", data, "--config", config, "--model", model])
+print("train", code, scipy_modules())
+code = main(["predict", "--data", data, "--config", config, "--model", model,
+             "--out", out])
+print("predict", code, scipy_modules())
+"""
+
+
+def test_import_train_and_predict_load_no_scipy(workdir):
+    """Only the GP regressor uses scipy, and only ``evaluate`` fits one, so a
+    fresh process that trains and predicts never pays for importing it."""
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(workdir / "data.csv"),
+         str(workdir / "tiny.ini"), str(workdir / "no_scipy" / "m.json"),
+         str(workdir / "no_scipy" / "p.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["import []", "train 0 []",
+                                       "predict 0 []"], run.stderr
+
+
+def test_non_finite_predictions_exit_1(workdir, model_doc, capsys):
+    """A huge but finite target scale sends rows to inf: an error naming how
+    many, not a predictions file."""
+    doc = json.loads(model_doc)
+    corrupt_model_doc(doc, ("preprocess",), "target_scale", 1e308)
+    huge = workdir / "trained" / "huge_scale.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / "huge_scale.csv"
+    capsys.readouterr()
+    assert main(["predict", "--data", str(workdir / "data.csv"),
+                 "--model", str(huge), "--out", str(out),
+                 "--config", str(workdir / "tiny.ini")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "of 120 predictions are not finite, the first in row " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["sfs", "ensemble"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_zero_patience_exits_1_before_any_fitting(workdir, section, command,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    fits = []
+    monkeypatch.setattr("teayield.pipeline.fit_chain",
+                        lambda *args, **kw: fits.append(args))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(render_config(tiny_config()))
+    parser[section]["patience"] = "0"
+    config = tmp_path / "zero_patience.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = ["--model", str(tmp_path / "m.json")] if command == "train" else []
+    capsys.readouterr()
+    assert main([command, "--data", str(workdir / "data.csv"),
+                 "--config", str(config), "--out", str(tmp_path / "out")]
+                + out) == 1
+    assert f"[{section}] patience must be >= 1, got 0" in capsys.readouterr().err
+    assert fits == []
+
+
+# Mutated config and data bytes given to the commands that fit or generate.
+# An input may fail to load or to fit, but only as a user error: exit 1,
+# never 2.  Example counts keep the three properties near 2 s together.
+def _mutated(workdir, name: str, source: str, edits, sep: str = ","):
+    path = workdir / name
+    path.write_bytes(mutate_csv((workdir / source).read_text(encoding="utf-8"),
+                                edits, sep))
+    return path
+
+
+@given(ini_edits=csv_edits())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_synth_on_a_mutated_config_exits_0_or_1(workdir, ini_edits, capsys):
+    config = _mutated(workdir, "mutated_synth.ini", "tiny.ini", ini_edits, "=")
+    code = main(["synth", "--config", str(config),
+                 "--out", str(workdir / "mutated_synth.csv")])
+    assert code in (0, 1), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,examples", [("train", 8), ("evaluate", 4)])
+def test_fitting_on_mutated_inputs_exits_0_or_1(workdir, command, examples,
+                                                capsys):
+    """Each example edits either the config or the data file."""
+    @given(edits=csv_edits(), in_config=st.booleans())
+    @settings(max_examples=examples, deadline=None)
+    def fit(edits, in_config):
+        config, data = workdir / "tiny.ini", workdir / "data.csv"
+        if in_config:
+            config = _mutated(workdir, "mutated_fit.ini", "tiny.ini", edits,
+                              "=")
+        else:
+            data = _mutated(workdir, "mutated_fit.csv", "data.csv", edits)
+        out = workdir / f"mutated_{command}"
+        code = main([command, "--config", str(config), "--data", str(data),
+                     "--out", str(out)]
+                    + (["--model", str(out / "m.json")] if command == "train"
+                       else []))
+        assert code in (0, 1), capsys.readouterr().err
+
+    fit()

@@ -93,7 +93,7 @@ VALUES = {
     ("relieff", "decay_sigma"): st.none() | numbers,
     ("sfs_evaluator",): st.sampled_from(SFS_EVALUATORS),
     ("sfs_ridge_lambda",): numbers,
-    ("sfs_patience",): st.integers(),
+    ("sfs_patience",): st.integers(min_value=1),
     ("mlp", "hidden_size"): st.integers(*HIDDEN_RANGE),
     ("mlp", "learning_rate"): st.floats(0.0, exclude_min=True,
                                         allow_infinity=False),
@@ -110,7 +110,7 @@ VALUES = {
     ("ensemble", "weight_b"): st.none() | numbers,
     ("ensemble", "weight_c"): st.none() | numbers,
     ("ensemble", "literal_weights"): st.booleans(),
-    ("ensemble_patience",): st.integers(),
+    ("ensemble_patience",): st.integers(min_value=1),
     ("cv_folds",): st.integers(min_value=2),
     ("holdout_fraction",): fractions,
     ("mlp_replicates",): st.integers(min_value=1),

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
@@ -82,6 +83,30 @@ class TestComputeWeights:
     def test_underflow_reported(self):
         with pytest.raises(FitError, match="underflow"):
             compute_weights([1000.0, 2000.0], b=10.0, c=0.0)
+
+    @pytest.mark.parametrize("b", [1e-9, 1e-4, 0.5, 3.0, 100.0, 1e6, 1e12])
+    def test_bit_identical_to_scipy_expit(self, rng, b):
+        """The weights equal ``expit(-b * (eps - c))``, normalized, bit for
+        bit, raw weights that underflow or whose exponent overflows
+        included; where every raw weight is 0 both forms give none."""
+        for _ in range(40):
+            eps = rng.exponential(10.0 ** rng.uniform(-3, 1),
+                                  size=int(rng.integers(1, 101)))
+            c = (float(np.median(eps)) if rng.random() < 0.5
+                 else float(rng.uniform(0.0, 2.0 * eps.max())))
+            raw = expit(-b * (eps - c))
+            if raw.sum() == 0.0:
+                with pytest.raises(FitError, match="underflow"):
+                    compute_weights(eps, b, c)
+            else:
+                w = compute_weights(eps, b, c)
+                assert w.tobytes() == (raw / raw.sum()).tobytes()
+
+    def test_every_raw_weight_underflows_as_with_scipy_expit(self):
+        eps, b, c = np.array([0.5, 700.0, 1000.0]), 1e12, 0.25
+        assert not expit(-b * (eps - c)).any()
+        with pytest.raises(FitError, match="underflow"):
+            compute_weights(eps, b, c)
 
 
 class TestTrainPool:
