@@ -209,7 +209,10 @@ def _with_value(obj, path: tuple[str, ...], value):
 
 
 def load_config(path) -> PipelineConfig:
-    """Read an INI config; unknown sections or keys are errors."""
+    """Read an INI config; unknown sections or keys are errors.
+
+    Every error names the file: ``<path>: <what is wrong>``.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -230,9 +233,9 @@ def load_config(path) -> PipelineConfig:
     try:
         for section in parser.sections():
             if section not in sections:
-                raise ConfigError(f"{path}: unknown section [{section}]")
+                raise ConfigError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
-                where = f"{path}: [{section}] {key}"
+                where = f"[{section}] {key}"
                 if (section, key) not in options:
                     raise ConfigError(f"{where}: unknown option")
                 attr, kind, none_word = options[section, key]
@@ -243,9 +246,7 @@ def load_config(path) -> PipelineConfig:
         # redrawn per learner, so the template value is immaterial.
         return _with_value(cfg, ("ensemble", "mlp"),
                            replace(cfg.mlp, hidden_size=5))
-    except ConfigError:
-        raise
-    except (FitError, DataError, ValueError) as exc:
+    except (ConfigError, FitError, DataError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -333,8 +333,9 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
     tested sizes and the benchmark's 50,000 rows; in both forms the last
     bit of a row can depend on where BLAS splits the rows between threads.
 
-    A model whose values are finite but extreme can map rows to inf or NaN;
-    that is a DataError naming how many rows and the first of them.
+    A model whose values are finite but extreme can map rows to inf or NaN,
+    or, under a log target, to an ``exp`` that underflows to 0; that is a
+    DataError naming how many rows and the first of them.
     """
     x = e.preprocess.apply_features(m).values
     n = x.shape[0]
@@ -345,10 +346,13 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
                                             for bl in e.learners])
     with np.errstate(over="ignore", invalid="ignore"):
         out = e.preprocess.invert_target(out)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise DataError(f"{bad.size} of {n} predictions are not finite, "
-                        f"the first in row {bad[0]}")
+    for bad, what in ((~np.isfinite(out), "are not finite"),
+                      ((out == 0.0) & bool(e.preprocess.log_target),
+                       "underflowed to 0")):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise DataError(f"{rows.size} of {n} predictions {what}, "
+                            f"the first in row {rows[0]}")
     return out
 
 

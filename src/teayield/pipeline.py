@@ -2,17 +2,19 @@
 stage-by-stage cross-validation report.
 
 The preprocessing chain runs the configured stages in order (the default
-order is selection, scaling, outlier removal, transformation).  For the
-stage report, each stage's cross-validation refits the chain inside every
-training fold by default, so no statistic computed from scored rows leaks
-into fitting; ``paper_faithful = true`` instead fits the chain once globally
-before folding, reproducing the simpler traditional procedure.  Outlier
-removal only ever drops training rows; scored rows are never removed.
+order is selection, scaling, outlier removal, transformation) and keeps
+the fitted chain after every stage prefix.  The stage report reads its
+columns from those prefixes.  By default it fits the chain once inside
+every training fold, so no statistic computed from scored rows leaks into
+fitting; ``paper_faithful = true`` instead fits it once on all rows before
+folding, reproducing the simpler traditional procedure.  Outlier removal
+only ever drops training rows; scored rows are never removed.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +25,7 @@ from .ensemble import (EnsembleModel, PoolReport, assemble, build_pool_report,
                        predict_ensemble, rank_learners, select_learners,
                        train_pool)
 from .errors import DataError, FitError
-from .evaluation import (FoldPlan, MetricsReport, cross_validate, holdout_split,
+from .evaluation import (MetricsReport, cross_validate, holdout_split,
                          make_folds, metrics)
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
                              sequential_forward_select)
@@ -38,7 +40,8 @@ log = logging.getLogger(__name__)
 STAGE_MODELS = ("mlr", "gpr", "mlp")
 
 # Seed stream tags for the master seed.
-_TAG_SELECT, _TAG_POOL, _TAG_PICK, _TAG_STAGE, _TAG_HOLDOUT = range(1, 6)
+(_TAG_SELECT, _TAG_POOL, _TAG_PICK, _TAG_STAGE, _TAG_HOLDOUT,
+ _TAG_CHAIN) = range(1, 7)
 
 
 @dataclass(frozen=True)
@@ -85,25 +88,26 @@ def sfs_evaluator(cfg: PipelineConfig):
     return make_mlp_factory(cfg.mlp)
 
 
-def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int,
-              stages: tuple[str, ...] | None = None
-              ) -> tuple[FeatureMatrix, PreprocessState, ChainArtifacts]:
-    """Fit the staged preprocessing on training data.
+def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
+              ) -> tuple[list[tuple[FeatureMatrix, PreprocessState]],
+                         ChainArtifacts]:
+    """Fit the staged preprocessing on training data, stage by stage.
 
-    Returns the transformed training matrix (outlier rows dropped, target
-    logged if the chain logs it), the fitted chain to apply elsewhere (target
-    center 0, scale 1), and the per-stage artifacts.
+    Returns one ``(matrix, chain)`` pair per stage prefix, for the first k
+    of ``cfg.stages`` with k = 0 .. len(cfg.stages), and the per-stage
+    artifacts.  The matrix is the transformed training data (outlier rows
+    dropped, target logged if the prefix logs it); the chain replays the
+    prefix elsewhere (target center 0, scale 1).  A stage reads only what
+    the stages before it produced, so prefix k equals the last prefix of a
+    fit of ``cfg.stages[:k]`` with the same seed.
     """
-    if stages is None:
-        stages = cfg.stages
-    selected = m.column_names
-    scaler = None
-    log_features: tuple[str, ...] = ()
-    log_target = False
-    ranked = None
-    selection = None
-    outliers = None
-    for stage in stages:
+    chain = PreprocessState(
+        month_encoding=cfg.month_encoding, add_avg_temp=True, stage_order=(),
+        selected_features=m.column_names, scaler=None, log_features=(),
+        log_target=False, target_center=0.0, target_scale=1.0)
+    ranked = selection = outliers = None
+    prefixes = [(m, chain)]
+    for stage in cfg.stages:
         if stage == "feature_selection":
             ranked = rrelieff(m, k=cfg.relieff.k,
                               iterations=cfg.relieff.iterations,
@@ -112,35 +116,31 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int,
             selection = sequential_forward_select(
                 m, ranked, sfs_evaluator(cfg), folds=cfg.cv_folds,
                 seed=derive_seed(seed, 2), patience=cfg.sfs_patience)
-            selected = selection.selected
-            m = m.subset(selected)
+            chain = replace(chain, selected_features=selection.selected)
+            m = m.subset(selection.selected)
         elif stage == "feature_scaling":
-            columns = cfg.scale_columns
+            columns = cfg.scale_columns  # None scales every column
             if columns is not None:
                 columns = tuple(c for c in columns if c in m.column_names)
-                if not columns:
-                    continue
-            scaler = fit_scaler(m, columns)
-            m = apply_scaler(scaler, m)
+            if columns != ():
+                chain = replace(chain, scaler=fit_scaler(m, columns))
+                m = apply_scaler(chain.scaler, m)
         elif stage == "outlier_removal":
             outliers = cooks_distance(m.subset(independent_columns(m)),
                                       cfg.outlier_threshold_for(m.n_samples))
             m = remove_outliers(m, outliers)
         elif stage == "feature_transformation":
-            log_features = tuple(c for c in cfg.log_features
-                                 if c in m.column_names)
-            log_target = cfg.log_target
-            columns = list(log_features)
-            if log_target:
+            chain = replace(chain, log_target=cfg.log_target,
+                            log_features=tuple(c for c in cfg.log_features
+                                               if c in m.column_names))
+            columns = list(chain.log_features)
+            if chain.log_target:
                 columns.append(m.target_name)
             if columns:
                 m = log_transform(m, columns)
-    state = PreprocessState(
-        month_encoding=cfg.month_encoding, add_avg_temp=True,
-        stage_order=tuple(stages), selected_features=selected, scaler=scaler,
-        log_features=log_features, log_target=log_target,
-        target_center=0.0, target_scale=1.0)
-    return m, state, ChainArtifacts(ranked, selection, outliers)
+        chain = replace(chain, stage_order=chain.stage_order + (stage,))
+        prefixes.append((m, chain))
+    return prefixes, ChainArtifacts(ranked, selection, outliers)
 
 
 def prepare_input(m: FeatureMatrix) -> FeatureMatrix:
@@ -154,8 +154,8 @@ def fit_preprocess(m: FeatureMatrix, cfg: PipelineConfig
                    ) -> tuple[FeatureMatrix, PreprocessState, ChainArtifacts]:
     """Fit the full chain and standardize the target for pool training."""
     m = prepare_input(m)
-    processed, chain, artifacts = fit_chain(m, cfg, derive_seed(cfg.seed,
-                                                                _TAG_SELECT))
+    prefixes, artifacts = fit_chain(m, cfg, derive_seed(cfg.seed, _TAG_SELECT))
+    processed, chain = prefixes[-1]
     mu = float(processed.target.mean())
     sd = float(processed.target.std(ddof=1)) if processed.n_samples > 1 else 0.0
     if sd == 0.0:
@@ -195,83 +195,74 @@ def _stage_factories(cfg: PipelineConfig) -> dict:
     }
 
 
-def _chain_cv_rmse(raw: FeatureMatrix, stages: tuple[str, ...],
-                   cfg: PipelineConfig, factory, plan: FoldPlan, fit_seed: int,
-                   chain_seed: int, chain_cache: dict) -> float:
-    """Pooled CV RMSE with the chain refit inside each training fold.
-
-    Chains per (stage prefix, fold) are cached and seeded independently of
-    the model, so the three models share the identical fitted preprocessing.
-    Predictions are mapped back to yield units through each fold's chain
-    before scoring, so every stage is scored in the same units.
-    """
-    oof = np.empty(raw.n_samples)
-    for fold in range(plan.k):
-        train_rows, eval_rows = plan.fold_indices(fold)
-        key = (stages, fold)
-        if key not in chain_cache:
-            train_m, chain, _ = fit_chain(raw.take_rows(train_rows), cfg,
-                                          derive_seed(chain_seed, fold), stages)
-            chain_cache[key] = (train_m, chain)
-        train_m, chain = chain_cache[key]
-        eval_m = chain.apply_features(raw.take_rows(eval_rows))
-        predict_fn = factory(train_m, derive_seed(fit_seed, fold))
-        oof[eval_rows] = chain.invert_target(
-            np.asarray(predict_fn(eval_m), dtype=np.float64))
-    return metrics(raw.target, oof).rmse
+@contextmanager
+def _naming(stage: str, model: str):
+    """Prefix a fit or data error raised inside with its stage-report cell."""
+    try:
+        yield
+    except (FitError, DataError) as exc:
+        raise type(exc)(f"stage {stage!r}, model {model!r}: {exc}") from exc
 
 
 def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageReport:
     """CV RMSE of each in-scope model after each cumulative pipeline stage.
 
-    The "raw" column uses no preprocessing; subsequent columns add the
-    configured stages one at a time in order.  Every cell is scored in
+    The "raw" column uses no preprocessing; column j adds the first j
+    configured stages.  The chain is fitted once per training fold (once on
+    all rows with ``paper_faithful``), and column j is scored through its
+    prefix j, so neighbouring columns differ by their stage alone: the same
+    selected features, scaler and dropped rows.  Every cell is scored in
     yield units.  The network cell is the mean of ``mlp_replicates``
     independently seeded trainings.  All models in a column share one fold
     plan.
     """
     raw = prepare_input(raw)
     stage_names = ("raw",) + tuple(cfg.stages)
-    mode = "paper_faithful" if cfg.paper_faithful else "fold_refit"
-    rmse = np.zeros((len(STAGE_MODELS), len(stage_names)))
-    replicates: list[tuple[float, ...]] = []
     factories = _stage_factories(cfg)
-    chain_cache: dict = {}
-    plan = make_folds(raw.n_samples, cfg.cv_folds, derive_seed(seed, _TAG_STAGE))
+    cells = [(j, model, derive_seed(seed, _TAG_STAGE, j, i, r))
+             for j in range(len(stage_names))
+             for i, model in enumerate(STAGE_MODELS)
+             for r in range(cfg.mlp_replicates if model == "mlp" else 1)]
+    plan_seed = derive_seed(seed, _TAG_STAGE)
+    if cfg.paper_faithful:
+        prefixes, _ = fit_chain(raw, cfg, derive_seed(seed, _TAG_CHAIN))
+        scores = []
+        for j, model, fit_seed in cells:
+            stage_m, chain = prefixes[j]
+            plan = make_folds(stage_m.n_samples, cfg.cv_folds, plan_seed)
+            with _naming(stage_names[j], model):
+                oof = cross_validate(stage_m, factories[model], plan, fit_seed)
+            scores.append(metrics(chain.invert_target(stage_m.target),
+                                  chain.invert_target(oof)).rmse)
+    else:
+        # Predictions are mapped back to yield units through each fold's
+        # chain, and no statistic of the scored rows reaches the chain.
+        oof = np.empty((len(cells), raw.n_samples))  # a row per cell
+        plan = make_folds(raw.n_samples, cfg.cv_folds, plan_seed)
+        for fold in range(plan.k):
+            train_rows, eval_rows = plan.fold_indices(fold)
+            prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
+                                    derive_seed(seed, _TAG_CHAIN, fold))
+            eval_raw = raw.take_rows(eval_rows)
+            for c, (j, model, fit_seed) in enumerate(cells):
+                train_m, chain = prefixes[j]
+                with _naming(stage_names[j], model):
+                    predict_fn = factories[model](train_m,
+                                                  derive_seed(fit_seed, fold))
+                    oof[c, eval_rows] = chain.invert_target(np.asarray(
+                        predict_fn(chain.apply_features(eval_raw)),
+                        dtype=np.float64))
+        scores = [metrics(raw.target, row).rmse for row in oof]
 
-    for j, stage in enumerate(stage_names):
-        stages = tuple(cfg.stages[:j])
-        if cfg.paper_faithful:
-            stage_m, stage_chain, _ = fit_chain(
-                raw, cfg, derive_seed(seed, _TAG_STAGE, j), stages)
-            stage_truth = stage_chain.invert_target(stage_m.target)
-            stage_plan = make_folds(stage_m.n_samples, cfg.cv_folds,
-                                    derive_seed(seed, _TAG_STAGE))
-        rep_cell: tuple[float, ...] = ()
-        for i, model in enumerate(STAGE_MODELS):
-            reps = cfg.mlp_replicates if model == "mlp" else 1
-            factory = factories[model]
-            values = []
-            for r in range(reps):
-                fit_seed = derive_seed(seed, _TAG_STAGE, j, i, r)
-                try:
-                    if cfg.paper_faithful:
-                        oof = cross_validate(stage_m, factory, stage_plan,
-                                             fit_seed)
-                        values.append(metrics(
-                            stage_truth, stage_chain.invert_target(oof)).rmse)
-                    else:
-                        values.append(_chain_cv_rmse(
-                            raw, stages, cfg, factory, plan, fit_seed,
-                            derive_seed(seed, _TAG_STAGE, j), chain_cache))
-                except (FitError, DataError) as exc:
-                    raise type(exc)(f"stage {stage!r}, model {model!r}: "
-                                    f"{exc}") from exc
-            rmse[i, j] = float(np.mean(values))
-            if model == "mlp":
-                rep_cell = tuple(values)
-        replicates.append(rep_cell)
-    return StageReport(stage_names, STAGE_MODELS, rmse, tuple(replicates), mode)
+    values: dict[tuple[str, int], list[float]] = {}
+    for (j, model, _), score in zip(cells, scores):
+        values.setdefault((model, j), []).append(score)
+    columns = range(len(stage_names))
+    rmse = np.array([[np.mean(values[model, j]) for j in columns]
+                     for model in STAGE_MODELS])
+    replicates = tuple(tuple(values["mlp", j]) for j in columns)
+    return StageReport(stage_names, STAGE_MODELS, rmse, replicates,
+                       "paper_faithful" if cfg.paper_faithful else "fold_refit")
 
 
 @dataclass(frozen=True)

@@ -106,24 +106,41 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
     }
 
 
+def _dec_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _positive(value, what: str):
+    """``value`` if every entry is > 0, as a standard deviation must be."""
+    if not np.all(np.asarray(value) > 0.0):
+        raise ValueError(f"{what} must be > 0")
+    return value
+
+
 def _dec_scaler(obj: dict) -> ScalerState:
     columns = tuple(obj["columns"])
     shape = (len(columns),)
     return ScalerState(columns, _dec_shaped(obj["means"], shape, "scaler means"),
-                       _dec_shaped(obj["stds"], shape, "scaler stds"))
+                       _positive(_dec_shaped(obj["stds"], shape, "scaler stds"),
+                                 "scaler stds"))
 
 
 def _dec_ensemble(obj: dict) -> EnsembleModel:
     pre = obj["preprocess"]
     scaler = pre["scaler"]
     state = PreprocessState(
-        month_encoding=pre["month_encoding"], add_avg_temp=pre["add_avg_temp"],
+        month_encoding=pre["month_encoding"],
+        add_avg_temp=_dec_bool(pre["add_avg_temp"], "add_avg_temp"),
         stage_order=tuple(pre["stage_order"]),
         selected_features=tuple(pre["selected_features"]),
         scaler=None if scaler is None else _dec_scaler(scaler),
-        log_features=tuple(pre["log_features"]), log_target=pre["log_target"],
+        log_features=tuple(pre["log_features"]),
+        log_target=_dec_bool(pre["log_target"], "log_target"),
         target_center=_dec_finite(pre["target_center"], "target_center"),
-        target_scale=_dec_finite(pre["target_scale"], "target_scale"))
+        target_scale=_positive(_dec_finite(pre["target_scale"], "target_scale"),
+                               "target_scale"))
     learners = tuple(
         BaseLearner(_dec_mlp(bl["mlp"]), bl["hidden_size"],
                     tuple(bl["subsample_indices"]), bl["train_error"],

@@ -13,8 +13,15 @@ def derive_seed(*parts: int) -> int:
     """Deterministically mix integers into a child seed.
 
     All randomness in the package flows from one master seed; sub-tasks
-    (learner index, fold index, pipeline stage, ...) get independent streams
+    (learner index, fold index, pipeline stage, ...) get their own streams
     through this mixer so results do not depend on execution order.
+
+    Part lists give independent streams unless they differ only by trailing
+    zeros within the first four parts: numpy's ``SeedSequence`` pads its
+    entropy with zeros to four words, so ``derive_seed(7) ==
+    derive_seed(7, 0) == derive_seed(7, 0, 0)``.  So a tag that is followed
+    by an index counted from 0 is not also used alone.  Every output of the
+    package depends on these values, so they stay as they are.
     """
     if any(p < 0 for p in parts):
         raise ValueError(f"seed parts must be non-negative, got {parts}")

@@ -260,6 +260,24 @@ def test_non_finite_predictions_exit_1(workdir, model_doc, capsys):
     assert not out.exists()
 
 
+def test_underflowed_predictions_exit_1(workdir, model_doc, capsys):
+    """A far negative target center sends every log-target prediction's
+    ``exp`` to 0.0: an error, not a file of zeros."""
+    doc = json.loads(model_doc)
+    assert doc["model"]["preprocess"]["log_target"]
+    corrupt_model_doc(doc, ("preprocess",), "target_center", -1e5)
+    far = workdir / "trained" / "far_center.json"
+    far.write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / "far_center.csv"
+    capsys.readouterr()
+    assert main(["predict", "--data", str(workdir / "data.csv"),
+                 "--model", str(far), "--out", str(out),
+                 "--config", str(workdir / "tiny.ini")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: 120 of 120 predictions underflowed to 0, the first in row 0")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section", ["sfs", "ensemble"])
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_zero_patience_exits_1_before_any_fitting(workdir, section, command,

@@ -35,6 +35,27 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    ("evaluation", "cv_folds", "1", "cv_folds must be >= 2, got 1"),
+    ("sfs", "patience", "0", "[sfs] patience must be >= 1, got 0"),
+    ("ensemble", "pool_size", "0", "pool_size must be >= 1, got 0"),
+    ("mlp", "patience", "x", "[mlp] patience: cannot parse 'x' as an integer"),
+])
+def test_every_error_names_the_file_once(tmp_path, section, key, value,
+                                         message):
+    """Checks made when the config is built name the file as parse errors
+    do, and a parse error is not prefixed twice."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(render_config(tiny_config()))
+    parser[section][key] = value
+    path = tmp_path / "bad.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("text", [
     "[DEFAULT]\nseed = 3\n",
     "[DEFAULT]\nseed = 3\n\n[pipeline]\nmonth_encoding = cyclic\n",

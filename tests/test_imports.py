@@ -4,7 +4,6 @@ module imports scipy when it is itself imported.
 No linter is part of the toolchain, so this scans the source itself: a name
 bound by ``import`` or ``from ... import`` that is never referenced again is
 dead weight and hides which modules really depend on each other.
-``__init__.py`` is skipped because its imports are the package's re-exports.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name)
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

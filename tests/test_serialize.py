@@ -72,6 +72,14 @@ CORRUPTIONS = {
     "NaN in the ensemble weights": ((), "weights", one_nan),
     "NaN target_center": (("preprocess",), "target_center", float("nan")),
     "NaN target_scale": (("preprocess",), "target_scale", float("nan")),
+    # Both are sample standard deviations, so 0 and below are corrupt.
+    "zero target_scale": (("preprocess",), "target_scale", 0.0),
+    "negative target_scale": (("preprocess",), "target_scale", -1.0),
+    "zero scaler std": (("preprocess", "scaler"), "stds",
+                        lambda a: np.where(np.arange(a.size) == 0, 0.0, a)),
+    "negative scaler stds": (("preprocess", "scaler"), "stds", lambda a: -a),
+    "string log_target": (("preprocess",), "log_target", "no"),
+    "integer add_avg_temp": (("preprocess",), "add_avg_temp", 1),
     "NaN weight_b": ((), "weight_b", float("nan")),
     "NaN weight_c": ((), "weight_c", float("nan")),
     "training patience 0": (FIRST_MLP + ("config",), "patience", 0),
