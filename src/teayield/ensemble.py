@@ -68,10 +68,8 @@ class EnsembleConfig:
 @dataclass(frozen=True)
 class BaseLearner:
     model: MLPModel
-    hidden_size: int
     subsample_indices: tuple[int, ...]
     train_error: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -107,29 +105,26 @@ class EnsembleModel:
 
 
 @dataclass(frozen=True)
-class PoolEntry:
-    index: int
-    seed: int
-    hidden_size: int
-    train_error: float
-    relief_weight: float
-    selected: bool
-    epochs_run: int
-    subsample_rows: int
-
-
-@dataclass(frozen=True)
 class PoolReport:
-    entries: tuple[PoolEntry, ...]
-    trace: tuple[tuple[int, float], ...]
+    pool: tuple[BaseLearner, ...]
+    ranking: LearnerRanking
+    selection: LearnerSelection
+
+    @property
+    def trace(self) -> tuple[tuple[int, float], ...]:
+        # benchmarks/test_bench.py counts the fold refits from it
+        return self.selection.trace
 
     def to_csv(self, path) -> None:
+        chosen = set(self.selection.selected_positions)
         write_table(path, ["learner", "seed", "hidden", "train_mse",
                            "relief_weight", "selected", "epochs_run",
                            "subsample_rows"],
-                    ([e.index, e.seed, e.hidden_size, repr(float(e.train_error)),
-                      repr(float(e.relief_weight)), int(e.selected),
-                      e.epochs_run, e.subsample_rows] for e in self.entries))
+                    ([i, bl.model.seed, bl.model.hidden_size,
+                      repr(float(bl.train_error)),
+                      repr(float(self.ranking.weights[i])), int(i in chosen),
+                      bl.model.epochs_run, len(bl.subsample_indices)]
+                     for i, bl in enumerate(self.pool)))
 
 
 def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
@@ -143,8 +138,7 @@ def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
             rest = m.take_rows(unused)
             resid = predict(model, rest) - rest.target
             eps = float((resid * resid).mean())
-    return BaseLearner(model, hidden, tuple(int(r) for r in rows), eps,
-                       int(fit_seed))
+    return BaseLearner(model, tuple(int(r) for r in rows), eps)
 
 
 def _draw_rows(rng: np.random.Generator, n: int, cfg: EnsembleConfig) -> np.ndarray:
@@ -172,11 +166,6 @@ def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
     return tuple(pool)
 
 
-def pool_predictions(pool: Sequence[BaseLearner], m: FeatureMatrix) -> np.ndarray:
-    """(pool_size, n_samples) matrix of member predictions."""
-    return np.vstack([predict(bl.model, m) for bl in pool])
-
-
 def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
                   relief: ReliefParams = ReliefParams()) -> LearnerRanking:
     """Rank learners by relief weight of their prediction columns.
@@ -187,7 +176,7 @@ def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
     """
     if not pool:
         raise DataError("cannot rank an empty pool")
-    preds = pool_predictions(pool, m)
+    preds = np.vstack([predict(bl.model, m) for bl in pool])
     weights = np.full(len(pool), -np.inf)
     good = [i for i in range(len(pool)) if np.ptp(preds[i]) > 0.0]
     if good:
@@ -279,14 +268,14 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
         # Fold copies are seeded by the learner's own seed, not its rank
         # position, so identical pool entries retrain identically and adding
         # a duplicate can never look like an improvement.
-        identity = pool[pos].seed
-        key = (fold, identity, pool[pos].hidden_size)
+        identity, hidden = pool[pos].model.seed, pool[pos].model.hidden_size
+        key = (fold, identity, hidden)
         if key not in cache:
             train = fold_train[fold]
             rng = np.random.default_rng(derive_seed(seed, fold, identity, 0))
             rows = _draw_rows(rng, train.n_samples, cfg)
             try:
-                bl = _fit_member(train, rows, pool[pos].hidden_size,
+                bl = _fit_member(train, rows, hidden,
                                  derive_seed(seed, fold, identity, 1), cfg)
             except FitError as exc:
                 raise FitError(f"fold {fold}, learner {pos}: {exc}") from exc
@@ -355,13 +344,3 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
                             f"the first in row {rows[0]}")
     return out
 
-
-def build_pool_report(pool: Sequence[BaseLearner], ranking: LearnerRanking,
-                      selection: LearnerSelection) -> PoolReport:
-    chosen = set(selection.selected_positions)
-    entries = tuple(
-        PoolEntry(i, bl.seed, bl.hidden_size, bl.train_error,
-                  float(ranking.weights[i]), i in chosen,
-                  bl.model.epochs_run, len(bl.subsample_indices))
-        for i, bl in enumerate(pool))
-    return PoolReport(entries, selection.trace)

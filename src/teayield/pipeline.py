@@ -13,7 +13,6 @@ only ever drops training rows; scored rows are never removed.
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -21,9 +20,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dataset import FeatureMatrix, derive_avg_temp
-from .ensemble import (EnsembleModel, PoolReport, assemble, build_pool_report,
-                       predict_ensemble, rank_learners, select_learners,
-                       train_pool)
+from .ensemble import (EnsembleModel, PoolReport, assemble, predict_ensemble,
+                       rank_learners, select_learners, train_pool)
 from .errors import DataError, FitError
 from .evaluation import (MetricsReport, cross_validate, holdout_split,
                          make_folds, metrics)
@@ -34,8 +32,6 @@ from .preprocess import (OutlierReport, PreprocessState, apply_scaler,
                          log_transform, remove_outliers)
 from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
 from .util import derive_seed, write_table
-
-log = logging.getLogger(__name__)
 
 STAGE_MODELS = ("mlr", "gpr", "mlp")
 
@@ -56,7 +52,7 @@ class StageReport:
     stage_names: tuple[str, ...]
     model_names: tuple[str, ...]
     rmse: np.ndarray  # (n_models, n_stages)
-    mlp_replicates: tuple[tuple[float, ...], ...]  # per stage
+    mlp_replicates: int  # network trainings averaged in each mlp cell
     mode: str
 
     def __post_init__(self):
@@ -70,7 +66,7 @@ class StageReport:
     def to_csv(self, path) -> None:
         write_table(path, ["model", "stage", "cv_rmse", "replicates", "mode"],
                     ([model, stage, repr(float(self.rmse[i, j])),
-                      len(self.mlp_replicates[j]) if model == "mlp" else 1,
+                      self.mlp_replicates if model == "mlp" else 1,
                       self.mode]
                      for i, model in enumerate(self.model_names)
                      for j, stage in enumerate(self.stage_names)))
@@ -182,8 +178,7 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
                                 seed=derive_seed(cfg.seed, _TAG_PICK),
                                 patience=cfg.ensemble_patience)
     model = assemble(pool, selection, cfg.ensemble, state)
-    return TrainingResult(model, build_pool_report(pool, ranking, selection),
-                          artifacts)
+    return TrainingResult(model, PoolReport(pool, ranking, selection), artifacts)
 
 
 def _stage_factories(cfg: PipelineConfig) -> dict:
@@ -260,8 +255,7 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     columns = range(len(stage_names))
     rmse = np.array([[np.mean(values[model, j]) for j in columns]
                      for model in STAGE_MODELS])
-    replicates = tuple(tuple(values["mlp", j]) for j in columns)
-    return StageReport(stage_names, STAGE_MODELS, rmse, replicates,
+    return StageReport(stage_names, STAGE_MODELS, rmse, cfg.mlp_replicates,
                        "paper_faithful" if cfg.paper_faithful else "fold_refit")
 
 
@@ -269,8 +263,6 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
 class HoldoutEvaluation:
     stage: StageReport
     holdout: MetricsReport
-    model: EnsembleModel
-    pool_report: PoolReport
 
 
 def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluation:
@@ -281,5 +273,4 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
     report = stage_report(train_m, cfg, cfg.seed)
     result = train_ensemble_pipeline(train_m, cfg)
     preds = predict_ensemble(result.model, test_m)
-    scored = metrics(test_m.target, preds)
-    return HoldoutEvaluation(report, scored, result.model, result.pool_report)
+    return HoldoutEvaluation(report, metrics(test_m.target, preds))

@@ -4,13 +4,12 @@ network used as the ensemble base learner.
 
 Fitted models are immutable and thread-safe for prediction; fitting is
 single-threaded and fully determined by (data, config, seed).  ``scipy.linalg``
-is imported inside the two GP functions that call it, so that importing the
-package, training and predicting never pay scipy's start-up cost.
+is imported only inside ``fit_gpr``, so that importing the package, training
+and predicting never pay scipy's start-up cost.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,8 +21,6 @@ from .dataset import FeatureMatrix
 from .errors import DataError, FitError
 from .preprocess import fit_scaler
 
-log = logging.getLogger(__name__)
-
 HIDDEN_RANGE = (5, 30)
 
 
@@ -31,7 +28,6 @@ HIDDEN_RANGE = (5, 30)
 class LinearModel:
     coefficients: np.ndarray
     intercept: float
-    ridge_lambda: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -39,15 +35,14 @@ class GPRModel:
     """Exact GP regressor with k(x, x') = signal_var * exp(-||x-x'||^2 / (2 l^2)).
 
     The prior mean is zero, so callers are expected to center (typically
-    standardize) the target before fitting.  ``chol_lower`` factors
-    K + noise_var*I plus whatever diagonal jitter the fit needed.
+    standardize) the target before fitting.  ``alpha`` solves
+    (K + noise_var*I + jitter*I) alpha = y, with whatever diagonal jitter the
+    fit needed, so the posterior mean at a query is k(query, x_train) @ alpha.
     """
 
     signal_var: float
     length_scale: float
-    noise_var: float
     x_train: np.ndarray
-    chol_lower: np.ndarray
     alpha: np.ndarray
 
 
@@ -117,7 +112,7 @@ def fit_ols(m: FeatureMatrix, ridge_lambda: float = 0.0) -> LinearModel:
         if rank < f:
             raise FitError("design matrix is rank-deficient; use ridge_lambda > 0")
     intercept = y_mean - float(x_mean @ beta)
-    return LinearModel(beta, intercept, float(ridge_lambda))
+    return LinearModel(beta, intercept)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,6 +120,11 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def _kernel(a: np.ndarray, b: np.ndarray, signal_var: float,
+            length_scale: float) -> np.ndarray:
+    return signal_var * np.exp(-_sq_dists(a, b) / (2.0 * length_scale ** 2))
 
 
 def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0,
@@ -144,7 +144,7 @@ def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0
     if n > max_n:
         raise FitError(f"{n} samples exceeds the exact-inference cap of {max_n}")
     x = _feature_array(m)
-    k = signal_var * np.exp(-_sq_dists(x, x) / (2.0 * length_scale ** 2))
+    k = _kernel(x, x, signal_var, length_scale)
     c = k + noise_var * np.eye(n)
     unit = float(np.trace(k)) / n
     jitter = 0.0
@@ -162,37 +162,7 @@ def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0
                     f"{cap:g} (signal_var={signal_var}, length_scale="
                     f"{length_scale}, noise_var={noise_var})") from None
     alpha = scipy.linalg.cho_solve((lower, True), m.target)
-    return GPRModel(float(signal_var), float(length_scale), float(noise_var),
-                    x, lower, alpha)
-
-
-def _gpr_cross(g: GPRModel, x: np.ndarray) -> np.ndarray:
-    return g.signal_var * np.exp(
-        -_sq_dists(x, g.x_train) / (2.0 * g.length_scale ** 2))
-
-
-def predict_gpr(g: GPRModel, x) -> tuple[float, float]:
-    """Posterior predictive mean and variance at one query point.
-
-    The variance includes the observation noise, so far from the data it
-    reverts to signal_var + noise_var.  Tiny negative values from rounding
-    are clamped to zero; a clamp larger than 1e-8 is logged.
-    """
-    import scipy.linalg
-
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != g.x_train.shape[1]:
-        raise DataError(f"query has {x.shape[1]} features, model expects "
-                        f"{g.x_train.shape[1]}")
-    kstar = _gpr_cross(g, x)[0]
-    mean = float(kstar @ g.alpha)
-    v = scipy.linalg.solve_triangular(g.chol_lower, kstar, lower=True)
-    var = g.signal_var + g.noise_var - float(v @ v)
-    if var < 0.0:
-        if var < -1e-8:
-            log.warning("clamping negative GP variance %.3g to 0", var)
-        var = 0.0
-    return mean, var
+    return GPRModel(float(signal_var), float(length_scale), x, alpha)
 
 
 def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
@@ -267,7 +237,8 @@ def predict(model, m: FeatureMatrix) -> np.ndarray:
         if x.shape[1] != model.x_train.shape[1]:
             raise DataError(f"matrix has {x.shape[1]} features, model expects "
                             f"{model.x_train.shape[1]}")
-        return _gpr_cross(model, x) @ model.alpha
+        return _kernel(x, model.x_train, model.signal_var,
+                       model.length_scale) @ model.alpha
     if isinstance(model, MLPModel):
         return predict_mlp(model, x)
     raise DataError(f"cannot predict with object of type {type(model).__name__}")
@@ -301,19 +272,15 @@ def make_linear_factory(ridge_lambda: float = 0.0,
         from .preprocess import apply_scaler, independent_columns
 
         columns = independent_columns(train) if drop_dependent else train.column_names
-        train = train.subset(columns)
-        if standardize_features:
-            scaler = fit_scaler(train, columns)
-            model = fit_ols(apply_scaler(scaler, train), ridge_lambda)
+        scaler = (fit_scaler(train.subset(columns), columns)
+                  if standardize_features else None)
 
-            def predict_fn(m: FeatureMatrix) -> np.ndarray:
-                return predict(model, apply_scaler(scaler, m.subset(columns)))
-        else:
-            model = fit_ols(train, ridge_lambda)
+        def design(m: FeatureMatrix) -> FeatureMatrix:
+            m = m.subset(columns)
+            return m if scaler is None else apply_scaler(scaler, m)
 
-            def predict_fn(m: FeatureMatrix) -> np.ndarray:
-                return predict(model, m.subset(columns))
-        return predict_fn
+        model = fit_ols(design(train), ridge_lambda)
+        return lambda m: predict(model, design(m))
     return factory
 
 

@@ -6,6 +6,11 @@ trains, saves and scores.  Float64 arrays are embedded as base64 of their
 little-endian bytes, scalars as plain JSON numbers, so a round trip is
 prediction-exact; keys are sorted and separators fixed, so the same model
 always serializes to the same bytes.
+
+A learner's ``hidden_size`` and ``seed`` are copies of its network's, and
+the network's ``config.hidden_size`` is a copy of its ``hidden_size``.  The
+copies are written from the network, and the loader rejects a document
+whose copies disagree.
 """
 
 from __future__ import annotations
@@ -62,20 +67,44 @@ def _dec_finite(value, what: str) -> float:
     return float(value)
 
 
+def _dec_int(value, what: str, low: int = 0) -> int:
+    if type(value) is not int or value < low:  # a bool is not an int here
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _dec_error(value, what: str) -> float:
+    """A mean squared error: a finite number >= 0."""
+    if _dec_finite(value, what) < 0.0:
+        raise ValueError(f"{what} must be >= 0, got {value!r}")
+    return float(value)
+
+
 def _dec_mlp(obj: dict) -> MLPModel:
-    h = obj["hidden_size"]
-    if isinstance(h, bool) or not isinstance(h, int) or h < 1:
-        raise ValueError(f"hidden_size must be a positive integer, got {h!r}")
+    h = _dec_int(obj["hidden_size"], "hidden_size", 1)
     w_hidden = _dec_array(obj["w_hidden"], "w_hidden")
     if w_hidden.ndim != 2 or w_hidden.shape[1] != h:
         raise ValueError(f"w_hidden has shape {w_hidden.shape}, "
                          f"expected (features, {h})")
+    config = MLPTrainConfig(**obj["config"])
+    if _dec_int(config.hidden_size, "config hidden_size") != h:
+        raise ValueError(f"config hidden_size differs from hidden_size {h}")
     return MLPModel(h, w_hidden, _dec_shaped(obj["b_hidden"], (h,), "b_hidden"),
                     _dec_shaped(obj["w_out"], (h,), "w_out"),
-                    _dec_finite(obj["b_out"], "b_out"),
-                    MLPTrainConfig(**obj["config"]), obj["seed"],
-                    obj["epochs_run"],
-                    _dec_finite(obj["train_error"], "train_error"))
+                    _dec_finite(obj["b_out"], "b_out"), config,
+                    _dec_int(obj["seed"], "seed"),
+                    _dec_int(obj["epochs_run"], "epochs_run"),
+                    _dec_error(obj["train_error"], "train_error"))
+
+
+def _dec_learner(obj: dict) -> BaseLearner:
+    model = _dec_mlp(obj["mlp"])
+    for key in ("hidden_size", "seed"):
+        if _dec_int(obj[key], f"learner {key}") != getattr(model, key):
+            raise ValueError(f"learner {key} differs from its network's")
+    return BaseLearner(model, tuple(_dec_int(i, "subsample index")
+                                    for i in obj["subsample_indices"]),
+                       _dec_error(obj["train_error"], "learner train_error"))
 
 
 def _enc_ensemble(m: EnsembleModel) -> dict:
@@ -85,9 +114,9 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
         "weight_b": m.weight_b, "weight_c": m.weight_c,
         "literal_weights": m.literal_weights,
         "learners": [
-            {"mlp": _enc_mlp(bl.model), "hidden_size": bl.hidden_size,
+            {"mlp": _enc_mlp(bl.model), "hidden_size": bl.model.hidden_size,
              "subsample_indices": list(bl.subsample_indices),
-             "train_error": bl.train_error, "seed": bl.seed}
+             "train_error": bl.train_error, "seed": bl.model.seed}
             for bl in m.learners],
         "preprocess": {
             "month_encoding": state.month_encoding,
@@ -141,17 +170,14 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         target_center=_dec_finite(pre["target_center"], "target_center"),
         target_scale=_positive(_dec_finite(pre["target_scale"], "target_scale"),
                                "target_scale"))
-    learners = tuple(
-        BaseLearner(_dec_mlp(bl["mlp"]), bl["hidden_size"],
-                    tuple(bl["subsample_indices"]), bl["train_error"],
-                    bl["seed"])
-        for bl in obj["learners"])
+    learners = tuple(map(_dec_learner, obj["learners"]))
     if len({bl.model.w_hidden.shape[0] for bl in learners}) > 1:
         raise ValueError("learners disagree on the number of input features")
     return EnsembleModel(learners, _dec_array(obj["weights"], "weights"),
                          _dec_finite(obj["weight_b"], "weight_b"),
                          _dec_finite(obj["weight_c"], "weight_c"),
-                         obj["literal_weights"], state)
+                         _dec_bool(obj["literal_weights"], "literal_weights"),
+                         state)
 
 
 def model_to_json(model: EnsembleModel) -> str:
@@ -184,5 +210,5 @@ def load_model(path) -> EnsembleModel:
         raise DataError(f"{path}: unknown model kind {kind!r}")
     try:
         return _dec_ensemble(doc["model"])
-    except (KeyError, TypeError, ValueError, FitError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, FitError) as exc:
         raise DataError(f"{path}: corrupt model document ({exc})") from None

@@ -53,14 +53,19 @@ def corrupt_model_doc(doc: dict, path: tuple, key: str, change) -> None:
     """Replace one entry of a model document's ``model`` object in place.
 
     ``path`` leads from ``doc["model"]`` to the object holding ``key``.  A
-    callable ``change`` maps the decoded array stored there to the array to
-    store instead; any other value is stored as given.
+    callable ``change`` maps the value stored there, decoded if it is an
+    array, to the value to store instead; any other value is stored as given.
     """
     obj = doc["model"]
     for step in path:
         obj = obj[step]
-    obj[key] = (_enc_array(change(_dec_array(obj[key]))) if callable(change)
-                else change)
+    old = obj[key]
+    if not callable(change):
+        obj[key] = change
+    elif isinstance(old, dict):
+        obj[key] = _enc_array(change(_dec_array(old)))
+    else:
+        obj[key] = change(old)
 
 
 def planted_outlier_rows(m: FeatureMatrix, spec: SyntheticSpec) -> set[int]:

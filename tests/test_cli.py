@@ -164,6 +164,25 @@ def test_predict_rejects_corrupt_model_arrays(workdir, model_doc, corruption,
     assert "corrupt model document" in capsys.readouterr().err
 
 
+def test_predict_rejects_disagreeing_and_mistyped_learner_fields(
+        workdir, model_doc, capsys):
+    """A learner seed that is not its network's, a string ``epochs_run`` and
+    a string ``literal_weights``: exit 1, and no predictions file."""
+    doc = json.loads(model_doc)
+    corrupt_model_doc(doc, ("learners", 0), "seed", lambda s: s + 1)
+    corrupt_model_doc(doc, FIRST_MLP, "epochs_run", "50")
+    corrupt_model_doc(doc, (), "literal_weights", "no")
+    bad = workdir / "trained" / "mistyped.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / "mistyped.csv"
+    capsys.readouterr()
+    assert main(["predict", "--data", str(workdir / "data.csv"),
+                 "--model", str(bad), "--out", str(out),
+                 "--config", str(workdir / "tiny.ini")]) == 1
+    assert "corrupt model document" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_file", ["config", "data", "data, listed columns",
                                       "model"])
 def test_non_utf8_input_exits_1_naming_the_file(workdir, model_doc, bad_file,

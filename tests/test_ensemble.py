@@ -8,10 +8,10 @@ from scipy.special import expit
 
 from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
-                               EnsembleModel, build_pool_report,
-                               compute_weights, predict_ensemble,
-                               rank_learners, resolve_weight_params,
-                               select_learners, train_pool)
+                               EnsembleModel, PoolReport, compute_weights,
+                               predict_ensemble, rank_learners,
+                               resolve_weight_params, select_learners,
+                               train_pool)
 from teayield.errors import ConfigError, DataError, FitError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
@@ -122,14 +122,14 @@ class TestTrainPool:
         a = train_pool(small_matrix, cfg, seed=5)
         b = train_pool(small_matrix, cfg, seed=5)
         for la, lb in zip(a, b):
-            assert la.seed == lb.seed
-            assert la.hidden_size == lb.hidden_size
+            assert la.model.seed == lb.model.seed
+            assert la.model.hidden_size == lb.model.hidden_size
             assert la.train_error == lb.train_error
             np.testing.assert_array_equal(la.model.w_hidden, lb.model.w_hidden)
 
     def test_hidden_sizes_cover_range(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=100), seed=1)
-        distinct = {bl.hidden_size for bl in pool}
+        distinct = {bl.model.hidden_size for bl in pool}
         assert len(distinct) >= 15
         assert all(5 <= h <= 30 for h in distinct)
 
@@ -320,7 +320,7 @@ class TestBlockScoring:
                                  0.3 * rng.normal(size=hidden),
                                  float(rng.normal()),
                                  MLPTrainConfig(hidden_size=hidden), i, 1, 0.1),
-                        hidden, (0,), 0.1, i)
+                        (0,), 0.1)
             for i in range(members))
         weights = rng.random(members)
         state = replace(one_member_state(m), log_target=True,
@@ -371,18 +371,18 @@ class TestPoolReport:
         ranking = rank_learners(pool, small_matrix)
         sel = select_learners(pool, ranking, small_matrix, cfg, folds=4,
                               seed=3, patience=1)
-        report = build_pool_report(pool, ranking, sel)
-        assert len(report.entries) == 5
-        chosen = [e.index for e in report.entries if e.selected]
-        assert tuple(chosen) == tuple(sorted(sel.selected_positions))
         path = tmp_path / "pool.csv"
-        report.to_csv(path)
+        PoolReport(pool, ranking, sel).to_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ("learner,seed,hidden,train_mse,relief_weight,"
                             "selected,epochs_run,subsample_rows")
         assert len(lines) == 6
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
+        chosen = [int(r["learner"]) for r in rows if r["selected"] == "1"]
+        assert tuple(chosen) == tuple(sorted(sel.selected_positions))
+        assert [(int(r["seed"]), int(r["hidden"])) for r in rows] == [
+            (bl.model.seed, bl.model.hidden_size) for bl in pool]
         assert [int(r["epochs_run"]) for r in rows] == [
             bl.model.epochs_run for bl in pool]
         assert [int(r["subsample_rows"]) for r in rows] == [

@@ -64,6 +64,7 @@ CORRUPTIONS = {
                                       lambda a: a[:-1]),
     "NaN train_error": (FIRST_MLP, "train_error", float("nan")),
     "boolean b_out": (FIRST_MLP, "b_out", True),
+    "integer b_out beyond float range": (FIRST_MLP, "b_out", 10**400),
     "scaler stds too long": (("preprocess", "scaler"), "stds",
                              lambda a: np.append(a, 1.0)),
     "NaN in w_hidden": (FIRST_MLP, "w_hidden", one_nan),
@@ -83,6 +84,23 @@ CORRUPTIONS = {
     "NaN weight_b": ((), "weight_b", float("nan")),
     "NaN weight_c": ((), "weight_c", float("nan")),
     "training patience 0": (FIRST_MLP + ("config",), "patience", 0),
+    # A learner's hidden size and seed copy its network's, and the network's
+    # config copies its hidden size; hidden sizes lie in [5, 30].
+    "learner hidden_size differs": (("learners", 0), "hidden_size",
+                                    lambda h: 35 - h),
+    "learner seed differs": (("learners", 0), "seed", lambda s: s + 1),
+    "config hidden_size differs": (FIRST_MLP + ("config",), "hidden_size",
+                                   lambda h: 35 - h),
+    "string learner train_error": (("learners", 0), "train_error", "abc"),
+    "negative learner train_error": (("learners", 0), "train_error", -1),
+    "negative network train_error": (FIRST_MLP, "train_error", -1.0),
+    "string literal_weights": ((), "literal_weights", "no"),
+    "string subsample index": (("learners", 0), "subsample_indices", ["x"]),
+    "boolean subsample index": (("learners", 0), "subsample_indices",
+                                [True]),
+    "string network seed": (FIRST_MLP, "seed", "7"),
+    "string epochs_run": (FIRST_MLP, "epochs_run", "50"),
+    "negative epochs_run": (FIRST_MLP, "epochs_run", -1),
 }
 
 

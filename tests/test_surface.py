@@ -8,10 +8,13 @@ alone do not keep library code alive.  ``ALLOWED`` lists the exceptions and
 why each is kept.
 
 A field of a ``@dataclass`` is read when some module of the package loads
-an attribute of that name, or holds it as a string (the config table names
-fields by string).  Names are matched without types, so the scan can miss a
-dead field that shares its name with a live one, but never flags a field
-that is read.  ``ALLOWED_FIELDS`` lists the exceptions and why each is kept.
+an attribute of that name; ``getattr`` with a constant name counts as a
+load.  Names are matched without types, so the scan can miss a dead field
+that shares its name with a live one, but never flags a field that is read
+by attribute.  ``ALLOWED_FIELDS`` lists the exceptions and why each is kept.
+
+An entry of either list that names no function, class or field of the
+package is stale, and fails the test too.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ ALLOWED = {
     "cli.main": "the entry point of the teayield command",
     "config.render_config": "the inverse of load_config; the benchmark's "
                             "bench.ini is its output",
-    "regressors.predict_gpr": "the GP posterior variance, through which the "
-                              "tests check fit_gpr's Cholesky factor",
 }
 
 
@@ -35,7 +36,16 @@ ALLOWED_FIELDS = {
     "preprocess.OutlierReport.leverages": "the hat-matrix diagonal, through "
                                           "which test_preprocess checks "
                                           "cooks_distance",
+    "pipeline.ChainArtifacts.outliers": "the rows the chain dropped, through "
+                                        "which test_pipeline checks the "
+                                        "target map",
 }
+
+
+def _trees(package: Path) -> dict[str, ast.Module]:
+    """The parsed modules of ``package`` by name."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in sorted(package.glob("*.py"))}
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -53,8 +63,8 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def unused_public_names(package: Path) -> list[str]:
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-             for p in sorted(package.glob("*.py")) if p.name != "__init__.py"}
+    trees = _trees(package)
+    trees.pop("__init__", None)
     everywhere = sum(map(_references, trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
@@ -68,14 +78,15 @@ def unused_public_names(package: Path) -> list[str]:
 
 
 def _reads(tree: ast.AST) -> set[str]:
-    """Attribute names loaded in ``tree``, and identifier-like strings."""
+    """Attribute names loaded in ``tree``, by ``.name`` or ``getattr``."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            read.add(node.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
     return read
 
 
@@ -87,23 +98,36 @@ def _is_dataclass(decorator: ast.expr) -> bool:
                 and decorator.attr == "dataclass"))
 
 
-def unread_fields(package: Path) -> list[str]:
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-             for p in sorted(package.glob("*.py"))}
-    read = set().union(*map(_reads, trees.values()))
-    unread = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not (isinstance(node, ast.ClassDef)
-                    and any(map(_is_dataclass, node.decorator_list))):
-                continue
+def _fields(module: str, tree: ast.Module):
+    """``module.Class.field`` for each field of each dataclass in ``tree``."""
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef)
+                and any(map(_is_dataclass, node.decorator_list))):
             for stmt in node.body:
                 if (isinstance(stmt, ast.AnnAssign)
                         and isinstance(stmt.target, ast.Name)):
-                    name = f"{module}.{node.name}.{stmt.target.id}"
-                    if stmt.target.id not in read and name not in ALLOWED_FIELDS:
-                        unread.append(name)
-    return unread
+                    yield f"{module}.{node.name}.{stmt.target.id}"
+
+
+def unread_fields(package: Path) -> list[str]:
+    trees = _trees(package)
+    read = set().union(*map(_reads, trees.values()))
+    return [name for module, tree in trees.items()
+            for name in _fields(module, tree)
+            if name.rsplit(".", 1)[1] not in read and name not in ALLOWED_FIELDS]
+
+
+def stale_entries(package: Path, allowed=ALLOWED,
+                  allowed_fields=ALLOWED_FIELDS) -> list[str]:
+    """The allow-list entries that name no top-level function or class, or
+    no dataclass field, of ``package``."""
+    trees = _trees(package)
+    names = {f"{module}.{node.name}" for module, tree in trees.items()
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    fields = {name for module, tree in trees.items()
+              for name in _fields(module, tree)}
+    return sorted((set(allowed) - names) | (set(allowed_fields) - fields))
 
 
 def test_every_public_name_has_a_caller():
@@ -145,3 +169,21 @@ def test_the_scan_flags_an_unread_field(tmp_path):
         encoding="utf-8")
     assert unread_fields(tmp_path) == ["a.Point.y", "a.Point.note",
                                        "b.Box.color"]
+
+
+def test_no_allow_list_entry_is_stale():
+    assert stale_entries(PACKAGE) == []
+
+
+def test_the_scan_flags_a_stale_entry(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "def kept():\n    pass\n\n"
+        "@dataclass\n"
+        "class Point:\n    x: float\n\n"
+        "class Plain:\n    y: int\n", encoding="utf-8")
+    allowed = {"a.kept": "", "a.Point": "", "a.gone": "", "b.kept": ""}
+    fields = {"a.Point.x": "", "a.Point.z": "", "a.Plain.y": "",
+              "a.kept": ""}
+    assert stale_entries(tmp_path, allowed, fields) == [
+        "a.Plain.y", "a.Point.z", "a.gone", "a.kept", "b.kept"]
