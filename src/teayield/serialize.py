@@ -18,7 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -80,14 +80,28 @@ def _dec_error(value, what: str) -> float:
     return float(value)
 
 
+def _dec_config(obj: dict) -> MLPTrainConfig:
+    """A network's training config: exactly the fields of ``MLPTrainConfig``,
+    each an integer or a finite number as declared."""
+    if set(obj) != {f.name for f in fields(MLPTrainConfig)}:
+        raise ValueError(f"network config has keys {sorted(obj)}")
+    return MLPTrainConfig(
+        hidden_size=_dec_int(obj["hidden_size"], "config hidden_size"),
+        learning_rate=_dec_finite(obj["learning_rate"], "learning_rate"),
+        epochs=_dec_int(obj["epochs"], "epochs"),
+        early_stop_fraction=_dec_finite(obj["early_stop_fraction"],
+                                        "early_stop_fraction"),
+        patience=_dec_int(obj["patience"], "patience"))
+
+
 def _dec_mlp(obj: dict) -> MLPModel:
     h = _dec_int(obj["hidden_size"], "hidden_size", 1)
     w_hidden = _dec_array(obj["w_hidden"], "w_hidden")
     if w_hidden.ndim != 2 or w_hidden.shape[1] != h:
         raise ValueError(f"w_hidden has shape {w_hidden.shape}, "
                          f"expected (features, {h})")
-    config = MLPTrainConfig(**obj["config"])
-    if _dec_int(config.hidden_size, "config hidden_size") != h:
+    config = _dec_config(obj["config"])
+    if config.hidden_size != h:
         raise ValueError(f"config hidden_size differs from hidden_size {h}")
     return MLPModel(h, w_hidden, _dec_shaped(obj["b_hidden"], (h,), "b_hidden"),
                     _dec_shaped(obj["w_out"], (h,), "w_out"),

@@ -148,6 +148,10 @@ CORRUPTIONS = {
     "w_out shorter than hidden_size": (FIRST_MLP, "w_out", lambda a: a[:-1]),
     "string b_out": (FIRST_MLP, "b_out", "0.5"),
     "NaN target_scale": (("preprocess",), "target_scale", float("nan")),
+    "fractional epochs": (FIRST_MLP + ("config",), "epochs", 2.5),
+    "boolean patience": (FIRST_MLP + ("config",), "patience", True),
+    "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
+                               float("inf")),
 }
 
 
@@ -229,35 +233,47 @@ def test_predict_on_mutated_data_exits_0_or_1(workdir, model_doc, edits,
     assert code in (0, 1), capsys.readouterr().err
 
 
-# Prints the scipy modules loaded after importing the command line, after
-# ``train`` and after ``predict``, with each command's exit code.
+# With every scipy import made to fail, prints the scipy modules loaded after
+# importing the command line and after each command, with its exit code; the
+# commands' own output goes to stderr.
 NO_SCIPY_SCRIPT = """\
-import sys
+import contextlib, sys
+class NoScipy:
+    @staticmethod
+    def find_spec(name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+sys.meta_path.insert(0, NoScipy())
 def scipy_modules():
     return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
 from teayield.cli import main
 print("import", scipy_modules())
-data, config, model, out = sys.argv[1:]
-code = main(["train", "--data", data, "--config", config, "--model", model])
-print("train", code, scipy_modules())
-code = main(["predict", "--data", data, "--config", config, "--model", model,
-             "--out", out])
-print("predict", code, scipy_modules())
+config, work = sys.argv[1:]
+data, model = f"{work}/data.csv", f"{work}/m.json"
+for args in (["synth", "--out", data],
+             ["train", "--data", data, "--model", model],
+             ["evaluate", "--data", data, "--out", f"{work}/evaluate"],
+             ["predict", "--data", data, "--model", model,
+              "--out", f"{work}/p.csv"]):
+    with contextlib.redirect_stdout(sys.stderr):
+        code = main(args + ["--config", config])
+    print(args[0], code, scipy_modules())
 """
 
 
 def test_import_train_and_predict_load_no_scipy(workdir):
-    """Only the GP regressor uses scipy, and only ``evaluate`` fits one, so a
-    fresh process that trains and predicts never pays for importing it."""
+    """numpy is the only runtime dependency: in a fresh process where scipy
+    cannot be imported, ``synth``, ``train``, ``evaluate`` and ``predict``
+    exit 0 and load no scipy module."""
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     run = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(workdir / "data.csv"),
-         str(workdir / "tiny.ini"), str(workdir / "no_scipy" / "m.json"),
-         str(workdir / "no_scipy" / "p.csv")],
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(workdir / "tiny.ini"),
+         str(workdir / "no_scipy")],
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["import []", "train 0 []",
+    assert run.stdout.splitlines() == ["import []", "synth 0 []",
+                                       "train 0 []", "evaluate 0 []",
                                        "predict 0 []"], run.stderr
 
 

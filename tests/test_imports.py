@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and no
-module imports scipy when it is itself imported.
+"""Every name a package module imports is used in that module, and the
+package imports exactly the runtime dependencies ``pyproject.toml`` declares.
 
 No linter is part of the toolchain, so this scans the source itself: a name
 bound by ``import`` or ``from ... import`` that is never referenced again is
@@ -9,6 +9,8 @@ dead weight and hides which modules really depend on each other.
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,51 +63,82 @@ def test_the_scan_flags_an_unused_import(tmp_path):
     assert unused_imports(src) == ["mod.py:1: os", "mod.py:3: tau"]
 
 
-# scipy costs about 0.4 s and 30 MB to import, and only the GP regressor
-# uses it, so the package imports it inside the functions that call it:
-# importing ``teayield.cli``, training and predicting load no scipy module
-# (``test_cli.test_import_train_and_predict_load_no_scipy`` runs them).
-def module_level_scipy_imports(path: Path) -> list[str]:
-    """``import scipy...`` and ``from scipy... import`` statements that run
-    when the module is imported: any outside a function body."""
+# numpy is the only runtime dependency.  scipy is declared for the tests,
+# which use it as an oracle; importing ``scipy.linalg`` after numpy costs
+# about 28 MB of resident memory and 0.3 s on a 2-core x86-64 machine.  The
+# scan reads imports at any depth, so an import inside a function counts as
+# much as one at the top of a module, and
+# ``test_cli.test_import_train_and_predict_load_no_scipy`` runs every command
+# with scipy made unimportable.
+def third_party_imports(path: Path) -> list[tuple[int, str]]:
+    """The line and top-level name of each absolute import outside the
+    standard library and this package, anywhere in the module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top not in sys.stdlib_module_names and top != PACKAGE.name:
+                found.append((node.lineno, top))
+    return sorted(found)
 
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                modules = [child.module]
-            else:
-                modules = []
-            if any(name.split(".")[0] == "scipy" for name in modules):
-                found.append(f"{path.name}:{child.lineno}")
-            visit(child)
 
-    visit(tree)
-    return found
+def runtime_dependencies() -> set[str]:
+    """The distribution names of the ``[project] dependencies`` in
+    pyproject.toml, taken as their import names (true of numpy)."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    return {re.match(r"[A-Za-z0-9._-]+", requirement).group().lower()
+            for requirement in project["dependencies"]}
+
+
+def undeclared_imports(path: Path) -> list[str]:
+    declared = runtime_dependencies()
+    return [f"{path.name}:{line}: {name}"
+            for line, name in third_party_imports(path)
+            if name not in declared]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    assert module_level_scipy_imports(path) == []
+    """No module imports scipy, at module level or inside a function: every
+    third-party import is a declared runtime dependency."""
+    assert undeclared_imports(path) == []
+
+
+def test_every_runtime_dependency_is_imported():
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        imported |= {name for _, name in third_party_imports(path)}
+    assert runtime_dependencies() <= imported
 
 
 def test_the_scan_flags_a_module_level_scipy_import(tmp_path):
+    """And one inside a function, a class or a ``try``.  ``scipyish`` is a
+    name of its own; the standard library and the package itself are not
+    third-party."""
     src = tmp_path / "mod.py"
     src.write_text("import scipy.linalg\n"
                    "import scipyish, os\n"
                    "try:\n    from scipy.special import expit\n"
                    "except ImportError:\n    pass\n"
-                   "class A:\n    import scipy as sp\n"
-                   "    def f(self):\n        import scipy.linalg\n"
-                   "def g():\n    from scipy import linalg\n"
-                   "h = lambda: __import__('scipy')\n",
+                   "class A:\n    import numpy as np\n"
+                   "def f():\n    import scipy.linalg\n"
+                   "def g():\n    from teayield import cli\n"
+                   "    from . import kernels\n"
+                   "    import pandas\n",
                    encoding="utf-8")
-    assert module_level_scipy_imports(src) == ["mod.py:1", "mod.py:4",
-                                               "mod.py:8"]
+    assert third_party_imports(src) == [
+        (1, "scipy"), (2, "scipyish"), (4, "scipy"), (8, "numpy"),
+        (10, "scipy"), (14, "pandas")]
+    assert undeclared_imports(src) == [
+        "mod.py:1: scipy", "mod.py:2: scipyish", "mod.py:4: scipy",
+        "mod.py:10: scipy", "mod.py:14: pandas"]

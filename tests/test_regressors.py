@@ -63,6 +63,25 @@ def one_row(x) -> FeatureMatrix:
     return FeatureMatrix(("x0", "x1"), np.reshape(x, (1, 2)), np.zeros(1))
 
 
+def fit_gpr_keeping_factor(monkeypatch, m: FeatureMatrix, *hyper):
+    """The fitted GP and the Cholesky factor its ``alpha`` was solved with."""
+    factors = []
+    cholesky = np.linalg.cholesky
+
+    def keeping(a):
+        factors.append(cholesky(a))
+        return factors[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", keeping)
+        g = fit_gpr(m, *hyper)
+    return g, factors[-1]
+
+
+def relative_error(a: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.linalg.norm(a - reference) / np.linalg.norm(reference))
+
+
 class TestGPR:
     def test_noiseless_interpolation(self, rng):
         m = random_matrix(rng, 12, 2)
@@ -109,6 +128,36 @@ class TestGPR:
         g = fit_gpr(m, signal_var=1.0, length_scale=1.5, noise_var=0.0)
         assert calls == [(8, 8), (8, 8)]
         np.testing.assert_allclose(predict(g, m), m.target, atol=1e-6)
+
+    def test_alpha_matches_scipy_cho_solve(self, rng, monkeypatch):
+        """Over random SE kernels with 10 to 120 rows, ``alpha`` agrees with
+        scipy's Cholesky solve on the same factor to 1e-12 relative."""
+        linalg = pytest.importorskip("scipy.linalg")
+        for _ in range(40):
+            m = random_matrix(rng, int(rng.integers(10, 121)),
+                              int(rng.integers(1, 6)))
+            hyper = rng.uniform([0.1, 0.3, 1e-3], [3.0, 3.0, 1.0])
+            g, lower = fit_gpr_keeping_factor(monkeypatch, m, *map(float, hyper))
+            oracle = linalg.cho_solve((lower, True), m.target)
+            assert relative_error(g.alpha, oracle) <= 1e-12
+
+    def test_jittered_alpha_matches_scipy_cho_solve_to_its_conditioning(
+            self, rng, monkeypatch):
+        """A duplicated row without noise leaves L L^T = K + jitter*I with a
+        condition number near 5e10.  Two backward-stable solves may then
+        differ by the condition number times the rounding unit: scipy's own
+        two triangular solves differ from ``cho_solve`` by about 5e-9 here.
+        The residual stays at the rounding level."""
+        linalg = pytest.importorskip("scipy.linalg")
+        m = random_matrix(rng, 7, 2).take_rows([0, 1, 2, 3, 4, 5, 6, 0])
+        g, lower = fit_gpr_keeping_factor(monkeypatch, m, 1.0, 1.5, 0.0)
+        c = lower @ lower.T
+        eps = np.finfo(np.float64).eps
+        assert np.linalg.cond(c) > 1e8
+        oracle = linalg.cho_solve((lower, True), m.target)
+        assert relative_error(g.alpha, oracle) <= eps * np.linalg.cond(c)
+        assert (np.linalg.norm(c @ g.alpha - m.target) <= m.n_samples * eps
+                * np.linalg.norm(c, 2) * np.linalg.norm(g.alpha))
 
     def test_posterior_mean_linear_in_targets(self, rng):
         values = rng.normal(size=(10, 2))

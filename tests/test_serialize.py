@@ -101,6 +101,11 @@ CORRUPTIONS = {
     "string network seed": (FIRST_MLP, "seed", "7"),
     "string epochs_run": (FIRST_MLP, "epochs_run", "50"),
     "negative epochs_run": (FIRST_MLP, "epochs_run", -1),
+    # The training config is decoded field by field, as the network is.
+    "fractional epochs": (FIRST_MLP + ("config",), "epochs", 2.5),
+    "boolean patience": (FIRST_MLP + ("config",), "patience", True),
+    "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
+                               float("inf")),
 }
 
 
@@ -109,6 +114,22 @@ def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
     assert len(model.learners) >= 2
     doc = json.loads(model_to_json(model))
     corrupt_model_doc(doc, *CORRUPTIONS[corruption])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="corrupt model document"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit", ["unknown key", "missing key"])
+def test_network_config_keys_are_exactly_its_fields(model, tmp_path, edit):
+    """A missing field is not filled with its default, and an unknown one
+    is not ignored."""
+    doc = json.loads(model_to_json(model))
+    config = doc["model"]["learners"][0]["mlp"]["config"]
+    if edit == "unknown key":
+        config["momentum"] = 0.9
+    else:
+        del config["learning_rate"]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="corrupt model document"):
