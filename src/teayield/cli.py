@@ -17,10 +17,11 @@ from pathlib import Path
 
 from .config import PipelineConfig, load_config, paper_defaults
 from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, correlation_report,
-                      generate_synthetic, load_csv, render_csv, write_csv)
+                      derive_avg_temp, generate_synthetic, load_csv,
+                      render_csv, write_csv)
 from .ensemble import predict_ensemble
 from .errors import DataError, TeaYieldError
-from .pipeline import evaluate_pipeline, prepare_input, train_ensemble_pipeline
+from .pipeline import evaluate_pipeline, train_ensemble_pipeline
 from .preprocess import cooks_distance, independent_columns
 from .serialize import load_model, save_model
 from .util import write_table
@@ -70,7 +71,7 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     cfg = _read_config(args)
-    m = prepare_input(_load_data(args.data, cfg))
+    m = derive_avg_temp(_load_data(args.data, cfg))
     out = _output(args.out, directory=True)
     report = correlation_report(m)
     report.to_csv(out / "correlation.csv")

@@ -425,7 +425,10 @@ def write_csv(m: FeatureMatrix, path) -> None:
 
 
 def derive_avg_temp(m: FeatureMatrix) -> FeatureMatrix:
-    """Append avg_temp = (min_temp + max_temp) / 2."""
+    """Append avg_temp = (min_temp + max_temp) / 2; a matrix that already
+    has an avg_temp column is returned unchanged."""
+    if "avg_temp" in m.column_names:
+        return m
     avg = (m.column("min_temp") + m.column("max_temp")) / 2.0
     return m.append_column("avg_temp", avg)
 

@@ -8,7 +8,10 @@ columns from those prefixes.  By default it fits the chain once inside
 every training fold, so no statistic computed from scored rows leaks into
 fitting; ``paper_faithful = true`` instead fits it once on all rows before
 folding, reproducing the simpler traditional procedure.  Outlier removal
-only ever drops training rows; scored rows are never removed.
+drops training rows only, and a fitted chain never drops a row it scores,
+so the default report scores every row.  The ``paper_faithful`` report
+does not: it cross-validates over each prefix's matrix, so from the outlier
+removal column on, the rows that stage flagged are never scored.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from .evaluation import (MetricsReport, cross_validate, holdout_split,
                          make_folds, metrics)
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
                              sequential_forward_select)
-from .preprocess import (OutlierReport, PreprocessState, apply_scaler,
-                         cooks_distance, fit_scaler, independent_columns,
-                         log_transform, remove_outliers)
+from .preprocess import (OutlierReport, PreprocessState, cooks_distance,
+                         fit_scaler, independent_columns, remove_outliers)
 from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
 from .util import derive_seed, write_table
 
@@ -77,7 +79,7 @@ def sfs_evaluator(cfg: PipelineConfig):
     if cfg.sfs_evaluator == "ridge":
         return make_linear_factory(cfg.sfs_ridge_lambda, standardize_features=True)
     if cfg.sfs_evaluator == "ols":
-        return make_linear_factory(0.0)
+        return make_linear_factory(0.0, drop_dependent=True)
     if cfg.sfs_evaluator == "gpr":
         return make_gpr_factory(cfg.gpr_signal_var, cfg.gpr_length_scale,
                                 cfg.gpr_noise_var)
@@ -91,12 +93,15 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
 
     Returns one ``(matrix, chain)`` pair per stage prefix, for the first k
     of ``cfg.stages`` with k = 0 .. len(cfg.stages), and the per-stage
-    artifacts.  The matrix is the transformed training data (outlier rows
-    dropped, target logged if the prefix logs it); the chain replays the
-    prefix elsewhere (target center 0, scale 1).  A stage reads only what
-    the stages before it produced, so prefix k equals the last prefix of a
-    fit of ``cfg.stages[:k]`` with the same seed.
+    artifacts.  A stage only fits: it sets its part of the chain, and
+    outlier removal drops rows from the kept raw rows.  Each prefix matrix
+    is then its chain replayed on the kept rows (``apply_features`` and
+    ``transform_target``, the code that scores new rows), and the next
+    stage fits on it.  The chain keeps target center 0 and scale 1.  A
+    stage reads only what the stages before it produced, so prefix k equals
+    the last prefix of a fit of ``cfg.stages[:k]`` with the same seed.
     """
+    m = kept = derive_avg_temp(m)
     chain = PreprocessState(
         month_encoding=cfg.month_encoding, add_avg_temp=True, stage_order=(),
         selected_features=m.column_names, scaler=None, log_features=(),
@@ -113,43 +118,30 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
                 m, ranked, sfs_evaluator(cfg), folds=cfg.cv_folds,
                 seed=derive_seed(seed, 2), patience=cfg.sfs_patience)
             chain = replace(chain, selected_features=selection.selected)
-            m = m.subset(selection.selected)
         elif stage == "feature_scaling":
             columns = cfg.scale_columns  # None scales every column
             if columns is not None:
                 columns = tuple(c for c in columns if c in m.column_names)
             if columns != ():
                 chain = replace(chain, scaler=fit_scaler(m, columns))
-                m = apply_scaler(chain.scaler, m)
         elif stage == "outlier_removal":
             outliers = cooks_distance(m.subset(independent_columns(m)),
                                       cfg.outlier_threshold_for(m.n_samples))
-            m = remove_outliers(m, outliers)
+            kept = remove_outliers(kept, outliers)
         elif stage == "feature_transformation":
             chain = replace(chain, log_target=cfg.log_target,
                             log_features=tuple(c for c in cfg.log_features
                                                if c in m.column_names))
-            columns = list(chain.log_features)
-            if chain.log_target:
-                columns.append(m.target_name)
-            if columns:
-                m = log_transform(m, columns)
         chain = replace(chain, stage_order=chain.stage_order + (stage,))
+        m = chain.apply_features(kept).with_target(
+            chain.transform_target(kept.target))
         prefixes.append((m, chain))
     return prefixes, ChainArtifacts(ranked, selection, outliers)
-
-
-def prepare_input(m: FeatureMatrix) -> FeatureMatrix:
-    """Ingestion-time derivations shared by all commands."""
-    if "avg_temp" not in m.column_names:
-        m = derive_avg_temp(m)
-    return m
 
 
 def fit_preprocess(m: FeatureMatrix, cfg: PipelineConfig
                    ) -> tuple[FeatureMatrix, PreprocessState, ChainArtifacts]:
     """Fit the full chain and standardize the target for pool training."""
-    m = prepare_input(m)
     prefixes, artifacts = fit_chain(m, cfg, derive_seed(cfg.seed, _TAG_SELECT))
     processed, chain = prefixes[-1]
     mu = float(processed.target.mean())
@@ -209,9 +201,11 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     selected features, scaler and dropped rows.  Every cell is scored in
     yield units.  The network cell is the mean of ``mlp_replicates``
     independently seeded trainings.  All models in a column share one fold
-    plan.
+    plan.  By default every row is scored in every column; with
+    ``paper_faithful`` a column is cross-validated over its prefix's matrix,
+    so the rows outlier removal flagged are not scored in its column or any
+    later one.
     """
-    raw = prepare_input(raw)
     stage_names = ("raw",) + tuple(cfg.stages)
     factories = _stage_factories(cfg)
     cells = [(j, model, derive_seed(seed, _TAG_STAGE, j, i, r))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FeatureMatrix, derive_avg_temp
+from .dataset import TARGET_COLUMN, FeatureMatrix, derive_avg_temp
 from .errors import DataError, FitError
 from .util import write_table
 
@@ -51,7 +51,7 @@ class PreprocessState:
     target_scale: float
 
     def apply_features(self, m: FeatureMatrix) -> FeatureMatrix:
-        if self.add_avg_temp and "avg_temp" not in m.column_names:
+        if self.add_avg_temp:
             m = derive_avg_temp(m)
         for stage in self.stage_order:
             if stage == "feature_selection":
@@ -68,7 +68,7 @@ class PreprocessState:
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
         if self.log_target:
-            y = _checked_log(y, "target")
+            y = _checked_log(y, TARGET_COLUMN)
         return (y - self.target_center) / self.target_scale
 
     def invert_target(self, z: np.ndarray) -> np.ndarray:
@@ -92,15 +92,14 @@ class OutlierReport:
                      for i, d in enumerate(self.distances)))
 
 
-def _resolve_columns(m: FeatureMatrix, columns: Sequence[str] | None,
-                     allow_target: bool = False) -> tuple[str, ...]:
+def _resolve_columns(m: FeatureMatrix,
+                     columns: Sequence[str] | None) -> tuple[str, ...]:
     if columns is None:
         return m.column_names
     for name in columns:
         if name == m.target_name:
-            if not allow_target:
-                raise DataError(f"target {name!r} cannot be scaled")
-        elif name not in m.column_names:
+            raise DataError(f"target {name!r} is not a feature column")
+        if name not in m.column_names:
             raise DataError(f"no column named {name!r}")
     return tuple(columns)
 
@@ -134,28 +133,19 @@ def _checked_log(col: np.ndarray, name: str) -> np.ndarray:
     if bad.size:
         raise DataError(
             f"log transform needs positive values; row {int(bad[0])}, "
-            f"column {name!r} has {col[bad[0]]!r}")
+            f"column {name!r} has {float(col[bad[0]])!r}")
     return np.log(col)
 
 
 def log_transform(m: FeatureMatrix, columns: Sequence[str]) -> FeatureMatrix:
-    """Natural log on the selected columns (the target name is allowed).
+    """Natural log on the selected feature columns; the target is logged
+    by ``PreprocessState.transform_target``.
 
     Values must be strictly positive; the transform is refused for zero or
     negative entries, naming the first offending row and column.
     """
-    columns = _resolve_columns(m, columns, allow_target=True)
-    updates = {}
-    target = m.target
-    for name in columns:
-        if name == m.target_name:
-            target = _checked_log(target, name)
-        else:
-            updates[name] = _checked_log(m.column(name), name)
-    out = m.replace_columns(updates) if updates else m
-    if target is not m.target:
-        out = out.with_target(target)
-    return out
+    return m.replace_columns({name: _checked_log(m.column(name), name)
+                              for name in _resolve_columns(m, columns)})
 
 
 def _design_matrix(m: FeatureMatrix) -> np.ndarray:

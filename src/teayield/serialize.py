@@ -10,7 +10,10 @@ always serializes to the same bytes.
 A learner's ``hidden_size`` and ``seed`` are copies of its network's, and
 the network's ``config.hidden_size`` is a copy of its ``hidden_size``.  The
 copies are written from the network, and the loader rejects a document
-whose copies disagree.
+whose copies disagree.  Likewise the ensemble ``weights`` are a copy of
+``compute_weights`` of the learners' train errors with the stored
+``weight_b``, ``weight_c`` and ``literal_weights``; the loader recomputes
+them and rejects a document whose weights differ in any bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .ensemble import BaseLearner, EnsembleModel
+from .ensemble import BaseLearner, EnsembleModel, compute_weights
 from .errors import DataError, FitError
 from .preprocess import PreprocessState, ScalerState
 from .regressors import MLPModel, MLPTrainConfig
@@ -185,13 +188,19 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         target_scale=_positive(_dec_finite(pre["target_scale"], "target_scale"),
                                "target_scale"))
     learners = tuple(map(_dec_learner, obj["learners"]))
+    if not learners:
+        raise ValueError("the ensemble has no learners")
     if len({bl.model.w_hidden.shape[0] for bl in learners}) > 1:
         raise ValueError("learners disagree on the number of input features")
-    return EnsembleModel(learners, _dec_array(obj["weights"], "weights"),
-                         _dec_finite(obj["weight_b"], "weight_b"),
-                         _dec_finite(obj["weight_c"], "weight_c"),
-                         _dec_bool(obj["literal_weights"], "literal_weights"),
-                         state)
+    weights = _dec_array(obj["weights"], "weights")
+    b = _positive(_dec_finite(obj["weight_b"], "weight_b"), "weight_b")
+    c = _dec_finite(obj["weight_c"], "weight_c")
+    literal = _dec_bool(obj["literal_weights"], "literal_weights")
+    if not np.array_equal(weights, compute_weights(
+            [bl.train_error for bl in learners], b, c, literal)):
+        raise ValueError("weights differ from those of the learners' "
+                         "train errors")
+    return EnsembleModel(learners, weights, b, c, literal, state)
 
 
 def model_to_json(model: EnsembleModel) -> str:

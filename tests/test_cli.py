@@ -152,6 +152,7 @@ CORRUPTIONS = {
     "boolean patience": (FIRST_MLP + ("config",), "patience", True),
     "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
                                float("inf")),
+    "reversed ensemble weights": ((), "weights", lambda a: a[::-1]),
 }
 
 
@@ -311,6 +312,23 @@ def test_underflowed_predictions_exit_1(workdir, model_doc, capsys):
     assert capsys.readouterr().err.startswith(
         "error: 120 of 120 predictions underflowed to 0, the first in row 0")
     assert not out.exists()
+
+
+def test_a_zero_yield_under_a_log_target_exits_1_naming_it(workdir, capsys):
+    """The log of the target names the yield column and a plain number."""
+    with open(workdir / "data.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[6][rows[0].index("yield")] = "0"  # data row 5
+    zero = workdir / "zero_yield.csv"
+    with open(zero, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main(["train", "--data", str(zero),
+                 "--model", str(workdir / "zero" / "m.json"),
+                 "--config", str(workdir / "tiny.ini")]) == 1
+    assert capsys.readouterr().err == (
+        "error: log transform needs positive values; row 5, column 'yield' "
+        "has 0.0\n")
 
 
 @pytest.mark.parametrize("section", ["sfs", "ensemble"])

@@ -142,3 +142,47 @@ def test_the_scan_flags_a_module_level_scipy_import(tmp_path):
     assert undeclared_imports(src) == [
         "mod.py:1: scipy", "mod.py:2: scipyish", "mod.py:4: scipy",
         "mod.py:10: scipy", "mod.py:14: pandas"]
+
+
+# The fitted chain, ``preprocess.PreprocessState``, is the one code that
+# transforms rows: ``pipeline.fit_chain`` builds each training matrix by
+# replaying it, as scoring does.  So only ``preprocess`` logs columns, and
+# ``pipeline`` scales none by hand.  ``regressors`` may scale: its ridge
+# learner standardizes its own design, outside the chain.
+def chain_bypasses(path: Path) -> list[str]:
+    """Each call in the module that transforms rows outside the chain."""
+    forbidden = set()
+    if path.stem != "preprocess":
+        forbidden.add("log_transform")
+    if path.stem == "pipeline":
+        forbidden.add("apply_scaler")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in forbidden:
+                found.append((node.lineno, name))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_rows_are_transformed_by_the_fitted_chain_alone(path):
+    assert chain_bypasses(path) == []
+
+
+def test_the_scan_flags_a_transform_outside_the_chain(tmp_path):
+    body = ("from .preprocess import apply_scaler, log_transform\n"
+            "from . import preprocess\n"
+            "def f(m, s):\n"
+            "    m = log_transform(m, ('a',))\n"
+            "    return preprocess.apply_scaler(s, m)\n")
+    for stem in ("pipeline", "preprocess", "cli"):
+        (tmp_path / f"{stem}.py").write_text(body, encoding="utf-8")
+    assert chain_bypasses(tmp_path / "pipeline.py") == [
+        "pipeline.py:4: log_transform", "pipeline.py:5: apply_scaler"]
+    assert chain_bypasses(tmp_path / "cli.py") == ["cli.py:4: log_transform"]
+    assert chain_bypasses(tmp_path / "preprocess.py") == []

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from teayield import pipeline
+from teayield.dataset import (SyntheticSpec, derive_avg_temp,
+                              generate_synthetic)
 from teayield.evaluation import make_folds
-from teayield.pipeline import fit_chain, fit_preprocess, prepare_input, stage_report
+from teayield.pipeline import fit_chain, fit_preprocess, stage_report
 from teayield.preprocess import remove_outliers
 from teayield.util import derive_seed
 
-from conftest import tiny_config
+from conftest import bench_config, tiny_config
 
 
 def _assert_same_fit(a, b) -> None:
@@ -57,7 +59,7 @@ def traced_report(canonical_raw):
 class TestFittedChain:
     def test_cv_chain_has_identity_target_scaling(self, canonical_raw):
         cfg = replace(tiny_config(), outlier_rule="4_over_n")
-        raw = prepare_input(canonical_raw)
+        raw = derive_avg_temp(canonical_raw)
         prefixes, artifacts = fit_chain(raw, cfg, 3)
         train_m, chain = prefixes[-1]
         assert (chain.target_center, chain.target_scale) == (0.0, 1.0)
@@ -80,7 +82,7 @@ class TestFittedChain:
     def test_prefix_k_is_a_fit_of_the_first_k_stages(self, canonical_raw,
                                                      outlier_rule):
         cfg = replace(tiny_config(), outlier_rule=outlier_rule)
-        raw = prepare_input(canonical_raw)
+        raw = derive_avg_temp(canonical_raw)
         prefixes, _ = fit_chain(raw, cfg, 3)
         assert len(prefixes) == len(cfg.stages) + 1
         for k, prefix in enumerate(prefixes):
@@ -90,12 +92,43 @@ class TestFittedChain:
         if outlier_rule == "4_over_n":  # the last prefix lost rows
             assert prefixes[-1][0].n_samples < raw.n_samples
 
+    @pytest.mark.parametrize("changes", [
+        {"outlier_rule": "fixed"}, {"outlier_rule": "4_over_n"},
+        {"log_features": ("rainfall",), "scale_columns": ("humidity",)}],
+        ids=["fixed", "4_over_n", "log rainfall, scale humidity"])
+    def test_training_rows_are_the_served_chain_on_the_kept_rows(
+            self, canonical_raw, changes):
+        """The matrix the pool trains on is what the fitted chain makes of
+        the rows outlier removal kept, array for array."""
+        processed, state, artifacts = fit_preprocess(
+            canonical_raw, replace(tiny_config(), **changes))
+        kept = remove_outliers(canonical_raw, artifacts.outliers)
+        if changes.get("outlier_rule") == "4_over_n":
+            assert kept.n_samples < canonical_raw.n_samples
+        if "log_features" in changes:
+            assert state.log_features == ("rainfall",)
+            assert state.scaler.columns == ("humidity",)
+        served = state.apply_features(kept)
+        assert processed.column_names == served.column_names
+        np.testing.assert_array_equal(processed.values, served.values)
+        np.testing.assert_array_equal(processed.target,
+                                      state.transform_target(kept.target))
+
+    def test_the_ols_evaluator_fits_the_collinear_temperatures(self):
+        """avg_temp is the mean of min_temp and max_temp, so a feature prefix
+        holding all three is rank-deficient; least squares fits its span."""
+        raw = generate_synthetic(120, 2, SyntheticSpec.canonical())
+        _, state, _ = fit_preprocess(raw, replace(bench_config(),
+                                                  sfs_evaluator="ols"))
+        assert {"min_temp", "max_temp", "avg_temp"} <= set(
+            state.selected_features)
+
     def test_scored_targets_never_reach_the_fold_chain(self, canonical_raw,
                                                        traced_report):
         """Scaling the targets of one fold's scored rows changes the report
         but no bit of that fold's chain, at any prefix."""
         cfg, report_a, fits_a = traced_report(False)
-        raw = prepare_input(canonical_raw)
+        raw = derive_avg_temp(canonical_raw)
         fold = 2
         plan = make_folds(raw.n_samples, cfg.cv_folds,
                           derive_seed(cfg.seed, pipeline._TAG_STAGE))

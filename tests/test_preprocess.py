@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
-from teayield.preprocess import (OutlierReport, apply_scaler, cooks_distance,
-                                 fit_scaler, independent_columns,
-                                 log_transform, remove_outliers)
+from teayield.preprocess import (OutlierReport, PreprocessState, apply_scaler,
+                                 cooks_distance, fit_scaler,
+                                 independent_columns, log_transform,
+                                 remove_outliers)
 
 from conftest import random_matrix
 
@@ -96,12 +97,16 @@ class TestLogTransform:
         out = log_transform(m, ("a",))
         assert abs(skew(out.column("a"))) < abs(skew(col))
 
-    def test_transforms_target_when_named(self, rng):
+    def test_the_target_is_logged_by_the_chain_alone(self, rng):
         y = np.exp(rng.normal(size=30))
         m = FeatureMatrix(("a",), rng.normal(size=(30, 1)), y)
-        out = log_transform(m, (m.target_name,))
-        np.testing.assert_allclose(out.target, np.log(y), rtol=1e-15)
-        np.testing.assert_array_equal(out.values, m.values)
+        with pytest.raises(DataError, match="target 'yield'"):
+            log_transform(m, (m.target_name,))
+        chain = PreprocessState(
+            month_encoding="cyclic", add_avg_temp=False, stage_order=(),
+            selected_features=m.column_names, scaler=None, log_features=(),
+            log_target=True, target_center=0.0, target_scale=1.0)
+        np.testing.assert_array_equal(chain.transform_target(y), np.log(y))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

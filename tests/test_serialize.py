@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teayield.ensemble import predict_ensemble
+from teayield.ensemble import compute_weights, predict_ensemble
 from teayield.errors import ConfigError, DataError, TeaYieldError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.serialize import load_model, model_to_json, save_model
@@ -32,6 +32,17 @@ def test_round_trip_is_byte_and_prediction_exact(model, canonical_raw,
     assert model_to_json(loaded) == text
     np.testing.assert_array_equal(predict_ensemble(loaded, canonical_raw),
                                   predict_ensemble(model, canonical_raw))
+
+
+def test_literal_weights_load_back(model, tmp_path):
+    """The loader recomputes the weights of either form bit for bit."""
+    errors = [bl.train_error for bl in model.learners]
+    literal = replace(model, literal_weights=True, weights=compute_weights(
+        errors, model.weight_b, model.weight_c, literal=True))
+    assert not np.array_equal(literal.weights, model.weights)
+    path = tmp_path / "model.json"
+    save_model(literal, path)
+    assert model_to_json(load_model(path)) == model_to_json(literal)
 
 
 @pytest.mark.parametrize("kind", ["linear", "gpr", "mlp", "forest", None])
@@ -95,6 +106,11 @@ CORRUPTIONS = {
     "negative learner train_error": (("learners", 0), "train_error", -1),
     "negative network train_error": (FIRST_MLP, "train_error", -1.0),
     "string literal_weights": ((), "literal_weights", "no"),
+    # The weights are compute_weights of the learners' train errors.
+    "reversed ensemble weights": ((), "weights", lambda a: a[::-1]),
+    "literal_weights flipped": ((), "literal_weights", True),
+    "zero weight_b": ((), "weight_b", 0.0),
+    "no learners": ((), "learners", []),
     "string subsample index": (("learners", 0), "subsample_indices", ["x"]),
     "boolean subsample index": (("learners", 0), "subsample_indices",
                                 [True]),
