@@ -15,11 +15,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import PipelineConfig, load_config, paper_defaults
 from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, correlation_report,
                       derive_avg_temp, generate_synthetic, load_csv,
-                      render_csv, write_csv)
-from .ensemble import predict_ensemble
+                      read_blocks, render_csv, write_csv)
+from .ensemble import SCORE_BLOCK, predict_ensemble
 from .errors import DataError, TeaYieldError
 from .pipeline import evaluate_pipeline, train_ensemble_pipeline
 from .preprocess import cooks_distance, independent_columns
@@ -34,14 +36,15 @@ def _read_config(args) -> PipelineConfig:
     return cfg
 
 
-def _load_data(path, cfg: PipelineConfig, month_encoding: str | None = None,
-               require_target: bool = True) -> FeatureMatrix:
+def _schema(cfg: PipelineConfig) -> tuple[str, ...] | None:
     # With ``feature_columns = auto`` the extra features are the file's own
     # non-canonical columns; otherwise exactly the configured list.
-    schema = (None if cfg.feature_columns is None
-              else CANONICAL_SCHEMA + tuple(cfg.feature_columns))
-    return load_csv(path, schema, month_encoding or cfg.month_encoding,
-                    require_target)
+    return (None if cfg.feature_columns is None
+            else CANONICAL_SCHEMA + tuple(cfg.feature_columns))
+
+
+def _load_data(path, cfg: PipelineConfig) -> FeatureMatrix:
+    return load_csv(path, _schema(cfg), cfg.month_encoding)
 
 
 def _output(path, directory: bool = False) -> Path:
@@ -121,12 +124,27 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Score the rows of ``--data`` with a saved model.
+
+    The file is read and scored in blocks of ``SCORE_BLOCK`` data rows, cut
+    at ``dataset.block_edges`` as ``predict_ensemble`` cuts a whole matrix,
+    so the output equals scoring the whole file, and only one prediction
+    per row is kept until the file ends.  Blocks meet a file's faults in
+    another order than the whole file does: a log-transform error in the
+    first block can precede a bad cell in the last, and the non-finite and
+    underflow checks count every row.  So when any block fails, the whole
+    file is loaded and scored, and its error, row and count are reported.
+    Nothing is written unless every row is scored.
+    """
     cfg = _read_config(args)
     out = _output(args.out) if args.out else None
     model = load_model(args.model)
-    m = _load_data(args.data, cfg, month_encoding=model.preprocess.month_encoding,
-                   require_target=False)
-    preds = predict_ensemble(model, m)
+    source = (args.data, _schema(cfg), model.preprocess.month_encoding, False)
+    try:
+        preds = np.concatenate([predict_ensemble(model, block) for block
+                                in read_blocks(*source, block=SCORE_BLOCK)])
+    except DataError:
+        preds = predict_ensemble(model, load_csv(*source))
     write_table(out, ["row", "prediction"],
                 ([i, repr(v)] for i, v in enumerate(map(float, preds))))
     if out is not None:

@@ -68,6 +68,15 @@ class PipelineConfig:
             if stage in seen:
                 raise ConfigError(f"stage {stage!r} listed twice")
             seen.add(stage)
+        if seen >= {"feature_scaling", "feature_transformation"} and (
+                self.stages.index("feature_scaling")
+                < self.stages.index("feature_transformation")):
+            for column in self.log_features:
+                if self.scale_columns is None or column in self.scale_columns:
+                    raise ConfigError(
+                        f"log_features column {column!r} is also scaled, and "
+                        "feature_scaling runs before feature_transformation: "
+                        "a standardized column has values <= 0 to log")
         if self.sfs_evaluator not in SFS_EVALUATORS:
             raise ConfigError(f"sfs evaluator must be one of {SFS_EVALUATORS}, "
                               f"got {self.sfs_evaluator!r}")
@@ -229,6 +238,7 @@ def load_config(path) -> PipelineConfig:
 
     sections = {row[0] for row in OPTIONS}
     options = {(row[0], row[1]): row[2:] for row in OPTIONS}
+    values = {}
     cfg = paper_defaults()
     try:
         for section in parser.sections():
@@ -239,9 +249,14 @@ def load_config(path) -> PipelineConfig:
                 if (section, key) not in options:
                     raise ConfigError(f"{where}: unknown option")
                 attr, kind, none_word = options[section, key]
-                value = (None if raw.strip().lower() == none_word
-                         else _KINDS[kind][0](raw, where))
-                cfg = _with_value(cfg, attr, value)
+                values[attr] = (None if raw.strip().lower() == none_word
+                                else _KINDS[kind][0](raw, where))
+        # Set in table order, whatever the file's: the check of log_features
+        # against the stages and scaled columns set before it then sees
+        # them final, and until then log_features is empty.
+        for _, _, attr, _, _ in OPTIONS:
+            if attr in values:
+                cfg = _with_value(cfg, attr, values[attr])
         # The ensemble trains with the [mlp] settings; its hidden size is
         # redrawn per learner, so the template value is immaterial.
         return _with_value(cfg, ("ensemble", "mlp"),

@@ -17,7 +17,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -232,7 +232,7 @@ _RANGE_RULES = (
 
 
 class _Columns:
-    """A CSV file's data rows parsed into one buffer per column, and each
+    """Data rows of a CSV file parsed into one buffer per column, and each
     row's data-row number in the file.  Year and month stay Python ints, as
     the matrix carries them and a year has no bound."""
 
@@ -262,31 +262,62 @@ class _Columns:
             message = f"row {self.rows[first[0]]}: {first[1]}"
         return None if message is None else DataError(f"{path}: {message}")
 
+    def check(self, path) -> None:
+        """Raise the first range-rule error of the rows held."""
+        error = self.first_error(path, len(self.rows))
+        if error is not None:
+            raise error
+
+    def extend(self, other: "_Columns") -> None:
+        for name, cells in self.cells.items():
+            cells.extend(other.cells[name])
+        self.rows.extend(other.rows)
+
+
+def block_edges(n: int, block: int) -> list[int]:
+    """The row edges of the blocks that ``n`` rows are cut into: ``block``
+    rows each, and the last takes the remainder, so it holds ``block`` to
+    ``2 * block - 1`` rows (all ``n`` when ``n < block``) and no block is
+    tiny.  ``read_blocks`` cuts a file's data rows at these edges."""
+    return [*range(0, max(1, n // block) * block, block), n]
+
 
 def _read_rows(path, reader, at: Mapping[str, int], width: int,
-               extra: Sequence[str]) -> _Columns:
-    """Parse every data row of ``reader`` into columns.
+               extra: Sequence[str], block: int | None) -> Iterator[_Columns]:
+    """Parse the data rows of ``reader`` into blocks of columns, cut at
+    ``block_edges`` (one block when ``block`` is None).
 
-    A row-local error is only raised once the rows before it have passed the
-    range rules, so the earliest bad row is the one reported.  Without a
-    yield column the target reads as zeros.
+    A block of ``block`` rows is only handed on once ``block`` more rows
+    have been read, as the last block takes the remainder.  A block's range
+    rules are checked when it fills, and a row-local error is only raised
+    once the unchecked rows before it have passed them, so the earliest bad
+    row of the file is the one reported.  Without a yield column the target
+    reads as zeros.
     """
-    cols = _Columns(extra)
+    parsers = [("year", _parse_int), ("month", _parse_int),
+               *((c, _parse_float) for c in _FLOAT_COLUMNS),
+               ("labor_training", lambda cell, _: sys.intern(cell.strip())),
+               ("pesticide_used", _parse_bool),
+               (TARGET_COLUMN, _parse_float if TARGET_COLUMN in at
+                else lambda cell, _: 0.0)]
+    extra_parsers = [(c, _parse_float) for c in extra]
 
-    def step(name, parse):
-        return at.get(name, 0), name, parse, cols.cells[name].append
+    def start() -> tuple[_Columns, list, list]:
+        """Empty columns, and the steps that parse a row's canonical and
+        extra cells into them."""
+        cols = _Columns(extra)
 
-    canonical = [step("year", _parse_int), step("month", _parse_int),
-                 *(step(c, _parse_float) for c in _FLOAT_COLUMNS),
-                 step("labor_training", lambda cell, _: sys.intern(cell.strip())),
-                 step("pesticide_used", _parse_bool),
-                 step(TARGET_COLUMN, _parse_float if TARGET_COLUMN in at
-                      else lambda cell, _: 0.0)]
-    extras = [step(c, _parse_float) for c in extra]
-    n = 0
+        def bind(steps):
+            return [(at.get(name, 0), name, parse, cols.cells[name].append)
+                    for name, parse in steps]
+
+        return cols, bind(parsers), bind(extra_parsers)
+
+    (cols, canonical, extras), held = start(), None
     for r, raw in enumerate(reader, start=1):
         if not any(cell.strip() for cell in raw):
             continue
+        n = len(cols.rows)
         if len(raw) != width:
             raise cols.first_error(
                 path, n, f"row {r} has {len(raw)} cells, expected {width}")
@@ -296,42 +327,53 @@ def _read_rows(path, reader, at: Mapping[str, int], width: int,
         except DataError as exc:
             raise cols.first_error(path, n, f"row {r}: {exc}") from None
         cols.rows.append(r)
-        n += 1
         try:
             for j, name, parse, append in extras:
                 append(parse(raw[j], name))
         except DataError as exc:
-            raise cols.first_error(path, n, f"row {r}: {exc}") from None
-    if n == 0:
+            raise cols.first_error(path, n + 1, f"row {r}: {exc}") from None
+        if n + 1 == block:
+            cols.check(path)
+            if held is not None:
+                yield held
+            held, (cols, canonical, extras) = cols, start()
+    if held is None and not cols.rows:
         raise DataError(f"{path}: no data rows")
-    error = cols.first_error(path, n)
-    if error is not None:
-        raise error
-    return cols
+    cols.check(path)
+    if held is not None:
+        held.extend(cols)
+        cols = held
+    yield cols
 
 
-def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
-             month_encoding: str = "cyclic",
-             require_target: bool = True) -> FeatureMatrix:
-    """Read a monthly-observation CSV into a FeatureMatrix.
+def _matrix(cols: _Columns, extra: Sequence[str],
+            month_encoding: str) -> FeatureMatrix:
+    # Canonical feature order regardless of file column order: the base
+    # numeric features, then any extra schema columns, then the encoded month.
+    cells = cols.cells
+    months = np.array(cells["month"], dtype=np.float64)
+    values = np.column_stack(
+        [np.frombuffer(cells[c]) for c in (*_BASE_FEATURES, *extra)]
+        + [encode_months(months, month_encoding)])
+    names = (*_BASE_FEATURES, *extra, *month_columns(month_encoding))
+    carried = {c: tuple(cells[c]) for c in CARRIED_COLUMNS}
+    return FeatureMatrix(names, values, np.frombuffer(cells[TARGET_COLUMN]),
+                         TARGET_COLUMN, carried)
 
-    The header must contain exactly the ``schema`` columns (any order).
-    Schema columns beyond the canonical set are read as extra numeric
-    features; ``schema=None`` takes them from the header, in header order,
-    so the schema is the canonical set plus every other header column.
-    With ``require_target`` false the ``yield`` column may be left out, as
-    when scoring new rows; the target of such a file reads as zeros.  Rows
-    are parsed into one buffer per column and the range rules run over
-    whole columns, so no per-row object is kept.
 
-    A bad row is reported by its data-row number (1-based, blank rows
-    counted though skipped).  Of several bad rows the earliest is reported;
-    within a row, the first failure in this order: the cell count; a
-    missing, unparseable or non-finite cell of year, month, min_temp,
-    max_temp, humidity, rainfall, soil_ph, labor_cost, pesticide_used or
-    yield; month in 1..12, min_temp <= max_temp, humidity in [0, 100],
-    rainfall >= 0, soil_ph in [0, 14], yield >= 0; then a bad cell of an
-    extra column, in schema order.
+def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
+                month_encoding: str = "cyclic", require_target: bool = True,
+                block: int | None = None) -> Iterator[FeatureMatrix]:
+    """Read a monthly-observation CSV as FeatureMatrix blocks of data rows,
+    cut at ``block_edges(n, block)`` for a file of ``n`` data rows; with
+    ``block`` None the whole file is one block.
+
+    Only the rows of the block being read and of the one before it are held,
+    so a caller that keeps a few numbers per row reads a file of any length
+    in bounded memory.  The arguments, the checks and the errors are those
+    of ``load_csv``, which is this reader with no block limit; the errors
+    are raised as the reader reaches them, after the blocks before them
+    have been handed on.
     """
     if schema is not None:
         schema = tuple(schema)
@@ -365,18 +407,38 @@ def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
                 f"{path}: header mismatch (missing {missing or 'none'}, "
                 f"unexpected {extra or 'none'})")
         at = {name: header.index(name) for name in schema}
-        cells = _read_rows(path, reader, at, len(header), extra_features).cells
+        for cols in _read_rows(path, reader, at, len(header), extra_features,
+                               block):
+            yield _matrix(cols, extra_features, month_encoding)
 
-    # Canonical feature order regardless of file column order: the base
-    # numeric features, then any extra schema columns, then the encoded month.
-    months = np.array(cells["month"], dtype=np.float64)
-    values = np.column_stack(
-        [np.frombuffer(cells[c]) for c in (*_BASE_FEATURES, *extra_features)]
-        + [encode_months(months, month_encoding)])
-    names = (*_BASE_FEATURES, *extra_features, *month_columns(month_encoding))
-    carried = {c: tuple(cells[c]) for c in CARRIED_COLUMNS}
-    return FeatureMatrix(names, values, np.frombuffer(cells[TARGET_COLUMN]),
-                         TARGET_COLUMN, carried)
+
+def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
+             month_encoding: str = "cyclic",
+             require_target: bool = True) -> FeatureMatrix:
+    """Read a monthly-observation CSV into a FeatureMatrix.
+
+    The header must contain exactly the ``schema`` columns (any order).
+    Schema columns beyond the canonical set are read as extra numeric
+    features; ``schema=None`` takes them from the header, in header order,
+    so the schema is the canonical set plus every other header column.
+    With ``require_target`` false the ``yield`` column may be left out, as
+    when scoring new rows; the target of such a file reads as zeros.  Rows
+    are parsed into one buffer per column and the range rules run over
+    whole columns, so no per-row object is kept.  This is ``read_blocks``
+    with no block limit, so a file read in blocks is parsed and checked by
+    the same code.
+
+    A bad row is reported by its data-row number (1-based, blank rows
+    counted though skipped).  Of several bad rows the earliest is reported;
+    within a row, the first failure in this order: the cell count; a
+    missing, unparseable or non-finite cell of year, month, min_temp,
+    max_temp, humidity, rainfall, soil_ph, labor_cost, pesticide_used or
+    yield; month in 1..12, min_temp <= max_temp, humidity in [0, 100],
+    rainfall >= 0, soil_ph in [0, 14], yield >= 0; then a bad cell of an
+    extra column, in schema order.
+    """
+    (m,) = read_blocks(path, schema, month_encoding, require_target)
+    return m
 
 
 def render_csv(m: FeatureMatrix) -> str:

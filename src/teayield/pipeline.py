@@ -100,8 +100,11 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     stage fits on it.  The chain keeps target center 0 and scale 1.  A
     stage reads only what the stages before it produced, so prefix k equals
     the last prefix of a fit of ``cfg.stages[:k]`` with the same seed.
+    A log-transform error names the row of the given matrix, also after
+    outlier removal has dropped rows before it.
     """
     m = kept = derive_avg_temp(m)
+    rows = np.arange(m.n_samples)  # the given row of each kept row
     chain = PreprocessState(
         month_encoding=cfg.month_encoding, add_avg_temp=True, stage_order=(),
         selected_features=m.column_names, scaler=None, log_features=(),
@@ -128,13 +131,14 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
             outliers = cooks_distance(m.subset(independent_columns(m)),
                                       cfg.outlier_threshold_for(m.n_samples))
             kept = remove_outliers(kept, outliers)
+            rows = np.delete(rows, outliers.flagged)
         elif stage == "feature_transformation":
             chain = replace(chain, log_target=cfg.log_target,
                             log_features=tuple(c for c in cfg.log_features
                                                if c in m.column_names))
         chain = replace(chain, stage_order=chain.stage_order + (stage,))
-        m = chain.apply_features(kept).with_target(
-            chain.transform_target(kept.target))
+        m = chain.apply_features(kept, rows).with_target(
+            chain.transform_target(kept.target, rows))
         prefixes.append((m, chain))
     return prefixes, ChainArtifacts(ranked, selection, outliers)
 

@@ -38,6 +38,8 @@ class PreprocessState:
     target to model units and back: forward ``log`` (if ``log_target``),
     then ``(y - target_center) / target_scale``.  Chains fitted for
     cross-validation keep center 0 and scale 1, which change no value.
+    A log error names a row by its position, or by its entry in ``rows``
+    where given.
     """
 
     month_encoding: str
@@ -50,7 +52,8 @@ class PreprocessState:
     target_center: float
     target_scale: float
 
-    def apply_features(self, m: FeatureMatrix) -> FeatureMatrix:
+    def apply_features(self, m: FeatureMatrix,
+                       rows: np.ndarray | None = None) -> FeatureMatrix:
         if self.add_avg_temp:
             m = derive_avg_temp(m)
         for stage in self.stage_order:
@@ -63,12 +66,13 @@ class PreprocessState:
             elif stage == "feature_scaling" and self.scaler is not None:
                 m = apply_scaler(self.scaler, m)
             elif stage == "feature_transformation" and self.log_features:
-                m = log_transform(m, self.log_features)
+                m = log_transform(m, self.log_features, rows)
         return m
 
-    def transform_target(self, y: np.ndarray) -> np.ndarray:
+    def transform_target(self, y: np.ndarray,
+                         rows: np.ndarray | None = None) -> np.ndarray:
         if self.log_target:
-            y = _checked_log(y, TARGET_COLUMN)
+            y = _checked_log(y, TARGET_COLUMN, rows)
         return (y - self.target_center) / self.target_scale
 
     def invert_target(self, z: np.ndarray) -> np.ndarray:
@@ -128,23 +132,28 @@ def apply_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
     return m.replace_columns(updates)
 
 
-def _checked_log(col: np.ndarray, name: str) -> np.ndarray:
+def _checked_log(col: np.ndarray, name: str,
+                 rows: np.ndarray | None = None) -> np.ndarray:
     bad = np.nonzero(col <= 0.0)[0]
     if bad.size:
+        i = int(bad[0])
         raise DataError(
-            f"log transform needs positive values; row {int(bad[0])}, "
-            f"column {name!r} has {float(col[bad[0]])!r}")
+            f"log transform needs positive values; row "
+            f"{i if rows is None else int(rows[i])}, "
+            f"column {name!r} has {float(col[i])!r}")
     return np.log(col)
 
 
-def log_transform(m: FeatureMatrix, columns: Sequence[str]) -> FeatureMatrix:
+def log_transform(m: FeatureMatrix, columns: Sequence[str],
+                  rows: np.ndarray | None = None) -> FeatureMatrix:
     """Natural log on the selected feature columns; the target is logged
     by ``PreprocessState.transform_target``.
 
     Values must be strictly positive; the transform is refused for zero or
-    negative entries, naming the first offending row and column.
+    negative entries, naming the first offending row, by its position in
+    ``m`` or its entry in ``rows``, and column.
     """
-    return m.replace_columns({name: _checked_log(m.column(name), name)
+    return m.replace_columns({name: _checked_log(m.column(name), name, rows)
                               for name in _resolve_columns(m, columns)})
 
 

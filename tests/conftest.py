@@ -153,3 +153,14 @@ def mutate_csv(text: str, edits, sep: str = ",") -> bytes:
     for a, c in byte_edits:
         data[a % len(data)] = c % 256
     return bytes(data)
+
+
+def with_blank_lines(text: str, every: int) -> str:
+    """``text`` with a blank row after every ``every``-th line: by turns an
+    empty line and a line of empty cells."""
+    out = []
+    for i, line in enumerate(text.splitlines(keepends=True), start=1):
+        out.append(line)
+        if i % every == 0:
+            out.append("\n" if i % (2 * every) else ",,,\n")
+    return "".join(out)

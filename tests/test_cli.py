@@ -4,17 +4,29 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from teayield import cli, ensemble
 from teayield.cli import main
 from teayield.config import render_config
-from teayield.serialize import load_model
+from teayield.dataset import (SyntheticSpec, block_edges, generate_synthetic,
+                              load_csv, write_csv)
+from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
+                               compute_weights, predict_ensemble)
+from teayield.errors import DataError
+from teayield.preprocess import PreprocessState, ScalerState
+from teayield.regressors import MLPModel, MLPTrainConfig
+from teayield.serialize import load_model, save_model
+from teayield.util import write_table
 
-from conftest import corrupt_model_doc, csv_edits, mutate_csv, tiny_config
+from conftest import (corrupt_model_doc, csv_edits, mutate_csv, tiny_config,
+                      with_blank_lines)
 from test_imports import PACKAGE
 
 
@@ -395,3 +407,207 @@ def test_fitting_on_mutated_inputs_exits_0_or_1(workdir, command, examples,
         assert code in (0, 1), capsys.readouterr().err
 
     fit()
+
+
+# ``predict`` reads and scores its file in blocks.  The model below has a
+# chain that selects, scales and logs columns of a synth file and logs the
+# target, so every step of scoring meets every block.
+def scoring_model(hidden: int) -> EnsembleModel:
+    rng = np.random.default_rng(0)
+    features = ("min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
+                "month_sin", "month_cos", "avg_temp")
+    scaler = ScalerState(("min_temp", "max_temp", "humidity", "avg_temp"),
+                         np.array([10.0, 20.0, 60.0, 15.0]),
+                         np.array([5.0, 5.0, 12.0, 5.0]))
+    state = PreprocessState(
+        month_encoding="cyclic", add_avg_temp=True,
+        stage_order=("feature_selection", "feature_scaling",
+                     "feature_transformation"),
+        selected_features=features, scaler=scaler, log_features=("rainfall",),
+        log_target=True, target_center=3.8, target_scale=0.5)
+    f = len(features)
+    errors = (0.1, 0.2, 0.3)
+    learners = tuple(
+        BaseLearner(MLPModel(hidden, 0.3 * rng.normal(size=(f, hidden)),
+                             rng.normal(size=hidden),
+                             rng.normal(size=hidden) / hidden,
+                             float(rng.normal()),
+                             MLPTrainConfig(hidden_size=hidden), i, 1, eps),
+                    (0,), eps)
+        for i, eps in enumerate(errors))
+    return EnsembleModel(learners, compute_weights(errors, 10.0, 0.2), 10.0,
+                         0.2, False, state)
+
+
+@pytest.fixture(scope="module")
+def scoring(tmp_path_factory):
+    """Saved scoring models of 5 and 28 hidden units, and a 12,289-row
+    synth file."""
+    work = tmp_path_factory.mktemp("scoring")
+    for hidden in (5, 28):
+        save_model(scoring_model(hidden), work / f"h{hidden}.json")
+    write_csv(generate_synthetic(12_289, 8, SyntheticSpec.canonical()),
+              work / "all.csv")
+    return work
+
+
+def whole_file_scoring(model_path, data, tmp_path) -> tuple[int, str]:
+    """What ``predict`` is to give: its exit code, and its output file's
+    text or its error line, from loading and scoring the whole file."""
+    model = load_model(model_path)
+    try:
+        preds = predict_ensemble(model, load_csv(
+            data, None, model.preprocess.month_encoding, require_target=False))
+    except DataError as exc:
+        return 1, f"error: {exc}\n"
+    out = tmp_path / "whole.csv"
+    write_table(out, ["row", "prediction"],
+                ([i, repr(v)] for i, v in enumerate(map(float, preds))))
+    return 0, out.read_text(encoding="utf-8")
+
+
+def streamed_predict(model_path, data, tmp_path, capsys) -> tuple[int, str]:
+    """``predict``'s exit code, and its output file's text or its stderr;
+    a failed run leaves no output file."""
+    out = tmp_path / "streamed.csv"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["predict", "--data", str(data), "--model", str(model_path),
+                 "--out", str(out)])
+    if code == 0:
+        return code, out.read_text(encoding="utf-8")
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def head_rows(source, n: int, path, blank_every: int = 0):
+    """The header and first ``n`` data rows of ``source`` at ``path``, with
+    a blank row after every ``blank_every``-th line."""
+    with open(source, encoding="utf-8") as fh:
+        text = "".join(next(fh) for _ in range(n + 1))
+    if blank_every:
+        text = with_blank_lines(text, blank_every)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestStreamedPredict:
+    """``predict`` gives the bytes and errors of scoring the whole file."""
+
+    @pytest.mark.parametrize("hidden", [5, 28])
+    @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK,
+                                   SCORE_BLOCK + 1, 2 * SCORE_BLOCK - 1,
+                                   2 * SCORE_BLOCK, 2 * SCORE_BLOCK + 1,
+                                   3 * SCORE_BLOCK + 1])
+    def test_streamed_predictions_are_whole_file_predictions(
+            self, scoring, hidden, n, tmp_path, capsys, monkeypatch):
+        """Scored in blocks cut at ``block_edges``, one at a time."""
+        sizes = []
+
+        def recording(model, m):
+            sizes.append(m.n_samples)
+            return predict_ensemble(model, m)
+
+        monkeypatch.setattr(cli, "predict_ensemble", recording)
+        data = head_rows(scoring / "all.csv", n, tmp_path / "d.csv")
+        model = scoring / f"h{hidden}.json"
+        streamed = streamed_predict(model, data, tmp_path, capsys)
+        assert sizes == np.diff(block_edges(n, SCORE_BLOCK)).tolist()
+        assert streamed[0] == 0
+        assert streamed == whole_file_scoring(model, data, tmp_path)
+
+    def test_blank_rows_do_not_count(self, scoring, tmp_path, capsys):
+        n = 2 * SCORE_BLOCK + 1
+        model = scoring / "h28.json"
+        data = head_rows(scoring / "all.csv", n, tmp_path / "d.csv")
+        blanks = head_rows(scoring / "all.csv", n, tmp_path / "blanks.csv",
+                           blank_every=1000)
+        streamed = streamed_predict(model, blanks, tmp_path, capsys)
+        assert streamed == whole_file_scoring(model, blanks, tmp_path)
+        assert streamed == streamed_predict(model, data, tmp_path, capsys)
+
+    @pytest.fixture()
+    def small_blocks(self, monkeypatch):
+        """Blocks of 16 rows, for ``predict`` and whole-file scoring alike."""
+        monkeypatch.setattr(cli, "SCORE_BLOCK", 16)
+        monkeypatch.setattr(ensemble, "SCORE_BLOCK", 16)
+
+    # Edits of the 120-row synth file (data row: column, cell) and of the
+    # model's preprocessing, and a piece of the expected error.
+    LATE_FAULTS = {
+        "bad cell in the last block": ({110: ("humidity", "150")}, {},
+                                       "row 111: humidity must be in"),
+        "log error in a late block": (
+            {100: ("rainfall", "0")}, {},
+            "log transform needs positive values; row 100, column "
+            "'rainfall' has 0.0"),
+        "log error in the first block, bad cell in the last": (
+            {3: ("rainfall", "0"), 110: ("humidity", "150")}, {},
+            "row 111: humidity must be in"),
+        "non-finite predictions": ({}, {"target_scale": 1e308},
+                                   "of 120 predictions are not finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LATE_FAULTS))
+    def test_a_fault_in_a_late_block_is_the_whole_file_error(
+            self, workdir, case, small_blocks, tmp_path, capsys):
+        cells, chain, message = self.LATE_FAULTS[case]
+        with open(workdir / "data.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for row, (column, cell) in cells.items():
+            rows[row + 1][rows[0].index(column)] = cell
+        data = tmp_path / "faulty.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        model = tmp_path / "m.json"
+        base = scoring_model(5)
+        save_model(replace(base, preprocess=replace(base.preprocess, **chain)),
+                   model)
+        streamed = streamed_predict(model, data, tmp_path, capsys)
+        assert streamed[0] == 1 and message in streamed[1]
+        assert streamed == whole_file_scoring(model, data, tmp_path)
+
+    @given(edits=csv_edits())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_data_gives_the_whole_file_result(self, workdir, edits,
+                                                      small_blocks, tmp_path,
+                                                      capsys):
+        model = tmp_path / "m.json"
+        if not model.exists():
+            save_model(scoring_model(5), model)
+        data = tmp_path / "mutated.csv"
+        data.write_bytes(mutate_csv((workdir / "data.csv").read_text(
+            encoding="utf-8"), edits))
+        assert (streamed_predict(model, data, tmp_path, capsys)
+                == whole_file_scoring(model, data, tmp_path))
+
+    def test_memory_does_not_grow_with_the_rows(self, scoring, tmp_path):
+        """Only a prediction per row is kept until the file ends.  The files
+        hold 8,000 and 32,576 rows, so that both last blocks hold 8,000 and
+        the difference in peak is what the extra rows leave behind.  Reading
+        the whole file and copying it once per preprocessing step grew by
+        about 330 traced bytes per row."""
+        big, small = 7 * SCORE_BLOCK + 3904, 8_000
+        assert np.diff(block_edges(big, SCORE_BLOCK))[-1] == small
+        source = tmp_path / "big.csv"
+        write_csv(generate_synthetic(big, 9, SyntheticSpec.canonical()),
+                  source)
+
+        def predict(n: int) -> list[str]:
+            return ["predict", "--data",
+                    str(head_rows(source, n, tmp_path / f"{n}_rows.csv")),
+                    "--model", str(scoring / "h28.json"),
+                    "--out", str(tmp_path / "p.csv")]
+
+        def traced_peak(args) -> int:
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(predict(small)) == 0  # warms caches up, untraced
+        growth = traced_peak(predict(big)) - traced_peak(predict(small))
+        assert growth / (big - small) < 32

@@ -161,11 +161,27 @@ def _set(obj, path, value):
     return replace(obj, **{head: value})
 
 
+def scaled_before_logged(cfg, column: str) -> bool:
+    """Whether ``cfg`` scales ``column`` before its log transform, which
+    ``PipelineConfig`` rejects."""
+    stages = cfg.stages
+    return ("feature_scaling" in stages and "feature_transformation" in stages
+            and stages.index("feature_scaling")
+            < stages.index("feature_transformation")
+            and (cfg.scale_columns is None or column in cfg.scale_columns))
+
+
 @st.composite
 def configs(draw):
+    """Valid configs only: the drawn log features leave out the columns the
+    drawn stages and scaled columns would scale before the log.  ``VALUES``
+    sets the stages and scaled columns before the log features."""
     cfg = paper_defaults()
     for path, values in VALUES.items():
-        cfg = _set(cfg, path, draw(values))
+        value = draw(values)
+        if path == ("log_features",):
+            value = tuple(c for c in value if not scaled_before_logged(cfg, c))
+        cfg = _set(cfg, path, value)
     return replace(cfg, ensemble=replace(
         cfg.ensemble, mlp=replace(cfg.mlp, hidden_size=5)))
 
@@ -179,6 +195,55 @@ def test_render_then_load_is_exact(tmp_path_factory, cfg):
     loaded = load_config(path)
     assert loaded == cfg
     assert render_config(loaded) == text
+
+
+@pytest.mark.parametrize("stages,scale_columns,log_features", [
+    (PIPELINE_STAGES, None, ("rainfall",)),
+    (PIPELINE_STAGES, ("humidity", "rainfall"), ("rainfall",)),
+    (("feature_scaling", "feature_transformation"), ("rainfall",),
+     ("soil_ph", "rainfall")),
+])
+def test_a_column_scaled_before_its_log_is_rejected(tmp_path, stages,
+                                                    scale_columns,
+                                                    log_features):
+    """By ``load_config``, naming the file and the column, before any data
+    is read."""
+    cfg = tiny_config()
+    path = tmp_path / "scaled_log.ini"
+    path.write_text(render_config(cfg).replace(
+        "log_features = \n", f"log_features = {', '.join(log_features)}\n")
+        .replace("columns = all\n",
+                 f"columns = {', '.join(scale_columns or ('all',))}\n")
+        .replace(f"stages = {', '.join(cfg.stages)}\n",
+                 f"stages = {', '.join(stages)}\n"), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == (
+        f"{path}: log_features column 'rainfall' is also scaled, and "
+        "feature_scaling runs before feature_transformation: a standardized "
+        "column has values <= 0 to log")
+    with pytest.raises(ConfigError, match="'rainfall' is also scaled"):
+        replace(cfg, stages=stages, scale_columns=scale_columns,
+                log_features=log_features)
+
+
+@pytest.mark.parametrize("stages,scale_columns", [
+    (PIPELINE_STAGES, ("humidity",)),
+    (("feature_transformation", "feature_scaling"), None),
+    (("feature_selection", "outlier_removal", "feature_transformation"), None),
+])
+def test_a_column_logged_but_not_scaled_first_loads(tmp_path, stages,
+                                                    scale_columns):
+    """Also when the file sets the log features before the scaled columns
+    and the stages."""
+    cfg = replace(tiny_config(), stages=stages, scale_columns=scale_columns,
+                  log_features=("rainfall",))
+    sections = render_config(cfg).split("\n\n")
+    path = tmp_path / "logged.ini"
+    path.write_text("\n\n".join(sorted(
+        sections, key=lambda text: not text.startswith("[transform]"))),
+        encoding="utf-8")
+    assert load_config(path) == cfg
 
 
 @given(edits=csv_edits())

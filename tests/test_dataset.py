@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teayield.dataset import (CANONICAL_SCHEMA, MONTH_ENCODINGS,
-                              FeatureMatrix, SyntheticSpec, correlation_report,
-                              derive_avg_temp, encode_months,
-                              generate_synthetic, load_csv, month_columns,
-                              pearson, render_csv, write_csv)
+                              FeatureMatrix, SyntheticSpec, block_edges,
+                              correlation_report, derive_avg_temp,
+                              encode_months, generate_synthetic, load_csv,
+                              month_columns, pearson, read_blocks, render_csv,
+                              write_csv)
 from teayield.errors import DataError
 
-from conftest import csv_edits, mutate_csv, random_matrix
+from conftest import csv_edits, mutate_csv, random_matrix, with_blank_lines
 
 # The file the fuzz property mutates: twelve rows with one extra column.
 FUZZ_SCHEMA = CANONICAL_SCHEMA + ("distractor_1",)
@@ -341,6 +342,104 @@ class TestLoadCsvProperties:
             tracemalloc.stop()
         assert m.n_samples == n
         assert peak / n < 600
+
+
+def outcome(read):
+    """What ``read()`` returns, or the message of the DataError it raises."""
+    try:
+        return read()
+    except DataError as exc:
+        return str(exc)
+
+
+def joined(blocks: list[FeatureMatrix]) -> FeatureMatrix:
+    return FeatureMatrix(
+        blocks[0].column_names, np.vstack([b.values for b in blocks]),
+        np.concatenate([b.target for b in blocks]), blocks[0].target_name,
+        {k: sum((b.carried[k] for b in blocks), ()) for k in blocks[0].carried})
+
+
+def assert_same_matrix(a: FeatureMatrix, b: FeatureMatrix) -> None:
+    assert a.column_names == b.column_names
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.target.tobytes() == b.target.tobytes()
+    assert a.carried == b.carried
+
+
+class TestReadBlocks:
+    """``read_blocks`` is ``load_csv`` cut at ``block_edges``: the same
+    rows, bits and errors."""
+
+    @pytest.mark.parametrize("n,edges", [
+        (1, [0, 1]), (4095, [0, 4095]), (4096, [0, 4096]), (4097, [0, 4097]),
+        (8191, [0, 8191]), (8192, [0, 4096, 8192]), (8193, [0, 4096, 8193]),
+        (12289, [0, 4096, 8192, 12289])])
+    def test_the_last_block_takes_the_remainder(self, n, edges):
+        assert block_edges(n, 4096) == edges
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 9, 11, 12])
+    @pytest.mark.parametrize("blank_every", [0, 2, 5])
+    def test_blocks_are_the_loaded_rows_cut_at_the_edges(self, tmp_path, n,
+                                                         blank_every):
+        """Blank rows are skipped and do not count towards a block."""
+        text = "".join(FUZZ_TEXT.splitlines(keepends=True)[:n + 1])
+        if blank_every:
+            text = with_blank_lines(text, blank_every)
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        blocks = list(read_blocks(path, FUZZ_SCHEMA, "onehot", block=3))
+        assert [b.n_samples for b in blocks] == np.diff(
+            block_edges(n, 3)).tolist()
+        assert_same_matrix(joined(blocks), load_csv(path, FUZZ_SCHEMA,
+                                                    "onehot"))
+
+    @pytest.mark.parametrize("faults,row", [
+        ([(8, 4, "150"), (11, 0, "x")], 8),
+        ([(5, 2, "x"), (11, 4, "150")], 5),
+        ([(7, 4, "150"), (8, 0, "")], 7),
+        ([(9, 4, "150"), (9, 7, "x")], 9),
+        ([(11, 7, "x"), (12, 1, "13")], 11),
+        ([(12, 1, "13")], 12),
+    ], ids=["range before cell", "cell before range",
+            "range then cell in a block", "range before extra cell in a row",
+            "extra cell", "range in the last block"])
+    def test_a_late_bad_row_is_the_one_load_csv_names(self, tmp_path, faults,
+                                                      row):
+        """Rows are 1-based data rows and blank lines count: the file has
+        one after every second line, so data row r is file row r + r // 2
+        (header excluded)."""
+        rows = list(csv.reader(io.StringIO(FUZZ_TEXT)))
+        for r, column, cell in faults:
+            rows[r][column] = cell
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        path = tmp_path / "d.csv"
+        path.write_text(with_blank_lines(out.getvalue(), 2), encoding="utf-8")
+        expected = outcome(lambda: load_csv(path, FUZZ_SCHEMA))
+        assert isinstance(expected, str)
+        assert expected.startswith(f"{path}: row {row + row // 2}")
+        for block in (1, 2, 3, 5):
+            assert outcome(lambda: list(read_blocks(
+                path, FUZZ_SCHEMA, block=block))) == expected
+
+    @given(edits=csv_edits(), block=st.integers(1, 6),
+           encoding=st.sampled_from(MONTH_ENCODINGS),
+           require_target=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_files_give_what_load_csv_gives(self, edits, block,
+                                                    encoding, require_target):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(mutate_csv(FUZZ_TEXT, edits))
+            args = (path, FUZZ_SCHEMA, encoding, require_target)
+            whole = outcome(lambda: load_csv(*args))
+            blocks = outcome(lambda: list(read_blocks(*args, block=block)))
+        if isinstance(whole, str):
+            assert blocks == whole
+        else:
+            assert [b.n_samples for b in blocks] == np.diff(
+                block_edges(whole.n_samples, block)).tolist()
+            assert_same_matrix(joined(blocks), whole)
 
 
 class TestDeriveAvgTemp:

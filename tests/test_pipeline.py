@@ -6,6 +6,7 @@ import pytest
 from teayield import pipeline
 from teayield.dataset import (SyntheticSpec, derive_avg_temp,
                               generate_synthetic)
+from teayield.errors import DataError
 from teayield.evaluation import make_folds
 from teayield.pipeline import fit_chain, fit_preprocess, stage_report
 from teayield.preprocess import remove_outliers
@@ -113,6 +114,24 @@ class TestFittedChain:
         np.testing.assert_array_equal(processed.values, served.values)
         np.testing.assert_array_equal(processed.target,
                                       state.transform_target(kept.target))
+
+    @pytest.mark.parametrize("row", [100, 105, 115])
+    def test_a_log_error_names_the_given_row_after_outlier_removal(self, row):
+        """A zero yield in row 100 of the tiny config's synth set, under
+        ``4_over_n``: outlier removal drops rows before it, and the log of
+        the target still names the row of the matrix ``fit_chain`` was
+        given, not its position among the kept rows."""
+        cfg = replace(tiny_config(), outlier_rule="4_over_n")
+        raw = generate_synthetic(cfg.synth_n, cfg.seed, cfg.synth)
+        target = raw.target.copy()
+        target[row] = 0.0
+        raw = raw.with_target(target)
+        _, artifacts = fit_chain(raw, replace(cfg, stages=cfg.stages[:-1]), 3)
+        assert min(artifacts.outliers.flagged) < row
+        with pytest.raises(DataError) as info:
+            fit_chain(raw, cfg, 3)
+        assert str(info.value) == (f"log transform needs positive values; "
+                                   f"row {row}, column 'yield' has 0.0")
 
     def test_the_ols_evaluator_fits_the_collinear_temperatures(self):
         """avg_temp is the mean of min_temp and max_temp, so a feature prefix
