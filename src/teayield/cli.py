@@ -126,15 +126,14 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     """Score the rows of ``--data`` with a saved model.
 
-    The file is read and scored in blocks of ``SCORE_BLOCK`` data rows, cut
-    at ``dataset.block_edges`` as ``predict_ensemble`` cuts a whole matrix,
-    so the output equals scoring the whole file, and only one prediction
-    per row is kept until the file ends.  Blocks meet a file's faults in
-    another order than the whole file does: a log-transform error in the
-    first block can precede a bad cell in the last, and the non-finite and
-    underflow checks count every row.  So when any block fails, the whole
-    file is loaded and scored, and its error, row and count are reported.
-    Nothing is written unless every row is scored.
+    The file is read and scored in blocks of ``SCORE_BLOCK`` data rows,
+    keeping one prediction per row until it ends; a row's prediction does
+    not depend on the other rows, so that equals scoring the whole file.
+    Blocks meet a file's faults in another order than the whole file does:
+    a log-transform error in the first block can precede a bad cell in the
+    last, and the non-finite and underflow checks count every row.  So when
+    any block fails, the whole file is loaded and scored, and its error, row
+    and count are reported.  Nothing is written unless every row is scored.
     """
     cfg = _read_config(args)
     out = _output(args.out) if args.out else None

@@ -268,31 +268,16 @@ class _Columns:
         if error is not None:
             raise error
 
-    def extend(self, other: "_Columns") -> None:
-        for name, cells in self.cells.items():
-            cells.extend(other.cells[name])
-        self.rows.extend(other.rows)
-
-
-def block_edges(n: int, block: int) -> list[int]:
-    """The row edges of the blocks that ``n`` rows are cut into: ``block``
-    rows each, and the last takes the remainder, so it holds ``block`` to
-    ``2 * block - 1`` rows (all ``n`` when ``n < block``) and no block is
-    tiny.  ``read_blocks`` cuts a file's data rows at these edges."""
-    return [*range(0, max(1, n // block) * block, block), n]
-
 
 def _read_rows(path, reader, at: Mapping[str, int], width: int,
                extra: Sequence[str], block: int | None) -> Iterator[_Columns]:
-    """Parse the data rows of ``reader`` into blocks of columns, cut at
-    ``block_edges`` (one block when ``block`` is None).
+    """Parse the data rows of ``reader`` into blocks of columns: ``block``
+    rows each, the last holding the rest (one block when ``block`` is None).
 
-    A block of ``block`` rows is only handed on once ``block`` more rows
-    have been read, as the last block takes the remainder.  A block's range
-    rules are checked when it fills, and a row-local error is only raised
-    once the unchecked rows before it have passed them, so the earliest bad
-    row of the file is the one reported.  Without a yield column the target
-    reads as zeros.
+    A block's range rules are checked when it fills, and a row-local error
+    is only raised once the unchecked rows before it have passed them, so
+    the earliest bad row of the file is the one reported.  Without a yield
+    column the target reads as zeros.
     """
     parsers = [("year", _parse_int), ("month", _parse_int),
                *((c, _parse_float) for c in _FLOAT_COLUMNS),
@@ -313,7 +298,7 @@ def _read_rows(path, reader, at: Mapping[str, int], width: int,
 
         return cols, bind(parsers), bind(extra_parsers)
 
-    (cols, canonical, extras), held = start(), None
+    (cols, canonical, extras), filled = start(), False
     for r, raw in enumerate(reader, start=1):
         if not any(cell.strip() for cell in raw):
             continue
@@ -334,16 +319,13 @@ def _read_rows(path, reader, at: Mapping[str, int], width: int,
             raise cols.first_error(path, n + 1, f"row {r}: {exc}") from None
         if n + 1 == block:
             cols.check(path)
-            if held is not None:
-                yield held
-            held, (cols, canonical, extras) = cols, start()
-    if held is None and not cols.rows:
+            yield cols
+            (cols, canonical, extras), filled = start(), True
+    if cols.rows:
+        cols.check(path)
+        yield cols
+    elif not filled:
         raise DataError(f"{path}: no data rows")
-    cols.check(path)
-    if held is not None:
-        held.extend(cols)
-        cols = held
-    yield cols
 
 
 def _matrix(cols: _Columns, extra: Sequence[str],
@@ -364,19 +346,21 @@ def _matrix(cols: _Columns, extra: Sequence[str],
 def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
                 month_encoding: str = "cyclic", require_target: bool = True,
                 block: int | None = None) -> Iterator[FeatureMatrix]:
-    """Read a monthly-observation CSV as FeatureMatrix blocks of data rows,
-    cut at ``block_edges(n, block)`` for a file of ``n`` data rows; with
-    ``block`` None the whole file is one block.
+    """Read a monthly-observation CSV as FeatureMatrix blocks of ``block``
+    data rows each, the last holding the rest; with ``block`` None the whole
+    file is one block.
 
-    Only the rows of the block being read and of the one before it are held,
-    so a caller that keeps a few numbers per row reads a file of any length
-    in bounded memory.  The arguments, the checks and the errors are those
-    of ``load_csv``, which is this reader with no block limit; the errors
-    are raised as the reader reaches them, after the blocks before them
-    have been handed on.
+    Only the rows of the block being read are held, so a caller that keeps
+    a few numbers per row reads a file of any length in bounded memory.
+    The arguments, the checks and the errors are those of ``load_csv``,
+    which is this reader with no block limit; the errors are raised as the
+    reader reaches them, after the blocks before them have been handed on.
     """
     if schema is not None:
         schema = tuple(schema)
+        for i, name in enumerate(schema):
+            if name in schema[:i]:
+                raise DataError(f"the schema names column {name!r} twice")
         missing_canonical = [c for c in CANONICAL_SCHEMA if c not in schema]
         if missing_canonical:
             raise DataError(
@@ -417,10 +401,10 @@ def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
              require_target: bool = True) -> FeatureMatrix:
     """Read a monthly-observation CSV into a FeatureMatrix.
 
-    The header must contain exactly the ``schema`` columns (any order).
-    Schema columns beyond the canonical set are read as extra numeric
-    features; ``schema=None`` takes them from the header, in header order,
-    so the schema is the canonical set plus every other header column.
+    The header must contain exactly the ``schema`` columns (any order, each
+    named once).  Schema columns beyond the canonical set are read as extra
+    numeric features; ``schema=None`` takes them from the header, in header
+    order, so the schema is the canonical set plus every other header column.
     With ``require_target`` false the ``yield`` column may be left out, as
     when scoring new rows; the target of such a file reads as zeros.  Rows
     are parsed into one buffer per column and the range rules run over

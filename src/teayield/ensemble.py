@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FeatureMatrix, block_edges
+from .dataset import FeatureMatrix
 from .errors import ConfigError, DataError, FitError
 from .evaluation import forward_select, make_folds
 from .feature_select import ReliefParams, rank_order, rrelieff
@@ -33,10 +33,9 @@ from .regressors import (HIDDEN_RANGE, MLPModel, MLPTrainConfig, fit_mlp,
                          predict, predict_mlp)
 from .util import derive_seed, write_table
 
-# Rows scored at once, cut at ``dataset.block_edges``: ``predict_ensemble``
-# cuts a matrix into blocks of this size, and ``teayield predict`` reads and
-# scores its file in them.  At 30 hidden units one block's hidden
-# activations take about 1 MB.
+# Rows scored at once: ``predict_ensemble`` cuts a matrix into blocks of this
+# size, and ``teayield predict`` reads and scores its file in them.  At 30
+# hidden units one block's hidden activations take about 1 MB.
 SCORE_BLOCK = 4096
 
 
@@ -317,16 +316,10 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
     then mapped back; since the inverse maps are monotone the output always
     stays within the per-learner prediction envelope.
 
-    Rows are scored in blocks of ``SCORE_BLOCK`` rows, cut at
-    ``dataset.block_edges``, so the hidden activations held at once do not
-    grow with the row count.  The last block takes the remainder: a tiny
-    block would take another BLAS path.  A matrix of fewer than
-    ``2 * SCORE_BLOCK`` rows is one block, so scoring the blocks of
-    ``dataset.read_blocks`` one by one gives the bits of scoring the whole
-    file.  On OpenBLAS 0.3.31 the result is bit-identical to scoring all
-    rows at once for the tested sizes and the benchmark's 50,000 rows; in
-    both forms the last bit of a row can depend on where BLAS splits the
-    rows between threads.
+    Rows are scored in blocks of ``SCORE_BLOCK`` rows, so the hidden
+    activations held at once do not grow with the row count.  The weighted
+    network outputs (``kernels.mlp_forward``) are added in learner order,
+    not by BLAS, so a row's bits do not depend on the other rows.
 
     A model whose values are finite but extreme can map rows to inf or NaN,
     or, under a log target, to an ``exp`` that underflows to 0; that is a
@@ -334,11 +327,12 @@ def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:
     """
     x = e.preprocess.apply_features(m).values
     n = x.shape[0]
-    edges = block_edges(n, SCORE_BLOCK)
     out = np.empty(n)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out[lo:hi] = e.weights @ np.vstack([predict_mlp(bl.model, x[lo:hi])
-                                            for bl in e.learners])
+    for lo in range(0, n, SCORE_BLOCK):
+        block, xs = out[lo:lo + SCORE_BLOCK], x[lo:lo + SCORE_BLOCK]
+        block[:] = e.weights[0] * predict_mlp(e.learners[0].model, xs)
+        for w, bl in zip(e.weights[1:], e.learners[1:]):
+            block += w * predict_mlp(bl.model, xs)
     with np.errstate(over="ignore", invalid="ignore"):
         out = e.preprocess.invert_target(out)
     for bad, what in ((~np.isfinite(out), "are not finite"),

@@ -34,6 +34,12 @@ differ in the last bits; over a few hundred epochs that moves the parameters
 by less than 1e-10 relative, with the same epoch count.
 ``tests/test_kernels.py`` keeps the plain loop as the reference and checks
 both ranges.
+
+``mlp_forward`` (scoring, training error, last early-stopping check) calls
+no BLAS, whose kernel and thread split follow the row count.  Hidden unit j
+starts from ``b1[j]``, adds ``W1[k, j] * x_k`` over the inputs in order, then
+``tanh``; the output adds ``w2[j] * z_j`` over the units in order, then ``b2``.
+All elementwise, so a row's bits do not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -48,8 +54,14 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def mlp_forward(X, W1, b1, w2, b2):
-    A1 = np.tanh(np.dot(X, W1) + b1)
-    return np.dot(A1, w2) + b2
+    Z = np.repeat(b1[:, None], X.shape[0], axis=1)  # a row per hidden unit
+    term = np.empty_like(Z)
+    for W1k, x in zip(W1, X.T.copy()):
+        np.add(Z, np.multiply(W1k[:, None], x, out=term), out=Z)
+    np.multiply(np.tanh(Z, out=Z), w2[:, None], out=Z)
+    for z in Z[1:]:
+        np.add(Z[0], z, out=Z[0])
+    return Z[0] + b2
 
 
 def _views(buf, f, h):

@@ -33,8 +33,9 @@ class ScalerState:
 class PreprocessState:
     """A fitted preprocessing chain.
 
-    It maps raw schema rows to model inputs, replaying the feature stages in
-    fit order (outlier removal only ever drops training rows), and maps the
+    It maps raw schema rows to model inputs, the ``selected_features``
+    columns in that order, replaying the feature stages in fit order
+    (outlier removal only ever drops training rows), and maps the
     target to model units and back: forward ``log`` (if ``log_target``),
     then ``(y - target_center) / target_scale``.  Chains fitted for
     cross-validation keep center 0 and scale 1, which change no value.
@@ -56,18 +57,15 @@ class PreprocessState:
                        rows: np.ndarray | None = None) -> FeatureMatrix:
         if self.add_avg_temp:
             m = derive_avg_temp(m)
+        missing = [c for c in self.selected_features if c not in m.column_names]
+        if missing:
+            raise DataError(f"input data lacks model columns {missing}")
         for stage in self.stage_order:
-            if stage == "feature_selection":
-                missing = [c for c in self.selected_features
-                           if c not in m.column_names]
-                if missing:
-                    raise DataError(f"input data lacks model columns {missing}")
-                m = m.subset(self.selected_features)
-            elif stage == "feature_scaling" and self.scaler is not None:
+            if stage == "feature_scaling" and self.scaler is not None:
                 m = apply_scaler(self.scaler, m)
             elif stage == "feature_transformation" and self.log_features:
                 m = log_transform(m, self.log_features, rows)
-        return m
+        return m.subset(self.selected_features)
 
     def transform_target(self, y: np.ndarray,
                          rows: np.ndarray | None = None) -> np.ndarray:

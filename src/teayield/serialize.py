@@ -25,6 +25,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from .config import PIPELINE_STAGES
+from .dataset import MONTH_ENCODINGS
 from .ensemble import BaseLearner, EnsembleModel, compute_weights
 from .errors import DataError, FitError
 from .preprocess import PreprocessState, ScalerState
@@ -176,10 +178,20 @@ def _dec_scaler(obj: dict) -> ScalerState:
 def _dec_ensemble(obj: dict) -> EnsembleModel:
     pre = obj["preprocess"]
     scaler = pre["scaler"]
+    # ``apply_features`` replays the stages in stage_order and nothing else.
+    stages = tuple(pre["stage_order"])
+    if len(set(stages) & set(PIPELINE_STAGES)) != len(stages):
+        raise ValueError(f"stage_order {list(stages)} repeats a stage or "
+                         "names an unknown one")
+    if (scaler is not None and "feature_scaling" not in stages) or (
+            pre["log_features"] and "feature_transformation" not in stages):
+        raise ValueError("a scaler or logged features without their stage")
+    if pre["month_encoding"] not in MONTH_ENCODINGS:
+        raise ValueError(f"unknown month_encoding {pre['month_encoding']!r}")
     state = PreprocessState(
         month_encoding=pre["month_encoding"],
         add_avg_temp=_dec_bool(pre["add_avg_temp"], "add_avg_temp"),
-        stage_order=tuple(pre["stage_order"]),
+        stage_order=stages,
         selected_features=tuple(pre["selected_features"]),
         scaler=None if scaler is None else _dec_scaler(scaler),
         log_features=tuple(pre["log_features"]),

@@ -155,6 +155,12 @@ def mutate_csv(text: str, edits, sep: str = ",") -> bytes:
     return bytes(data)
 
 
+def block_sizes(n: int, block: int) -> list[int]:
+    """The sizes of the blocks that ``n`` rows are read and scored in:
+    ``block`` rows each, and the last holds the rest, even one row."""
+    return [min(block, n - lo) for lo in range(0, n, block)]
+
+
 def with_blank_lines(text: str, every: int) -> str:
     """``text`` with a blank row after every ``every``-th line: by turns an
     empty line and a line of empty cells."""

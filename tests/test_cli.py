@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from teayield import cli, ensemble
 from teayield.cli import main
 from teayield.config import render_config
-from teayield.dataset import (SyntheticSpec, block_edges, generate_synthetic,
-                              load_csv, write_csv)
+from teayield.dataset import (SyntheticSpec, generate_synthetic, load_csv,
+                              write_csv)
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
                                compute_weights, predict_ensemble)
 from teayield.errors import DataError
@@ -25,8 +25,8 @@ from teayield.regressors import MLPModel, MLPTrainConfig
 from teayield.serialize import load_model, save_model
 from teayield.util import write_table
 
-from conftest import (corrupt_model_doc, csv_edits, mutate_csv, tiny_config,
-                      with_blank_lines)
+from conftest import (block_sizes, corrupt_model_doc, csv_edits, mutate_csv,
+                      tiny_config, with_blank_lines)
 from test_imports import PACKAGE
 
 
@@ -244,6 +244,55 @@ def test_predict_on_mutated_data_exits_0_or_1(workdir, model_doc, edits,
                  "--config", str(workdir / "tiny.ini"),
                  "--out", str(workdir / "mutated_predictions.csv")])
     assert code in (0, 1), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["inspect", "train", "evaluate",
+                                     "predict"])
+def test_a_column_listed_twice_exits_1_naming_it(workdir, model_doc, command,
+                                                 tmp_path, capsys):
+    config = tmp_path / "twice.ini"
+    config.write_text(render_config(replace(tiny_config(), feature_columns=(
+        "distractor_1", "distractor_1", "distractor_2", "distractor_3"))),
+        encoding="utf-8")
+    out = {"inspect": ["--out", str(tmp_path / "out")],
+           "train": ["--model", str(tmp_path / "m.json")],
+           "evaluate": ["--out", str(tmp_path / "out")],
+           "predict": ["--model", str(workdir / "trained" / "m.json"),
+                       "--out", str(tmp_path / "p.csv")]}[command]
+    capsys.readouterr()
+    assert main([command, "--data", str(workdir / "data.csv"),
+                 "--config", str(config)] + out) == 1
+    assert capsys.readouterr().err == (
+        "error: the schema names column 'distractor_1' twice\n")
+
+
+def test_extra_columns_in_another_order_score_the_same(workdir, tmp_path):
+    """Without feature selection the chain keeps every column it was
+    trained on, in the order it was trained on, whatever the header order
+    of the scoring file."""
+    config = tmp_path / "no_selection.ini"
+    config.write_text(render_config(replace(tiny_config(), stages=(
+        "feature_scaling", "outlier_removal", "feature_transformation"))),
+        encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "data.csv"),
+                 "--model", str(model), "--config", str(config)]) == 0
+    with open(workdir / "data.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[:6]
+    a, b = rows[0].index("distractor_1"), rows[0].index("distractor_3")
+    swapped = [[*row] for row in rows]
+    for row in swapped:
+        row[a], row[b] = row[b], row[a]
+    scored = []
+    for name, table in (("file", rows), ("swapped", swapped)):
+        with open(tmp_path / f"{name}.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        assert main(["predict", "--data", str(tmp_path / f"{name}.csv"),
+                     "--model", str(model), "--config", str(config),
+                     "--out", str(tmp_path / f"{name}_p.csv")]) == 0
+        scored.append((tmp_path / f"{name}_p.csv").read_text(encoding="utf-8"))
+    assert scored[0] == scored[1]
 
 
 # With every scipy import made to fail, prints the scipy modules loaded after
@@ -501,7 +550,8 @@ class TestStreamedPredict:
                                    3 * SCORE_BLOCK + 1])
     def test_streamed_predictions_are_whole_file_predictions(
             self, scoring, hidden, n, tmp_path, capsys, monkeypatch):
-        """Scored in blocks cut at ``block_edges``, one at a time."""
+        """Scored in blocks of ``SCORE_BLOCK`` rows and the rest, one at a
+        time."""
         sizes = []
 
         def recording(model, m):
@@ -512,7 +562,7 @@ class TestStreamedPredict:
         data = head_rows(scoring / "all.csv", n, tmp_path / "d.csv")
         model = scoring / f"h{hidden}.json"
         streamed = streamed_predict(model, data, tmp_path, capsys)
-        assert sizes == np.diff(block_edges(n, SCORE_BLOCK)).tolist()
+        assert sizes == block_sizes(n, SCORE_BLOCK)
         assert streamed[0] == 0
         assert streamed == whole_file_scoring(model, data, tmp_path)
 
@@ -584,12 +634,12 @@ class TestStreamedPredict:
 
     def test_memory_does_not_grow_with_the_rows(self, scoring, tmp_path):
         """Only a prediction per row is kept until the file ends.  The files
-        hold 8,000 and 32,576 rows, so that both last blocks hold 8,000 and
-        the difference in peak is what the extra rows leave behind.  Reading
+        hold 8,192 and 32,768 rows, so that both end in a full block and the
+        difference in peak is what the extra rows leave behind.  Reading
         the whole file and copying it once per preprocessing step grew by
         about 330 traced bytes per row."""
-        big, small = 7 * SCORE_BLOCK + 3904, 8_000
-        assert np.diff(block_edges(big, SCORE_BLOCK))[-1] == small
+        big, small = 32_768, 8_192
+        assert big % SCORE_BLOCK == small % SCORE_BLOCK == 0
         source = tmp_path / "big.csv"
         write_csv(generate_synthetic(big, 9, SyntheticSpec.canonical()),
                   source)

@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teayield.dataset import (CANONICAL_SCHEMA, MONTH_ENCODINGS,
-                              FeatureMatrix, SyntheticSpec, block_edges,
+                              FeatureMatrix, SyntheticSpec,
                               correlation_report, derive_avg_temp,
                               encode_months, generate_synthetic, load_csv,
                               month_columns, pearson, read_blocks, render_csv,
                               write_csv)
 from teayield.errors import DataError
 
-from conftest import csv_edits, mutate_csv, random_matrix, with_blank_lines
+from conftest import (block_sizes, csv_edits, mutate_csv, random_matrix,
+                      with_blank_lines)
 
 # The file the fuzz property mutates: twelve rows with one extra column.
 FUZZ_SCHEMA = CANONICAL_SCHEMA + ("distractor_1",)
@@ -367,15 +368,26 @@ def assert_same_matrix(a: FeatureMatrix, b: FeatureMatrix) -> None:
 
 
 class TestReadBlocks:
-    """``read_blocks`` is ``load_csv`` cut at ``block_edges``: the same
-    rows, bits and errors."""
+    """``read_blocks`` is ``load_csv`` cut into blocks of ``block`` rows,
+    the last holding the rest: the same rows, bits and errors."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return render_csv(generate_synthetic(12_289, 5)).splitlines(
+            keepends=True)
 
     @pytest.mark.parametrize("n,edges", [
-        (1, [0, 1]), (4095, [0, 4095]), (4096, [0, 4096]), (4097, [0, 4097]),
-        (8191, [0, 8191]), (8192, [0, 4096, 8192]), (8193, [0, 4096, 8193]),
-        (12289, [0, 4096, 8192, 12289])])
-    def test_the_last_block_takes_the_remainder(self, n, edges):
-        assert block_edges(n, 4096) == edges
+        (1, [0, 1]), (4095, [0, 4095]), (4096, [0, 4096]),
+        (4097, [0, 4096, 4097]), (8191, [0, 4096, 8191]),
+        (8192, [0, 4096, 8192]), (8193, [0, 4096, 8192, 8193]),
+        (12289, [0, 4096, 8192, 12288, 12289])])
+    def test_the_last_block_takes_the_remainder(self, lines, tmp_path, n,
+                                                edges):
+        """Even a last block of one row stands alone."""
+        path = tmp_path / "d.csv"
+        path.write_text("".join(lines[:n + 1]), encoding="utf-8")
+        sizes = [b.n_samples for b in read_blocks(path, block=4096)]
+        assert np.cumsum([0, *sizes]).tolist() == edges
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 9, 11, 12])
     @pytest.mark.parametrize("blank_every", [0, 2, 5])
@@ -388,8 +400,7 @@ class TestReadBlocks:
         path = tmp_path / "d.csv"
         path.write_text(text, encoding="utf-8")
         blocks = list(read_blocks(path, FUZZ_SCHEMA, "onehot", block=3))
-        assert [b.n_samples for b in blocks] == np.diff(
-            block_edges(n, 3)).tolist()
+        assert [b.n_samples for b in blocks] == block_sizes(n, 3)
         assert_same_matrix(joined(blocks), load_csv(path, FUZZ_SCHEMA,
                                                     "onehot"))
 
@@ -437,8 +448,8 @@ class TestReadBlocks:
         if isinstance(whole, str):
             assert blocks == whole
         else:
-            assert [b.n_samples for b in blocks] == np.diff(
-                block_edges(whole.n_samples, block)).tolist()
+            assert [b.n_samples for b in blocks] == block_sizes(
+                whole.n_samples, block)
             assert_same_matrix(joined(blocks), whole)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from teayield import ensemble
 from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
                                EnsembleModel, PoolReport, compute_weights,
@@ -15,9 +16,9 @@ from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
 from teayield.errors import ConfigError, DataError, FitError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
-from teayield.regressors import MLPModel, MLPTrainConfig, predict
+from teayield.regressors import MLPModel, MLPTrainConfig, predict, predict_mlp
 
-from conftest import bench_config, random_matrix
+from conftest import bench_config, block_sizes, random_matrix
 
 FAST_MLP = MLPTrainConfig(hidden_size=5, epochs=150, early_stop_fraction=0.15,
                           patience=30)
@@ -309,7 +310,9 @@ class TestPredictEnsemble:
 
 
 class TestBlockScoring:
-    """``predict_ensemble`` scores in row blocks, bit-equal to one pass."""
+    """``predict_ensemble`` scores in blocks of ``SCORE_BLOCK`` rows and the
+    rest, bit-equal to one pass that adds the weighted learner outputs in
+    learner order."""
 
     @staticmethod
     def model(rng, m, hidden, members=4):
@@ -331,21 +334,35 @@ class TestBlockScoring:
     @pytest.mark.parametrize("hidden", [5, 28])
     @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
                                    2 * SCORE_BLOCK + 3])
-    def test_bit_equal_to_one_pass(self, rng, hidden, n):
+    def test_bit_equal_to_one_pass(self, rng, hidden, n, monkeypatch):
         m = random_matrix(rng, n, 6)
         model = self.model(rng, m, hidden)
         feats = model.preprocess.apply_features(m)
-        one_pass = model.preprocess.invert_target(
-            model.weights @ np.vstack([predict(bl.model, feats)
-                                       for bl in model.learners]))
+        combined = 0.0
+        for w, bl in zip(model.weights, model.learners):
+            combined = combined + w * predict(bl.model, feats)
+        one_pass = model.preprocess.invert_target(combined)
+        sizes = []
+
+        def recording(network, x):
+            sizes.append(x.shape[0])
+            return predict_mlp(network, x)
+
+        monkeypatch.setattr(ensemble, "predict_mlp", recording)
         np.testing.assert_array_equal(predict_ensemble(model, m), one_pass)
+        assert sizes == [size for size in block_sizes(n, SCORE_BLOCK)
+                         for _ in model.learners]
 
     def test_input_count_is_checked(self, rng):
+        """The chain hands the networks five of the six columns they were
+        built for."""
         m = random_matrix(rng, 10, 6)
         model = self.model(rng, m, 5)
+        model = replace(model, preprocess=replace(
+            model.preprocess, selected_features=m.column_names[:5]))
         with pytest.raises(DataError, match="matrix has 5 features, model "
                                             "expects 6"):
-            predict_ensemble(model, m.subset(m.column_names[:5]))
+            predict_ensemble(model, m)
 
 
 class TestFullPipelineDeterminism:

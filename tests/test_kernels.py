@@ -175,3 +175,28 @@ def test_a_shape_where_a_stacked_output_product_changes_bits():
         pytest.fail("no workload-sized shape where stacking the output layer "
                     "rounds differently")
     assert_same_run(problem, 0.05, 300, 20)
+
+
+def reference_forward_row(x, W1, b1, w2, b2):
+    """One row through the order ``kernels.mlp_forward`` documents, one
+    float at a time."""
+    z = [np.tanh(sum((W1[k, j] * x[k] for k in range(len(x))), start=b1[j]))
+         for j in range(len(b1))]
+    out = w2[0] * z[0]
+    for j in range(1, len(z)):
+        out += w2[j] * z[j]
+    return out + b2
+
+
+@pytest.mark.parametrize("n,f,h", [(1, 1, 5), (7, 8, 30), (33, 14, 17)])
+def test_forward_follows_the_documented_order(n, f, h):
+    """Bit for bit with the per-row reference, and within rounding of the
+    matrix-product form it replaced."""
+    rng = np.random.default_rng(n * f * h)
+    X, W1 = rng.normal(size=(n, f)), rng.normal(size=(f, h))
+    b1, w2, b2 = rng.normal(size=h), rng.normal(size=h), float(rng.normal())
+    got = kernels.mlp_forward(X, W1, b1, w2, b2)
+    want = [reference_forward_row(x, W1, b1, w2, b2) for x in X]
+    assert got.tobytes() == np.array(want).tobytes()
+    np.testing.assert_allclose(got, np.tanh(X @ W1 + b1) @ w2 + b2,
+                               rtol=1e-12, atol=1e-12)

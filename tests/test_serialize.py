@@ -122,6 +122,20 @@ CORRUPTIONS = {
     "boolean patience": (FIRST_MLP + ("config",), "patience", True),
     "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
                                float("inf")),
+    # ``apply_features`` replays the stages of ``stage_order`` and nothing
+    # else, so the chain must name each known stage once and hold a scaler
+    # or logged features only with their stage.  A list holds several edits.
+    "feature_scaling left out": (("preprocess",), "stage_order",
+                                 lambda s: [x for x in s
+                                            if x != "feature_scaling"]),
+    "feature_scaling twice": (("preprocess",), "stage_order",
+                              lambda s: s + ["feature_scaling"]),
+    "unknown stage": (("preprocess",), "stage_order", lambda s: s + ["bogus"]),
+    "logged features without their stage": [
+        (("preprocess",), "log_features", ["rainfall"]),
+        (("preprocess",), "stage_order",
+         lambda s: [x for x in s if x != "feature_transformation"])],
+    "unknown month_encoding": (("preprocess",), "month_encoding", "weekly"),
 }
 
 
@@ -129,7 +143,9 @@ CORRUPTIONS = {
 def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
     assert len(model.learners) >= 2
     doc = json.loads(model_to_json(model))
-    corrupt_model_doc(doc, *CORRUPTIONS[corruption])
+    edits = CORRUPTIONS[corruption]
+    for edit in edits if isinstance(edits, list) else [edits]:
+        corrupt_model_doc(doc, *edit)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="corrupt model document"):
