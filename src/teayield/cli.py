@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import PipelineConfig, load_config, paper_defaults
 from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, correlation_report,
-                      derive_avg_temp, generate_synthetic, load_csv,
-                      read_blocks, render_csv, write_csv)
+                      generate_synthetic, load_csv, read_blocks, render_csv,
+                      write_csv)
 from .ensemble import SCORE_BLOCK, predict_ensemble
 from .errors import DataError, TeaYieldError
 from .pipeline import evaluate_pipeline, train_ensemble_pipeline
@@ -74,7 +74,7 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     cfg = _read_config(args)
-    m = derive_avg_temp(_load_data(args.data, cfg))
+    m = _load_data(args.data, cfg)
     out = _output(args.out, directory=True)
     report = correlation_report(m)
     report.to_csv(out / "correlation.csv")

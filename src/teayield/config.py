@@ -87,6 +87,15 @@ class PipelineConfig:
                                ("[ensemble] patience", self.ensemble_patience)):
             if patience < 1:
                 raise ConfigError(f"{name} must be >= 1, got {patience}")
+        for name, value in (("[gpr] signal_var", self.gpr_signal_var),
+                            ("[gpr] length_scale", self.gpr_length_scale),
+                            ("[outliers] threshold", self.outlier_threshold)):
+            if not value > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        for name, value in (("[gpr] noise_var", self.gpr_noise_var),
+                            ("[sfs] ridge_lambda", self.sfs_ridge_lambda)):
+            if not value >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if not 0.0 < self.holdout_fraction < 1.0:

@@ -4,9 +4,9 @@ The unit of exchange between pipeline stages is :class:`FeatureMatrix`, an
 immutable column-named numeric table with a separate target vector.  CSV
 files follow a fixed monthly-observation schema; bookkeeping columns (year,
 labor cost, labor training level, pesticide use) are parsed and carried for
-provenance but never exposed as model features.  The month is a categorical
-1-12 value on disk and is expanded into model columns at load time
-(cyclic sin/cos by default).
+provenance but never exposed as model features.  The reader alone derives
+columns: the month, 1-12 on disk, expanded (cyclic sin/cos by default), then
+``avg_temp = (min_temp + max_temp) / 2``; a file may not name either.
 """
 
 from __future__ import annotations
@@ -103,12 +103,6 @@ class FeatureMatrix:
         return FeatureMatrix(tuple(names), self.values[:, idx], self.target,
                              self.target_name, self.carried)
 
-    def append_column(self, name: str, values) -> "FeatureMatrix":
-        col = as_float_array(values, name)
-        return FeatureMatrix(self.column_names + (name,),
-                             np.column_stack([self.values, col]),
-                             self.target, self.target_name, self.carried)
-
     def replace_columns(self, updates: Mapping[str, np.ndarray]) -> "FeatureMatrix":
         values = np.array(self.values)
         for name, col in updates.items():
@@ -195,6 +189,10 @@ def encode_months(months: np.ndarray, encoding: str) -> np.ndarray:
         out[np.arange(months.shape[0]), months.astype(np.int64) - 1] = 1.0
         return out
     raise DataError(f"unknown month encoding {encoding!r}; choose from {MONTH_ENCODINGS}")
+
+
+def _derived_columns(encoding: str) -> tuple[str, ...]:
+    return (*month_columns(encoding), "avg_temp")
 
 
 @contextmanager
@@ -328,19 +326,18 @@ def _read_rows(path, reader, at: Mapping[str, int], width: int,
         raise DataError(f"{path}: no data rows")
 
 
-def _matrix(cols: _Columns, extra: Sequence[str],
+def _matrix(cells: Mapping[str, Sequence], extra: Sequence[str],
             month_encoding: str) -> FeatureMatrix:
-    # Canonical feature order regardless of file column order: the base
-    # numeric features, then any extra schema columns, then the encoded month.
-    cells = cols.cells
-    months = np.array(cells["month"], dtype=np.float64)
-    values = np.column_stack(
-        [np.frombuffer(cells[c]) for c in (*_BASE_FEATURES, *extra)]
-        + [encode_months(months, month_encoding)])
-    names = (*_BASE_FEATURES, *extra, *month_columns(month_encoding))
-    carried = {c: tuple(cells[c]) for c in CARRIED_COLUMNS}
-    return FeatureMatrix(names, values, np.frombuffer(cells[TARGET_COLUMN]),
-                         TARGET_COLUMN, carried)
+    """The rows held as one sequence per column by the reader or generator:
+    base, extra and derived columns in one copy.  avg_temp is last, as column
+    order fixes the scaler's order and the feature searches' tie-breaks."""
+    names = (*_BASE_FEATURES, *extra)
+    lo, hi = (np.frombuffer(cells[c]) for c in ("min_temp", "max_temp"))
+    values = np.column_stack([np.frombuffer(cells[c]) for c in names] + [
+        encode_months(cells["month"], month_encoding), (lo + hi) / 2.0])
+    return FeatureMatrix((*names, *_derived_columns(month_encoding)), values,
+                         np.frombuffer(cells[TARGET_COLUMN]), TARGET_COLUMN,
+                         {c: tuple(cells[c]) for c in CARRIED_COLUMNS})
 
 
 def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
@@ -380,6 +377,11 @@ def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
         if schema is None:
             schema = CANONICAL_SCHEMA + tuple(
                 h for h in header if h not in CANONICAL_SCHEMA)
+        derived = set(_derived_columns(month_encoding)) - set(CANONICAL_SCHEMA)
+        shadowing = [c for c in (*schema, *header) if c in derived]
+        if shadowing:
+            raise DataError(f"{path}: column {shadowing[0]!r} is derived when "
+                            "the file is read; the file and the schema may not name it")
         extra_features = [c for c in schema if c not in CANONICAL_SCHEMA]
         has_target = require_target or TARGET_COLUMN in header
         if not has_target:
@@ -393,7 +395,7 @@ def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
         at = {name: header.index(name) for name in schema}
         for cols in _read_rows(path, reader, at, len(header), extra_features,
                                block):
-            yield _matrix(cols, extra_features, month_encoding)
+            yield _matrix(cols.cells, extra_features, month_encoding)
 
 
 def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
@@ -405,6 +407,8 @@ def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
     named once).  Schema columns beyond the canonical set are read as extra
     numeric features; ``schema=None`` takes them from the header, in header
     order, so the schema is the canonical set plus every other header column.
+    The encoded month and ``avg_temp`` follow, derived here; a header or
+    schema that names one of them is refused, naming the file and column.
     With ``require_target`` false the ``yield`` column may be left out, as
     when scoring new rows; the target of such a file reads as zeros.  Rows
     are parsed into one buffer per column and the range rules run over
@@ -435,11 +439,8 @@ def render_csv(m: FeatureMatrix) -> str:
     for key in CARRIED_COLUMNS:
         if key not in m.carried:
             raise DataError(f"matrix lacks carried column {key!r}; cannot serialize")
-    month_cols = set()
-    for enc in MONTH_ENCODINGS:
-        month_cols.update(month_columns(enc))
-    feature_cols = [c for c in m.column_names
-                    if c not in month_cols and c != "avg_temp"]
+    derived = {c for enc in MONTH_ENCODINGS for c in _derived_columns(enc)}
+    feature_cols = [c for c in m.column_names if c not in derived]
     known = [c for c in feature_cols if c in CANONICAL_SCHEMA]
     extras = [c for c in feature_cols if c not in CANONICAL_SCHEMA]
     header = ["year", "month", *known, *extras,
@@ -468,15 +469,6 @@ def render_csv(m: FeatureMatrix) -> str:
 def write_csv(m: FeatureMatrix, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(render_csv(m))
-
-
-def derive_avg_temp(m: FeatureMatrix) -> FeatureMatrix:
-    """Append avg_temp = (min_temp + max_temp) / 2; a matrix that already
-    has an avg_temp column is returned unchanged."""
-    if "avg_temp" in m.column_names:
-        return m
-    avg = (m.column("min_temp") + m.column("max_temp")) / 2.0
-    return m.append_column("avg_temp", avg)
 
 
 def pearson(x, y) -> float:
@@ -586,7 +578,8 @@ def generate_synthetic(n: int, seed: int, spec: SyntheticSpec | None = None) -> 
 
     Draw order from the seeded generator is fixed (temperatures, humidity,
     rainfall, pH, noise, outlier positions, labor columns, distractors), so
-    a given (n, seed, spec) always produces the identical matrix.
+    a given (n, seed, spec) always produces the identical matrix, equal to
+    ``load_csv`` of its ``write_csv`` file.
     """
     if spec is None:
         spec = SyntheticSpec()
@@ -624,22 +617,13 @@ def generate_synthetic(n: int, seed: int, spec: SyntheticSpec | None = None) -> 
     labor_training = rng.choice(np.array(["basic", "skilled"]), n)
     pesticide = rng.integers(0, 2, n)
 
-    names = ["min_temp", "max_temp", "humidity", "rainfall", "soil_ph"]
-    columns = [min_temp, max_temp, humidity, rainfall, soil_ph]
-    for d in range(spec.n_distractors):
-        names.append(f"distractor_{d + 1}")
-        columns.append(rng.normal(0.0, 1.0, n))
-    enc = encode_months(month, "cyclic")
-    for j, enc_name in enumerate(month_columns("cyclic")):
-        names.append(enc_name)
-        columns.append(enc[:, j])
-
-    carried = {
-        "year": tuple(int(v) for v in year),
-        "month": tuple(int(v) for v in month),
-        "labor_cost": tuple(float(v) for v in labor_cost),
-        "labor_training": tuple(str(v) for v in labor_training),
-        "pesticide_used": tuple(int(v) for v in pesticide),
-    }
-    return FeatureMatrix(tuple(names), np.column_stack(columns), yield_kg,
-                         TARGET_COLUMN, carried)
+    cells = {"min_temp": min_temp, "max_temp": max_temp, "humidity": humidity,
+             "rainfall": rainfall, "soil_ph": soil_ph, TARGET_COLUMN: yield_kg,
+             "year": year.tolist(), "month": month.tolist(),
+             "labor_cost": labor_cost.tolist(),
+             "labor_training": labor_training.tolist(),
+             "pesticide_used": pesticide.tolist()}
+    extra = [f"distractor_{d + 1}" for d in range(spec.n_distractors)]
+    for name in extra:
+        cells[name] = rng.normal(0.0, 1.0, n)
+    return _matrix(cells, extra, "cyclic")

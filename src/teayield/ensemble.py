@@ -64,6 +64,8 @@ class EnsembleConfig:
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ConfigError("subsample_fraction must be in (0, 1], got "
                               f"{self.subsample_fraction}")
+        if self.weight_b is not None and not self.weight_b > 0.0:
+            raise ConfigError(f"weight_b must be > 0, got {self.weight_b}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,7 @@ def compute_weights(errors, b: float, c: float,
         z = b * (np.abs(eps) - c)
         raw = np.exp(z - z.max())
     else:
-        raw = np.array([_falling_logistic(z)
-                        for z in (b * (eps - c)).tolist()])
+        raw = np.array([_falling_logistic(b * (e - c)) for e in eps.tolist()])
     total = float(raw.sum())
     if total <= 0.0:
         raise FitError(f"all raw weights underflowed to zero (b={b}, c={c}, "

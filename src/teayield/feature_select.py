@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .dataset import FeatureMatrix
-from .errors import DataError, FitError, TeaYieldError
+from .errors import ConfigError, DataError, FitError, TeaYieldError
 from .evaluation import cross_validate, forward_select, make_folds, metrics
 from .util import derive_seed, write_table
 
@@ -34,6 +34,15 @@ class ReliefParams:
     k: int = 10
     iterations: int | None = None  # None = every sample exactly once
     decay_sigma: float | None = 20.0  # None = uniform neighbor influence
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError(f"relieff k must be >= 1, got {self.k}")
+        if self.iterations is not None and self.iterations < 1:
+            raise ConfigError(f"relieff iterations must be >= 1, got {self.iterations}")
+        if self.decay_sigma is not None and not self.decay_sigma > 0.0:
+            raise ConfigError(
+                f"relieff decay_sigma must be > 0, got {self.decay_sigma}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .dataset import FeatureMatrix, derive_avg_temp
+from .dataset import FeatureMatrix
 from .ensemble import (EnsembleModel, PoolReport, assemble, predict_ensemble,
                        rank_learners, select_learners, train_pool)
 from .errors import DataError, FitError
@@ -93,20 +93,21 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
 
     Returns one ``(matrix, chain)`` pair per stage prefix, for the first k
     of ``cfg.stages`` with k = 0 .. len(cfg.stages), and the per-stage
-    artifacts.  A stage only fits: it sets its part of the chain, and
-    outlier removal drops rows from the kept raw rows.  Each prefix matrix
-    is then its chain replayed on the kept rows (``apply_features`` and
-    ``transform_target``, the code that scores new rows), and the next
-    stage fits on it.  The chain keeps target center 0 and scale 1.  A
-    stage reads only what the stages before it produced, so prefix k equals
-    the last prefix of a fit of ``cfg.stages[:k]`` with the same seed.
-    A log-transform error names the row of the given matrix, also after
-    outlier removal has dropped rows before it.
+    artifacts.  The chain adds no column to ``m``: it only selects, scales
+    and logs columns and maps the target.  A stage only fits: it sets its
+    part of the chain, and outlier removal drops rows from the kept raw
+    rows.  Each prefix matrix is then its chain replayed on the kept rows
+    (``apply_features`` and ``transform_target``, the code that scores new
+    rows), and the next stage fits on it.  The chain keeps target center 0
+    and scale 1.  A stage reads only what the stages before it produced, so
+    prefix k equals the last prefix of a fit of ``cfg.stages[:k]`` with the
+    same seed.  A log-transform error names the row of the given matrix,
+    also after outlier removal has dropped rows before it.
     """
-    m = kept = derive_avg_temp(m)
+    kept = m
     rows = np.arange(m.n_samples)  # the given row of each kept row
     chain = PreprocessState(
-        month_encoding=cfg.month_encoding, add_avg_temp=True, stage_order=(),
+        month_encoding=cfg.month_encoding, stage_order=(),
         selected_features=m.column_names, scaler=None, log_features=(),
         log_target=False, target_center=0.0, target_scale=1.0)
     ranked = selection = outliers = None

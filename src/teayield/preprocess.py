@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import TARGET_COLUMN, FeatureMatrix, derive_avg_temp
+from .dataset import TARGET_COLUMN, FeatureMatrix
 from .errors import DataError, FitError
 from .util import write_table
 
@@ -33,18 +33,17 @@ class ScalerState:
 class PreprocessState:
     """A fitted preprocessing chain.
 
-    It maps raw schema rows to model inputs, the ``selected_features``
-    columns in that order, replaying the feature stages in fit order
-    (outlier removal only ever drops training rows), and maps the
-    target to model units and back: forward ``log`` (if ``log_target``),
-    then ``(y - target_center) / target_scale``.  Chains fitted for
-    cross-validation keep center 0 and scale 1, which change no value.
-    A log error names a row by its position, or by its entry in ``rows``
-    where given.
+    It only selects, scales and logs columns, and maps the target.  It maps
+    loaded rows to model inputs, the ``selected_features`` columns in that
+    order, replaying the feature stages in fit order (outlier removal only
+    ever drops training rows), and the target to model units and back:
+    forward ``log`` (if ``log_target``), then ``(y - target_center) /
+    target_scale``.  Chains fitted for cross-validation keep center 0 and
+    scale 1, which change no value.  A log error names a row by its
+    position, or by its entry in ``rows`` where given.
     """
 
     month_encoding: str
-    add_avg_temp: bool
     stage_order: tuple[str, ...]
     selected_features: tuple[str, ...]
     scaler: ScalerState | None
@@ -55,8 +54,6 @@ class PreprocessState:
 
     def apply_features(self, m: FeatureMatrix,
                        rows: np.ndarray | None = None) -> FeatureMatrix:
-        if self.add_avg_temp:
-            m = derive_avg_temp(m)
         missing = [c for c in self.selected_features if c not in m.column_names]
         if missing:
             raise DataError(f"input data lacks model columns {missing}")

@@ -139,7 +139,6 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
             for bl in m.learners],
         "preprocess": {
             "month_encoding": state.month_encoding,
-            "add_avg_temp": state.add_avg_temp,
             "stage_order": list(state.stage_order),
             "selected_features": list(state.selected_features),
             "scaler": None if state.scaler is None else {
@@ -190,7 +189,6 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         raise ValueError(f"unknown month_encoding {pre['month_encoding']!r}")
     state = PreprocessState(
         month_encoding=pre["month_encoding"],
-        add_avg_temp=_dec_bool(pre["add_avg_temp"], "add_avg_temp"),
         stage_order=stages,
         selected_features=tuple(pre["selected_features"]),
         scaler=None if scaler is None else _dec_scaler(scaler),

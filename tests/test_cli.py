@@ -266,6 +266,43 @@ def test_a_column_listed_twice_exits_1_naming_it(workdir, model_doc, command,
         "error: the schema names column 'distractor_1' twice\n")
 
 
+# A file column under the name of a column the reader derives, or such a
+# name listed in ``feature_columns``: (column name, listed in the config).
+SHADOWS = {"header avg_temp": ("avg_temp", False),
+           "header month_sin": ("month_sin", False),
+           "feature_columns avg_temp": ("avg_temp", True)}
+
+
+@pytest.mark.parametrize("case", sorted(SHADOWS))
+@pytest.mark.parametrize("command", ["inspect", "train", "predict"])
+def test_a_column_with_a_derived_name_exits_1_naming_it(
+        workdir, model_doc, command, case, tmp_path, capsys):
+    """The file's numbers never take the place of the derived column."""
+    name, listed = SHADOWS[case]
+    with open(workdir / "data.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    data = tmp_path / "shadow.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0] + [name]] + [
+            row + [str(20 + i % 3)] for i, row in enumerate(rows[1:])])
+    config = tmp_path / "shadow.ini"
+    columns = ("distractor_1", "distractor_2", "distractor_3", name)
+    config.write_text(render_config(replace(
+        tiny_config(), feature_columns=columns if listed else None)),
+        encoding="utf-8")
+    out = {"inspect": ["--out", str(tmp_path / "out")],
+           "train": ["--model", str(tmp_path / "m.json")],
+           "predict": ["--model", str(workdir / "trained" / "m.json"),
+                       "--out", str(tmp_path / "p.csv")]}[command]
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--config", str(config)]
+                + out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: column {name!r} is derived when the file is read; "
+        "the file and the schema may not name it\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_extra_columns_in_another_order_score_the_same(workdir, tmp_path):
     """Without feature selection the chain keeps every column it was
     trained on, in the order it was trained on, whatever the header order
@@ -469,7 +506,7 @@ def scoring_model(hidden: int) -> EnsembleModel:
                          np.array([10.0, 20.0, 60.0, 15.0]),
                          np.array([5.0, 5.0, 12.0, 5.0]))
     state = PreprocessState(
-        month_encoding="cyclic", add_avg_temp=True,
+        month_encoding="cyclic",
         stage_order=("feature_selection", "feature_scaling",
                      "feature_transformation"),
         selected_features=features, scaler=scaler, log_features=("rainfall",),

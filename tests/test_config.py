@@ -40,6 +40,19 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
     ("sfs", "patience", "0", "[sfs] patience must be >= 1, got 0"),
     ("ensemble", "pool_size", "0", "pool_size must be >= 1, got 0"),
     ("mlp", "patience", "x", "[mlp] patience: cannot parse 'x' as an integer"),
+    # Ranges that fitting would otherwise meet only once it had started.
+    ("ensemble", "weight_b", "-1.0", "weight_b must be > 0, got -1.0"),
+    ("relieff", "k", "0", "relieff k must be >= 1, got 0"),
+    ("relieff", "iterations", "0", "relieff iterations must be >= 1, got 0"),
+    ("relieff", "decay_sigma", "0.0",
+     "relieff decay_sigma must be > 0, got 0.0"),
+    ("gpr", "signal_var", "0.0", "[gpr] signal_var must be > 0, got 0.0"),
+    ("gpr", "length_scale", "0.0", "[gpr] length_scale must be > 0, got 0.0"),
+    ("gpr", "noise_var", "-0.5", "[gpr] noise_var must be >= 0, got -0.5"),
+    ("sfs", "ridge_lambda", "-1.0",
+     "[sfs] ridge_lambda must be >= 0, got -1.0"),
+    ("outliers", "threshold", "-1.0",
+     "[outliers] threshold must be > 0, got -1.0"),
 ])
 def test_every_error_names_the_file_once(tmp_path, section, key, value,
                                          message):
@@ -95,6 +108,8 @@ names = st.lists(st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1,
                          max_size=8).filter(lambda s: s not in NONE_WORDS),
                  max_size=4).map(tuple)
 numbers = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(0.0, allow_infinity=False)
 fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 VALUES = {
@@ -107,13 +122,13 @@ VALUES = {
     ("scale_columns",): st.none() | names,
     ("log_features",): names,
     ("log_target",): st.booleans(),
-    ("outlier_threshold",): numbers,
+    ("outlier_threshold",): positive,
     ("outlier_rule",): st.sampled_from(OUTLIER_RULES),
-    ("relieff", "k"): st.integers(),
-    ("relieff", "iterations"): st.none() | st.integers(),
-    ("relieff", "decay_sigma"): st.none() | numbers,
+    ("relieff", "k"): st.integers(min_value=1),
+    ("relieff", "iterations"): st.none() | st.integers(min_value=1),
+    ("relieff", "decay_sigma"): st.none() | positive,
     ("sfs_evaluator",): st.sampled_from(SFS_EVALUATORS),
-    ("sfs_ridge_lambda",): numbers,
+    ("sfs_ridge_lambda",): non_negative,
     ("sfs_patience",): st.integers(min_value=1),
     ("mlp", "hidden_size"): st.integers(*HIDDEN_RANGE),
     ("mlp", "learning_rate"): st.floats(0.0, exclude_min=True,
@@ -121,14 +136,14 @@ VALUES = {
     ("mlp", "epochs"): st.integers(min_value=1),
     ("mlp", "early_stop_fraction"): st.floats(0.0, 1.0, exclude_max=True),
     ("mlp", "patience"): st.integers(min_value=1),
-    ("gpr_signal_var",): numbers,
-    ("gpr_length_scale",): numbers,
-    ("gpr_noise_var",): numbers,
+    ("gpr_signal_var",): positive,
+    ("gpr_length_scale",): positive,
+    ("gpr_noise_var",): non_negative,
     ("ensemble", "pool_size"): st.integers(min_value=1),
     ("ensemble", "subsample_fraction"): st.floats(0.0, 1.0, exclude_min=True),
     ("ensemble", "bootstrap"): st.booleans(),
     ("ensemble", "oof_errors"): st.booleans(),
-    ("ensemble", "weight_b"): st.none() | numbers,
+    ("ensemble", "weight_b"): st.none() | positive,
     ("ensemble", "weight_c"): st.none() | numbers,
     ("ensemble", "literal_weights"): st.booleans(),
     ("ensemble_patience",): st.integers(min_value=1),

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from teayield.dataset import (CANONICAL_SCHEMA, MONTH_ENCODINGS,
                               FeatureMatrix, SyntheticSpec,
-                              correlation_report, derive_avg_temp,
-                              encode_months, generate_synthetic, load_csv,
-                              month_columns, pearson, read_blocks, render_csv,
-                              write_csv)
+                              correlation_report, encode_months,
+                              generate_synthetic, load_csv, month_columns,
+                              pearson, read_blocks, render_csv, write_csv)
 from teayield.errors import DataError
 
 from conftest import (block_sizes, csv_edits, mutate_csv, random_matrix,
@@ -249,9 +248,10 @@ def loadable_matrices(draw):
     months = column(st.integers(1, 12))
     features = [low, high, column(finite(0.0, 100.0)), column(finite(0.0)),
                 column(finite(0.0, 14.0)), *(column(finite()) for _ in extras)]
-    values = np.column_stack([*features, encode_months(months, encoding)])
+    values = np.column_stack([*features, encode_months(months, encoding),
+                              (low + high) / 2.0])
     names = ("min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
-             *extras, *month_columns(encoding))
+             *extras, *month_columns(encoding), "avg_temp")
     target = column(finite(0.0)) if has_yield else [0.0] * n
     # Any text a UTF-8 file can hold; the loader strips cells.
     text = st.text(st.characters(blacklist_categories=("Cs",))).map(str.strip)
@@ -453,28 +453,78 @@ class TestReadBlocks:
             assert_same_matrix(joined(blocks), whole)
 
 
-class TestDeriveAvgTemp:
-    def test_midpoint(self):
-        m = FeatureMatrix(("min_temp", "max_temp"), [[10.0, 30.0]], [1.0])
-        assert derive_avg_temp(m).column("avg_temp")[0] == 20.0
+class TestAvgTempIsBuiltAtLoad:
+    """The reader builds avg_temp = (min_temp + max_temp) / 2 as the last
+    column, and no file or schema column may take a derived column's name."""
 
-    def test_degenerate_equality(self):
-        m = FeatureMatrix(("min_temp", "max_temp"), [[15.0, 15.0]], [1.0])
-        assert derive_avg_temp(m).column("avg_temp")[0] == 15.0
+    @staticmethod
+    def load_temps(tmp_path, lo: float, hi: float) -> FeatureMatrix:
+        row = sample_row()
+        row[2:4] = [lo, hi]
+        path = tmp_path / "d.csv"
+        write_rows(path, CANONICAL_SCHEMA, [row])
+        return load_csv(path)
 
-    def test_matches_recomputation(self, rng):
-        lo = rng.normal(size=50)
-        hi = lo + rng.uniform(0.1, 5.0, size=50)
-        m = FeatureMatrix(("min_temp", "max_temp"), np.column_stack([lo, hi]),
-                          rng.normal(size=50))
-        expected = (lo + hi) / 2.0
-        np.testing.assert_allclose(derive_avg_temp(m).column("avg_temp"),
-                                   expected, atol=0)
+    def test_midpoint(self, tmp_path):
+        m = self.load_temps(tmp_path, 10.0, 30.0)
+        assert m.column_names[-1] == "avg_temp"
+        assert m.column("avg_temp")[0] == 20.0
 
-    def test_missing_column(self):
-        m = FeatureMatrix(("min_temp",), [[1.0]], [1.0])
+    def test_degenerate_equality(self, tmp_path):
+        assert self.load_temps(tmp_path, 15.0, 15.0).column("avg_temp")[0] == 15.0
+
+    def test_matches_recomputation(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(generate_synthetic(50, 8, SyntheticSpec(n_distractors=1)), path)
+        for encoding in MONTH_ENCODINGS:
+            m = load_csv(path, None, encoding)
+            assert m.column_names == (
+                "min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
+                "distractor_1", *month_columns(encoding), "avg_temp")
+            expected = (m.column("min_temp") + m.column("max_temp")) / 2.0
+            assert m.column("avg_temp").tobytes() == expected.tobytes()
+
+    def test_missing_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        header = [c for c in CANONICAL_SCHEMA if c != "max_temp"]
+        write_rows(path, header, [sample_row()[:3] + sample_row()[4:]])
         with pytest.raises(DataError, match="max_temp"):
-            derive_avg_temp(m)
+            load_csv(path, None)
+
+    @pytest.mark.parametrize("n, seed, spec", [
+        (12, 0, SyntheticSpec()), (120, 42, SyntheticSpec.canonical()),
+        (37, 5, SyntheticSpec(n_distractors=2, n_outliers=1))])
+    def test_the_generator_gives_the_loaded_matrix(self, tmp_path, n, seed,
+                                                   spec):
+        m = generate_synthetic(n, seed, spec)
+        path = tmp_path / "d.csv"
+        write_csv(m, path)
+        loaded = load_csv(path, None)
+        assert m.column_names[-1] == "avg_temp"
+        assert loaded.column_names == m.column_names
+        assert loaded.values.tobytes() == m.values.tobytes()
+        assert loaded.target.tobytes() == m.target.tobytes()
+        assert loaded.carried == m.carried
+
+    @pytest.mark.parametrize("name, encoding", [
+        ("avg_temp", "cyclic"), ("avg_temp", "integer"), ("month_sin", "cyclic"),
+        ("month_cos", "cyclic"), ("month_03", "onehot")])
+    @pytest.mark.parametrize("listed", [False, True], ids=["header", "schema"])
+    def test_a_derived_name_is_refused_before_any_row(self, tmp_path, name,
+                                                       encoding, listed):
+        """The first data row is bad too: the name is refused first."""
+        bad = sample_row()
+        bad[4] = 140.0
+        path = tmp_path / "d.csv"
+        write_rows(path, [*CANONICAL_SCHEMA, name], [bad + [1.0]])
+        schema = CANONICAL_SCHEMA + (name,) if listed else None
+        for read in (lambda: load_csv(path, schema, encoding),
+                     lambda: next(read_blocks(path, schema, encoding, block=1))):
+            with pytest.raises(DataError) as err:
+                read()
+            assert str(err.value) == (
+                f"{path}: column {name!r} is derived when the file is read; "
+                "the file and the schema may not name it")
 
 
 class TestPearson:

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,12 @@ class TestComputeWeights:
     def test_small_b_approaches_uniform(self):
         w = compute_weights([0.1, 0.5, 0.9], b=1e-9, c=0.5)
         np.testing.assert_allclose(w, np.full(3, 1 / 3), atol=1e-9)
+
+    def test_a_huge_error_gets_zero_weight_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = compute_weights([0.0, 1e308], 10.0, 0.0)
+        assert w.tolist() == [1.0, 0.0]
 
     def test_hand_derived_example(self):
         w = compute_weights([0.1, 0.2], b=10.0, c=0.15)
@@ -247,9 +254,9 @@ class TestSelectLearners:
 
 
 def one_member_state(m):
-    return PreprocessState(month_encoding="cyclic", add_avg_temp=False,
-                           stage_order=(), selected_features=m.column_names,
-                           scaler=None, log_features=(), log_target=False,
+    return PreprocessState(month_encoding="cyclic", stage_order=(),
+                           selected_features=m.column_names, scaler=None,
+                           log_features=(), log_target=False,
                            target_center=0.0, target_scale=1.0)
 
 

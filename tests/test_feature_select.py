@@ -53,6 +53,13 @@ def planted_matrix(seed, n=200, noise_features=5):
     return FeatureMatrix(tuple(names), np.column_stack(cols), target, "y")
 
 
+def with_copy(m, name, source):
+    """``m`` with a copy of its column ``source`` appended as ``name``."""
+    return FeatureMatrix(m.column_names + (name,),
+                         np.column_stack([m.values, m.column(source)]),
+                         m.target, m.target_name)
+
+
 class TestRRelieff:
     def test_planted_relevant_feature_ranked_first(self):
         hits = 0
@@ -64,7 +71,7 @@ class TestRRelieff:
 
     def test_duplicated_feature_gets_equal_weight(self, rng):
         m = planted_matrix(3, n=60, noise_features=2)
-        dup = m.append_column("signal_copy", m.column("signal"))
+        dup = with_copy(m, "signal_copy", "signal")
         ranked = rrelieff(dup, k=8, seed=0)
         i = dup.col_index("signal")
         j = dup.col_index("signal_copy")
@@ -120,7 +127,7 @@ class TestRRelieff:
         for seed in range(10):
             m = planted_matrix(seed, n=80, noise_features=3)
             top = m.column_names[rrelieff(m, k=8, seed=0).order[0]]
-            dup = m.append_column("extra_copy", m.column(top))
+            dup = with_copy(m, "extra_copy", top)
             top2 = dup.column_names[rrelieff(dup, k=8, seed=0).order[0]]
             assert top2 == top
 

@@ -186,3 +186,54 @@ def test_the_scan_flags_a_transform_outside_the_chain(tmp_path):
         "pipeline.py:4: log_transform", "pipeline.py:5: apply_scaler"]
     assert chain_bypasses(tmp_path / "cli.py") == ["cli.py:4: log_transform"]
     assert chain_bypasses(tmp_path / "preprocess.py") == []
+
+
+# The reader, ``dataset``, builds every derived input column when a file is
+# read: the encoded month and avg_temp.  So no other module encodes months
+# or names avg_temp in code; a docstring may mention it.
+def derived_column_owners(path: Path) -> list[str]:
+    """Each place outside ``dataset`` that builds or names a derived column."""
+    if path.stem == "dataset":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+            docstrings.add(id(node.body[0].value))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "encode_months":
+                found.append((node.lineno, "encode_months"))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "avg_temp" in node.value and id(node) not in docstrings):
+            found.append((node.lineno, "avg_temp"))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_derived_columns_are_built_by_the_reader_alone(path):
+    assert derived_column_owners(path) == []
+
+
+def test_the_scan_flags_a_derived_column_outside_the_reader(tmp_path):
+    body = ('"""Builds avg_temp."""\n'
+            "from .dataset import encode_months\n"
+            "def f(m, months):\n"
+            '    """Reads avg_temp."""\n'
+            "    names = ('a', 'avg_temp')\n"
+            "    return m.column(f'{names[0]}'), encode_months(months, 'x')\n"
+            "class A:\n"
+            '    """avg_temp"""\n'
+            "    key = 'avg_temp'\n")
+    for stem in ("pipeline", "dataset"):
+        (tmp_path / f"{stem}.py").write_text(body, encoding="utf-8")
+    assert derived_column_owners(tmp_path / "pipeline.py") == [
+        "pipeline.py:5: avg_temp", "pipeline.py:6: encode_months",
+        "pipeline.py:9: avg_temp"]
+    assert derived_column_owners(tmp_path / "dataset.py") == []

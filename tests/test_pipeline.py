@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from teayield import pipeline
-from teayield.dataset import (SyntheticSpec, derive_avg_temp,
-                              generate_synthetic)
+from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.errors import DataError
 from teayield.evaluation import make_folds
 from teayield.pipeline import fit_chain, fit_preprocess, stage_report
@@ -60,7 +59,7 @@ def traced_report(canonical_raw):
 class TestFittedChain:
     def test_cv_chain_has_identity_target_scaling(self, canonical_raw):
         cfg = replace(tiny_config(), outlier_rule="4_over_n")
-        raw = derive_avg_temp(canonical_raw)
+        raw = canonical_raw
         prefixes, artifacts = fit_chain(raw, cfg, 3)
         train_m, chain = prefixes[-1]
         assert (chain.target_center, chain.target_scale) == (0.0, 1.0)
@@ -83,7 +82,7 @@ class TestFittedChain:
     def test_prefix_k_is_a_fit_of_the_first_k_stages(self, canonical_raw,
                                                      outlier_rule):
         cfg = replace(tiny_config(), outlier_rule=outlier_rule)
-        raw = derive_avg_temp(canonical_raw)
+        raw = canonical_raw
         prefixes, _ = fit_chain(raw, cfg, 3)
         assert len(prefixes) == len(cfg.stages) + 1
         for k, prefix in enumerate(prefixes):
@@ -147,7 +146,7 @@ class TestFittedChain:
         """Scaling the targets of one fold's scored rows changes the report
         but no bit of that fold's chain, at any prefix."""
         cfg, report_a, fits_a = traced_report(False)
-        raw = derive_avg_temp(canonical_raw)
+        raw = canonical_raw
         fold = 2
         plan = make_folds(raw.n_samples, cfg.cv_folds,
                           derive_seed(cfg.seed, pipeline._TAG_STAGE))

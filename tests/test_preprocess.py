@@ -103,7 +103,7 @@ class TestLogTransform:
         with pytest.raises(DataError, match="target 'yield'"):
             log_transform(m, (m.target_name,))
         chain = PreprocessState(
-            month_encoding="cyclic", add_avg_temp=False, stage_order=(),
+            month_encoding="cyclic", stage_order=(),
             selected_features=m.column_names, scaler=None, log_features=(),
             log_target=True, target_center=0.0, target_scale=1.0)
         np.testing.assert_array_equal(chain.transform_target(y), np.log(y))
