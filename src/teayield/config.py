@@ -112,7 +112,15 @@ class PipelineConfig:
 
 
 def paper_defaults() -> PipelineConfig:
-    """The default configuration (all stated method constants)."""
+    """``PipelineConfig()``: every field at its default, the configuration a
+    command runs without ``--config``.
+
+    The paper's abstract states none of these method constants; they are
+    this package's choices.  The benchmark does not run them: it runs
+    ``bench_config`` from ``tests/conftest.py``, written out as
+    ``benchmarks/bench.ini``, which differs in six method options and the
+    master seed.
+    """
     return PipelineConfig()
 
 

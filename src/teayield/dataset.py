@@ -6,7 +6,8 @@ files follow a fixed monthly-observation schema; bookkeeping columns (year,
 labor cost, labor training level, pesticide use) are parsed and carried for
 provenance but never exposed as model features.  The reader alone derives
 columns: the month, 1-12 on disk, expanded (cyclic sin/cos by default), then
-``avg_temp = (min_temp + max_temp) / 2``; a file may not name either.
+``avg_temp = (min_temp + max_temp) / 2``; a file may not name either, nor a
+column of another month encoding.
 """
 
 from __future__ import annotations
@@ -195,6 +196,14 @@ def _derived_columns(encoding: str) -> tuple[str, ...]:
     return (*month_columns(encoding), "avg_temp")
 
 
+# The model columns of every month encoding.  The reader refuses a file or
+# schema column with one of these names, ``month`` aside, whatever encoding is
+# active, so that ``render_csv``, which leaves them all out, writes back every
+# column the reader took.
+_DERIVED_NAMES = frozenset(c for enc in MONTH_ENCODINGS
+                           for c in _derived_columns(enc))
+
+
 @contextmanager
 def _csv_text(path):
     """Turn a decoding or CSV syntax failure while reading ``path`` into a
@@ -377,8 +386,8 @@ def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
         if schema is None:
             schema = CANONICAL_SCHEMA + tuple(
                 h for h in header if h not in CANONICAL_SCHEMA)
-        derived = set(_derived_columns(month_encoding)) - set(CANONICAL_SCHEMA)
-        shadowing = [c for c in (*schema, *header) if c in derived]
+        shadowing = [c for c in (*schema, *header)
+                     if c in _DERIVED_NAMES and c not in CANONICAL_SCHEMA]
         if shadowing:
             raise DataError(f"{path}: column {shadowing[0]!r} is derived when "
                             "the file is read; the file and the schema may not name it")
@@ -408,7 +417,9 @@ def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
     numeric features; ``schema=None`` takes them from the header, in header
     order, so the schema is the canonical set plus every other header column.
     The encoded month and ``avg_temp`` follow, derived here; a header or
-    schema that names one of them is refused, naming the file and column.
+    schema that names one of them, or a column of another month encoding
+    (``month_sin``, ``month_03``, ...), is refused, naming the file and
+    column.
     With ``require_target`` false the ``yield`` column may be left out, as
     when scoring new rows; the target of such a file reads as zeros.  Rows
     are parsed into one buffer per column and the range rules run over
@@ -439,8 +450,7 @@ def render_csv(m: FeatureMatrix) -> str:
     for key in CARRIED_COLUMNS:
         if key not in m.carried:
             raise DataError(f"matrix lacks carried column {key!r}; cannot serialize")
-    derived = {c for enc in MONTH_ENCODINGS for c in _derived_columns(enc)}
-    feature_cols = [c for c in m.column_names if c not in derived]
+    feature_cols = [c for c in m.column_names if c not in _DERIVED_NAMES]
     known = [c for c in feature_cols if c in CANONICAL_SCHEMA]
     extras = [c for c in feature_cols if c not in CANONICAL_SCHEMA]
     header = ["year", "month", *known, *extras,

@@ -8,9 +8,14 @@ left at the library's default.
 
 The networks are tiny (tens to a couple of hundred rows, 5 to 30 hidden
 units), so an epoch costs more in numpy call dispatch than in arithmetic.
-``mlp_train`` therefore fuses each epoch.  The four parameter arrays are views
-into one flat vector, the gradients are written into views of a second one
-with the same layout, and the update is a single ``theta -= lr * grad``.
+``mlp_train`` therefore fuses each epoch into 19 numpy calls, 18 in the first
+epoch and without a shard, each writing into a buffer allocated once per call
+and passed positionally.  The numpy functions, and the ``dot`` method of
+each product's left operand, are bound to local names, and the scalars are
+held as 0-d arrays, which a ufunc takes faster than Python floats.  The four
+parameter arrays are views into one flat vector, the gradients are written
+into views of a second one with the same layout, and the update is a single
+``theta -= lr * grad``.
 
 BLAS also does the hidden layer's bias work.  The inputs get a ones column
 once per call, ``X1 = [[X; Xv] | 1]``, and since ``b1`` follows the rows of
@@ -19,21 +24,27 @@ once per call, ``X1 = [[X; Xv] | 1]``, and since ``b1`` follows the rows of
 epoch's gradient and the early-stopping check of the previous update, and one
 ``X1[:n].T @ dZ1`` writes the gradients of ``W1`` and ``b1`` together.  The
 back-propagated error starts as a rank-1 matrix product of the output error
-column and the ``w2`` row.  Temporaries go into buffers allocated once per
-call.
+column and the ``w2`` row.
 
 The output layer stays two matrix-vector products, one over the fit rows and
 one over the shard: on OpenBLAS a single product over the stacked rows rounds
 differently for many shapes, while the stacked hidden-layer product gives the
-same bits as two separate ones.  The folded products round as the plain
-per-epoch loop's ``X @ W1 + b1``, ``X.T @ dZ1`` and ``dZ1.sum(axis=0)`` did
-for 2 to 14 input features on OpenBLAS 0.3.31, so training there is
-bit-identical to that loop.  With one feature the gradient product, and
-with 15 or more features the forward product for about half of the shapes,
-differ in the last bits; over a few hundred epochs that moves the parameters
-by less than 1e-10 relative, with the same epoch count.
-``tests/test_kernels.py`` keeps the plain loop as the reference and checks
-both ranges.
+same bits as two separate ones.  The two products write into views ``err =
+E[:n]`` and ``verr = E[n:]`` of one error vector, so adding ``b2``,
+subtracting the stacked targets ``[y; yv]`` and squaring are one call each
+for both sides.  The shard loss sums ``E[n:]``'s squares and the training
+loss ``E[:n]``'s, each on its own, so a non-finite shard never reaches the
+training loss.
+
+The folded products round as the plain per-epoch loop's ``X @ W1 + b1``,
+``X.T @ dZ1`` and ``dZ1.sum(axis=0)`` did for 2 to 14 input features on
+OpenBLAS 0.3.31, so training there is bit-identical to that loop.  With one
+feature the gradient product, with 15 or more features the forward product
+for about half of the shapes, and with a single fit row (where the plain
+loop's products are matrix-vector ones) the forward product differ in the
+last bits; over a few hundred epochs that moves the parameters by less than
+1e-10 relative, with the same epoch count.  ``tests/test_kernels.py`` keeps
+the plain loop as the reference and checks both ranges.
 
 ``mlp_forward`` (scoring, training error, last early-stopping check) calls
 no BLAS, whose kernel and thread split follow the row count.  Hidden unit j
@@ -87,6 +98,8 @@ def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
     n, f = X.shape
     nv = Xv.shape[0]
     h = W1.shape[1]
+    tanh, add, multiply, subtract = np.tanh, np.add, np.multiply, np.subtract
+    add_reduce, isfinite = np.add.reduce, math.isfinite
     theta = np.concatenate((np.ravel(W1), b1, w2, [b2]))
     grad = np.empty_like(theta)
     step = np.empty_like(theta)
@@ -96,34 +109,44 @@ def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
     W1b = theta[:(f + 1) * h].reshape(f + 1, h)
     gW1b = grad[:(f + 1) * h].reshape(f + 1, h)
     w2_row = tw2[None, :]
+    # Scalars as 0-d arrays: a ufunc takes them faster than Python floats.
+    b2_0d = tb2.reshape(())
+    one, two_by_n, rate = np.array(1.0), np.array(2.0 / n), np.array(float(lr))
     use_val = nv > 0
     X1 = np.ones((n + nv, f + 1))
     X1[:n, :f] = X
     X1[n:, :f] = Xv
-    X1_fit_T = X1[:n].T
     Z = np.empty((n + nv, h))
     A1, Av = Z[:n], Z[n:]
-    err = np.empty(n)
-    sq = np.empty(n)
-    verr = np.empty(nv)
-    vsq = np.empty(nv)
+    # Output errors and their squares, fit rows then shard rows.
+    Y = np.concatenate((y, yv))
+    E = np.empty(n + nv)
+    SQ = np.empty(n + nv)
+    err, verr = E[:n], E[n:]
+    fit_sq, val_sq = SQ[:n], SQ[n:]
     dout = np.empty(n)
-    dout_col = dout[:, None]
     dZ1 = np.empty((n, h))
     slope = np.empty((n, h))
+    # Each matrix product's left operand is fixed for the call, so its bound
+    # ``dot`` method is taken once: ``X1_dot(W1b, Z)`` is ``Z = X1 @ W1b``.
+    X1_dot, A1_dot, Av_dot = X1.dot, A1.dot, Av.dot
+    A1_T_dot, X1_fit_T_dot = A1.T.dot, X1[:n].T.dot
+    dout_col_dot = dout[:, None].dot
     best = theta.copy()
     best_val = np.inf
     bad = 0
     losses = np.empty(max_epochs)
     n_run = 0
     for epoch in range(max_epochs):
-        np.dot(X1, W1b, out=Z)
-        np.tanh(Z, out=Z)
+        X1_dot(W1b, Z)
+        tanh(Z, Z)
+        A1_dot(tw2, err)
+        Av_dot(tw2, verr)
+        add(E, b2_0d, E)
+        subtract(E, Y, E)
+        multiply(E, E, SQ)
         if use_val and epoch:
-            np.dot(Av, tw2, out=verr)
-            verr += tb2
-            verr -= yv
-            vloss = np.add.reduce(np.multiply(verr, verr, out=vsq)) / nv
+            vloss = add_reduce(val_sq) / nv
             if vloss < best_val:
                 best_val = vloss
                 best[:] = theta
@@ -132,27 +155,24 @@ def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
                 bad += 1
                 if bad >= patience:
                     break
-        np.dot(A1, tw2, out=err)
-        err += tb2
-        err -= y
-        loss = np.add.reduce(np.multiply(err, err, out=sq)) / n
+        loss = add_reduce(fit_sq) / n
         losses[epoch] = loss
         n_run = epoch + 1
-        if not math.isfinite(loss):
+        if not isfinite(loss):
             return tW1, tb1, tw2, theta[-1], losses[:n_run], n_run, -1
-        np.multiply(err, 2.0 / n, out=dout)
-        np.dot(A1.T, dout, out=gw2)
-        gb2[0] = np.add.reduce(dout)
-        np.multiply(A1, A1, out=slope)
-        np.subtract(1.0, slope, out=slope)
-        np.dot(dout_col, w2_row, out=dZ1)
-        dZ1 *= slope
-        np.dot(X1_fit_T, dZ1, out=gW1b)
-        theta -= np.multiply(grad, lr, out=step)
+        multiply(err, two_by_n, dout)
+        A1_T_dot(dout, gw2)
+        gb2[0] = add_reduce(dout)
+        multiply(A1, A1, slope)
+        subtract(one, slope, slope)
+        dout_col_dot(w2_row, dZ1)
+        multiply(dZ1, slope, dZ1)
+        X1_fit_T_dot(dZ1, gW1b)
+        subtract(theta, multiply(grad, rate, step), theta)
     else:
         if use_val:
             verr = mlp_forward(Xv, tW1, tb1, tw2, tb2) - yv
-            if np.add.reduce(verr * verr) / nv < best_val:
+            if add_reduce(verr * verr) / nv < best_val:
                 best[:] = theta
     out = best if use_val else theta
     return *_views(out, f, h)[:3], out[-1], losses[:n_run], n_run, 0

@@ -270,6 +270,7 @@ def test_a_column_listed_twice_exits_1_naming_it(workdir, model_doc, command,
 # name listed in ``feature_columns``: (column name, listed in the config).
 SHADOWS = {"header avg_temp": ("avg_temp", False),
            "header month_sin": ("month_sin", False),
+           "header month_03": ("month_03", False),
            "feature_columns avg_temp": ("avg_temp", True)}
 
 

@@ -508,7 +508,8 @@ class TestAvgTempIsBuiltAtLoad:
 
     @pytest.mark.parametrize("name, encoding", [
         ("avg_temp", "cyclic"), ("avg_temp", "integer"), ("month_sin", "cyclic"),
-        ("month_cos", "cyclic"), ("month_03", "onehot")])
+        ("month_cos", "cyclic"), ("month_03", "onehot"), ("month_03", "cyclic"),
+        ("month_sin", "onehot"), ("month_12", "integer")])
     @pytest.mark.parametrize("listed", [False, True], ids=["header", "schema"])
     def test_a_derived_name_is_refused_before_any_row(self, tmp_path, name,
                                                        encoding, listed):

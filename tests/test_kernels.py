@@ -7,17 +7,24 @@ and the hidden bias added and summed on its own.  The fused kernel folds that
 bias into its matrix products through a ones column on the inputs.  With 2 to
 14 input features those products round as the plain loop's did on OpenBLAS
 0.3.31, so parameters, losses, epoch counts and status must match bit for
-bit.  Outside that range they may differ in the last bits; there the
-parameters and losses must agree to ``rtol=1e-9`` with the same epoch count
-and status.
+bit.  Outside that range, and with a single fit row, they may differ in the
+last bits; there the parameters and losses must agree to ``rtol=1e-9`` with
+the same epoch count and status.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from teayield import kernels
+from teayield.pipeline import train_ensemble_pipeline
+from teayield.serialize import model_to_json
+
+from conftest import tiny_config
 
 
 def reference_loss_grads(X, y, W1, b1, w2, b2):
@@ -96,6 +103,14 @@ def assert_same_run(problem, lr, max_epochs, patience):
     return got
 
 
+def assert_close_run(problem, lr, max_epochs, patience):
+    got = kernels.mlp_train(*problem, lr, max_epochs, patience)
+    want = reference_mlp_train(*problem, lr, max_epochs, patience)
+    for g, w in zip(got[:5], want[:5]):
+        np.testing.assert_allclose(np.asarray(g), np.asarray(w), rtol=1e-9)
+    assert got[5:] == want[5:]
+
+
 def stacked_output_changes_bits(problem):
     # True when one output-layer product over the stacked [X; Xv] rows rounds
     # differently from the two products over the fit rows and the shard, at
@@ -143,9 +158,12 @@ def test_divergence_keeps_the_non_finite_loss():
     assert len(losses) == epochs and not np.isfinite(losses[-1])
 
 
-@pytest.mark.parametrize("n,nv,f,h", [(77, 14, 6, 5), (102, 18, 9, 12),
-                                      (153, 27, 4, 30), (184, 33, 11, 17),
-                                      (92, 16, 2, 17), (130, 23, 14, 9)])
+@pytest.mark.parametrize("n,nv,f,h", [
+    (77, 14, 6, 5), (102, 18, 9, 12), (153, 27, 4, 30), (184, 33, 11, 17),
+    (92, 16, 2, 17), (130, 23, 14, 9), (40, 1, 5, 9),
+    # canonical-train: its pool and fold-refit splits, 6 selected features
+    (83, 15, 6, 5), (83, 15, 6, 16), (83, 15, 6, 30),
+    (92, 16, 6, 5), (92, 16, 6, 16), (92, 16, 6, 30)])
 def test_workload_shapes(n, nv, f, h):
     problem = make_problem(n * h, n, nv, f, h)
     assert_same_run(problem, 0.05, 400, 20)
@@ -155,11 +173,7 @@ def test_workload_shapes(n, nv, f, h):
 @pytest.mark.parametrize("f", [1, 16, 28])
 def test_feature_counts_outside_the_bit_identical_range(f, nv):
     problem = make_problem(f + nv, 92, nv, f, 17)
-    got = kernels.mlp_train(*problem, 0.05, 300, 20)
-    want = reference_mlp_train(*problem, 0.05, 300, 20)
-    for g, w in zip(got[:5], want[:5]):
-        np.testing.assert_allclose(np.asarray(g), np.asarray(w), rtol=1e-9)
-    assert got[5:] == want[5:]
+    assert_close_run(problem, 0.05, 300, 20)
 
 
 def test_a_shape_where_a_stacked_output_product_changes_bits():
@@ -175,6 +189,70 @@ def test_a_shape_where_a_stacked_output_product_changes_bits():
         pytest.fail("no workload-sized shape where stacking the output layer "
                     "rounds differently")
     assert_same_run(problem, 0.05, 300, 20)
+
+
+@pytest.mark.parametrize("nv", [1, 6])
+def test_one_fit_row(nv):
+    """With one fit row the plain loop's products are matrix-vector
+    products, which OpenBLAS rounds differently from the kernel's matrix
+    products, so the last bits may differ."""
+    problem = make_problem(43 + nv, 1, nv, 5, 9)
+    assert_close_run(problem, 0.05, 300, 20)
+
+
+@pytest.mark.parametrize("spoil", ["inf", "nan"])
+def test_a_non_finite_shard_loss_leaves_the_fit_loss_alone(spoil):
+    """The shard's errors share a buffer with the fit rows' errors; an
+    infinite or NaN shard loss must not reach the fit loss, and it never
+    counts as an improvement, so training stops after ``patience`` epochs
+    with the starting parameters."""
+    X, y, Xv, yv, *params = make_problem(6, 30, 8, 4, 7)
+    if spoil == "inf":
+        yv = np.full_like(yv, 1e200)
+    else:
+        Xv = Xv.copy()
+        Xv[3, 1] = np.nan
+    problem = (X, y, Xv, yv, *params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W1, b1, w2, b2, losses, epochs, status = assert_same_run(problem, 0.05,
+                                                                 500, 12)
+    assert (epochs, status) == (12, 0)
+    assert np.all(np.isfinite(losses))
+    np.testing.assert_array_equal(W1, params[0])
+    assert b2 == params[3]
+
+
+@pytest.mark.parametrize("pool", [3, 12])
+def test_trained_model_is_the_reference_loops_model(canonical_raw, monkeypatch,
+                                                    pool):
+    """End to end, whatever BLAS gives: the shipped kernel and the plain
+    loop train the same model file."""
+    cfg = tiny_config()
+    cfg = replace(cfg, ensemble=replace(cfg.ensemble, pool_size=pool))
+    shipped = model_to_json(train_ensemble_pipeline(canonical_raw, cfg).model)
+    monkeypatch.setattr(kernels, "mlp_train", reference_mlp_train)
+    reference = model_to_json(train_ensemble_pipeline(canonical_raw, cfg).model)
+    assert shipped.encode() == reference.encode()
+
+
+@pytest.mark.parametrize("nv", [0, 16])
+def test_peak_memory_grows_only_by_the_losses_buffer(nv):
+    """No epoch keeps an allocation alive: past the ``losses`` buffer, 8
+    bytes an epoch, the peak memory of a call does not grow with the number
+    of epochs run."""
+    problem = make_problem(nv, 92, nv, 6, 16)
+
+    def peak(epochs):
+        tracemalloc.start()
+        try:
+            out = kernels.mlp_train(*problem, 0.01, epochs, epochs + 1)
+            return tracemalloc.get_traced_memory()[1], out[5]
+        finally:
+            tracemalloc.stop()
+
+    (short, run_short), (long, run_long) = peak(200), peak(2000)
+    assert (run_short, run_long) == (200, 2000)
+    assert long - short <= 8 * (2000 - 200) + 512
 
 
 def reference_forward_row(x, W1, b1, w2, b2):
