@@ -12,6 +12,15 @@ drops training rows only, and a fitted chain never drops a row it scores,
 so the default report scores every row.  The ``paper_faithful`` report
 does not: it cross-validates over each prefix's matrix, so from the outlier
 removal column on, the rows that stage flagged are never scored.
+
+``evaluate_pipeline`` runs in two processes.  After the hold-out split it
+forks one child, which fits the ensemble on the training side and sends
+back its predictions for the held-out rows; meanwhile the parent builds
+the stage report.  The two halves share nothing but their inputs, and each
+is the same deterministic code on the same rows as in one process, so every
+output bit is the same.  When both halves fail, the stage report's error
+is raised, as when one process runs them in turn.  ``train``, ``predict``
+and each single fit run in one process.
 """
 
 from __future__ import annotations
@@ -114,6 +123,10 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     prefixes = [(m, chain)]
     for stage in cfg.stages:
         if stage == "feature_selection":
+            if cfg.relieff.k >= m.n_samples:
+                raise DataError(f"[relieff] k = {cfg.relieff.k} needs more "
+                                f"than {cfg.relieff.k} rows to rank features, "
+                                f"got {m.n_samples}")
             ranked = rrelieff(m, k=cfg.relieff.k,
                               iterations=cfg.relieff.iterations,
                               seed=derive_seed(seed, 1),
@@ -188,12 +201,12 @@ def _stage_factories(cfg: PipelineConfig) -> dict:
 
 
 @contextmanager
-def _naming(stage: str, model: str):
-    """Prefix a fit or data error raised inside with its stage-report cell."""
+def _naming(where: str):
+    """Prefix a fit or data error raised inside with where it arose."""
     try:
         yield
     except (FitError, DataError) as exc:
-        raise type(exc)(f"stage {stage!r}, model {model!r}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageReport:
@@ -224,7 +237,7 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
         for j, model, fit_seed in cells:
             stage_m, chain = prefixes[j]
             plan = make_folds(stage_m.n_samples, cfg.cv_folds, plan_seed)
-            with _naming(stage_names[j], model):
+            with _naming(f"stage {stage_names[j]!r}, model {model!r}"):
                 oof = cross_validate(stage_m, factories[model], plan, fit_seed)
             scores.append(metrics(chain.invert_target(stage_m.target),
                                   chain.invert_target(oof)).rmse)
@@ -235,12 +248,13 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
         plan = make_folds(raw.n_samples, cfg.cv_folds, plan_seed)
         for fold in range(plan.k):
             train_rows, eval_rows = plan.fold_indices(fold)
-            prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
-                                    derive_seed(seed, _TAG_CHAIN, fold))
+            with _naming(f"training rows of stage-report fold {fold}"):
+                prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
+                                        derive_seed(seed, _TAG_CHAIN, fold))
             eval_raw = raw.take_rows(eval_rows)
             for c, (j, model, fit_seed) in enumerate(cells):
                 train_m, chain = prefixes[j]
-                with _naming(stage_names[j], model):
+                with _naming(f"stage {stage_names[j]!r}, model {model!r}"):
                     predict_fn = factories[model](train_m,
                                                   derive_seed(fit_seed, fold))
                     oof[c, eval_rows] = chain.invert_target(np.asarray(
@@ -266,10 +280,62 @@ class HoldoutEvaluation:
 
 def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluation:
     """Hold out a test split, build the stage report and the ensemble on the
-    training side only, then score the ensemble on the untouched split."""
+    training side only, then score the ensemble on the untouched split.
+
+    The two halves run side by side.  A forked child process fits the
+    ensemble and sends back its hold-out predictions, one float64 vector,
+    or the exception that stopped it; the parent builds the stage report
+    meanwhile.  Each half is the code a serial run would call, on the same
+    inputs and seeds, so the result is bit for bit the serial one.  Errors
+    are those of the serial run, which builds the stage report first: when
+    both halves fail, the stage report's error wins, and the child's
+    exception is raised again here with its type and message.  A child that
+    ends without a readable result, because it was killed or its exception
+    could not be pickled, is a RuntimeError naming its exit status.  The
+    child is terminated and joined before this returns or raises.
+
+    The child is forked, so it starts with the parent's imported modules
+    and data and pickles only its result; numpy's OpenBLAS shuts its
+    thread pool down before a fork.
+    """
     train_m, test_m = holdout_split(m, cfg.holdout_fraction,
                                     derive_seed(cfg.seed, _TAG_HOLDOUT))
-    report = stage_report(train_m, cfg, cfg.seed)
-    result = train_ensemble_pipeline(train_m, cfg)
-    preds = predict_ensemble(result.model, test_m)
+    if cfg.cv_folds > train_m.n_samples:
+        raise DataError(f"[evaluation] cv_folds = {cfg.cv_folds} needs at "
+                        f"least {cfg.cv_folds} rows to fold, but the hold-out "
+                        f"split leaves {train_m.n_samples} training rows")
+    import multiprocessing  # here, not at the top: it slows every import
+
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_ensemble_half,
+                            args=(train_m, test_m, cfg, send))
+    child.start()
+    send.close()
+    try:
+        report = stage_report(train_m, cfg, cfg.seed)
+        try:
+            preds = receive.recv()
+        except Exception:  # EOFError, or a result that does not unpickle
+            child.join()
+            raise RuntimeError(f"the ensemble process sent no readable "
+                               f"result (exit status {child.exitcode})") from None
+    finally:
+        child.terminate()
+        child.join()
+        child.close()
+        receive.close()
+    if isinstance(preds, Exception):
+        raise preds
     return HoldoutEvaluation(report, metrics(test_m.target, preds))
+
+
+def _ensemble_half(train_m: FeatureMatrix, test_m: FeatureMatrix,
+                   cfg: PipelineConfig, send) -> None:
+    """The child's half of ``evaluate_pipeline``: fit the ensemble and send
+    its predictions for ``test_m``, or the exception that stopped it."""
+    try:
+        result = train_ensemble_pipeline(train_m, cfg)
+        send.send(predict_ensemble(result.model, test_m))
+    except Exception as exc:  # raised again in the parent
+        send.send(exc)

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -361,20 +362,35 @@ for args in (["synth", "--out", data],
 """
 
 
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python3 *args`` in a fresh process that imports this package."""
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def test_import_train_and_predict_load_no_scipy(workdir):
     """numpy is the only runtime dependency: in a fresh process where scipy
     cannot be imported, ``synth``, ``train``, ``evaluate`` and ``predict``
     exit 0 and load no scipy module."""
-    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    run = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(workdir / "tiny.ini"),
-         str(workdir / "no_scipy")],
-        capture_output=True, text=True, env=env, timeout=120)
+    run = _run_python("-c", NO_SCIPY_SCRIPT, str(workdir / "tiny.ini"),
+                      str(workdir / "no_scipy"))
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["import []", "synth 0 []",
                                        "train 0 []", "evaluate 0 []",
                                        "predict 0 []"], run.stderr
+
+
+def test_import_loads_no_process_machinery():
+    """Importing ``multiprocessing`` takes about 18 ms, so only ``evaluate``
+    does: a fresh ``import teayield.cli`` loads no module of
+    ``multiprocessing`` or ``concurrent``."""
+    run = _run_python("-c", "import sys, teayield.cli\n"
+                      "print(sorted(k for k in sys.modules if k.split('.')[0]"
+                      " in ('multiprocessing', 'concurrent')))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_non_finite_predictions_exit_1(workdir, model_doc, capsys):
@@ -428,6 +444,51 @@ def test_a_zero_yield_under_a_log_target_exits_1_naming_it(workdir, capsys):
     assert capsys.readouterr().err == (
         "error: log transform needs positive values; row 5, column 'yield' "
         "has 0.0\n")
+
+
+# ``tiny_config`` holds out 30% of the rows and folds the rest 5 ways.  Of
+# 9 rows, 6 train; a stage-report fold trains on 4, too few for 10 relief
+# neighbours.  Of 6 rows, 4 train, too few for 5 folds.
+@pytest.mark.parametrize("rows,message", [
+    (9, "training rows of stage-report fold 0: [relieff] k = 10 needs more "
+        "than 10 rows to rank features, got 4"),
+    (6, "[evaluation] cv_folds = 5 needs at least 5 rows to fold, but the "
+        "hold-out split leaves 4 training rows")])
+def test_evaluate_on_a_small_file_exits_1_naming_the_option(
+        workdir, tmp_path, capsys, rows, message):
+    lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines(True)
+    data = tmp_path / "small.csv"
+    data.write_text("".join(lines[:rows + 1]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--out", str(tmp_path / "out"),
+                 "--config", str(workdir / "tiny.ini")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _ensemble_exits(*args):
+    os._exit(3)
+
+
+def _ensemble_fails(*args):
+    raise DataError("planted ensemble failure")
+
+
+@pytest.mark.parametrize("fit,code,message", [
+    (_ensemble_fails, 1, "error: planted ensemble failure\n"),
+    (_ensemble_exits, 2, "internal error: RuntimeError: the ensemble process "
+                         "sent no readable result (exit status 3)\n")])
+def test_a_failed_ensemble_process_exits_as_a_serial_run(
+        workdir, tmp_path, monkeypatch, capsys, fit, code, message):
+    """``evaluate`` fits its ensemble in a child process; a user error there
+    exits 1 with its message, a child that ends without a result exits 2,
+    and no child outlives the command."""
+    monkeypatch.setattr("teayield.pipeline.train_ensemble_pipeline", fit)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(workdir / "data.csv"),
+                 "--out", str(tmp_path / "out"),
+                 "--config", str(workdir / "tiny.ini")]) == code
+    assert capsys.readouterr().err == message
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("section", ["sfs", "ensemble"])

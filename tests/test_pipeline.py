@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +9,11 @@ import pytest
 
 from teayield import pipeline
 from teayield.dataset import SyntheticSpec, generate_synthetic
-from teayield.errors import DataError
-from teayield.evaluation import make_folds
-from teayield.pipeline import fit_chain, fit_preprocess, stage_report
+from teayield.ensemble import predict_ensemble
+from teayield.errors import DataError, FitError, TeaYieldError
+from teayield.evaluation import holdout_split, make_folds, metrics
+from teayield.pipeline import (evaluate_pipeline, fit_chain, fit_preprocess,
+                               stage_report, train_ensemble_pipeline)
 from teayield.preprocess import remove_outliers
 from teayield.util import derive_seed
 
@@ -193,3 +199,80 @@ class TestStageReport:
         np.testing.assert_allclose(report.cell("mlr", "feature_scaling"),
                                    report.cell("mlr", "feature_selection"),
                                    rtol=1e-9)
+
+
+def _unpicklable(*args):
+    class Local(TeaYieldError):  # a class defined here cannot be pickled
+        pass
+    raise Local("planted")
+
+
+def _killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raises(exc):
+    def fit(*args):
+        raise exc
+    return fit
+
+
+def _sleeps(*args):
+    time.sleep(60)
+
+
+class TestEvaluateInTwoProcesses:
+    """The ensemble half of ``evaluate_pipeline`` runs in a forked child,
+    which inherits a ``train_ensemble_pipeline`` patched before the call."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_the_result_is_the_serial_chain_bit_for_bit(self, canonical_raw):
+        cfg = tiny_config()
+        result = evaluate_pipeline(canonical_raw, cfg)
+        train_m, test_m = holdout_split(
+            canonical_raw, cfg.holdout_fraction,
+            derive_seed(cfg.seed, pipeline._TAG_HOLDOUT))
+        serial = stage_report(train_m, cfg, cfg.seed)
+        model = train_ensemble_pipeline(train_m, cfg).model
+        assert result.stage.rmse.shape == serial.rmse.shape
+        assert (result.stage.rmse == serial.rmse).all()
+        assert result.holdout == metrics(test_m.target,
+                                         predict_ensemble(model, test_m))
+
+    def test_an_ensemble_error_keeps_its_type_and_message(
+            self, canonical_raw, monkeypatch):
+        monkeypatch.setattr(pipeline, "train_ensemble_pipeline",
+                            _raises(FitError("planted ensemble failure")))
+        with pytest.raises(FitError, match="^planted ensemble failure$"):
+            evaluate_pipeline(canonical_raw, tiny_config())
+
+    def test_the_stage_report_error_wins(self, canonical_raw, monkeypatch):
+        monkeypatch.setattr(pipeline, "train_ensemble_pipeline",
+                            _raises(FitError("ensemble")))
+        monkeypatch.setattr(pipeline, "stage_report",
+                            _raises(DataError("stage report")))
+        with pytest.raises(DataError, match="^stage report$"):
+            evaluate_pipeline(canonical_raw, tiny_config())
+
+    @pytest.mark.parametrize("fit,status", [(_killed, -signal.SIGKILL),
+                                            (_unpicklable, 1)],
+                             ids=["killed", "unpicklable"])
+    def test_no_result_is_an_error_naming_the_exit_status(
+            self, canonical_raw, monkeypatch, fit, status):
+        monkeypatch.setattr(pipeline, "train_ensemble_pipeline", fit)
+        with pytest.raises(RuntimeError, match=fr"\(exit status {status}\)$"):
+            evaluate_pipeline(canonical_raw, tiny_config())
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(), DataError("stop")])
+    def test_a_stopped_stage_report_ends_a_running_child(
+            self, canonical_raw, monkeypatch, exc):
+        monkeypatch.setattr(pipeline, "train_ensemble_pipeline", _sleeps)
+        monkeypatch.setattr(pipeline, "stage_report", _raises(exc))
+        start = time.perf_counter()
+        with pytest.raises(type(exc)):
+            evaluate_pipeline(canonical_raw, tiny_config())
+        assert time.perf_counter() - start < 30.0
