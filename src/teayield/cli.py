@@ -44,7 +44,7 @@ def _schema(cfg: PipelineConfig) -> tuple[str, ...] | None:
 
 
 def _load_data(path, cfg: PipelineConfig) -> FeatureMatrix:
-    return load_csv(path, _schema(cfg), cfg.month_encoding)
+    return load_csv(path, _schema(cfg))
 
 
 def _output(path, directory: bool = False) -> Path:
@@ -138,7 +138,7 @@ def cmd_predict(args) -> int:
     cfg = _read_config(args)
     out = _output(args.out) if args.out else None
     model = load_model(args.model)
-    source = (args.data, _schema(cfg), model.preprocess.month_encoding, False)
+    source = (args.data, _schema(cfg), False)
     try:
         preds = np.concatenate([predict_ensemble(model, block) for block
                                 in read_blocks(*source, block=SCORE_BLOCK)])

@@ -1,12 +1,12 @@
 """Pipeline configuration: INI file with sections, one master seed.
 
-``paper_defaults()`` returns the default configuration; every stated
-constant of the method (outlier threshold 0.5, 100-learner pool, hidden
-sizes 5-30, 10-fold CV) is a default here, and everything else is an
-explicit, documented choice.  ``render_config`` writes the INI text back
-out, so the shipped default file can never drift from the code.  ``OPTIONS``
-is the single list of INI options; ``load_config`` and ``render_config`` are
-loops over it.
+``paper_defaults()`` returns the configuration a command runs without
+``--config``.  ``render_config`` writes a configuration as INI text and
+``load_config`` reads it back, so the benchmark's committed config file is
+``render_config`` of the tests' ``bench_config`` and cannot drift from the
+code.  ``OPTIONS`` is the single list of INI options; ``load_config`` and
+``render_config`` are loops over it.  A retired option keeps its row, with
+the one value left to it, and sets nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
-from .dataset import MONTH_ENCODINGS, SyntheticSpec
+from .dataset import SyntheticSpec
 from .ensemble import EnsembleConfig
 from .errors import ConfigError, DataError, FitError
 from .feature_select import ReliefParams
@@ -24,15 +24,12 @@ from .regressors import MLPTrainConfig
 
 PIPELINE_STAGES = ("feature_selection", "feature_scaling", "outlier_removal",
                    "feature_transformation")
-SFS_EVALUATORS = ("ridge", "ols", "gpr", "mlp")
 OUTLIER_RULES = ("fixed", "4_over_n")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 42
-    month_encoding: str = "cyclic"
-    paper_faithful: bool = False
     feature_columns: tuple[str, ...] | None = None  # None = accept file extras
     stages: tuple[str, ...] = PIPELINE_STAGES
     scale_columns: tuple[str, ...] | None = None  # None = all features
@@ -41,7 +38,6 @@ class PipelineConfig:
     outlier_threshold: float = 0.5
     outlier_rule: str = "fixed"
     relieff: ReliefParams = ReliefParams()
-    sfs_evaluator: str = "ridge"
     sfs_ridge_lambda: float = 1e-2
     sfs_patience: int = 1
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=12)
@@ -57,9 +53,6 @@ class PipelineConfig:
     synth: SyntheticSpec = SyntheticSpec.canonical()
 
     def __post_init__(self):
-        if self.month_encoding not in MONTH_ENCODINGS:
-            raise ConfigError(f"month_encoding must be one of {MONTH_ENCODINGS}, "
-                              f"got {self.month_encoding!r}")
         seen = set()
         for stage in self.stages:
             if stage not in PIPELINE_STAGES:
@@ -77,9 +70,6 @@ class PipelineConfig:
                         f"log_features column {column!r} is also scaled, and "
                         "feature_scaling runs before feature_transformation: "
                         "a standardized column has values <= 0 to log")
-        if self.sfs_evaluator not in SFS_EVALUATORS:
-            raise ConfigError(f"sfs evaluator must be one of {SFS_EVALUATORS}, "
-                              f"got {self.sfs_evaluator!r}")
         if self.outlier_rule not in OUTLIER_RULES:
             raise ConfigError(f"outlier rule must be one of {OUTLIER_RULES}, "
                               f"got {self.outlier_rule!r}")
@@ -169,16 +159,26 @@ def _nested(section: str, key: str, kind: str, none_word: str | None = None):
     return section, key, (section, key), kind, none_word
 
 
+def _retired(section: str, key: str, kind: str, value):
+    """A row for a retired option: no attribute path, and in place of the
+    None word the one value the option may still be given."""
+    return section, key, None, kind, value
+
+
 # The single list of INI options, in file order.  Each row is (section, key,
 # attribute path from a PipelineConfig, value kind, the word that stands for
-# None if the option may be None).  ``ensemble.mlp`` has no row: it is the
-# [mlp] section with ``hidden_size=5`` (see load_config).
+# None if the option may be None); a retired row has the path None and its
+# one value last.  ``ensemble.mlp`` has no row: it is the [mlp] section with
+# ``hidden_size=5`` (see load_config).
 # ``synth.interaction_coef`` has none yet: its row would add a line to the
 # benchmark's committed config, which must equal render_config's output.
+# The five retired rows select modes the method no longer has.  They remain
+# because that committed file still lists them, and go when the benchmark's
+# config is next regenerated.
 OPTIONS = (
     ("pipeline", "seed", ("seed",), "int", None),
-    ("pipeline", "month_encoding", ("month_encoding",), "str", None),
-    ("pipeline", "paper_faithful", ("paper_faithful",), "bool", None),
+    _retired("pipeline", "month_encoding", "str", "cyclic"),
+    _retired("pipeline", "paper_faithful", "bool", False),
     ("pipeline", "stages", ("stages",), "list", None),
     ("data", "feature_columns", ("feature_columns",), "list", "auto"),
     ("scaling", "columns", ("scale_columns",), "list", "all"),
@@ -189,7 +189,7 @@ OPTIONS = (
     _nested("relieff", "k", "int"),
     _nested("relieff", "iterations", "int", "all"),
     _nested("relieff", "decay_sigma", "float", "none"),
-    ("sfs", "evaluator", ("sfs_evaluator",), "str", None),
+    _retired("sfs", "evaluator", "str", "ridge"),
     ("sfs", "ridge_lambda", ("sfs_ridge_lambda",), "float", None),
     ("sfs", "patience", ("sfs_patience",), "int", None),
     _nested("mlp", "hidden_size", "int"),
@@ -202,11 +202,11 @@ OPTIONS = (
     ("gpr", "noise_var", ("gpr_noise_var",), "float", None),
     _nested("ensemble", "pool_size", "int"),
     _nested("ensemble", "subsample_fraction", "float"),
-    _nested("ensemble", "bootstrap", "bool"),
+    _retired("ensemble", "bootstrap", "bool", False),
     _nested("ensemble", "oof_errors", "bool"),
     _nested("ensemble", "weight_b", "float", "auto"),
     _nested("ensemble", "weight_c", "float", "auto"),
-    _nested("ensemble", "literal_weights", "bool"),
+    _retired("ensemble", "literal_weights", "bool", False),
     ("ensemble", "patience", ("ensemble_patience",), "int", None),
     ("evaluation", "cv_folds", ("cv_folds",), "int", None),
     ("evaluation", "holdout_fraction", ("holdout_fraction",), "float", None),
@@ -265,8 +265,14 @@ def load_config(path) -> PipelineConfig:
                 where = f"[{section}] {key}"
                 if (section, key) not in options:
                     raise ConfigError(f"{where}: unknown option")
-                attr, kind, none_word = options[section, key]
-                values[attr] = (None if raw.strip().lower() == none_word
+                attr, kind, word = options[section, key]
+                if attr is None:
+                    if _KINDS[kind][0](raw, where) != word:
+                        raise ConfigError(
+                            f"{where}: retired option; it may only be "
+                            f"{_KINDS[kind][1](word)}, got {raw.strip()!r}")
+                    continue
+                values[attr] = (None if raw.strip().lower() == word
                                 else _KINDS[kind][0](raw, where))
         # Set in table order, whatever the file's: the check of log_features
         # against the stages and scaled columns set before it then sees
@@ -285,9 +291,9 @@ def load_config(path) -> PipelineConfig:
 def render_config(cfg: PipelineConfig) -> str:
     """Serialize a config back to INI text (inverse of load_config)."""
     sections: dict[str, list[str]] = {}
-    for section, key, attr, kind, none_word in OPTIONS:
-        value = reduce(getattr, attr, cfg)
-        text = none_word if value is None else _KINDS[kind][1](value)
+    for section, key, attr, kind, word in OPTIONS:
+        value = word if attr is None else reduce(getattr, attr, cfg)
+        text = word if value is None else _KINDS[kind][1](value)
         sections.setdefault(section, []).append(f"{key} = {text}\n")
     return "\n".join(f"[{section}]\n" + "".join(lines)
                      for section, lines in sections.items())

@@ -5,9 +5,8 @@ immutable column-named numeric table with a separate target vector.  CSV
 files follow a fixed monthly-observation schema; bookkeeping columns (year,
 labor cost, labor training level, pesticide use) are parsed and carried for
 provenance but never exposed as model features.  The reader alone derives
-columns: the month, 1-12 on disk, expanded (cyclic sin/cos by default), then
-``avg_temp = (min_temp + max_temp) / 2``; a file may not name either, nor a
-column of another month encoding.
+columns: the month, 1-12 on disk, as its cyclic sin and cos, then
+``avg_temp = (min_temp + max_temp) / 2``; a file may not name any of them.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ CANONICAL_SCHEMA = (
 )
 CARRIED_COLUMNS = ("year", "month", "labor_cost", "labor_training", "pesticide_used")
 TARGET_COLUMN = "yield"
-MONTH_ENCODINGS = ("cyclic", "integer", "onehot")
+# The model columns the reader derives, in column order after the features.
+DERIVED_COLUMNS = ("month_sin", "month_cos", "avg_temp")
 
 
 @dataclass(frozen=True)
@@ -167,41 +167,10 @@ def _parse_bool(cell: str, col: str) -> bool:
     raise DataError(f"column {col!r}: cannot parse {cell!r} as a boolean")
 
 
-def month_columns(encoding: str) -> tuple[str, ...]:
-    if encoding == "cyclic":
-        return ("month_sin", "month_cos")
-    if encoding == "integer":
-        return ("month",)
-    if encoding == "onehot":
-        return tuple(f"month_{m:02d}" for m in range(1, 13))
-    raise DataError(f"unknown month encoding {encoding!r}; choose from {MONTH_ENCODINGS}")
-
-
-def encode_months(months: np.ndarray, encoding: str) -> np.ndarray:
-    """Expand integer months 1..12 into model columns."""
-    months = np.asarray(months, dtype=np.float64)
-    if encoding == "cyclic":
-        phase = 2.0 * np.pi * months / 12.0
-        return np.column_stack([np.sin(phase), np.cos(phase)])
-    if encoding == "integer":
-        return months.reshape(-1, 1)
-    if encoding == "onehot":
-        out = np.zeros((months.shape[0], 12))
-        out[np.arange(months.shape[0]), months.astype(np.int64) - 1] = 1.0
-        return out
-    raise DataError(f"unknown month encoding {encoding!r}; choose from {MONTH_ENCODINGS}")
-
-
-def _derived_columns(encoding: str) -> tuple[str, ...]:
-    return (*month_columns(encoding), "avg_temp")
-
-
-# The model columns of every month encoding.  The reader refuses a file or
-# schema column with one of these names, ``month`` aside, whatever encoding is
-# active, so that ``render_csv``, which leaves them all out, writes back every
-# column the reader took.
-_DERIVED_NAMES = frozenset(c for enc in MONTH_ENCODINGS
-                           for c in _derived_columns(enc))
+def encode_months(months: np.ndarray) -> np.ndarray:
+    """Integer months 1..12 as the columns month_sin and month_cos."""
+    phase = 2.0 * np.pi * np.asarray(months, dtype=np.float64) / 12.0
+    return np.column_stack([np.sin(phase), np.cos(phase)])
 
 
 @contextmanager
@@ -335,22 +304,22 @@ def _read_rows(path, reader, at: Mapping[str, int], width: int,
         raise DataError(f"{path}: no data rows")
 
 
-def _matrix(cells: Mapping[str, Sequence], extra: Sequence[str],
-            month_encoding: str) -> FeatureMatrix:
+def _matrix(cells: Mapping[str, Sequence],
+            extra: Sequence[str]) -> FeatureMatrix:
     """The rows held as one sequence per column by the reader or generator:
     base, extra and derived columns in one copy.  avg_temp is last, as column
     order fixes the scaler's order and the feature searches' tie-breaks."""
     names = (*_BASE_FEATURES, *extra)
     lo, hi = (np.frombuffer(cells[c]) for c in ("min_temp", "max_temp"))
     values = np.column_stack([np.frombuffer(cells[c]) for c in names] + [
-        encode_months(cells["month"], month_encoding), (lo + hi) / 2.0])
-    return FeatureMatrix((*names, *_derived_columns(month_encoding)), values,
+        encode_months(cells["month"]), (lo + hi) / 2.0])
+    return FeatureMatrix((*names, *DERIVED_COLUMNS), values,
                          np.frombuffer(cells[TARGET_COLUMN]), TARGET_COLUMN,
                          {c: tuple(cells[c]) for c in CARRIED_COLUMNS})
 
 
 def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
-                month_encoding: str = "cyclic", require_target: bool = True,
+                require_target: bool = True,
                 block: int | None = None) -> Iterator[FeatureMatrix]:
     """Read a monthly-observation CSV as FeatureMatrix blocks of ``block``
     data rows each, the last holding the rest; with ``block`` None the whole
@@ -386,8 +355,7 @@ def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
         if schema is None:
             schema = CANONICAL_SCHEMA + tuple(
                 h for h in header if h not in CANONICAL_SCHEMA)
-        shadowing = [c for c in (*schema, *header)
-                     if c in _DERIVED_NAMES and c not in CANONICAL_SCHEMA]
+        shadowing = [c for c in (*schema, *header) if c in DERIVED_COLUMNS]
         if shadowing:
             raise DataError(f"{path}: column {shadowing[0]!r} is derived when "
                             "the file is read; the file and the schema may not name it")
@@ -404,11 +372,10 @@ def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
         at = {name: header.index(name) for name in schema}
         for cols in _read_rows(path, reader, at, len(header), extra_features,
                                block):
-            yield _matrix(cols.cells, extra_features, month_encoding)
+            yield _matrix(cols.cells, extra_features)
 
 
 def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
-             month_encoding: str = "cyclic",
              require_target: bool = True) -> FeatureMatrix:
     """Read a monthly-observation CSV into a FeatureMatrix.
 
@@ -417,9 +384,8 @@ def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
     numeric features; ``schema=None`` takes them from the header, in header
     order, so the schema is the canonical set plus every other header column.
     The encoded month and ``avg_temp`` follow, derived here; a header or
-    schema that names one of them, or a column of another month encoding
-    (``month_sin``, ``month_03``, ...), is refused, naming the file and
-    column.
+    schema that names one of them (``DERIVED_COLUMNS``) is refused, naming
+    the file and column.
     With ``require_target`` false the ``yield`` column may be left out, as
     when scoring new rows; the target of such a file reads as zeros.  Rows
     are parsed into one buffer per column and the range rules run over
@@ -436,7 +402,7 @@ def load_csv(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
     rainfall >= 0, soil_ph in [0, 14], yield >= 0; then a bad cell of an
     extra column, in schema order.
     """
-    (m,) = read_blocks(path, schema, month_encoding, require_target)
+    (m,) = read_blocks(path, schema, require_target)
     return m
 
 
@@ -450,7 +416,7 @@ def render_csv(m: FeatureMatrix) -> str:
     for key in CARRIED_COLUMNS:
         if key not in m.carried:
             raise DataError(f"matrix lacks carried column {key!r}; cannot serialize")
-    feature_cols = [c for c in m.column_names if c not in _DERIVED_NAMES]
+    feature_cols = [c for c in m.column_names if c not in DERIVED_COLUMNS]
     known = [c for c in feature_cols if c in CANONICAL_SCHEMA]
     extras = [c for c in feature_cols if c not in CANONICAL_SCHEMA]
     header = ["year", "month", *known, *extras,
@@ -636,4 +602,4 @@ def generate_synthetic(n: int, seed: int, spec: SyntheticSpec | None = None) -> 
     extra = [f"distractor_{d + 1}" for d in range(spec.n_distractors)]
     for name in extra:
         cells[name] = rng.normal(0.0, 1.0, n)
-    return _matrix(cells, extra, "cyclic")
+    return _matrix(cells, extra)

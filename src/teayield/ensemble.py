@@ -45,17 +45,14 @@ class EnsembleConfig:
 
     ``weight_c=None`` uses the median of the selected learners' errors;
     ``weight_b=None`` uses ln(9)/IQR of those errors, i.e. roughly a 9:1 raw
-    weight ratio across the interquartile error range.  ``literal_weights``
-    switches to the increasing-exponential weighting (see compute_weights).
+    weight ratio across the interquartile error range.
     """
 
     pool_size: int = 100
     subsample_fraction: float = 0.8
-    bootstrap: bool = False
     oof_errors: bool = False
     weight_b: float | None = None
     weight_c: float | None = None
-    literal_weights: bool = False
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=HIDDEN_RANGE[0])
 
     def __post_init__(self):
@@ -93,7 +90,6 @@ class EnsembleModel:
     weights: np.ndarray
     weight_b: float
     weight_c: float
-    literal_weights: bool
     preprocess: PreprocessState
 
     def __post_init__(self):
@@ -146,7 +142,7 @@ def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
 
 def _draw_rows(rng: np.random.Generator, n: int, cfg: EnsembleConfig) -> np.ndarray:
     n_sub = max(1, math.ceil(cfg.subsample_fraction * n))
-    return np.sort(rng.choice(n, size=n_sub, replace=cfg.bootstrap))
+    return np.sort(rng.choice(n, size=n_sub, replace=False))
 
 
 def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
@@ -154,7 +150,7 @@ def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
     """Train ``pool_size`` diverse learners.
 
     Learner i draws its hidden size uniformly in [5, 30] and its training
-    rows (without replacement by default) from a seed derived from
+    rows (without replacement) from a seed derived from
     (seed, i), so the pool is identical however the fits are scheduled.
     """
     pool = []
@@ -218,14 +214,11 @@ def _falling_logistic(z: float) -> float:
         return 0.0
 
 
-def compute_weights(errors, b: float, c: float,
-                    literal: bool = False) -> np.ndarray:
+def compute_weights(errors, b: float, c: float) -> np.ndarray:
     """Normalized learner weights from training errors.
 
-    Default form: raw_i = 1 / (1 + exp(b * (eps_i - c))), a decreasing
-    logistic, so a strictly larger error always gets a strictly smaller
-    weight.  ``literal=True`` instead uses the increasing exponential
-    exp(b * (|eps_i| - c)) (softmax in b*|eps|; kept for comparison).
+    raw_i = 1 / (1 + exp(b * (eps_i - c))), a decreasing logistic, so a
+    strictly larger error always gets a strictly smaller weight.
     """
     eps = np.asarray(errors, dtype=np.float64)
     if eps.ndim != 1 or eps.shape[0] < 1:
@@ -234,11 +227,7 @@ def compute_weights(errors, b: float, c: float,
         raise DataError("errors must be finite and >= 0")
     if b <= 0.0:
         raise ConfigError(f"weight steepness b must be > 0, got {b}")
-    if literal:
-        z = b * (np.abs(eps) - c)
-        raw = np.exp(z - z.max())
-    else:
-        raw = np.array([_falling_logistic(b * (e - c)) for e in eps.tolist()])
+    raw = np.array([_falling_logistic(b * (e - c)) for e in eps.tolist()])
     total = float(raw.sum())
     if total <= 0.0:
         raise FitError(f"all raw weights underflowed to zero (b={b}, c={c}, "
@@ -291,7 +280,7 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
         for fold in range(plan.k):
             eps, preds = zip(*(member(fold, pos) for pos in order[:size]))
             b, c = resolve_weight_params(eps, cfg)
-            w = compute_weights(eps, b, c, cfg.literal_weights)
+            w = compute_weights(eps, b, c)
             oof[fold_rows[fold][1]] = w @ np.vstack(preds)
         resid = oof - m.target
         return math.sqrt(float((resid * resid).mean()))
@@ -306,8 +295,8 @@ def assemble(pool: Sequence[BaseLearner], selection: LearnerSelection,
     learners = tuple(pool[pos] for pos in selection.selected_positions)
     errors = [bl.train_error for bl in learners]
     b, c = resolve_weight_params(errors, cfg)
-    weights = compute_weights(errors, b, c, cfg.literal_weights)
-    return EnsembleModel(learners, weights, b, c, cfg.literal_weights, preprocess)
+    weights = compute_weights(errors, b, c)
+    return EnsembleModel(learners, weights, b, c, preprocess)
 
 
 def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:

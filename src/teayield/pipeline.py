@@ -4,14 +4,10 @@ stage-by-stage cross-validation report.
 The preprocessing chain runs the configured stages in order (the default
 order is selection, scaling, outlier removal, transformation) and keeps
 the fitted chain after every stage prefix.  The stage report reads its
-columns from those prefixes.  By default it fits the chain once inside
-every training fold, so no statistic computed from scored rows leaks into
-fitting; ``paper_faithful = true`` instead fits it once on all rows before
-folding, reproducing the simpler traditional procedure.  Outlier removal
-drops training rows only, and a fitted chain never drops a row it scores,
-so the default report scores every row.  The ``paper_faithful`` report
-does not: it cross-validates over each prefix's matrix, so from the outlier
-removal column on, the rows that stage flagged are never scored.
+columns from those prefixes.  It fits the chain once inside every training
+fold, so no statistic computed from scored rows leaks into fitting.
+Outlier removal drops training rows only, and a fitted chain never drops a
+row it scores, so the report scores every row in every column.
 
 ``evaluate_pipeline`` runs in two processes.  After the hold-out split it
 forks one child, which fits the ensemble on the training side and sends
@@ -35,10 +31,9 @@ from .dataset import FeatureMatrix
 from .ensemble import (EnsembleModel, PoolReport, assemble, predict_ensemble,
                        rank_learners, select_learners, train_pool)
 from .errors import DataError, FitError
-from .evaluation import (MetricsReport, cross_validate, holdout_split,
-                         make_folds, metrics)
-from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
-                             sequential_forward_select)
+from .evaluation import MetricsReport, holdout_split, make_folds, metrics
+from .feature_select import (RankedFeatures, ReliefParams, SelectionResult,
+                             rrelieff, sequential_forward_select)
 from .preprocess import (OutlierReport, PreprocessState, cooks_distance,
                          fit_scaler, independent_columns, remove_outliers)
 from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
@@ -64,7 +59,6 @@ class StageReport:
     model_names: tuple[str, ...]
     rmse: np.ndarray  # (n_models, n_stages)
     mlp_replicates: int  # network trainings averaged in each mlp cell
-    mode: str
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.rmse)):
@@ -75,24 +69,24 @@ class StageReport:
                                self.stage_names.index(stage)])
 
     def to_csv(self, path) -> None:
-        write_table(path, ["model", "stage", "cv_rmse", "replicates", "mode"],
+        write_table(path, ["model", "stage", "cv_rmse", "replicates"],
                     ([model, stage, repr(float(self.rmse[i, j])),
-                      self.mlp_replicates if model == "mlp" else 1,
-                      self.mode]
+                      self.mlp_replicates if model == "mlp" else 1]
                      for i, model in enumerate(self.model_names)
                      for j, stage in enumerate(self.stage_names)))
 
 
-def sfs_evaluator(cfg: PipelineConfig):
-    """Learner factory used to score feature prefixes."""
-    if cfg.sfs_evaluator == "ridge":
-        return make_linear_factory(cfg.sfs_ridge_lambda, standardize_features=True)
-    if cfg.sfs_evaluator == "ols":
-        return make_linear_factory(0.0, drop_dependent=True)
-    if cfg.sfs_evaluator == "gpr":
-        return make_gpr_factory(cfg.gpr_signal_var, cfg.gpr_length_scale,
-                                cfg.gpr_noise_var)
-    return make_mlp_factory(cfg.mlp)
+def _check_relief_rows(relieff: ReliefParams, n: int, ranked: str) -> None:
+    """Before RReliefF ranks ``ranked`` on ``n`` rows, raise a DataError
+    naming the ``[relieff]`` option, its value and ``n`` if the rows are too
+    few for it."""
+    if relieff.k >= n:
+        raise DataError(f"[relieff] k = {relieff.k} needs more than "
+                        f"{relieff.k} rows to rank {ranked}, got {n}")
+    if relieff.iterations is not None and relieff.iterations > n:
+        raise DataError(f"[relieff] iterations = {relieff.iterations} needs "
+                        f"at least {relieff.iterations} rows to rank "
+                        f"{ranked}, got {n}")
 
 
 def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
@@ -116,24 +110,23 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     kept = m
     rows = np.arange(m.n_samples)  # the given row of each kept row
     chain = PreprocessState(
-        month_encoding=cfg.month_encoding, stage_order=(),
-        selected_features=m.column_names, scaler=None, log_features=(),
-        log_target=False, target_center=0.0, target_scale=1.0)
+        stage_order=(), selected_features=m.column_names, scaler=None,
+        log_features=(), log_target=False, target_center=0.0,
+        target_scale=1.0)
     ranked = selection = outliers = None
     prefixes = [(m, chain)]
     for stage in cfg.stages:
         if stage == "feature_selection":
-            if cfg.relieff.k >= m.n_samples:
-                raise DataError(f"[relieff] k = {cfg.relieff.k} needs more "
-                                f"than {cfg.relieff.k} rows to rank features, "
-                                f"got {m.n_samples}")
+            _check_relief_rows(cfg.relieff, m.n_samples, "features")
             ranked = rrelieff(m, k=cfg.relieff.k,
                               iterations=cfg.relieff.iterations,
                               seed=derive_seed(seed, 1),
                               decay_sigma=cfg.relieff.decay_sigma)
             selection = sequential_forward_select(
-                m, ranked, sfs_evaluator(cfg), folds=cfg.cv_folds,
-                seed=derive_seed(seed, 2), patience=cfg.sfs_patience)
+                m, ranked, make_linear_factory(cfg.sfs_ridge_lambda,
+                                               standardize_features=True),
+                folds=cfg.cv_folds, seed=derive_seed(seed, 2),
+                patience=cfg.sfs_patience)
             chain = replace(chain, selected_features=selection.selected)
         elif stage == "feature_scaling":
             columns = cfg.scale_columns  # None scales every column
@@ -181,6 +174,7 @@ class TrainingResult:
 def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingResult:
     """The full procedure: preprocess, pool, rank, select, weight."""
     processed, state, artifacts = fit_preprocess(m, cfg)
+    _check_relief_rows(cfg.relieff, processed.n_samples, "learners")
     pool = train_pool(processed, cfg.ensemble, derive_seed(cfg.seed, _TAG_POOL))
     ranking = rank_learners(pool, processed, cfg.relieff)
     selection = select_learners(pool, ranking, processed, cfg.ensemble,
@@ -213,16 +207,14 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     """CV RMSE of each in-scope model after each cumulative pipeline stage.
 
     The "raw" column uses no preprocessing; column j adds the first j
-    configured stages.  The chain is fitted once per training fold (once on
-    all rows with ``paper_faithful``), and column j is scored through its
-    prefix j, so neighbouring columns differ by their stage alone: the same
-    selected features, scaler and dropped rows.  Every cell is scored in
-    yield units.  The network cell is the mean of ``mlp_replicates``
-    independently seeded trainings.  All models in a column share one fold
-    plan.  By default every row is scored in every column; with
-    ``paper_faithful`` a column is cross-validated over its prefix's matrix,
-    so the rows outlier removal flagged are not scored in its column or any
-    later one.
+    configured stages.  The chain is fitted once per training fold, and
+    column j is scored through its prefix j, so neighbouring columns differ
+    by their stage alone: the same selected features, scaler and dropped
+    rows.  Every row is scored in every column, in yield units: predictions
+    are mapped back through each fold's chain, and no statistic of the
+    scored rows reaches the chain.  The network cell is the mean of
+    ``mlp_replicates`` independently seeded trainings.  All cells share one
+    fold plan.
     """
     stage_names = ("raw",) + tuple(cfg.stages)
     factories = _stage_factories(cfg)
@@ -230,37 +222,24 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
              for j in range(len(stage_names))
              for i, model in enumerate(STAGE_MODELS)
              for r in range(cfg.mlp_replicates if model == "mlp" else 1)]
-    plan_seed = derive_seed(seed, _TAG_STAGE)
-    if cfg.paper_faithful:
-        prefixes, _ = fit_chain(raw, cfg, derive_seed(seed, _TAG_CHAIN))
-        scores = []
-        for j, model, fit_seed in cells:
-            stage_m, chain = prefixes[j]
-            plan = make_folds(stage_m.n_samples, cfg.cv_folds, plan_seed)
+    oof = np.empty((len(cells), raw.n_samples))  # a row per cell
+    plan = make_folds(raw.n_samples, cfg.cv_folds,
+                      derive_seed(seed, _TAG_STAGE))
+    for fold in range(plan.k):
+        train_rows, eval_rows = plan.fold_indices(fold)
+        with _naming(f"training rows of stage-report fold {fold}"):
+            prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
+                                    derive_seed(seed, _TAG_CHAIN, fold))
+        eval_raw = raw.take_rows(eval_rows)
+        for c, (j, model, fit_seed) in enumerate(cells):
+            train_m, chain = prefixes[j]
             with _naming(f"stage {stage_names[j]!r}, model {model!r}"):
-                oof = cross_validate(stage_m, factories[model], plan, fit_seed)
-            scores.append(metrics(chain.invert_target(stage_m.target),
-                                  chain.invert_target(oof)).rmse)
-    else:
-        # Predictions are mapped back to yield units through each fold's
-        # chain, and no statistic of the scored rows reaches the chain.
-        oof = np.empty((len(cells), raw.n_samples))  # a row per cell
-        plan = make_folds(raw.n_samples, cfg.cv_folds, plan_seed)
-        for fold in range(plan.k):
-            train_rows, eval_rows = plan.fold_indices(fold)
-            with _naming(f"training rows of stage-report fold {fold}"):
-                prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
-                                        derive_seed(seed, _TAG_CHAIN, fold))
-            eval_raw = raw.take_rows(eval_rows)
-            for c, (j, model, fit_seed) in enumerate(cells):
-                train_m, chain = prefixes[j]
-                with _naming(f"stage {stage_names[j]!r}, model {model!r}"):
-                    predict_fn = factories[model](train_m,
-                                                  derive_seed(fit_seed, fold))
-                    oof[c, eval_rows] = chain.invert_target(np.asarray(
-                        predict_fn(chain.apply_features(eval_raw)),
-                        dtype=np.float64))
-        scores = [metrics(raw.target, row).rmse for row in oof]
+                predict_fn = factories[model](train_m,
+                                              derive_seed(fit_seed, fold))
+                oof[c, eval_rows] = chain.invert_target(np.asarray(
+                    predict_fn(chain.apply_features(eval_raw)),
+                    dtype=np.float64))
+    scores = [metrics(raw.target, row).rmse for row in oof]
 
     values: dict[tuple[str, int], list[float]] = {}
     for (j, model, _), score in zip(cells, scores):
@@ -268,8 +247,7 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     columns = range(len(stage_names))
     rmse = np.array([[np.mean(values[model, j]) for j in columns]
                      for model in STAGE_MODELS])
-    return StageReport(stage_names, STAGE_MODELS, rmse, cfg.mlp_replicates,
-                       "paper_faithful" if cfg.paper_faithful else "fold_refit")
+    return StageReport(stage_names, STAGE_MODELS, rmse, cfg.mlp_replicates)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ class PreprocessState:
     position, or by its entry in ``rows`` where given.
     """
 
-    month_encoding: str
     stage_order: tuple[str, ...]
     selected_features: tuple[str, ...]
     scaler: ScalerState | None

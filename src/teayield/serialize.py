@@ -12,8 +12,12 @@ the network's ``config.hidden_size`` is a copy of its ``hidden_size``.  The
 copies are written from the network, and the loader rejects a document
 whose copies disagree.  Likewise the ensemble ``weights`` are a copy of
 ``compute_weights`` of the learners' train errors with the stored
-``weight_b``, ``weight_c`` and ``literal_weights``; the loader recomputes
-them and rejects a document whose weights differ in any bit.
+``weight_b`` and ``weight_c``; the loader recomputes them and rejects a
+document whose weights differ in any bit.
+
+Documents written by older versions also hold the keys of two retired
+options, the weighting rule and the month encoding; the loader accepts each
+only at the value of the one mode left.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .config import PIPELINE_STAGES
-from .dataset import MONTH_ENCODINGS
 from .ensemble import BaseLearner, EnsembleModel, compute_weights
 from .errors import DataError, FitError
 from .preprocess import PreprocessState, ScalerState
@@ -131,14 +134,12 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
     return {
         "weights": _enc_array(m.weights),
         "weight_b": m.weight_b, "weight_c": m.weight_c,
-        "literal_weights": m.literal_weights,
         "learners": [
             {"mlp": _enc_mlp(bl.model), "hidden_size": bl.model.hidden_size,
              "subsample_indices": list(bl.subsample_indices),
              "train_error": bl.train_error, "seed": bl.model.seed}
             for bl in m.learners],
         "preprocess": {
-            "month_encoding": state.month_encoding,
             "stage_order": list(state.stage_order),
             "selected_features": list(state.selected_features),
             "scaler": None if state.scaler is None else {
@@ -185,10 +186,13 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     if (scaler is not None and "feature_scaling" not in stages) or (
             pre["log_features"] and "feature_transformation" not in stages):
         raise ValueError("a scaler or logged features without their stage")
-    if pre["month_encoding"] not in MONTH_ENCODINGS:
-        raise ValueError(f"unknown month_encoding {pre['month_encoding']!r}")
+    for holder, key, value in ((obj, "literal_weights", False),
+                               (pre, "month_encoding", "cyclic")):
+        got = holder.get(key, value)
+        if type(got) is not type(value) or got != value:
+            raise ValueError(f"{key} is a retired option; it may only be "
+                             f"{json.dumps(value)}, got {json.dumps(got)}")
     state = PreprocessState(
-        month_encoding=pre["month_encoding"],
         stage_order=stages,
         selected_features=tuple(pre["selected_features"]),
         scaler=None if scaler is None else _dec_scaler(scaler),
@@ -205,12 +209,11 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     weights = _dec_array(obj["weights"], "weights")
     b = _positive(_dec_finite(obj["weight_b"], "weight_b"), "weight_b")
     c = _dec_finite(obj["weight_c"], "weight_c")
-    literal = _dec_bool(obj["literal_weights"], "literal_weights")
     if not np.array_equal(weights, compute_weights(
-            [bl.train_error for bl in learners], b, c, literal)):
+            [bl.train_error for bl in learners], b, c)):
         raise ValueError("weights differ from those of the learners' "
                          "train errors")
-    return EnsembleModel(learners, weights, b, c, literal, state)
+    return EnsembleModel(learners, weights, b, c, state)
 
 
 def model_to_json(model: EnsembleModel) -> str:

@@ -50,19 +50,22 @@ def tiny_config(seed: int = 10) -> PipelineConfig:
 
 
 def corrupt_model_doc(doc: dict, path: tuple, key: str, change) -> None:
-    """Replace one entry of a model document's ``model`` object in place.
+    """Replace or add one entry of a model document's ``model`` object in
+    place.
 
     ``path`` leads from ``doc["model"]`` to the object holding ``key``.  A
     callable ``change`` maps the value stored there, decoded if it is an
-    array, to the value to store instead; any other value is stored as given.
+    array, to the value to store instead; any other value is stored as given,
+    also under a key the object does not hold.
     """
     obj = doc["model"]
     for step in path:
         obj = obj[step]
-    old = obj[key]
     if not callable(change):
         obj[key] = change
-    elif isinstance(old, dict):
+        return
+    old = obj[key]
+    if isinstance(old, dict):
         obj[key] = _enc_array(change(_dec_array(old)))
     else:
         obj[key] = change(old)

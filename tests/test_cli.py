@@ -271,7 +271,6 @@ def test_a_column_listed_twice_exits_1_naming_it(workdir, model_doc, command,
 # name listed in ``feature_columns``: (column name, listed in the config).
 SHADOWS = {"header avg_temp": ("avg_temp", False),
            "header month_sin": ("month_sin", False),
-           "header month_03": ("month_03", False),
            "feature_columns avg_temp": ("avg_temp", True)}
 
 
@@ -465,6 +464,32 @@ def test_evaluate_on_a_small_file_exits_1_naming_the_option(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Of the 120 rows of the tiny config's synth file, 84 train and a
+# stage-report fold trains on 67.  Feature selection ranks the features of a
+# fold's rows; the ensemble ranks its learners on the 84 rows.
+@pytest.mark.parametrize("options,message", [
+    ({"iterations": "80"}, "training rows of stage-report fold 0: [relieff] "
+     "iterations = 80 needs at least 80 rows to rank features, got 67"),
+    ({"k": "119", "stages": "feature_scaling"},
+     "[relieff] k = 119 needs more than 119 rows to rank learners, got 84"),
+    ({"iterations": "100", "stages": "feature_scaling"}, "[relieff] "
+     "iterations = 100 needs at least 100 rows to rank learners, got 84")])
+def test_evaluate_with_too_few_rows_for_relief_exits_1_naming_the_option(
+        workdir, tmp_path, capsys, options, message):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(render_config(tiny_config()))
+    for key, value in options.items():
+        parser["pipeline" if key == "stages" else "relieff"][key] = value
+    config = tmp_path / "relief.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(workdir / "data.csv"),
+                 "--out", str(tmp_path / "out"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _ensemble_exits(*args):
     os._exit(3)
 
@@ -568,7 +593,6 @@ def scoring_model(hidden: int) -> EnsembleModel:
                          np.array([10.0, 20.0, 60.0, 15.0]),
                          np.array([5.0, 5.0, 12.0, 5.0]))
     state = PreprocessState(
-        month_encoding="cyclic",
         stage_order=("feature_selection", "feature_scaling",
                      "feature_transformation"),
         selected_features=features, scaler=scaler, log_features=("rainfall",),
@@ -584,7 +608,7 @@ def scoring_model(hidden: int) -> EnsembleModel:
                     (0,), eps)
         for i, eps in enumerate(errors))
     return EnsembleModel(learners, compute_weights(errors, 10.0, 0.2), 10.0,
-                         0.2, False, state)
+                         0.2, state)
 
 
 @pytest.fixture(scope="module")
@@ -604,8 +628,8 @@ def whole_file_scoring(model_path, data, tmp_path) -> tuple[int, str]:
     text or its error line, from loading and scoring the whole file."""
     model = load_model(model_path)
     try:
-        preds = predict_ensemble(model, load_csv(
-            data, None, model.preprocess.month_encoding, require_target=False))
+        preds = predict_ensemble(model, load_csv(data, None,
+                                                 require_target=False))
     except DataError as exc:
         return 1, f"error: {exc}\n"
     out = tmp_path / "whole.csv"

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teayield.config import (OPTIONS, OUTLIER_RULES, PIPELINE_STAGES,
-                             SFS_EVALUATORS, load_config, paper_defaults,
-                             render_config)
-from teayield.dataset import MONTH_ENCODINGS
+                             load_config, paper_defaults, render_config)
 from teayield.errors import ConfigError, DataError
 from teayield.regressors import HIDDEN_RANGE
 
@@ -53,6 +51,17 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
      "[sfs] ridge_lambda must be >= 0, got -1.0"),
     ("outliers", "threshold", "-1.0",
      "[outliers] threshold must be > 0, got -1.0"),
+    # Retired options load only at the one value left to them.
+    ("pipeline", "month_encoding", "onehot", "[pipeline] month_encoding: "
+     "retired option; it may only be cyclic, got 'onehot'"),
+    ("pipeline", "paper_faithful", "true", "[pipeline] paper_faithful: "
+     "retired option; it may only be false, got 'true'"),
+    ("sfs", "evaluator", "ols",
+     "[sfs] evaluator: retired option; it may only be ridge, got 'ols'"),
+    ("ensemble", "bootstrap", "yes",
+     "[ensemble] bootstrap: retired option; it may only be false, got 'yes'"),
+    ("ensemble", "literal_weights", "1", "[ensemble] literal_weights: "
+     "retired option; it may only be false, got '1'"),
 ])
 def test_every_error_names_the_file_once(tmp_path, section, key, value,
                                          message):
@@ -96,11 +105,31 @@ def _field_paths(obj, prefix=()):
             yield path
 
 
+# Retired rows set no field: they have no attribute path.
+PATHS = {row[2] for row in OPTIONS if row[2] is not None}
+
+
 def test_every_config_field_has_a_table_row():
     paths = set(_field_paths(paper_defaults()))
     assert NOT_IN_TABLE <= paths
-    assert paths - NOT_IN_TABLE == {row[2] for row in OPTIONS}
+    assert paths - NOT_IN_TABLE == PATHS
     assert len({(row[0], row[1]) for row in OPTIONS}) == len(OPTIONS)
+
+
+def test_the_retired_options_may_be_left_out(tmp_path):
+    """Each loads at its one value (``render_config`` writes them) or when
+    left out, and sets nothing."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(render_config(tiny_config()))
+    retired = [row for row in OPTIONS if row[2] is None]
+    assert [parser[row[0]][row[1]] for row in retired] == [
+        "cyclic", "false", "ridge", "false", "false"]
+    for section, key, *_ in retired:
+        del parser[section][key]
+    path = tmp_path / "retired.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    assert load_config(path) == tiny_config()
 
 
 NONE_WORDS = {row[4] for row in OPTIONS} - {None}
@@ -114,8 +143,6 @@ fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 VALUES = {
     ("seed",): st.integers(min_value=0),
-    ("month_encoding",): st.sampled_from(MONTH_ENCODINGS),
-    ("paper_faithful",): st.booleans(),
     ("stages",): st.lists(st.sampled_from(PIPELINE_STAGES),
                           unique=True).map(tuple),
     ("feature_columns",): st.none() | names,
@@ -127,7 +154,6 @@ VALUES = {
     ("relieff", "k"): st.integers(min_value=1),
     ("relieff", "iterations"): st.none() | st.integers(min_value=1),
     ("relieff", "decay_sigma"): st.none() | positive,
-    ("sfs_evaluator",): st.sampled_from(SFS_EVALUATORS),
     ("sfs_ridge_lambda",): non_negative,
     ("sfs_patience",): st.integers(min_value=1),
     ("mlp", "hidden_size"): st.integers(*HIDDEN_RANGE),
@@ -141,11 +167,9 @@ VALUES = {
     ("gpr_noise_var",): non_negative,
     ("ensemble", "pool_size"): st.integers(min_value=1),
     ("ensemble", "subsample_fraction"): st.floats(0.0, 1.0, exclude_min=True),
-    ("ensemble", "bootstrap"): st.booleans(),
     ("ensemble", "oof_errors"): st.booleans(),
     ("ensemble", "weight_b"): st.none() | positive,
     ("ensemble", "weight_c"): st.none() | numbers,
-    ("ensemble", "literal_weights"): st.booleans(),
     ("ensemble_patience",): st.integers(min_value=1),
     ("cv_folds",): st.integers(min_value=2),
     ("holdout_fraction",): fractions,
@@ -166,7 +190,7 @@ VALUES = {
 
 
 def test_the_strategy_varies_every_table_row():
-    assert set(VALUES) == {row[2] for row in OPTIONS}
+    assert set(VALUES) == PATHS
 
 
 def _set(obj, path, value):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teayield.dataset import (CANONICAL_SCHEMA, MONTH_ENCODINGS,
+from teayield.dataset import (CANONICAL_SCHEMA, DERIVED_COLUMNS,
                               FeatureMatrix, SyntheticSpec,
                               correlation_report, encode_months,
-                              generate_synthetic, load_csv, month_columns,
-                              pearson, read_blocks, render_csv, write_csv)
+                              generate_synthetic, load_csv, pearson,
+                              read_blocks, render_csv, write_csv)
 from teayield.errors import DataError
 
 from conftest import (block_sizes, csv_edits, mutate_csv, random_matrix,
@@ -232,12 +232,11 @@ def finite(lo=None, hi=None):
 
 @st.composite
 def loadable_matrices(draw):
-    """``(m, schema, month encoding, has yield)``: a matrix in the layout
-    ``load_csv`` builds, with the target all zeros when the file it is
-    written to has no yield column."""
+    """``(m, schema, has yield)``: a matrix in the layout ``load_csv``
+    builds, with the target all zeros when the file it is written to has no
+    yield column."""
     n = draw(st.integers(1, 5))
     extras = tuple(f"extra_{i}" for i in range(draw(st.integers(0, 2))))
-    encoding = draw(st.sampled_from(MONTH_ENCODINGS))
     has_yield = draw(st.booleans())
 
     def column(strategy):
@@ -248,10 +247,10 @@ def loadable_matrices(draw):
     months = column(st.integers(1, 12))
     features = [low, high, column(finite(0.0, 100.0)), column(finite(0.0)),
                 column(finite(0.0, 14.0)), *(column(finite()) for _ in extras)]
-    values = np.column_stack([*features, encode_months(months, encoding),
+    values = np.column_stack([*features, encode_months(months),
                               (low + high) / 2.0])
     names = ("min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
-             *extras, *month_columns(encoding), "avg_temp")
+             *extras, *DERIVED_COLUMNS)
     target = column(finite(0.0)) if has_yield else [0.0] * n
     # Any text a UTF-8 file can hold; the loader strips cells.
     text = st.text(st.characters(blacklist_categories=("Cs",))).map(str.strip)
@@ -259,7 +258,7 @@ def loadable_matrices(draw):
                "labor_cost": column(finite()), "labor_training": column(text),
                "pesticide_used": column(st.integers(0, 1))}
     m = FeatureMatrix(names, values, target, carried=carried)
-    return m, CANONICAL_SCHEMA + extras, encoding, has_yield
+    return m, CANONICAL_SCHEMA + extras, has_yield
 
 
 def drop_column(text: str, name: str) -> str:
@@ -276,14 +275,14 @@ class TestLoadCsvProperties:
     @given(loadable_matrices())
     @settings(max_examples=60, deadline=None)
     def test_load_of_write_gives_the_matrix_back(self, case):
-        m, schema, encoding, has_yield = case
+        m, schema, has_yield = case
         text = render_csv(m)
         if not has_yield:
             text = drop_column(text, "yield")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             path.write_text(text, encoding="utf-8", newline="")
-            loaded = load_csv(path, schema, encoding, require_target=has_yield)
+            loaded = load_csv(path, schema, require_target=has_yield)
         assert loaded.column_names == m.column_names
         assert loaded.values.tobytes() == m.values.tobytes()
         assert loaded.target.tobytes() == m.target.tobytes()
@@ -300,16 +299,15 @@ class TestLoadCsvProperties:
         write_csv(m, path)
         assert load_csv(path).carried == m.carried
 
-    @given(edits=csv_edits(), encoding=st.sampled_from(MONTH_ENCODINGS),
-           require_target=st.booleans())
+    @given(edits=csv_edits(), require_target=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_mutated_files_load_or_raise_data_error(self, edits, encoding,
+    def test_mutated_files_load_or_raise_data_error(self, edits,
                                                     require_target):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             path.write_bytes(mutate_csv(FUZZ_TEXT, edits))
             try:
-                m = load_csv(path, FUZZ_SCHEMA, encoding, require_target)
+                m = load_csv(path, FUZZ_SCHEMA, require_target)
             except DataError:
                 return
         assert np.all(np.isfinite(m.values)) and np.all(np.isfinite(m.target))
@@ -399,10 +397,9 @@ class TestReadBlocks:
             text = with_blank_lines(text, blank_every)
         path = tmp_path / "d.csv"
         path.write_text(text, encoding="utf-8")
-        blocks = list(read_blocks(path, FUZZ_SCHEMA, "onehot", block=3))
+        blocks = list(read_blocks(path, FUZZ_SCHEMA, block=3))
         assert [b.n_samples for b in blocks] == block_sizes(n, 3)
-        assert_same_matrix(joined(blocks), load_csv(path, FUZZ_SCHEMA,
-                                                    "onehot"))
+        assert_same_matrix(joined(blocks), load_csv(path, FUZZ_SCHEMA))
 
     @pytest.mark.parametrize("faults,row", [
         ([(8, 4, "150"), (11, 0, "x")], 8),
@@ -434,15 +431,14 @@ class TestReadBlocks:
                 path, FUZZ_SCHEMA, block=block))) == expected
 
     @given(edits=csv_edits(), block=st.integers(1, 6),
-           encoding=st.sampled_from(MONTH_ENCODINGS),
            require_target=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_mutated_files_give_what_load_csv_gives(self, edits, block,
-                                                    encoding, require_target):
+                                                    require_target):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             path.write_bytes(mutate_csv(FUZZ_TEXT, edits))
-            args = (path, FUZZ_SCHEMA, encoding, require_target)
+            args = (path, FUZZ_SCHEMA, require_target)
             whole = outcome(lambda: load_csv(*args))
             blocks = outcome(lambda: list(read_blocks(*args, block=block)))
         if isinstance(whole, str):
@@ -476,13 +472,12 @@ class TestAvgTempIsBuiltAtLoad:
     def test_matches_recomputation(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(generate_synthetic(50, 8, SyntheticSpec(n_distractors=1)), path)
-        for encoding in MONTH_ENCODINGS:
-            m = load_csv(path, None, encoding)
-            assert m.column_names == (
-                "min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
-                "distractor_1", *month_columns(encoding), "avg_temp")
-            expected = (m.column("min_temp") + m.column("max_temp")) / 2.0
-            assert m.column("avg_temp").tobytes() == expected.tobytes()
+        m = load_csv(path, None)
+        assert m.column_names == (
+            "min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
+            "distractor_1", "month_sin", "month_cos", "avg_temp")
+        expected = (m.column("min_temp") + m.column("max_temp")) / 2.0
+        assert m.column("avg_temp").tobytes() == expected.tobytes()
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -506,21 +501,18 @@ class TestAvgTempIsBuiltAtLoad:
         assert loaded.target.tobytes() == m.target.tobytes()
         assert loaded.carried == m.carried
 
-    @pytest.mark.parametrize("name, encoding", [
-        ("avg_temp", "cyclic"), ("avg_temp", "integer"), ("month_sin", "cyclic"),
-        ("month_cos", "cyclic"), ("month_03", "onehot"), ("month_03", "cyclic"),
-        ("month_sin", "onehot"), ("month_12", "integer")])
+    @pytest.mark.parametrize("name", ["avg_temp", "month_sin", "month_cos"])
     @pytest.mark.parametrize("listed", [False, True], ids=["header", "schema"])
     def test_a_derived_name_is_refused_before_any_row(self, tmp_path, name,
-                                                       encoding, listed):
+                                                       listed):
         """The first data row is bad too: the name is refused first."""
         bad = sample_row()
         bad[4] = 140.0
         path = tmp_path / "d.csv"
         write_rows(path, [*CANONICAL_SCHEMA, name], [bad + [1.0]])
         schema = CANONICAL_SCHEMA + (name,) if listed else None
-        for read in (lambda: load_csv(path, schema, encoding),
-                     lambda: next(read_blocks(path, schema, encoding, block=1))):
+        for read in (lambda: load_csv(path, schema),
+                     lambda: next(read_blocks(path, schema, block=1))):
             with pytest.raises(DataError) as err:
                 read()
             assert str(err.value) == (

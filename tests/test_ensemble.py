@@ -76,10 +76,6 @@ class TestComputeWeights:
         w_perm = compute_weights(eps[perm], b=4.0, c=0.5)
         np.testing.assert_allclose(w[perm], w_perm, atol=1e-15)
 
-    def test_literal_form_increases_with_error(self):
-        w = compute_weights([0.1, 0.9], b=5.0, c=0.5, literal=True)
-        assert w[1] > w[0]
-
     def test_rejects_bad_steepness(self):
         with pytest.raises(ConfigError, match="b"):
             compute_weights([0.1], b=0.0, c=0.0)
@@ -254,9 +250,8 @@ class TestSelectLearners:
 
 
 def one_member_state(m):
-    return PreprocessState(month_encoding="cyclic", stage_order=(),
-                           selected_features=m.column_names, scaler=None,
-                           log_features=(), log_target=False,
+    return PreprocessState(stage_order=(), selected_features=m.column_names,
+                           scaler=None, log_features=(), log_target=False,
                            target_center=0.0, target_scale=1.0)
 
 
@@ -271,7 +266,7 @@ class TestPredictEnsemble:
     def build(self, m, pool, weights):
         eps = [bl.train_error for bl in pool]
         return EnsembleModel(tuple(pool), np.asarray(weights), 1.0,
-                             float(np.median(eps)), False, one_member_state(m))
+                             float(np.median(eps)), one_member_state(m))
 
     def test_singleton_equals_member(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=10)
@@ -293,7 +288,7 @@ class TestPredictEnsemble:
         eps = [bl.train_error for bl in pool]
         b, c = resolve_weight_params(eps, cfg)
         w = compute_weights(eps, b, c)
-        model = EnsembleModel(tuple(pool), w, b, c, False,
+        model = EnsembleModel(tuple(pool), w, b, c,
                               one_member_state(small_matrix))
         members = member_predictions(model, small_matrix)
         combined = predict_ensemble(model, small_matrix)
@@ -312,7 +307,7 @@ class TestPredictEnsemble:
     def test_weights_must_sum_to_one(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
         with pytest.raises(DataError, match="sum to 1"):
-            EnsembleModel(tuple(pool), np.array([0.7, 0.6]), 1.0, 0.0, False,
+            EnsembleModel(tuple(pool), np.array([0.7, 0.6]), 1.0, 0.0,
                           one_member_state(small_matrix))
 
 
@@ -336,7 +331,7 @@ class TestBlockScoring:
         state = replace(one_member_state(m), log_target=True,
                         target_center=3.8, target_scale=0.5)
         return EnsembleModel(learners, weights / weights.sum(), 1.0, 0.1,
-                             False, state)
+                             state)
 
     @pytest.mark.parametrize("hidden", [5, 28])
     @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,

@@ -12,9 +12,11 @@ from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.ensemble import predict_ensemble
 from teayield.errors import DataError, FitError, TeaYieldError
 from teayield.evaluation import holdout_split, make_folds, metrics
+from teayield.feature_select import rrelieff, sequential_forward_select
 from teayield.pipeline import (evaluate_pipeline, fit_chain, fit_preprocess,
                                stage_report, train_ensemble_pipeline)
 from teayield.preprocess import remove_outliers
+from teayield.regressors import make_linear_factory
 from teayield.util import derive_seed
 
 from conftest import bench_config, tiny_config
@@ -50,16 +52,9 @@ def _traced_stage_report(raw, cfg):
 
 @pytest.fixture(scope="module")
 def traced_report(canonical_raw):
-    """The traced ``tiny_config`` stage report in either mode, made once."""
-    made = {}
-
-    def get(paper_faithful: bool):
-        if paper_faithful not in made:
-            cfg = replace(tiny_config(), paper_faithful=paper_faithful)
-            made[paper_faithful] = (cfg,) + _traced_stage_report(canonical_raw,
-                                                                 cfg)
-        return made[paper_faithful]
-    return get
+    """The traced ``tiny_config`` stage report, made once."""
+    cfg = tiny_config()
+    return (cfg,) + _traced_stage_report(canonical_raw, cfg)
 
 
 class TestFittedChain:
@@ -140,18 +135,25 @@ class TestFittedChain:
 
     def test_the_ols_evaluator_fits_the_collinear_temperatures(self):
         """avg_temp is the mean of min_temp and max_temp, so a feature prefix
-        holding all three is rank-deficient; least squares fits its span."""
+        holding all three is rank-deficient; least squares, the stage
+        report's mlr learner, fits its span.  The search runs as
+        ``fit_preprocess`` runs it, with that learner."""
         raw = generate_synthetic(120, 2, SyntheticSpec.canonical())
-        _, state, _ = fit_preprocess(raw, replace(bench_config(),
-                                                  sfs_evaluator="ols"))
-        assert {"min_temp", "max_temp", "avg_temp"} <= set(
-            state.selected_features)
+        cfg = bench_config()
+        seed = derive_seed(cfg.seed, pipeline._TAG_SELECT)
+        ranked = rrelieff(raw, k=cfg.relieff.k, seed=derive_seed(seed, 1),
+                          decay_sigma=cfg.relieff.decay_sigma)
+        selection = sequential_forward_select(
+            raw, ranked, make_linear_factory(0.0, drop_dependent=True),
+            folds=cfg.cv_folds, seed=derive_seed(seed, 2),
+            patience=cfg.sfs_patience)
+        assert {"min_temp", "max_temp", "avg_temp"} <= set(selection.selected)
 
     def test_scored_targets_never_reach_the_fold_chain(self, canonical_raw,
                                                        traced_report):
         """Scaling the targets of one fold's scored rows changes the report
         but no bit of that fold's chain, at any prefix."""
-        cfg, report_a, fits_a = traced_report(False)
+        cfg, report_a, fits_a = traced_report
         raw = canonical_raw
         fold = 2
         plan = make_folds(raw.n_samples, cfg.cv_folds,
@@ -171,30 +173,22 @@ class TestFittedChain:
 
 
 class TestStageReport:
-    @pytest.mark.parametrize("paper_faithful", [False, True])
-    def test_every_stage_is_scored_in_yield_units(self, traced_report,
-                                                  paper_faithful):
-        cfg, report, _ = traced_report(paper_faithful)
+    def test_every_stage_is_scored_in_yield_units(self, traced_report):
+        cfg, report, _ = traced_report
         assert cfg.log_target and cfg.stages[-1] == "feature_transformation"
-        assert report.mode == ("paper_faithful" if paper_faithful
-                               else "fold_refit")
         for model in report.model_names:
             before = report.cell(model, "outlier_removal")
             after = report.cell(model, "feature_transformation")
             assert before / 2.0 <= after <= 2.0 * before, model
 
-    @pytest.mark.parametrize("paper_faithful", [False, True])
-    def test_one_chain_fit_per_training_set(self, traced_report,
-                                            paper_faithful):
-        cfg, _, fits = traced_report(paper_faithful)
-        assert len(fits) == (1 if paper_faithful else cfg.cv_folds)
+    def test_one_chain_fit_per_training_set(self, traced_report):
+        cfg, _, fits = traced_report
+        assert len(fits) == cfg.cv_folds
 
-    @pytest.mark.parametrize("paper_faithful", [False, True])
-    def test_scaling_does_not_move_the_least_squares_cell(self, traced_report,
-                                                          paper_faithful):
+    def test_scaling_does_not_move_the_least_squares_cell(self, traced_report):
         """Least squares predictions do not change when a column is scaled,
         and both columns read the same selected features."""
-        cfg, report, _ = traced_report(paper_faithful)
+        cfg, report, _ = traced_report
         assert cfg.stages[:2] == ("feature_selection", "feature_scaling")
         np.testing.assert_allclose(report.cell("mlr", "feature_scaling"),
                                    report.cell("mlr", "feature_selection"),

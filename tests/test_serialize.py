@@ -34,12 +34,18 @@ def test_round_trip_is_byte_and_prediction_exact(model, canonical_raw,
                                   predict_ensemble(model, canonical_raw))
 
 
-def test_a_model_file_with_the_retired_add_avg_temp_key_loads(
-        model, canonical_raw, tmp_path):
-    """Files written before avg_temp was built by the reader hold
-    ``"add_avg_temp": true`` in the chain; the key is ignored."""
+# Keys of retired options that files of format version 1 may hold, at the
+# value of the one mode left.  Files written before avg_temp was built by the
+# reader hold ``"add_avg_temp": true`` in the chain; that key is ignored.
+RETIRED_KEYS = [((), "literal_weights", False),
+                (("preprocess",), "month_encoding", "cyclic"),
+                (("preprocess",), "add_avg_temp", True)]
+
+
+def test_a_model_file_with_retired_keys_loads(model, canonical_raw, tmp_path):
     doc = json.loads(model_to_json(model))
-    doc["model"]["preprocess"]["add_avg_temp"] = True
+    for edit in RETIRED_KEYS:
+        corrupt_model_doc(doc, *edit)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_model(path)
@@ -48,15 +54,20 @@ def test_a_model_file_with_the_retired_add_avg_temp_key_loads(
             == predict_ensemble(model, canonical_raw).tobytes())
 
 
-def test_literal_weights_load_back(model, tmp_path):
-    """The loader recomputes the weights of either form bit for bit."""
-    errors = [bl.train_error for bl in model.learners]
-    literal = replace(model, literal_weights=True, weights=compute_weights(
-        errors, model.weight_b, model.weight_c, literal=True))
-    assert not np.array_equal(literal.weights, model.weights)
-    path = tmp_path / "model.json"
-    save_model(literal, path)
-    assert model_to_json(load_model(path)) == model_to_json(literal)
+@pytest.mark.parametrize("path,key,value,message", [
+    ((), "literal_weights", True, "may only be false, got true"),
+    (("preprocess",), "month_encoding", "onehot",
+     'may only be "cyclic", got "onehot"')])
+def test_a_retired_key_at_another_value_is_refused_by_name(
+        model, tmp_path, path, key, value, message):
+    doc = json.loads(model_to_json(model))
+    corrupt_model_doc(doc, path, key, value)
+    file = tmp_path / "model.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_model(file)
+    assert str(info.value) == (f"{file}: corrupt model document ({key} is a "
+                               f"retired option; it {message})")
 
 
 @pytest.mark.parametrize("kind", ["linear", "gpr", "mlp", "forest", None])

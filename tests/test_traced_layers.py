@@ -38,5 +38,7 @@ def unbound_layers() -> list[str]:
 
 def test_every_traced_layer_is_bound_by_its_callers():
     # pipeline trains its networks through regressors.make_mlp_factory, not
-    # by calling fit_mlp, but spans.py still lists it as a caller.
-    assert unbound_layers() == ["pipeline.fit_mlp"]
+    # by calling fit_mlp, and cross-validates only through feature_select's
+    # search (the stage report refits its chain in each fold and never called
+    # cross_validate), but spans.py still lists it as a caller of both.
+    assert unbound_layers() == ["pipeline.fit_mlp", "pipeline.cross_validate"]
