@@ -304,6 +304,31 @@ def test_a_column_with_a_derived_name_exits_1_naming_it(
     assert not (tmp_path / "m.json").exists()
 
 
+def test_a_month_03_column_is_an_ordinary_feature(workdir, tmp_path, capsys):
+    """No encoding derives ``month_NN`` columns: without feature selection
+    the model is trained on such a file column and scores files holding it."""
+    with open(workdir / "data.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    data = tmp_path / "month_03.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0] + ["month_03"]] + [
+            row + [str(20 + i % 3)] for i, row in enumerate(rows[1:])])
+    config = tmp_path / "no_selection.ini"
+    config.write_text(render_config(replace(tiny_config(), stages=(
+        "feature_scaling", "outlier_removal", "feature_transformation"))),
+        encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--model", str(model),
+                 "--config", str(config)]) == 0
+    assert "month_03" in load_model(model).preprocess.selected_features
+    capsys.readouterr()
+    assert main(["predict", "--data", str(data), "--model", str(model),
+                 "--config", str(config),
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    assert capsys.readouterr().err == (
+        f"wrote {len(rows) - 1} predictions to {tmp_path / 'p.csv'}\n")
+
+
 def test_extra_columns_in_another_order_score_the_same(workdir, tmp_path):
     """Without feature selection the chain keeps every column it was
     trained on, in the order it was trained on, whatever the header order

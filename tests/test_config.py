@@ -56,8 +56,14 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
      "retired option; it may only be cyclic, got 'onehot'"),
     ("pipeline", "paper_faithful", "true", "[pipeline] paper_faithful: "
      "retired option; it may only be false, got 'true'"),
+    ("pipeline", "month_encoding", "integer", "[pipeline] month_encoding: "
+     "retired option; it may only be cyclic, got 'integer'"),
     ("sfs", "evaluator", "ols",
      "[sfs] evaluator: retired option; it may only be ridge, got 'ols'"),
+    ("sfs", "evaluator", "gpr",
+     "[sfs] evaluator: retired option; it may only be ridge, got 'gpr'"),
+    ("sfs", "evaluator", "mlp",
+     "[sfs] evaluator: retired option; it may only be ridge, got 'mlp'"),
     ("ensemble", "bootstrap", "yes",
      "[ensemble] bootstrap: retired option; it may only be false, got 'yes'"),
     ("ensemble", "literal_weights", "1", "[ensemble] literal_weights: "

@@ -519,6 +519,28 @@ class TestAvgTempIsBuiltAtLoad:
                 f"{path}: column {name!r} is derived when the file is read; "
                 "the file and the schema may not name it")
 
+    @pytest.mark.parametrize("name", ["month_03", "month_12"])
+    @pytest.mark.parametrize("listed", [False, True], ids=["header", "schema"])
+    def test_a_month_like_name_is_an_ordinary_feature(self, tmp_path, name,
+                                                       listed):
+        """No encoding derives ``month_NN`` columns: such a file column is
+        read as an extra feature and written back."""
+        path = tmp_path / "d.csv"
+        write_rows(path, [*CANONICAL_SCHEMA, name],
+                   [sample_row(3) + [7.5], sample_row(12) + [-1.25]])
+        schema = CANONICAL_SCHEMA + (name,) if listed else None
+        m = load_csv(path, schema)
+        assert m.column_names == (
+            "min_temp", "max_temp", "humidity", "rainfall", "soil_ph", name,
+            *DERIVED_COLUMNS)
+        assert m.column(name).tolist() == [7.5, -1.25]
+        assert m.column("month_sin").tobytes() == encode_months(
+            np.array([3, 12]))[:, 0].tobytes()
+        assert_same_matrix(joined(list(read_blocks(path, schema, block=1))), m)
+        again = tmp_path / "again.csv"
+        again.write_text(render_csv(m), encoding="utf-8", newline="")
+        assert_same_matrix(load_csv(again, schema), m)
+
 
 class TestPearson:
     def test_self_correlation(self, rng):

@@ -57,7 +57,9 @@ def test_a_model_file_with_retired_keys_loads(model, canonical_raw, tmp_path):
 @pytest.mark.parametrize("path,key,value,message", [
     ((), "literal_weights", True, "may only be false, got true"),
     (("preprocess",), "month_encoding", "onehot",
-     'may only be "cyclic", got "onehot"')])
+     'may only be "cyclic", got "onehot"'),
+    (("preprocess",), "month_encoding", "integer",
+     'may only be "cyclic", got "integer"')])
 def test_a_retired_key_at_another_value_is_refused_by_name(
         model, tmp_path, path, key, value, message):
     doc = json.loads(model_to_json(model))
