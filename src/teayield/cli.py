@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, load_config, paper_defaults
+from .config import PipelineConfig, load_config
 from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, correlation_report,
                       generate_synthetic, load_csv, read_blocks, render_csv,
                       write_csv)
@@ -30,7 +30,7 @@ from .util import write_table
 
 
 def _read_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else paper_defaults()
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -79,7 +79,7 @@ def cmd_inspect(args) -> int:
     report = correlation_report(m)
     report.to_csv(out / "correlation.csv")
     outliers = cooks_distance(m.subset(independent_columns(m)),
-                              cfg.outlier_threshold_for(m.n_samples))
+                              cfg.outlier_threshold)
     outliers.to_csv(out / "outliers.csv")
     print(f"correlation and outlier reports written to {out} "
           f"({len(outliers.flagged)} samples flagged at threshold "

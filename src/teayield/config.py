@@ -1,12 +1,13 @@
 """Pipeline configuration: INI file with sections, one master seed.
 
-``paper_defaults()`` returns the configuration a command runs without
-``--config``.  ``render_config`` writes a configuration as INI text and
-``load_config`` reads it back, so the benchmark's committed config file is
-``render_config`` of the tests' ``bench_config`` and cannot drift from the
-code.  ``OPTIONS`` is the single list of INI options; ``load_config`` and
-``render_config`` are loops over it.  A retired option keeps its row, with
-the one value left to it, and sets nothing.
+``PipelineConfig()`` is the configuration a command runs without
+``--config`` and the one the benchmark measures: its committed config file
+is ``render_config`` of ``PipelineConfig()`` at master seed 10.  The
+paper's abstract states no method constant; the defaults are this package's
+choices.  ``render_config`` writes a configuration as INI text and
+``load_config`` reads it back; both are loops over ``OPTIONS``, the single
+list of INI options.  A retired option keeps its row, with the one value
+left to it, and sets nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .regressors import MLPTrainConfig
 
 PIPELINE_STAGES = ("feature_selection", "feature_scaling", "outlier_removal",
                    "feature_transformation")
-OUTLIER_RULES = ("fixed", "4_over_n")
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,17 @@ class PipelineConfig:
     log_features: tuple[str, ...] = ()
     log_target: bool = True
     outlier_threshold: float = 0.5
-    outlier_rule: str = "fixed"
     relieff: ReliefParams = ReliefParams()
     sfs_ridge_lambda: float = 1e-2
-    sfs_patience: int = 1
+    sfs_patience: int = 2
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=12)
     gpr_signal_var: float = 1.0
     gpr_length_scale: float = 2.0
     gpr_noise_var: float = 0.1
     ensemble: EnsembleConfig = EnsembleConfig()
-    ensemble_patience: int = 1
+    ensemble_patience: int = 8
     cv_folds: int = 10
-    holdout_fraction: float = 0.2
+    holdout_fraction: float = 0.3
     mlp_replicates: int = 5
     synth_n: int = 120
     synth: SyntheticSpec = SyntheticSpec.canonical()
@@ -70,9 +69,6 @@ class PipelineConfig:
                         f"log_features column {column!r} is also scaled, and "
                         "feature_scaling runs before feature_transformation: "
                         "a standardized column has values <= 0 to log")
-        if self.outlier_rule not in OUTLIER_RULES:
-            raise ConfigError(f"outlier rule must be one of {OUTLIER_RULES}, "
-                              f"got {self.outlier_rule!r}")
         for name, patience in (("[sfs] patience", self.sfs_patience),
                                ("[ensemble] patience", self.ensemble_patience)):
             if patience < 1:
@@ -94,24 +90,6 @@ class PipelineConfig:
             raise ConfigError("mlp_replicates must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    def outlier_threshold_for(self, n: int) -> float:
-        if self.outlier_rule == "4_over_n":
-            return 4.0 / n
-        return self.outlier_threshold
-
-
-def paper_defaults() -> PipelineConfig:
-    """``PipelineConfig()``: every field at its default, the configuration a
-    command runs without ``--config``.
-
-    The paper's abstract states none of these method constants; they are
-    this package's choices.  The benchmark does not run them: it runs
-    ``bench_config`` from ``tests/conftest.py``, written out as
-    ``benchmarks/bench.ini``, which differs in six method options and the
-    master seed.
-    """
-    return PipelineConfig()
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -172,7 +150,7 @@ def _retired(section: str, key: str, kind: str, value):
 # ``hidden_size=5`` (see load_config).
 # ``synth.interaction_coef`` has none yet: its row would add a line to the
 # benchmark's committed config, which must equal render_config's output.
-# The five retired rows select modes the method no longer has.  They remain
+# The seven retired rows select modes the method no longer has.  They remain
 # because that committed file still lists them, and go when the benchmark's
 # config is next regenerated.
 OPTIONS = (
@@ -185,7 +163,7 @@ OPTIONS = (
     ("transform", "log_features", ("log_features",), "list", None),
     ("transform", "log_target", ("log_target",), "bool", None),
     ("outliers", "threshold", ("outlier_threshold",), "float", None),
-    ("outliers", "rule", ("outlier_rule",), "str", None),
+    _retired("outliers", "rule", "str", "fixed"),
     _nested("relieff", "k", "int"),
     _nested("relieff", "iterations", "int", "all"),
     _nested("relieff", "decay_sigma", "float", "none"),
@@ -203,7 +181,7 @@ OPTIONS = (
     _nested("ensemble", "pool_size", "int"),
     _nested("ensemble", "subsample_fraction", "float"),
     _retired("ensemble", "bootstrap", "bool", False),
-    _nested("ensemble", "oof_errors", "bool"),
+    _retired("ensemble", "oof_errors", "bool", True),
     _nested("ensemble", "weight_b", "float", "auto"),
     _nested("ensemble", "weight_c", "float", "auto"),
     _retired("ensemble", "literal_weights", "bool", False),
@@ -256,7 +234,7 @@ def load_config(path) -> PipelineConfig:
     sections = {row[0] for row in OPTIONS}
     options = {(row[0], row[1]): row[2:] for row in OPTIONS}
     values = {}
-    cfg = paper_defaults()
+    cfg = PipelineConfig()
     try:
         for section in parser.sections():
             if section not in sections:

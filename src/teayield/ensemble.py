@@ -7,13 +7,15 @@ running the relief feature ranker on the matrix of learner predictions
 ranked order with ``evaluation.forward_select``, the search feature
 selection uses too, adding learners while cross-validated RMSE of the
 weighted combination strictly improves; weight the survivors by a decreasing
-logistic in their training error,
+logistic in their error eps_i,
 
     raw_i = 1 / (1 + exp(b * (eps_i - c))),   w_i = raw_i / sum(raw),
 
 so lower-error learners get strictly larger weights; predict by the convex
-combination sum(w_i * y_i).  The fitted preprocessing needed to score raw
-records travels inside the model.
+combination sum(w_i * y_i).  A learner's error is its out-of-bag MSE, on the
+rows its subsample left out (Breiman 1996, *Out-of-bag estimation*), or its
+training MSE when it trained on every row.  The fitted preprocessing needed
+to score raw records travels inside the model.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ class EnsembleConfig:
     """
 
     pool_size: int = 100
-    subsample_fraction: float = 0.8
-    oof_errors: bool = False
+    subsample_fraction: float = 0.9
     weight_b: float | None = None
     weight_c: float | None = None
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=HIDDEN_RANGE[0])
@@ -128,15 +129,16 @@ class PoolReport:
 
 def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
                 fit_seed: int, cfg: EnsembleConfig) -> BaseLearner:
+    """A network fitted on ``rows`` of ``m``; its error is the MSE on the
+    other rows, or the training MSE when ``rows`` are all of them."""
     sub = m.take_rows(rows)
     model = fit_mlp(sub, replace(cfg.mlp, hidden_size=hidden), fit_seed)
     eps = model.train_error
-    if cfg.oof_errors:
-        unused = np.setdiff1d(np.arange(m.n_samples), rows)
-        if unused.size:
-            rest = m.take_rows(unused)
-            resid = predict(model, rest) - rest.target
-            eps = float((resid * resid).mean())
+    unused = np.setdiff1d(np.arange(m.n_samples), rows)
+    if unused.size:
+        rest = m.take_rows(unused)
+        resid = predict(model, rest) - rest.target
+        eps = float((resid * resid).mean())
     return BaseLearner(model, tuple(int(r) for r in rows), eps)
 
 
@@ -215,7 +217,7 @@ def _falling_logistic(z: float) -> float:
 
 
 def compute_weights(errors, b: float, c: float) -> np.ndarray:
-    """Normalized learner weights from training errors.
+    """Normalized learner weights from their errors.
 
     raw_i = 1 / (1 + exp(b * (eps_i - c))), a decreasing logistic, so a
     strictly larger error always gets a strictly smaller weight.

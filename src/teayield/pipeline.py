@@ -32,8 +32,8 @@ from .ensemble import (EnsembleModel, PoolReport, assemble, predict_ensemble,
                        rank_learners, select_learners, train_pool)
 from .errors import DataError, FitError
 from .evaluation import MetricsReport, holdout_split, make_folds, metrics
-from .feature_select import (RankedFeatures, ReliefParams, SelectionResult,
-                             rrelieff, sequential_forward_select)
+from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
+                             sequential_forward_select)
 from .preprocess import (OutlierReport, PreprocessState, cooks_distance,
                          fit_scaler, independent_columns, remove_outliers)
 from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
@@ -76,17 +76,23 @@ class StageReport:
                      for j, stage in enumerate(self.stage_names)))
 
 
-def _check_relief_rows(relieff: ReliefParams, n: int, ranked: str) -> None:
-    """Before RReliefF ranks ``ranked`` on ``n`` rows, raise a DataError
-    naming the ``[relieff]`` option, its value and ``n`` if the rows are too
-    few for it."""
+def _check_rows(cfg: PipelineConfig, n: int, chosen: str) -> None:
+    """Before RReliefF ranks ``chosen`` on ``n`` rows and the forward search
+    folds them, raise a DataError naming the ``[relieff]`` or
+    ``[evaluation] cv_folds`` option, its value and ``n`` if the rows are
+    too few for it."""
+    relieff = cfg.relieff
     if relieff.k >= n:
         raise DataError(f"[relieff] k = {relieff.k} needs more than "
-                        f"{relieff.k} rows to rank {ranked}, got {n}")
+                        f"{relieff.k} rows to rank {chosen}, got {n}")
     if relieff.iterations is not None and relieff.iterations > n:
         raise DataError(f"[relieff] iterations = {relieff.iterations} needs "
                         f"at least {relieff.iterations} rows to rank "
-                        f"{ranked}, got {n}")
+                        f"{chosen}, got {n}")
+    if cfg.cv_folds > n:
+        raise DataError(f"[evaluation] cv_folds = {cfg.cv_folds} needs at "
+                        f"least {cfg.cv_folds} rows to select {chosen}, "
+                        f"got {n}")
 
 
 def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
@@ -117,7 +123,7 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     prefixes = [(m, chain)]
     for stage in cfg.stages:
         if stage == "feature_selection":
-            _check_relief_rows(cfg.relieff, m.n_samples, "features")
+            _check_rows(cfg, m.n_samples, "features")
             ranked = rrelieff(m, k=cfg.relieff.k,
                               iterations=cfg.relieff.iterations,
                               seed=derive_seed(seed, 1),
@@ -136,7 +142,7 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
                 chain = replace(chain, scaler=fit_scaler(m, columns))
         elif stage == "outlier_removal":
             outliers = cooks_distance(m.subset(independent_columns(m)),
-                                      cfg.outlier_threshold_for(m.n_samples))
+                                      cfg.outlier_threshold)
             kept = remove_outliers(kept, outliers)
             rows = np.delete(rows, outliers.flagged)
         elif stage == "feature_transformation":
@@ -174,7 +180,7 @@ class TrainingResult:
 def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingResult:
     """The full procedure: preprocess, pool, rank, select, weight."""
     processed, state, artifacts = fit_preprocess(m, cfg)
-    _check_relief_rows(cfg.relieff, processed.n_samples, "learners")
+    _check_rows(cfg, processed.n_samples, "learners")
     pool = train_pool(processed, cfg.ensemble, derive_seed(cfg.seed, _TAG_POOL))
     ranking = rank_learners(pool, processed, cfg.relieff)
     selection = select_learners(pool, ranking, processed, cfg.ensemble,

@@ -50,7 +50,7 @@ class MLPTrainConfig:
     learning_rate: float = 0.01
     epochs: int = 2000
     early_stop_fraction: float = 0.15
-    patience: int = 50
+    patience: int = 20
 
     def __post_init__(self):
         lo, hi = HIDDEN_RANGE

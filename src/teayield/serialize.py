@@ -13,7 +13,9 @@ copies are written from the network, and the loader rejects a document
 whose copies disagree.  Likewise the ensemble ``weights`` are a copy of
 ``compute_weights`` of the learners' train errors with the stored
 ``weight_b`` and ``weight_c``; the loader recomputes them and rejects a
-document whose weights differ in any bit.
+document whose weights differ in any bit.  Each network takes one input
+per feature the chain selects, and a document whose chain and networks
+disagree on that count is rejected too.
 
 Documents written by older versions also hold the keys of two retired
 options, the weighting rule and the month encoding; the loader accepts each
@@ -204,8 +206,10 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     learners = tuple(map(_dec_learner, obj["learners"]))
     if not learners:
         raise ValueError("the ensemble has no learners")
-    if len({bl.model.w_hidden.shape[0] for bl in learners}) > 1:
-        raise ValueError("learners disagree on the number of input features")
+    inputs = {bl.model.w_hidden.shape[0] for bl in learners}
+    if inputs != {len(state.selected_features)}:
+        raise ValueError(f"the chain selects {len(state.selected_features)} "
+                         f"features, the networks take {sorted(inputs)}")
     weights = _dec_array(obj["weights"], "weights")
     b = _positive(_dec_finite(obj["weight_b"], "weight_b"), "weight_b")
     c = _dec_finite(obj["weight_c"], "weight_c")

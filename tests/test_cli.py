@@ -515,6 +515,39 @@ def test_evaluate_with_too_few_rows_for_relief_exits_1_naming_the_option(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Under ``cv_folds = 10`` and ``[relieff] k = 2``: ``train`` on 9 rows
+# selects features on all 9; ``evaluate`` on 14 rows holds out 4, and a
+# stage-report fold trains on 9 of the other 10.  Without feature selection
+# the ensemble folds the rows outlier removal kept to select learners: 7 of
+# the first 14.
+@pytest.mark.parametrize("command,rows,stages,message", [
+    ("train", 9, None, "[evaluation] cv_folds = 10 needs at least 10 rows "
+     "to select features, got 9"),
+    ("evaluate", 14, None, "training rows of stage-report fold 0: "
+     "[evaluation] cv_folds = 10 needs at least 10 rows to select features, "
+     "got 9"),
+    ("train", 9, ("feature_scaling",), "[evaluation] cv_folds = 10 needs "
+     "at least 10 rows to select learners, got 9"),
+    ("train", 14, ("feature_scaling", "outlier_removal"), "[evaluation] "
+     "cv_folds = 10 needs at least 10 rows to select learners, got 7")])
+def test_too_few_rows_to_fold_exits_1_naming_cv_folds(
+        workdir, tmp_path, capsys, command, rows, stages, message):
+    cfg = replace(tiny_config(), cv_folds=10,
+                  relieff=replace(tiny_config().relieff, k=2))
+    config = tmp_path / "folds.ini"
+    config.write_text(render_config(cfg if stages is None else replace(
+        cfg, stages=stages)), encoding="utf-8")
+    lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines(True)
+    data = tmp_path / "small.csv"
+    data.write_text("".join(lines[:rows + 1]), encoding="utf-8")
+    out = (["--model", str(tmp_path / "m.json")] if command == "train"
+           else ["--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--config", str(config)]
+                + out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _ensemble_exits(*args):
     os._exit(3)
 

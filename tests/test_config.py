@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teayield.config import (OPTIONS, OUTLIER_RULES, PIPELINE_STAGES,
-                             load_config, paper_defaults, render_config)
+from teayield.config import (OPTIONS, PIPELINE_STAGES, PipelineConfig,
+                             load_config, render_config)
 from teayield.errors import ConfigError, DataError
 from teayield.regressors import HIDDEN_RANGE
 
@@ -68,6 +68,10 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
      "[ensemble] bootstrap: retired option; it may only be false, got 'yes'"),
     ("ensemble", "literal_weights", "1", "[ensemble] literal_weights: "
      "retired option; it may only be false, got '1'"),
+    ("outliers", "rule", "4_over_n",
+     "[outliers] rule: retired option; it may only be fixed, got '4_over_n'"),
+    ("ensemble", "oof_errors", "false", "[ensemble] oof_errors: "
+     "retired option; it may only be true, got 'false'"),
 ])
 def test_every_error_names_the_file_once(tmp_path, section, key, value,
                                          message):
@@ -116,7 +120,7 @@ PATHS = {row[2] for row in OPTIONS if row[2] is not None}
 
 
 def test_every_config_field_has_a_table_row():
-    paths = set(_field_paths(paper_defaults()))
+    paths = set(_field_paths(PipelineConfig()))
     assert NOT_IN_TABLE <= paths
     assert paths - NOT_IN_TABLE == PATHS
     assert len({(row[0], row[1]) for row in OPTIONS}) == len(OPTIONS)
@@ -129,13 +133,24 @@ def test_the_retired_options_may_be_left_out(tmp_path):
     parser.read_string(render_config(tiny_config()))
     retired = [row for row in OPTIONS if row[2] is None]
     assert [parser[row[0]][row[1]] for row in retired] == [
-        "cyclic", "false", "ridge", "false", "false"]
+        "cyclic", "false", "fixed", "ridge", "false", "true", "false"]
     for section, key, *_ in retired:
         del parser[section][key]
     path = tmp_path / "retired.ini"
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
     assert load_config(path) == tiny_config()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10, 42])
+def test_the_bench_config_is_the_shipped_defaults(seed):
+    assert bench_config(seed) == replace(PipelineConfig(), seed=seed)
+
+
+def test_the_shipped_defaults_render_and_load_back(tmp_path):
+    path = tmp_path / "defaults.ini"
+    path.write_text(render_config(PipelineConfig()), encoding="utf-8")
+    assert load_config(path) == PipelineConfig()
 
 
 NONE_WORDS = {row[4] for row in OPTIONS} - {None}
@@ -156,7 +171,6 @@ VALUES = {
     ("log_features",): names,
     ("log_target",): st.booleans(),
     ("outlier_threshold",): positive,
-    ("outlier_rule",): st.sampled_from(OUTLIER_RULES),
     ("relieff", "k"): st.integers(min_value=1),
     ("relieff", "iterations"): st.none() | st.integers(min_value=1),
     ("relieff", "decay_sigma"): st.none() | positive,
@@ -173,7 +187,6 @@ VALUES = {
     ("gpr_noise_var",): non_negative,
     ("ensemble", "pool_size"): st.integers(min_value=1),
     ("ensemble", "subsample_fraction"): st.floats(0.0, 1.0, exclude_min=True),
-    ("ensemble", "oof_errors"): st.booleans(),
     ("ensemble", "weight_b"): st.none() | positive,
     ("ensemble", "weight_c"): st.none() | numbers,
     ("ensemble_patience",): st.integers(min_value=1),
@@ -221,7 +234,7 @@ def configs(draw):
     """Valid configs only: the drawn log features leave out the columns the
     drawn stages and scaled columns would scale before the log.  ``VALUES``
     sets the stages and scaled columns before the log features."""
-    cfg = paper_defaults()
+    cfg = PipelineConfig()
     for path, values in VALUES.items():
         value = draw(values)
         if path == ("log_features",):

@@ -120,6 +120,8 @@ class TestTrainPool:
                           seed=0)
         assert len(pool) == 1
         assert pool[0].subsample_indices == tuple(range(small_matrix.n_samples))
+        # No row is left out, so the error is the training MSE.
+        assert pool[0].train_error == pool[0].model.train_error
 
     def test_deterministic(self, small_matrix):
         cfg = fast_config()
@@ -145,7 +147,7 @@ class TestTrainPool:
 
     def test_oof_errors_use_unseen_rows(self, small_matrix):
         pool = train_pool(small_matrix,
-                          fast_config(subsample_fraction=0.7, oof_errors=True),
+                          fast_config(subsample_fraction=0.7),
                           seed=3)
         for bl in pool:
             rest = sorted(set(range(small_matrix.n_samples))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from teayield import pipeline
+from teayield.config import PipelineConfig
 from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.ensemble import predict_ensemble
 from teayield.errors import DataError, FitError, TeaYieldError
@@ -59,7 +60,7 @@ def traced_report(canonical_raw):
 
 class TestFittedChain:
     def test_cv_chain_has_identity_target_scaling(self, canonical_raw):
-        cfg = replace(tiny_config(), outlier_rule="4_over_n")
+        cfg = replace(tiny_config(), outlier_threshold=4 / 120)
         raw = canonical_raw
         prefixes, artifacts = fit_chain(raw, cfg, 3)
         train_m, chain = prefixes[-1]
@@ -79,10 +80,12 @@ class TestFittedChain:
         np.testing.assert_allclose(state.transform_target(state.invert_target(z)),
                                    z, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("outlier_rule", ["fixed", "4_over_n"])
+    # 4 / 120: the 4-over-n rule of thumb on the 120 canonical rows.
+    @pytest.mark.parametrize("outlier_threshold", [0.5, 4 / 120],
+                             ids=["fixed", "4_over_n"])
     def test_prefix_k_is_a_fit_of_the_first_k_stages(self, canonical_raw,
-                                                     outlier_rule):
-        cfg = replace(tiny_config(), outlier_rule=outlier_rule)
+                                                     outlier_threshold):
+        cfg = replace(tiny_config(), outlier_threshold=outlier_threshold)
         raw = canonical_raw
         prefixes, _ = fit_chain(raw, cfg, 3)
         assert len(prefixes) == len(cfg.stages) + 1
@@ -90,11 +93,11 @@ class TestFittedChain:
             assert prefix[1].stage_order == cfg.stages[:k]
             alone, _ = fit_chain(raw, replace(cfg, stages=cfg.stages[:k]), 3)
             _assert_same_fit(prefix, alone[-1])
-        if outlier_rule == "4_over_n":  # the last prefix lost rows
+        if outlier_threshold == 4 / 120:  # the last prefix lost rows
             assert prefixes[-1][0].n_samples < raw.n_samples
 
     @pytest.mark.parametrize("changes", [
-        {"outlier_rule": "fixed"}, {"outlier_rule": "4_over_n"},
+        {"outlier_threshold": 0.5}, {"outlier_threshold": 4 / 120},
         {"log_features": ("rainfall",), "scale_columns": ("humidity",)}],
         ids=["fixed", "4_over_n", "log rainfall, scale humidity"])
     def test_training_rows_are_the_served_chain_on_the_kept_rows(
@@ -104,7 +107,7 @@ class TestFittedChain:
         processed, state, artifacts = fit_preprocess(
             canonical_raw, replace(tiny_config(), **changes))
         kept = remove_outliers(canonical_raw, artifacts.outliers)
-        if changes.get("outlier_rule") == "4_over_n":
+        if changes.get("outlier_threshold") == 4 / 120:
             assert kept.n_samples < canonical_raw.n_samples
         if "log_features" in changes:
             assert state.log_features == ("rainfall",)
@@ -117,11 +120,11 @@ class TestFittedChain:
 
     @pytest.mark.parametrize("row", [100, 105, 115])
     def test_a_log_error_names_the_given_row_after_outlier_removal(self, row):
-        """A zero yield in row 100 of the tiny config's synth set, under
-        ``4_over_n``: outlier removal drops rows before it, and the log of
-        the target still names the row of the matrix ``fit_chain`` was
-        given, not its position among the kept rows."""
-        cfg = replace(tiny_config(), outlier_rule="4_over_n")
+        """A zero yield in row 100 of the tiny config's synth set, at
+        outlier threshold 4 / 120: outlier removal drops rows before it, and
+        the log of the target still names the row of the matrix
+        ``fit_chain`` was given, not its position among the kept rows."""
+        cfg = replace(tiny_config(), outlier_threshold=4 / 120)
         raw = generate_synthetic(cfg.synth_n, cfg.seed, cfg.synth)
         target = raw.target.copy()
         target[row] = 0.0
@@ -148,6 +151,19 @@ class TestFittedChain:
             folds=cfg.cv_folds, seed=derive_seed(seed, 2),
             patience=cfg.sfs_patience)
         assert {"min_temp", "max_temp", "avg_temp"} <= set(selection.selected)
+
+    def test_the_shipped_defaults_keep_soil_ph(self):
+        """On the 84 training rows of canonical generator seed 1, feature
+        selection under ``PipelineConfig()`` keeps ``soil_ph``, a real
+        feature that RReliefF ranks below a distractor.  Under
+        ``[sfs] patience = 1`` the search stops at the first rank that does
+        not improve and keeps only rainfall and humidity."""
+        train, _ = holdout_split(
+            generate_synthetic(120, 1, SyntheticSpec.canonical()), 0.3, 7)
+        assert train.n_samples == 84
+        _, chain, _ = fit_preprocess(train, PipelineConfig())
+        assert {"rainfall", "humidity", "soil_ph"} <= set(
+            chain.selected_features)
 
     def test_scored_targets_never_reach_the_fold_chain(self, canonical_raw,
                                                        traced_report):

@@ -162,6 +162,9 @@ CORRUPTIONS = {
         (("preprocess",), "stage_order",
          lambda s: [x for x in s if x != "feature_transformation"])],
     "unknown month_encoding": (("preprocess",), "month_encoding", "weekly"),
+    # Each network takes one input per feature the chain selects.
+    "chain selects a feature fewer": (("preprocess",), "selected_features",
+                                      lambda f: f[:-1]),
 }
 
 
