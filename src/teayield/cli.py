@@ -95,10 +95,8 @@ def cmd_train(args) -> int:
     result = train_ensemble_pipeline(m, cfg)
     save_model(result.model, model_path)
     result.pool_report.to_csv(out / "pool_report.csv")
-    if result.artifacts.ranked is not None:
-        result.artifacts.ranked.to_csv(out / "feature_rank.csv")
-    if result.artifacts.selection is not None:
-        result.artifacts.selection.trace_to_csv(out / "feature_selection_trace.csv")
+    result.artifacts.ranked.to_csv(out / "feature_rank.csv")
+    result.artifacts.selection.trace_to_csv(out / "feature_selection_trace.csv")
     print(f"trained ensemble of {len(result.model.learners)} learners; "
           f"model saved to {args.model}", file=sys.stderr)
     return 0
@@ -130,7 +128,7 @@ def cmd_predict(args) -> int:
     keeping one prediction per row until it ends; a row's prediction does
     not depend on the other rows, so that equals scoring the whole file.
     Blocks meet a file's faults in another order than the whole file does:
-    a log-transform error in the first block can precede a bad cell in the
+    non-finite predictions in the first block can precede a bad cell in the
     last, and the non-finite and underflow checks count every row.  So when
     any block fails, the whole file is loaded and scored, and its error, row
     and count are reported.  Nothing is written unless every row is scored.

@@ -7,7 +7,9 @@ paper's abstract states no method constant; the defaults are this package's
 choices.  ``render_config`` writes a configuration as INI text and
 ``load_config`` reads it back; both are loops over ``OPTIONS``, the single
 list of INI options.  A retired option keeps its row, with the one value
-left to it, and sets nothing.
+left to it, and sets nothing.  No option shapes the preprocessing chain's
+stages: it is the fixed chain of ``preprocess.PIPELINE_STAGES``, which
+scales every selected column and logs the target alone.
 """
 
 from __future__ import annotations
@@ -21,20 +23,14 @@ from .dataset import SyntheticSpec
 from .ensemble import EnsembleConfig
 from .errors import ConfigError, DataError, FitError
 from .feature_select import ReliefParams
+from .preprocess import PIPELINE_STAGES
 from .regressors import MLPTrainConfig
-
-PIPELINE_STAGES = ("feature_selection", "feature_scaling", "outlier_removal",
-                   "feature_transformation")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 42
     feature_columns: tuple[str, ...] | None = None  # None = accept file extras
-    stages: tuple[str, ...] = PIPELINE_STAGES
-    scale_columns: tuple[str, ...] | None = None  # None = all features
-    log_features: tuple[str, ...] = ()
-    log_target: bool = True
     outlier_threshold: float = 0.5
     relieff: ReliefParams = ReliefParams()
     sfs_ridge_lambda: float = 1e-2
@@ -52,23 +48,6 @@ class PipelineConfig:
     synth: SyntheticSpec = SyntheticSpec.canonical()
 
     def __post_init__(self):
-        seen = set()
-        for stage in self.stages:
-            if stage not in PIPELINE_STAGES:
-                raise ConfigError(f"unknown stage {stage!r}; choose from "
-                                  f"{PIPELINE_STAGES}")
-            if stage in seen:
-                raise ConfigError(f"stage {stage!r} listed twice")
-            seen.add(stage)
-        if seen >= {"feature_scaling", "feature_transformation"} and (
-                self.stages.index("feature_scaling")
-                < self.stages.index("feature_transformation")):
-            for column in self.log_features:
-                if self.scale_columns is None or column in self.scale_columns:
-                    raise ConfigError(
-                        f"log_features column {column!r} is also scaled, and "
-                        "feature_scaling runs before feature_transformation: "
-                        "a standardized column has values <= 0 to log")
         for name, patience in (("[sfs] patience", self.sfs_patience),
                                ("[ensemble] patience", self.ensemble_patience)):
             if patience < 1:
@@ -146,22 +125,23 @@ def _retired(section: str, key: str, kind: str, value):
 # The single list of INI options, in file order.  Each row is (section, key,
 # attribute path from a PipelineConfig, value kind, the word that stands for
 # None if the option may be None); a retired row has the path None and its
-# one value last.  ``ensemble.mlp`` has no row: it is the [mlp] section with
-# ``hidden_size=5`` (see load_config).
-# ``synth.interaction_coef`` has none yet: its row would add a line to the
-# benchmark's committed config, which must equal render_config's output.
-# The seven retired rows select modes the method no longer has.  They remain
-# because that committed file still lists them, and go when the benchmark's
-# config is next regenerated.
+# one value last.  Two fields have no row (see ``_unwritten``):
+# ``ensemble.mlp`` is the [mlp] section with ``hidden_size=5``, and
+# ``synth.interaction_coef`` has none yet, since its row would add a line to
+# the benchmark's committed config, which must equal render_config's output.
+# The eleven retired rows select modes the method no longer has, or reorder,
+# drop or bend the fixed preprocessing chain.  They remain because that
+# committed file still lists them, and go when the benchmark's config is
+# next regenerated.
 OPTIONS = (
     ("pipeline", "seed", ("seed",), "int", None),
     _retired("pipeline", "month_encoding", "str", "cyclic"),
     _retired("pipeline", "paper_faithful", "bool", False),
-    ("pipeline", "stages", ("stages",), "list", None),
+    _retired("pipeline", "stages", "list", PIPELINE_STAGES),
     ("data", "feature_columns", ("feature_columns",), "list", "auto"),
-    ("scaling", "columns", ("scale_columns",), "list", "all"),
-    ("transform", "log_features", ("log_features",), "list", None),
-    ("transform", "log_target", ("log_target",), "bool", None),
+    _retired("scaling", "columns", "str", "all"),
+    _retired("transform", "log_features", "list", ()),
+    _retired("transform", "log_target", "bool", True),
     ("outliers", "threshold", ("outlier_threshold",), "float", None),
     _retired("outliers", "rule", "str", "fixed"),
     _nested("relieff", "k", "int"),
@@ -212,6 +192,16 @@ def _with_value(obj, path: tuple[str, ...], value):
     return replace(obj, **{head: value})
 
 
+def _unwritten(cfg: PipelineConfig) -> dict:
+    """The value ``load_config`` gives each field that no row carries, for
+    a file that sets the rows as ``cfg`` holds them."""
+    # The ensemble trains with the [mlp] settings; its hidden size is
+    # redrawn per learner, so the template value is immaterial.
+    return {("ensemble", "mlp"): replace(cfg.mlp, hidden_size=5),
+            ("synth", "interaction_coef"):
+                PipelineConfig().synth.interaction_coef}
+
+
 def load_config(path) -> PipelineConfig:
     """Read an INI config; unknown sections or keys are errors.
 
@@ -248,26 +238,33 @@ def load_config(path) -> PipelineConfig:
                     if _KINDS[kind][0](raw, where) != word:
                         raise ConfigError(
                             f"{where}: retired option; it may only be "
-                            f"{_KINDS[kind][1](word)}, got {raw.strip()!r}")
+                            f"{_KINDS[kind][1](word) or 'empty'}, "
+                            f"got {raw.strip()!r}")
                     continue
                 values[attr] = (None if raw.strip().lower() == word
                                 else _KINDS[kind][0](raw, where))
-        # Set in table order, whatever the file's: the check of log_features
-        # against the stages and scaled columns set before it then sees
-        # them final, and until then log_features is empty.
-        for _, _, attr, _, _ in OPTIONS:
-            if attr in values:
-                cfg = _with_value(cfg, attr, values[attr])
-        # The ensemble trains with the [mlp] settings; its hidden size is
-        # redrawn per learner, so the template value is immaterial.
-        return _with_value(cfg, ("ensemble", "mlp"),
-                           replace(cfg.mlp, hidden_size=5))
+        for attr, value in values.items():
+            cfg = _with_value(cfg, attr, value)
+        for attr, value in _unwritten(cfg).items():
+            cfg = _with_value(cfg, attr, value)
+        return cfg
     except (ConfigError, FitError, DataError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def render_config(cfg: PipelineConfig) -> str:
-    """Serialize a config back to INI text (inverse of load_config)."""
+    """Serialize a config back to INI text (inverse of load_config).
+
+    A field that no row carries must hold the value ``load_config`` gives
+    it; any other value is a ConfigError naming the field, since the text
+    would read back as another config.
+    """
+    for attr, loaded in _unwritten(cfg).items():
+        value = reduce(getattr, attr, cfg)
+        if value != loaded:
+            raise ConfigError(
+                f"{'.'.join(attr)} has no INI option: the file would read "
+                f"back as {loaded!r}, not {value!r}")
     sections: dict[str, list[str]] = {}
     for section, key, attr, kind, word in OPTIONS:
         value = word if attr is None else reduce(getattr, attr, cfg)

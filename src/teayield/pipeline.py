@@ -1,11 +1,12 @@
 """End-to-end pipeline: staged preprocessing, ensemble training, and the
 stage-by-stage cross-validation report.
 
-The preprocessing chain runs the configured stages in order (the default
-order is selection, scaling, outlier removal, transformation) and keeps
-the fitted chain after every stage prefix.  The stage report reads its
-columns from those prefixes.  It fits the chain once inside every training
-fold, so no statistic computed from scored rows leaks into fitting.
+The preprocessing chain is fixed: feature selection, scaling of every
+selected column, outlier removal, and the log of the target, in that order
+(``preprocess.PIPELINE_STAGES``).  Fitting it keeps the fitted chain after
+every stage prefix, and the stage report reads its columns from those
+prefixes.  It fits the chain once inside every training fold, so no
+statistic computed from scored rows leaks into fitting.
 Outlier removal drops training rows only, and a fitted chain never drops a
 row it scores, so the report scores every row in every column.
 
@@ -34,8 +35,9 @@ from .errors import DataError, FitError
 from .evaluation import MetricsReport, holdout_split, make_folds, metrics
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
                              sequential_forward_select)
-from .preprocess import (OutlierReport, PreprocessState, cooks_distance,
-                         fit_scaler, independent_columns, remove_outliers)
+from .preprocess import (PIPELINE_STAGES, OutlierReport, PreprocessState,
+                         cooks_distance, fit_scaler, independent_columns,
+                         remove_outliers)
 from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
 from .util import derive_seed, write_table
 
@@ -48,9 +50,9 @@ STAGE_MODELS = ("mlr", "gpr", "mlp")
 
 @dataclass(frozen=True)
 class ChainArtifacts:
-    ranked: RankedFeatures | None = None
-    selection: SelectionResult | None = None
-    outliers: OutlierReport | None = None
+    ranked: RankedFeatures
+    selection: SelectionResult
+    outliers: OutlierReport
 
 
 @dataclass(frozen=True)
@@ -98,61 +100,53 @@ def _check_rows(cfg: PipelineConfig, n: int, chosen: str) -> None:
 def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
               ) -> tuple[list[tuple[FeatureMatrix, PreprocessState]],
                          ChainArtifacts]:
-    """Fit the staged preprocessing on training data, stage by stage.
+    """Fit the preprocessing chain on training data, stage by stage.
 
     Returns one ``(matrix, chain)`` pair per stage prefix, for the first k
-    of ``cfg.stages`` with k = 0 .. len(cfg.stages), and the per-stage
-    artifacts.  The chain adds no column to ``m``: it only selects, scales
-    and logs columns and maps the target.  A stage only fits: it sets its
-    part of the chain, and outlier removal drops rows from the kept raw
+    of ``PIPELINE_STAGES`` with k = 0 .. 4, and the per-stage artifacts.
+    The chain adds no column to ``m``: it only selects and scales columns
+    and maps the target.  A stage only fits: selection sets the selected
+    features, scaling a scaler of every selected column, the transformation
+    the log of the target, and outlier removal drops rows from the kept raw
     rows.  Each prefix matrix is then its chain replayed on the kept rows
     (``apply_features`` and ``transform_target``, the code that scores new
     rows), and the next stage fits on it.  The chain keeps target center 0
-    and scale 1.  A stage reads only what the stages before it produced, so
-    prefix k equals the last prefix of a fit of ``cfg.stages[:k]`` with the
-    same seed.  A log-transform error names the row of the given matrix,
-    also after outlier removal has dropped rows before it.
+    and scale 1.  A log error names the row of the given matrix, also after
+    outlier removal has dropped rows before it.
     """
     kept = m
     rows = np.arange(m.n_samples)  # the given row of each kept row
     chain = PreprocessState(
         stage_order=(), selected_features=m.column_names, scaler=None,
-        log_features=(), log_target=False, target_center=0.0,
-        target_scale=1.0)
-    ranked = selection = outliers = None
+        log_target=False, target_center=0.0, target_scale=1.0)
     prefixes = [(m, chain)]
-    for stage in cfg.stages:
-        if stage == "feature_selection":
-            _check_rows(cfg, m.n_samples, "features")
-            ranked = rrelieff(m, k=cfg.relieff.k,
-                              iterations=cfg.relieff.iterations,
-                              seed=derive_seed(seed, 1),
-                              decay_sigma=cfg.relieff.decay_sigma)
-            selection = sequential_forward_select(
-                m, ranked, make_linear_factory(cfg.sfs_ridge_lambda,
-                                               standardize_features=True),
-                folds=cfg.cv_folds, seed=derive_seed(seed, 2),
-                patience=cfg.sfs_patience)
-            chain = replace(chain, selected_features=selection.selected)
-        elif stage == "feature_scaling":
-            columns = cfg.scale_columns  # None scales every column
-            if columns is not None:
-                columns = tuple(c for c in columns if c in m.column_names)
-            if columns != ():
-                chain = replace(chain, scaler=fit_scaler(m, columns))
-        elif stage == "outlier_removal":
-            outliers = cooks_distance(m.subset(independent_columns(m)),
-                                      cfg.outlier_threshold)
-            kept = remove_outliers(kept, outliers)
-            rows = np.delete(rows, outliers.flagged)
-        elif stage == "feature_transformation":
-            chain = replace(chain, log_target=cfg.log_target,
-                            log_features=tuple(c for c in cfg.log_features
-                                               if c in m.column_names))
-        chain = replace(chain, stage_order=chain.stage_order + (stage,))
-        m = chain.apply_features(kept, rows).with_target(
+
+    def next_prefix(**parts) -> None:
+        """Add the next stage and its ``parts`` to the chain, and replay it."""
+        nonlocal m, chain
+        chain = replace(chain, stage_order=PIPELINE_STAGES[:len(prefixes)],
+                        **parts)
+        m = chain.apply_features(kept).with_target(
             chain.transform_target(kept.target, rows))
         prefixes.append((m, chain))
+
+    _check_rows(cfg, m.n_samples, "features")
+    ranked = rrelieff(m, k=cfg.relieff.k, iterations=cfg.relieff.iterations,
+                      seed=derive_seed(seed, 1),
+                      decay_sigma=cfg.relieff.decay_sigma)
+    selection = sequential_forward_select(
+        m, ranked, make_linear_factory(cfg.sfs_ridge_lambda,
+                                       standardize_features=True),
+        folds=cfg.cv_folds, seed=derive_seed(seed, 2),
+        patience=cfg.sfs_patience)
+    next_prefix(selected_features=selection.selected)
+    next_prefix(scaler=fit_scaler(m))
+    outliers = cooks_distance(m.subset(independent_columns(m)),
+                              cfg.outlier_threshold)
+    kept = remove_outliers(kept, outliers)
+    rows = np.delete(rows, outliers.flagged)
+    next_prefix()
+    next_prefix(log_target=True)
     return prefixes, ChainArtifacts(ranked, selection, outliers)
 
 
@@ -213,7 +207,7 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     """CV RMSE of each in-scope model after each cumulative pipeline stage.
 
     The "raw" column uses no preprocessing; column j adds the first j
-    configured stages.  The chain is fitted once per training fold, and
+    stages of the chain.  The chain is fitted once per training fold, and
     column j is scored through its prefix j, so neighbouring columns differ
     by their stage alone: the same selected features, scaler and dropped
     rows.  Every row is scored in every column, in yield units: predictions
@@ -222,7 +216,7 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     ``mlp_replicates`` independently seeded trainings.  All cells share one
     fold plan.
     """
-    stage_names = ("raw",) + tuple(cfg.stages)
+    stage_names = ("raw",) + PIPELINE_STAGES
     factories = _stage_factories(cfg)
     cells = [(j, model, derive_seed(seed, _TAG_STAGE, j, i, r))
              for j in range(len(stage_names))

@@ -1,23 +1,27 @@
 """Fitted, reapplicable preprocessing transforms.
 
-Three stages: standardization to zero mean and unit variance, natural-log
-transformation of strictly positive columns, and influence-based outlier
-flagging via Cook's distance on an ordinary-least-squares fit of the target
-on all features plus an intercept.  ``PreprocessState`` is the fitted chain
-that replays them on new rows.  Fit states are immutable; apply operations
-are pure.
+The chain is fixed: ``PIPELINE_STAGES`` names its four stages in the order
+they run.  Feature selection keeps a subset of the columns; standardization
+scales every kept column to zero mean and unit variance; influence-based
+outlier flagging drops training rows by Cook's distance on an
+ordinary-least-squares fit of the target on the features plus an intercept;
+and the transformation takes the natural log of the strictly positive
+target.  ``PreprocessState`` is the fitted chain that replays them on new
+rows.  Fit states are immutable; apply operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .dataset import TARGET_COLUMN, FeatureMatrix
 from .errors import DataError, FitError
 from .util import write_table
+
+PIPELINE_STAGES = ("feature_selection", "feature_scaling", "outlier_removal",
+                   "feature_transformation")
 
 
 @dataclass(frozen=True)
@@ -31,13 +35,14 @@ class ScalerState:
 
 @dataclass(frozen=True)
 class PreprocessState:
-    """A fitted preprocessing chain.
+    """A fitted preprocessing chain, or the prefix of one that
+    ``stage_order`` names.
 
-    It only selects, scales and logs columns, and maps the target.  It maps
+    It only selects and scales columns, and maps the target.  It maps
     loaded rows to model inputs, the ``selected_features`` columns in that
-    order, replaying the feature stages in fit order (outlier removal only
-    ever drops training rows), and the target to model units and back:
-    forward ``log`` (if ``log_target``), then ``(y - target_center) /
+    order, scaled by ``scaler`` if one was fitted (outlier removal only ever
+    drops training rows), and the target to model units and back: forward
+    ``log`` (if ``log_target``), then ``(y - target_center) /
     target_scale``.  Chains fitted for cross-validation keep center 0 and
     scale 1, which change no value.  A log error names a row by its
     position, or by its entry in ``rows`` where given.
@@ -46,27 +51,29 @@ class PreprocessState:
     stage_order: tuple[str, ...]
     selected_features: tuple[str, ...]
     scaler: ScalerState | None
-    log_features: tuple[str, ...]
     log_target: bool
     target_center: float
     target_scale: float
 
-    def apply_features(self, m: FeatureMatrix,
-                       rows: np.ndarray | None = None) -> FeatureMatrix:
+    def apply_features(self, m: FeatureMatrix) -> FeatureMatrix:
         missing = [c for c in self.selected_features if c not in m.column_names]
         if missing:
             raise DataError(f"input data lacks model columns {missing}")
-        for stage in self.stage_order:
-            if stage == "feature_scaling" and self.scaler is not None:
-                m = apply_scaler(self.scaler, m)
-            elif stage == "feature_transformation" and self.log_features:
-                m = log_transform(m, self.log_features, rows)
+        if self.scaler is not None:
+            m = apply_scaler(self.scaler, m)
         return m.subset(self.selected_features)
 
     def transform_target(self, y: np.ndarray,
                          rows: np.ndarray | None = None) -> np.ndarray:
         if self.log_target:
-            y = _checked_log(y, TARGET_COLUMN, rows)
+            bad = np.nonzero(y <= 0.0)[0]
+            if bad.size:
+                i = int(bad[0])
+                raise DataError(
+                    f"log transform needs positive values; row "
+                    f"{i if rows is None else int(rows[i])}, "
+                    f"column {TARGET_COLUMN!r} has {float(y[i])!r}")
+            y = np.log(y)
         return (y - self.target_center) / self.target_scale
 
     def invert_target(self, z: np.ndarray) -> np.ndarray:
@@ -90,21 +97,10 @@ class OutlierReport:
                      for i, d in enumerate(self.distances)))
 
 
-def _resolve_columns(m: FeatureMatrix,
-                     columns: Sequence[str] | None) -> tuple[str, ...]:
-    if columns is None:
-        return m.column_names
-    for name in columns:
-        if name == m.target_name:
-            raise DataError(f"target {name!r} is not a feature column")
-        if name not in m.column_names:
-            raise DataError(f"no column named {name!r}")
-    return tuple(columns)
-
-
-def fit_scaler(m: FeatureMatrix, columns: Sequence[str] | None = None) -> ScalerState:
-    """Fit per-column (mean, std). Constant columns are a fit error."""
-    columns = _resolve_columns(m, columns)
+def fit_scaler(m: FeatureMatrix) -> ScalerState:
+    """Fit per-column (mean, std) of every feature column.  Constant columns
+    are a fit error."""
+    columns = m.column_names
     if m.n_samples < 2:
         raise FitError("need at least 2 samples to fit a scaler")
     means = np.empty(len(columns))
@@ -124,31 +120,6 @@ def apply_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
     for name, mu, sd in zip(s.columns, s.means, s.stds):
         updates[name] = (m.column(name) - mu) / sd
     return m.replace_columns(updates)
-
-
-def _checked_log(col: np.ndarray, name: str,
-                 rows: np.ndarray | None = None) -> np.ndarray:
-    bad = np.nonzero(col <= 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(
-            f"log transform needs positive values; row "
-            f"{i if rows is None else int(rows[i])}, "
-            f"column {name!r} has {float(col[i])!r}")
-    return np.log(col)
-
-
-def log_transform(m: FeatureMatrix, columns: Sequence[str],
-                  rows: np.ndarray | None = None) -> FeatureMatrix:
-    """Natural log on the selected feature columns; the target is logged
-    by ``PreprocessState.transform_target``.
-
-    Values must be strictly positive; the transform is refused for zero or
-    negative entries, naming the first offending row, by its position in
-    ``m`` or its entry in ``rows``, and column.
-    """
-    return m.replace_columns({name: _checked_log(m.column(name), name, rows)
-                              for name in _resolve_columns(m, columns)})
 
 
 def _design_matrix(m: FeatureMatrix) -> np.ndarray:

@@ -274,7 +274,7 @@ def make_linear_factory(ridge_lambda: float = 0.0,
         from .preprocess import apply_scaler, independent_columns
 
         columns = independent_columns(train) if drop_dependent else train.column_names
-        scaler = (fit_scaler(train.subset(columns), columns)
+        scaler = (fit_scaler(train.subset(columns))
                   if standardize_features else None)
 
         def design(m: FeatureMatrix) -> FeatureMatrix:

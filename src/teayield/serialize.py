@@ -17,8 +17,13 @@ document whose weights differ in any bit.  Each network takes one input
 per feature the chain selects, and a document whose chain and networks
 disagree on that count is rejected too.
 
-Documents written by older versions also hold the keys of two retired
-options, the weighting rule and the month encoding; the loader accepts each
+The chain is the fixed one of ``preprocess.PIPELINE_STAGES``, or a prefix
+of it that ``stage_order`` names: it holds a scaler exactly when it has the
+scaling stage, and that scaler scales exactly the selected features, and it
+logs the target exactly when it has the transformation stage.  The loader
+rejects a document whose chain breaks any of these.  ``log_features`` is written as ``[]``, and
+the loader accepts it, like the keys of two retired options that documents
+written by older versions hold, the weighting rule and the month encoding,
 only at the value of the one mode left.
 """
 
@@ -31,10 +36,9 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .config import PIPELINE_STAGES
 from .ensemble import BaseLearner, EnsembleModel, compute_weights
 from .errors import DataError, FitError
-from .preprocess import PreprocessState, ScalerState
+from .preprocess import PIPELINE_STAGES, PreprocessState, ScalerState
 from .regressors import MLPModel, MLPTrainConfig
 
 FORMAT_NAME = "teayield-model"
@@ -148,7 +152,7 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
                 "columns": list(state.scaler.columns),
                 "means": _enc_array(state.scaler.means),
                 "stds": _enc_array(state.scaler.stds)},
-            "log_features": list(state.log_features),
+            "log_features": [],
             "log_target": state.log_target,
             "target_center": state.target_center,
             "target_scale": state.target_scale,
@@ -180,16 +184,14 @@ def _dec_scaler(obj: dict) -> ScalerState:
 def _dec_ensemble(obj: dict) -> EnsembleModel:
     pre = obj["preprocess"]
     scaler = pre["scaler"]
-    # ``apply_features`` replays the stages in stage_order and nothing else.
+    # ``stage_order`` names the stages of the fixed chain that were fitted.
     stages = tuple(pre["stage_order"])
     if len(set(stages) & set(PIPELINE_STAGES)) != len(stages):
         raise ValueError(f"stage_order {list(stages)} repeats a stage or "
                          "names an unknown one")
-    if (scaler is not None and "feature_scaling" not in stages) or (
-            pre["log_features"] and "feature_transformation" not in stages):
-        raise ValueError("a scaler or logged features without their stage")
     for holder, key, value in ((obj, "literal_weights", False),
-                               (pre, "month_encoding", "cyclic")):
+                               (pre, "month_encoding", "cyclic"),
+                               (pre, "log_features", [])):
         got = holder.get(key, value)
         if type(got) is not type(value) or got != value:
             raise ValueError(f"{key} is a retired option; it may only be "
@@ -198,11 +200,19 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         stage_order=stages,
         selected_features=tuple(pre["selected_features"]),
         scaler=None if scaler is None else _dec_scaler(scaler),
-        log_features=tuple(pre["log_features"]),
         log_target=_dec_bool(pre["log_target"], "log_target"),
         target_center=_dec_finite(pre["target_center"], "target_center"),
         target_scale=_positive(_dec_finite(pre["target_scale"], "target_scale"),
                                "target_scale"))
+    for held, stage in ((state.scaler is not None, "feature_scaling"),
+                        (state.log_target, "feature_transformation")):
+        if held != (stage in stages):
+            raise ValueError(f"the chain and its stage_order disagree on "
+                             f"{stage}")
+    if (state.scaler is not None
+            and state.scaler.columns != state.selected_features):
+        raise ValueError(f"the scaler scales {list(state.scaler.columns)}, "
+                         f"the chain selects {list(state.selected_features)}")
     learners = tuple(map(_dec_learner, obj["learners"]))
     if not learners:
         raise ValueError("the ensemble has no learners")

@@ -21,7 +21,7 @@ from teayield.dataset import (SyntheticSpec, generate_synthetic, load_csv,
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
                                compute_weights, predict_ensemble)
 from teayield.errors import DataError
-from teayield.preprocess import PreprocessState, ScalerState
+from teayield.preprocess import PIPELINE_STAGES, PreprocessState, ScalerState
 from teayield.regressors import MLPModel, MLPTrainConfig
 from teayield.serialize import load_model, save_model
 from teayield.util import write_table
@@ -305,41 +305,36 @@ def test_a_column_with_a_derived_name_exits_1_naming_it(
 
 
 def test_a_month_03_column_is_an_ordinary_feature(workdir, tmp_path, capsys):
-    """No encoding derives ``month_NN`` columns: without feature selection
-    the model is trained on such a file column and scores files holding it."""
+    """No encoding derives ``month_NN`` columns: feature selection ranks
+    such a file column with the others, and a model whose chain selects it
+    scores files holding it."""
     with open(workdir / "data.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     data = tmp_path / "month_03.csv"
     with open(data, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([rows[0] + ["month_03"]] + [
             row + [str(20 + i % 3)] for i, row in enumerate(rows[1:])])
-    config = tmp_path / "no_selection.ini"
-    config.write_text(render_config(replace(tiny_config(), stages=(
-        "feature_scaling", "outlier_removal", "feature_transformation"))),
-        encoding="utf-8")
+    assert main(["train", "--data", str(data), "--model",
+                 str(tmp_path / "trained" / "m.json"),
+                 "--config", str(workdir / "tiny.ini")]) == 0
+    with open(tmp_path / "trained" / "feature_rank.csv", newline="",
+              encoding="utf-8") as fh:
+        assert "month_03" in {row[0] for row in csv.reader(fh)}
     model = tmp_path / "m.json"
-    assert main(["train", "--data", str(data), "--model", str(model),
-                 "--config", str(config)]) == 0
-    assert "month_03" in load_model(model).preprocess.selected_features
+    save_model(scoring_model(5, {**SCALES, "month_03": (21.0, 0.8)}), model)
     capsys.readouterr()
     assert main(["predict", "--data", str(data), "--model", str(model),
-                 "--config", str(config),
                  "--out", str(tmp_path / "p.csv")]) == 0
     assert capsys.readouterr().err == (
         f"wrote {len(rows) - 1} predictions to {tmp_path / 'p.csv'}\n")
 
 
 def test_extra_columns_in_another_order_score_the_same(workdir, tmp_path):
-    """Without feature selection the chain keeps every column it was
-    trained on, in the order it was trained on, whatever the header order
-    of the scoring file."""
-    config = tmp_path / "no_selection.ini"
-    config.write_text(render_config(replace(tiny_config(), stages=(
-        "feature_scaling", "outlier_removal", "feature_transformation"))),
-        encoding="utf-8")
+    """The chain keeps every column it selected in the order it selected
+    them, whatever the header order of the scoring file."""
     model = tmp_path / "m.json"
-    assert main(["train", "--data", str(workdir / "data.csv"),
-                 "--model", str(model), "--config", str(config)]) == 0
+    save_model(scoring_model(5, {**SCALES, "distractor_1": (0.0, 1.0),
+                                 "distractor_3": (0.0, 1.0)}), model)
     with open(workdir / "data.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[:6]
     a, b = rows[0].index("distractor_1"), rows[0].index("distractor_3")
@@ -352,7 +347,7 @@ def test_extra_columns_in_another_order_score_the_same(workdir, tmp_path):
                   encoding="utf-8") as fh:
             csv.writer(fh).writerows(table)
         assert main(["predict", "--data", str(tmp_path / f"{name}.csv"),
-                     "--model", str(model), "--config", str(config),
+                     "--model", str(model),
                      "--out", str(tmp_path / f"{name}_p.csv")]) == 0
         scored.append((tmp_path / f"{name}_p.csv").read_text(encoding="utf-8"))
     assert scored[0] == scored[1]
@@ -491,20 +486,22 @@ def test_evaluate_on_a_small_file_exits_1_naming_the_option(
 
 # Of the 120 rows of the tiny config's synth file, 84 train and a
 # stage-report fold trains on 67.  Feature selection ranks the features of a
-# fold's rows; the ensemble ranks its learners on the 84 rows.
+# fold's rows; the ensemble ranks its learners on the 84 rows less those
+# outlier removal drops.  At an outlier threshold of 0.01 it keeps 58 or 61,
+# by the features that selection under each [relieff] setting kept.
 @pytest.mark.parametrize("options,message", [
     ({"iterations": "80"}, "training rows of stage-report fold 0: [relieff] "
      "iterations = 80 needs at least 80 rows to rank features, got 67"),
-    ({"k": "119", "stages": "feature_scaling"},
-     "[relieff] k = 119 needs more than 119 rows to rank learners, got 84"),
-    ({"iterations": "100", "stages": "feature_scaling"}, "[relieff] "
-     "iterations = 100 needs at least 100 rows to rank learners, got 84")])
+    ({"k": "62", "threshold": "0.01"},
+     "[relieff] k = 62 needs more than 62 rows to rank learners, got 58"),
+    ({"iterations": "64", "threshold": "0.01"}, "[relieff] "
+     "iterations = 64 needs at least 64 rows to rank learners, got 61")])
 def test_evaluate_with_too_few_rows_for_relief_exits_1_naming_the_option(
         workdir, tmp_path, capsys, options, message):
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(render_config(tiny_config()))
     for key, value in options.items():
-        parser["pipeline" if key == "stages" else "relieff"][key] = value
+        parser["outliers" if key == "threshold" else "relieff"][key] = value
     config = tmp_path / "relief.ini"
     with open(config, "w", encoding="utf-8") as fh:
         parser.write(fh)
@@ -517,26 +514,26 @@ def test_evaluate_with_too_few_rows_for_relief_exits_1_naming_the_option(
 
 # Under ``cv_folds = 10`` and ``[relieff] k = 2``: ``train`` on 9 rows
 # selects features on all 9; ``evaluate`` on 14 rows holds out 4, and a
-# stage-report fold trains on 9 of the other 10.  Without feature selection
-# the ensemble folds the rows outlier removal kept to select learners: 7 of
-# the first 14.
-@pytest.mark.parametrize("command,rows,stages,message", [
+# stage-report fold trains on 9 of the other 10.  The ensemble folds the
+# rows outlier removal kept to select learners: 8 of the first 10 at the
+# config's outlier threshold (None), and 8 of the first 14 at 0.1.
+@pytest.mark.parametrize("command,rows,threshold,message", [
     ("train", 9, None, "[evaluation] cv_folds = 10 needs at least 10 rows "
      "to select features, got 9"),
     ("evaluate", 14, None, "training rows of stage-report fold 0: "
      "[evaluation] cv_folds = 10 needs at least 10 rows to select features, "
      "got 9"),
-    ("train", 9, ("feature_scaling",), "[evaluation] cv_folds = 10 needs "
-     "at least 10 rows to select learners, got 9"),
-    ("train", 14, ("feature_scaling", "outlier_removal"), "[evaluation] "
-     "cv_folds = 10 needs at least 10 rows to select learners, got 7")])
+    ("train", 10, None, "[evaluation] cv_folds = 10 needs at least 10 rows "
+     "to select learners, got 8"),
+    ("train", 14, 0.1, "[evaluation] cv_folds = 10 needs at least 10 rows "
+     "to select learners, got 8")])
 def test_too_few_rows_to_fold_exits_1_naming_cv_folds(
-        workdir, tmp_path, capsys, command, rows, stages, message):
+        workdir, tmp_path, capsys, command, rows, threshold, message):
     cfg = replace(tiny_config(), cv_folds=10,
                   relieff=replace(tiny_config().relieff, k=2))
     config = tmp_path / "folds.ini"
-    config.write_text(render_config(cfg if stages is None else replace(
-        cfg, stages=stages)), encoding="utf-8")
+    config.write_text(render_config(cfg if threshold is None else replace(
+        cfg, outlier_threshold=threshold)), encoding="utf-8")
     lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines(True)
     data = tmp_path / "small.csv"
     data.write_text("".join(lines[:rows + 1]), encoding="utf-8")
@@ -640,21 +637,26 @@ def test_fitting_on_mutated_inputs_exits_0_or_1(workdir, command, examples,
     fit()
 
 
+# The mean and standard deviation the scaler of ``scoring_model`` gives each
+# feature it selects.
+SCALES = {"min_temp": (10.0, 5.0), "max_temp": (20.0, 5.0),
+          "humidity": (60.0, 12.0), "rainfall": (125.0, 70.0),
+          "soil_ph": (6.0, 0.5), "month_sin": (0.0, 0.7),
+          "month_cos": (0.0, 0.7), "avg_temp": (15.0, 5.0)}
+
+
 # ``predict`` reads and scores its file in blocks.  The model below has a
-# chain that selects, scales and logs columns of a synth file and logs the
-# target, so every step of scoring meets every block.
-def scoring_model(hidden: int) -> EnsembleModel:
+# chain that selects and scales the columns of ``scales`` and logs the
+# target, as a trained chain does, so every step of scoring meets every
+# block.
+def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
     rng = np.random.default_rng(0)
-    features = ("min_temp", "max_temp", "humidity", "rainfall", "soil_ph",
-                "month_sin", "month_cos", "avg_temp")
-    scaler = ScalerState(("min_temp", "max_temp", "humidity", "avg_temp"),
-                         np.array([10.0, 20.0, 60.0, 15.0]),
-                         np.array([5.0, 5.0, 12.0, 5.0]))
+    features = tuple(scales)
+    means, stds = np.array(list(scales.values())).T
     state = PreprocessState(
-        stage_order=("feature_selection", "feature_scaling",
-                     "feature_transformation"),
-        selected_features=features, scaler=scaler, log_features=("rainfall",),
-        log_target=True, target_center=3.8, target_scale=0.5)
+        stage_order=PIPELINE_STAGES, selected_features=features,
+        scaler=ScalerState(features, means, stds), log_target=True,
+        target_center=3.8, target_scale=0.5)
     f = len(features)
     errors = (0.1, 0.2, 0.3)
     learners = tuple(
@@ -768,15 +770,13 @@ class TestStreamedPredict:
     LATE_FAULTS = {
         "bad cell in the last block": ({110: ("humidity", "150")}, {},
                                        "row 111: humidity must be in"),
-        "log error in a late block": (
-            {100: ("rainfall", "0")}, {},
-            "log transform needs positive values; row 100, column "
-            "'rainfall' has 0.0"),
-        "log error in the first block, bad cell in the last": (
-            {3: ("rainfall", "0"), 110: ("humidity", "150")}, {},
-            "row 111: humidity must be in"),
         "non-finite predictions": ({}, {"target_scale": 1e308},
                                    "of 120 predictions are not finite"),
+        "scoring fault in the first block, bad cell in the last": (
+            {110: ("humidity", "150")}, {"target_scale": 1e308},
+            "row 111: humidity must be in"),
+        "underflowed predictions": ({}, {"target_center": -1e5},
+                                    "120 of 120 predictions underflowed"),
     }
 
     @pytest.mark.parametrize("case", sorted(LATE_FAULTS))

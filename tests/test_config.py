@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teayield.config import (OPTIONS, PIPELINE_STAGES, PipelineConfig,
-                             load_config, render_config)
+from teayield.config import OPTIONS, PipelineConfig, load_config, render_config
 from teayield.errors import ConfigError, DataError
+from teayield.preprocess import PIPELINE_STAGES
 from teayield.regressors import HIDDEN_RANGE
 
 from conftest import bench_config, csv_edits, mutate_csv, tiny_config
@@ -72,6 +72,35 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
      "[outliers] rule: retired option; it may only be fixed, got '4_over_n'"),
     ("ensemble", "oof_errors", "false", "[ensemble] oof_errors: "
      "retired option; it may only be true, got 'false'"),
+    # The preprocessing chain is fixed: its stages run in one order, every
+    # selected column is scaled, and the target alone is logged.  A file
+    # that reorders, drops or repeats a stage, scales some columns or logs
+    # a feature is refused at that option, also where the columns are
+    # misspelled.
+    ("pipeline", "stages", "feature_selection, feature_transformation, "
+     "outlier_removal, feature_scaling", "[pipeline] stages: retired option; "
+     "it may only be feature_selection, feature_scaling, outlier_removal, "
+     "feature_transformation, got 'feature_selection, "
+     "feature_transformation, outlier_removal, feature_scaling'"),
+    ("pipeline", "stages", "feature_selection, outlier_removal, "
+     "feature_transformation", "[pipeline] stages: retired option; it may "
+     "only be feature_selection, feature_scaling, outlier_removal, "
+     "feature_transformation, got 'feature_selection, outlier_removal, "
+     "feature_transformation'"),
+    ("pipeline", "stages", "feature_selection, feature_scaling, "
+     "feature_scaling, outlier_removal, feature_transformation",
+     "[pipeline] stages: retired option; it may only be feature_selection, "
+     "feature_scaling, outlier_removal, feature_transformation, got "
+     "'feature_selection, feature_scaling, feature_scaling, "
+     "outlier_removal, feature_transformation'"),
+    ("scaling", "columns", "humidity",
+     "[scaling] columns: retired option; it may only be all, got 'humidity'"),
+    ("scaling", "columns", "humidty",
+     "[scaling] columns: retired option; it may only be all, got 'humidty'"),
+    ("transform", "log_features", "rainfall", "[transform] log_features: "
+     "retired option; it may only be empty, got 'rainfall'"),
+    ("transform", "log_target", "false", "[transform] log_target: "
+     "retired option; it may only be true, got 'false'"),
 ])
 def test_every_error_names_the_file_once(tmp_path, section, key, value,
                                          message):
@@ -99,9 +128,11 @@ def test_options_in_the_default_section_are_rejected(tmp_path, text):
         load_config(path)
 
 
-# Fields the table leaves out on purpose: the ensemble's network settings are
-# the [mlp] section with hidden_size=5, and interaction_coef is not written
-# yet, since rendering it would change the benchmark's committed config.
+# Fields the table leaves out on purpose, which ``render_config`` refuses at
+# any value but the one ``load_config`` gives them: the ensemble's network
+# settings are the [mlp] section with hidden_size=5, and interaction_coef is
+# not written yet, since rendering it would change the benchmark's committed
+# config.
 NOT_IN_TABLE = {("ensemble", "mlp"), ("synth", "interaction_coef")}
 
 
@@ -133,7 +164,9 @@ def test_the_retired_options_may_be_left_out(tmp_path):
     parser.read_string(render_config(tiny_config()))
     retired = [row for row in OPTIONS if row[2] is None]
     assert [parser[row[0]][row[1]] for row in retired] == [
-        "cyclic", "false", "fixed", "ridge", "false", "true", "false"]
+        "cyclic", "false", "feature_selection, feature_scaling, "
+        "outlier_removal, feature_transformation", "all", "", "true",
+        "fixed", "ridge", "false", "true", "false"]
     for section, key, *_ in retired:
         del parser[section][key]
     path = tmp_path / "retired.ini"
@@ -164,12 +197,7 @@ fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 VALUES = {
     ("seed",): st.integers(min_value=0),
-    ("stages",): st.lists(st.sampled_from(PIPELINE_STAGES),
-                          unique=True).map(tuple),
     ("feature_columns",): st.none() | names,
-    ("scale_columns",): st.none() | names,
-    ("log_features",): names,
-    ("log_target",): st.booleans(),
     ("outlier_threshold",): positive,
     ("relieff", "k"): st.integers(min_value=1),
     ("relieff", "iterations"): st.none() | st.integers(min_value=1),
@@ -219,27 +247,11 @@ def _set(obj, path, value):
     return replace(obj, **{head: value})
 
 
-def scaled_before_logged(cfg, column: str) -> bool:
-    """Whether ``cfg`` scales ``column`` before its log transform, which
-    ``PipelineConfig`` rejects."""
-    stages = cfg.stages
-    return ("feature_scaling" in stages and "feature_transformation" in stages
-            and stages.index("feature_scaling")
-            < stages.index("feature_transformation")
-            and (cfg.scale_columns is None or column in cfg.scale_columns))
-
-
 @st.composite
 def configs(draw):
-    """Valid configs only: the drawn log features leave out the columns the
-    drawn stages and scaled columns would scale before the log.  ``VALUES``
-    sets the stages and scaled columns before the log features."""
     cfg = PipelineConfig()
     for path, values in VALUES.items():
-        value = draw(values)
-        if path == ("log_features",):
-            value = tuple(c for c in value if not scaled_before_logged(cfg, c))
-        cfg = _set(cfg, path, value)
+        cfg = _set(cfg, path, draw(values))
     return replace(cfg, ensemble=replace(
         cfg.ensemble, mlp=replace(cfg.mlp, hidden_size=5)))
 
@@ -264,44 +276,38 @@ def test_render_then_load_is_exact(tmp_path_factory, cfg):
 def test_a_column_scaled_before_its_log_is_rejected(tmp_path, stages,
                                                     scale_columns,
                                                     log_features):
-    """By ``load_config``, naming the file and the column, before any data
-    is read."""
-    cfg = tiny_config()
+    """By ``load_config``, before any data is read, naming the file and the
+    first of the chain's retired options that the file sets to another
+    value."""
+    lines = (("pipeline", "stages", ", ".join(PIPELINE_STAGES),
+              ", ".join(stages)),
+             ("scaling", "columns", "all", ", ".join(scale_columns or ("all",))),
+             ("transform", "log_features", "", ", ".join(log_features)))
+    text = render_config(tiny_config())
+    for _, key, old, new in lines:
+        text = text.replace(f"{key} = {old}\n", f"{key} = {new}\n")
     path = tmp_path / "scaled_log.ini"
-    path.write_text(render_config(cfg).replace(
-        "log_features = \n", f"log_features = {', '.join(log_features)}\n")
-        .replace("columns = all\n",
-                 f"columns = {', '.join(scale_columns or ('all',))}\n")
-        .replace(f"stages = {', '.join(cfg.stages)}\n",
-                 f"stages = {', '.join(stages)}\n"), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigError) as info:
         load_config(path)
-    assert str(info.value) == (
-        f"{path}: log_features column 'rainfall' is also scaled, and "
-        "feature_scaling runs before feature_transformation: a standardized "
-        "column has values <= 0 to log")
-    with pytest.raises(ConfigError, match="'rainfall' is also scaled"):
-        replace(cfg, stages=stages, scale_columns=scale_columns,
-                log_features=log_features)
+    section, key, old, new = next(line for line in lines if line[2] != line[3])
+    assert str(info.value) == (f"{path}: [{section}] {key}: retired option; "
+                               f"it may only be {old or 'empty'}, got {new!r}")
 
 
-@pytest.mark.parametrize("stages,scale_columns", [
-    (PIPELINE_STAGES, ("humidity",)),
-    (("feature_transformation", "feature_scaling"), None),
-    (("feature_selection", "outlier_removal", "feature_transformation"), None),
-])
-def test_a_column_logged_but_not_scaled_first_loads(tmp_path, stages,
-                                                    scale_columns):
-    """Also when the file sets the log features before the scaled columns
-    and the stages."""
-    cfg = replace(tiny_config(), stages=stages, scale_columns=scale_columns,
-                  log_features=("rainfall",))
-    sections = render_config(cfg).split("\n\n")
-    path = tmp_path / "logged.ini"
-    path.write_text("\n\n".join(sorted(
-        sections, key=lambda text: not text.startswith("[transform]"))),
-        encoding="utf-8")
-    assert load_config(path) == cfg
+@pytest.mark.parametrize("attr,value,message", [
+    (("synth", "interaction_coef"), 0.9, "synth.interaction_coef has no INI "
+     "option: the file would read back as 0.25, not 0.9"),
+    (("ensemble", "mlp", "learning_rate"), 0.05, "ensemble.mlp has no INI "
+     "option: the file would read back as MLPTrainConfig(hidden_size=5, "
+     "learning_rate=0.01, epochs=50, early_stop_fraction=0.15, patience=20), "
+     "not MLPTrainConfig(hidden_size=5, learning_rate=0.05, epochs=50, "
+     "early_stop_fraction=0.15, patience=20)")])
+def test_a_value_no_option_carries_is_not_rendered(attr, value, message):
+    """It would read back as another config."""
+    with pytest.raises(ConfigError) as info:
+        render_config(_set(tiny_config(), attr, value))
+    assert str(info.value) == message
 
 
 @given(edits=csv_edits())

@@ -253,8 +253,8 @@ class TestSelectLearners:
 
 def one_member_state(m):
     return PreprocessState(stage_order=(), selected_features=m.column_names,
-                           scaler=None, log_features=(), log_target=False,
-                           target_center=0.0, target_scale=1.0)
+                           scaler=None, log_target=False, target_center=0.0,
+                           target_scale=1.0)
 
 
 def member_predictions(model, m):

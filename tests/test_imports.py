@@ -146,16 +146,12 @@ def test_the_scan_flags_a_module_level_scipy_import(tmp_path):
 
 # The fitted chain, ``preprocess.PreprocessState``, is the one code that
 # transforms rows: ``pipeline.fit_chain`` builds each training matrix by
-# replaying it, as scoring does.  So only ``preprocess`` logs columns, and
-# ``pipeline`` scales none by hand.  ``regressors`` may scale: its ridge
-# learner standardizes its own design, outside the chain.
+# replaying it, as scoring does.  So ``pipeline`` scales no column by hand.
+# ``regressors`` may scale: its ridge learner standardizes its own design,
+# outside the chain.
 def chain_bypasses(path: Path) -> list[str]:
     """Each call in the module that transforms rows outside the chain."""
-    forbidden = set()
-    if path.stem != "preprocess":
-        forbidden.add("log_transform")
-    if path.stem == "pipeline":
-        forbidden.add("apply_scaler")
+    forbidden = {"apply_scaler"} if path.stem == "pipeline" else set()
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -175,16 +171,16 @@ def test_rows_are_transformed_by_the_fitted_chain_alone(path):
 
 
 def test_the_scan_flags_a_transform_outside_the_chain(tmp_path):
-    body = ("from .preprocess import apply_scaler, log_transform\n"
+    body = ("from .preprocess import apply_scaler\n"
             "from . import preprocess\n"
             "def f(m, s):\n"
-            "    m = log_transform(m, ('a',))\n"
+            "    m = apply_scaler(s, m)\n"
             "    return preprocess.apply_scaler(s, m)\n")
     for stem in ("pipeline", "preprocess", "cli"):
         (tmp_path / f"{stem}.py").write_text(body, encoding="utf-8")
     assert chain_bypasses(tmp_path / "pipeline.py") == [
-        "pipeline.py:4: log_transform", "pipeline.py:5: apply_scaler"]
-    assert chain_bypasses(tmp_path / "cli.py") == ["cli.py:4: log_transform"]
+        "pipeline.py:4: apply_scaler", "pipeline.py:5: apply_scaler"]
+    assert chain_bypasses(tmp_path / "cli.py") == []
     assert chain_bypasses(tmp_path / "preprocess.py") == []
 
 

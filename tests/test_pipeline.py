@@ -16,7 +16,8 @@ from teayield.evaluation import holdout_split, make_folds, metrics
 from teayield.feature_select import rrelieff, sequential_forward_select
 from teayield.pipeline import (evaluate_pipeline, fit_chain, fit_preprocess,
                                stage_report, train_ensemble_pipeline)
-from teayield.preprocess import remove_outliers
+from teayield.preprocess import (PIPELINE_STAGES, cooks_distance, fit_scaler,
+                                 independent_columns, remove_outliers)
 from teayield.regressors import make_linear_factory
 from teayield.util import derive_seed
 
@@ -85,33 +86,56 @@ class TestFittedChain:
                              ids=["fixed", "4_over_n"])
     def test_prefix_k_is_a_fit_of_the_first_k_stages(self, canonical_raw,
                                                      outlier_threshold):
+        """Each stage fits its part of the chain on the previous prefix's
+        matrix, and each prefix's matrix is its chain replayed on the raw
+        rows kept so far."""
         cfg = replace(tiny_config(), outlier_threshold=outlier_threshold)
         raw = canonical_raw
-        prefixes, _ = fit_chain(raw, cfg, 3)
-        assert len(prefixes) == len(cfg.stages) + 1
-        for k, prefix in enumerate(prefixes):
-            assert prefix[1].stage_order == cfg.stages[:k]
-            alone, _ = fit_chain(raw, replace(cfg, stages=cfg.stages[:k]), 3)
-            _assert_same_fit(prefix, alone[-1])
+        prefixes, artifacts = fit_chain(raw, cfg, 3)
+        assert len(prefixes) == len(PIPELINE_STAGES) + 1
+        selected = artifacts.selection.selected
+        scaler = fit_scaler(prefixes[1][0])
+        assert scaler.columns == selected
+        np.testing.assert_array_equal(
+            artifacts.outliers.distances,
+            cooks_distance(prefixes[2][0].subset(independent_columns(
+                prefixes[2][0])), outlier_threshold).distances)
+        for k, (m, chain) in enumerate(prefixes):
+            assert chain.stage_order == PIPELINE_STAGES[:k]
+            assert chain.selected_features == (selected if k >= 1
+                                               else raw.column_names)
+            assert (chain.scaler is None) == (k < 2)
+            if chain.scaler is not None:
+                assert chain.scaler.columns == scaler.columns
+                np.testing.assert_array_equal(chain.scaler.means,
+                                              scaler.means)
+                np.testing.assert_array_equal(chain.scaler.stds, scaler.stds)
+            assert chain.log_target == (k == 4)
+            assert (chain.target_center, chain.target_scale) == (0.0, 1.0)
+            kept = raw if k < 3 else remove_outliers(raw, artifacts.outliers)
+            assert m.column_names == chain.selected_features
+            np.testing.assert_array_equal(m.values,
+                                          chain.apply_features(kept).values)
+            np.testing.assert_array_equal(
+                m.target, chain.transform_target(kept.target))
         if outlier_threshold == 4 / 120:  # the last prefix lost rows
             assert prefixes[-1][0].n_samples < raw.n_samples
 
-    @pytest.mark.parametrize("changes", [
-        {"outlier_threshold": 0.5}, {"outlier_threshold": 4 / 120},
-        {"log_features": ("rainfall",), "scale_columns": ("humidity",)}],
-        ids=["fixed", "4_over_n", "log rainfall, scale humidity"])
+    @pytest.mark.parametrize("outlier_threshold", [0.5, 4 / 120],
+                             ids=["fixed", "4_over_n"])
     def test_training_rows_are_the_served_chain_on_the_kept_rows(
-            self, canonical_raw, changes):
+            self, canonical_raw, outlier_threshold):
         """The matrix the pool trains on is what the fitted chain makes of
-        the rows outlier removal kept, array for array."""
+        the rows outlier removal kept, array for array.  The chain scales
+        every selected column and logs the target alone."""
         processed, state, artifacts = fit_preprocess(
-            canonical_raw, replace(tiny_config(), **changes))
+            canonical_raw, replace(tiny_config(),
+                                   outlier_threshold=outlier_threshold))
         kept = remove_outliers(canonical_raw, artifacts.outliers)
-        if changes.get("outlier_threshold") == 4 / 120:
+        if outlier_threshold == 4 / 120:
             assert kept.n_samples < canonical_raw.n_samples
-        if "log_features" in changes:
-            assert state.log_features == ("rainfall",)
-            assert state.scaler.columns == ("humidity",)
+        assert state.scaler.columns == state.selected_features
+        assert state.log_target
         served = state.apply_features(kept)
         assert processed.column_names == served.column_names
         np.testing.assert_array_equal(processed.values, served.values)
@@ -129,10 +153,17 @@ class TestFittedChain:
         target = raw.target.copy()
         target[row] = 0.0
         raw = raw.with_target(target)
-        _, artifacts = fit_chain(raw, replace(cfg, stages=cfg.stages[:-1]), 3)
-        assert min(artifacts.outliers.flagged) < row
-        with pytest.raises(DataError) as info:
-            fit_chain(raw, cfg, 3)
+        reports = []
+
+        def recording(*args):
+            reports.append(cooks_distance(*args))
+            return reports[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "cooks_distance", recording)
+            with pytest.raises(DataError) as info:
+                fit_chain(raw, cfg, 3)
+        assert min(reports[0].flagged) < row
         assert str(info.value) == (f"log transform needs positive values; "
                                    f"row {row}, column 'yield' has 0.0")
 
@@ -180,7 +211,7 @@ class TestFittedChain:
         report_b, fits_b = _traced_stage_report(raw.with_target(y), cfg)
         assert not np.array_equal(report_a.rmse, report_b.rmse)
         (prefixes_a, _), (prefixes_b, _) = fits_a[fold], fits_b[fold]
-        assert len(prefixes_a) == len(cfg.stages) + 1
+        assert len(prefixes_a) == len(PIPELINE_STAGES) + 1
         for a, b in zip(prefixes_a, prefixes_b):
             _assert_same_fit(a, b)
         # Every other fold trains on the scaled rows.
@@ -191,7 +222,7 @@ class TestFittedChain:
 class TestStageReport:
     def test_every_stage_is_scored_in_yield_units(self, traced_report):
         cfg, report, _ = traced_report
-        assert cfg.log_target and cfg.stages[-1] == "feature_transformation"
+        assert PIPELINE_STAGES[-1] == "feature_transformation"
         for model in report.model_names:
             before = report.cell(model, "outlier_removal")
             after = report.cell(model, "feature_transformation")
@@ -205,7 +236,7 @@ class TestStageReport:
         """Least squares predictions do not change when a column is scaled,
         and both columns read the same selected features."""
         cfg, report, _ = traced_report
-        assert cfg.stages[:2] == ("feature_selection", "feature_scaling")
+        assert PIPELINE_STAGES[:2] == ("feature_selection", "feature_scaling")
         np.testing.assert_allclose(report.cell("mlr", "feature_scaling"),
                                    report.cell("mlr", "feature_selection"),
                                    rtol=1e-9)

@@ -59,7 +59,10 @@ def test_a_model_file_with_retired_keys_loads(model, canonical_raw, tmp_path):
     (("preprocess",), "month_encoding", "onehot",
      'may only be "cyclic", got "onehot"'),
     (("preprocess",), "month_encoding", "integer",
-     'may only be "cyclic", got "integer"')])
+     'may only be "cyclic", got "integer"'),
+    # The chain logs the target alone, and writes no logged feature.
+    (("preprocess",), "log_features", ["rainfall"],
+     'may only be [], got ["rainfall"]')])
 def test_a_retired_key_at_another_value_is_refused_by_name(
         model, tmp_path, path, key, value, message):
     doc = json.loads(model_to_json(model))
@@ -148,19 +151,25 @@ CORRUPTIONS = {
     "boolean patience": (FIRST_MLP + ("config",), "patience", True),
     "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
                                float("inf")),
-    # ``apply_features`` replays the stages of ``stage_order`` and nothing
-    # else, so the chain must name each known stage once and hold a scaler
-    # or logged features only with their stage.  A list holds several edits.
+    # ``stage_order`` names the fitted stages of the fixed chain, each known
+    # stage once, and the chain holds a scaler and logs the target exactly
+    # when it has their stages.
     "feature_scaling left out": (("preprocess",), "stage_order",
                                  lambda s: [x for x in s
                                             if x != "feature_scaling"]),
     "feature_scaling twice": (("preprocess",), "stage_order",
                               lambda s: s + ["feature_scaling"]),
     "unknown stage": (("preprocess",), "stage_order", lambda s: s + ["bogus"]),
-    "logged features without their stage": [
-        (("preprocess",), "log_features", ["rainfall"]),
-        (("preprocess",), "stage_order",
-         lambda s: [x for x in s if x != "feature_transformation"])],
+    "scaler dropped": (("preprocess",), "scaler", None),
+    "log_target flipped": (("preprocess",), "log_target", False),
+    # The scaler scales every selected feature.  A list holds several edits:
+    # this one drops the last scaler column with its mean and std.
+    "scaler drops a selected feature": [
+        (("preprocess", "scaler"), "columns", lambda c: c[:-1]),
+        (("preprocess", "scaler"), "means", lambda a: a[:-1]),
+        (("preprocess", "scaler"), "stds", lambda a: a[:-1])],
+    "scaler columns reordered": (("preprocess", "scaler"), "columns",
+                                 lambda c: c[::-1]),
     "unknown month_encoding": (("preprocess",), "month_encoding", "weekly"),
     # Each network takes one input per feature the chain selects.
     "chain selects a feature fewer": (("preprocess",), "selected_features",
