@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
-Commands: ``synth`` (generate a synthetic dataset), ``inspect`` (correlation
-and outlier reports), ``train`` (fit and save the ensemble), ``evaluate``
-(stage report plus hold-out metrics), ``predict`` (score new rows with a
-saved model).  Exit codes: 0 success, 1 user/data/config error, 2 internal
-error.  Diagnostics go to stderr; data goes to stdout only when no output
-path is given.
+Commands: ``synth`` (the 120-row canonical synthetic dataset, drawn at the
+config's seed or ``--seed``), ``inspect`` (correlation and outlier reports),
+``train`` (fit and save the ensemble), ``evaluate`` (stage report plus
+hold-out metrics), ``predict`` (score new rows with a saved model).  Exit
+codes: 0 success, 1 user/data/config error, 2 internal error.  Diagnostics
+go to stderr; data goes to stdout only when no output path is given.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, load_config
-from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, correlation_report,
-                      generate_synthetic, load_csv, read_blocks, render_csv,
-                      write_csv)
+from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, SyntheticSpec,
+                      correlation_report, generate_synthetic, load_csv,
+                      read_blocks, render_csv, write_csv)
 from .ensemble import SCORE_BLOCK, predict_ensemble
 from .errors import DataError, TeaYieldError
 from .pipeline import evaluate_pipeline, train_ensemble_pipeline
@@ -63,7 +63,7 @@ def _output(path, directory: bool = False) -> Path:
 
 def cmd_synth(args) -> int:
     cfg = _read_config(args)
-    m = generate_synthetic(cfg.synth_n, cfg.seed, cfg.synth)
+    m = generate_synthetic(120, cfg.seed, SyntheticSpec.canonical())
     if args.out:
         write_csv(m, _output(args.out))
         print(f"wrote {m.n_samples} rows to {args.out}", file=sys.stderr)
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add("synth", cmd_synth, "generate a synthetic dataset CSV",
+    add("synth", cmd_synth, "generate the 120-row canonical synthetic CSV",
         out_help="output CSV path (stdout if omitted)")
     add("inspect", cmd_inspect, "write correlation and outlier reports",
         data=True, out_required=True)

@@ -9,7 +9,12 @@ choices.  ``render_config`` writes a configuration as INI text and
 list of INI options.  A retired option keeps its row, with the one value
 left to it, and sets nothing.  No option shapes the preprocessing chain's
 stages: it is the fixed chain of ``preprocess.PIPELINE_STAGES``, which
-scales every selected column and logs the target alone.
+scales every selected column and logs the target alone.  Nor does one
+choose RReliefF's instances or neighbor decay (every row is visited, at
+``feature_select.DECAY_SIGMA``), the ensemble's weighting constants (taken
+from the learners' errors), or the synthetic data: ``teayield synth``
+draws the canonical generator spec.  An error in a value names its
+``[section] key`` and the value given.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import reduce
 from .dataset import SyntheticSpec
 from .ensemble import EnsembleConfig
 from .errors import ConfigError, DataError, FitError
-from .feature_select import ReliefParams
+from .feature_select import DECAY_SIGMA, ReliefParams
 from .preprocess import PIPELINE_STAGES
 from .regressors import MLPTrainConfig
 
@@ -44,8 +49,6 @@ class PipelineConfig:
     cv_folds: int = 10
     holdout_fraction: float = 0.3
     mlp_replicates: int = 5
-    synth_n: int = 120
-    synth: SyntheticSpec = SyntheticSpec.canonical()
 
     def __post_init__(self):
         for name, patience in (("[sfs] patience", self.sfs_patience),
@@ -61,14 +64,15 @@ class PipelineConfig:
                             ("[sfs] ridge_lambda", self.sfs_ridge_lambda)):
             if not value >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        for name, value, low in (("[evaluation] cv_folds", self.cv_folds, 2),
+                                 ("[evaluation] mlp_replicates",
+                                  self.mlp_replicates, 1),
+                                 ("[pipeline] seed", self.seed, 0)):
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError("holdout_fraction must be in (0, 1)")
-        if self.mlp_replicates < 1:
-            raise ConfigError("mlp_replicates must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+            raise ConfigError("[evaluation] holdout_fraction must be in "
+                              f"(0, 1), got {self.holdout_fraction}")
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -122,17 +126,21 @@ def _retired(section: str, key: str, kind: str, value):
     return section, key, None, kind, value
 
 
+def _retired_synth(key: str, kind: str):
+    """A retired ``[synth]`` row at the canonical generator's value."""
+    return _retired("synth", key, kind, getattr(SyntheticSpec.canonical(), key))
+
+
 # The single list of INI options, in file order.  Each row is (section, key,
 # attribute path from a PipelineConfig, value kind, the word that stands for
 # None if the option may be None); a retired row has the path None and its
-# one value last.  Two fields have no row (see ``_unwritten``):
-# ``ensemble.mlp`` is the [mlp] section with ``hidden_size=5``, and
-# ``synth.interaction_coef`` has none yet, since its row would add a line to
-# the benchmark's committed config, which must equal render_config's output.
-# The eleven retired rows select modes the method no longer has, or reorder,
-# drop or bend the fixed preprocessing chain.  They remain because that
-# committed file still lists them, and go when the benchmark's config is
-# next regenerated.
+# one value last.  One field has no row (see ``_unwritten``):
+# ``ensemble.mlp`` is the [mlp] section with ``hidden_size=5``.
+# The 27 retired rows select modes the method no longer has, reorder, drop
+# or bend the fixed preprocessing chain, or shape the synthetic data, which
+# ``teayield synth`` draws at the canonical spec.  They remain because the
+# benchmark's committed config still lists them, and go when it is next
+# regenerated.
 OPTIONS = (
     ("pipeline", "seed", ("seed",), "int", None),
     _retired("pipeline", "month_encoding", "str", "cyclic"),
@@ -145,8 +153,8 @@ OPTIONS = (
     ("outliers", "threshold", ("outlier_threshold",), "float", None),
     _retired("outliers", "rule", "str", "fixed"),
     _nested("relieff", "k", "int"),
-    _nested("relieff", "iterations", "int", "all"),
-    _nested("relieff", "decay_sigma", "float", "none"),
+    _retired("relieff", "iterations", "str", "all"),
+    _retired("relieff", "decay_sigma", "float", DECAY_SIGMA),
     _retired("sfs", "evaluator", "str", "ridge"),
     ("sfs", "ridge_lambda", ("sfs_ridge_lambda",), "float", None),
     ("sfs", "patience", ("sfs_patience",), "int", None),
@@ -162,25 +170,25 @@ OPTIONS = (
     _nested("ensemble", "subsample_fraction", "float"),
     _retired("ensemble", "bootstrap", "bool", False),
     _retired("ensemble", "oof_errors", "bool", True),
-    _nested("ensemble", "weight_b", "float", "auto"),
-    _nested("ensemble", "weight_c", "float", "auto"),
+    _retired("ensemble", "weight_b", "str", "auto"),
+    _retired("ensemble", "weight_c", "str", "auto"),
     _retired("ensemble", "literal_weights", "bool", False),
     ("ensemble", "patience", ("ensemble_patience",), "int", None),
     ("evaluation", "cv_folds", ("cv_folds",), "int", None),
     ("evaluation", "holdout_fraction", ("holdout_fraction",), "float", None),
     ("evaluation", "mlp_replicates", ("mlp_replicates",), "int", None),
-    ("synth", "n", ("synth_n",), "int", None),
-    _nested("synth", "noise_scale", "float"),
-    _nested("synth", "n_distractors", "int"),
-    _nested("synth", "n_outliers", "int"),
-    _nested("synth", "outlier_shift", "float"),
-    _nested("synth", "rain_coef", "float"),
-    _nested("synth", "temp_coef", "float"),
-    _nested("synth", "ph_coef", "float"),
-    _nested("synth", "humidity_coef", "float"),
-    _nested("synth", "season_amp", "float"),
-    _nested("synth", "base_log_yield", "float"),
-    _nested("synth", "start_year", "int"),
+    _retired("synth", "n", "int", 120),
+    _retired_synth("noise_scale", "float"),
+    _retired_synth("n_distractors", "int"),
+    _retired_synth("n_outliers", "int"),
+    _retired_synth("outlier_shift", "float"),
+    _retired_synth("rain_coef", "float"),
+    _retired_synth("temp_coef", "float"),
+    _retired_synth("ph_coef", "float"),
+    _retired_synth("humidity_coef", "float"),
+    _retired_synth("season_amp", "float"),
+    _retired_synth("base_log_yield", "float"),
+    _retired_synth("start_year", "int"),
 )
 
 
@@ -197,9 +205,7 @@ def _unwritten(cfg: PipelineConfig) -> dict:
     a file that sets the rows as ``cfg`` holds them."""
     # The ensemble trains with the [mlp] settings; its hidden size is
     # redrawn per learner, so the template value is immaterial.
-    return {("ensemble", "mlp"): replace(cfg.mlp, hidden_size=5),
-            ("synth", "interaction_coef"):
-                PipelineConfig().synth.interaction_coef}
+    return {("ensemble", "mlp"): replace(cfg.mlp, hidden_size=5)}
 
 
 def load_config(path) -> PipelineConfig:

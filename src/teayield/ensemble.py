@@ -43,27 +43,21 @@ SCORE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Pool and weighting knobs.
-
-    ``weight_c=None`` uses the median of the selected learners' errors;
-    ``weight_b=None`` uses ln(9)/IQR of those errors, i.e. roughly a 9:1 raw
-    weight ratio across the interquartile error range.
-    """
+    """The pool: its size, each member's share of the rows, and the
+    networks' training settings.  The weighting has no setting; see
+    ``resolve_weight_params``."""
 
     pool_size: int = 100
     subsample_fraction: float = 0.9
-    weight_b: float | None = None
-    weight_c: float | None = None
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=HIDDEN_RANGE[0])
 
     def __post_init__(self):
         if self.pool_size < 1:
-            raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
+            raise ConfigError(
+                f"[ensemble] pool_size must be >= 1, got {self.pool_size}")
         if not 0.0 < self.subsample_fraction <= 1.0:
-            raise ConfigError("subsample_fraction must be in (0, 1], got "
-                              f"{self.subsample_fraction}")
-        if self.weight_b is not None and not self.weight_b > 0.0:
-            raise ConfigError(f"weight_b must be > 0, got {self.weight_b}")
+            raise ConfigError("[ensemble] subsample_fraction must be in "
+                              f"(0, 1], got {self.subsample_fraction}")
 
 
 @dataclass(frozen=True)
@@ -184,23 +178,19 @@ def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
         derived = FeatureMatrix(
             tuple(f"learner_{i:03d}" for i in good), preds[good].T, m.target,
             m.target_name)
-        ranked = rrelieff(derived, k=relief.k, iterations=relief.iterations,
-                          seed=0, decay_sigma=relief.decay_sigma)
+        ranked = rrelieff(derived, k=relief.k)
         for pos, i in enumerate(good):
             weights[i] = ranked.weights[pos]
     return LearnerRanking(rank_order(weights), weights)
 
 
-def resolve_weight_params(errors: Sequence[float],
-                          cfg: EnsembleConfig) -> tuple[float, float]:
+def resolve_weight_params(errors: Sequence[float]) -> tuple[float, float]:
+    """The steepness b and centre c of the weighting logistic: c is the
+    median of the learners' errors and b is ln(9)/IQR of them, roughly a 9:1
+    raw weight ratio across the interquartile error range."""
     eps = np.asarray(errors, dtype=np.float64)
-    c = float(np.median(eps)) if cfg.weight_c is None else float(cfg.weight_c)
-    if cfg.weight_b is None:
-        iqr = float(np.percentile(eps, 75) - np.percentile(eps, 25))
-        b = math.log(9.0) / max(iqr, 1e-12)
-    else:
-        b = float(cfg.weight_b)
-    return b, c
+    iqr = float(np.percentile(eps, 75) - np.percentile(eps, 25))
+    return math.log(9.0) / max(iqr, 1e-12), float(np.median(eps))
 
 
 def _falling_logistic(z: float) -> float:
@@ -281,7 +271,7 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
         oof = np.empty(m.n_samples)
         for fold in range(plan.k):
             eps, preds = zip(*(member(fold, pos) for pos in order[:size]))
-            b, c = resolve_weight_params(eps, cfg)
+            b, c = resolve_weight_params(eps)
             w = compute_weights(eps, b, c)
             oof[fold_rows[fold][1]] = w @ np.vstack(preds)
         resid = oof - m.target
@@ -292,11 +282,11 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
 
 
 def assemble(pool: Sequence[BaseLearner], selection: LearnerSelection,
-             cfg: EnsembleConfig, preprocess: PreprocessState) -> EnsembleModel:
+             preprocess: PreprocessState) -> EnsembleModel:
     """Build the final model from the selected pool members."""
     learners = tuple(pool[pos] for pos in selection.selected_positions)
     errors = [bl.train_error for bl in learners]
-    b, c = resolve_weight_params(errors, cfg)
+    b, c = resolve_weight_params(errors)
     weights = compute_weights(errors, b, c)
     return EnsembleModel(learners, weights, b, c, preprocess)
 

@@ -1,11 +1,12 @@
 """Feature ranking and subset selection.
 
-Ranking uses the regression form of the relief family: for each sampled
-instance, the k nearest neighbors (Manhattan distance over range-normalized
-features) contribute to three accumulators - probability weight of a
-different target (ndc), of a different feature value (nda), and of both
-together (ndcda) - with neighbor influence decaying exponentially in rank.
-The final weight per feature is
+Ranking uses the regression form of the relief family (RReliefF,
+Robnik-Šikonja & Kononenko 2003): for every instance, the k nearest
+neighbors (Manhattan distance over range-normalized features) contribute to
+three accumulators - probability weight of a different target (ndc), of a
+different feature value (nda), and of both together (ndcda) - with neighbor
+influence decaying as exp(-(rank / DECAY_SIGMA)^2).  The final weight per
+feature is
 
     W = ndcda / ndc - (nda - ndcda) / (m - ndc)
 
@@ -28,21 +29,19 @@ from .errors import ConfigError, DataError, FitError, TeaYieldError
 from .evaluation import cross_validate, forward_select, make_folds, metrics
 from .util import derive_seed, write_table
 
+# Width of the neighbor influence decay, in neighbor ranks.
+DECAY_SIGMA = 20.0
+
 
 @dataclass(frozen=True)
 class ReliefParams:
+    """The neighbor count of RReliefF, which visits every instance once."""
+
     k: int = 10
-    iterations: int | None = None  # None = every sample exactly once
-    decay_sigma: float | None = 20.0  # None = uniform neighbor influence
 
     def __post_init__(self):
         if self.k < 1:
-            raise ConfigError(f"relieff k must be >= 1, got {self.k}")
-        if self.iterations is not None and self.iterations < 1:
-            raise ConfigError(f"relieff iterations must be >= 1, got {self.iterations}")
-        if self.decay_sigma is not None and not self.decay_sigma > 0.0:
-            raise ConfigError(
-                f"relieff decay_sigma must be > 0, got {self.decay_sigma}")
+            raise ConfigError(f"[relieff] k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,9 @@ class SelectionResult:
                     ([size, repr(float(rmse))] for size, rmse in self.trace))
 
 
-def neighbor_rank_weights(k: int, decay_sigma: float | None) -> np.ndarray:
+def neighbor_rank_weights(k: int) -> np.ndarray:
     """Influence of the r-th nearest neighbor, normalized to sum to 1."""
-    if decay_sigma is None:
-        return np.full(k, 1.0 / k)
-    if decay_sigma <= 0:
-        raise DataError(f"decay_sigma must be > 0 or None, got {decay_sigma}")
-    raw = np.exp(-(np.arange(1, k + 1) / decay_sigma) ** 2)
+    raw = np.exp(-(np.arange(1, k + 1) / DECAY_SIGMA) ** 2)
     return raw / raw.sum()
 
 
@@ -94,14 +89,12 @@ def rank_order(weights: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(f), -weights))
 
 
-def rrelieff(m: FeatureMatrix, k: int = 10, iterations: int | None = None,
-             seed: int = 0, decay_sigma: float | None = 20.0) -> RankedFeatures:
-    """Rank features by the regression relief weight.
+def rrelieff(m: FeatureMatrix, k: int = 10) -> RankedFeatures:
+    """Rank features by the regression relief weight, visiting every
+    instance once, so the ranking draws no random number.
 
     Features and target are internally normalized by their observed range, so
     the ranking is invariant under positive affine rescaling of any column.
-    ``iterations=None`` visits every sample exactly once (deterministic);
-    smaller values sample that many instances without replacement.
     """
     n, f = m.values.shape
     if k < 1:
@@ -119,17 +112,9 @@ def rrelieff(m: FeatureMatrix, k: int = 10, iterations: int | None = None,
 
     xn = np.ascontiguousarray((m.values - m.values.min(axis=0)) / ranges)
     yn = np.ascontiguousarray((m.target - m.target.min()) / y_range)
-    if iterations is None or iterations == n:
-        sample_idx = np.arange(n, dtype=np.int64)
-    elif 1 <= iterations < n:
-        sample_idx = np.sort(np.random.default_rng(seed).choice(
-            n, size=iterations, replace=False)).astype(np.int64)
-    else:
-        raise DataError(f"iterations must be in 1..{n} or None, got {iterations}")
-
-    rank_w = neighbor_rank_weights(k, decay_sigma)
-    ndc, nda, ndcda = kernels.relief_accumulate(xn, yn, sample_idx, k, rank_w)
-    weights = relief_weights_from_counts(ndc, nda, ndcda, sample_idx.shape[0])
+    ndc, nda, ndcda = kernels.relief_accumulate(
+        xn, yn, np.arange(n, dtype=np.int64), k, neighbor_rank_weights(k))
+    weights = relief_weights_from_counts(ndc, nda, ndcda, n)
     return RankedFeatures(m.column_names, weights, rank_order(weights))
 
 

@@ -80,16 +80,12 @@ class StageReport:
 
 def _check_rows(cfg: PipelineConfig, n: int, chosen: str) -> None:
     """Before RReliefF ranks ``chosen`` on ``n`` rows and the forward search
-    folds them, raise a DataError naming the ``[relieff]`` or
-    ``[evaluation] cv_folds`` option, its value and ``n`` if the rows are
-    too few for it."""
-    relieff = cfg.relieff
-    if relieff.k >= n:
-        raise DataError(f"[relieff] k = {relieff.k} needs more than "
-                        f"{relieff.k} rows to rank {chosen}, got {n}")
-    if relieff.iterations is not None and relieff.iterations > n:
-        raise DataError(f"[relieff] iterations = {relieff.iterations} needs "
-                        f"at least {relieff.iterations} rows to rank "
+    folds them, raise a DataError naming ``[relieff] k`` or
+    ``[evaluation] cv_folds``, its value and ``n`` if the rows are too few
+    for it."""
+    k = cfg.relieff.k
+    if k >= n:
+        raise DataError(f"[relieff] k = {k} needs more than {k} rows to rank "
                         f"{chosen}, got {n}")
     if cfg.cv_folds > n:
         raise DataError(f"[evaluation] cv_folds = {cfg.cv_folds} needs at "
@@ -131,9 +127,7 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
         prefixes.append((m, chain))
 
     _check_rows(cfg, m.n_samples, "features")
-    ranked = rrelieff(m, k=cfg.relieff.k, iterations=cfg.relieff.iterations,
-                      seed=derive_seed(seed, 1),
-                      decay_sigma=cfg.relieff.decay_sigma)
+    ranked = rrelieff(m, k=cfg.relieff.k)
     selection = sequential_forward_select(
         m, ranked, make_linear_factory(cfg.sfs_ridge_lambda,
                                        standardize_features=True),
@@ -181,7 +175,7 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
                                 folds=cfg.cv_folds,
                                 seed=derive_seed(cfg.seed, _TAG_PICK),
                                 patience=cfg.ensemble_patience)
-    model = assemble(pool, selection, cfg.ensemble, state)
+    model = assemble(pool, selection, state)
     return TrainingResult(model, PoolReport(pool, ranking, selection), artifacts)
 
 

@@ -17,7 +17,7 @@ from teayield import cli, ensemble
 from teayield.cli import main
 from teayield.config import render_config
 from teayield.dataset import (SyntheticSpec, generate_synthetic, load_csv,
-                              write_csv)
+                              render_csv, write_csv)
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
                                compute_weights, predict_ensemble)
 from teayield.errors import DataError
@@ -56,6 +56,29 @@ def test_train_creates_the_model_directory(workdir, monkeypatch):
                  "--model", "nodir/m.json"]) == 0
     assert len(load_model(workdir / "nodir" / "m.json").learners) >= 1
     assert (workdir / "nodir" / "pool_report.csv").is_file()
+
+
+@pytest.mark.parametrize("args,seed", [([], 42), (["--seed", "7"], 7)])
+def test_synth_writes_the_canonical_set(capsys, args, seed):
+    """120 rows of the canonical generator spec, at the default config's
+    seed or the one given."""
+    assert main(["synth", *args]) == 0
+    assert capsys.readouterr().out == render_csv(
+        generate_synthetic(120, seed, SyntheticSpec.canonical()))
+
+
+def test_synth_refuses_a_config_that_reshapes_the_data(workdir, capsys):
+    config = workdir / "noisy.ini"
+    config.write_text((workdir / "tiny.ini").read_text(encoding="utf-8")
+                      .replace("noise_scale = 0.16\n", "noise_scale = 0.3\n"),
+                      encoding="utf-8")
+    out = workdir / "noisy.csv"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: [synth] noise_scale: retired option; it may only "
+        "be 0.16, got '0.3'\n")
+    assert not out.exists()
 
 
 def test_synth_creates_the_output_directory(workdir):
@@ -487,15 +510,12 @@ def test_evaluate_on_a_small_file_exits_1_naming_the_option(
 # Of the 120 rows of the tiny config's synth file, 84 train and a
 # stage-report fold trains on 67.  Feature selection ranks the features of a
 # fold's rows; the ensemble ranks its learners on the 84 rows less those
-# outlier removal drops.  At an outlier threshold of 0.01 it keeps 58 or 61,
-# by the features that selection under each [relieff] setting kept.
+# outlier removal drops.  At an outlier threshold of 0.01 it keeps 58.
 @pytest.mark.parametrize("options,message", [
-    ({"iterations": "80"}, "training rows of stage-report fold 0: [relieff] "
-     "iterations = 80 needs at least 80 rows to rank features, got 67"),
+    ({"k": "67"}, "training rows of stage-report fold 0: [relieff] k = 67 "
+     "needs more than 67 rows to rank features, got 67"),
     ({"k": "62", "threshold": "0.01"},
-     "[relieff] k = 62 needs more than 62 rows to rank learners, got 58"),
-    ({"iterations": "64", "threshold": "0.01"}, "[relieff] "
-     "iterations = 64 needs at least 64 rows to rank learners, got 61")])
+     "[relieff] k = 62 needs more than 62 rows to rank learners, got 58")])
 def test_evaluate_with_too_few_rows_for_relief_exits_1_naming_the_option(
         workdir, tmp_path, capsys, options, message):
     parser = configparser.ConfigParser(interpolation=None)

@@ -64,7 +64,7 @@ class TestComputeWeights:
     def test_sums_to_one(self, rng):
         for _ in range(20):
             eps = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 30)))
-            b, c = resolve_weight_params(eps, EnsembleConfig(mlp=FAST_MLP))
+            b, c = resolve_weight_params(eps)
             w = compute_weights(eps, b, c)
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w > 0)
@@ -288,7 +288,7 @@ class TestPredictEnsemble:
         pool = train_pool(small_matrix, cfg, seed=12)
         sel_positions = tuple(range(5))
         eps = [bl.train_error for bl in pool]
-        b, c = resolve_weight_params(eps, cfg)
+        b, c = resolve_weight_params(eps)
         w = compute_weights(eps, b, c)
         model = EnsembleModel(tuple(pool), w, b, c,
                               one_member_state(small_matrix))

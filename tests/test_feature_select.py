@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from teayield import kernels
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
 from teayield.evaluation import cross_validate, make_folds, metrics
-from teayield.feature_select import (neighbor_rank_weights, rrelieff,
+from teayield.feature_select import (DECAY_SIGMA, neighbor_rank_weights,
+                                     relief_weights_from_counts, rrelieff,
                                      sequential_forward_select)
 from teayield.regressors import make_linear_factory
 from teayield.util import derive_seed
@@ -42,6 +44,18 @@ def brute_force_relief(m, k, rank_w):
     return hit - miss
 
 
+def kernel_relief(m, k, rank_w):
+    """The relief weights that ``kernels.relief_accumulate`` gives over every
+    instance under the neighbor influences ``rank_w``, normalized as
+    ``rrelieff`` normalizes its input."""
+    values, y = m.values, m.target
+    xn = (values - values.min(axis=0)) / np.ptp(values, axis=0)
+    yn = (y - y.min()) / np.ptp(y)
+    n = m.n_samples
+    counts = kernels.relief_accumulate(xn, yn, np.arange(n), k, rank_w)
+    return relief_weights_from_counts(*counts, n)
+
+
 def planted_matrix(seed, n=200, noise_features=5):
     r = np.random.default_rng(seed)
     target = np.sort(r.normal(size=n))  # monotone target
@@ -65,14 +79,14 @@ class TestRRelieff:
         hits = 0
         for seed in range(20):
             m = planted_matrix(seed)
-            ranked = rrelieff(m, k=10, seed=seed)
+            ranked = rrelieff(m, k=10)
             hits += ranked.order[0] == 0
         assert hits >= 19
 
     def test_duplicated_feature_gets_equal_weight(self, rng):
         m = planted_matrix(3, n=60, noise_features=2)
         dup = with_copy(m, "signal_copy", "signal")
-        ranked = rrelieff(dup, k=8, seed=0)
+        ranked = rrelieff(dup, k=8)
         i = dup.col_index("signal")
         j = dup.col_index("signal_copy")
         assert ranked.weights[i] == pytest.approx(ranked.weights[j], abs=1e-12)
@@ -84,14 +98,19 @@ class TestRRelieff:
             f = int(r.integers(2, 5))
             m = random_matrix(r, n, f, target_noise=0.5)
             k = n - 1
-            ranked = rrelieff(m, k=k, iterations=n, seed=0, decay_sigma=None)
-            oracle = brute_force_relief(m, k, np.full(k, 1.0 / k))
-            np.testing.assert_allclose(ranked.weights, oracle, atol=1e-10)
+            for rank_w in (np.full(k, 1.0 / k), neighbor_rank_weights(k)):
+                oracle = brute_force_relief(m, k, rank_w)
+                np.testing.assert_allclose(kernel_relief(m, k, rank_w),
+                                           oracle, atol=1e-10)
+            np.testing.assert_array_equal(
+                rrelieff(m, k=k).weights,
+                kernel_relief(m, k, neighbor_rank_weights(k)))
 
     def test_matches_brute_force_with_ties_and_rank_decay(self):
         # Feature values on a 0..4 grid make the normalized values and their
         # distance sums exact, so many neighbors tie; with a steep rank decay
-        # both the tie-break and the neighbor order change the weights.
+        # (sigma 2) both the tie-break and the neighbor order change the
+        # weights.  ``rrelieff`` decays at DECAY_SIGMA, which is checked too.
         for seed in range(6):
             r = np.random.default_rng(seed)
             n, f, k = 40, 3, 7
@@ -99,36 +118,35 @@ class TestRRelieff:
             values[:2] = [[0.0] * f, [4.0] * f]
             m = FeatureMatrix(tuple(f"x{i}" for i in range(f)), values,
                               r.normal(size=n), "y")
-            ranked = rrelieff(m, k=k, seed=0, decay_sigma=2.0)
-            oracle = brute_force_relief(m, k, neighbor_rank_weights(k, 2.0))
-            np.testing.assert_allclose(ranked.weights, oracle, atol=1e-10)
+            steep = np.exp(-(np.arange(1, k + 1) / 2.0) ** 2)
+            steep /= steep.sum()
+            np.testing.assert_allclose(kernel_relief(m, k, steep),
+                                       brute_force_relief(m, k, steep),
+                                       atol=1e-10)
+            np.testing.assert_allclose(
+                rrelieff(m, k=k).weights,
+                brute_force_relief(m, k, neighbor_rank_weights(k)),
+                atol=1e-10)
 
     def test_weights_within_unit_interval(self, rng):
         m = random_matrix(rng, 50, 6)
-        ranked = rrelieff(m, k=7, seed=2)
+        ranked = rrelieff(m, k=7)
         assert np.all(ranked.weights >= -1.0)
         assert np.all(ranked.weights <= 1.0)
 
     def test_affine_rescaling_invariance(self, rng):
         m = random_matrix(rng, 40, 4)
-        ranked = rrelieff(m, k=6, seed=1)
+        ranked = rrelieff(m, k=6)
         rescaled = m.replace_columns({"x1": 7.5 * m.column("x1") - 3.0})
-        ranked2 = rrelieff(rescaled, k=6, seed=1)
+        ranked2 = rrelieff(rescaled, k=6)
         np.testing.assert_allclose(ranked.weights, ranked2.weights, atol=1e-10)
-
-    def test_deterministic_for_fixed_seed(self, rng):
-        m = random_matrix(rng, 40, 4)
-        a = rrelieff(m, k=5, iterations=20, seed=9)
-        b = rrelieff(m, k=5, iterations=20, seed=9)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.order, b.order)
 
     def test_argmax_stable_under_duplication(self):
         for seed in range(10):
             m = planted_matrix(seed, n=80, noise_features=3)
-            top = m.column_names[rrelieff(m, k=8, seed=0).order[0]]
+            top = m.column_names[rrelieff(m, k=8).order[0]]
             dup = with_copy(m, "extra_copy", top)
-            top2 = dup.column_names[rrelieff(dup, k=8, seed=0).order[0]]
+            top2 = dup.column_names[rrelieff(dup, k=8).order[0]]
             assert top2 == top
 
     def test_k_must_be_below_n(self, rng):
@@ -150,7 +168,7 @@ class TestRRelieff:
 
     def test_rank_csv(self, rng, tmp_path):
         m = random_matrix(rng, 30, 3)
-        ranked = rrelieff(m, k=5, seed=0)
+        ranked = rrelieff(m, k=5)
         path = tmp_path / "rank.csv"
         ranked.to_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -158,10 +176,13 @@ class TestRRelieff:
         assert len(lines) == 4
 
     def test_neighbor_weights_sum_to_one(self):
-        for sigma in (None, 5.0, 20.0):
-            w = neighbor_rank_weights(10, sigma)
+        for k in (1, 10, 30):
+            w = neighbor_rank_weights(k)
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(np.diff(w) <= 0)
+            assert np.all(np.diff(w) < 0)
+        raw = np.exp(-(np.arange(1, 11) / DECAY_SIGMA) ** 2)
+        np.testing.assert_array_equal(neighbor_rank_weights(10),
+                                      raw / raw.sum())
 
 
 class TestSequentialForwardSelect:
@@ -170,7 +191,7 @@ class TestSequentialForwardSelect:
 
     def test_single_sufficient_feature(self):
         m = planted_matrix(5)
-        ranked = rrelieff(m, k=10, seed=0)
+        ranked = rrelieff(m, k=10)
         result = sequential_forward_select(m, ranked, self.evaluator(),
                                            folds=5, seed=0, patience=1)
         assert result.selected == ("signal",)
@@ -179,14 +200,14 @@ class TestSequentialForwardSelect:
         x = np.sort(rng.normal(size=80))
         values = np.column_stack([x, x, x])
         m = FeatureMatrix(("a", "b", "c"), values, x + 0.05 * rng.normal(size=80))
-        ranked = rrelieff(m, k=8, seed=0)
+        ranked = rrelieff(m, k=8)
         result = sequential_forward_select(m, ranked, self.evaluator(),
                                            folds=5, seed=0, patience=1)
         assert len(result.selected) == 1
 
     def test_trace_reproducible_by_rerunning_evaluator(self, rng):
         m = random_matrix(rng, 60, 4, target_noise=0.5)
-        ranked = rrelieff(m, k=8, seed=0)
+        ranked = rrelieff(m, k=8)
         result = sequential_forward_select(m, ranked, self.evaluator(),
                                            folds=5, seed=3, patience=2)
         plan = make_folds(m.n_samples, 5, 3)
@@ -200,7 +221,7 @@ class TestSequentialForwardSelect:
         for seed in range(5):
             m = random_matrix(np.random.default_rng(seed), 40, 5,
                               target_noise=1.0)
-            ranked = rrelieff(m, k=6, seed=0)
+            ranked = rrelieff(m, k=6)
             result = sequential_forward_select(m, ranked, self.evaluator(),
                                                folds=4, seed=seed, patience=1)
             assert 1 <= len(result.selected) <= 5
@@ -208,7 +229,7 @@ class TestSequentialForwardSelect:
 
     def test_trace_minimum_at_selected_size(self, rng):
         m = random_matrix(rng, 50, 5, target_noise=0.8)
-        ranked = rrelieff(m, k=6, seed=0)
+        ranked = rrelieff(m, k=6)
         result = sequential_forward_select(m, ranked, self.evaluator(),
                                            folds=5, seed=2, patience=3)
         rmses = [r for _, r in result.trace]
@@ -216,7 +237,7 @@ class TestSequentialForwardSelect:
 
     def test_evaluator_failure_names_prefix(self, rng):
         m = random_matrix(rng, 30, 3)
-        ranked = rrelieff(m, k=5, seed=0)
+        ranked = rrelieff(m, k=5)
 
         def broken(train, seed):
             raise FitError("boom")
@@ -235,7 +256,7 @@ def test_duplicated_copy_never_co_selected():
                                   r.normal(size=n), r.normal(size=n)])
         m = FeatureMatrix(("signal", "copy", "n1", "n2"), values,
                           signal + 0.1 * r.normal(size=n), "y")
-        ranked = rrelieff(m, k=10, seed=0)
+        ranked = rrelieff(m, k=10)
         result = sequential_forward_select(m, ranked, evaluator, folds=5,
                                            seed=seed, patience=1)
         assert not ({"signal", "copy"} <= set(result.selected))

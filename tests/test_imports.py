@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-package imports exactly the runtime dependencies ``pyproject.toml`` declares.
+"""Every name a package or test module imports is used in that module, and
+the package imports exactly the runtime dependencies ``pyproject.toml``
+declares.
 
 No linter is part of the toolchain, so this scans the source itself: a name
 bound by ``import`` or ``from ... import`` that is never referenced again is
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "teayield"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "teayield"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -50,7 +52,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

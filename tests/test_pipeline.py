@@ -149,7 +149,7 @@ class TestFittedChain:
         the log of the target still names the row of the matrix
         ``fit_chain`` was given, not its position among the kept rows."""
         cfg = replace(tiny_config(), outlier_threshold=4 / 120)
-        raw = generate_synthetic(cfg.synth_n, cfg.seed, cfg.synth)
+        raw = generate_synthetic(120, cfg.seed, SyntheticSpec.canonical())
         target = raw.target.copy()
         target[row] = 0.0
         raw = raw.with_target(target)
@@ -175,8 +175,7 @@ class TestFittedChain:
         raw = generate_synthetic(120, 2, SyntheticSpec.canonical())
         cfg = bench_config()
         seed = derive_seed(cfg.seed, pipeline._TAG_SELECT)
-        ranked = rrelieff(raw, k=cfg.relieff.k, seed=derive_seed(seed, 1),
-                          decay_sigma=cfg.relieff.decay_sigma)
+        ranked = rrelieff(raw, k=cfg.relieff.k)
         selection = sequential_forward_select(
             raw, ranked, make_linear_factory(0.0, drop_dependent=True),
             folds=cfg.cv_folds, seed=derive_seed(seed, 2),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teayield.ensemble import compute_weights, predict_ensemble
+from teayield.ensemble import predict_ensemble
 from teayield.errors import ConfigError, DataError, TeaYieldError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.serialize import load_model, model_to_json, save_model
