@@ -104,13 +104,6 @@ class FeatureMatrix:
         return FeatureMatrix(tuple(names), self.values[:, idx], self.target,
                              self.target_name, self.carried)
 
-    def replace_columns(self, updates: Mapping[str, np.ndarray]) -> "FeatureMatrix":
-        values = np.array(self.values)
-        for name, col in updates.items():
-            values[:, self.col_index(name)] = as_float_array(col, name)
-        return FeatureMatrix(self.column_names, values, self.target,
-                             self.target_name, self.carried)
-
     def with_target(self, target) -> "FeatureMatrix":
         return FeatureMatrix(self.column_names, self.values,
                              as_float_array(target, "target"),

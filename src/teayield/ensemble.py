@@ -69,8 +69,11 @@ class BaseLearner:
 
 @dataclass(frozen=True)
 class LearnerRanking:
-    order: np.ndarray
     weights: np.ndarray
+
+    @property
+    def order(self) -> np.ndarray:
+        return rank_order(self.weights)
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
         ranked = rrelieff(derived, k=relief.k)
         for pos, i in enumerate(good):
             weights[i] = ranked.weights[pos]
-    return LearnerRanking(rank_order(weights), weights)
+    return LearnerRanking(weights)
 
 
 def resolve_weight_params(errors: Sequence[float]) -> tuple[float, float]:

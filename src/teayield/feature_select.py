@@ -48,7 +48,10 @@ class ReliefParams:
 class RankedFeatures:
     feature_names: tuple[str, ...]
     weights: np.ndarray
-    order: np.ndarray
+
+    @property
+    def order(self) -> np.ndarray:
+        return rank_order(self.weights)
 
     def ordered_names(self) -> tuple[str, ...]:
         return tuple(self.feature_names[i] for i in self.order)
@@ -115,7 +118,7 @@ def rrelieff(m: FeatureMatrix, k: int = 10) -> RankedFeatures:
     ndc, nda, ndcda = kernels.relief_accumulate(
         xn, yn, np.arange(n, dtype=np.int64), k, neighbor_rank_weights(k))
     weights = relief_weights_from_counts(ndc, nda, ndcda, n)
-    return RankedFeatures(m.column_names, weights, rank_order(weights))
+    return RankedFeatures(m.column_names, weights)
 
 
 def _dedupe_exact(m: FeatureMatrix, names: list[str]) -> list[str]:

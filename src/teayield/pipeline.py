@@ -41,7 +41,9 @@ from .preprocess import (PIPELINE_STAGES, OutlierReport, PreprocessState,
 from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
 from .util import derive_seed, write_table
 
+# The stage report's rows and its columns (see ``stage_report``).
 STAGE_MODELS = ("mlr", "gpr", "mlp")
+STAGE_NAMES = ("raw",) + PIPELINE_STAGES
 
 # Seed stream tags for the master seed.
 (_TAG_SELECT, _TAG_POOL, _TAG_PICK, _TAG_STAGE, _TAG_HOLDOUT,
@@ -57,25 +59,19 @@ class ChainArtifacts:
 
 @dataclass(frozen=True)
 class StageReport:
-    stage_names: tuple[str, ...]
-    model_names: tuple[str, ...]
-    rmse: np.ndarray  # (n_models, n_stages)
+    rmse: np.ndarray  # (STAGE_MODELS, STAGE_NAMES)
     mlp_replicates: int  # network trainings averaged in each mlp cell
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.rmse)):
             raise FitError("stage report contains non-finite cells")
 
-    def cell(self, model: str, stage: str) -> float:
-        return float(self.rmse[self.model_names.index(model),
-                               self.stage_names.index(stage)])
-
     def to_csv(self, path) -> None:
         write_table(path, ["model", "stage", "cv_rmse", "replicates"],
                     ([model, stage, repr(float(self.rmse[i, j])),
                       self.mlp_replicates if model == "mlp" else 1]
-                     for i, model in enumerate(self.model_names)
-                     for j, stage in enumerate(self.stage_names)))
+                     for i, model in enumerate(STAGE_MODELS)
+                     for j, stage in enumerate(STAGE_NAMES)))
 
 
 def _check_rows(cfg: PipelineConfig, n: int, chosen: str) -> None:
@@ -101,10 +97,11 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     Returns one ``(matrix, chain)`` pair per stage prefix, for the first k
     of ``PIPELINE_STAGES`` with k = 0 .. 4, and the per-stage artifacts.
     The chain adds no column to ``m``: it only selects and scales columns
-    and maps the target.  A stage only fits: selection sets the selected
-    features, scaling a scaler of every selected column, the transformation
-    the log of the target, and outlier removal drops rows from the kept raw
-    rows.  Each prefix matrix is then its chain replayed on the kept rows
+    and maps the target.  A stage only fits, and sets its part of the
+    chain: selection the selected features, scaling a scaler of every
+    selected column, the transformation the log of the target; outlier
+    removal sets no part, and drops rows from the kept raw rows.  Each
+    prefix matrix is then its chain replayed on the kept rows
     (``apply_features`` and ``transform_target``, the code that scores new
     rows), and the next stage fits on it.  The chain keeps target center 0
     and scale 1.  A log error names the row of the given matrix, also after
@@ -113,15 +110,14 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     kept = m
     rows = np.arange(m.n_samples)  # the given row of each kept row
     chain = PreprocessState(
-        stage_order=(), selected_features=m.column_names, scaler=None,
-        log_target=False, target_center=0.0, target_scale=1.0)
+        selected_features=m.column_names, scaler=None, log_target=False,
+        target_center=0.0, target_scale=1.0)
     prefixes = [(m, chain)]
 
     def next_prefix(**parts) -> None:
-        """Add the next stage and its ``parts`` to the chain, and replay it."""
+        """Set the next stage's ``parts`` of the chain, and replay it."""
         nonlocal m, chain
-        chain = replace(chain, stage_order=PIPELINE_STAGES[:len(prefixes)],
-                        **parts)
+        chain = replace(chain, **parts)
         m = chain.apply_features(kept).with_target(
             chain.transform_target(kept.target, rows))
         prefixes.append((m, chain))
@@ -210,10 +206,9 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     ``mlp_replicates`` independently seeded trainings.  All cells share one
     fold plan.
     """
-    stage_names = ("raw",) + PIPELINE_STAGES
     factories = _stage_factories(cfg)
     cells = [(j, model, derive_seed(seed, _TAG_STAGE, j, i, r))
-             for j in range(len(stage_names))
+             for j in range(len(STAGE_NAMES))
              for i, model in enumerate(STAGE_MODELS)
              for r in range(cfg.mlp_replicates if model == "mlp" else 1)]
     oof = np.empty((len(cells), raw.n_samples))  # a row per cell
@@ -227,7 +222,7 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
         eval_raw = raw.take_rows(eval_rows)
         for c, (j, model, fit_seed) in enumerate(cells):
             train_m, chain = prefixes[j]
-            with _naming(f"stage {stage_names[j]!r}, model {model!r}"):
+            with _naming(f"stage {STAGE_NAMES[j]!r}, model {model!r}"):
                 predict_fn = factories[model](train_m,
                                               derive_seed(fit_seed, fold))
                 oof[c, eval_rows] = chain.invert_target(np.asarray(
@@ -238,10 +233,10 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     values: dict[tuple[str, int], list[float]] = {}
     for (j, model, _), score in zip(cells, scores):
         values.setdefault((model, j), []).append(score)
-    columns = range(len(stage_names))
+    columns = range(len(STAGE_NAMES))
     rmse = np.array([[np.mean(values[model, j]) for j in columns]
                      for model in STAGE_MODELS])
-    return StageReport(stage_names, STAGE_MODELS, rmse, cfg.mlp_replicates)
+    return StageReport(rmse, cfg.mlp_replicates)
 
 
 @dataclass(frozen=True)

@@ -26,29 +26,28 @@ PIPELINE_STAGES = ("feature_selection", "feature_scaling", "outlier_removal",
 
 @dataclass(frozen=True)
 class ScalerState:
-    """Per-column mean and sample (n-1) standard deviation."""
+    """Per-column mean and sample (n-1) standard deviation, one entry per
+    column of the matrices it scales, in their order."""
 
-    columns: tuple[str, ...]
     means: np.ndarray
     stds: np.ndarray
 
 
 @dataclass(frozen=True)
 class PreprocessState:
-    """A fitted preprocessing chain, or the prefix of one that
-    ``stage_order`` names.
+    """A fitted preprocessing chain: the fixed one of ``PIPELINE_STAGES``,
+    or, while ``pipeline.fit_chain`` fits it, the first stages of it.
 
     It only selects and scales columns, and maps the target.  It maps
     loaded rows to model inputs, the ``selected_features`` columns in that
-    order, scaled by ``scaler`` if one was fitted (outlier removal only ever
-    drops training rows), and the target to model units and back: forward
-    ``log`` (if ``log_target``), then ``(y - target_center) /
+    order, each scaled by ``scaler`` if one was fitted (outlier removal only
+    ever drops training rows), and the target to model units and back:
+    forward ``log`` (if ``log_target``), then ``(y - target_center) /
     target_scale``.  Chains fitted for cross-validation keep center 0 and
     scale 1, which change no value.  A log error names a row by its
     position, or by its entry in ``rows`` where given.
     """
 
-    stage_order: tuple[str, ...]
     selected_features: tuple[str, ...]
     scaler: ScalerState | None
     log_target: bool
@@ -59,9 +58,8 @@ class PreprocessState:
         missing = [c for c in self.selected_features if c not in m.column_names]
         if missing:
             raise DataError(f"input data lacks model columns {missing}")
-        if self.scaler is not None:
-            m = apply_scaler(self.scaler, m)
-        return m.subset(self.selected_features)
+        m = m.subset(self.selected_features)
+        return m if self.scaler is None else apply_scaler(self.scaler, m)
 
     def transform_target(self, y: np.ndarray,
                          rows: np.ndarray | None = None) -> np.ndarray:
@@ -100,26 +98,27 @@ class OutlierReport:
 def fit_scaler(m: FeatureMatrix) -> ScalerState:
     """Fit per-column (mean, std) of every feature column.  Constant columns
     are a fit error."""
-    columns = m.column_names
     if m.n_samples < 2:
         raise FitError("need at least 2 samples to fit a scaler")
-    means = np.empty(len(columns))
-    stds = np.empty(len(columns))
-    for i, name in enumerate(columns):
+    means = np.empty(m.n_features)
+    stds = np.empty(m.n_features)
+    for i, name in enumerate(m.column_names):
         col = m.column(name)
         means[i] = col.mean()
         stds[i] = col.std(ddof=1)
         if stds[i] == 0.0:
             raise FitError(f"column {name!r} is constant; cannot standardize")
-    return ScalerState(columns, means, stds)
+    return ScalerState(means, stds)
 
 
 def apply_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
-    """Replace each fitted column by (x - mean) / std. Target untouched."""
-    updates = {}
-    for name, mu, sd in zip(s.columns, s.means, s.stds):
-        updates[name] = (m.column(name) - mu) / sd
-    return m.replace_columns(updates)
+    """Replace every column by (x - mean) / std, for a matrix as wide as
+    the scaler, column for column as it was fitted.  Target untouched."""
+    if m.n_features != s.means.shape[0]:
+        raise DataError(f"the scaler scales {s.means.shape[0]} columns, "
+                        f"the rows have {m.n_features}")
+    return FeatureMatrix(m.column_names, (m.values - s.means) / s.stds,
+                         m.target, m.target_name, m.carried)
 
 
 def _design_matrix(m: FeatureMatrix) -> np.ndarray:

@@ -55,23 +55,24 @@ class MLPTrainConfig:
     def __post_init__(self):
         lo, hi = HIDDEN_RANGE
         if not lo <= self.hidden_size <= hi:
-            raise FitError(f"hidden_size must be in [{lo}, {hi}], "
+            raise FitError(f"[mlp] hidden_size must be in [{lo}, {hi}], "
                            f"got {self.hidden_size}")
         if self.learning_rate <= 0:
-            raise FitError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise FitError("[mlp] learning_rate must be > 0, "
+                           f"got {self.learning_rate}")
         if self.epochs < 1:
-            raise FitError(f"epochs must be >= 1, got {self.epochs}")
+            raise FitError(f"[mlp] epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.early_stop_fraction < 1.0:
-            raise FitError("early_stop_fraction must be in [0, 1)")
+            raise FitError("[mlp] early_stop_fraction must be in [0, 1), "
+                           f"got {self.early_stop_fraction}")
         if self.patience < 1:
-            raise FitError(f"patience must be >= 1, got {self.patience}")
+            raise FitError(f"[mlp] patience must be >= 1, got {self.patience}")
 
 
 @dataclass(frozen=True)
 class MLPModel:
     """One tanh hidden layer, identity output."""
 
-    hidden_size: int
     w_hidden: np.ndarray
     b_hidden: np.ndarray
     w_out: np.ndarray
@@ -80,6 +81,10 @@ class MLPModel:
     seed: int
     epochs_run: int
     train_error: float
+
+    @property
+    def hidden_size(self) -> int:
+        return self.config.hidden_size
 
 
 def _feature_array(m: FeatureMatrix) -> np.ndarray:
@@ -214,7 +219,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
 
     resid = kernels.mlp_forward(x, w1, b1, w2, b2) - y
     train_error = float((resid * resid).mean())
-    return MLPModel(h, w1, b1, w2, float(b2), config, int(seed),
+    return MLPModel(w1, b1, w2, float(b2), config, int(seed),
                     int(epochs_run), train_error)
 
 

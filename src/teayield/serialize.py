@@ -8,7 +8,7 @@ prediction-exact; keys are sorted and separators fixed, so the same model
 always serializes to the same bytes.
 
 A learner's ``hidden_size`` and ``seed`` are copies of its network's, and
-the network's ``config.hidden_size`` is a copy of its ``hidden_size``.  The
+the network's ``hidden_size`` is a copy of its ``config.hidden_size``.  The
 copies are written from the network, and the loader rejects a document
 whose copies disagree.  Likewise the ensemble ``weights`` are a copy of
 ``compute_weights`` of the learners' train errors with the stored
@@ -17,14 +17,14 @@ document whose weights differ in any bit.  Each network takes one input
 per feature the chain selects, and a document whose chain and networks
 disagree on that count is rejected too.
 
-The chain is the fixed one of ``preprocess.PIPELINE_STAGES``, or a prefix
-of it that ``stage_order`` names: it holds a scaler exactly when it has the
-scaling stage, and that scaler scales exactly the selected features, and it
-logs the target exactly when it has the transformation stage.  The loader
-rejects a document whose chain breaks any of these.  ``log_features`` is written as ``[]``, and
-the loader accepts it, like the keys of two retired options that documents
-written by older versions hold, the weighting rule and the month encoding,
-only at the value of the one mode left.
+The chain is the fixed one of ``preprocess.PIPELINE_STAGES``, the one
+``train`` fits, in full: ``stage_order`` is written as that list, the
+scaler's ``columns`` as the selected features, and ``log_target`` as
+``true``.  The loader rejects a document whose chain says anything else.
+``log_features`` is written as ``[]``, and the loader accepts it, like the
+keys of two retired options that documents written by older versions hold,
+the weighting rule and the month encoding, only at the value of the one
+mode left.
 """
 
 from __future__ import annotations
@@ -109,15 +109,15 @@ def _dec_config(obj: dict) -> MLPTrainConfig:
 
 
 def _dec_mlp(obj: dict) -> MLPModel:
-    h = _dec_int(obj["hidden_size"], "hidden_size", 1)
+    config = _dec_config(obj["config"])
+    h = config.hidden_size
+    if _dec_int(obj["hidden_size"], "hidden_size") != h:
+        raise ValueError(f"hidden_size differs from config hidden_size {h}")
     w_hidden = _dec_array(obj["w_hidden"], "w_hidden")
     if w_hidden.ndim != 2 or w_hidden.shape[1] != h:
         raise ValueError(f"w_hidden has shape {w_hidden.shape}, "
                          f"expected (features, {h})")
-    config = _dec_config(obj["config"])
-    if config.hidden_size != h:
-        raise ValueError(f"config hidden_size differs from hidden_size {h}")
-    return MLPModel(h, w_hidden, _dec_shaped(obj["b_hidden"], (h,), "b_hidden"),
+    return MLPModel(w_hidden, _dec_shaped(obj["b_hidden"], (h,), "b_hidden"),
                     _dec_shaped(obj["w_out"], (h,), "w_out"),
                     _dec_finite(obj["b_out"], "b_out"), config,
                     _dec_int(obj["seed"], "seed"),
@@ -146,24 +146,18 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
              "train_error": bl.train_error, "seed": bl.model.seed}
             for bl in m.learners],
         "preprocess": {
-            "stage_order": list(state.stage_order),
+            "stage_order": list(PIPELINE_STAGES),
             "selected_features": list(state.selected_features),
-            "scaler": None if state.scaler is None else {
-                "columns": list(state.scaler.columns),
+            "scaler": {
+                "columns": list(state.selected_features),
                 "means": _enc_array(state.scaler.means),
                 "stds": _enc_array(state.scaler.stds)},
             "log_features": [],
-            "log_target": state.log_target,
+            "log_target": True,
             "target_center": state.target_center,
             "target_scale": state.target_scale,
         },
     }
-
-
-def _dec_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{what} must be true or false, got {value!r}")
-    return value
 
 
 def _positive(value, what: str):
@@ -173,22 +167,27 @@ def _positive(value, what: str):
     return value
 
 
-def _dec_scaler(obj: dict) -> ScalerState:
-    columns = tuple(obj["columns"])
-    shape = (len(columns),)
-    return ScalerState(columns, _dec_shaped(obj["means"], shape, "scaler means"),
+def _dec_scaler(obj: dict | None, selected: list) -> ScalerState:
+    """The scaler of the selected features, each in its place."""
+    if obj is None:
+        raise ValueError("the chain has no scaler")
+    if obj["columns"] != selected:
+        raise ValueError(f"the scaler scales {obj['columns']}, the chain "
+                         f"selects {selected}")
+    shape = (len(selected),)
+    return ScalerState(_dec_shaped(obj["means"], shape, "scaler means"),
                        _positive(_dec_shaped(obj["stds"], shape, "scaler stds"),
                                  "scaler stds"))
 
 
 def _dec_ensemble(obj: dict) -> EnsembleModel:
     pre = obj["preprocess"]
-    scaler = pre["scaler"]
-    # ``stage_order`` names the stages of the fixed chain that were fitted.
-    stages = tuple(pre["stage_order"])
-    if len(set(stages) & set(PIPELINE_STAGES)) != len(stages):
-        raise ValueError(f"stage_order {list(stages)} repeats a stage or "
-                         "names an unknown one")
+    for key, value in (("stage_order", list(PIPELINE_STAGES)),
+                       ("log_target", True)):
+        if type(pre[key]) is not type(value) or pre[key] != value:
+            raise ValueError(f"the chain is the fixed one; {key} may only "
+                             f"be {json.dumps(value)}, got "
+                             f"{json.dumps(pre[key])}")
     for holder, key, value in ((obj, "literal_weights", False),
                                (pre, "month_encoding", "cyclic"),
                                (pre, "log_features", [])):
@@ -197,22 +196,12 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
             raise ValueError(f"{key} is a retired option; it may only be "
                              f"{json.dumps(value)}, got {json.dumps(got)}")
     state = PreprocessState(
-        stage_order=stages,
         selected_features=tuple(pre["selected_features"]),
-        scaler=None if scaler is None else _dec_scaler(scaler),
-        log_target=_dec_bool(pre["log_target"], "log_target"),
+        scaler=_dec_scaler(pre["scaler"], pre["selected_features"]),
+        log_target=True,
         target_center=_dec_finite(pre["target_center"], "target_center"),
         target_scale=_positive(_dec_finite(pre["target_scale"], "target_scale"),
                                "target_scale"))
-    for held, stage in ((state.scaler is not None, "feature_scaling"),
-                        (state.log_target, "feature_transformation")):
-        if held != (stage in stages):
-            raise ValueError(f"the chain and its stage_order disagree on "
-                             f"{stage}")
-    if (state.scaler is not None
-            and state.scaler.columns != state.selected_features):
-        raise ValueError(f"the scaler scales {list(state.scaler.columns)}, "
-                         f"the chain selects {list(state.selected_features)}")
     learners = tuple(map(_dec_learner, obj["learners"]))
     if not learners:
         raise ValueError("the ensemble has no learners")
@@ -233,6 +222,9 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
 def model_to_json(model: EnsembleModel) -> str:
     if not isinstance(model, EnsembleModel):
         raise DataError(f"cannot serialize object of type {type(model).__name__}")
+    if model.preprocess.scaler is None or not model.preprocess.log_target:
+        raise DataError("cannot serialize a model whose chain lacks stages "
+                        "of the fixed one")
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
            "kind": "ensemble", "model": _enc_ensemble(model)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -21,7 +21,7 @@ from teayield.dataset import (SyntheticSpec, generate_synthetic, load_csv,
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
                                compute_weights, predict_ensemble)
 from teayield.errors import DataError
-from teayield.preprocess import PIPELINE_STAGES, PreprocessState, ScalerState
+from teayield.preprocess import PreprocessState, ScalerState
 from teayield.regressors import MLPModel, MLPTrainConfig
 from teayield.serialize import load_model, save_model
 from teayield.util import write_table
@@ -674,13 +674,12 @@ def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
     features = tuple(scales)
     means, stds = np.array(list(scales.values())).T
     state = PreprocessState(
-        stage_order=PIPELINE_STAGES, selected_features=features,
-        scaler=ScalerState(features, means, stds), log_target=True,
-        target_center=3.8, target_scale=0.5)
+        selected_features=features, scaler=ScalerState(means, stds),
+        log_target=True, target_center=3.8, target_scale=0.5)
     f = len(features)
     errors = (0.1, 0.2, 0.3)
     learners = tuple(
-        BaseLearner(MLPModel(hidden, 0.3 * rng.normal(size=(f, hidden)),
+        BaseLearner(MLPModel(0.3 * rng.normal(size=(f, hidden)),
                              rng.normal(size=hidden),
                              rng.normal(size=hidden) / hidden,
                              float(rng.normal()),

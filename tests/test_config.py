@@ -48,6 +48,14 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
     ("ensemble", "subsample_fraction", "1.5",
      "[ensemble] subsample_fraction must be in (0, 1], got 1.5"),
     ("mlp", "patience", "x", "[mlp] patience: cannot parse 'x' as an integer"),
+    ("mlp", "patience", "0", "[mlp] patience must be >= 1, got 0"),
+    ("mlp", "early_stop_fraction", "1.0",
+     "[mlp] early_stop_fraction must be in [0, 1), got 1.0"),
+    ("mlp", "hidden_size", "31",
+     "[mlp] hidden_size must be in [5, 30], got 31"),
+    ("mlp", "learning_rate", "0.0",
+     "[mlp] learning_rate must be > 0, got 0.0"),
+    ("mlp", "epochs", "0", "[mlp] epochs must be >= 1, got 0"),
     # Ranges that fitting would otherwise meet only once it had started.
     ("relieff", "k", "0", "[relieff] k must be >= 1, got 0"),
     ("gpr", "signal_var", "0.0", "[gpr] signal_var must be > 0, got 0.0"),

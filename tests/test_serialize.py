@@ -90,6 +90,17 @@ def test_only_ensembles_are_saved(model):
         model_to_json(model.learners[0].model)
 
 
+@pytest.mark.parametrize("part", [{"scaler": None}, {"log_target": False}],
+                         ids=["no scaler", "no target log"])
+def test_only_a_full_chain_is_saved(model, part):
+    """The file states the fixed chain in full, so a model whose chain
+    lacks a stage is refused, not written as if it had it."""
+    partial = replace(model, preprocess=replace(model.preprocess, **part))
+    with pytest.raises(DataError, match="cannot serialize a model whose "
+                                        "chain lacks stages"):
+        model_to_json(partial)
+
+
 def one_nan(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.flat[0] = np.nan
@@ -151,15 +162,22 @@ CORRUPTIONS = {
     "boolean patience": (FIRST_MLP + ("config",), "patience", True),
     "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
                                float("inf")),
-    # ``stage_order`` names the fitted stages of the fixed chain, each known
-    # stage once, and the chain holds a scaler and logs the target exactly
-    # when it has their stages.
+    # The chain is the full fixed one: ``stage_order`` names its stages in
+    # order, the chain holds a scaler and logs the target.
     "feature_scaling left out": (("preprocess",), "stage_order",
                                  lambda s: [x for x in s
                                             if x != "feature_scaling"]),
     "feature_scaling twice": (("preprocess",), "stage_order",
                               lambda s: s + ["feature_scaling"]),
     "unknown stage": (("preprocess",), "stage_order", lambda s: s + ["bogus"]),
+    "stage_order reversed": (("preprocess",), "stage_order",
+                             lambda s: s[::-1]),
+    "outlier_removal left out": (("preprocess",), "stage_order",
+                                 lambda s: [x for x in s
+                                            if x != "outlier_removal"]),
+    "transformation alone, no scaler": [
+        (("preprocess",), "stage_order", ["feature_transformation"]),
+        (("preprocess",), "scaler", None)],
     "scaler dropped": (("preprocess",), "scaler", None),
     "log_target flipped": (("preprocess",), "log_target", False),
     # The scaler scales every selected feature.  A list holds several edits:

@@ -1,11 +1,14 @@
-"""Every public function and class of the package has a caller in it, and
-every dataclass field a reader.
+"""Every public function, class and method of the package has a caller in
+it, and every dataclass field a reader.
 
-A top-level ``def`` or ``class`` whose name does not start with an
-underscore is public.  It is unused when no module of ``src/teayield``
-other than ``__init__.py`` refers to it outside its own definition: tests
-alone do not keep library code alive.  ``ALLOWED`` lists the exceptions and
-why each is kept.
+A top-level ``def`` or ``class``, or a ``def`` in the body of a top-level
+class, whose name does not start with an underscore is public.  It is
+unused when no module of ``src/teayield`` other than ``__init__.py`` refers
+to it outside its own definition: tests alone do not keep library code
+alive.  A method is referred to as an attribute or by a string, never by a
+bare name.  It is matched by its name alone, as fields are, so the scan can
+miss a dead method that shares its name with a live attribute.  ``ALLOWED``
+lists the exceptions and why each is kept.
 
 A field of a ``@dataclass`` is read when some module of the package loads
 an attribute of that name; ``getattr`` with a constant name counts as a
@@ -48,11 +51,12 @@ def _trees(package: Path) -> dict[str, ast.Module]:
             for p in sorted(package.glob("*.py"))}
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often each name is referred to in ``tree``."""
+def _references(tree: ast.AST, bare: bool = True) -> Counter:
+    """How often each name is referred to in ``tree``; only as an attribute
+    or a string unless ``bare``."""
     used = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if bare and isinstance(node, ast.Name):
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
@@ -62,18 +66,32 @@ def _references(tree: ast.AST) -> Counter:
     return used
 
 
+def _definitions(trees: dict[str, ast.Module]):
+    """``(module.name, node)`` for each top-level function and class, and
+    ``(module.Class.name, node)`` for each function in a top-level class."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        yield f"{module}.{node.name}.{method.name}", method
+
+
 def unused_public_names(package: Path) -> list[str]:
     trees = _trees(package)
     trees.pop("__init__", None)
-    everywhere = sum(map(_references, trees.values()), Counter())
+    everywhere = {bare: sum((_references(tree, bare)
+                             for tree in trees.values()), Counter())
+                  for bare in (True, False)}
     unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and f"{module}.{node.name}" not in ALLOWED
-                    and everywhere[node.name] == _references(node)[node.name]):
-                unused.append(f"{module}.{node.name}")
+    for name, node in _definitions(trees):
+        bare = name.count(".") == 1  # not a method
+        if (not node.name.startswith("_") and name not in ALLOWED
+                and everywhere[bare][node.name]
+                == _references(node, bare)[node.name]):
+            unused.append(name)
     return unused
 
 
@@ -120,11 +138,9 @@ def unread_fields(package: Path) -> list[str]:
 def stale_entries(package: Path, allowed=ALLOWED,
                   allowed_fields=ALLOWED_FIELDS) -> list[str]:
     """The allow-list entries that name no top-level function or class, or
-    no dataclass field, of ``package``."""
+    method of one, or no dataclass field, of ``package``."""
     trees = _trees(package)
-    names = {f"{module}.{node.name}" for module, tree in trees.items()
-             for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names = {name for name, _ in _definitions(trees)}
     fields = {name for module, tree in trees.items()
               for name in _fields(module, tree)}
     return sorted((set(allowed) - names) | (set(allowed_fields) - fields))
@@ -146,6 +162,24 @@ def test_the_scan_flags_an_uncalled_function(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import recursive\n",
                                           encoding="utf-8")
     assert unused_public_names(tmp_path) == ["a.recursive", "b.main"]
+
+
+def test_the_scan_flags_an_uncalled_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Point:\n"
+        "    def norm(self):\n        return abs(self.x)\n\n"
+        "    @property\n    def size(self):\n        return self.norm()\n\n"
+        "    def shift(self, d):\n"
+        "        return self.shift(d - 1) if d else 0\n\n"
+        "    def unused(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "    def __repr__(self):\n        return 'Point'\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from .a import Point\n\n"
+        "def main(unused):\n    return Point().size, unused\n",
+        encoding="utf-8")
+    assert unused_public_names(tmp_path) == [
+        "a.Point.shift", "a.Point.unused", "b.main"]
 
 
 def test_every_dataclass_field_is_read():
@@ -181,9 +215,12 @@ def test_the_scan_flags_a_stale_entry(tmp_path):
         "def kept():\n    pass\n\n"
         "@dataclass\n"
         "class Point:\n    x: float\n\n"
+        "    def norm(self):\n        pass\n\n"
         "class Plain:\n    y: int\n", encoding="utf-8")
-    allowed = {"a.kept": "", "a.Point": "", "a.gone": "", "b.kept": ""}
+    allowed = {"a.kept": "", "a.Point": "", "a.gone": "", "b.kept": "",
+               "a.Point.norm": "", "a.Point.gone": ""}
     fields = {"a.Point.x": "", "a.Point.z": "", "a.Plain.y": "",
               "a.kept": ""}
     assert stale_entries(tmp_path, allowed, fields) == [
-        "a.Plain.y", "a.Point.z", "a.gone", "a.kept", "b.kept"]
+        "a.Plain.y", "a.Point.gone", "a.Point.z", "a.gone", "a.kept",
+        "b.kept"]
