@@ -11,7 +11,8 @@ left to it, and sets nothing.  No option shapes the preprocessing chain's
 stages: it is the fixed chain of ``preprocess.PIPELINE_STAGES``, which
 scales every selected column and logs the target alone.  Nor does one
 choose RReliefF's instances or neighbor decay (every row is visited, at
-``feature_select.DECAY_SIGMA``), the ensemble's weighting constants (taken
+``feature_select.DECAY_SIGMA``), the networks' iRprop⁻ steps (the
+constants of ``kernels``), the ensemble's weighting constants (taken
 from the learners' errors), or the synthetic data: ``teayield synth``
 draws the canonical generator spec.  An error in a value names its
 ``[section] key`` and the value given.
@@ -136,9 +137,10 @@ def _retired_synth(key: str, kind: str):
 # None if the option may be None); a retired row has the path None and its
 # one value last.  One field has no row (see ``_unwritten``):
 # ``ensemble.mlp`` is the [mlp] section with ``hidden_size=5``.
-# The 27 retired rows select modes the method no longer has, reorder, drop
-# or bend the fixed preprocessing chain, or shape the synthetic data, which
-# ``teayield synth`` draws at the canonical spec.  They remain because the
+# The 28 retired rows select modes the method no longer has, reorder, drop
+# or bend the fixed preprocessing chain, set the gradient-descent rate that
+# iRprop⁻ replaced, or shape the synthetic data, which ``teayield synth``
+# draws at the canonical spec.  They remain because the
 # benchmark's committed config still lists them, and go when it is next
 # regenerated.
 OPTIONS = (
@@ -159,7 +161,7 @@ OPTIONS = (
     ("sfs", "ridge_lambda", ("sfs_ridge_lambda",), "float", None),
     ("sfs", "patience", ("sfs_patience",), "int", None),
     _nested("mlp", "hidden_size", "int"),
-    _nested("mlp", "learning_rate", "float"),
+    _retired("mlp", "learning_rate", "float", 0.01),
     _nested("mlp", "epochs", "int"),
     _nested("mlp", "early_stop_fraction", "float"),
     _nested("mlp", "patience", "int"),

@@ -5,7 +5,7 @@ hidden sizes and random training subsamples for diversity; rank the pool by
 running the relief feature ranker on the matrix of learner predictions
 (each learner is a "feature", the true target is the target); walk the
 ranked order with ``evaluation.forward_select``, the search feature
-selection uses too, adding learners while cross-validated RMSE of the
+selection uses too, adding learners while the out-of-bag RMSE of the
 weighted combination strictly improves; weight the survivors by a decreasing
 logistic in their error eps_i,
 
@@ -14,8 +14,15 @@ logistic in their error eps_i,
 so lower-error learners get strictly larger weights; predict by the convex
 combination sum(w_i * y_i).  A learner's error is its out-of-bag MSE, on the
 rows its subsample left out (Breiman 1996, *Out-of-bag estimation*), or its
-training MSE when it trained on every row.  The fitted preprocessing needed
-to score raw records travels inside the model.
+training MSE when it trained on every row.
+
+The selection fits nothing.  Each member predicts every row once, and a
+prefix predicts a row by the weighted mean of the members whose subsample
+left that row out.  The walk starts at the first ranked prefix that leaves
+every row out at least once, so every row is scored from the first prefix
+on; with no such prefix, as in a pool of three on 120 rows, the whole pool
+is kept.  The fitted preprocessing needed to score raw records travels
+inside the model.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .dataset import FeatureMatrix
 from .errors import ConfigError, DataError, FitError
-from .evaluation import forward_select, make_folds
+from .evaluation import forward_select
 from .feature_select import ReliefParams, rank_order, rrelieff
 from .preprocess import PreprocessState
 from .regressors import (HIDDEN_RANGE, MLPModel, MLPTrainConfig, fit_mlp,
@@ -37,8 +44,10 @@ from .util import derive_seed, write_table
 
 # Rows scored at once: ``predict_ensemble`` cuts a matrix into blocks of this
 # size, and ``teayield predict`` reads and scores its file in them.  At 30
-# hidden units one block's hidden activations take about 1 MB.
-SCORE_BLOCK = 4096
+# hidden units, the widest a member can be, one block's hidden activations
+# take about 0.5 MB, and ``kernels.mlp_forward`` holds a second array of that
+# size while it adds them up.
+SCORE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,8 @@ class PoolReport:
 
     @property
     def trace(self) -> tuple[tuple[int, float], ...]:
-        # benchmarks/test_bench.py counts the fold refits from it
+        # the (size, out-of-bag RMSE) of each prefix the walk scored, none
+        # when the whole pool is kept; benchmarks/test_bench.py reads it
         return self.selection.trace
 
     def to_csv(self, path) -> None:
@@ -139,9 +149,22 @@ def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
     return BaseLearner(model, tuple(int(r) for r in rows), eps)
 
 
+def _subsample_size(n: int, cfg: EnsembleConfig) -> int:
+    return max(1, math.ceil(cfg.subsample_fraction * n))
+
+
 def _draw_rows(rng: np.random.Generator, n: int, cfg: EnsembleConfig) -> np.ndarray:
-    n_sub = max(1, math.ceil(cfg.subsample_fraction * n))
-    return np.sort(rng.choice(n, size=n_sub, replace=False))
+    return np.sort(rng.choice(n, size=_subsample_size(n, cfg), replace=False))
+
+
+def check_out_of_bag(cfg: EnsembleConfig, n: int) -> None:
+    """Raise a DataError naming ``[ensemble] subsample_fraction``, its value
+    and ``n`` when a learner's subsample of ``n`` rows takes them all, so no
+    row is out of bag to select learners on."""
+    if _subsample_size(n, cfg) == n:
+        raise DataError(f"[ensemble] subsample_fraction = "
+                        f"{cfg.subsample_fraction} leaves no row out of bag "
+                        f"to select learners, got {n} rows")
 
 
 def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
@@ -231,56 +254,45 @@ def compute_weights(errors, b: float, c: float) -> np.ndarray:
 
 
 def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
-                    m: FeatureMatrix, cfg: EnsembleConfig, folds: int = 10,
-                    seed: int = 0, patience: int = 1) -> LearnerSelection:
-    """Grow ranked prefixes while CV RMSE of the combination improves.
+                    m: FeatureMatrix, cfg: EnsembleConfig,
+                    patience: int = 1) -> LearnerSelection:
+    """Grow ranked prefixes while the out-of-bag RMSE of the combination
+    improves.
 
-    Cross-validation retrains each prefix member per fold (same hidden size,
-    subsample redrawn from the fold's training rows, fold-derived seeds) so
-    no learner scores rows it saw in training.  Combination weights are
-    recomputed per prefix from the fold-trained members' errors.  The search
-    is ``evaluation.forward_select``: it stops after ``patience`` consecutive
-    non-improving prefix sizes and keeps the best prefix of the ranked order.
+    Each member predicts every row of ``m`` once.  A prefix's prediction for
+    a row is the weighted mean of the prefix members whose subsample left
+    that row out, with the prefix's weights (``resolve_weight_params`` and
+    ``compute_weights`` over its members' errors) renormalised over those
+    members, so no member scores a row it trained on.  The search is
+    ``evaluation.forward_select`` from the first ranked prefix that leaves
+    every row out: it stops after ``patience`` consecutive non-improving
+    prefix sizes and keeps the best prefix of the ranked order.  When no
+    prefix leaves every row out, the whole pool is kept in ranked order and
+    no prefix is scored.  ``cfg`` must leave a row out of each subsample of
+    ``m`` (see ``check_out_of_bag``).
     """
     if not pool:
         raise DataError("cannot select from an empty pool")
-    plan = make_folds(m.n_samples, folds, seed)
-    fold_rows = [plan.fold_indices(f) for f in range(plan.k)]
-    fold_train = [m.take_rows(tr) for tr, _ in fold_rows]
-    fold_eval = [m.take_rows(ev) for _, ev in fold_rows]
-    cache: dict[tuple[int, int, int], tuple[float, np.ndarray]] = {}
-
-    def member(fold: int, pos: int) -> tuple[float, np.ndarray]:
-        # Fold copies are seeded by the learner's own seed, not its rank
-        # position, so identical pool entries retrain identically and adding
-        # a duplicate can never look like an improvement.
-        identity, hidden = pool[pos].model.seed, pool[pos].model.hidden_size
-        key = (fold, identity, hidden)
-        if key not in cache:
-            train = fold_train[fold]
-            rng = np.random.default_rng(derive_seed(seed, fold, identity, 0))
-            rows = _draw_rows(rng, train.n_samples, cfg)
-            try:
-                bl = _fit_member(train, rows, hidden,
-                                 derive_seed(seed, fold, identity, 1), cfg)
-            except FitError as exc:
-                raise FitError(f"fold {fold}, learner {pos}: {exc}") from exc
-            cache[key] = (bl.train_error, predict(bl.model, fold_eval[fold]))
-        return cache[key]
-
+    check_out_of_bag(cfg, m.n_samples)
     order = [int(i) for i in ranking.order]
+    out = np.ones((len(order), m.n_samples))  # 1 where a row is out of bag
+    for row, pos in zip(out, order):
+        row[list(pool[pos].subsample_indices)] = 0.0
+    if not out.any(axis=0).all():
+        return LearnerSelection(tuple(order), ())
+    out_preds = out * np.vstack([predict(pool[pos].model, m) for pos in order])
+    errors = [pool[pos].train_error for pos in order]
 
     def score(size: int) -> float:
-        oof = np.empty(m.n_samples)
-        for fold in range(plan.k):
-            eps, preds = zip(*(member(fold, pos) for pos in order[:size]))
-            b, c = resolve_weight_params(eps)
-            w = compute_weights(eps, b, c)
-            oof[fold_rows[fold][1]] = w @ np.vstack(preds)
-        resid = oof - m.target
+        eps = errors[:size]
+        w = compute_weights(eps, *resolve_weight_params(eps))
+        resid = (w @ out_preds[:size]) / (w @ out[:size]) - m.target
         return math.sqrt(float((resid * resid).mean()))
 
-    best_size, trace = forward_select(len(order), score, patience)
+    # The first prefix to leave every row out ends at the latest rank at
+    # which some row is first left out.
+    first = int(out.argmax(axis=0).max()) + 1
+    best_size, trace = forward_select(len(order), score, patience, first)
     return LearnerSelection(tuple(order[:best_size]), trace)
 
 

@@ -106,15 +106,16 @@ def cross_validate(m: FeatureMatrix, factory, plan: FoldPlan,
     return oof
 
 
-def forward_select(n_candidates: int, score, patience: int
+def forward_select(n_candidates: int, score, patience: int, first: int = 1
                    ) -> tuple[int, tuple[tuple[int, float], ...]]:
     """Greedy forward selection over a ranked list of ``n_candidates``.
 
     ``score(size)`` is the error of the first ``size`` candidates.  Prefixes
-    grow one candidate at a time; a prefix becomes the best only when its
-    score is strictly lower than every earlier one, and the walk stops after
-    ``patience`` consecutive prefixes that are not.  Returns the best size
-    (0 if no prefix was scored) and the ``(size, score)`` trace.
+    grow one candidate at a time from the first ``first``; a prefix becomes
+    the best only when its score is strictly lower than every earlier one,
+    and the walk stops after ``patience`` consecutive prefixes that are not.
+    Returns the best size (0 if no prefix was scored) and the
+    ``(size, score)`` trace.
     """
     if patience < 1:
         raise DataError(f"patience must be >= 1, got {patience}")
@@ -122,7 +123,7 @@ def forward_select(n_candidates: int, score, patience: int
     best_score = math.inf
     best_size = 0
     bad = 0
-    for size in range(1, n_candidates + 1):
+    for size in range(first, n_candidates + 1):
         value = score(size)
         trace.append((size, value))
         if value < best_score:

@@ -1,21 +1,35 @@
 """Hot numeric kernels, written in numpy.
 
-Two inner loops dominate runtime in this package: full-batch gradient-descent
-training of the shallow networks (thousands of fits during pool training and
-per-fold retraining) and the neighbor accumulation loop of the relief-style
-feature ranker.  The kernels start no threads of their own; BLAS threads are
-left at the library's default.
+Two inner loops dominate runtime in this package: full-batch iRprop⁻
+training of the shallow networks (a hundred fits per ensemble, and more in
+the stage report's folds) and the neighbor accumulation loop of the
+relief-style feature ranker.  The kernels start no threads of their own;
+BLAS threads are left at the library's default.
+
+``mlp_train`` is iRprop⁻ (Igel & Hüsken 2000, *Improving the Rprop learning
+algorithm*).  Each parameter moves by its own step against the sign of its
+gradient.  The step starts at ``DELTA0`` = 0.001; it grows by ``ETA_PLUS`` =
+1.2, up to ``DELTA_MAX`` = 0.05, when the gradient keeps its sign from the
+last epoch, and shrinks by ``ETA_MINUS`` = 0.5, down to ``DELTA_MIN`` =
+1e-6, when the sign changes.  The "⁻" rule: after a sign change the
+gradient is taken as zero, so that parameter does not move this epoch and
+its step is left alone the next.  A step never exceeds ``DELTA_MAX``, so a
+finite loss cannot run away; the non-finite status remains for data whose
+loss overflows.
 
 The networks are tiny (tens to a couple of hundred rows, 5 to 30 hidden
 units), so an epoch costs more in numpy call dispatch than in arithmetic.
-``mlp_train`` therefore fuses each epoch into 19 numpy calls, 18 in the first
+``mlp_train`` therefore fuses each epoch into 28 numpy calls, 27 in the first
 epoch and without a shard, each writing into a buffer allocated once per call
 and passed positionally.  The numpy functions, and the ``dot`` method of
 each product's left operand, are bound to local names, and the scalars are
 held as 0-d arrays, which a ufunc takes faster than Python floats.  The four
-parameter arrays are views into one flat vector, the gradients are written
-into views of a second one with the same layout, and the update is a single
-``theta -= lr * grad``.
+parameter arrays are views into one flat vector, and the gradients, the
+steps, this epoch's and the last epoch's gradient signs are vectors of the
+same layout, so each iRprop⁻ operation is one call over every parameter;
+the two sign vectors swap roles after each update.  Every step is clipped to
+[``DELTA_MIN``, ``DELTA_MAX``] after each epoch, which for a ``delta0`` in
+that range is the same as clipping only the steps that grew or shrank.
 
 BLAS also does the hidden layer's bias work.  The inputs get a ones column
 once per call, ``X1 = [[X; Xv] | 1]``, and since ``b1`` follows the rows of
@@ -36,15 +50,16 @@ for both sides.  The shard loss sums ``E[n:]``'s squares and the training
 loss ``E[:n]``'s, each on its own, so a non-finite shard never reaches the
 training loss.
 
-The folded products round as the plain per-epoch loop's ``X @ W1 + b1``,
-``X.T @ dZ1`` and ``dZ1.sum(axis=0)`` did for 2 to 14 input features on
-OpenBLAS 0.3.31, so training there is bit-identical to that loop.  With one
-feature the gradient product, with 15 or more features the forward product
-for about half of the shapes, and with a single fit row (where the plain
-loop's products are matrix-vector ones) the forward product differ in the
-last bits; over a few hundred epochs that moves the parameters by less than
-1e-10 relative, with the same epoch count.  ``tests/test_kernels.py`` keeps
-the plain loop as the reference and checks both ranges.
+Against a plain loop that keeps one array per parameter, computes
+``X @ W1 + b1``, ``X.T @ dZ1`` and ``dZ1.sum(axis=0)`` and applies the
+iRprop⁻ rule array by array (``tests/test_kernels.py``), the folded products
+round the same for 2 to 14 input features on OpenBLAS 0.3.31, so training
+there is bit-identical.  With one feature the gradient product, with 15 or
+more features the forward product for many shapes, and with a single fit
+row (where the plain loop's products are matrix-vector ones) the forward
+product differ in the last bits.  A step follows only the gradient's sign,
+so in every such shape tested the parameters and epoch counts are still
+bit-identical and only the recorded losses differ, by about 1e-11 relative.
 
 ``mlp_forward`` (scoring, training error, last early-stopping check) calls
 no BLAS, whose kernel and thread split follow the row count.  Hidden unit j
@@ -75,21 +90,32 @@ def mlp_forward(X, W1, b1, w2, b2):
     return Z[0] + b2
 
 
+# iRprop⁻ (Igel & Hüsken 2000): each parameter's first step, the bounds on
+# its step, and the factors that grow and shrink it.
+DELTA0 = 0.001
+DELTA_MAX = 0.05
+DELTA_MIN = 1e-6
+ETA_PLUS = 1.2
+ETA_MINUS = 0.5
+
+
 def _views(buf, f, h):
     # W1, b1, w2 and b2 as views into one flat vector of f*h + 2*h + 1 values.
     return (buf[:f * h].reshape(f, h), buf[f * h:f * h + h],
             buf[f * h + h:f * h + 2 * h], buf[f * h + 2 * h:])
 
 
-def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
-    """Full-batch gradient descent with optional early stopping.
+def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, delta0, max_epochs, patience):
+    """Full-batch iRprop⁻ training with optional early stopping.
 
-    ``Xv``/``yv`` hold the held-out shard; pass zero rows to disable early
-    stopping and run all epochs.  Returns the trained parameters, the
-    per-epoch training losses, the number of epochs run, and a status flag
-    (0 ok, -1 the loss went non-finite at the last recorded epoch).
-    When early stopping is active the parameters with the best shard loss
-    are restored at the end.
+    Every parameter starts with the step ``delta0`` (``DELTA0`` when
+    ``fit_mlp`` calls this), which must lie in [``DELTA_MIN``,
+    ``DELTA_MAX``].  ``Xv``/``yv`` hold the held-out shard; pass zero rows
+    to disable early stopping and run all epochs.  Returns the trained
+    parameters, the per-epoch training losses, the number of epochs run,
+    and a status flag (0 ok, -1 the loss went non-finite at the last
+    recorded epoch).  When early stopping is active the parameters with the
+    best shard loss are restored at the end.
 
     The shard rows of epoch ``e``'s hidden-layer pass check the update made
     in epoch ``e - 1``, before epoch ``e`` records its loss; a trailing check
@@ -99,19 +125,32 @@ def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
     nv = Xv.shape[0]
     h = W1.shape[1]
     tanh, add, multiply, subtract = np.tanh, np.add, np.multiply, np.subtract
+    sign, greater, less = np.sign, np.greater, np.less
+    minimum, maximum = np.minimum, np.maximum
     add_reduce, isfinite = np.add.reduce, math.isfinite
     theta = np.concatenate((np.ravel(W1), b1, w2, [b2]))
     grad = np.empty_like(theta)
-    step = np.empty_like(theta)
     tW1, tb1, tw2, tb2 = _views(theta, f, h)
     gw2, gb2 = _views(grad, f, h)[2:]
     # [W1; b1] and its gradient, to multiply against the ones column.
     W1b = theta[:(f + 1) * h].reshape(f + 1, h)
     gW1b = grad[:(f + 1) * h].reshape(f + 1, h)
     w2_row = tw2[None, :]
+    # The iRprop⁻ state, in theta's layout: each parameter's step, the sign
+    # of this epoch's gradient and of the last one applied, their product,
+    # where that product is positive or negative, and the move.
+    step = np.full_like(theta, delta0)
+    sgn = np.empty_like(theta)
+    last = np.zeros_like(theta)
+    agree = np.empty_like(theta)
+    grow = np.empty(theta.shape, dtype=bool)
+    shrink = np.empty(theta.shape, dtype=bool)
+    move = np.empty_like(theta)
     # Scalars as 0-d arrays: a ufunc takes them faster than Python floats.
     b2_0d = tb2.reshape(())
-    one, two_by_n, rate = np.array(1.0), np.array(2.0 / n), np.array(float(lr))
+    one, two_by_n, zero = np.array(1.0), np.array(2.0 / n), np.array(0.0)
+    eta_plus, eta_minus = np.array(ETA_PLUS), np.array(ETA_MINUS)
+    step_max, step_min = np.array(DELTA_MAX), np.array(DELTA_MIN)
     use_val = nv > 0
     X1 = np.ones((n + nv, f + 1))
     X1[:n, :f] = X
@@ -168,7 +207,18 @@ def mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
         dout_col_dot(w2_row, dZ1)
         multiply(dZ1, slope, dZ1)
         X1_fit_T_dot(dZ1, gW1b)
-        subtract(theta, multiply(grad, rate, step), theta)
+        sign(grad, sgn)
+        multiply(sgn, last, agree)
+        greater(agree, zero, grow)
+        less(agree, zero, shrink)
+        multiply(step, eta_plus, step, where=grow)
+        multiply(step, eta_minus, step, where=shrink)
+        minimum(step, step_max, out=step)
+        maximum(step, step_min, out=step)
+        # The "⁻" rule: a parameter whose gradient changed sign stays put.
+        multiply(sgn, zero, sgn, where=shrink)
+        subtract(theta, multiply(sgn, step, move), theta)
+        sgn, last = last, sgn
     else:
         if use_val:
             verr = mlp_forward(Xv, tW1, tb1, tw2, tb2) - yv

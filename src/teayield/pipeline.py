@@ -29,8 +29,9 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dataset import FeatureMatrix
-from .ensemble import (EnsembleModel, PoolReport, assemble, predict_ensemble,
-                       rank_learners, select_learners, train_pool)
+from .ensemble import (EnsembleModel, PoolReport, assemble, check_out_of_bag,
+                       predict_ensemble, rank_learners, select_learners,
+                       train_pool)
 from .errors import DataError, FitError
 from .evaluation import MetricsReport, holdout_split, make_folds, metrics
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
@@ -45,7 +46,9 @@ from .util import derive_seed, write_table
 STAGE_MODELS = ("mlr", "gpr", "mlp")
 STAGE_NAMES = ("raw",) + PIPELINE_STAGES
 
-# Seed stream tags for the master seed.
+# Seed stream tags for the master seed.  ``_TAG_PICK`` seeded the fold
+# refits of learner selection, which no longer draws; the numbers stay, since
+# ``benchmarks/helper.py`` repeats ``_TAG_HOLDOUT``.
 (_TAG_SELECT, _TAG_POOL, _TAG_PICK, _TAG_STAGE, _TAG_HOLDOUT,
  _TAG_CHAIN) = range(1, 7)
 
@@ -76,14 +79,17 @@ class StageReport:
 
 def _check_rows(cfg: PipelineConfig, n: int, chosen: str) -> None:
     """Before RReliefF ranks ``chosen`` on ``n`` rows and the forward search
-    folds them, raise a DataError naming ``[relieff] k`` or
-    ``[evaluation] cv_folds``, its value and ``n`` if the rows are too few
-    for it."""
+    scores them, raise a DataError naming the option, its value and ``n`` if
+    the rows are too few for it: ``[relieff] k``; for features, which the
+    search folds, ``[evaluation] cv_folds``; for learners, which it scores
+    out of bag, ``[ensemble] subsample_fraction``."""
     k = cfg.relieff.k
     if k >= n:
         raise DataError(f"[relieff] k = {k} needs more than {k} rows to rank "
                         f"{chosen}, got {n}")
-    if cfg.cv_folds > n:
+    if chosen == "learners":
+        check_out_of_bag(cfg.ensemble, n)
+    elif cfg.cv_folds > n:
         raise DataError(f"[evaluation] cv_folds = {cfg.cv_folds} needs at "
                         f"least {cfg.cv_folds} rows to select {chosen}, "
                         f"got {n}")
@@ -168,8 +174,6 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
     pool = train_pool(processed, cfg.ensemble, derive_seed(cfg.seed, _TAG_POOL))
     ranking = rank_learners(pool, processed, cfg.relieff)
     selection = select_learners(pool, ranking, processed, cfg.ensemble,
-                                folds=cfg.cv_folds,
-                                seed=derive_seed(cfg.seed, _TAG_PICK),
                                 patience=cfg.ensemble_patience)
     model = assemble(pool, selection, state)
     return TrainingResult(model, PoolReport(pool, ranking, selection), artifacts)

@@ -47,7 +47,6 @@ class GPRModel:
 @dataclass(frozen=True)
 class MLPTrainConfig:
     hidden_size: int
-    learning_rate: float = 0.01
     epochs: int = 2000
     early_stop_fraction: float = 0.15
     patience: int = 20
@@ -57,9 +56,6 @@ class MLPTrainConfig:
         if not lo <= self.hidden_size <= hi:
             raise FitError(f"[mlp] hidden_size must be in [{lo}, {hi}], "
                            f"got {self.hidden_size}")
-        if self.learning_rate <= 0:
-            raise FitError("[mlp] learning_rate must be > 0, "
-                           f"got {self.learning_rate}")
         if self.epochs < 1:
             raise FitError(f"[mlp] epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.early_stop_fraction < 1.0:
@@ -173,10 +169,11 @@ def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0
 
 
 def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
-    """Train the shallow network with full-batch gradient descent on MSE.
+    """Train the shallow network with full-batch iRprop⁻ on MSE
+    (``kernels.mlp_train``, every step starting at ``kernels.DELTA0``).
 
-    Features are assumed standardized (training tends to stall or diverge
-    otherwise; this is a documented precondition, not enforced).  Weights are
+    Features are assumed standardized (training tends to stall otherwise;
+    this is a documented precondition, not enforced).  Weights are
     initialized uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from the
     seeded generator, biases at zero; the generator then draws the
     early-stopping shard (a held-out ``early_stop_fraction`` of the given
@@ -209,10 +206,9 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
 
     w1, b1, w2, b2, _, epochs_run, status = kernels.mlp_train(
         x_fit, y_fit, x_val, y_val, w1, b1, w2, b2,
-        config.learning_rate, config.epochs, config.patience)
+        kernels.DELTA0, config.epochs, config.patience)
     if status != 0:
-        raise FitError(f"non-finite training loss at epoch {epochs_run} "
-                       f"(learning_rate={config.learning_rate})")
+        raise FitError(f"non-finite training loss at epoch {epochs_run}")
     if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(b1))
             and np.all(np.isfinite(w2)) and math.isfinite(b2)):
         raise FitError("training produced non-finite weights")

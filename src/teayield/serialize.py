@@ -24,7 +24,8 @@ scaler's ``columns`` as the selected features, and ``log_target`` as
 ``log_features`` is written as ``[]``, and the loader accepts it, like the
 keys of two retired options that documents written by older versions hold,
 the weighting rule and the month encoding, only at the value of the one
-mode left.
+mode left.  A network's ``config`` of such a document may also hold the
+retired ``learning_rate``, which is checked and dropped.
 """
 
 from __future__ import annotations
@@ -96,12 +97,18 @@ def _dec_error(value, what: str) -> float:
 
 def _dec_config(obj: dict) -> MLPTrainConfig:
     """A network's training config: exactly the fields of ``MLPTrainConfig``,
-    each an integer or a finite number as declared."""
-    if set(obj) != {f.name for f in fields(MLPTrainConfig)}:
+    each an integer or a finite number as declared, and in a document
+    written before iRprop⁻ the gradient-descent ``learning_rate`` too, a
+    finite number > 0 that nothing reads."""
+    keys = {f.name for f in fields(MLPTrainConfig)}
+    if set(obj) not in (keys, keys | {"learning_rate"}):
         raise ValueError(f"network config has keys {sorted(obj)}")
+    if "learning_rate" in obj and not _dec_finite(obj["learning_rate"],
+                                                  "learning_rate") > 0.0:
+        raise ValueError(f"learning_rate must be > 0, "
+                         f"got {obj['learning_rate']!r}")
     return MLPTrainConfig(
         hidden_size=_dec_int(obj["hidden_size"], "config hidden_size"),
-        learning_rate=_dec_finite(obj["learning_rate"], "learning_rate"),
         epochs=_dec_int(obj["epochs"], "epochs"),
         early_stop_fraction=_dec_finite(obj["early_stop_fraction"],
                                         "early_stop_fraction"),
@@ -219,20 +226,32 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     return EnsembleModel(learners, weights, b, c, state)
 
 
-def model_to_json(model: EnsembleModel) -> str:
+_JSON = {"sort_keys": True, "separators": (",", ":")}
+
+
+def _document(model: EnsembleModel) -> dict:
     if not isinstance(model, EnsembleModel):
         raise DataError(f"cannot serialize object of type {type(model).__name__}")
     if model.preprocess.scaler is None or not model.preprocess.log_target:
         raise DataError("cannot serialize a model whose chain lacks stages "
                         "of the fixed one")
-    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-           "kind": "ensemble", "model": _enc_ensemble(model)}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+            "kind": "ensemble", "model": _enc_ensemble(model)}
+
+
+def model_to_json(model: EnsembleModel) -> str:
+    return json.dumps(_document(model), **_JSON) + "\n"
 
 
 def save_model(model: EnsembleModel, path) -> None:
+    """Write ``model_to_json(model)`` to ``path``, encoded as it is written.
+    A hundred learners' subsample indices make tens of thousands of pieces,
+    which the one-shot encoder of ``model_to_json`` holds all at once: about
+    1 MB of peak memory that ``train`` does not need."""
+    doc = _document(model)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_json(model))
+        json.dump(doc, fh, **_JSON)
+        fh.write("\n")
 
 
 def load_model(path) -> EnsembleModel:

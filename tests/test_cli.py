@@ -534,19 +534,20 @@ def test_evaluate_with_too_few_rows_for_relief_exits_1_naming_the_option(
 
 # Under ``cv_folds = 10`` and ``[relieff] k = 2``: ``train`` on 9 rows
 # selects features on all 9; ``evaluate`` on 14 rows holds out 4, and a
-# stage-report fold trains on 9 of the other 10.  The ensemble folds the
-# rows outlier removal kept to select learners: 8 of the first 10 at the
-# config's outlier threshold (None), and 8 of the first 14 at 0.1.
+# stage-report fold trains on 9 of the other 10.  The ensemble selects
+# learners out of bag on the rows outlier removal kept: 8 of the first 10 at
+# the config's outlier threshold (None), and 8 of the first 14 at 0.1.  At a
+# ``subsample_fraction`` of 0.9 a subsample of 8 rows takes all 8.
 @pytest.mark.parametrize("command,rows,threshold,message", [
     ("train", 9, None, "[evaluation] cv_folds = 10 needs at least 10 rows "
      "to select features, got 9"),
     ("evaluate", 14, None, "training rows of stage-report fold 0: "
      "[evaluation] cv_folds = 10 needs at least 10 rows to select features, "
      "got 9"),
-    ("train", 10, None, "[evaluation] cv_folds = 10 needs at least 10 rows "
-     "to select learners, got 8"),
-    ("train", 14, 0.1, "[evaluation] cv_folds = 10 needs at least 10 rows "
-     "to select learners, got 8")])
+    ("train", 10, None, "[ensemble] subsample_fraction = 0.9 leaves no row "
+     "out of bag to select learners, got 8 rows"),
+    ("train", 14, 0.1, "[ensemble] subsample_fraction = 0.9 leaves no row "
+     "out of bag to select learners, got 8 rows")])
 def test_too_few_rows_to_fold_exits_1_naming_cv_folds(
         workdir, tmp_path, capsys, command, rows, threshold, message):
     cfg = replace(tiny_config(), cv_folds=10,
@@ -746,10 +747,10 @@ class TestStreamedPredict:
     """``predict`` gives the bytes and errors of scoring the whole file."""
 
     @pytest.mark.parametrize("hidden", [5, 28])
-    @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK,
-                                   SCORE_BLOCK + 1, 2 * SCORE_BLOCK - 1,
+    @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, 2 * SCORE_BLOCK - 1,
                                    2 * SCORE_BLOCK, 2 * SCORE_BLOCK + 1,
-                                   3 * SCORE_BLOCK + 1])
+                                   4 * SCORE_BLOCK - 1, 4 * SCORE_BLOCK,
+                                   4 * SCORE_BLOCK + 1, 6 * SCORE_BLOCK + 1])
     def test_streamed_predictions_are_whole_file_predictions(
             self, scoring, hidden, n, tmp_path, capsys, monkeypatch):
         """Scored in blocks of ``SCORE_BLOCK`` rows and the rest, one at a

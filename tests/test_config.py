@@ -53,8 +53,6 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
      "[mlp] early_stop_fraction must be in [0, 1), got 1.0"),
     ("mlp", "hidden_size", "31",
      "[mlp] hidden_size must be in [5, 30], got 31"),
-    ("mlp", "learning_rate", "0.0",
-     "[mlp] learning_rate must be > 0, got 0.0"),
     ("mlp", "epochs", "0", "[mlp] epochs must be >= 1, got 0"),
     # Ranges that fitting would otherwise meet only once it had started.
     ("relieff", "k", "0", "[relieff] k must be >= 1, got 0"),
@@ -68,6 +66,8 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
     # Retired options load only at the one value left to them.
     ("pipeline", "month_encoding", "onehot", "[pipeline] month_encoding: "
      "retired option; it may only be cyclic, got 'onehot'"),
+    ("mlp", "learning_rate", "0.0", "[mlp] learning_rate: retired option; "
+     "it may only be 0.01, got '0.0'"),
     ("pipeline", "paper_faithful", "true", "[pipeline] paper_faithful: "
      "retired option; it may only be false, got 'true'"),
     ("pipeline", "month_encoding", "integer", "[pipeline] month_encoding: "
@@ -201,7 +201,8 @@ def test_the_retired_options_may_be_left_out(tmp_path):
     assert [parser[row[0]][row[1]] for row in retired] == [
         "cyclic", "false", "feature_selection, feature_scaling, "
         "outlier_removal, feature_transformation", "all", "", "true",
-        "fixed", "all", "20.0", "ridge", "false", "true", "auto", "auto",
+        "fixed", "all", "20.0", "ridge", "0.01", "false", "true", "auto",
+        "auto",
         "false", "120", "0.16", "3", "3", "4.5", "0.55", "0.3", "-0.6",
         "0.45", "0.4", "3.8", "2008"]
     for section, key, *_ in retired:
@@ -239,8 +240,6 @@ VALUES = {
     ("sfs_ridge_lambda",): non_negative,
     ("sfs_patience",): st.integers(min_value=1),
     ("mlp", "hidden_size"): st.integers(*HIDDEN_RANGE),
-    ("mlp", "learning_rate"): st.floats(0.0, exclude_min=True,
-                                        allow_infinity=False),
     ("mlp", "epochs"): st.integers(min_value=1),
     ("mlp", "early_stop_fraction"): st.floats(0.0, 1.0, exclude_max=True),
     ("mlp", "patience"): st.integers(min_value=1),
@@ -316,11 +315,11 @@ def test_a_column_scaled_before_its_log_is_rejected(tmp_path, stages,
 
 
 @pytest.mark.parametrize("attr,value,message", [
-    (("ensemble", "mlp", "learning_rate"), 0.05, "ensemble.mlp has no INI "
-     "option: the file would read back as MLPTrainConfig(hidden_size=5, "
-     "learning_rate=0.01, epochs=50, early_stop_fraction=0.15, patience=20), "
-     "not MLPTrainConfig(hidden_size=5, learning_rate=0.05, epochs=50, "
-     "early_stop_fraction=0.15, patience=20)")])
+    (("ensemble", "mlp", "early_stop_fraction"), 0.05, "ensemble.mlp has no "
+     "INI option: the file would read back as MLPTrainConfig(hidden_size=5, "
+     "epochs=50, early_stop_fraction=0.15, patience=20), not "
+     "MLPTrainConfig(hidden_size=5, epochs=50, early_stop_fraction=0.05, "
+     "patience=20)")])
 def test_a_value_no_option_carries_is_not_rendered(attr, value, message):
     """It would read back as another config."""
     with pytest.raises(ConfigError) as info:

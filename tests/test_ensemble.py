@@ -8,9 +8,10 @@ import pytest
 from scipy.special import expit
 
 from teayield import ensemble
-from teayield.dataset import SyntheticSpec, generate_synthetic
+from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
-                               EnsembleModel, PoolReport, compute_weights,
+                               EnsembleModel, LearnerRanking, PoolReport,
+                               compute_weights,
                                predict_ensemble, rank_learners,
                                resolve_weight_params, select_learners,
                                train_pool)
@@ -221,34 +222,143 @@ def _patch_predict_for_constant(monkeypatch):
     monkeypatch.setattr(ens, "predict", dispatch)
 
 
+def stub_learner(predictions, out_rows, n, error):
+    """A pool member that predicts ``predictions``, trained on every row of
+    ``n`` but ``out_rows``, with the error ``error``."""
+    kept = tuple(r for r in range(n) if r not in set(out_rows))
+    return BaseLearner(_ConstantModel(predictions), kept, error)
+
+
+def ranked_as_given(pool):
+    """A ranking that orders ``pool`` as it is."""
+    return LearnerRanking(np.arange(len(pool), 0, -1, dtype=np.float64))
+
+
 class TestSelectLearners:
-    def test_pool_with_planted_oracle_selects_it(self, small_matrix):
-        cfg = fast_config(pool_size=5)
-        pool = train_pool(small_matrix, cfg, seed=7)
+    CFG = fast_config(subsample_fraction=0.5)
+
+    def test_a_prefix_predicts_a_row_from_the_members_that_left_it_out(self):
+        """Four rows; A leaves out rows 0 and 1, B rows 2 and 3, C rows 1
+        and 2.  The first prefix to leave every row out is (A, B)."""
+        target = np.array([1.0, -2.0, 0.5, 3.0])
+        m = FeatureMatrix(("x",), np.zeros((4, 1)), target)
+        preds = {"A": [1.5, -1.0, 9.0, 9.0], "B": [9.0, 9.0, 0.0, 2.0],
+                 "C": [9.0, -3.0, 1.5, 9.0]}
+        out = {"A": (0, 1), "B": (2, 3), "C": (1, 2)}
+        errors = {"A": 0.1, "B": 0.3, "C": 0.2}
+        pool = [stub_learner(preds[k], out[k], 4, errors[k]) for k in "ABC"]
+        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG,
+                              patience=5)
+
+        def by_hand(names):
+            eps = [errors[k] for k in names]
+            w = dict(zip(names, compute_weights(eps,
+                                                *resolve_weight_params(eps))))
+            sq = 0.0
+            for row in range(4):
+                left_out = [k for k in names if row in out[k]]
+                pred = (sum(w[k] * preds[k][row] for k in left_out)
+                        / sum(w[k] for k in left_out))
+                sq += (pred - target[row]) ** 2
+            return math.sqrt(sq / 4)
+
+        assert [size for size, _ in sel.trace] == [2, 3]
+        assert sel.trace[0][1] == pytest.approx(by_hand("AB"), rel=1e-12)
+        assert sel.trace[1][1] == pytest.approx(by_hand("ABC"), rel=1e-12)
+        # (A, B) scores each row from one member: rows 0 and 1 from A and
+        # rows 2 and 3 from B.
+        assert sel.trace[0][1] == pytest.approx(
+            math.sqrt((0.25 + 1.0 + 0.25 + 1.0) / 4), rel=1e-12)
+
+    def test_the_walk_starts_at_the_first_prefix_to_leave_every_row_out(self):
+        n = 6
+        m = FeatureMatrix(("x",), np.zeros((n, 1)), np.zeros(n))
+        rng = np.random.default_rng(3)
+        # Ranked first to last, the members leave out rows 0-1, 0-1 again,
+        # 2-3, 4-5 and 1-2, so every row is out of bag from the fourth on.
+        outs = [(0, 1), (0, 1), (2, 3), (4, 5), (1, 2)]
+        pool = [stub_learner(rng.normal(size=n), rows, n, 0.1 * (i + 1))
+                for i, rows in enumerate(outs)]
+        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG,
+                              patience=5)
+        assert [size for size, _ in sel.trace] == [4, 5]
+        best = min(sel.trace, key=lambda t: t[1])[0]
+        assert sel.selected_positions == tuple(range(best))
+
+    def test_the_whole_pool_is_kept_when_no_prefix_leaves_every_row_out(self):
+        """Row 3 is in every member's subsample, so no prefix is scored."""
+        n = 4
+        m = FeatureMatrix(("x",), np.zeros((n, 1)), np.zeros(n))
+        pool = [stub_learner(np.ones(n), rows, n, 0.1)
+                for rows in [(0,), (1, 2), (0, 2)]]
+        ranking = LearnerRanking(np.array([0.1, 0.3, 0.2]))
+        sel = select_learners(pool, ranking, m, self.CFG, patience=5)
+        assert sel.selected_positions == (1, 2, 0)
+        assert sel.trace == ()
+
+    def test_selection_fits_no_network(self, small_matrix, monkeypatch):
+        """Each member predicts the rows once, and nothing is refitted."""
+        pool = train_pool(small_matrix, fast_config(pool_size=8,
+                                                    subsample_fraction=0.5),
+                          seed=4)
         ranking = rank_learners(pool, small_matrix)
-        sel = select_learners(pool, ranking, small_matrix, cfg, folds=4,
-                              seed=0, patience=2)
-        assert len(sel.selected_positions) >= 1
-        assert sel.selected_positions == tuple(
-            int(i) for i in ranking.order[:len(sel.selected_positions)])
+        fits, predicted = [], []
+        monkeypatch.setattr(ensemble, "fit_mlp",
+                            lambda *args: fits.append(args))
+        real = ensemble.predict
+
+        def counting(model, m):
+            predicted.append(m.n_samples)
+            return real(model, m)
+
+        monkeypatch.setattr(ensemble, "predict", counting)
+        sel = select_learners(pool, ranking, small_matrix, self.CFG,
+                              patience=3)
+        assert sel.trace
+        assert fits == []
+        assert predicted == [small_matrix.n_samples] * len(pool)
+
+    @pytest.mark.parametrize("fraction,n", [(1.0, 50), (0.9, 9)])
+    def test_a_subsample_of_every_row_is_refused(self, fraction, n):
+        m = FeatureMatrix(("x",), np.zeros((n, 1)), np.zeros(n))
+        pool = [stub_learner(np.ones(n), (), n, 0.1)]
+        with pytest.raises(DataError) as info:
+            select_learners(pool, ranked_as_given(pool), m,
+                            fast_config(subsample_fraction=fraction))
+        assert str(info.value) == (
+            f"[ensemble] subsample_fraction = {fraction} leaves no row out of "
+            f"bag to select learners, got {n} rows")
+
+    def test_pool_with_planted_oracle_selects_it(self, small_matrix):
+        """Ranked last, a member that predicts every row exactly and left
+        every row out is still added: it lowers the out-of-bag error."""
+        pool = list(train_pool(small_matrix, fast_config(
+            pool_size=10, subsample_fraction=0.5), seed=7))
+        oracle = stub_learner(small_matrix.target, range(50), 50, 0.0)
+        ranking = LearnerRanking(np.arange(11, 0, -1, dtype=np.float64))
+        sel = select_learners(pool + [oracle], ranking, small_matrix,
+                              self.CFG, patience=11)
+        assert sel.selected_positions == tuple(range(11))
+        assert sel.trace[-1][1] < min(score for _, score in sel.trace[:-1])
 
     def test_identical_learners_collapse_to_one(self, small_matrix):
-        cfg = fast_config(pool_size=1, subsample_fraction=1.0)
-        pool = train_pool(small_matrix, cfg, seed=8)
-        twins = (pool[0], pool[0], pool[0])
+        """Twins that left every row out predict as one does."""
+        pool = train_pool(small_matrix, fast_config(pool_size=1), seed=8)
+        twin = BaseLearner(pool[0].model, (), pool[0].train_error)
+        twins = (twin, twin, twin)
         ranking = rank_learners(twins, small_matrix)
-        sel = select_learners(twins, ranking, small_matrix, cfg, folds=4,
-                              seed=1, patience=1)
+        sel = select_learners(twins, ranking, small_matrix, self.CFG,
+                              patience=1)
         assert len(sel.selected_positions) == 1
+        assert sel.trace[0][1] == sel.trace[1][1]
 
     def test_trace_minimum_at_selected_size(self, small_matrix):
-        cfg = fast_config(pool_size=6)
+        cfg = fast_config(pool_size=10, subsample_fraction=0.5)
         pool = train_pool(small_matrix, cfg, seed=9)
         ranking = rank_learners(pool, small_matrix)
-        sel = select_learners(pool, ranking, small_matrix, cfg, folds=4,
-                              seed=2, patience=3)
-        rmses = [r for _, r in sel.trace]
-        assert min(rmses) == rmses[len(sel.selected_positions) - 1]
+        sel = select_learners(pool, ranking, small_matrix, cfg, patience=3)
+        rmses = dict(sel.trace)
+        assert min(rmses.values()) == rmses[len(sel.selected_positions)]
 
 
 def one_member_state(m):
@@ -336,8 +446,9 @@ class TestBlockScoring:
                              state)
 
     @pytest.mark.parametrize("hidden", [5, 28])
-    @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
-                                   2 * SCORE_BLOCK + 3])
+    @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, 2 * SCORE_BLOCK - 1,
+                                   2 * SCORE_BLOCK, 2 * SCORE_BLOCK + 1,
+                                   4 * SCORE_BLOCK + 3])
     def test_bit_equal_to_one_pass(self, rng, hidden, n, monkeypatch):
         m = random_matrix(rng, n, 6)
         model = self.model(rng, m, hidden)
@@ -390,8 +501,7 @@ class TestPoolReport:
         cfg = fast_config(pool_size=5)
         pool = train_pool(small_matrix, cfg, seed=15)
         ranking = rank_learners(pool, small_matrix)
-        sel = select_learners(pool, ranking, small_matrix, cfg, folds=4,
-                              seed=3, patience=1)
+        sel = select_learners(pool, ranking, small_matrix, cfg, patience=1)
         path = tmp_path / "pool.csv"
         PoolReport(pool, ranking, sel).to_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()

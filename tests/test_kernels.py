@@ -1,15 +1,17 @@
-"""The fused MLP training epoch against the plain per-epoch loop.
+"""The fused iRprop⁻ training epoch against a plain per-epoch loop.
 
-``reference_mlp_train`` and ``reference_loss_grads`` are the earlier
-implementation of ``kernels.mlp_train``, kept as written: a separate forward
-pass on the early-stopping shard after every update, one array per parameter,
-and the hidden bias added and summed on its own.  The fused kernel folds that
-bias into its matrix products through a ones column on the inputs.  With 2 to
-14 input features those products round as the plain loop's did on OpenBLAS
-0.3.31, so parameters, losses, epoch counts and status must match bit for
-bit.  Outside that range, and with a single fit row, they may differ in the
-last bits; there the parameters and losses must agree to ``rtol=1e-9`` with
-the same epoch count and status.
+``reference_mlp_train`` is iRprop⁻ written out one parameter array at a
+time: ``reference_loss_grads`` computes the loss and the gradients with the
+hidden bias added and summed on its own, each array keeps its own steps and
+its last gradient, zeroed where the sign changed, and a separate forward
+pass scores the early-stopping shard after every update.  The fused kernel
+folds the bias into its matrix products through a ones column on the inputs.
+With 2 to 14 input features those products round as the plain loop's do on
+OpenBLAS 0.3.31, so parameters, losses, epoch counts and status must match
+bit for bit.  Outside that range, and with a single fit row, the losses may
+differ in the last bits and must agree to ``rtol=1e-9``; a step follows the
+gradient's sign alone, so the parameters, epoch counts and status must still
+match exactly.
 """
 
 from __future__ import annotations
@@ -41,47 +43,50 @@ def reference_loss_grads(X, y, W1, b1, w2, b2):
     return loss, gW1, gb1, gw2, gb2
 
 
-def reference_mlp_train(X, y, Xv, yv, W1, b1, w2, b2, lr, max_epochs, patience):
-    W1 = W1.copy()
-    b1 = b1.copy()
-    w2 = w2.copy()
-    b2s = b2
+def reference_mlp_train(X, y, Xv, yv, W1, b1, w2, b2, delta0, max_epochs,
+                        patience):
+    # One array per parameter, b2 as a 0-d array; each keeps its own steps
+    # and the last gradient applied, zeroed where its sign changed.
+    params = [W1.copy(), b1.copy(), w2.copy(), np.array(float(b2))]
+    steps = [np.full_like(p, delta0) for p in params]
+    lasts = [np.zeros_like(p) for p in params]
     use_val = Xv.shape[0] > 0
-    bW1 = W1.copy()
-    bb1 = b1.copy()
-    bw2 = w2.copy()
-    bb2 = b2s
+    best = [p.copy() for p in params]
     best_val = np.inf
     bad = 0
     losses = np.empty(max_epochs)
     n_run = 0
     for epoch in range(max_epochs):
-        loss, gW1, gb1, gw2, gb2 = reference_loss_grads(X, y, W1, b1, w2, b2s)
+        loss, *grads = reference_loss_grads(X, y, *params[:3],
+                                            float(params[3]))
         losses[epoch] = loss
         n_run = epoch + 1
         if not np.isfinite(loss):
-            return W1, b1, w2, b2s, losses[:n_run], n_run, -1
-        W1 -= lr * gW1
-        b1 -= lr * gb1
-        w2 -= lr * gw2
-        b2s -= lr * gb2
+            return (*params[:3], float(params[3]), losses[:n_run], n_run, -1)
+        for p, g, d, last in zip(params, grads, steps, lasts):
+            g = np.array(g, dtype=np.float64)
+            agree = np.sign(g) * np.sign(last)
+            d[agree > 0] = np.minimum(d[agree > 0] * kernels.ETA_PLUS,
+                                      kernels.DELTA_MAX)
+            d[agree < 0] = np.maximum(d[agree < 0] * kernels.ETA_MINUS,
+                                      kernels.DELTA_MIN)
+            g[agree < 0] = 0.0
+            p -= np.sign(g) * d
+            last[...] = g
         if use_val:
-            verr = kernels.mlp_forward(Xv, W1, b1, w2, b2s) - yv
+            verr = kernels.mlp_forward(Xv, *params[:3], float(params[3])) - yv
             vloss = (verr * verr).mean()
             if vloss < best_val:
                 best_val = vloss
-                bW1[:] = W1
-                bb1[:] = b1
-                bw2[:] = w2
-                bb2 = b2s
+                for keep, p in zip(best, params):
+                    keep[...] = p
                 bad = 0
             else:
                 bad += 1
                 if bad >= patience:
                     break
-    if use_val:
-        return bW1, bb1, bw2, bb2, losses[:n_run], n_run, 0
-    return W1, b1, w2, b2s, losses[:n_run], n_run, 0
+    out = best if use_val else params
+    return (*out[:3], float(out[3]), losses[:n_run], n_run, 0)
 
 
 def make_problem(seed, n, nv, f, h):
@@ -94,20 +99,21 @@ def make_problem(seed, n, nv, f, h):
             rng.uniform(-lim2, lim2, h), 0.0)
 
 
-def assert_same_run(problem, lr, max_epochs, patience):
-    got = kernels.mlp_train(*problem, lr, max_epochs, patience)
-    want = reference_mlp_train(*problem, lr, max_epochs, patience)
+def assert_same_run(problem, delta0, max_epochs, patience):
+    got = kernels.mlp_train(*problem, delta0, max_epochs, patience)
+    want = reference_mlp_train(*problem, delta0, max_epochs, patience)
     for g, w in zip(got[:5], want[:5]):
         np.testing.assert_array_equal(np.asarray(g), np.asarray(w))
     assert got[5:] == want[5:]
     return got
 
 
-def assert_close_run(problem, lr, max_epochs, patience):
-    got = kernels.mlp_train(*problem, lr, max_epochs, patience)
-    want = reference_mlp_train(*problem, lr, max_epochs, patience)
-    for g, w in zip(got[:5], want[:5]):
-        np.testing.assert_allclose(np.asarray(g), np.asarray(w), rtol=1e-9)
+def assert_close_run(problem, delta0, max_epochs, patience):
+    got = kernels.mlp_train(*problem, delta0, max_epochs, patience)
+    want = reference_mlp_train(*problem, delta0, max_epochs, patience)
+    for g, w in zip(got[:4], want[:4]):
+        np.testing.assert_array_equal(np.asarray(g), np.asarray(w))
+    np.testing.assert_allclose(got[4], want[4], rtol=1e-9)
     assert got[5:] == want[5:]
 
 
@@ -127,33 +133,47 @@ def test_no_shard_runs_every_epoch():
     assert (epochs, status, len(losses)) == (300, 0, 300)
 
 
+@pytest.mark.parametrize("delta0", [kernels.DELTA_MIN, kernels.DELTA0,
+                                    kernels.DELTA_MAX])
+def test_steps_grow_and_shrink_within_their_bounds(delta0):
+    """From either bound and from ``DELTA0``, 300 epochs in which steps
+    grow, shrink and reach both bounds run as the reference does."""
+    problem = make_problem(7, 40, 0, 4, 7)
+    assert_same_run(problem, delta0, 300, 5)
+
+
 def test_early_stop_fires():
     problem = make_problem(1, 30, 8, 5, 12)
-    _, _, _, _, _, epochs, status = assert_same_run(problem, 0.2, 3000, 10)
+    _, _, _, _, _, epochs, status = assert_same_run(problem, kernels.DELTA0,
+                                                    3000, 10)
     assert status == 0 and epochs < 3000
 
 
 def test_max_epochs_with_shard_uses_the_trailing_check():
     # The shard loss is still falling at the last epoch, so only the check
     # after the final update can choose the final parameters.
-    problem = make_problem(2, 50, 10, 3, 6)
-    got = assert_same_run(problem, 0.01, 40, 1000)
+    problem = make_problem(3, 50, 10, 3, 6)
+    got = assert_same_run(problem, kernels.DELTA0, 40, 1000)
     assert got[5] == 40
-    ref_one_less = reference_mlp_train(*problem, 0.01, 39, 1000)
+    ref_one_less = reference_mlp_train(*problem, kernels.DELTA0, 39, 1000)
     assert not np.array_equal(got[0], ref_one_less[0])
 
 
 def test_patience_one():
     problem = make_problem(3, 25, 6, 4, 9)
-    _, _, _, _, _, epochs, status = assert_same_run(problem, 0.5, 2000, 1)
+    _, _, _, _, _, epochs, status = assert_same_run(problem, kernels.DELTA0,
+                                                    2000, 1)
     assert status == 0 and epochs < 2000
 
 
 def test_divergence_keeps_the_non_finite_loss():
-    problem = make_problem(4, 20, 5, 3, 8)
+    """Steps of at most ``DELTA_MAX`` cannot carry a finite loss to
+    overflow, so here targets of 1e200 overflow it at the first epoch."""
+    X, y, Xv, yv, *params = make_problem(4, 20, 5, 3, 8)
+    problem = (X, y * 1e200, Xv, yv, *params)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, _, losses, epochs, status = assert_same_run(problem, 1e3, 500,
-                                                             500)
+        _, _, _, _, losses, epochs, status = assert_same_run(
+            problem, kernels.DELTA0, 500, 500)
     assert status == -1
     assert len(losses) == epochs and not np.isfinite(losses[-1])
 
@@ -166,14 +186,14 @@ def test_divergence_keeps_the_non_finite_loss():
     (92, 16, 6, 5), (92, 16, 6, 16), (92, 16, 6, 30)])
 def test_workload_shapes(n, nv, f, h):
     problem = make_problem(n * h, n, nv, f, h)
-    assert_same_run(problem, 0.05, 400, 20)
+    assert_same_run(problem, kernels.DELTA0, 400, 20)
 
 
 @pytest.mark.parametrize("nv", [0, 16])
 @pytest.mark.parametrize("f", [1, 16, 28])
 def test_feature_counts_outside_the_bit_identical_range(f, nv):
     problem = make_problem(f + nv, 92, nv, f, 17)
-    assert_close_run(problem, 0.05, 300, 20)
+    assert_close_run(problem, kernels.DELTA0, 300, 20)
 
 
 def test_a_shape_where_a_stacked_output_product_changes_bits():
@@ -188,16 +208,16 @@ def test_a_shape_where_a_stacked_output_product_changes_bits():
     else:
         pytest.fail("no workload-sized shape where stacking the output layer "
                     "rounds differently")
-    assert_same_run(problem, 0.05, 300, 20)
+    assert_same_run(problem, kernels.DELTA0, 300, 20)
 
 
 @pytest.mark.parametrize("nv", [1, 6])
 def test_one_fit_row(nv):
     """With one fit row the plain loop's products are matrix-vector
     products, which OpenBLAS rounds differently from the kernel's matrix
-    products, so the last bits may differ."""
+    products, so the losses' last bits may differ."""
     problem = make_problem(43 + nv, 1, nv, 5, 9)
-    assert_close_run(problem, 0.05, 300, 20)
+    assert_close_run(problem, kernels.DELTA0, 300, 20)
 
 
 @pytest.mark.parametrize("spoil", ["inf", "nan"])
@@ -214,8 +234,8 @@ def test_a_non_finite_shard_loss_leaves_the_fit_loss_alone(spoil):
         Xv[3, 1] = np.nan
     problem = (X, y, Xv, yv, *params)
     with np.errstate(over="ignore", invalid="ignore"):
-        W1, b1, w2, b2, losses, epochs, status = assert_same_run(problem, 0.05,
-                                                                 500, 12)
+        W1, b1, w2, b2, losses, epochs, status = assert_same_run(
+            problem, kernels.DELTA0, 500, 12)
     assert (epochs, status) == (12, 0)
     assert np.all(np.isfinite(losses))
     np.testing.assert_array_equal(W1, params[0])
@@ -245,7 +265,8 @@ def test_peak_memory_grows_only_by_the_losses_buffer(nv):
     def peak(epochs):
         tracemalloc.start()
         try:
-            out = kernels.mlp_train(*problem, 0.01, epochs, epochs + 1)
+            out = kernels.mlp_train(*problem, kernels.DELTA0, epochs,
+                                    epochs + 1)
             return tracemalloc.get_traced_memory()[1], out[5]
         finally:
             tracemalloc.stop()

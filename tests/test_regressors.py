@@ -229,8 +229,7 @@ class TestMLP:
         values = rng.normal(size=(8, 2))
         target = np.tanh(values @ np.array([1.0, -0.5]))
         m = FeatureMatrix(("a", "b"), values, target)
-        config = MLPTrainConfig(8, learning_rate=0.05, epochs=20000,
-                                early_stop_fraction=0.0)
+        config = MLPTrainConfig(8, epochs=20000, early_stop_fraction=0.0)
         model = fit_mlp(m, config, seed=0)
         assert model.train_error < 1e-3
 
@@ -244,26 +243,33 @@ class TestMLP:
                 b1 = rng.normal(scale=0.1, size=h_size)
                 w2 = rng.normal(scale=0.5, size=h_size)
                 b2 = float(rng.normal())
-                # One full-batch step at lr=1 with no shard moves every
-                # parameter by minus its gradient, up to the rounding of
-                # the subtraction.
+                # One full-batch iRprop⁻ step with no shard moves every
+                # parameter by DELTA0 against the sign of its gradient, up
+                # to the rounding of the subtraction.
+                delta0 = kernels.DELTA0
                 w1n, b1n, w2n, b2n, _, epochs, status = kernels.mlp_train(
                     x, y, np.empty((0, f)), np.empty(0), w1, b1, w2, b2,
-                    1.0, 1, 1)
+                    delta0, 1, 1)
                 assert (epochs, status) == (1, 0)
-                gw1, gb1, gw2, gb2 = w1 - w1n, b1 - b1n, w2 - w2n, b2 - b2n
-                fw1, fb1, fw2, fb2 = finite_difference_grads(
+                moves = (w1n - w1, b1n - b1, w2n - w2, b2n - b2)
+                grads = finite_difference_grads(
                     x, y, w1.copy(), b1.copy(), w2.copy(), b2)
-                for a, b in ((gw1, fw1), (gb1, fb1), (gw2, fw2)):
-                    denom = np.maximum(np.abs(b), 1e-8)
-                    assert np.max(np.abs(a - b) / denom) < 1e-4
-                assert abs(gb2 - fb2) / max(abs(fb2), 1e-8) < 1e-4
+                for move, grad in zip(moves, grads):
+                    move, grad = np.atleast_1d(move), np.atleast_1d(grad)
+                    clear = np.abs(grad) > 1e-6
+                    assert clear.any()
+                    np.testing.assert_allclose(
+                        move[clear], -delta0 * np.sign(grad[clear]),
+                        rtol=1e-9)
 
     def test_loss_non_increasing_at_small_lr(self, rng, monkeypatch):
+        """iRprop⁻ starts every step at ``kernels.DELTA0``, 1e-3.  The loss
+        may rise in an epoch where a step overshoots, before that step
+        halves; here that happens in 14 of 1,500 epochs."""
         m = random_matrix(rng, 60, 3, target_noise=0.3)
         scaled = apply_scaler(fit_scaler(m), m)
-        config = MLPTrainConfig(10, learning_rate=1e-3, epochs=1500,
-                                early_stop_fraction=0.15, patience=1500)
+        config = MLPTrainConfig(10, epochs=1500, early_stop_fraction=0.15,
+                                patience=1500)
         histories = []
         original = kernels.mlp_train
 

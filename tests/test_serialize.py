@@ -37,6 +37,8 @@ def test_round_trip_is_byte_and_prediction_exact(model, canonical_raw,
 # Keys of retired options that files of format version 1 may hold, at the
 # value of the one mode left.  Files written before avg_temp was built by the
 # reader hold ``"add_avg_temp": true`` in the chain; that key is ignored.
+# Files written before iRprop⁻ hold each network's gradient-descent
+# ``learning_rate``, any finite number > 0; it is checked and dropped.
 RETIRED_KEYS = [((), "literal_weights", False),
                 (("preprocess",), "month_encoding", "cyclic"),
                 (("preprocess",), "add_avg_temp", True)]
@@ -46,6 +48,8 @@ def test_a_model_file_with_retired_keys_loads(model, canonical_raw, tmp_path):
     doc = json.loads(model_to_json(model))
     for edit in RETIRED_KEYS:
         corrupt_model_doc(doc, *edit)
+    for i, learner in enumerate(doc["model"]["learners"]):
+        learner["mlp"]["config"]["learning_rate"] = 0.01 * (i + 1)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_model(path)
@@ -162,6 +166,8 @@ CORRUPTIONS = {
     "boolean patience": (FIRST_MLP + ("config",), "patience", True),
     "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
                                float("inf")),
+    "zero learning_rate": (FIRST_MLP + ("config",), "learning_rate", 0.0),
+    "string learning_rate": (FIRST_MLP + ("config",), "learning_rate", "0.01"),
     # The chain is the full fixed one: ``stage_order`` names its stages in
     # order, the chain holds a scaler and logs the target.
     "feature_scaling left out": (("preprocess",), "stage_order",
@@ -217,7 +223,7 @@ def test_network_config_keys_are_exactly_its_fields(model, tmp_path, edit):
     if edit == "unknown key":
         config["momentum"] = 0.9
     else:
-        del config["learning_rate"]
+        del config["epochs"]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="corrupt model document"):
