@@ -10,18 +10,21 @@ statistic computed from scored rows leaks into fitting.
 Outlier removal drops training rows only, and a fitted chain never drops a
 row it scores, so the report scores every row in every column.
 
-``evaluate_pipeline`` runs in two processes.  After the hold-out split it
-forks one child, which fits the ensemble on the training side and sends
-back its predictions for the held-out rows; meanwhile the parent builds
-the stage report.  The two halves share nothing but their inputs, and each
-is the same deterministic code on the same rows as in one process, so every
-output bit is the same.  When both halves fail, the stage report's error
-is raised, as when one process runs them in turn.  ``train``, ``predict``
-and each single fit run in one process.
+``evaluate_pipeline`` runs in two processes that share one queue of
+tasks.  After the hold-out split it forks one child, which starts on the
+ensemble (fit on the training side, then predict the held-out rows) while
+the parent starts on the stage-report folds; each then claims the next
+unclaimed fold until none is left.  Every task is the same deterministic
+code on the same rows and seeds as in one process, so every output bit is
+the same whichever process ran it, and the error raised is the serial
+run's: the lowest failing fold's, or else the ensemble's.  ``train``,
+``predict`` and each single fit run in one process.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -33,7 +36,8 @@ from .ensemble import (EnsembleModel, PoolReport, assemble, check_out_of_bag,
                        predict_ensemble, rank_learners, select_learners,
                        train_pool)
 from .errors import DataError, FitError
-from .evaluation import MetricsReport, holdout_split, make_folds, metrics
+from .evaluation import (FoldPlan, MetricsReport, holdout_split,
+                         make_folds, metrics)
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
                              sequential_forward_select)
 from .preprocess import (PIPELINE_STAGES, OutlierReport, PreprocessState,
@@ -197,6 +201,69 @@ def _naming(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
+def _stage_plan(n: int, cfg: PipelineConfig, seed: int) -> FoldPlan:
+    """The stage report's one fold plan over ``n`` rows."""
+    return make_folds(n, cfg.cv_folds, derive_seed(seed, _TAG_STAGE))
+
+
+def _stage_cells(cfg: PipelineConfig, seed: int) -> list[tuple[int, str, int]]:
+    """The stage report's fits in each fold: ``(column, model, seed)``, one
+    per network replicate."""
+    return [(j, model, derive_seed(seed, _TAG_STAGE, j, i, r))
+            for j in range(len(STAGE_NAMES))
+            for i, model in enumerate(STAGE_MODELS)
+            for r in range(cfg.mlp_replicates if model == "mlp" else 1)]
+
+
+def stage_fold(raw: FeatureMatrix, cfg: PipelineConfig, seed: int,
+               fold: int) -> np.ndarray:
+    """The out-of-fold predictions of stage-report fold ``fold``, in yield
+    units: one row per cell of ``_stage_cells``, one column per scored row.
+
+    The chain is fitted once on the fold's training rows, and each cell is
+    fitted on its prefix and scores the fold's rows through it.  Every seed
+    comes from ``seed`` and ``fold``, so a fold's block does not depend on
+    which other folds ran, in what order, or in which process.
+    """
+    train_rows, eval_rows = _stage_plan(raw.n_samples, cfg, seed
+                                        ).fold_indices(fold)
+    with _naming(f"training rows of stage-report fold {fold}"):
+        prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
+                                derive_seed(seed, _TAG_CHAIN, fold))
+    eval_raw = raw.take_rows(eval_rows)
+    factories = _stage_factories(cfg)
+    cells = _stage_cells(cfg, seed)
+    block = np.empty((len(cells), len(eval_rows)))
+    for c, (j, model, fit_seed) in enumerate(cells):
+        train_m, chain = prefixes[j]
+        with _naming(f"stage {STAGE_NAMES[j]!r}, model {model!r}"):
+            predict_fn = factories[model](train_m, derive_seed(fit_seed, fold))
+            block[c] = chain.invert_target(np.asarray(
+                predict_fn(chain.apply_features(eval_raw)), dtype=np.float64))
+    return block
+
+
+def _assemble_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int,
+                     blocks: list[np.ndarray]) -> StageReport:
+    """The stage report from every fold's ``stage_fold`` block, in fold
+    order: each block is scattered to its fold's rows, and each cell is
+    scored on every row."""
+    plan = _stage_plan(raw.n_samples, cfg, seed)
+    cells = _stage_cells(cfg, seed)
+    oof = np.empty((len(cells), raw.n_samples))  # a row per cell
+    for fold, block in enumerate(blocks):
+        oof[:, plan.fold_indices(fold)[1]] = block
+    scores = [metrics(raw.target, row).rmse for row in oof]
+
+    values: dict[tuple[str, int], list[float]] = {}
+    for (j, model, _), score in zip(cells, scores):
+        values.setdefault((model, j), []).append(score)
+    columns = range(len(STAGE_NAMES))
+    rmse = np.array([[np.mean(values[model, j]) for j in columns]
+                     for model in STAGE_MODELS])
+    return StageReport(rmse, cfg.mlp_replicates)
+
+
 def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageReport:
     """CV RMSE of each in-scope model after each cumulative pipeline stage.
 
@@ -208,39 +275,12 @@ def stage_report(raw: FeatureMatrix, cfg: PipelineConfig, seed: int) -> StageRep
     are mapped back through each fold's chain, and no statistic of the
     scored rows reaches the chain.  The network cell is the mean of
     ``mlp_replicates`` independently seeded trainings.  All cells share one
-    fold plan.
+    fold plan.  The folds run in turn here; ``evaluate_pipeline`` spreads
+    the same ``stage_fold`` calls over two processes.
     """
-    factories = _stage_factories(cfg)
-    cells = [(j, model, derive_seed(seed, _TAG_STAGE, j, i, r))
-             for j in range(len(STAGE_NAMES))
-             for i, model in enumerate(STAGE_MODELS)
-             for r in range(cfg.mlp_replicates if model == "mlp" else 1)]
-    oof = np.empty((len(cells), raw.n_samples))  # a row per cell
-    plan = make_folds(raw.n_samples, cfg.cv_folds,
-                      derive_seed(seed, _TAG_STAGE))
-    for fold in range(plan.k):
-        train_rows, eval_rows = plan.fold_indices(fold)
-        with _naming(f"training rows of stage-report fold {fold}"):
-            prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
-                                    derive_seed(seed, _TAG_CHAIN, fold))
-        eval_raw = raw.take_rows(eval_rows)
-        for c, (j, model, fit_seed) in enumerate(cells):
-            train_m, chain = prefixes[j]
-            with _naming(f"stage {STAGE_NAMES[j]!r}, model {model!r}"):
-                predict_fn = factories[model](train_m,
-                                              derive_seed(fit_seed, fold))
-                oof[c, eval_rows] = chain.invert_target(np.asarray(
-                    predict_fn(chain.apply_features(eval_raw)),
-                    dtype=np.float64))
-    scores = [metrics(raw.target, row).rmse for row in oof]
-
-    values: dict[tuple[str, int], list[float]] = {}
-    for (j, model, _), score in zip(cells, scores):
-        values.setdefault((model, j), []).append(score)
-    columns = range(len(STAGE_NAMES))
-    rmse = np.array([[np.mean(values[model, j]) for j in columns]
-                     for model in STAGE_MODELS])
-    return StageReport(rmse, cfg.mlp_replicates)
+    return _assemble_report(raw, cfg, seed,
+                            [stage_fold(raw, cfg, seed, fold)
+                             for fold in range(cfg.cv_folds)])
 
 
 @dataclass(frozen=True)
@@ -253,40 +293,64 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
     """Hold out a test split, build the stage report and the ensemble on the
     training side only, then score the ensemble on the untouched split.
 
-    The two halves run side by side.  A forked child process fits the
-    ensemble and sends back its hold-out predictions, one float64 vector,
-    or the exception that stopped it; the parent builds the stage report
-    meanwhile.  Each half is the code a serial run would call, on the same
-    inputs and seeds, so the result is bit for bit the serial one.  Errors
-    are those of the serial run, which builds the stage report first: when
-    both halves fail, the stage report's error wins, and the child's
-    exception is raised again here with its type and message.  A child that
-    ends without a readable result, because it was killed or its exception
-    could not be pickled, is a RuntimeError naming its exit status.  The
-    child is terminated and joined before this returns or raises.
+    The work is k + 1 tasks for two processes: task 0 fits the ensemble and
+    predicts the held-out rows, and task f + 1 is ``stage_fold`` for fold f.
+    A forked child starts on task 0, the longest, while the parent starts on
+    the folds, and each process then claims the next unclaimed fold until
+    none is left: Graham's list scheduling, with the long task first.  The
+    child sends back every result it made, or the exception that stopped a
+    task, once.  Each task is the code a serial run calls, with seeds from
+    ``derive_seed`` alone, so the result is bit for bit the serial one
+    whichever process ran which task.
+
+    Errors are those of the serial run, which builds the stage report fold
+    by fold and then the ensemble.  Each process runs every task it claims,
+    failed or not, and the error raised is that of the lowest failing fold,
+    with its type and message, or else the ensemble's.  When the parent ran
+    every fold up to its own first failure, that error is raised without
+    waiting for the child.  A fold's training
+    rows are checked before the fork, so a fold too small to select features
+    fails at once, as in the serial run.  A child that ends without a
+    readable result, because it was killed or an exception could not be
+    pickled, is a RuntimeError naming its exit status.  The child is
+    terminated and joined before this returns or raises.
 
     The child is forked, so it starts with the parent's imported modules
-    and data and pickles only its result; numpy's OpenBLAS shuts its
+    and data and pickles only its results; numpy's OpenBLAS shuts its
     thread pool down before a fork.
     """
     train_m, test_m = holdout_split(m, cfg.holdout_fraction,
                                     derive_seed(cfg.seed, _TAG_HOLDOUT))
-    if cfg.cv_folds > train_m.n_samples:
+    n = train_m.n_samples
+    if cfg.cv_folds > n:
         raise DataError(f"[evaluation] cv_folds = {cfg.cv_folds} needs at "
                         f"least {cfg.cv_folds} rows to fold, but the hold-out "
-                        f"split leaves {train_m.n_samples} training rows")
+                        f"split leaves {n} training rows")
+    plan = _stage_plan(n, cfg, cfg.seed)
+    for fold in range(plan.k):
+        with _naming(f"training rows of stage-report fold {fold}"):
+            _check_rows(cfg, plan.fold_indices(fold)[0].size, "features")
+
+    def run(task: int):
+        if task == 0:
+            return predict_ensemble(train_ensemble_pipeline(train_m, cfg).model,
+                                    test_m)
+        return stage_fold(train_m, cfg, cfg.seed, task - 1)
+
+    serial = [*range(1, plan.k + 1), 0]  # the order a serial run fails in
     import multiprocessing  # here, not at the top: it slows every import
 
     context = multiprocessing.get_context("fork")
+    claim, spill = _task_queue(range(1, plan.k + 1))
     receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_ensemble_half,
-                            args=(train_m, test_m, cfg, send))
+    child = context.Process(target=_child_tasks, args=(run, claim, send))
     child.start()
     send.close()
     try:
-        report = stage_report(train_m, cfg, cfg.seed)
+        results = _run_tasks(itertools.chain(_claims(claim), spill), run)
+        _raise_first_error(results, serial)
         try:
-            preds = receive.recv()
+            results |= receive.recv()
         except Exception:  # EOFError, or a result that does not unpickle
             child.join()
             raise RuntimeError(f"the ensemble process sent no readable "
@@ -296,17 +360,66 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
         child.join()
         child.close()
         receive.close()
-    if isinstance(preds, Exception):
-        raise preds
-    return HoldoutEvaluation(report, metrics(test_m.target, preds))
+        os.close(claim)
+    _raise_first_error(results, serial)
+    report = _assemble_report(train_m, cfg, cfg.seed,
+                              [results[task] for task in range(1, plan.k + 1)])
+    return HoldoutEvaluation(report, metrics(test_m.target, results[0]))
 
 
-def _ensemble_half(train_m: FeatureMatrix, test_m: FeatureMatrix,
-                   cfg: PipelineConfig, send) -> None:
-    """The child's half of ``evaluate_pipeline``: fit the ensemble and send
-    its predictions for ``test_m``, or the exception that stopped it."""
+# Bytes per task number in ``_task_queue``; a 64 KiB pipe holds 16,384.
+_TASK_BYTES = 4
+
+
+def _task_queue(tasks: range) -> tuple[int, range]:
+    """A pipe that holds ``tasks`` in order, for processes to claim from, and
+    the tasks that did not fit in its buffer.  Its write end is closed, so a
+    reader finds the queue empty when a read returns no bytes; a read of one
+    task number is atomic, so two readers never claim the same task."""
+    claim, write = os.pipe()
+    os.set_blocking(write, False)
+    queued = 0
     try:
-        result = train_ensemble_pipeline(train_m, cfg)
-        send.send(predict_ensemble(result.model, test_m))
-    except Exception as exc:  # raised again in the parent
-        send.send(exc)
+        for task in tasks:
+            os.write(write, task.to_bytes(_TASK_BYTES, "little"))
+            queued += 1
+    except BlockingIOError:  # full; a write this short is all or nothing
+        pass
+    finally:
+        os.close(write)
+    return claim, tasks[queued:]
+
+
+def _claims(claim: int):
+    """The task numbers claimed from a ``_task_queue`` pipe, one at a time,
+    until it is empty."""
+    while record := os.read(claim, _TASK_BYTES):
+        yield int.from_bytes(record, "little")
+
+
+def _run_tasks(tasks, run) -> dict:
+    """``{task: run(task)}`` over ``tasks``, with the exception in place of
+    the result of a task that raised one."""
+    results = {}
+    for task in tasks:
+        try:
+            results[task] = run(task)
+        except Exception as exc:  # raised again in the parent
+            results[task] = exc
+    return results
+
+
+def _raise_first_error(results: dict, order: list[int]) -> None:
+    """Raise the exception of the first task in ``order`` that failed, up to
+    the first task that ``results`` lacks."""
+    for task in order:
+        if task not in results:
+            return
+        if isinstance(results[task], Exception):
+            raise results[task]
+
+
+def _child_tasks(run, claim: int, send) -> None:
+    """The forked child of ``evaluate_pipeline``: run task 0, then claim
+    tasks from the queue until it is empty, and send every result once."""
+    send.send(_run_tasks(itertools.chain([0], _claims(claim)), run))

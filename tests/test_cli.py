@@ -566,6 +566,44 @@ def test_too_few_rows_to_fold_exits_1_naming_cv_folds(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# The first 30 rows of the tiny config's synth file leave 21 training rows.
+# Under 19 folds the largest stage-report fold scores 2 of them and trains on
+# 19, enough for a 19-fold feature search; under 20 and 21 folds a fold
+# trains on 19 and 20.  That is found before the fork, so no child starts.
+@pytest.mark.parametrize("folds,message", [
+    (19, None),
+    (20, "training rows of stage-report fold 0: [evaluation] cv_folds = 20 "
+         "needs at least 20 rows to select features, got 19"),
+    (21, "training rows of stage-report fold 0: [evaluation] cv_folds = 21 "
+         "needs at least 21 rows to select features, got 20")],
+    ids=["19", "20", "21"])
+def test_a_fold_too_small_to_select_features_exits_1_before_forking(
+        workdir, tmp_path, monkeypatch, capsys, folds, message):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        recording)
+    config = tmp_path / "folds.ini"
+    config.write_text(render_config(replace(tiny_config(), cv_folds=folds)),
+                      encoding="utf-8")
+    lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines(True)
+    data = tmp_path / "small.csv"
+    data.write_text("".join(lines[:31]), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["evaluate", "--data", str(data), "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, len(started)) == (0, 1), err
+    else:
+        assert (code, err, started) == (1, f"error: {message}\n", [])
+
+
 def _ensemble_exits(*args):
     os._exit(3)
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from teayield import pipeline
+from teayield import pipeline, regressors
 from teayield.config import PipelineConfig
 from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.ensemble import predict_ensemble
@@ -262,27 +262,109 @@ def _sleeps(*args):
     time.sleep(60)
 
 
+def _wait_for(path) -> None:
+    """Wait for the marker file ``path``, which another process writes."""
+    deadline = time.monotonic() + 60.0
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"no {path.name}")
+        time.sleep(0.005)
+
+
+def _schedule_folds(monkeypatch, marks, hold):
+    """Patch ``stage_fold`` to leave the marker ``ran-<fold>-<pid>`` in
+    ``marks`` and call ``hold(fold, in_parent)`` before the real fold.
+
+    Returns a function that reads the markers: for each fold that ran,
+    whether the parent ran it.
+    """
+    parent, real = os.getpid(), pipeline.stage_fold
+
+    def fold_fn(raw, cfg, seed, fold):
+        (marks / f"ran-{fold}-{os.getpid()}").touch()
+        hold(fold, os.getpid() == parent)
+        return real(raw, cfg, seed, fold)
+
+    def in_parent() -> dict[int, bool]:
+        ran = [path.name.split("-")[1:] for path in marks.glob("ran-*")]
+        return {int(fold): int(pid) == parent for fold, pid in ran}
+
+    monkeypatch.setattr(pipeline, "stage_fold", fold_fn)
+    return in_parent
+
+
+def _after(marker, train):
+    """``train`` once the marker file ``marker`` exists."""
+    def fit(*args):
+        _wait_for(marker)
+        return train(*args)
+    return fit
+
+
+def _after_fold_0(marks, train):
+    """``train`` once this process, the parent, has claimed fold 0."""
+    return _after(marks / f"ran-0-{os.getpid()}", train)
+
+
+@pytest.fixture(scope="module")
+def serial_evaluation(canonical_raw):
+    """The ``tiny_config`` stage report and hold-out metrics made in one
+    process: ``stage_report``, then the ensemble."""
+    cfg = tiny_config()
+    train_m, test_m = holdout_split(
+        canonical_raw, cfg.holdout_fraction,
+        derive_seed(cfg.seed, pipeline._TAG_HOLDOUT))
+    serial = stage_report(train_m, cfg, cfg.seed)
+    model = train_ensemble_pipeline(train_m, cfg).model
+    return serial, metrics(test_m.target, predict_ensemble(model, test_m))
+
+
 class TestEvaluateInTwoProcesses:
-    """The ensemble half of ``evaluate_pipeline`` runs in a forked child,
-    which inherits a ``train_ensemble_pipeline`` patched before the call."""
+    """``evaluate_pipeline``'s forked child runs the ensemble, then claims
+    stage-report folds along with the parent; it inherits the ``pipeline``
+    functions patched before the call."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
         yield
         assert multiprocessing.active_children() == []
 
-    def test_the_result_is_the_serial_chain_bit_for_bit(self, canonical_raw):
-        cfg = tiny_config()
-        result = evaluate_pipeline(canonical_raw, cfg)
-        train_m, test_m = holdout_split(
-            canonical_raw, cfg.holdout_fraction,
-            derive_seed(cfg.seed, pipeline._TAG_HOLDOUT))
-        serial = stage_report(train_m, cfg, cfg.seed)
-        model = train_ensemble_pipeline(train_m, cfg).model
+    def test_the_result_is_the_serial_chain_bit_for_bit(
+            self, canonical_raw, serial_evaluation):
+        serial, holdout = serial_evaluation
+        result = evaluate_pipeline(canonical_raw, tiny_config())
         assert result.stage.rmse.shape == serial.rmse.shape
         assert (result.stage.rmse == serial.rmse).all()
-        assert result.holdout == metrics(test_m.target,
-                                         predict_ensemble(model, test_m))
+        assert result.holdout == holdout
+
+    @pytest.mark.parametrize("split", ["parent-runs-every-fold",
+                                       "child-runs-most-folds"])
+    def test_a_forced_split_is_the_serial_result_bit_for_bit(
+            self, canonical_raw, serial_evaluation, monkeypatch, tmp_path,
+            split):
+        """Either the child's ensemble waits until the parent starts the
+        last fold, so the parent runs every fold; or the parent holds fold 0
+        until the child starts the last fold, so the child runs the rest."""
+        k = tiny_config().cv_folds
+        go = tmp_path / "go"
+
+        def hold(fold, in_parent):
+            if split == "child-runs-most-folds" and in_parent:
+                _wait_for(go)
+            elif fold == k - 1:
+                go.touch()
+
+        in_parent = _schedule_folds(monkeypatch, tmp_path, hold)
+        train = _after_fold_0(tmp_path, pipeline.train_ensemble_pipeline)
+        if split == "parent-runs-every-fold":
+            train = _after(go, train)
+        monkeypatch.setattr(pipeline, "train_ensemble_pipeline", train)
+        result = evaluate_pipeline(canonical_raw, tiny_config())
+        assert in_parent() == {fold: split == "parent-runs-every-fold"
+                               or fold == 0 for fold in range(k)}
+        serial, holdout = serial_evaluation
+        assert (result.stage.rmse == serial.rmse).all()
+        assert result.holdout == holdout
 
     def test_an_ensemble_error_keeps_its_type_and_message(
             self, canonical_raw, monkeypatch):
@@ -294,7 +376,7 @@ class TestEvaluateInTwoProcesses:
     def test_the_stage_report_error_wins(self, canonical_raw, monkeypatch):
         monkeypatch.setattr(pipeline, "train_ensemble_pipeline",
                             _raises(FitError("ensemble")))
-        monkeypatch.setattr(pipeline, "stage_report",
+        monkeypatch.setattr(pipeline, "stage_fold",
                             _raises(DataError("stage report")))
         with pytest.raises(DataError, match="^stage report$"):
             evaluate_pipeline(canonical_raw, tiny_config())
@@ -312,8 +394,65 @@ class TestEvaluateInTwoProcesses:
     def test_a_stopped_stage_report_ends_a_running_child(
             self, canonical_raw, monkeypatch, exc):
         monkeypatch.setattr(pipeline, "train_ensemble_pipeline", _sleeps)
-        monkeypatch.setattr(pipeline, "stage_report", _raises(exc))
+        monkeypatch.setattr(pipeline, "stage_fold", _raises(exc))
         start = time.perf_counter()
         with pytest.raises(type(exc)):
             evaluate_pipeline(canonical_raw, tiny_config())
         assert time.perf_counter() - start < 30.0
+
+    @pytest.mark.parametrize("module,plant,error,message", [
+        (pipeline, "fit_chain", DataError,
+         "^training rows of stage-report fold 1: planted$"),
+        (regressors, "fit_gpr", FitError,
+         "^stage 'raw', model 'gpr': planted$")],
+        ids=["chain", "cell"])
+    def test_a_child_fold_error_beats_later_folds_and_the_ensemble(
+            self, canonical_raw, monkeypatch, tmp_path, module, plant, error,
+            message):
+        """The ensemble fails.  The parent holds fold 0 until the
+        child has fold 1, then fails a later fold; only then does the child
+        fail fold 1, inside ``stage_fold``."""
+        child_has_1 = tmp_path / "child-has-1"
+        parent_has_later = tmp_path / "parent-has-later"
+        current = {}
+
+        def hold(fold, in_parent):
+            current["fold"] = None if in_parent else fold
+            if in_parent and fold == 0:
+                _wait_for(child_has_1)
+            elif in_parent:
+                parent_has_later.touch()
+                raise FitError("a later fold in the parent")
+            elif fold == 1:
+                child_has_1.touch()
+                _wait_for(parent_has_later)
+
+        def planted(real):
+            def fit(*args, **kw):
+                if current.get("fold") == 1:
+                    raise error("planted")
+                return real(*args, **kw)
+            return fit
+
+        in_parent = _schedule_folds(monkeypatch, tmp_path, hold)
+        monkeypatch.setattr(module, plant, planted(getattr(module, plant)))
+        monkeypatch.setattr(pipeline, "train_ensemble_pipeline", _after_fold_0(
+            tmp_path, _raises(FitError("planted ensemble failure"))))
+        with pytest.raises(error, match=message):
+            evaluate_pipeline(canonical_raw, tiny_config())
+        ran = in_parent()
+        assert ran[0] and not ran[1]
+        assert any(ran[fold] for fold in ran if fold > 1)
+
+
+def test_a_full_task_queue_leaves_the_rest_to_the_parent():
+    """A pipe holds 16,384 task numbers; the tasks after them are returned
+    for the parent to run, in order, once the queue is empty."""
+    tasks = range(1, 20_001)
+    claim, spill = pipeline._task_queue(tasks)
+    try:
+        claimed = list(pipeline._claims(claim))
+    finally:
+        os.close(claim)
+    assert len(spill) > 0
+    assert claimed + list(spill) == list(tasks)

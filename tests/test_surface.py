@@ -32,6 +32,9 @@ ALLOWED = {
     "cli.main": "the entry point of the teayield command",
     "config.render_config": "the inverse of load_config; the benchmark's "
                             "bench.ini is its output",
+    "pipeline.stage_report": "the stage report in one process, the serial "
+                             "run that evaluate_pipeline's two processes "
+                             "reproduce bit for bit; the benchmark traces it",
     "serialize.model_to_json": "the text save_model writes, in memory; the "
                                "benchmark checks that a saved model "
                                "re-serialises to its file's bytes",
