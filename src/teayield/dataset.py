@@ -39,17 +39,19 @@ DERIVED_COLUMNS = ("month_sin", "month_cos", "avg_temp")
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Column-named numeric table plus target vector.
+    """Column-named numeric table plus its ``yield`` target vector.
 
     Immutable after construction: the arrays are copied in and marked
     read-only, so instances are safe to share across threads.  ``carried``
     holds provenance columns (kept as plain tuples) that are never features.
+    Only whole records hold them: the matrices the reader and the generator
+    build, and their ``take_rows`` and ``with_target``.  A ``subset``, and so
+    every model input made from one, holds none.
     """
 
     column_names: tuple[str, ...]
     values: np.ndarray
     target: np.ndarray
-    target_name: str = TARGET_COLUMN
     carried: Mapping[str, tuple] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -63,8 +65,8 @@ class FeatureMatrix:
                 f"{len(names)} column names for {values.shape[1]} columns")
         if len(set(names)) != len(names):
             raise DataError("column names must be unique")
-        if self.target_name in names:
-            raise DataError(f"target {self.target_name!r} also listed as a feature")
+        if TARGET_COLUMN in names:
+            raise DataError(f"target {TARGET_COLUMN!r} also listed as a feature")
         if target.ndim != 1 or target.shape[0] != values.shape[0]:
             raise DataError("target length does not match sample count")
         if values.shape[0] < 1:
@@ -101,13 +103,12 @@ class FeatureMatrix:
 
     def subset(self, names: Sequence[str]) -> "FeatureMatrix":
         idx = [self.col_index(n) for n in names]
-        return FeatureMatrix(tuple(names), self.values[:, idx], self.target,
-                             self.target_name, self.carried)
+        return FeatureMatrix(tuple(names), self.values[:, idx], self.target)
 
     def with_target(self, target) -> "FeatureMatrix":
         return FeatureMatrix(self.column_names, self.values,
                              as_float_array(target, "target"),
-                             self.target_name, self.carried)
+                             carried=self.carried)
 
     def take_rows(self, indices) -> "FeatureMatrix":
         idx = np.asarray(indices, dtype=np.int64)
@@ -115,7 +116,7 @@ class FeatureMatrix:
             raise DataError("row index out of range")
         carried = {k: tuple(v[i] for i in idx) for k, v in self.carried.items()}
         return FeatureMatrix(self.column_names, self.values[idx],
-                             self.target[idx], self.target_name, carried)
+                             self.target[idx], carried=carried)
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,10 @@ class CorrelationReport:
     feature_names: tuple[str, ...]
     matrix: np.ndarray
     target_correlations: np.ndarray
-    target_name: str = TARGET_COLUMN
 
     def to_csv(self, path) -> None:
         write_table(path, ["feature", *self.feature_names,
-                           f"{self.target_name}_correlation"],
+                           f"{TARGET_COLUMN}_correlation"],
                     ([name, *[repr(float(v)) for v in self.matrix[i]],
                       repr(float(self.target_correlations[i]))]
                      for i, name in enumerate(self.feature_names)))
@@ -307,8 +307,8 @@ def _matrix(cells: Mapping[str, Sequence],
     values = np.column_stack([np.frombuffer(cells[c]) for c in names] + [
         encode_months(cells["month"]), (lo + hi) / 2.0])
     return FeatureMatrix((*names, *DERIVED_COLUMNS), values,
-                         np.frombuffer(cells[TARGET_COLUMN]), TARGET_COLUMN,
-                         {c: tuple(cells[c]) for c in CARRIED_COLUMNS})
+                         np.frombuffer(cells[TARGET_COLUMN]),
+                         carried={c: tuple(cells[c]) for c in CARRIED_COLUMNS})
 
 
 def read_blocks(path, schema: Sequence[str] | None = CANONICAL_SCHEMA,
@@ -466,7 +466,7 @@ def correlation_report(m: FeatureMatrix) -> CorrelationReport:
         if np.ptp(m.column(name)) == 0.0:
             raise DataError(f"column {name!r} is constant; correlation undefined")
     if np.ptp(m.target) == 0.0:
-        raise DataError(f"target {m.target_name!r} is constant; correlation undefined")
+        raise DataError(f"target {TARGET_COLUMN!r} is constant; correlation undefined")
     f = m.n_features
     matrix = np.eye(f)
     for i in range(f):
@@ -475,7 +475,7 @@ def correlation_report(m: FeatureMatrix) -> CorrelationReport:
             matrix[i, j] = r
             matrix[j, i] = r
     target_corr = np.array([pearson(m.values[:, i], m.target) for i in range(f)])
-    return CorrelationReport(m.column_names, matrix, target_corr, m.target_name)
+    return CorrelationReport(m.column_names, matrix, target_corr)
 
 
 @dataclass(frozen=True)

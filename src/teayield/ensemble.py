@@ -5,9 +5,10 @@ hidden sizes and random training subsamples for diversity; rank the pool by
 running the relief feature ranker on the matrix of learner predictions
 (each learner is a "feature", the true target is the target); walk the
 ranked order with ``evaluation.forward_select``, the search feature
-selection uses too, adding learners while the out-of-bag RMSE of the
-weighted combination strictly improves; weight the survivors by a decreasing
-logistic in their error eps_i,
+selection uses too, adding learners until ``patience`` prefixes in a row
+fail to lower the best out-of-bag RMSE of the weighted combination, and
+keep the best prefix; weight the survivors by a decreasing logistic in their
+error eps_i,
 
     raw_i = 1 / (1 + exp(b * (eps_i - c))),   w_i = raw_i / sum(raw),
 
@@ -28,13 +29,13 @@ inside the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, naming
 from .evaluation import forward_select
 from .feature_select import ReliefParams, rank_order, rrelieff
 from .preprocess import PreprocessState
@@ -93,18 +94,20 @@ class LearnerSelection:
 
 @dataclass(frozen=True)
 class EnsembleModel:
+    """The learners, their weighting logistic's ``weight_b`` and ``weight_c``
+    and the chain.  ``weights`` is made, not given: ``compute_weights`` of
+    the learners' errors, one strictly positive weight per learner."""
+
     learners: tuple[BaseLearner, ...]
-    weights: np.ndarray
     weight_b: float
     weight_c: float
     preprocess: PreprocessState
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape[0] != len(self.learners) or not self.learners:
-            raise DataError("one weight per learner required, at least one learner")
-        if (not np.all(np.isfinite(w)) or abs(float(w.sum()) - 1.0) > 1e-12
-                or np.any(w <= 0.0)):
+        w = compute_weights([bl.train_error for bl in self.learners],
+                            self.weight_b, self.weight_c)
+        if not np.all(w > 0.0):  # a NaN b or c makes every weight NaN
             raise DataError("weights must be strictly positive and sum to 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -180,10 +183,8 @@ def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
         rng = np.random.default_rng(derive_seed(seed, i, 0))
         hidden = int(rng.integers(HIDDEN_RANGE[0], HIDDEN_RANGE[1] + 1))
         rows = _draw_rows(rng, m.n_samples, cfg)
-        try:
+        with naming(f"learner {i}"):
             pool.append(_fit_member(m, rows, hidden, derive_seed(seed, i, 1), cfg))
-        except FitError as exc:
-            raise FitError(f"learner {i}: {exc}") from exc
     return tuple(pool)
 
 
@@ -202,8 +203,7 @@ def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
     good = [i for i in range(len(pool)) if np.ptp(preds[i]) > 0.0]
     if good:
         derived = FeatureMatrix(
-            tuple(f"learner_{i:03d}" for i in good), preds[good].T, m.target,
-            m.target_name)
+            tuple(f"learner_{i:03d}" for i in good), preds[good].T, m.target)
         ranked = rrelieff(derived, k=relief.k)
         for pos, i in enumerate(good):
             weights[i] = ranked.weights[pos]
@@ -300,10 +300,8 @@ def assemble(pool: Sequence[BaseLearner], selection: LearnerSelection,
              preprocess: PreprocessState) -> EnsembleModel:
     """Build the final model from the selected pool members."""
     learners = tuple(pool[pos] for pos in selection.selected_positions)
-    errors = [bl.train_error for bl in learners]
-    b, c = resolve_weight_params(errors)
-    weights = compute_weights(errors, b, c)
-    return EnsembleModel(learners, weights, b, c, preprocess)
+    b, c = resolve_weight_params([bl.train_error for bl in learners])
+    return EnsembleModel(learners, b, c, preprocess)
 
 
 def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:

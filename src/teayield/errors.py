@@ -1,5 +1,7 @@
 """Exception hierarchy. Everything raised on purpose derives from TeaYieldError."""
 
+from contextlib import contextmanager
+
 
 class TeaYieldError(Exception):
     """Base class for all errors this package raises deliberately."""
@@ -16,3 +18,13 @@ class ConfigError(TeaYieldError):
 
 class FitError(TeaYieldError):
     """A model or transform could not be fitted on the given data."""
+
+
+@contextmanager
+def naming(where: str):
+    """Raise a TeaYieldError raised inside again, of the same type, with
+    ``where: `` in front of its message."""
+    try:
+        yield
+    except TeaYieldError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import DataError, TeaYieldError
+from .errors import DataError, naming
 from .util import as_float_array, derive_seed
 
 
@@ -93,11 +93,9 @@ def cross_validate(m: FeatureMatrix, factory, plan: FoldPlan,
     oof = np.empty(m.n_samples)
     for fold in range(plan.k):
         train_rows, eval_rows = plan.fold_indices(fold)
-        try:
+        with naming(f"fold {fold}"):
             predict_fn = factory(m.take_rows(train_rows), derive_seed(seed, fold))
             preds = np.asarray(predict_fn(m.take_rows(eval_rows)), dtype=np.float64)
-        except TeaYieldError as exc:
-            raise type(exc)(f"fold {fold}: {exc}") from exc
         if preds.shape != (eval_rows.shape[0],):
             raise DataError(f"fold {fold}: factory returned shape {preds.shape}, "
                             f"expected ({eval_rows.shape[0]},)")

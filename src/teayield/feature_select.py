@@ -13,8 +13,9 @@ feature is
 which is positive for features whose variation coincides with target
 variation among near neighbors.  Subset selection then walks the ranked
 order with ``evaluation.forward_select``, the search learner selection uses
-too: each prefix is scored by its pooled cross-validated RMSE, and the walk
-stops once adding features no longer strictly reduces it.
+too: each prefix is scored by its pooled cross-validated RMSE, the walk
+stops after ``patience`` prefixes in a row that do not lower the best RMSE
+so far, and the best prefix is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .dataset import FeatureMatrix
-from .errors import ConfigError, DataError, FitError, TeaYieldError
+from .errors import ConfigError, DataError, FitError, naming
 from .evaluation import cross_validate, forward_select, make_folds, metrics
 from .util import derive_seed, write_table
 
@@ -152,10 +153,8 @@ def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
     def score(size: int) -> float:
         prefix = order_names[:size]
         sub = m.subset(_dedupe_exact(m, prefix))
-        try:
+        with naming(f"prefix of size {size} ({prefix})"):
             oof = cross_validate(sub, evaluator, plan, derive_seed(seed, size))
-        except TeaYieldError as exc:
-            raise type(exc)(f"prefix of size {size} ({prefix}): {exc}") from exc
         return metrics(sub.target, oof).rmse
 
     best_size, trace = forward_select(len(order_names), score, patience)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +34,7 @@ from .dataset import FeatureMatrix
 from .ensemble import (EnsembleModel, PoolReport, assemble, check_out_of_bag,
                        predict_ensemble, rank_learners, select_learners,
                        train_pool)
-from .errors import DataError, FitError
+from .errors import DataError, FitError, naming
 from .evaluation import (FoldPlan, MetricsReport, holdout_split,
                          make_folds, metrics)
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
@@ -192,15 +191,6 @@ def _stage_factories(cfg: PipelineConfig) -> dict:
     }
 
 
-@contextmanager
-def _naming(where: str):
-    """Prefix a fit or data error raised inside with where it arose."""
-    try:
-        yield
-    except (FitError, DataError) as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-
-
 def _stage_plan(n: int, cfg: PipelineConfig, seed: int) -> FoldPlan:
     """The stage report's one fold plan over ``n`` rows."""
     return make_folds(n, cfg.cv_folds, derive_seed(seed, _TAG_STAGE))
@@ -220,26 +210,28 @@ def stage_fold(raw: FeatureMatrix, cfg: PipelineConfig, seed: int,
     """The out-of-fold predictions of stage-report fold ``fold``, in yield
     units: one row per cell of ``_stage_cells``, one column per scored row.
 
-    The chain is fitted once on the fold's training rows, and each cell is
-    fitted on its prefix and scores the fold's rows through it.  Every seed
+    The chain is fitted once on the fold's training rows and maps the
+    fold's rows once per prefix; each cell is fitted on its prefix and scores
+    them as that prefix mapped them.  Every seed
     comes from ``seed`` and ``fold``, so a fold's block does not depend on
     which other folds ran, in what order, or in which process.
     """
     train_rows, eval_rows = _stage_plan(raw.n_samples, cfg, seed
                                         ).fold_indices(fold)
-    with _naming(f"training rows of stage-report fold {fold}"):
+    with naming(f"training rows of stage-report fold {fold}"):
         prefixes, _ = fit_chain(raw.take_rows(train_rows), cfg,
                                 derive_seed(seed, _TAG_CHAIN, fold))
     eval_raw = raw.take_rows(eval_rows)
+    scored = [chain.apply_features(eval_raw) for _, chain in prefixes]
     factories = _stage_factories(cfg)
     cells = _stage_cells(cfg, seed)
     block = np.empty((len(cells), len(eval_rows)))
     for c, (j, model, fit_seed) in enumerate(cells):
         train_m, chain = prefixes[j]
-        with _naming(f"stage {STAGE_NAMES[j]!r}, model {model!r}"):
+        with naming(f"stage {STAGE_NAMES[j]!r}, model {model!r}"):
             predict_fn = factories[model](train_m, derive_seed(fit_seed, fold))
-            block[c] = chain.invert_target(np.asarray(
-                predict_fn(chain.apply_features(eval_raw)), dtype=np.float64))
+            block[c] = chain.invert_target(np.asarray(predict_fn(scored[j]),
+                                                      dtype=np.float64))
     return block
 
 
@@ -328,7 +320,7 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
                         f"split leaves {n} training rows")
     plan = _stage_plan(n, cfg, cfg.seed)
     for fold in range(plan.k):
-        with _naming(f"training rows of stage-report fold {fold}"):
+        with naming(f"training rows of stage-report fold {fold}"):
             _check_rows(cfg, plan.fold_indices(fold)[0].size, "features")
 
     def run(task: int):

@@ -118,7 +118,7 @@ def apply_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
         raise DataError(f"the scaler scales {s.means.shape[0]} columns, "
                         f"the rows have {m.n_features}")
     return FeatureMatrix(m.column_names, (m.values - s.means) / s.stds,
-                         m.target, m.target_name, m.carried)
+                         m.target)
 
 
 def _design_matrix(m: FeatureMatrix) -> np.ndarray:

@@ -92,7 +92,7 @@ def random_matrix(rng, n: int, f: int, target_noise: float = 1.0) -> FeatureMatr
     values = rng.normal(size=(n, f))
     beta = rng.normal(size=f)
     target = values @ beta + target_noise * rng.normal(size=n)
-    return FeatureMatrix(tuple(f"x{i}" for i in range(f)), values, target, "y")
+    return FeatureMatrix(tuple(f"x{i}" for i in range(f)), values, target)
 
 
 # Replacement cells for ``mutate_csv``; the last one becomes a lone 0xff byte.

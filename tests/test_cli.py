@@ -19,7 +19,7 @@ from teayield.config import render_config
 from teayield.dataset import (SyntheticSpec, generate_synthetic, load_csv,
                               render_csv, write_csv)
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
-                               compute_weights, predict_ensemble)
+                               predict_ensemble)
 from teayield.errors import DataError
 from teayield.preprocess import PreprocessState, ScalerState
 from teayield.regressors import MLPModel, MLPTrainConfig
@@ -435,6 +435,23 @@ def test_import_loads_no_process_machinery():
     assert run.stdout == "[]\n"
 
 
+def test_predict_loads_no_numpy_ma(workdir, model_doc):
+    """``np.percentile``, ``np.median`` and ``np.setdiff1d`` import
+    ``numpy.ma``, which put about 1.6 MB on ``predict``'s peak memory: in a
+    fresh process, scoring a saved model loads no module of it."""
+    run = _run_python(
+        "-c", "import sys\nfrom teayield.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(k for k in sys.modules"
+        " if k.split('.')[:2] == ['numpy', 'ma']))",
+        "predict", "--data", str(workdir / "data.csv"),
+        "--model", str(workdir / "trained" / "m.json"),
+        "--out", str(workdir / "no_ma.csv"),
+        "--config", str(workdir / "tiny.ini"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []", run.stderr
+
+
 def test_non_finite_predictions_exit_1(workdir, model_doc, capsys):
     """A huge but finite target scale sends rows to inf: an error naming how
     many, not a predictions file."""
@@ -725,8 +742,7 @@ def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
                              MLPTrainConfig(hidden_size=hidden), i, 1, eps),
                     (0,), eps)
         for i, eps in enumerate(errors))
-    return EnsembleModel(learners, compute_weights(errors, 10.0, 0.2), 10.0,
-                         0.2, state)
+    return EnsembleModel(learners, 10.0, 0.2, state)
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,8 @@ from teayield.dataset import (CANONICAL_SCHEMA, DERIVED_COLUMNS,
                               generate_synthetic, load_csv, pearson,
                               read_blocks, render_csv, write_csv)
 from teayield.errors import DataError
+from teayield.evaluation import holdout_split
+from teayield.preprocess import PreprocessState, fit_scaler
 
 from conftest import (block_sizes, csv_edits, mutate_csv, random_matrix,
                       with_blank_lines)
@@ -354,8 +356,9 @@ def outcome(read):
 def joined(blocks: list[FeatureMatrix]) -> FeatureMatrix:
     return FeatureMatrix(
         blocks[0].column_names, np.vstack([b.values for b in blocks]),
-        np.concatenate([b.target for b in blocks]), blocks[0].target_name,
-        {k: sum((b.carried[k] for b in blocks), ()) for k in blocks[0].carried})
+        np.concatenate([b.target for b in blocks]),
+        carried={k: sum((b.carried[k] for b in blocks), ())
+                 for k in blocks[0].carried})
 
 
 def assert_same_matrix(a: FeatureMatrix, b: FeatureMatrix) -> None:
@@ -681,3 +684,22 @@ class TestFeatureMatrix:
         np.testing.assert_array_equal(sub.column("x2"), m.column("x2"))
         rows = m.take_rows([4, 1])
         np.testing.assert_array_equal(rows.target, m.target[[4, 1]])
+
+    def test_only_whole_records_carry_provenance(self, tmp_path):
+        """Model input, a ``subset`` or a chain's output, holds no carried
+        column; the rows of a loaded file keep theirs, so a hold-out side
+        writes and loads back whole."""
+        path = tmp_path / "d.csv"
+        write_csv(generate_synthetic(30, 3), path)
+        m = load_csv(path)
+        names = ("rainfall", "soil_ph")
+        chain = PreprocessState(
+            selected_features=names, scaler=fit_scaler(m.subset(names)),
+            log_target=True, target_center=0.0, target_scale=1.0)
+        assert m.subset(names).carried == {}
+        assert chain.apply_features(m).carried == {}
+        assert m.take_rows([4, 1]).carried == {
+            key: (col[4], col[1]) for key, col in m.carried.items()}
+        train, _ = holdout_split(m, 0.3, 7)
+        write_csv(train, tmp_path / "train.csv")
+        assert_same_matrix(load_csv(tmp_path / "train.csv"), train)

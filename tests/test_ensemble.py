@@ -375,20 +375,23 @@ def member_predictions(model, m):
 
 
 class TestPredictEnsemble:
-    def build(self, m, pool, weights):
+    def build(self, m, pool, b=1.0):
         eps = [bl.train_error for bl in pool]
-        return EnsembleModel(tuple(pool), np.asarray(weights), 1.0,
-                             float(np.median(eps)), one_member_state(m))
+        return EnsembleModel(tuple(pool), b, float(np.median(eps)),
+                             one_member_state(m))
 
     def test_singleton_equals_member(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=10)
-        model = self.build(small_matrix, pool, [1.0])
+        model = self.build(small_matrix, pool)
+        np.testing.assert_array_equal(model.weights, [1.0])
         np.testing.assert_array_equal(predict_ensemble(model, small_matrix),
                                       predict(pool[0].model, small_matrix))
 
     def test_equal_weights_average(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=2), seed=11)
-        model = self.build(small_matrix, pool, [0.5, 0.5])
+        model = self.build(small_matrix, [replace(bl, train_error=0.1)
+                                          for bl in pool])
+        np.testing.assert_array_equal(model.weights, [0.5, 0.5])
         members = member_predictions(model, small_matrix)
         np.testing.assert_allclose(predict_ensemble(model, small_matrix),
                                    members.mean(axis=0), atol=1e-12)
@@ -400,8 +403,9 @@ class TestPredictEnsemble:
         eps = [bl.train_error for bl in pool]
         b, c = resolve_weight_params(eps)
         w = compute_weights(eps, b, c)
-        model = EnsembleModel(tuple(pool), w, b, c,
+        model = EnsembleModel(tuple(pool), b, c,
                               one_member_state(small_matrix))
+        np.testing.assert_array_equal(model.weights, w)
         members = member_predictions(model, small_matrix)
         combined = predict_ensemble(model, small_matrix)
         assert np.all(combined >= members.min(axis=0) - 1e-12)
@@ -412,14 +416,26 @@ class TestPredictEnsemble:
                                                     subsample_fraction=1.0),
                           seed=13)
         twins = (pool[0], pool[0], pool[0], pool[0])
-        model = self.build(small_matrix, twins, [0.25] * 4)
+        model = self.build(small_matrix, twins)
+        np.testing.assert_array_equal(model.weights, [0.25] * 4)
         np.testing.assert_array_equal(predict_ensemble(model, small_matrix),
                                       predict(pool[0].model, small_matrix))
 
-    def test_weights_must_sum_to_one(self, small_matrix):
+    def test_weights_are_made_not_given(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
-        with pytest.raises(DataError, match="sum to 1"):
-            EnsembleModel(tuple(pool), np.array([0.7, 0.6]), 1.0, 0.0,
+        with pytest.raises(TypeError, match="weights"):
+            EnsembleModel(tuple(pool), weights=np.array([0.5, 0.5]),
+                          weight_b=1.0, weight_c=0.0,
+                          preprocess=one_member_state(small_matrix))
+
+    def test_weights_must_be_strictly_positive(self, small_matrix):
+        """A learner whose raw weight underflows to 0 is refused, not kept
+        at weight 0."""
+        pool = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
+        pool = [replace(bl, train_error=eps)
+                for bl, eps in zip(pool, (0.1, 0.5))]
+        with pytest.raises(DataError, match="strictly positive"):
+            EnsembleModel(tuple(pool), 1e4, 0.1,
                           one_member_state(small_matrix))
 
 
@@ -437,13 +453,11 @@ class TestBlockScoring:
                                  0.3 * rng.normal(size=hidden),
                                  float(rng.normal()),
                                  MLPTrainConfig(hidden_size=hidden), i, 1, 0.1),
-                        (0,), 0.1)
-            for i in range(members))
-        weights = rng.random(members)
+                        (0,), eps)
+            for i, eps in enumerate(0.2 * rng.random(members)))
         state = replace(one_member_state(m), log_target=True,
                         target_center=3.8, target_scale=0.5)
-        return EnsembleModel(learners, weights / weights.sum(), 1.0, 0.1,
-                             state)
+        return EnsembleModel(learners, 10.0, 0.1, state)
 
     @pytest.mark.parametrize("hidden", [5, 28])
     @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, 2 * SCORE_BLOCK - 1,

@@ -64,14 +64,14 @@ def planted_matrix(seed, n=200, noise_features=5):
     for i in range(noise_features):
         cols.append(r.normal(size=n))
         names.append(f"noise_{i}")
-    return FeatureMatrix(tuple(names), np.column_stack(cols), target, "y")
+    return FeatureMatrix(tuple(names), np.column_stack(cols), target)
 
 
 def with_copy(m, name, source):
     """``m`` with a copy of its column ``source`` appended as ``name``."""
     return FeatureMatrix(m.column_names + (name,),
                          np.column_stack([m.values, m.column(source)]),
-                         m.target, m.target_name)
+                         m.target)
 
 
 class TestRRelieff:
@@ -117,7 +117,7 @@ class TestRRelieff:
             values = r.integers(0, 5, size=(n, f)).astype(float)
             values[:2] = [[0.0] * f, [4.0] * f]
             m = FeatureMatrix(tuple(f"x{i}" for i in range(f)), values,
-                              r.normal(size=n), "y")
+                              r.normal(size=n))
             steep = np.exp(-(np.arange(1, k + 1) / 2.0) ** 2)
             steep /= steep.sum()
             np.testing.assert_allclose(kernel_relief(m, k, steep),
@@ -139,8 +139,7 @@ class TestRRelieff:
         ranked = rrelieff(m, k=6)
         values = np.array(m.values)
         values[:, 1] = 7.5 * m.column("x1") - 3.0
-        rescaled = FeatureMatrix(m.column_names, values, m.target,
-                                 m.target_name)
+        rescaled = FeatureMatrix(m.column_names, values, m.target)
         ranked2 = rrelieff(rescaled, k=6)
         np.testing.assert_allclose(ranked.weights, ranked2.weights, atol=1e-10)
 
@@ -258,7 +257,7 @@ def test_duplicated_copy_never_co_selected():
         values = np.column_stack([signal, signal,
                                   r.normal(size=n), r.normal(size=n)])
         m = FeatureMatrix(("signal", "copy", "n1", "n2"), values,
-                          signal + 0.1 * r.normal(size=n), "y")
+                          signal + 0.1 * r.normal(size=n))
         ranked = rrelieff(m, k=10)
         result = sequential_forward_select(m, ranked, evaluator, folds=5,
                                            seed=seed, patience=1)

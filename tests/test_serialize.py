@@ -230,11 +230,10 @@ def test_network_config_keys_are_exactly_its_fields(model, tmp_path, edit):
         load_model(path)
 
 
-def test_non_finite_ensemble_weights_are_rejected(model):
-    weights = np.full(len(model.learners), 1.0 / len(model.learners))
-    weights[0] = np.nan
+def test_non_finite_weight_c_is_rejected(model):
+    """A NaN centre makes every weight NaN, which the model refuses."""
     with pytest.raises(DataError, match="weights must be"):
-        replace(model, weights=weights)
+        replace(model, weight_c=np.nan)
 
 
 # Values the model fuzz property puts in place of one part of the document.
