@@ -144,7 +144,9 @@ def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
     sub = m.take_rows(rows)
     model = fit_mlp(sub, replace(cfg.mlp, hidden_size=hidden), fit_seed)
     eps = model.train_error
-    unused = np.setdiff1d(np.arange(m.n_samples), rows)
+    out_of_bag = np.ones(m.n_samples, dtype=bool)
+    out_of_bag[rows] = False
+    unused = np.flatnonzero(out_of_bag)
     if unused.size:
         rest = m.take_rows(unused)
         resid = predict(model, rest) - rest.target
@@ -210,13 +212,40 @@ def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
     return LearnerRanking(weights)
 
 
+def _quantile(s: list[float], q: float) -> float:
+    """The ``q`` quantile of the sorted list ``s`` by linear interpolation,
+    as ``np.percentile(s, 100 * q)`` computes it.  With p = (len(s) - 1) * q,
+    i its whole part and t = p - i, a = s[i], b = s[i + 1] (s[i] at the
+    end) and d = b - a, it is a + d * t for t < 0.5 and b - d * (1 - t)
+    otherwise."""
+    pos = (len(s) - 1) * q
+    i = math.floor(pos)
+    t = pos - i
+    a, b = s[i], s[min(i + 1, len(s) - 1)]
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
+
+
 def resolve_weight_params(errors: Sequence[float]) -> tuple[float, float]:
     """The steepness b and centre c of the weighting logistic: c is the
     median of the learners' errors and b is ln(9)/IQR of them, roughly a 9:1
-    raw weight ratio across the interquartile error range."""
-    eps = np.asarray(errors, dtype=np.float64)
-    iqr = float(np.percentile(eps, 75) - np.percentile(eps, 25))
-    return math.log(9.0) / max(iqr, 1e-12), float(np.median(eps))
+    raw weight ratio across the interquartile error range.
+
+    The quartiles and the median come from one sort, bit for bit those of
+    ``np.percentile`` and ``np.median``: the quartiles by numpy's linear
+    interpolation (``_quantile``), and the median as the middle value, or
+    for an even count the mean of the two middle values, (a + b) / 2, as
+    ``np.mean`` adds and divides them.  Those two numpy functions import
+    ``numpy.ma``, and a process's first ``np.sort`` maps about 0.3 MB of
+    numpy's sorting code; ``predict``'s loader calls this, so either would
+    add to its peak memory.  The sort and the arithmetic are Python's, on
+    Python floats.
+    """
+    s = sorted(map(float, errors))
+    iqr = _quantile(s, 0.75) - _quantile(s, 0.25)
+    h = len(s) // 2
+    c = s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0
+    return math.log(9.0) / max(iqr, 1e-12), c
 
 
 def _falling_logistic(z: float) -> float:

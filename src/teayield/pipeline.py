@@ -11,21 +11,29 @@ Outlier removal drops training rows only, and a fitted chain never drops a
 row it scores, so the report scores every row in every column.
 
 ``evaluate_pipeline`` runs in two processes that share one queue of
-tasks.  After the hold-out split it forks one child, which starts on the
-ensemble (fit on the training side, then predict the held-out rows) while
-the parent starts on the stage-report folds; each then claims the next
-unclaimed fold until none is left.  Every task is the same deterministic
-code on the same rows and seeds as in one process, so every output bit is
-the same whichever process ran it, and the error raised is the serial
-run's: the lowest failing fold's, or else the ensemble's.  ``train``,
-``predict`` and each single fit run in one process.
+tasks.  After the hold-out split it forks one child with ``os.fork``, which
+starts on the ensemble (fit on the training side, then predict the
+held-out rows) while the parent starts on the stage-report folds; each then
+claims the next unclaimed fold until none is left.  The child sends its
+results back as one pickle over a pipe and leaves through ``os._exit``.
+Every task is the same deterministic code on the same rows and seeds as in
+one process, so every output bit is the same whichever process ran it, and
+the error raised is the serial run's: the lowest failing fold's, or else
+the ensemble's.  ``train``, ``predict`` and each single fit run in one
+process.  No command imports ``multiprocessing``: its one fork would cost
+every ``evaluate`` the memory of ``socket``, ``selectors`` and
+``subprocess``, which it pulls in.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -291,9 +299,10 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
     the folds, and each process then claims the next unclaimed fold until
     none is left: Graham's list scheduling, with the long task first.  The
     child sends back every result it made, or the exception that stopped a
-    task, once.  Each task is the code a serial run calls, with seeds from
-    ``derive_seed`` alone, so the result is bit for bit the serial one
-    whichever process ran which task.
+    task, once, as one pickle of ``{task: result}`` written to a pipe
+    (``_child_tasks``).  Each task is the code a serial run calls, with
+    seeds from ``derive_seed`` alone, so the result is bit for bit the
+    serial one whichever process ran which task.
 
     Errors are those of the serial run, which builds the stage report fold
     by fold and then the ensemble.  Each process runs every task it claims,
@@ -303,13 +312,17 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
     waiting for the child.  A fold's training
     rows are checked before the fork, so a fold too small to select features
     fails at once, as in the serial run.  A child that ends without a
-    readable result, because it was killed or an exception could not be
-    pickled, is a RuntimeError naming its exit status.  The child is
-    terminated and joined before this returns or raises.
+    readable result is a RuntimeError naming its exit status, as
+    ``os.waitstatus_to_exitcode`` gives it: minus the signal number for a
+    killed child, and 1 for one whose result could not be pickled.  On
+    every exit, returned or raised, the child is sent SIGTERM and reaped.
 
     The child is forked, so it starts with the parent's imported modules
-    and data and pickles only its results; numpy's OpenBLAS shuts its
-    thread pool down before a fork.
+    and data and pickles only its results.  The parent flushes its stdio
+    buffers before the fork, so the child writes no output twice, and the
+    child flushes its own before ``os._exit``, which runs none of the exit
+    handlers it inherited.  numpy's OpenBLAS shuts its thread pool down
+    before a fork.
     """
     train_m, test_m = holdout_split(m, cfg.holdout_fraction,
                                     derive_seed(cfg.seed, _TAG_HOLDOUT))
@@ -330,28 +343,30 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
         return stage_fold(train_m, cfg, cfg.seed, task - 1)
 
     serial = [*range(1, plan.k + 1), 0]  # the order a serial run fails in
-    import multiprocessing  # here, not at the top: it slows every import
-
-    context = multiprocessing.get_context("fork")
     claim, spill = _task_queue(range(1, plan.k + 1))
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_child_tasks, args=(run, claim, send))
-    child.start()
-    send.close()
+    receive, send = os.pipe()
+    _flush_stdio()  # or the child writes the parent's buffered output again
+    pid = os.fork()
+    if pid == 0:
+        _child_tasks(run, claim, send)
+    os.close(send)
+    reaped = False
     try:
         results = _run_tasks(itertools.chain(_claims(claim), spill), run)
         _raise_first_error(results, serial)
         try:
-            results |= receive.recv()
+            with open(receive, "rb", closefd=False) as fh:
+                results |= pickle.load(fh)
         except Exception:  # EOFError, or a result that does not unpickle
-            child.join()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = True
             raise RuntimeError(f"the ensemble process sent no readable "
-                               f"result (exit status {child.exitcode})") from None
+                               f"result (exit status {status})") from None
     finally:
-        child.terminate()
-        child.join()
-        child.close()
-        receive.close()
+        if not reaped:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        os.close(receive)
         os.close(claim)
     _raise_first_error(results, serial)
     report = _assemble_report(train_m, cfg, cfg.seed,
@@ -411,7 +426,31 @@ def _raise_first_error(results: dict, order: list[int]) -> None:
             raise results[task]
 
 
-def _child_tasks(run, claim: int, send) -> None:
+def _flush_stdio() -> None:
+    """Write out what ``sys.stdout`` and ``sys.stderr`` hold buffered."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # no stream, or a closed one
+            pass
+
+
+def _child_tasks(run, claim: int, send: int) -> NoReturn:
     """The forked child of ``evaluate_pipeline``: run task 0, then claim
-    tasks from the queue until it is empty, and send every result once."""
-    send.send(_run_tasks(itertools.chain([0], _claims(claim)), run))
+    tasks from the queue until it is empty, and write every result to the
+    pipe ``send`` as one pickle.  It leaves through ``os._exit``, never back
+    into the parent's code: with status 0 once the pickle is written, and
+    with status 1 and the traceback on stderr when anything raised, such as
+    a result that cannot be pickled."""
+    status = 1
+    try:
+        data = pickle.dumps(_run_tasks(itertools.chain([0], _claims(claim)),
+                                       run))
+        with open(send, "wb") as fh:
+            fh.write(data)
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        _flush_stdio()
+        os._exit(status)

@@ -191,5 +191,4 @@ def remove_outliers(m: FeatureMatrix, report: OutlierReport) -> FeatureMatrix:
     flagged = np.asarray(report.flagged, dtype=np.int64)
     if flagged.min() < 0 or flagged.max() >= m.n_samples:
         raise DataError("flagged index out of range")
-    keep = np.setdiff1d(np.arange(m.n_samples), flagged)
-    return m.take_rows(keep)
+    return m.take_rows(np.delete(np.arange(m.n_samples), flagged))

@@ -10,12 +10,13 @@ always serializes to the same bytes.
 A learner's ``hidden_size`` and ``seed`` are copies of its network's, and
 the network's ``hidden_size`` is a copy of its ``config.hidden_size``.  The
 copies are written from the network, and the loader rejects a document
-whose copies disagree.  Likewise the model makes its ``weights`` from the
-learners' train errors, ``weight_b`` and ``weight_c``; the loader builds it
-from the stored ones and rejects a document whose ``weights`` differ from
-the model's in any bit.  Each network takes one input per feature the
-chain selects, and a document whose chain and networks disagree on that
-count is rejected too.
+whose copies disagree.  Likewise ``weight_b`` and ``weight_c`` are copies
+of ``resolve_weight_params`` of the learners' train errors, and ``weights``
+a copy of the weights the model makes from those errors, ``weight_b`` and
+``weight_c``; the loader works all three out and rejects a document whose
+copies differ from them in any bit.  Each network takes one input per
+feature the chain selects, and a document whose chain and networks
+disagree on that count is rejected too.
 
 The chain is the fixed one of ``preprocess.PIPELINE_STAGES``, the one
 ``train`` fits, in full: ``stage_order`` is written as that list, the
@@ -37,7 +38,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .ensemble import BaseLearner, EnsembleModel
+from .ensemble import BaseLearner, EnsembleModel, resolve_weight_params
 from .errors import DataError, FitError
 from .preprocess import PIPELINE_STAGES, PreprocessState, ScalerState
 from .regressors import MLPModel, MLPTrainConfig
@@ -216,9 +217,12 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     if inputs != {len(state.selected_features)}:
         raise ValueError(f"the chain selects {len(state.selected_features)} "
                          f"features, the networks take {sorted(inputs)}")
-    b = _positive(_dec_finite(obj["weight_b"], "weight_b"), "weight_b")
-    model = EnsembleModel(learners, b,
-                          _dec_finite(obj["weight_c"], "weight_c"), state)
+    b, c = resolve_weight_params([bl.train_error for bl in learners])
+    for key, value in (("weight_b", b), ("weight_c", c)):
+        if _dec_finite(obj[key], key).hex() != value.hex():
+            raise ValueError(f"{key} differs from that of the learners' "
+                             f"train errors")
+    model = EnsembleModel(learners, b, c, state)
     if not np.array_equal(_dec_array(obj["weights"], "weights"),
                           model.weights):
         raise ValueError("weights differ from those of the learners' "

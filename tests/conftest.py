@@ -6,6 +6,7 @@ the pinned master seed 10; ``benchmarks/bench.ini`` is its rendering.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,13 @@ def tiny_config(seed: int = 10) -> PipelineConfig:
     return replace(base, mlp=mlp, cv_folds=5, mlp_replicates=1,
                    ensemble=replace(base.ensemble, pool_size=3,
                                     mlp=replace(mlp, hidden_size=5)))
+
+
+def assert_no_child_left() -> None:
+    """Every child process this one started has been reaped: ``waitpid``
+    finds none to wait for, running or ended."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def corrupt_model_doc(doc: dict, path: tuple, key: str, change) -> None:

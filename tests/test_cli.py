@@ -1,7 +1,6 @@
 import configparser
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,15 +18,15 @@ from teayield.config import render_config
 from teayield.dataset import (SyntheticSpec, generate_synthetic, load_csv,
                               render_csv, write_csv)
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
-                               predict_ensemble)
+                               predict_ensemble, resolve_weight_params)
 from teayield.errors import DataError
 from teayield.preprocess import PreprocessState, ScalerState
 from teayield.regressors import MLPModel, MLPTrainConfig
 from teayield.serialize import load_model, save_model
 from teayield.util import write_table
 
-from conftest import (block_sizes, corrupt_model_doc, csv_edits, mutate_csv,
-                      tiny_config, with_blank_lines)
+from conftest import (assert_no_child_left, block_sizes, corrupt_model_doc,
+                      csv_edits, mutate_csv, tiny_config, with_blank_lines)
 from test_imports import PACKAGE
 
 
@@ -425,9 +424,11 @@ def test_import_train_and_predict_load_no_scipy(workdir):
 
 
 def test_import_loads_no_process_machinery():
-    """Importing ``multiprocessing`` takes about 18 ms, so only ``evaluate``
-    does: a fresh ``import teayield.cli`` loads no module of
-    ``multiprocessing`` or ``concurrent``."""
+    """Importing ``multiprocessing`` takes about 18 ms, and ``evaluate``
+    forks its one child with ``os.fork`` instead: a fresh
+    ``import teayield.cli`` loads no module of ``multiprocessing`` or
+    ``concurrent``, and ``test_fitting_loads_no_numpy_ma_or_multiprocessing``
+    runs the commands that fit."""
     run = _run_python("-c", "import sys, teayield.cli\n"
                       "print(sorted(k for k in sys.modules if k.split('.')[0]"
                       " in ('multiprocessing', 'concurrent')))")
@@ -435,19 +436,46 @@ def test_import_loads_no_process_machinery():
     assert run.stdout == "[]\n"
 
 
+# ``main`` of one command in a fresh process, then its exit status and the
+# modules of numpy.ma and multiprocessing it loaded.
+_LOADED_SCRIPT = """\
+import sys
+from teayield.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(k for k in sys.modules
+                   if k.split('.')[:2] == ['numpy', 'ma']
+                   or k.split('.')[0] == 'multiprocessing'))
+"""
+
+
 def test_predict_loads_no_numpy_ma(workdir, model_doc):
     """``np.percentile``, ``np.median`` and ``np.setdiff1d`` import
     ``numpy.ma``, which put about 1.6 MB on ``predict``'s peak memory: in a
-    fresh process, scoring a saved model loads no module of it."""
+    fresh process, scoring a saved model loads no module of it, nor of
+    ``multiprocessing``."""
     run = _run_python(
-        "-c", "import sys\nfrom teayield.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, sorted(k for k in sys.modules"
-        " if k.split('.')[:2] == ['numpy', 'ma']))",
-        "predict", "--data", str(workdir / "data.csv"),
+        "-c", _LOADED_SCRIPT, "predict", "--data", str(workdir / "data.csv"),
         "--model", str(workdir / "trained" / "m.json"),
         "--out", str(workdir / "no_ma.csv"),
         "--config", str(workdir / "tiny.ini"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []", run.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_fitting_loads_no_numpy_ma_or_multiprocessing(workdir, command):
+    """The fitting commands' peak memory is mostly imported code:
+    ``numpy.ma``, which ``np.setdiff1d``, ``np.percentile`` and
+    ``np.median`` import, and ``multiprocessing`` with ``socket``,
+    ``selectors`` and ``subprocess`` cost ``evaluate`` about 2.2 MB.  In a
+    fresh process, ``train`` and ``evaluate`` on the tiny config load
+    neither."""
+    out = workdir / f"loaded_{command}"
+    where = (["--model", str(out / "m.json")] if command == "train"
+             else ["--out", str(out)])
+    run = _run_python("-c", _LOADED_SCRIPT, command,
+                      "--data", str(workdir / "data.csv"), *where,
+                      "--config", str(workdir / "tiny.ini"))
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 []", run.stderr
 
@@ -597,14 +625,14 @@ def test_too_few_rows_to_fold_exits_1_naming_cv_folds(
 def test_a_fold_too_small_to_select_features_exits_1_before_forking(
         workdir, tmp_path, monkeypatch, capsys, folds, message):
     started = []
-    start = multiprocessing.process.BaseProcess.start
+    fork = os.fork
 
-    def recording(process):
-        started.append(process)
-        start(process)
+    def recording():
+        pid = fork()
+        started.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        recording)
+    monkeypatch.setattr(os, "fork", recording)
     config = tmp_path / "folds.ini"
     config.write_text(render_config(replace(tiny_config(), cv_folds=folds)),
                       encoding="utf-8")
@@ -644,7 +672,7 @@ def test_a_failed_ensemble_process_exits_as_a_serial_run(
                  "--out", str(tmp_path / "out"),
                  "--config", str(workdir / "tiny.ini")]) == code
     assert capsys.readouterr().err == message
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("section", ["sfs", "ensemble"])
@@ -723,8 +751,8 @@ SCALES = {"min_temp": (10.0, 5.0), "max_temp": (20.0, 5.0),
 
 # ``predict`` reads and scores its file in blocks.  The model below has a
 # chain that selects and scales the columns of ``scales`` and logs the
-# target, as a trained chain does, so every step of scoring meets every
-# block.
+# target, and the weighting of its learners' errors, as a trained model
+# does, so it loads and every step of scoring meets every block.
 def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
     rng = np.random.default_rng(0)
     features = tuple(scales)
@@ -742,7 +770,7 @@ def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
                              MLPTrainConfig(hidden_size=hidden), i, 1, eps),
                     (0,), eps)
         for i, eps in enumerate(errors))
-    return EnsembleModel(learners, 10.0, 0.2, state)
+    return EnsembleModel(learners, *resolve_weight_params(errors), state)
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,29 @@ class TestComputeWeights:
             compute_weights(eps, b, c)
 
 
+class TestResolveWeightParams:
+    def test_bit_identical_to_numpy_percentile_and_median(self, rng):
+        """b = ln 9 / IQR and c = the median, with the quartiles of
+        ``np.percentile`` and the median of ``np.median``, bit for bit, on
+        1 to 119 errors, half of the vectors rounded so that they hold
+        ties."""
+        for _ in range(2000):
+            eps = rng.exponential(10.0 ** rng.uniform(-3, 1),
+                                  size=int(rng.integers(1, 120)))
+            if rng.random() < 0.5:
+                eps = np.round(eps, int(rng.integers(0, 3)))
+            iqr = float(np.percentile(eps, 75) - np.percentile(eps, 25))
+            want = (math.log(9.0) / max(iqr, 1e-12), float(np.median(eps)))
+            got = resolve_weight_params(eps)
+            assert [x.hex() for x in got] == [x.hex() for x in want], eps
+
+    def test_hand_derived_example(self):
+        """Quartile positions 0.75 and 2.25 of four sorted errors."""
+        b, c = resolve_weight_params([0.4, 0.1, 0.3, 0.2])
+        assert c == 0.25
+        assert b == pytest.approx(math.log(9.0) / 0.15, rel=1e-12)
+
+
 class TestTrainPool:
     def test_degenerate_pool_of_one_full_fraction(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1,

@@ -187,6 +187,67 @@ def test_the_scan_flags_a_transform_outside_the_chain(tmp_path):
     assert chain_bypasses(tmp_path / "preprocess.py") == []
 
 
+# The fitting commands' peak memory is mostly imported code.  Two modules
+# they do not need cost ``evaluate`` about 2.2 MB of it: ``multiprocessing``,
+# which pulls in ``socket``, ``selectors`` and ``subprocess``, and
+# ``numpy.ma``, which these numpy functions import on their first call (each
+# seen in a fresh process under numpy 2.4).  So no module imports the one or
+# calls the others; ``pipeline`` forks with ``os.fork``, and
+# ``test_cli.test_fitting_loads_no_numpy_ma_or_multiprocessing`` runs the
+# commands.
+NUMPY_MA_FUNCTIONS = {"setdiff1d", "intersect1d", "union1d", "unique",
+                      "percentile", "quantile", "median"}
+
+
+def heavy_imports(path: Path) -> list[str]:
+    """Each import of ``multiprocessing`` in the module, and each call or
+    import of a numpy function that imports ``numpy.ma``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "multiprocessing"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top = node.module.split(".")[0]
+            if top == "multiprocessing":
+                found.append((node.lineno, node.module))
+            elif top == "numpy":
+                found += [(node.lineno, f"numpy.{alias.name}")
+                          for alias in node.names
+                          if alias.name in NUMPY_MA_FUNCTIONS]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in NUMPY_MA_FUNCTIONS
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"np.{node.func.attr}"))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_loads_multiprocessing_or_numpy_ma(path):
+    assert heavy_imports(path) == []
+
+
+def test_the_scan_flags_multiprocessing_and_numpy_ma(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import multiprocessing.pool\n"
+                   "from multiprocessing import Process\n"
+                   "from numpy import median, mean\n"
+                   "import numpy as np\n"
+                   "def f(a):\n"
+                   "    import multiprocessing as mp\n"
+                   "    b = np.percentile(a, 25) + np.sort(a)[0]\n"
+                   "    return np.setdiff1d(a, b), a.median(), np.delete(a, 0)\n",
+                   encoding="utf-8")
+    assert heavy_imports(src) == [
+        "mod.py:1: multiprocessing.pool", "mod.py:2: multiprocessing",
+        "mod.py:3: numpy.median", "mod.py:6: multiprocessing",
+        "mod.py:7: np.percentile", "mod.py:8: np.setdiff1d"]
+
+
 # The reader, ``dataset``, builds every derived input column when a file is
 # read: the encoded month and avg_temp.  So no other module encodes months
 # or names avg_temp in code; a docstring may mention it.

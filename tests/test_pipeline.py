@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import signal
 import time
@@ -22,7 +21,7 @@ from teayield.preprocess import (PIPELINE_STAGES, cooks_distance, fit_scaler,
 from teayield.regressors import make_linear_factory
 from teayield.util import derive_seed
 
-from conftest import bench_config, tiny_config
+from conftest import assert_no_child_left, bench_config, tiny_config
 
 
 def _assert_same_fit(a, b) -> None:
@@ -327,7 +326,7 @@ class TestEvaluateInTwoProcesses:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
         yield
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_the_result_is_the_serial_chain_bit_for_bit(
             self, canonical_raw, serial_evaluation):

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from dataclasses import replace
 from functools import reduce
@@ -154,6 +155,10 @@ CORRUPTIONS = {
     "reversed ensemble weights": ((), "weights", lambda a: a[::-1]),
     "literal_weights flipped": ((), "literal_weights", True),
     "zero weight_b": ((), "weight_b", 0.0),
+    # weight_b and weight_c are resolve_weight_params of the train errors.
+    "weight_b scaled": ((), "weight_b", lambda b: b * 50.0),
+    "weight_c one ulp up": ((), "weight_c",
+                            lambda c: math.nextafter(c, math.inf)),
     "no learners": ((), "learners", []),
     "string subsample index": (("learners", 0), "subsample_indices", ["x"]),
     "boolean subsample index": (("learners", 0), "subsample_indices",
@@ -227,6 +232,23 @@ def test_network_config_keys_are_exactly_its_fields(model, tmp_path, edit):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="corrupt model document"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key,change", [
+    ("weight_b", lambda b: b * 50.0),
+    ("weight_c", lambda c: math.nextafter(c, math.inf))],
+    ids=["weight_b scaled", "weight_c one ulp up"])
+def test_a_weighting_train_never_writes_is_rejected(model, tmp_path, key,
+                                                    change):
+    """Written from a model that holds it, so ``weights`` agrees with it; a
+    ``weight_b`` 50 times too steep moves predictions by kilograms."""
+    edited = replace(model, **{key: change(getattr(model, key))})
+    path = tmp_path / "model.json"
+    path.write_text(model_to_json(edited), encoding="utf-8")
+    with pytest.raises(DataError, match=f"corrupt model document \\({key} "
+                                        "differs from that of the learners' "
+                                        "train errors\\)"):
         load_model(path)
 
 
