@@ -46,16 +46,11 @@ class PipelineConfig:
     gpr_length_scale: float = 2.0
     gpr_noise_var: float = 0.1
     ensemble: EnsembleConfig = EnsembleConfig()
-    ensemble_patience: int = 8
     cv_folds: int = 10
     holdout_fraction: float = 0.3
     mlp_replicates: int = 5
 
     def __post_init__(self):
-        for name, patience in (("[sfs] patience", self.sfs_patience),
-                               ("[ensemble] patience", self.ensemble_patience)):
-            if patience < 1:
-                raise ConfigError(f"{name} must be >= 1, got {patience}")
         for name, value in (("[gpr] signal_var", self.gpr_signal_var),
                             ("[gpr] length_scale", self.gpr_length_scale),
                             ("[outliers] threshold", self.outlier_threshold)):
@@ -65,7 +60,8 @@ class PipelineConfig:
                             ("[sfs] ridge_lambda", self.sfs_ridge_lambda)):
             if not value >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        for name, value, low in (("[evaluation] cv_folds", self.cv_folds, 2),
+        for name, value, low in (("[sfs] patience", self.sfs_patience, 1),
+                                 ("[evaluation] cv_folds", self.cv_folds, 2),
                                  ("[evaluation] mlp_replicates",
                                   self.mlp_replicates, 1),
                                  ("[pipeline] seed", self.seed, 0)):
@@ -175,7 +171,7 @@ OPTIONS = (
     _retired("ensemble", "weight_b", "str", "auto"),
     _retired("ensemble", "weight_c", "str", "auto"),
     _retired("ensemble", "literal_weights", "bool", False),
-    ("ensemble", "patience", ("ensemble_patience",), "int", None),
+    _nested("ensemble", "patience", "int"),
     ("evaluation", "cv_folds", ("cv_folds",), "int", None),
     ("evaluation", "holdout_fraction", ("holdout_fraction",), "float", None),
     ("evaluation", "mlp_replicates", ("mlp_replicates",), "int", None),

@@ -53,18 +53,22 @@ SCORE_BLOCK = 2048
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """The pool: its size, each member's share of the rows, and the
-    networks' training settings.  The weighting has no setting; see
-    ``resolve_weight_params``."""
+    """The pool: its size, each member's share of the rows and the
+    networks' training settings; and the selection's ``patience``, the
+    prefixes in a row that may fail to improve.  The weighting has no
+    setting; see ``resolve_weight_params``."""
 
     pool_size: int = 100
     subsample_fraction: float = 0.9
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=HIDDEN_RANGE[0])
+    patience: int = 8
 
     def __post_init__(self):
-        if self.pool_size < 1:
-            raise ConfigError(
-                f"[ensemble] pool_size must be >= 1, got {self.pool_size}")
+        for name, value in (("pool_size", self.pool_size),
+                            ("patience", self.patience)):
+            if value < 1:
+                raise ConfigError(
+                    f"[ensemble] {name} must be >= 1, got {value}")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ConfigError("[ensemble] subsample_fraction must be in "
                               f"(0, 1], got {self.subsample_fraction}")
@@ -94,23 +98,26 @@ class LearnerSelection:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """The learners, their weighting logistic's ``weight_b`` and ``weight_c``
-    and the chain.  ``weights`` is made, not given: ``compute_weights`` of
-    the learners' errors, one strictly positive weight per learner."""
+    """The learners and the chain.  The weighting is derived from the
+    learners' errors, not given: ``weight_b`` and ``weight_c`` are
+    ``resolve_weight_params`` of them and ``weights`` is ``compute_weights``
+    of them, one strictly positive weight per learner."""
 
     learners: tuple[BaseLearner, ...]
-    weight_b: float
-    weight_c: float
     preprocess: PreprocessState
+    weight_b: float = field(init=False)
+    weight_c: float = field(init=False)
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = compute_weights([bl.train_error for bl in self.learners],
-                            self.weight_b, self.weight_c)
-        if not np.all(w > 0.0):  # a NaN b or c makes every weight NaN
+        errors = [bl.train_error for bl in self.learners]
+        b, c = resolve_weight_params(errors)
+        w = compute_weights(errors, b, c)
+        if not np.all(w > 0.0):  # a weight that underflowed to 0
             raise DataError("weights must be strictly positive and sum to 1")
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        for name, value in (("weight_b", b), ("weight_c", c), ("weights", w)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -283,8 +290,7 @@ def compute_weights(errors, b: float, c: float) -> np.ndarray:
 
 
 def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
-                    m: FeatureMatrix, cfg: EnsembleConfig,
-                    patience: int = 1) -> LearnerSelection:
+                    m: FeatureMatrix, cfg: EnsembleConfig) -> LearnerSelection:
     """Grow ranked prefixes while the out-of-bag RMSE of the combination
     improves.
 
@@ -294,11 +300,11 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     ``compute_weights`` over its members' errors) renormalised over those
     members, so no member scores a row it trained on.  The search is
     ``evaluation.forward_select`` from the first ranked prefix that leaves
-    every row out: it stops after ``patience`` consecutive non-improving
-    prefix sizes and keeps the best prefix of the ranked order.  When no
-    prefix leaves every row out, the whole pool is kept in ranked order and
-    no prefix is scored.  ``cfg`` must leave a row out of each subsample of
-    ``m`` (see ``check_out_of_bag``).
+    every row out: it stops after ``cfg.patience`` consecutive
+    non-improving prefix sizes and keeps the best prefix of the ranked
+    order.  When no prefix leaves every row out, the whole pool is kept in
+    ranked order and no prefix is scored.  ``cfg`` must leave a row out of
+    each subsample of ``m`` (see ``check_out_of_bag``).
     """
     if not pool:
         raise DataError("cannot select from an empty pool")
@@ -321,16 +327,8 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     # The first prefix to leave every row out ends at the latest rank at
     # which some row is first left out.
     first = int(out.argmax(axis=0).max()) + 1
-    best_size, trace = forward_select(len(order), score, patience, first)
+    best_size, trace = forward_select(len(order), score, cfg.patience, first)
     return LearnerSelection(tuple(order[:best_size]), trace)
-
-
-def assemble(pool: Sequence[BaseLearner], selection: LearnerSelection,
-             preprocess: PreprocessState) -> EnsembleModel:
-    """Build the final model from the selected pool members."""
-    learners = tuple(pool[pos] for pos in selection.selected_positions)
-    b, c = resolve_weight_params([bl.train_error for bl in learners])
-    return EnsembleModel(learners, b, c, preprocess)
 
 
 def predict_ensemble(e: EnsembleModel, m: FeatureMatrix) -> np.ndarray:

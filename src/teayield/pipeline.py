@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dataset import FeatureMatrix
-from .ensemble import (EnsembleModel, PoolReport, assemble, check_out_of_bag,
+from .ensemble import (EnsembleModel, PoolReport, check_out_of_bag,
                        predict_ensemble, rank_learners, select_learners,
                        train_pool)
 from .errors import DataError, FitError, naming
@@ -184,9 +184,9 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
     _check_rows(cfg, processed.n_samples, "learners")
     pool = train_pool(processed, cfg.ensemble, derive_seed(cfg.seed, _TAG_POOL))
     ranking = rank_learners(pool, processed, cfg.relieff)
-    selection = select_learners(pool, ranking, processed, cfg.ensemble,
-                                patience=cfg.ensemble_patience)
-    model = assemble(pool, selection, state)
+    selection = select_learners(pool, ranking, processed, cfg.ensemble)
+    model = EnsembleModel(tuple(pool[pos] for pos in
+                                selection.selected_positions), state)
     return TrainingResult(model, PoolReport(pool, ranking, selection), artifacts)
 
 

@@ -7,26 +7,19 @@ little-endian bytes, scalars as plain JSON numbers, so a round trip is
 prediction-exact; keys are sorted and separators fixed, so the same model
 always serializes to the same bytes.
 
-A learner's ``hidden_size`` and ``seed`` are copies of its network's, and
-the network's ``hidden_size`` is a copy of its ``config.hidden_size``.  The
-copies are written from the network, and the loader rejects a document
-whose copies disagree.  Likewise ``weight_b`` and ``weight_c`` are copies
-of ``resolve_weight_params`` of the learners' train errors, and ``weights``
-a copy of the weights the model makes from those errors, ``weight_b`` and
-``weight_c``; the loader works all three out and rejects a document whose
-copies differ from them in any bit.  Each network takes one input per
-feature the chain selects, and a document whose chain and networks
-disagree on that count is rejected too.
-
-The chain is the fixed one of ``preprocess.PIPELINE_STAGES``, the one
-``train`` fits, in full: ``stage_order`` is written as that list, the
-scaler's ``columns`` as the selected features, and ``log_target`` as
-``true``.  The loader rejects a document whose chain says anything else.
-``log_features`` is written as ``[]``, and the loader accepts it, like the
-keys of two retired options that documents written by older versions hold,
-the weighting rule and the month encoding, only at the value of the one
-mode left.  A network's ``config`` of such a document may also hold the
-retired ``learning_rate``, which is checked and dropped.
+The document holds the fitted facts: each network, each learner's error
+and subsample, and the fitted chain.  It also holds copies, which the
+loader does not decode: a learner's ``hidden_size`` and ``seed``, a
+network's ``hidden_size``, the weighting ``EnsembleModel`` derives from
+the errors (``weight_b``, ``weight_c`` and ``weights``), the scaler's
+``columns``, and the fixed chain's ``stage_order``, ``log_target`` and
+``log_features``.  One rule covers them all: the loader builds the model
+from the facts, writes it back, and refuses a document that does not hold
+what it writes, every key with the same JSON type and value and a float in
+every bit.  Keys the model does not write are left alone.  Keys of
+retired options keep their own checks: ``literal_weights``,
+``month_encoding`` and ``log_features`` may only hold the value of the one
+mode left, and a network's ``learning_rate`` is checked and dropped.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .ensemble import BaseLearner, EnsembleModel, resolve_weight_params
+from .ensemble import BaseLearner, EnsembleModel
 from .errors import DataError, FitError
 from .preprocess import PIPELINE_STAGES, PreprocessState, ScalerState
 from .regressors import MLPModel, MLPTrainConfig
@@ -48,9 +41,9 @@ FORMAT_VERSION = 1
 
 
 def _enc_array(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape),
-            "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def _dec_array(obj: dict, what: str = "array") -> np.ndarray:
@@ -119,8 +112,6 @@ def _dec_config(obj: dict) -> MLPTrainConfig:
 def _dec_mlp(obj: dict) -> MLPModel:
     config = _dec_config(obj["config"])
     h = config.hidden_size
-    if _dec_int(obj["hidden_size"], "hidden_size") != h:
-        raise ValueError(f"hidden_size differs from config hidden_size {h}")
     w_hidden = _dec_array(obj["w_hidden"], "w_hidden")
     if w_hidden.ndim != 2 or w_hidden.shape[1] != h:
         raise ValueError(f"w_hidden has shape {w_hidden.shape}, "
@@ -134,25 +125,25 @@ def _dec_mlp(obj: dict) -> MLPModel:
 
 
 def _dec_learner(obj: dict) -> BaseLearner:
-    model = _dec_mlp(obj["mlp"])
-    for key in ("hidden_size", "seed"):
-        if _dec_int(obj[key], f"learner {key}") != getattr(model, key):
-            raise ValueError(f"learner {key} differs from its network's")
-    return BaseLearner(model, tuple(_dec_int(i, "subsample index")
-                                    for i in obj["subsample_indices"]),
+    return BaseLearner(_dec_mlp(obj["mlp"]),
+                       tuple(_dec_int(i, "subsample index")
+                             for i in obj["subsample_indices"]),
                        _dec_error(obj["train_error"], "learner train_error"))
 
 
-def _enc_ensemble(m: EnsembleModel) -> dict:
+def _enc_learner(bl: BaseLearner) -> dict:
+    return {"mlp": _enc_mlp(bl.model), "hidden_size": bl.model.hidden_size,
+            "subsample_indices": list(bl.subsample_indices),
+            "train_error": bl.train_error, "seed": bl.model.seed}
+
+
+def _enc_head(m: EnsembleModel) -> dict:
+    """All that ``_enc_ensemble`` writes but the learners; ``weight_b`` and
+    ``weight_c`` first, so a wrong weighting is named by them."""
     state = m.preprocess
     return {
-        "weights": _enc_array(m.weights),
         "weight_b": m.weight_b, "weight_c": m.weight_c,
-        "learners": [
-            {"mlp": _enc_mlp(bl.model), "hidden_size": bl.model.hidden_size,
-             "subsample_indices": list(bl.subsample_indices),
-             "train_error": bl.train_error, "seed": bl.model.seed}
-            for bl in m.learners],
+        "weights": _enc_array(m.weights),
         "preprocess": {
             "stage_order": list(PIPELINE_STAGES),
             "selected_features": list(state.selected_features),
@@ -168,6 +159,28 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
     }
 
 
+def _enc_ensemble(m: EnsembleModel) -> dict:
+    return {**_enc_head(m), "learners": list(map(_enc_learner, m.learners))}
+
+
+def _check_copies(stored, written, where: str) -> None:
+    """Refuse ``stored`` unless it holds ``written``, what the model writes
+    at ``where``: each written key with the same JSON type and value, and a
+    float in every bit.  Keys the model does not write are left alone."""
+    if isinstance(written, dict) and isinstance(stored, dict):
+        for key, value in written.items():
+            if key not in stored:
+                raise ValueError(f"{where}.{key} is missing")
+            _check_copies(stored[key], value, f"{where}.{key}")
+    elif (isinstance(written, list) and isinstance(stored, list)
+          and len(stored) == len(written)):
+        for i, (item, value) in enumerate(zip(stored, written)):
+            _check_copies(item, value, f"{where}[{i}]")
+    # a float's repr is the shortest text that reads back to its bits
+    elif type(stored) is not type(written) or repr(stored) != repr(written):
+        raise ValueError(f"{where} differs from what the model writes")
+
+
 def _positive(value, what: str):
     """``value`` if every entry is > 0, as a standard deviation must be."""
     if not np.all(np.asarray(value) > 0.0):
@@ -176,12 +189,9 @@ def _positive(value, what: str):
 
 
 def _dec_scaler(obj: dict | None, selected: list) -> ScalerState:
-    """The scaler of the selected features, each in its place."""
+    """The scaler of the selected features."""
     if obj is None:
         raise ValueError("the chain has no scaler")
-    if obj["columns"] != selected:
-        raise ValueError(f"the scaler scales {obj['columns']}, the chain "
-                         f"selects {selected}")
     shape = (len(selected),)
     return ScalerState(_dec_shaped(obj["means"], shape, "scaler means"),
                        _positive(_dec_shaped(obj["stds"], shape, "scaler stds"),
@@ -189,13 +199,10 @@ def _dec_scaler(obj: dict | None, selected: list) -> ScalerState:
 
 
 def _dec_ensemble(obj: dict) -> EnsembleModel:
+    """The model of the facts in ``obj``, once ``obj`` holds what it
+    writes.  The learners are written and checked one at a time, so one
+    learner's encoding is held at once."""
     pre = obj["preprocess"]
-    for key, value in (("stage_order", list(PIPELINE_STAGES)),
-                       ("log_target", True)):
-        if type(pre[key]) is not type(value) or pre[key] != value:
-            raise ValueError(f"the chain is the fixed one; {key} may only "
-                             f"be {json.dumps(value)}, got "
-                             f"{json.dumps(pre[key])}")
     for holder, key, value in ((obj, "literal_weights", False),
                                (pre, "month_encoding", "cyclic"),
                                (pre, "log_features", [])):
@@ -217,16 +224,10 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     if inputs != {len(state.selected_features)}:
         raise ValueError(f"the chain selects {len(state.selected_features)} "
                          f"features, the networks take {sorted(inputs)}")
-    b, c = resolve_weight_params([bl.train_error for bl in learners])
-    for key, value in (("weight_b", b), ("weight_c", c)):
-        if _dec_finite(obj[key], key).hex() != value.hex():
-            raise ValueError(f"{key} differs from that of the learners' "
-                             f"train errors")
-    model = EnsembleModel(learners, b, c, state)
-    if not np.array_equal(_dec_array(obj["weights"], "weights"),
-                          model.weights):
-        raise ValueError("weights differ from those of the learners' "
-                         "train errors")
+    model = EnsembleModel(learners, state)
+    for i, (stored, bl) in enumerate(zip(obj["learners"], learners)):
+        _check_copies(stored, _enc_learner(bl), f"model.learners[{i}]")
+    _check_copies(obj, _enc_head(model), "model")
     return model
 
 

@@ -18,7 +18,7 @@ from teayield.config import render_config
 from teayield.dataset import (SyntheticSpec, generate_synthetic, load_csv,
                               render_csv, write_csv)
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
-                               predict_ensemble, resolve_weight_params)
+                               predict_ensemble)
 from teayield.errors import DataError
 from teayield.preprocess import PreprocessState, ScalerState
 from teayield.regressors import MLPModel, MLPTrainConfig
@@ -751,8 +751,8 @@ SCALES = {"min_temp": (10.0, 5.0), "max_temp": (20.0, 5.0),
 
 # ``predict`` reads and scores its file in blocks.  The model below has a
 # chain that selects and scales the columns of ``scales`` and logs the
-# target, and the weighting of its learners' errors, as a trained model
-# does, so it loads and every step of scoring meets every block.
+# target, as a trained model does, so it loads and every step of scoring
+# meets every block.
 def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
     rng = np.random.default_rng(0)
     features = tuple(scales)
@@ -770,7 +770,7 @@ def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
                              MLPTrainConfig(hidden_size=hidden), i, 1, eps),
                     (0,), eps)
         for i, eps in enumerate(errors))
-    return EnsembleModel(learners, *resolve_weight_params(errors), state)
+    return EnsembleModel(learners, state)
 
 
 @pytest.fixture(scope="module")

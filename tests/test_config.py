@@ -45,6 +45,7 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
     ("pipeline", "seed", "-1", "[pipeline] seed must be >= 0, got -1"),
     ("sfs", "patience", "0", "[sfs] patience must be >= 1, got 0"),
     ("ensemble", "pool_size", "0", "[ensemble] pool_size must be >= 1, got 0"),
+    ("ensemble", "patience", "0", "[ensemble] patience must be >= 1, got 0"),
     ("ensemble", "subsample_fraction", "1.5",
      "[ensemble] subsample_fraction must be in (0, 1], got 1.5"),
     ("mlp", "patience", "x", "[mlp] patience: cannot parse 'x' as an integer"),
@@ -248,7 +249,7 @@ VALUES = {
     ("gpr_noise_var",): non_negative,
     ("ensemble", "pool_size"): st.integers(min_value=1),
     ("ensemble", "subsample_fraction"): st.floats(0.0, 1.0, exclude_min=True),
-    ("ensemble_patience",): st.integers(min_value=1),
+    ("ensemble", "patience"): st.integers(min_value=1),
     ("cv_folds",): st.integers(min_value=2),
     ("holdout_fraction",): fractions,
     ("mlp_replicates",): st.integers(min_value=1),

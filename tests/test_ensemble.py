@@ -258,7 +258,7 @@ def ranked_as_given(pool):
 
 
 class TestSelectLearners:
-    CFG = fast_config(subsample_fraction=0.5)
+    CFG = fast_config(subsample_fraction=0.5, patience=5)
 
     def test_a_prefix_predicts_a_row_from_the_members_that_left_it_out(self):
         """Four rows; A leaves out rows 0 and 1, B rows 2 and 3, C rows 1
@@ -270,8 +270,7 @@ class TestSelectLearners:
         out = {"A": (0, 1), "B": (2, 3), "C": (1, 2)}
         errors = {"A": 0.1, "B": 0.3, "C": 0.2}
         pool = [stub_learner(preds[k], out[k], 4, errors[k]) for k in "ABC"]
-        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG,
-                              patience=5)
+        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG)
 
         def by_hand(names):
             eps = [errors[k] for k in names]
@@ -302,8 +301,7 @@ class TestSelectLearners:
         outs = [(0, 1), (0, 1), (2, 3), (4, 5), (1, 2)]
         pool = [stub_learner(rng.normal(size=n), rows, n, 0.1 * (i + 1))
                 for i, rows in enumerate(outs)]
-        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG,
-                              patience=5)
+        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG)
         assert [size for size, _ in sel.trace] == [4, 5]
         best = min(sel.trace, key=lambda t: t[1])[0]
         assert sel.selected_positions == tuple(range(best))
@@ -315,7 +313,7 @@ class TestSelectLearners:
         pool = [stub_learner(np.ones(n), rows, n, 0.1)
                 for rows in [(0,), (1, 2), (0, 2)]]
         ranking = LearnerRanking(np.array([0.1, 0.3, 0.2]))
-        sel = select_learners(pool, ranking, m, self.CFG, patience=5)
+        sel = select_learners(pool, ranking, m, self.CFG)
         assert sel.selected_positions == (1, 2, 0)
         assert sel.trace == ()
 
@@ -335,8 +333,8 @@ class TestSelectLearners:
             return real(model, m)
 
         monkeypatch.setattr(ensemble, "predict", counting)
-        sel = select_learners(pool, ranking, small_matrix, self.CFG,
-                              patience=3)
+        sel = select_learners(pool, ranking, small_matrix,
+                              replace(self.CFG, patience=3))
         assert sel.trace
         assert fits == []
         assert predicted == [small_matrix.n_samples] * len(pool)
@@ -360,7 +358,7 @@ class TestSelectLearners:
         oracle = stub_learner(small_matrix.target, range(50), 50, 0.0)
         ranking = LearnerRanking(np.arange(11, 0, -1, dtype=np.float64))
         sel = select_learners(pool + [oracle], ranking, small_matrix,
-                              self.CFG, patience=11)
+                              replace(self.CFG, patience=11))
         assert sel.selected_positions == tuple(range(11))
         assert sel.trace[-1][1] < min(score for _, score in sel.trace[:-1])
 
@@ -370,8 +368,8 @@ class TestSelectLearners:
         twin = BaseLearner(pool[0].model, (), pool[0].train_error)
         twins = (twin, twin, twin)
         ranking = rank_learners(twins, small_matrix)
-        sel = select_learners(twins, ranking, small_matrix, self.CFG,
-                              patience=1)
+        sel = select_learners(twins, ranking, small_matrix,
+                              replace(self.CFG, patience=1))
         assert len(sel.selected_positions) == 1
         assert sel.trace[0][1] == sel.trace[1][1]
 
@@ -379,7 +377,8 @@ class TestSelectLearners:
         cfg = fast_config(pool_size=10, subsample_fraction=0.5)
         pool = train_pool(small_matrix, cfg, seed=9)
         ranking = rank_learners(pool, small_matrix)
-        sel = select_learners(pool, ranking, small_matrix, cfg, patience=3)
+        sel = select_learners(pool, ranking, small_matrix,
+                              replace(cfg, patience=3))
         rmses = dict(sel.trace)
         assert min(rmses.values()) == rmses[len(sel.selected_positions)]
 
@@ -398,10 +397,8 @@ def member_predictions(model, m):
 
 
 class TestPredictEnsemble:
-    def build(self, m, pool, b=1.0):
-        eps = [bl.train_error for bl in pool]
-        return EnsembleModel(tuple(pool), b, float(np.median(eps)),
-                             one_member_state(m))
+    def build(self, m, pool):
+        return EnsembleModel(tuple(pool), one_member_state(m))
 
     def test_singleton_equals_member(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=10)
@@ -425,10 +422,10 @@ class TestPredictEnsemble:
         sel_positions = tuple(range(5))
         eps = [bl.train_error for bl in pool]
         b, c = resolve_weight_params(eps)
-        w = compute_weights(eps, b, c)
-        model = EnsembleModel(tuple(pool), b, c,
-                              one_member_state(small_matrix))
-        np.testing.assert_array_equal(model.weights, w)
+        model = self.build(small_matrix, pool)
+        assert (model.weight_b, model.weight_c) == (b, c)
+        np.testing.assert_array_equal(model.weights,
+                                      compute_weights(eps, b, c))
         members = member_predictions(model, small_matrix)
         combined = predict_ensemble(model, small_matrix)
         assert np.all(combined >= members.min(axis=0) - 1e-12)
@@ -446,20 +443,21 @@ class TestPredictEnsemble:
 
     def test_weights_are_made_not_given(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
-        with pytest.raises(TypeError, match="weights"):
-            EnsembleModel(tuple(pool), weights=np.array([0.5, 0.5]),
-                          weight_b=1.0, weight_c=0.0,
-                          preprocess=one_member_state(small_matrix))
+        for key, value in (("weights", np.array([0.5, 0.5])),
+                           ("weight_b", 1.0), ("weight_c", 0.0)):
+            with pytest.raises(TypeError, match=key):
+                EnsembleModel(tuple(pool), one_member_state(small_matrix),
+                              **{key: value})
 
     def test_weights_must_be_strictly_positive(self, small_matrix):
         """A learner whose raw weight underflows to 0 is refused, not kept
-        at weight 0."""
-        pool = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
+        at weight 0: four equal errors make the IQR 0, so the logistic is
+        steep enough to send the fifth, larger error's weight to 0.0."""
+        pool = train_pool(small_matrix, fast_config(pool_size=5), seed=14)
         pool = [replace(bl, train_error=eps)
-                for bl, eps in zip(pool, (0.1, 0.5))]
+                for bl, eps in zip(pool, (0.1, 0.1, 0.1, 0.1, 0.5))]
         with pytest.raises(DataError, match="strictly positive"):
-            EnsembleModel(tuple(pool), 1e4, 0.1,
-                          one_member_state(small_matrix))
+            self.build(small_matrix, pool)
 
 
 class TestBlockScoring:
@@ -480,7 +478,7 @@ class TestBlockScoring:
             for i, eps in enumerate(0.2 * rng.random(members)))
         state = replace(one_member_state(m), log_target=True,
                         target_center=3.8, target_scale=0.5)
-        return EnsembleModel(learners, 10.0, 0.1, state)
+        return EnsembleModel(learners, state)
 
     @pytest.mark.parametrize("hidden", [5, 28])
     @pytest.mark.parametrize("n", [SCORE_BLOCK - 1, 2 * SCORE_BLOCK - 1,
@@ -538,7 +536,8 @@ class TestPoolReport:
         cfg = fast_config(pool_size=5)
         pool = train_pool(small_matrix, cfg, seed=15)
         ranking = rank_learners(pool, small_matrix)
-        sel = select_learners(pool, ranking, small_matrix, cfg, patience=1)
+        sel = select_learners(pool, ranking, small_matrix,
+                              replace(cfg, patience=1))
         path = tmp_path / "pool.csv"
         PoolReport(pool, ranking, sel).to_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -152,9 +152,8 @@ def test_the_scan_flags_a_module_level_scipy_import(tmp_path):
 # replaying it, as scoring does.  So ``pipeline`` scales no column by hand.
 # ``regressors`` may scale: its ridge learner standardizes its own design,
 # outside the chain.
-def chain_bypasses(path: Path) -> list[str]:
-    """Each call in the module that transforms rows outside the chain."""
-    forbidden = {"apply_scaler"} if path.stem == "pipeline" else set()
+def calls_to(path: Path, forbidden: set[str]) -> list[str]:
+    """Each call in the module to a function named in ``forbidden``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -165,6 +164,12 @@ def chain_bypasses(path: Path) -> list[str]:
             if name in forbidden:
                 found.append((node.lineno, name))
     return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+def chain_bypasses(path: Path) -> list[str]:
+    """Each call in the module that transforms rows outside the chain."""
+    return calls_to(path, {"apply_scaler"} if path.stem == "pipeline"
+                    else set())
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -185,6 +190,37 @@ def test_the_scan_flags_a_transform_outside_the_chain(tmp_path):
         "pipeline.py:4: apply_scaler", "pipeline.py:5: apply_scaler"]
     assert chain_bypasses(tmp_path / "cli.py") == []
     assert chain_bypasses(tmp_path / "preprocess.py") == []
+
+
+# ``EnsembleModel`` derives its weighting from its learners' errors, and the
+# loader checks a stored weighting by writing the model back, so the
+# weighting has one derivation site: ``serialize`` derives none.
+WEIGHTING = {"resolve_weight_params", "compute_weights"}
+
+
+def weighting_derivations(path: Path) -> list[str]:
+    """Each call in ``serialize`` that derives the ensemble's weighting."""
+    return calls_to(path, WEIGHTING if path.stem == "serialize" else set())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_model_alone_derives_its_weighting(path):
+    assert weighting_derivations(path) == []
+
+
+def test_the_scan_flags_a_weighting_derived_by_the_loader(tmp_path):
+    body = ("from . import ensemble\n"
+            "from .ensemble import resolve_weight_params\n"
+            "def f(errors):\n"
+            "    b, c = resolve_weight_params(errors)\n"
+            "    return ensemble.compute_weights(errors, b, c)\n")
+    for stem in ("serialize", "ensemble"):
+        (tmp_path / f"{stem}.py").write_text(body, encoding="utf-8")
+    assert weighting_derivations(tmp_path / "serialize.py") == [
+        "serialize.py:4: resolve_weight_params",
+        "serialize.py:5: compute_weights"]
+    assert weighting_derivations(tmp_path / "ensemble.py") == []
 
 
 # The fitting commands' peak memory is mostly imported code.  Two modules

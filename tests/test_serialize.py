@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from functools import reduce
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teayield.ensemble import predict_ensemble
+from teayield.ensemble import compute_weights, predict_ensemble
 from teayield.errors import ConfigError, DataError, TeaYieldError
 from teayield.pipeline import train_ensemble_pipeline
-from teayield.serialize import load_model, model_to_json, save_model
+from teayield.serialize import (_enc_ensemble, load_model, model_to_json,
+                                save_model)
 
 from conftest import corrupt_model_doc, csv_edits, mutate_csv, tiny_config
 
@@ -141,12 +143,20 @@ CORRUPTIONS = {
     "NaN weight_c": ((), "weight_c", float("nan")),
     "training patience 0": (FIRST_MLP + ("config",), "patience", 0),
     # A learner's hidden size and seed copy its network's, and the network's
-    # config copies its hidden size; hidden sizes lie in [5, 30].
+    # hidden size copies its config's; hidden sizes lie in [5, 30].
     "learner hidden_size differs": (("learners", 0), "hidden_size",
                                     lambda h: 35 - h),
     "learner seed differs": (("learners", 0), "seed", lambda s: s + 1),
+    "network hidden_size differs": (FIRST_MLP, "hidden_size",
+                                    lambda h: 35 - h),
     "config hidden_size differs": (FIRST_MLP + ("config",), "hidden_size",
                                    lambda h: 35 - h),
+    # A held float is written as a JSON float, and an array as canonical
+    # base64: the decoder drops characters outside its alphabet, so this
+    # one decodes to the stored network.
+    "integer b_out": (FIRST_MLP, "b_out", 1),
+    "non-canonical base64": (FIRST_MLP + ("w_out",), "data",
+                             lambda d: d[:4] + "\n!*" + d[4:]),
     "string learner train_error": (("learners", 0), "train_error", "abc"),
     "negative learner train_error": (("learners", 0), "train_error", -1),
     "negative network train_error": (FIRST_MLP, "train_error", -1.0),
@@ -206,6 +216,32 @@ CORRUPTIONS = {
 }
 
 
+# The corruptions of a copy, which the loader refuses because the document
+# does not hold what the model writes, and the path each refusal names.
+COPY_PATHS = {
+    "NaN in the ensemble weights": "model.weights.data",
+    "reversed ensemble weights": "model.weights.data",
+    "NaN weight_b": "model.weight_b",
+    "zero weight_b": "model.weight_b",
+    "weight_b scaled": "model.weight_b",
+    "NaN weight_c": "model.weight_c",
+    "weight_c one ulp up": "model.weight_c",
+    "learner hidden_size differs": "model.learners[0].hidden_size",
+    "learner seed differs": "model.learners[0].seed",
+    "network hidden_size differs": "model.learners[0].mlp.hidden_size",
+    "integer b_out": "model.learners[0].mlp.b_out",
+    "non-canonical base64": "model.learners[0].mlp.w_out.data",
+    "feature_scaling left out": "model.preprocess.stage_order",
+    "feature_scaling twice": "model.preprocess.stage_order",
+    "unknown stage": "model.preprocess.stage_order",
+    "outlier_removal left out": "model.preprocess.stage_order",
+    "stage_order reversed": "model.preprocess.stage_order[0]",
+    "string log_target": "model.preprocess.log_target",
+    "log_target flipped": "model.preprocess.log_target",
+    "scaler columns reordered": "model.preprocess.scaler.columns[0]",
+}
+
+
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
     assert len(model.learners) >= 2
@@ -215,8 +251,30 @@ def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
         corrupt_model_doc(doc, *edit)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(DataError, match="corrupt model document"):
+    message = "corrupt model document"
+    if corruption in COPY_PATHS:
+        message += (f" ({COPY_PATHS[corruption]} differs from what the "
+                    "model writes)")
+    with pytest.raises(DataError, match=re.escape(message)):
         load_model(path)
+
+
+def test_every_copy_case_is_a_corruption():
+    assert set(COPY_PATHS) <= set(CORRUPTIONS)
+
+
+@pytest.mark.parametrize("path,key", [((), "weight_b"),
+                                      (("learners", 1), "seed"),
+                                      (("preprocess", "scaler"), "columns")])
+def test_a_missing_copy_is_refused_by_path(model, tmp_path, path, key):
+    doc = json.loads(model_to_json(model))
+    del reduce(lambda obj, step: obj[step], path, doc["model"])[key]
+    file = tmp_path / "model.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    where = "model" + "".join(f"[{step}]" if type(step) is int else f".{step}"
+                              for step in path + (key,))
+    with pytest.raises(DataError, match=re.escape(f"({where} is missing)")):
+        load_model(file)
 
 
 @pytest.mark.parametrize("edit", ["unknown key", "missing key"])
@@ -241,21 +299,22 @@ def test_network_config_keys_are_exactly_its_fields(model, tmp_path, edit):
     ids=["weight_b scaled", "weight_c one ulp up"])
 def test_a_weighting_train_never_writes_is_rejected(model, tmp_path, key,
                                                     change):
-    """Written from a model that holds it, so ``weights`` agrees with it; a
-    ``weight_b`` 50 times too steep moves predictions by kilograms."""
-    edited = replace(model, **{key: change(getattr(model, key))})
+    """The document's ``weights`` are recomputed to agree with the edited
+    key; a ``weight_b`` 50 times too steep moves predictions by
+    kilograms."""
+    doc = json.loads(model_to_json(model))
+    weighting = {"weight_b": model.weight_b, "weight_c": model.weight_c}
+    weighting[key] = change(weighting[key])
+    corrupt_model_doc(doc, (), key, weighting[key])
+    errors = [bl.train_error for bl in model.learners]
+    corrupt_model_doc(doc, (), "weights", lambda _: compute_weights(
+        errors, weighting["weight_b"], weighting["weight_c"]))
     path = tmp_path / "model.json"
-    path.write_text(model_to_json(edited), encoding="utf-8")
-    with pytest.raises(DataError, match=f"corrupt model document \\({key} "
-                                        "differs from that of the learners' "
-                                        "train errors\\)"):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            f"corrupt model document (model.{key} differs from what the "
+            "model writes)")):
         load_model(path)
-
-
-def test_non_finite_weight_c_is_rejected(model):
-    """A NaN centre makes every weight NaN, which the model refuses."""
-    with pytest.raises(DataError, match="weights must be"):
-        replace(model, weight_c=np.nan)
 
 
 # Values the model fuzz property puts in place of one part of the document.
@@ -272,6 +331,17 @@ def _parts(obj, path=()):
         yield from _parts(value, path + (key,))
 
 
+def held_at(stored, written):
+    """``stored`` cut down to the keys of ``written``, the rest as stored."""
+    if isinstance(written, dict) and isinstance(stored, dict):
+        return {key: held_at(stored.get(key), value)
+                for key, value in written.items()}
+    if (isinstance(written, list) and isinstance(stored, list)
+            and len(stored) == len(written)):
+        return [held_at(item, value) for item, value in zip(stored, written)]
+    return stored
+
+
 @given(part=st.integers(0, 2**16), value=st.sampled_from(FUZZ_VALUES),
        edits=csv_edits())
 @settings(max_examples=150, deadline=None)
@@ -279,8 +349,8 @@ def test_mutated_model_files_load_and_score_or_raise(model, canonical_raw,
                                                      part, value, edits):
     """One part of the document is replaced by ``value``, then the JSON
     text is edited as comma-separated cells.  Loading raises a DataError or
-    ConfigError, or gives a model that scores rows or raises a
-    TeaYieldError."""
+    ConfigError, or gives a model that writes what the document holds at
+    every key it writes and that scores rows or raises a TeaYieldError."""
     doc = json.loads(model_to_json(model))
     parts = list(_parts(doc))
     *head, last = parts[part % len(parts)]
@@ -292,6 +362,10 @@ def test_mutated_model_files_load_and_score_or_raise(model, canonical_raw,
             loaded = load_model(path)
         except (ConfigError, DataError):
             return
+        stored = json.loads(path.read_text(encoding="utf-8"))["model"]
+    written = _enc_ensemble(loaded)
+    assert (json.dumps(held_at(stored, written), sort_keys=True)
+            == json.dumps(written, sort_keys=True))
     try:
         with np.errstate(over="ignore"):
             preds = predict_ensemble(loaded, canonical_raw)
