@@ -76,9 +76,17 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class BaseLearner:
+    """A network, the rows it trained on and its error.  A FitError
+    refuses a negative subsample index."""
+
     model: MLPModel
     subsample_indices: tuple[int, ...]
     train_error: float
+
+    def __post_init__(self):
+        if min(self.subsample_indices, default=0) < 0:
+            raise FitError(f"subsample indices must be >= 0, got "
+                           f"{min(self.subsample_indices)}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,9 @@ class EnsembleModel:
     """The learners and the chain.  The weighting is derived from the
     learners' errors, not given: ``weight_b`` and ``weight_c`` are
     ``resolve_weight_params`` of them and ``weights`` is ``compute_weights``
-    of them, one strictly positive weight per learner."""
+    of them, one strictly positive weight per learner.  A DataError refuses
+    an empty learner tuple, a network whose input count is not the number
+    of selected features, and a weight that is not > 0."""
 
     learners: tuple[BaseLearner, ...]
     preprocess: PreprocessState
@@ -110,6 +120,13 @@ class EnsembleModel:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not self.learners:
+            raise DataError("the ensemble has no learners")
+        n = len(self.preprocess.selected_features)
+        inputs = {bl.model.w_hidden.shape[0] for bl in self.learners}
+        if inputs != {n}:
+            raise DataError(f"the chain selects {n} features, the networks "
+                            f"take {sorted(inputs)}")
         errors = [bl.train_error for bl in self.learners]
         b, c = resolve_weight_params(errors)
         w = compute_weights(errors, b, c)
@@ -271,16 +288,15 @@ def _falling_logistic(z: float) -> float:
 def compute_weights(errors, b: float, c: float) -> np.ndarray:
     """Normalized learner weights from their errors.
 
-    raw_i = 1 / (1 + exp(b * (eps_i - c))), a decreasing logistic, so a
-    strictly larger error always gets a strictly smaller weight.
+    raw_i = 1 / (1 + exp(b * (eps_i - c))), a decreasing logistic for the
+    b > 0 that ``resolve_weight_params`` gives, so a strictly larger error
+    always gets a strictly smaller weight.
     """
     eps = np.asarray(errors, dtype=np.float64)
     if eps.ndim != 1 or eps.shape[0] < 1:
         raise DataError("errors must be a non-empty vector")
     if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
         raise DataError("errors must be finite and >= 0")
-    if b <= 0.0:
-        raise ConfigError(f"weight steepness b must be > 0, got {b}")
     raw = np.array([_falling_logistic(b * (e - c)) for e in eps.tolist()])
     total = float(raw.sum())
     if total <= 0.0:

@@ -12,6 +12,7 @@ rows.  Fit states are immutable; apply operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,20 @@ PIPELINE_STAGES = ("feature_selection", "feature_scaling", "outlier_removal",
 @dataclass(frozen=True)
 class ScalerState:
     """Per-column mean and sample (n-1) standard deviation, one entry per
-    column of the matrices it scales, in their order."""
+    column of the matrices it scales, in their order.  A FitError refuses
+    means and stds that are not 1-D vectors of one length, a value that is
+    not finite, and a std that is not > 0."""
 
     means: np.ndarray
     stds: np.ndarray
+
+    def __post_init__(self):
+        if not (self.means.ndim == 1 and self.stds.shape == self.means.shape
+                and np.isfinite(self.means).all()
+                and np.isfinite(self.stds).all() and (self.stds > 0.0).all()):
+            raise FitError("scaler means and stds must be vectors of one "
+                           "length, the means finite and the stds finite "
+                           "and > 0")
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,10 @@ class PreprocessState:
     forward ``log`` (if ``log_target``), then ``(y - target_center) /
     target_scale``.  Chains fitted for cross-validation keep center 0 and
     scale 1, which change no value.  A log error names a row by its
-    position, or by its entry in ``rows`` where given.
+    position, or by its entry in ``rows`` where given.  A FitError refuses
+    ``selected_features`` that are not distinct strings, a scaler not as
+    wide as them, and a target center or scale that is not finite, or a
+    scale not > 0.
     """
 
     selected_features: tuple[str, ...]
@@ -53,6 +67,21 @@ class PreprocessState:
     log_target: bool
     target_center: float
     target_scale: float
+
+    def __post_init__(self):
+        names = self.selected_features
+        if (not all(isinstance(c, str) for c in names)
+                or len(set(names)) != len(names)):
+            raise FitError(f"selected_features must be distinct strings, "
+                           f"got {list(names)!r}")
+        if self.scaler is not None and self.scaler.means.size != len(names):
+            raise FitError(f"the scaler scales {self.scaler.means.size} "
+                           f"columns, the chain selects {len(names)}")
+        if not (math.isfinite(self.target_center)
+                and 0.0 < self.target_scale < math.inf):
+            raise FitError(f"target_center must be finite and target_scale "
+                           f"finite and > 0, got {self.target_center!r} and "
+                           f"{self.target_scale!r}")
 
     def apply_features(self, m: FeatureMatrix) -> FeatureMatrix:
         missing = [c for c in self.selected_features if c not in m.column_names]

@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .dataset import FeatureMatrix
 from .errors import DataError, FitError
-from .preprocess import fit_scaler
+from .preprocess import apply_scaler, fit_scaler, independent_columns
 
 HIDDEN_RANGE = (5, 30)
 
@@ -67,7 +67,9 @@ class MLPTrainConfig:
 
 @dataclass(frozen=True)
 class MLPModel:
-    """One tanh hidden layer, identity output."""
+    """One tanh hidden layer, identity output.  A FitError refuses weights
+    not shaped for ``config.hidden_size`` or not finite, a negative ``seed``
+    or ``epochs_run``, and a ``train_error`` that is not finite and >= 0."""
 
     w_hidden: np.ndarray
     b_hidden: np.ndarray
@@ -77,6 +79,21 @@ class MLPModel:
     seed: int
     epochs_run: int
     train_error: float
+
+    def __post_init__(self):
+        h = self.hidden_size
+        shapes = (self.w_hidden.shape, self.b_hidden.shape, self.w_out.shape)
+        if (shapes[0][1:], *shapes[1:]) != ((h,),) * 3:
+            raise FitError(f"w_hidden, b_hidden and w_out have shapes {shapes}"
+                           f", expected (features, {h}), ({h},) and ({h},)")
+        if not all(np.isfinite(a).all() for a in (
+                self.w_hidden, self.b_hidden, self.w_out, self.b_out)):
+            raise FitError("the network's weights are not all finite")
+        if min(self.seed, self.epochs_run) < 0 or not (
+                0.0 <= self.train_error < math.inf):
+            raise FitError(f"seed, epochs_run and train_error must be >= 0 "
+                           f"and finite, got {self.seed}, {self.epochs_run} "
+                           f"and {self.train_error!r}")
 
     @property
     def hidden_size(self) -> int:
@@ -209,9 +226,6 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
         kernels.DELTA0, config.epochs, config.patience)
     if status != 0:
         raise FitError(f"non-finite training loss at epoch {epochs_run}")
-    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(b1))
-            and np.all(np.isfinite(w2)) and math.isfinite(b2)):
-        raise FitError("training produced non-finite weights")
 
     resid = kernels.mlp_forward(x, w1, b1, w2, b2) - y
     train_error = float((resid * resid).mean())
@@ -272,8 +286,6 @@ def make_linear_factory(ridge_lambda: float = 0.0,
     # before the fit; least-squares predictions only depend on the design's
     # span, so this reproduces a pseudo-inverse fit on a collinear design.
     def factory(train: FeatureMatrix, seed: int) -> PredictFn:
-        from .preprocess import apply_scaler, independent_columns
-
         columns = independent_columns(train) if drop_dependent else train.column_names
         scaler = (fit_scaler(train.subset(columns))
                   if standardize_features else None)

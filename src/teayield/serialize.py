@@ -8,18 +8,22 @@ prediction-exact; keys are sorted and separators fixed, so the same model
 always serializes to the same bytes.
 
 The document holds the fitted facts: each network, each learner's error
-and subsample, and the fitted chain.  It also holds copies, which the
-loader does not decode: a learner's ``hidden_size`` and ``seed``, a
-network's ``hidden_size``, the weighting ``EnsembleModel`` derives from
-the errors (``weight_b``, ``weight_c`` and ``weights``), the scaler's
-``columns``, and the fixed chain's ``stage_order``, ``log_target`` and
-``log_features``.  One rule covers them all: the loader builds the model
-from the facts, writes it back, and refuses a document that does not hold
-what it writes, every key with the same JSON type and value and a float in
-every bit.  Keys the model does not write are left alone.  Keys of
-retired options keep their own checks: ``literal_weights``,
-``month_encoding`` and ``log_features`` may only hold the value of the one
-mode left, and a network's ``learning_rate`` is checked and dropped.
+and subsample, and the fitted chain.  It also holds copies: a learner's
+``hidden_size`` and ``seed``, a network's ``hidden_size``, the weighting
+``EnsembleModel`` derives (``weight_b``, ``weight_c``, ``weights``), the
+scaler's ``columns``, and the fixed chain's ``stage_order``,
+``log_target`` and ``log_features``.
+
+The loader converts each fact with its declared type (``int``, ``float``,
+or an array decoded from base64 and reshaped), builds the model, whose
+types refuse what no fit gives, and refuses a document that does not hold
+what the model writes: each written key with the same JSON type and
+value, a float in every bit.  Its own checks are those no type sees:
+retired options (``literal_weights``, ``month_encoding``,
+``log_features``) hold the one mode left, a network's ``learning_rate`` is
+checked and dropped, a config holds exactly the fields of
+``MLPTrainConfig``, and the chain has a scaler.  Every refusal reads
+``<path>: corrupt model document (...)``.
 """
 
 from __future__ import annotations
@@ -46,12 +50,9 @@ def _enc_array(a: np.ndarray) -> dict:
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _dec_array(obj: dict, what: str = "array") -> np.ndarray:
+def _dec_array(obj: dict) -> np.ndarray:
     raw = base64.b64decode(obj["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} holds non-finite values")
-    return a
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
 
 
 def _enc_mlp(m: MLPModel) -> dict:
@@ -62,73 +63,34 @@ def _enc_mlp(m: MLPModel) -> dict:
             "epochs_run": m.epochs_run, "train_error": m.train_error}
 
 
-def _dec_shaped(obj: dict, shape: tuple, what: str) -> np.ndarray:
-    a = _dec_array(obj, what)
-    if a.shape != shape:
-        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
-    return a
-
-
-def _dec_finite(value, what: str) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _dec_int(value, what: str, low: int = 0) -> int:
-    if type(value) is not int or value < low:  # a bool is not an int here
-        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _dec_error(value, what: str) -> float:
-    """A mean squared error: a finite number >= 0."""
-    if _dec_finite(value, what) < 0.0:
-        raise ValueError(f"{what} must be >= 0, got {value!r}")
-    return float(value)
-
-
 def _dec_config(obj: dict) -> MLPTrainConfig:
     """A network's training config: exactly the fields of ``MLPTrainConfig``,
-    each an integer or a finite number as declared, and in a document
-    written before iRprop⁻ the gradient-descent ``learning_rate`` too, a
-    finite number > 0 that nothing reads."""
+    and in a document written before iRprop⁻ the gradient-descent
+    ``learning_rate`` too, a finite number > 0 that nothing reads."""
     keys = {f.name for f in fields(MLPTrainConfig)}
     if set(obj) not in (keys, keys | {"learning_rate"}):
         raise ValueError(f"network config has keys {sorted(obj)}")
-    if "learning_rate" in obj and not _dec_finite(obj["learning_rate"],
-                                                  "learning_rate") > 0.0:
-        raise ValueError(f"learning_rate must be > 0, "
-                         f"got {obj['learning_rate']!r}")
+    rate = obj.get("learning_rate", 1.0)
+    if type(rate) not in (int, float) or not 0.0 < float(rate) < math.inf:
+        raise ValueError(f"learning_rate must be a finite number > 0, "
+                         f"got {rate!r}")
     return MLPTrainConfig(
-        hidden_size=_dec_int(obj["hidden_size"], "config hidden_size"),
-        epochs=_dec_int(obj["epochs"], "epochs"),
-        early_stop_fraction=_dec_finite(obj["early_stop_fraction"],
-                                        "early_stop_fraction"),
-        patience=_dec_int(obj["patience"], "patience"))
+        hidden_size=int(obj["hidden_size"]), epochs=int(obj["epochs"]),
+        early_stop_fraction=float(obj["early_stop_fraction"]),
+        patience=int(obj["patience"]))
 
 
 def _dec_mlp(obj: dict) -> MLPModel:
-    config = _dec_config(obj["config"])
-    h = config.hidden_size
-    w_hidden = _dec_array(obj["w_hidden"], "w_hidden")
-    if w_hidden.ndim != 2 or w_hidden.shape[1] != h:
-        raise ValueError(f"w_hidden has shape {w_hidden.shape}, "
-                         f"expected (features, {h})")
-    return MLPModel(w_hidden, _dec_shaped(obj["b_hidden"], (h,), "b_hidden"),
-                    _dec_shaped(obj["w_out"], (h,), "w_out"),
-                    _dec_finite(obj["b_out"], "b_out"), config,
-                    _dec_int(obj["seed"], "seed"),
-                    _dec_int(obj["epochs_run"], "epochs_run"),
-                    _dec_error(obj["train_error"], "train_error"))
+    return MLPModel(_dec_array(obj["w_hidden"]), _dec_array(obj["b_hidden"]),
+                    _dec_array(obj["w_out"]), float(obj["b_out"]),
+                    _dec_config(obj["config"]), int(obj["seed"]),
+                    int(obj["epochs_run"]), float(obj["train_error"]))
 
 
 def _dec_learner(obj: dict) -> BaseLearner:
     return BaseLearner(_dec_mlp(obj["mlp"]),
-                       tuple(_dec_int(i, "subsample index")
-                             for i in obj["subsample_indices"]),
-                       _dec_error(obj["train_error"], "learner train_error"))
+                       tuple(map(int, obj["subsample_indices"])),
+                       float(obj["train_error"]))
 
 
 def _enc_learner(bl: BaseLearner) -> dict:
@@ -181,23 +143,6 @@ def _check_copies(stored, written, where: str) -> None:
         raise ValueError(f"{where} differs from what the model writes")
 
 
-def _positive(value, what: str):
-    """``value`` if every entry is > 0, as a standard deviation must be."""
-    if not np.all(np.asarray(value) > 0.0):
-        raise ValueError(f"{what} must be > 0")
-    return value
-
-
-def _dec_scaler(obj: dict | None, selected: list) -> ScalerState:
-    """The scaler of the selected features."""
-    if obj is None:
-        raise ValueError("the chain has no scaler")
-    shape = (len(selected),)
-    return ScalerState(_dec_shaped(obj["means"], shape, "scaler means"),
-                       _positive(_dec_shaped(obj["stds"], shape, "scaler stds"),
-                                 "scaler stds"))
-
-
 def _dec_ensemble(obj: dict) -> EnsembleModel:
     """The model of the facts in ``obj``, once ``obj`` holds what it
     writes.  The learners are written and checked one at a time, so one
@@ -206,26 +151,21 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     for holder, key, value in ((obj, "literal_weights", False),
                                (pre, "month_encoding", "cyclic"),
                                (pre, "log_features", [])):
-        got = holder.get(key, value)
+        got = holder[key] if key in holder else value
         if type(got) is not type(value) or got != value:
             raise ValueError(f"{key} is a retired option; it may only be "
                              f"{json.dumps(value)}, got {json.dumps(got)}")
+    scaler = pre["scaler"]
+    if scaler is None:
+        raise ValueError("the chain has no scaler")
     state = PreprocessState(
         selected_features=tuple(pre["selected_features"]),
-        scaler=_dec_scaler(pre["scaler"], pre["selected_features"]),
-        log_target=True,
-        target_center=_dec_finite(pre["target_center"], "target_center"),
-        target_scale=_positive(_dec_finite(pre["target_scale"], "target_scale"),
-                               "target_scale"))
-    learners = tuple(map(_dec_learner, obj["learners"]))
-    if not learners:
-        raise ValueError("the ensemble has no learners")
-    inputs = {bl.model.w_hidden.shape[0] for bl in learners}
-    if inputs != {len(state.selected_features)}:
-        raise ValueError(f"the chain selects {len(state.selected_features)} "
-                         f"features, the networks take {sorted(inputs)}")
-    model = EnsembleModel(learners, state)
-    for i, (stored, bl) in enumerate(zip(obj["learners"], learners)):
+        scaler=ScalerState(_dec_array(scaler["means"]),
+                           _dec_array(scaler["stds"])),
+        log_target=True, target_center=float(pre["target_center"]),
+        target_scale=float(pre["target_scale"]))
+    model = EnsembleModel(tuple(map(_dec_learner, obj["learners"])), state)
+    for i, (stored, bl) in enumerate(zip(obj["learners"], model.learners)):
         _check_copies(stored, _enc_learner(bl), f"model.learners[{i}]")
     _check_copies(obj, _enc_head(model), "model")
     return model
@@ -276,5 +216,6 @@ def load_model(path) -> EnsembleModel:
         raise DataError(f"{path}: unknown model kind {kind!r}")
     try:
         return _dec_ensemble(doc["model"])
-    except (KeyError, TypeError, ValueError, OverflowError, FitError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, FitError,
+            DataError) as exc:
         raise DataError(f"{path}: corrupt model document ({exc})") from None

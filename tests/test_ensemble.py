@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
                                predict_ensemble, rank_learners,
                                resolve_weight_params, select_learners,
                                train_pool)
-from teayield.errors import ConfigError, DataError, FitError
+from teayield.errors import DataError, FitError
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
 from teayield.regressors import MLPModel, MLPTrainConfig, predict, predict_mlp
@@ -76,10 +77,6 @@ class TestComputeWeights:
         w = compute_weights(eps, b=4.0, c=0.5)
         w_perm = compute_weights(eps[perm], b=4.0, c=0.5)
         np.testing.assert_allclose(w[perm], w_perm, atol=1e-15)
-
-    def test_rejects_bad_steepness(self):
-        with pytest.raises(ConfigError, match="b"):
-            compute_weights([0.1], b=0.0, c=0.0)
 
     def test_rejects_negative_errors(self):
         with pytest.raises(DataError, match="finite"):
@@ -449,6 +446,15 @@ class TestPredictEnsemble:
                 EnsembleModel(tuple(pool), one_member_state(small_matrix),
                               **{key: value})
 
+    def test_an_empty_ensemble_is_refused(self, small_matrix):
+        with pytest.raises(DataError, match="no learners"):
+            self.build(small_matrix, ())
+
+    def test_a_negative_subsample_index_is_refused(self, small_matrix):
+        pool = train_pool(small_matrix, fast_config(pool_size=1), seed=15)
+        with pytest.raises(FitError, match="subsample indices must be >= 0"):
+            replace(pool[0], subsample_indices=(-1, 0, 1))
+
     def test_weights_must_be_strictly_positive(self, small_matrix):
         """A learner whose raw weight underflows to 0 is refused, not kept
         at weight 0: four equal errors make the IQR 0, so the logistic is
@@ -504,15 +510,18 @@ class TestBlockScoring:
                          for _ in model.learners]
 
     def test_input_count_is_checked(self, rng):
-        """The chain hands the networks five of the six columns they were
-        built for."""
+        """A chain that selects five of the six columns the networks were
+        built for is refused when the model is built, and a network handed
+        five columns refuses them when it scores."""
         m = random_matrix(rng, 10, 6)
         model = self.model(rng, m, 5)
-        model = replace(model, preprocess=replace(
-            model.preprocess, selected_features=m.column_names[:5]))
+        with pytest.raises(DataError, match=re.escape(
+                "the chain selects 5 features, the networks take [6]")):
+            replace(model, preprocess=replace(
+                model.preprocess, selected_features=m.column_names[:5]))
         with pytest.raises(DataError, match="matrix has 5 features, model "
                                             "expects 6"):
-            predict_ensemble(model, m)
+            predict_mlp(model.learners[0].model, m.values[:, :5])
 
 
 class TestFullPipelineDeterminism:

@@ -223,6 +223,31 @@ def test_the_scan_flags_a_weighting_derived_by_the_loader(tmp_path):
     assert weighting_derivations(tmp_path / "ensemble.py") == []
 
 
+# The model's types refuse the values no fit gives, so the loader converts
+# each fact, builds the model and compares it with the document; it checks
+# no value's range itself.
+def range_checks(path: Path) -> list[str]:
+    """Each call in ``serialize`` that checks a value is finite."""
+    return calls_to(path, {"isfinite"} if path.stem == "serialize" else set())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_types_alone_check_ranges(path):
+    assert range_checks(path) == []
+
+
+def test_the_scan_flags_a_range_checked_by_the_loader(tmp_path):
+    body = ("import math\nimport numpy as np\n"
+            "def f(a, x):\n"
+            "    return np.isfinite(a).all() and math.isfinite(x)\n")
+    for stem in ("serialize", "regressors"):
+        (tmp_path / f"{stem}.py").write_text(body, encoding="utf-8")
+    assert range_checks(tmp_path / "serialize.py") == [
+        "serialize.py:4: isfinite", "serialize.py:4: isfinite"]
+    assert range_checks(tmp_path / "regressors.py") == []
+
+
 # The fitting commands' peak memory is mostly imported code.  Two modules
 # they do not need cost ``evaluate`` about 2.2 MB of it: ``multiprocessing``,
 # which pulls in ``socket``, ``selectors`` and ``subprocess``, and

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
-from teayield.preprocess import (OutlierReport, PreprocessState, apply_scaler,
-                                 cooks_distance, fit_scaler,
+from teayield.preprocess import (OutlierReport, PreprocessState, ScalerState,
+                                 apply_scaler, cooks_distance, fit_scaler,
                                  independent_columns, remove_outliers)
 
 from conftest import random_matrix
@@ -76,6 +76,39 @@ class TestScaler:
             with pytest.raises(DataError, match="the scaler scales 2 columns, "
                                                 f"the rows have {width}"):
                 apply_scaler(s, random_matrix(rng, 10, width))
+
+
+class TestFittedStates:
+    """The scaler and the chain refuse what no fit gives."""
+
+    @pytest.mark.parametrize("means,stds", [
+        (np.zeros(2), np.array([1.0, 0.0])),
+        (np.zeros(2), np.array([1.0, -1.0])),
+        (np.zeros(2), np.array([1.0, np.inf])),
+        (np.array([0.0, np.nan]), np.ones(2)),
+        (np.zeros(2), np.ones(3)),
+        (np.zeros((2, 1)), np.ones((2, 1)))],
+        ids=["zero std", "negative std", "infinite std", "NaN mean",
+             "lengths differ", "not vectors"])
+    def test_a_scaler_no_fit_gives_is_refused(self, means, stds):
+        with pytest.raises(FitError, match="scaler means"):
+            ScalerState(means, stds)
+
+    @pytest.mark.parametrize("part,message", [
+        ({"scaler": ScalerState(np.zeros(3), np.ones(3))},
+         "the scaler scales 3 columns, the chain selects 2"),
+        ({"selected_features": ("a", "a")}, "must be distinct strings"),
+        ({"selected_features": ("a", 0)}, "must be distinct strings"),
+        ({"target_scale": 0.0}, "target_scale finite and > 0"),
+        ({"target_scale": np.inf}, "target_scale finite and > 0"),
+        ({"target_center": np.nan}, "target_center must be finite")])
+    def test_a_chain_no_fit_gives_is_refused(self, part, message):
+        chain = {"selected_features": ("a", "b"),
+                 "scaler": ScalerState(np.zeros(2), np.ones(2)),
+                 "log_target": True, "target_center": 0.0,
+                 "target_scale": 1.0}
+        with pytest.raises(FitError, match=message):
+            PreprocessState(**{**chain, **part})
 
 
 def log_chain(y: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -302,6 +305,24 @@ class TestMLP:
             MLPTrainConfig(4)
         with pytest.raises(FitError, match="hidden_size"):
             MLPTrainConfig(31)
+
+    @pytest.mark.parametrize("part,message", [
+        ({"w_hidden": np.zeros(5)}, "shapes ((5,), (5,), (5,))"),
+        ({"w_hidden": np.zeros((3, 4))}, "shapes ((3, 4), (5,), (5,))"),
+        ({"b_hidden": np.zeros(4)}, "shapes ((3, 5), (4,), (5,))"),
+        ({"w_out": np.zeros((5, 1))}, "shapes ((3, 5), (5,), (5, 1))"),
+        ({"w_hidden": np.full((3, 5), np.nan)}, "not all finite"),
+        ({"b_hidden": np.full(5, np.inf)}, "not all finite"),
+        ({"b_out": np.nan}, "not all finite"),
+        ({"seed": -1}, "got -1, "),
+        ({"epochs_run": -1}, "got 1, -1 and"),
+        ({"train_error": np.nan}, "and nan"),
+        ({"train_error": -0.5}, "and -0.5")])
+    def test_a_network_no_fit_gives_is_refused(self, rng, part, message):
+        model = fit_mlp(random_matrix(rng, 20, 3), MLPTrainConfig(5, epochs=50),
+                        seed=1)
+        with pytest.raises(FitError, match=re.escape(message)):
+            replace(model, **part)
 
     def test_predict_deterministic_and_batch_equals_loop(self, rng):
         m = random_matrix(rng, 30, 3)

@@ -213,6 +213,33 @@ CORRUPTIONS = {
     # Each network takes one input per feature the chain selects.
     "chain selects a feature fewer": (("preprocess",), "selected_features",
                                       lambda f: f[:-1]),
+    # The chain selects distinct names, which the scaler's columns copy.
+    **{f"selected feature 0 is {json.dumps(value)}": [
+        (("preprocess", "selected_features"), 0, value),
+        (("preprocess", "scaler", "columns"), 0, value)]
+       for value in (0, None, ["x"])},
+    "selected feature 1 repeats feature 0": [
+        (("preprocess",), "selected_features", lambda f: f[:1] * 2 + f[2:]),
+        (("preprocess", "scaler"), "columns", lambda c: c[:1] * 2 + c[2:])],
+    "chain is a list": ((), "preprocess", [0.5]),
+}
+
+
+# Corruptions of a fact that a type of the model refuses, and how each
+# refusal begins.
+TYPE_MESSAGES = {
+    "selected feature 0 is 0": "selected_features must be distinct strings",
+    "selected feature 0 is null":
+        "selected_features must be distinct strings",
+    'selected feature 0 is ["x"]':
+        "selected_features must be distinct strings",
+    "selected feature 1 repeats feature 0":
+        "selected_features must be distinct strings",
+    "NaN in w_hidden": "the network's weights are not all finite",
+    "zero scaler std": "scaler means and stds must be vectors",
+    "zero target_scale": "target_center must be finite and target_scale",
+    "learners disagree on features": "the chain selects",
+    "no learners": "the ensemble has no learners",
 }
 
 
@@ -255,12 +282,18 @@ def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
     if corruption in COPY_PATHS:
         message += (f" ({COPY_PATHS[corruption]} differs from what the "
                     "model writes)")
+    if corruption in TYPE_MESSAGES:
+        message += f" ({TYPE_MESSAGES[corruption]}"
     with pytest.raises(DataError, match=re.escape(message)):
         load_model(path)
 
 
 def test_every_copy_case_is_a_corruption():
     assert set(COPY_PATHS) <= set(CORRUPTIONS)
+
+
+def test_every_type_case_is_a_corruption():
+    assert set(TYPE_MESSAGES) <= set(CORRUPTIONS)
 
 
 @pytest.mark.parametrize("path,key", [((), "weight_b"),
