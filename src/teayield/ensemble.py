@@ -293,8 +293,6 @@ def compute_weights(errors, b: float, c: float) -> np.ndarray:
     always gets a strictly smaller weight.
     """
     eps = np.asarray(errors, dtype=np.float64)
-    if eps.ndim != 1 or eps.shape[0] < 1:
-        raise DataError("errors must be a non-empty vector")
     if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
         raise DataError("errors must be finite and >= 0")
     raw = np.array([_falling_logistic(b * (e - c)) for e in eps.tolist()])

@@ -1,12 +1,12 @@
 """Metrics, data splitting, k-fold cross-validation and forward selection.
 
-The harness is model-agnostic: it takes learner factories (see
-``regressors``), so any preprocessing a factory performs is refit on every
-training fold and never sees the scored rows.  ``forward_select`` is the
-one greedy search over a ranked candidate list (Caruana et al. 2004,
-*Ensemble selection from libraries of models*): feature selection walks
-ranked features with it, learner selection ranked pool members.  The staged
-pipeline report lives in ``pipeline.stage_report``.
+The harness is model-agnostic: it takes a ``fit_predict(train, test)``
+function (see ``regressors``), so any preprocessing that function performs
+is refit on every training fold and never sees the scored rows.
+``forward_select`` is the one greedy search over a ranked candidate list
+(Caruana et al. 2004, *Ensemble selection from libraries of models*):
+feature selection walks ranked features with it, learner selection ranked
+pool members.  The staged pipeline report lives in ``pipeline.stage_report``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import FeatureMatrix
 from .errors import DataError, naming
-from .util import as_float_array, derive_seed
+from .util import as_float_array
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,14 @@ def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     return FoldPlan(int(k), assignment)
 
 
-def cross_validate(m: FeatureMatrix, factory, plan: FoldPlan,
-                   seed: int = 0) -> np.ndarray:
+def cross_validate(m: FeatureMatrix, fit_predict,
+                   plan: FoldPlan) -> np.ndarray:
     """The read-only out-of-fold predictions: each fold's rows scored by a
     model fit on the other folds.
 
-    ``factory(train_matrix, fit_seed)`` must return a prediction closure and
-    is called once per fold with a fold-derived seed, so results do not
-    depend on evaluation order.  ``metrics(m.target, oof).rmse`` is the
-    pooled CV RMSE.
+    ``fit_predict(train_matrix, eval_matrix)`` fits on a fold's training
+    rows and returns its predictions for the fold's rows; it is called once
+    per fold.  ``metrics(m.target, oof).rmse`` is the pooled CV RMSE.
     """
     if plan.n != m.n_samples:
         raise DataError(f"fold plan covers {plan.n} samples, matrix has "
@@ -94,11 +93,12 @@ def cross_validate(m: FeatureMatrix, factory, plan: FoldPlan,
     for fold in range(plan.k):
         train_rows, eval_rows = plan.fold_indices(fold)
         with naming(f"fold {fold}"):
-            predict_fn = factory(m.take_rows(train_rows), derive_seed(seed, fold))
-            preds = np.asarray(predict_fn(m.take_rows(eval_rows)), dtype=np.float64)
+            preds = np.asarray(fit_predict(m.take_rows(train_rows),
+                                           m.take_rows(eval_rows)),
+                               dtype=np.float64)
         if preds.shape != (eval_rows.shape[0],):
-            raise DataError(f"fold {fold}: factory returned shape {preds.shape}, "
-                            f"expected ({eval_rows.shape[0]},)")
+            raise DataError(f"fold {fold}: fit_predict returned shape "
+                            f"{preds.shape}, expected ({eval_rows.shape[0]},)")
         oof[eval_rows] = preds
     oof.flags.writeable = False
     return oof

@@ -13,14 +13,16 @@ feature is
 which is positive for features whose variation coincides with target
 variation among near neighbors.  Subset selection then walks the ranked
 order with ``evaluation.forward_select``, the search learner selection uses
-too: each prefix is scored by its pooled cross-validated RMSE, the walk
-stops after ``patience`` prefixes in a row that do not lower the best RMSE
-so far, and the best prefix is kept.
+too: each prefix is scored by the pooled cross-validated RMSE of ridge
+regression on its standardized columns (``regressors.ridge_predictions``),
+the walk stops after ``patience`` prefixes in a row that do not lower the
+best RMSE so far, and the best prefix is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from . import kernels
 from .dataset import FeatureMatrix
 from .errors import ConfigError, DataError, FitError, naming
 from .evaluation import cross_validate, forward_select, make_folds, metrics
-from .util import derive_seed, write_table
+from .regressors import ridge_predictions
+from .util import write_table
 
 # Width of the neighbor influence decay, in neighbor ranks.
 DECAY_SIGMA = 20.0
@@ -135,26 +138,28 @@ def _dedupe_exact(m: FeatureMatrix, names: list[str]) -> list[str]:
 
 
 def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
-                              evaluator, folds: int = 10, seed: int = 0,
-                              patience: int = 1) -> SelectionResult:
+                              ridge_lambda: float, folds: int = 10,
+                              seed: int = 0, patience: int = 1
+                              ) -> SelectionResult:
     """Grow prefixes of the ranked order while CV RMSE strictly improves.
 
-    ``evaluator`` is a learner factory (see ``regressors``); every prefix is
-    scored with the same fold plan and a prefix-derived fit seed, so a trace
-    entry can be reproduced by rerunning ``cross_validate`` on that prefix.
-    The search is ``evaluation.forward_select``: it stops after ``patience``
+    Every prefix is scored by ``ridge_predictions`` at ``ridge_lambda`` with
+    the same fold plan, drawn from ``seed``, so a trace entry can be
+    reproduced by rerunning ``cross_validate`` on that prefix.  The search
+    is ``evaluation.forward_select``: it stops after ``patience``
     consecutive non-improving prefix sizes and keeps the best prefix seen.
     """
     order_names = list(ranked.ordered_names())
     if not order_names:
         raise DataError("ranked feature list is empty")
     plan = make_folds(m.n_samples, folds, seed)
+    ridge = partial(ridge_predictions, ridge_lambda=ridge_lambda)
 
     def score(size: int) -> float:
         prefix = order_names[:size]
         sub = m.subset(_dedupe_exact(m, prefix))
         with naming(f"prefix of size {size} ({prefix})"):
-            oof = cross_validate(sub, evaluator, plan, derive_seed(seed, size))
+            oof = cross_validate(sub, ridge, plan)
         return metrics(sub.target, oof).rmse
 
     best_size, trace = forward_select(len(order_names), score, patience)

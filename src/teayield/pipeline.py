@@ -50,18 +50,17 @@ from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
 from .preprocess import (PIPELINE_STAGES, OutlierReport, PreprocessState,
                          cooks_distance, fit_scaler, independent_columns,
                          remove_outliers)
-from .regressors import make_gpr_factory, make_linear_factory, make_mlp_factory
+from .regressors import gpr_predictions, mlp_predictions, ols_predictions
 from .util import derive_seed, write_table
 
 # The stage report's rows and its columns (see ``stage_report``).
 STAGE_MODELS = ("mlr", "gpr", "mlp")
 STAGE_NAMES = ("raw",) + PIPELINE_STAGES
 
-# Seed stream tags for the master seed.  ``_TAG_PICK`` seeded the fold
-# refits of learner selection, which no longer draws; the numbers stay, since
+# Seed stream tags for the master seed.  Tag 3 seeded the fold refits of
+# learner selection, which no longer draws; the other numbers stay, and
 # ``benchmarks/helper.py`` repeats ``_TAG_HOLDOUT``.
-(_TAG_SELECT, _TAG_POOL, _TAG_PICK, _TAG_STAGE, _TAG_HOLDOUT,
- _TAG_CHAIN) = range(1, 7)
+_TAG_SELECT, _TAG_POOL, _TAG_STAGE, _TAG_HOLDOUT, _TAG_CHAIN = 1, 2, 4, 5, 6
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,8 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     _check_rows(cfg, m.n_samples, "features")
     ranked = rrelieff(m, k=cfg.relieff.k)
     selection = sequential_forward_select(
-        m, ranked, make_linear_factory(cfg.sfs_ridge_lambda,
-                                       standardize_features=True),
-        folds=cfg.cv_folds, seed=derive_seed(seed, 2),
-        patience=cfg.sfs_patience)
+        m, ranked, cfg.sfs_ridge_lambda, folds=cfg.cv_folds,
+        seed=derive_seed(seed, 2), patience=cfg.sfs_patience)
     next_prefix(selected_features=selection.selected)
     next_prefix(scaler=fit_scaler(m))
     outliers = cooks_distance(m.subset(independent_columns(m)),
@@ -190,13 +187,16 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
     return TrainingResult(model, PoolReport(pool, ranking, selection), artifacts)
 
 
-def _stage_factories(cfg: PipelineConfig) -> dict:
-    return {
-        "mlr": make_linear_factory(0.0, drop_dependent=True),
-        "gpr": make_gpr_factory(cfg.gpr_signal_var, cfg.gpr_length_scale,
-                                cfg.gpr_noise_var),
-        "mlp": make_mlp_factory(cfg.mlp),
-    }
+def _stage_predictions(model: str, train: FeatureMatrix, test: FeatureMatrix,
+                       cfg: PipelineConfig, seed: int) -> np.ndarray:
+    """The predictions for ``test`` of the stage report's learner ``model``
+    fitted on ``train``; only the network draws from ``seed``."""
+    if model == "mlr":
+        return ols_predictions(train, test)
+    if model == "gpr":
+        return gpr_predictions(train, test, cfg.gpr_signal_var,
+                               cfg.gpr_length_scale, cfg.gpr_noise_var)
+    return mlp_predictions(train, test, cfg.mlp, seed)
 
 
 def _stage_plan(n: int, cfg: PipelineConfig, seed: int) -> FoldPlan:
@@ -231,15 +231,14 @@ def stage_fold(raw: FeatureMatrix, cfg: PipelineConfig, seed: int,
                                 derive_seed(seed, _TAG_CHAIN, fold))
     eval_raw = raw.take_rows(eval_rows)
     scored = [chain.apply_features(eval_raw) for _, chain in prefixes]
-    factories = _stage_factories(cfg)
     cells = _stage_cells(cfg, seed)
     block = np.empty((len(cells), len(eval_rows)))
     for c, (j, model, fit_seed) in enumerate(cells):
         train_m, chain = prefixes[j]
         with naming(f"stage {STAGE_NAMES[j]!r}, model {model!r}"):
-            predict_fn = factories[model](train_m, derive_seed(fit_seed, fold))
-            block[c] = chain.invert_target(np.asarray(predict_fn(scored[j]),
-                                                      dtype=np.float64))
+            preds = _stage_predictions(model, train_m, scored[j], cfg,
+                                       derive_seed(fit_seed, fold))
+            block[c] = chain.invert_target(np.asarray(preds, dtype=np.float64))
     return block
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -197,8 +196,6 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
     rows).  ``train_error`` is the final MSE over all given rows.
     """
     n, f = m.values.shape
-    if n < 1:
-        raise FitError("cannot train on an empty matrix")
     rng = np.random.default_rng(seed)
     h = config.hidden_size
     lim1 = 1.0 / math.sqrt(f)
@@ -262,13 +259,10 @@ def predict(model, m: FeatureMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Learner factories for the cross-validation harness.  A factory maps
-# (training matrix, seed) to a prediction closure; preprocessing done inside
-# the factory is therefore refit on every training fold.
+# The learners the stage report and the feature search score.  Each fits on
+# ``train`` and returns its predictions for the rows of ``test``, so any
+# preprocessing it does is refit on every training fold.
 # ---------------------------------------------------------------------------
-
-PredictFn = Callable[[FeatureMatrix], np.ndarray]
-LearnerFactory = Callable[[FeatureMatrix, int], PredictFn]
 
 
 def _target_standardizer(m: FeatureMatrix) -> tuple[FeatureMatrix, float, float]:
@@ -279,47 +273,39 @@ def _target_standardizer(m: FeatureMatrix) -> tuple[FeatureMatrix, float, float]
     return m.with_target((m.target - mu) / sd), mu, sd
 
 
-def make_linear_factory(ridge_lambda: float = 0.0,
-                        standardize_features: bool = False,
-                        drop_dependent: bool = False) -> LearnerFactory:
-    # drop_dependent projects onto a linearly independent column subset
-    # before the fit; least-squares predictions only depend on the design's
-    # span, so this reproduces a pseudo-inverse fit on a collinear design.
-    def factory(train: FeatureMatrix, seed: int) -> PredictFn:
-        columns = independent_columns(train) if drop_dependent else train.column_names
-        scaler = (fit_scaler(train.subset(columns))
-                  if standardize_features else None)
-
-        def design(m: FeatureMatrix) -> FeatureMatrix:
-            m = m.subset(columns)
-            return m if scaler is None else apply_scaler(scaler, m)
-
-        model = fit_ols(design(train), ridge_lambda)
-        return lambda m: predict(model, design(m))
-    return factory
+def ridge_predictions(train: FeatureMatrix, test: FeatureMatrix,
+                      ridge_lambda: float) -> np.ndarray:
+    """Ridge regression on ``train``'s columns, each standardized with its
+    mean and std on ``train``: the feature search's learner."""
+    columns = train.column_names
+    scaler = fit_scaler(train.subset(columns))
+    model = fit_ols(apply_scaler(scaler, train.subset(columns)), ridge_lambda)
+    return predict(model, apply_scaler(scaler, test.subset(columns)))
 
 
-def make_gpr_factory(signal_var: float = 1.0, length_scale: float = 1.0,
-                     noise_var: float = 0.1) -> LearnerFactory:
-    # The target is standardized per training fold (zero prior mean) and
-    # predictions are mapped back; features are used exactly as given.
-    def factory(train: FeatureMatrix, seed: int) -> PredictFn:
-        ztrain, mu, sd = _target_standardizer(train)
-        model = fit_gpr(ztrain, signal_var, length_scale, noise_var)
-
-        def predict_fn(m: FeatureMatrix) -> np.ndarray:
-            return predict(model, m.subset(train.column_names)) * sd + mu
-        return predict_fn
-    return factory
+def ols_predictions(train: FeatureMatrix, test: FeatureMatrix) -> np.ndarray:
+    """Least squares on ``independent_columns(train)``.  Its predictions
+    depend only on the design's span, so they are those of a pseudo-inverse
+    fit on a collinear design."""
+    columns = independent_columns(train)
+    model = fit_ols(train.subset(columns))
+    return predict(model, test.subset(columns))
 
 
-def make_mlp_factory(config: MLPTrainConfig) -> LearnerFactory:
-    # Target standardized per fold for training stability; features as given.
-    def factory(train: FeatureMatrix, seed: int) -> PredictFn:
-        ztrain, mu, sd = _target_standardizer(train)
-        model = fit_mlp(ztrain, config, seed)
+def gpr_predictions(train: FeatureMatrix, test: FeatureMatrix,
+                    signal_var: float, length_scale: float,
+                    noise_var: float) -> np.ndarray:
+    """The GP fitted on ``train`` with its target standardized (zero prior
+    mean), its predictions mapped back; features are used as given."""
+    ztrain, mu, sd = _target_standardizer(train)
+    model = fit_gpr(ztrain, signal_var, length_scale, noise_var)
+    return predict(model, test.subset(train.column_names)) * sd + mu
 
-        def predict_fn(m: FeatureMatrix) -> np.ndarray:
-            return predict(model, m.subset(train.column_names)) * sd + mu
-        return predict_fn
-    return factory
+
+def mlp_predictions(train: FeatureMatrix, test: FeatureMatrix,
+                    config: MLPTrainConfig, seed: int) -> np.ndarray:
+    """The network trained on ``train`` with its target standardized, for
+    training stability, its predictions mapped back; features as given."""
+    ztrain, mu, sd = _target_standardizer(train)
+    model = fit_mlp(ztrain, config, seed)
+    return predict(model, test.subset(train.column_names)) * sd + mu

@@ -87,8 +87,16 @@ def _dec_mlp(obj: dict) -> MLPModel:
                     int(obj["epochs_run"]), float(obj["train_error"]))
 
 
-def _dec_learner(obj: dict) -> BaseLearner:
-    return BaseLearner(_dec_mlp(obj["mlp"]),
+def _object(stored, where: str) -> dict:
+    """``stored``, refused unless it is a JSON object, as at ``where``."""
+    if not isinstance(stored, dict):
+        raise ValueError(f"{where} differs from what the model writes")
+    return stored
+
+
+def _dec_learner(obj, where: str) -> BaseLearner:
+    obj = _object(obj, where)
+    return BaseLearner(_dec_mlp(_object(obj["mlp"], f"{where}.mlp")),
                        tuple(map(int, obj["subsample_indices"])),
                        float(obj["train_error"]))
 
@@ -147,7 +155,7 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
     """The model of the facts in ``obj``, once ``obj`` holds what it
     writes.  The learners are written and checked one at a time, so one
     learner's encoding is held at once."""
-    pre = obj["preprocess"]
+    pre = _object(obj["preprocess"], "model.preprocess")
     for holder, key, value in ((obj, "literal_weights", False),
                                (pre, "month_encoding", "cyclic"),
                                (pre, "log_features", [])):
@@ -164,7 +172,9 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
                            _dec_array(scaler["stds"])),
         log_target=True, target_center=float(pre["target_center"]),
         target_scale=float(pre["target_scale"]))
-    model = EnsembleModel(tuple(map(_dec_learner, obj["learners"])), state)
+    model = EnsembleModel(tuple(
+        _dec_learner(stored, f"model.learners[{i}]")
+        for i, stored in enumerate(obj["learners"])), state)
     for i, (stored, bl) in enumerate(zip(obj["learners"], model.learners)):
         _check_copies(stored, _enc_learner(bl), f"model.learners[{i}]")
     _check_copies(obj, _enc_head(model), "model")

@@ -9,8 +9,7 @@ from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError
 from teayield.evaluation import (cross_validate, forward_select, holdout_split,
                                  make_folds, metrics)
-from teayield.regressors import make_linear_factory
-from teayield.util import derive_seed
+from teayield.regressors import ols_predictions
 
 from conftest import random_matrix
 
@@ -95,29 +94,27 @@ class TestCrossValidate:
         values = rng.normal(size=(40, 3))
         m = FeatureMatrix(("a", "b", "c"), values,
                           values @ np.array([1.0, -2.0, 0.5]) + 4.0)
-        oof = cross_validate(m, make_linear_factory(0.0), make_folds(40, 5, 0))
+        oof = cross_validate(m, ols_predictions, make_folds(40, 5, 0))
         assert metrics(m.target, oof).rmse < 1e-8
 
     def test_mean_predictor_r2_not_positive(self, rng):
         m = random_matrix(rng, 50, 2, target_noise=0.2)
 
-        def factory(train, seed):
-            mu = float(train.target.mean())
-            return lambda eval_m: np.full(eval_m.n_samples, mu)
+        def mean_predictions(train, test):
+            return np.full(test.n_samples, float(train.target.mean()))
 
-        oof = cross_validate(m, factory, make_folds(50, 5, 1))
+        oof = cross_validate(m, mean_predictions, make_folds(50, 5, 1))
         assert metrics(m.target, oof).r2 <= 0.0
 
     def test_pooled_rmse_matches_manual_concatenation(self, rng):
         m = random_matrix(rng, 30, 2, target_noise=0.5)
         plan = make_folds(30, 5, 2)
-        factory = make_linear_factory(0.0)
-        oof = cross_validate(m, factory, plan, seed=4)
+        oof = cross_validate(m, ols_predictions, plan)
         manual = np.empty(30)
         for fold in range(5):
             train_rows, eval_rows = plan.fold_indices(fold)
-            fn = factory(m.take_rows(train_rows), derive_seed(4, fold))
-            manual[eval_rows] = fn(m.take_rows(eval_rows))
+            manual[eval_rows] = ols_predictions(m.take_rows(train_rows),
+                                                m.take_rows(eval_rows))
         expected = math.sqrt(float(np.mean((manual - m.target) ** 2)))
         assert metrics(m.target, oof).rmse == pytest.approx(expected, abs=1e-12)
 
@@ -126,12 +123,11 @@ class TestCrossValidate:
         plan = make_folds(40, 4, 3)
         seen = []
 
-        def factory(train, seed):
+        def mean_predictions(train, test):
             seen.append(train.values.mean(axis=0))
-            mu = float(train.target.mean())
-            return lambda eval_m: np.full(eval_m.n_samples, mu)
+            return np.full(test.n_samples, float(train.target.mean()))
 
-        cross_validate(m, factory, plan)
+        cross_validate(m, mean_predictions, plan)
         for fold in range(4):
             train_rows, eval_rows = plan.fold_indices(fold)
             assert len(set(train_rows) & set(eval_rows)) == 0
@@ -141,11 +137,11 @@ class TestCrossValidate:
     def test_fold_error_names_fold(self, rng):
         m = random_matrix(rng, 12, 2)
 
-        def factory(train, seed):
+        def broken(train, test):
             raise DataError("nope")
 
         with pytest.raises(DataError, match="fold 0"):
-            cross_validate(m, factory, make_folds(12, 3, 0))
+            cross_validate(m, broken, make_folds(12, 3, 0))
 
 
 class TestHoldoutSplit:

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from teayield import kernels
+from teayield import feature_select, kernels
 from teayield.dataset import FeatureMatrix
 from teayield.errors import DataError, FitError
 from teayield.evaluation import cross_validate, make_folds, metrics
 from teayield.feature_select import (DECAY_SIGMA, neighbor_rank_weights,
                                      relief_weights_from_counts, rrelieff,
                                      sequential_forward_select)
-from teayield.regressors import make_linear_factory
-from teayield.util import derive_seed
+from teayield.regressors import ridge_predictions
 
 from conftest import random_matrix
 
@@ -187,14 +186,14 @@ class TestRRelieff:
                                       raw / raw.sum())
 
 
-class TestSequentialForwardSelect:
-    def evaluator(self):
-        return make_linear_factory(1e-2, standardize_features=True)
+RIDGE_LAMBDA = 1e-2
 
+
+class TestSequentialForwardSelect:
     def test_single_sufficient_feature(self):
         m = planted_matrix(5)
         ranked = rrelieff(m, k=10)
-        result = sequential_forward_select(m, ranked, self.evaluator(),
+        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
                                            folds=5, seed=0, patience=1)
         assert result.selected == ("signal",)
 
@@ -203,20 +202,23 @@ class TestSequentialForwardSelect:
         values = np.column_stack([x, x, x])
         m = FeatureMatrix(("a", "b", "c"), values, x + 0.05 * rng.normal(size=80))
         ranked = rrelieff(m, k=8)
-        result = sequential_forward_select(m, ranked, self.evaluator(),
+        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
                                            folds=5, seed=0, patience=1)
         assert len(result.selected) == 1
 
     def test_trace_reproducible_by_rerunning_evaluator(self, rng):
         m = random_matrix(rng, 60, 4, target_noise=0.5)
         ranked = rrelieff(m, k=8)
-        result = sequential_forward_select(m, ranked, self.evaluator(),
+        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
                                            folds=5, seed=3, patience=2)
         plan = make_folds(m.n_samples, 5, 3)
         order = list(ranked.ordered_names())
         for size, rmse in result.trace:
-            oof = cross_validate(m.subset(order[:size]), self.evaluator(),
-                                 plan, derive_seed(3, size))
+            oof = cross_validate(
+                m.subset(order[:size]),
+                lambda train, test: ridge_predictions(train, test,
+                                                      RIDGE_LAMBDA),
+                plan)
             assert metrics(m.target, oof).rmse == pytest.approx(rmse, abs=1e-12)
 
     def test_selected_nonempty_and_bounded(self, rng):
@@ -224,7 +226,7 @@ class TestSequentialForwardSelect:
             m = random_matrix(np.random.default_rng(seed), 40, 5,
                               target_noise=1.0)
             ranked = rrelieff(m, k=6)
-            result = sequential_forward_select(m, ranked, self.evaluator(),
+            result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
                                                folds=4, seed=seed, patience=1)
             assert 1 <= len(result.selected) <= 5
             assert result.selected == ranked.ordered_names()[:len(result.selected)]
@@ -232,24 +234,25 @@ class TestSequentialForwardSelect:
     def test_trace_minimum_at_selected_size(self, rng):
         m = random_matrix(rng, 50, 5, target_noise=0.8)
         ranked = rrelieff(m, k=6)
-        result = sequential_forward_select(m, ranked, self.evaluator(),
+        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
                                            folds=5, seed=2, patience=3)
         rmses = [r for _, r in result.trace]
         assert min(rmses) == rmses[len(result.selected) - 1]
 
-    def test_evaluator_failure_names_prefix(self, rng):
+    def test_evaluator_failure_names_prefix(self, rng, monkeypatch):
         m = random_matrix(rng, 30, 3)
         ranked = rrelieff(m, k=5)
 
-        def broken(train, seed):
+        def broken(train, test, ridge_lambda):
             raise FitError("boom")
 
+        monkeypatch.setattr(feature_select, "ridge_predictions", broken)
         with pytest.raises(FitError, match="prefix of size 1"):
-            sequential_forward_select(m, ranked, broken, folds=4, seed=0)
+            sequential_forward_select(m, ranked, RIDGE_LAMBDA, folds=4,
+                                      seed=0)
 
 
 def test_duplicated_copy_never_co_selected():
-    evaluator = make_linear_factory(1e-2, standardize_features=True)
     for seed in range(20):
         r = np.random.default_rng(seed)
         n = 150
@@ -259,6 +262,6 @@ def test_duplicated_copy_never_co_selected():
         m = FeatureMatrix(("signal", "copy", "n1", "n2"), values,
                           signal + 0.1 * r.normal(size=n))
         ranked = rrelieff(m, k=10)
-        result = sequential_forward_select(m, ranked, evaluator, folds=5,
+        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA, folds=5,
                                            seed=seed, patience=1)
         assert not ({"signal", "copy"} <= set(result.selected))

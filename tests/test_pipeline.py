@@ -1,3 +1,4 @@
+import ast
 import os
 import signal
 import time
@@ -11,17 +12,18 @@ from teayield.config import PipelineConfig
 from teayield.dataset import SyntheticSpec, generate_synthetic
 from teayield.ensemble import predict_ensemble
 from teayield.errors import DataError, FitError, TeaYieldError
-from teayield.evaluation import holdout_split, make_folds, metrics
-from teayield.feature_select import rrelieff, sequential_forward_select
+from teayield.evaluation import (cross_validate, holdout_split, make_folds,
+                                 metrics)
 from teayield.pipeline import (STAGE_MODELS, STAGE_NAMES, evaluate_pipeline,
                                fit_chain, fit_preprocess, stage_report,
                                train_ensemble_pipeline)
 from teayield.preprocess import (PIPELINE_STAGES, cooks_distance, fit_scaler,
                                  independent_columns, remove_outliers)
-from teayield.regressors import make_linear_factory
+from teayield.regressors import ols_predictions
 from teayield.util import derive_seed
 
-from conftest import assert_no_child_left, bench_config, tiny_config
+from conftest import assert_no_child_left, tiny_config
+from test_imports import PACKAGE
 
 
 def _assert_same_fit(a, b) -> None:
@@ -169,17 +171,22 @@ class TestFittedChain:
     def test_the_ols_evaluator_fits_the_collinear_temperatures(self):
         """avg_temp is the mean of min_temp and max_temp, so a feature prefix
         holding all three is rank-deficient; least squares, the stage
-        report's mlr learner, fits its span.  The search runs as
-        ``fit_preprocess`` runs it, with that learner."""
+        report's mlr learner, fits its span.  Under ``cross_validate`` its
+        predictions are those of a pseudo-inverse fit of the full collinear
+        design, to 1e-9 relative."""
         raw = generate_synthetic(120, 2, SyntheticSpec.canonical())
-        cfg = bench_config()
-        seed = derive_seed(cfg.seed, pipeline._TAG_SELECT)
-        ranked = rrelieff(raw, k=cfg.relieff.k)
-        selection = sequential_forward_select(
-            raw, ranked, make_linear_factory(0.0, drop_dependent=True),
-            folds=cfg.cv_folds, seed=derive_seed(seed, 2),
-            patience=cfg.sfs_patience)
-        assert {"min_temp", "max_temp", "avg_temp"} <= set(selection.selected)
+        prefix = raw.subset(("rainfall", "min_temp", "max_temp", "avg_temp"))
+        plan = make_folds(prefix.n_samples, 10, 0)
+        oof = cross_validate(prefix, ols_predictions, plan)
+        design = np.column_stack([np.ones(prefix.n_samples), prefix.values])
+        assert np.linalg.matrix_rank(design) == design.shape[1] - 1
+        expected = np.empty(prefix.n_samples)
+        for fold in range(plan.k):
+            train_rows, eval_rows = plan.fold_indices(fold)
+            beta = np.linalg.lstsq(design[train_rows],
+                                   prefix.target[train_rows], rcond=None)[0]
+            expected[eval_rows] = design[eval_rows] @ beta
+        np.testing.assert_allclose(oof, expected, rtol=1e-9)
 
     def test_the_shipped_defaults_keep_soil_ph(self):
         """On the 84 training rows of canonical generator seed 1, feature
@@ -455,3 +462,15 @@ def test_a_full_task_queue_leaves_the_rest_to_the_parent():
         os.close(claim)
     assert len(spill) > 0
     assert claimed + list(spill) == list(tasks)
+
+
+def test_the_benchmark_holds_out_the_rows_evaluate_holds_out():
+    """``benchmarks/helper.py`` writes the training side of ``evaluate``'s
+    hold-out split, drawn from its own copy of the seed stream tag."""
+    tree = ast.parse((PACKAGE.parent.parent / "benchmarks" / "helper.py"
+                      ).read_text(encoding="utf-8"))
+    tags = [ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets]
+            == ["HOLDOUT_STREAM"]]
+    assert tags == [pipeline._TAG_HOLDOUT]

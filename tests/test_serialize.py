@@ -222,6 +222,8 @@ CORRUPTIONS = {
         (("preprocess",), "selected_features", lambda f: f[:1] * 2 + f[2:]),
         (("preprocess", "scaler"), "columns", lambda c: c[:1] * 2 + c[2:])],
     "chain is a list": ((), "preprocess", [0.5]),
+    "string learner": (("learners",), 0, "learner"),
+    "network is a list": (("learners", 0), "mlp", [0.5]),
 }
 
 
@@ -266,6 +268,9 @@ COPY_PATHS = {
     "string log_target": "model.preprocess.log_target",
     "log_target flipped": "model.preprocess.log_target",
     "scaler columns reordered": "model.preprocess.scaler.columns[0]",
+    "chain is a list": "model.preprocess",
+    "string learner": "model.learners[0]",
+    "network is a list": "model.learners[0].mlp",
 }
 
 
