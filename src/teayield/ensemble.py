@@ -215,15 +215,14 @@ def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
 
 
 def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
-                  relief: ReliefParams = ReliefParams()) -> LearnerRanking:
-    """Rank learners by relief weight of their prediction columns.
+                  relief: ReliefParams) -> LearnerRanking:
+    """Rank the learners of a non-empty pool by relief weight of their
+    prediction columns.
 
     Constant-prediction learners would make the relief range normalization
     degenerate; they get weight -inf and sink to the bottom of the ranking
     (ordered among themselves by pool index) instead of aborting the run.
     """
-    if not pool:
-        raise DataError("cannot rank an empty pool")
     preds = np.vstack([predict(bl.model, m) for bl in pool])
     weights = np.full(len(pool), -np.inf)
     good = [i for i in range(len(pool)) if np.ptp(preds[i]) > 0.0]
@@ -317,12 +316,10 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     every row out: it stops after ``cfg.patience`` consecutive
     non-improving prefix sizes and keeps the best prefix of the ranked
     order.  When no prefix leaves every row out, the whole pool is kept in
-    ranked order and no prefix is scored.  ``cfg`` must leave a row out of
-    each subsample of ``m`` (see ``check_out_of_bag``).
+    ranked order and no prefix is scored.  The pool is not empty, and
+    ``cfg`` must leave a row out of each subsample of ``m`` (see
+    ``check_out_of_bag``).
     """
-    if not pool:
-        raise DataError("cannot select from an empty pool")
-    check_out_of_bag(cfg, m.n_samples)
     order = [int(i) for i in ranking.order]
     out = np.ones((len(order), m.n_samples))  # 1 where a row is out of bag
     for row, pos in zip(out, order):

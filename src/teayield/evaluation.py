@@ -36,10 +36,6 @@ class FoldPlan:
     k: int
     assignment: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.assignment.shape[0]
-
     def fold_indices(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """(train_rows, eval_rows) for one fold."""
         mask = self.assignment == fold
@@ -50,14 +46,10 @@ def metrics(y_true, y_pred) -> MetricsReport:
     """MAE, MSE, RMSE = sqrt(MSE), and R^2 = 1 - SSE/SST.
 
     R^2 is reported as None when y_true is constant (SST = 0); the other
-    metrics are still returned.
+    metrics are still returned.  The two vectors are of one length >= 1.
     """
     y_true = as_float_array(y_true, "y_true")
     y_pred = as_float_array(y_pred, "y_pred")
-    if y_true.shape[0] != y_pred.shape[0]:
-        raise DataError("metrics requires vectors of equal length")
-    if y_true.shape[0] < 1:
-        raise DataError("metrics requires at least one sample")
     err = y_pred - y_true
     mae = float(np.abs(err).mean())
     mse = float((err * err).mean())
@@ -80,26 +72,19 @@ def make_folds(n: int, k: int, seed: int) -> FoldPlan:
 def cross_validate(m: FeatureMatrix, fit_predict,
                    plan: FoldPlan) -> np.ndarray:
     """The read-only out-of-fold predictions: each fold's rows scored by a
-    model fit on the other folds.
+    model fit on the other folds of ``plan``, a plan over ``m``'s rows.
 
     ``fit_predict(train_matrix, eval_matrix)`` fits on a fold's training
-    rows and returns its predictions for the fold's rows; it is called once
-    per fold.  ``metrics(m.target, oof).rmse`` is the pooled CV RMSE.
+    rows and returns its predictions for the fold's rows, one per row; it is
+    called once per fold.  ``metrics(m.target, oof).rmse`` is the pooled CV
+    RMSE.
     """
-    if plan.n != m.n_samples:
-        raise DataError(f"fold plan covers {plan.n} samples, matrix has "
-                        f"{m.n_samples}")
     oof = np.empty(m.n_samples)
     for fold in range(plan.k):
         train_rows, eval_rows = plan.fold_indices(fold)
         with naming(f"fold {fold}"):
-            preds = np.asarray(fit_predict(m.take_rows(train_rows),
-                                           m.take_rows(eval_rows)),
-                               dtype=np.float64)
-        if preds.shape != (eval_rows.shape[0],):
-            raise DataError(f"fold {fold}: fit_predict returned shape "
-                            f"{preds.shape}, expected ({eval_rows.shape[0]},)")
-        oof[eval_rows] = preds
+            oof[eval_rows] = fit_predict(m.take_rows(train_rows),
+                                         m.take_rows(eval_rows))
     oof.flags.writeable = False
     return oof
 
@@ -112,11 +97,10 @@ def forward_select(n_candidates: int, score, patience: int, first: int = 1
     grow one candidate at a time from the first ``first``; a prefix becomes
     the best only when its score is strictly lower than every earlier one,
     and the walk stops after ``patience`` consecutive prefixes that are not.
-    Returns the best size (0 if no prefix was scored) and the
+    ``patience`` is >= 1, as ``[sfs] patience`` and ``[ensemble] patience``
+    are.  Returns the best size (0 if no prefix was scored) and the
     ``(size, score)`` trace.
     """
-    if patience < 1:
-        raise DataError(f"patience must be >= 1, got {patience}")
     trace = []
     best_score = math.inf
     best_size = 0
@@ -137,9 +121,9 @@ def forward_select(n_candidates: int, score, patience: int, first: int = 1
 
 def holdout_split(m: FeatureMatrix, test_fraction: float,
                   seed: int) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Seeded shuffle split into (train, test); both sides keep row order."""
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    """Seeded shuffle split into (train, test); both sides keep row order.
+    ``test_fraction`` lies in (0, 1), as ``[evaluation] holdout_fraction``
+    does, and each side keeps at least one row."""
     n = m.n_samples
     if n < 2:
         raise DataError("need at least 2 samples to split")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .dataset import FeatureMatrix
-from .errors import ConfigError, DataError, FitError, naming
+from .errors import ConfigError, FitError, naming
 from .evaluation import cross_validate, forward_select, make_folds, metrics
 from .regressors import ridge_predictions
 from .util import write_table
@@ -96,18 +96,17 @@ def rank_order(weights: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(f), -weights))
 
 
-def rrelieff(m: FeatureMatrix, k: int = 10) -> RankedFeatures:
+def rrelieff(m: FeatureMatrix, k: int) -> RankedFeatures:
     """Rank features by the regression relief weight, visiting every
     instance once, so the ranking draws no random number.
 
-    Features and target are internally normalized by their observed range, so
-    the ranking is invariant under positive affine rescaling of any column.
+    ``k`` lies in [1, n) for the n rows of ``m``: ``ReliefParams`` holds
+    k >= 1, and ``pipeline._check_rows`` refuses k >= n naming
+    ``[relieff] k``.  Features and target are internally normalized by
+    their observed range, so the ranking is invariant under positive affine
+    rescaling of any column.
     """
-    n, f = m.values.shape
-    if k < 1:
-        raise DataError(f"neighbor count k must be >= 1, got {k}")
-    if k >= n:
-        raise DataError(f"need k < n samples; got k={k} with n={n}")
+    n = m.n_samples
     ranges = np.ptp(m.values, axis=0)
     zero = np.nonzero(ranges == 0.0)[0]
     if zero.size:
@@ -138,9 +137,8 @@ def _dedupe_exact(m: FeatureMatrix, names: list[str]) -> list[str]:
 
 
 def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
-                              ridge_lambda: float, folds: int = 10,
-                              seed: int = 0, patience: int = 1
-                              ) -> SelectionResult:
+                              ridge_lambda: float, folds: int, seed: int,
+                              patience: int) -> SelectionResult:
     """Grow prefixes of the ranked order while CV RMSE strictly improves.
 
     Every prefix is scored by ``ridge_predictions`` at ``ridge_lambda`` with
@@ -148,10 +146,10 @@ def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
     reproduced by rerunning ``cross_validate`` on that prefix.  The search
     is ``evaluation.forward_select``: it stops after ``patience``
     consecutive non-improving prefix sizes and keeps the best prefix seen.
+    ``ranked`` holds at least one feature, as every matrix the reader
+    builds does.
     """
     order_names = list(ranked.ordered_names())
-    if not order_names:
-        raise DataError("ranked feature list is empty")
     plan = make_folds(m.n_samples, folds, seed)
     ridge = partial(ridge_predictions, ridge_lambda=ridge_lambda)
 

@@ -143,9 +143,6 @@ def fit_scaler(m: FeatureMatrix) -> ScalerState:
 def apply_scaler(s: ScalerState, m: FeatureMatrix) -> FeatureMatrix:
     """Replace every column by (x - mean) / std, for a matrix as wide as
     the scaler, column for column as it was fitted.  Target untouched."""
-    if m.n_features != s.means.shape[0]:
-        raise DataError(f"the scaler scales {s.means.shape[0]} columns, "
-                        f"the rows have {m.n_features}")
     return FeatureMatrix(m.column_names, (m.values - s.means) / s.stds,
                          m.target)
 
@@ -173,7 +170,7 @@ def independent_columns(m: FeatureMatrix) -> tuple[str, ...]:
     return tuple(kept)
 
 
-def cooks_distance(m: FeatureMatrix, threshold: float = 0.5) -> OutlierReport:
+def cooks_distance(m: FeatureMatrix, threshold: float) -> OutlierReport:
     """Cook's distance of every sample under OLS of target on features.
 
     D_i = (e_i^2 / (p * s^2)) * (h_ii / (1 - h_ii)^2), where e_i is the OLS
@@ -210,14 +207,8 @@ def cooks_distance(m: FeatureMatrix, threshold: float = 0.5) -> OutlierReport:
 
 
 def remove_outliers(m: FeatureMatrix, report: OutlierReport) -> FeatureMatrix:
-    """Drop the flagged rows, preserving the order of the survivors."""
-    if report.distances.shape[0] != m.n_samples:
-        raise DataError(
-            f"report covers {report.distances.shape[0]} samples, matrix has "
-            f"{m.n_samples}; it was not produced from this matrix")
+    """Drop the rows ``report`` flags, a report of ``m`` itself, preserving
+    the order of the survivors."""
     if not report.flagged:
         return m
-    flagged = np.asarray(report.flagged, dtype=np.int64)
-    if flagged.min() < 0 or flagged.max() >= m.n_samples:
-        raise DataError("flagged index out of range")
-    return m.take_rows(np.delete(np.arange(m.n_samples), flagged))
+    return m.take_rows(np.delete(np.arange(m.n_samples), report.flagged))

@@ -20,6 +20,10 @@ from .preprocess import apply_scaler, fit_scaler, independent_columns
 
 HIDDEN_RANGE = (5, 30)
 
+# The most rows ``fit_gpr`` takes: exact inference is O(n^3) in time and
+# O(n^2) in memory.
+GPR_MAX_ROWS = 5000
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -103,14 +107,13 @@ def _feature_array(m: FeatureMatrix) -> np.ndarray:
     return np.ascontiguousarray(m.values)
 
 
-def fit_ols(m: FeatureMatrix, ridge_lambda: float = 0.0) -> LinearModel:
-    """Least squares with optional ridge penalty (intercept unpenalized).
+def fit_ols(m: FeatureMatrix, ridge_lambda: float) -> LinearModel:
+    """Least squares with a ridge penalty ``ridge_lambda`` >= 0, none at 0
+    (intercept unpenalized).
 
     Solved on centered data through lstsq (ridge via the augmented-rows
     trick), never through the raw normal equations.
     """
-    if ridge_lambda < 0:
-        raise FitError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     n, f = m.values.shape
     if n <= f:
         raise FitError(f"need more than {f} samples to fit {f} coefficients, have {n}")
@@ -142,9 +145,12 @@ def _kernel(a: np.ndarray, b: np.ndarray, signal_var: float,
     return signal_var * np.exp(-_sq_dists(a, b) / (2.0 * length_scale ** 2))
 
 
-def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0,
-            noise_var: float = 0.1, max_n: int = 5000) -> GPRModel:
-    """Factor K + noise_var*I once; inference is exact and O(n^3).
+def fit_gpr(m: FeatureMatrix, signal_var: float, length_scale: float,
+            noise_var: float) -> GPRModel:
+    """Factor K + noise_var*I once; inference is exact and O(n^3), so more
+    than ``GPR_MAX_ROWS`` rows are a FitError.  ``signal_var`` and
+    ``length_scale`` are > 0 and ``noise_var`` >= 0, as ``PipelineConfig``
+    holds them.
 
     If the Cholesky fails, a diagonal jitter starting at 1e-10 * mean(diag K)
     escalates tenfold up to 1e-4 * mean(diag K) before giving up.
@@ -155,13 +161,10 @@ def fit_gpr(m: FeatureMatrix, signal_var: float = 1.0, length_scale: float = 1.0
     well-conditioned kernels, and to the condition number times the rounding
     unit on a jittered, near-singular one; the tests check both.
     """
-    if signal_var <= 0 or length_scale <= 0:
-        raise FitError("signal_var and length_scale must be > 0")
-    if noise_var < 0:
-        raise FitError(f"noise_var must be >= 0, got {noise_var}")
     n = m.n_samples
-    if n > max_n:
-        raise FitError(f"{n} samples exceeds the exact-inference cap of {max_n}")
+    if n > GPR_MAX_ROWS:
+        raise FitError(f"{n} samples exceeds the exact-inference cap of "
+                       f"{GPR_MAX_ROWS}")
     x = _feature_array(m)
     k = _kernel(x, x, signal_var, length_scale)
     c = k + noise_var * np.eye(n)
@@ -240,22 +243,15 @@ def predict_mlp(model: MLPModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict(model, m: FeatureMatrix) -> np.ndarray:
-    """Uniform batch prediction for any fitted model."""
+    """Batch prediction for a fitted linear model, GP or network.  The
+    learners below predict rows with the columns they fitted on."""
     x = _feature_array(m)
     if isinstance(model, LinearModel):
-        if x.shape[1] != model.coefficients.shape[0]:
-            raise DataError(f"matrix has {x.shape[1]} features, model expects "
-                            f"{model.coefficients.shape[0]}")
         return x @ model.coefficients + model.intercept
     if isinstance(model, GPRModel):
-        if x.shape[1] != model.x_train.shape[1]:
-            raise DataError(f"matrix has {x.shape[1]} features, model expects "
-                            f"{model.x_train.shape[1]}")
         return _kernel(x, model.x_train, model.signal_var,
                        model.length_scale) @ model.alpha
-    if isinstance(model, MLPModel):
-        return predict_mlp(model, x)
-    raise DataError(f"cannot predict with object of type {type(model).__name__}")
+    return predict_mlp(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +272,15 @@ def _target_standardizer(m: FeatureMatrix) -> tuple[FeatureMatrix, float, float]
 def ridge_predictions(train: FeatureMatrix, test: FeatureMatrix,
                       ridge_lambda: float) -> np.ndarray:
     """Ridge regression on ``train``'s columns, each standardized with its
-    mean and std on ``train``: the feature search's learner."""
-    columns = train.column_names
-    scaler = fit_scaler(train.subset(columns))
-    model = fit_ols(apply_scaler(scaler, train.subset(columns)), ridge_lambda)
-    return predict(model, apply_scaler(scaler, test.subset(columns)))
+    mean and std on ``train``: the feature search's learner.  ``test`` holds
+    the same columns, as the search's folds of one matrix do."""
+    scaler = fit_scaler(train)
+    # A column-major copy: ``fit_ols`` sums each column's mean in memory
+    # order, and on the row-major fold rows the feature-selection trace
+    # would differ in its last bits.
+    model = fit_ols(apply_scaler(scaler, train.subset(train.column_names)),
+                    ridge_lambda)
+    return predict(model, apply_scaler(scaler, test))
 
 
 def ols_predictions(train: FeatureMatrix, test: FeatureMatrix) -> np.ndarray:
@@ -288,7 +288,7 @@ def ols_predictions(train: FeatureMatrix, test: FeatureMatrix) -> np.ndarray:
     depend only on the design's span, so they are those of a pseudo-inverse
     fit on a collinear design."""
     columns = independent_columns(train)
-    model = fit_ols(train.subset(columns))
+    model = fit_ols(train.subset(columns), 0.0)
     return predict(model, test.subset(columns))
 
 

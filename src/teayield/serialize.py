@@ -50,7 +50,8 @@ def _enc_array(a: np.ndarray) -> dict:
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _dec_array(obj: dict) -> np.ndarray:
+def _dec_array(stored, where: str) -> np.ndarray:
+    obj = _object(stored, where)
     raw = base64.b64decode(obj["data"])
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
 
@@ -80,11 +81,13 @@ def _dec_config(obj: dict) -> MLPTrainConfig:
         patience=int(obj["patience"]))
 
 
-def _dec_mlp(obj: dict) -> MLPModel:
-    return MLPModel(_dec_array(obj["w_hidden"]), _dec_array(obj["b_hidden"]),
-                    _dec_array(obj["w_out"]), float(obj["b_out"]),
-                    _dec_config(obj["config"]), int(obj["seed"]),
-                    int(obj["epochs_run"]), float(obj["train_error"]))
+def _dec_mlp(stored, where: str) -> MLPModel:
+    obj = _object(stored, where)
+    return MLPModel(*(_dec_array(obj[key], f"{where}.{key}")
+                      for key in ("w_hidden", "b_hidden", "w_out")),
+                    float(obj["b_out"]), _dec_config(obj["config"]),
+                    int(obj["seed"]), int(obj["epochs_run"]),
+                    float(obj["train_error"]))
 
 
 def _object(stored, where: str) -> dict:
@@ -94,9 +97,9 @@ def _object(stored, where: str) -> dict:
     return stored
 
 
-def _dec_learner(obj, where: str) -> BaseLearner:
-    obj = _object(obj, where)
-    return BaseLearner(_dec_mlp(_object(obj["mlp"], f"{where}.mlp")),
+def _dec_learner(stored, where: str) -> BaseLearner:
+    obj = _object(stored, where)
+    return BaseLearner(_dec_mlp(obj["mlp"], f"{where}.mlp"),
                        tuple(map(int, obj["subsample_indices"])),
                        float(obj["train_error"]))
 
@@ -151,10 +154,11 @@ def _check_copies(stored, written, where: str) -> None:
         raise ValueError(f"{where} differs from what the model writes")
 
 
-def _dec_ensemble(obj: dict) -> EnsembleModel:
-    """The model of the facts in ``obj``, once ``obj`` holds what it
+def _dec_ensemble(stored) -> EnsembleModel:
+    """The model of the facts in ``stored``, once it holds what the model
     writes.  The learners are written and checked one at a time, so one
     learner's encoding is held at once."""
+    obj = _object(stored, "model")
     pre = _object(obj["preprocess"], "model.preprocess")
     for holder, key, value in ((obj, "literal_weights", False),
                                (pre, "month_encoding", "cyclic"),
@@ -163,13 +167,14 @@ def _dec_ensemble(obj: dict) -> EnsembleModel:
         if type(got) is not type(value) or got != value:
             raise ValueError(f"{key} is a retired option; it may only be "
                              f"{json.dumps(value)}, got {json.dumps(got)}")
-    scaler = pre["scaler"]
-    if scaler is None:
+    if pre["scaler"] is None:
         raise ValueError("the chain has no scaler")
+    where = "model.preprocess.scaler"
+    scaler = _object(pre["scaler"], where)
     state = PreprocessState(
         selected_features=tuple(pre["selected_features"]),
-        scaler=ScalerState(_dec_array(scaler["means"]),
-                           _dec_array(scaler["stds"])),
+        scaler=ScalerState(_dec_array(scaler["means"], f"{where}.means"),
+                           _dec_array(scaler["stds"], f"{where}.stds")),
         log_target=True, target_center=float(pre["target_center"]),
         target_scale=float(pre["target_scale"]))
     model = EnsembleModel(tuple(

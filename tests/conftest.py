@@ -39,24 +39,25 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def corrupt_model_doc(doc: dict, path: tuple, key: str, change) -> None:
-    """Replace or add one entry of a model document's ``model`` object in
-    place.
+def corrupt_model_doc(doc: dict, path: tuple | None, key: str,
+                      change) -> None:
+    """Replace or add one entry of a model document, in place.
 
-    ``path`` leads from ``doc["model"]`` to the object holding ``key``.  A
-    callable ``change`` maps the value stored there, decoded if it is an
-    array, to the value to store instead; any other value is stored as given,
-    also under a key the object does not hold.
+    ``path`` leads from ``doc["model"]`` to the object holding ``key``, or
+    is None for the document itself.  A callable ``change`` maps the value
+    stored there, decoded if it is an array, to the value to store instead;
+    any other value is stored as given, also under a key the object does not
+    hold.
     """
-    obj = doc["model"]
-    for step in path:
+    obj = doc if path is None else doc["model"]
+    for step in path or ():
         obj = obj[step]
     if not callable(change):
         obj[key] = change
         return
     old = obj[key]
     if isinstance(old, dict):
-        obj[key] = _enc_array(change(_dec_array(old)))
+        obj[key] = _enc_array(change(_dec_array(old, key)))
     else:
         obj[key] = change(old)
 

@@ -552,6 +552,32 @@ def test_evaluate_on_a_small_file_exits_1_naming_the_option(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Two checks that too few rows reach once the options' own checks pass,
+# under ``cv_folds = 2`` and ``[relieff] k = 1``: ``evaluate`` on one row
+# has no row to hold out, and ``train`` on two rows scores the feature
+# search's first prefix on folds of one row, where its learner fits a
+# scaler.
+@pytest.mark.parametrize("command,rows,message", [
+    ("evaluate", 1, "need at least 2 samples to split"),
+    ("train", 2, "prefix of size 1 (['min_temp']): fold 0: need at least 2 "
+                 "samples to fit a scaler")])
+def test_too_few_rows_to_split_or_scale_exits_1(workdir, tmp_path, capsys,
+                                                command, rows, message):
+    config = tmp_path / "k1.ini"
+    config.write_text(render_config(replace(
+        tiny_config(), cv_folds=2, relieff=replace(tiny_config().relieff,
+                                                   k=1))), encoding="utf-8")
+    lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines(True)
+    data = tmp_path / "small.csv"
+    data.write_text("".join(lines[:rows + 1]), encoding="utf-8")
+    out = (["--model", str(tmp_path / "m.json")] if command == "train"
+           else ["--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--config", str(config)]
+                + out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Of the 120 rows of the tiny config's synth file, 84 train and a
 # stage-report fold trains on 67.  Feature selection ranks the features of a
 # fold's rows; the ensemble ranks its learners on the 84 rows less those

@@ -12,17 +12,20 @@ from teayield import ensemble
 from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
                                EnsembleModel, LearnerRanking, PoolReport,
-                               compute_weights,
+                               check_out_of_bag, compute_weights,
                                predict_ensemble, rank_learners,
                                resolve_weight_params, select_learners,
                                train_pool)
 from teayield.errors import DataError, FitError
+from teayield.feature_select import ReliefParams
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
 from teayield.regressors import MLPModel, MLPTrainConfig, predict, predict_mlp
 
 from conftest import bench_config, block_sizes, random_matrix
 
+# The ranking's neighbour count, as ``PipelineConfig`` holds it.
+RELIEF = ReliefParams()
 FAST_MLP = MLPTrainConfig(hidden_size=5, epochs=150, early_stop_fraction=0.15,
                           patience=30)
 
@@ -192,19 +195,19 @@ class TestRankLearners:
         perfect = replace(pool[0])
         object.__setattr__(perfect, "model", _ConstantModel(target))
         pool.append(perfect)
-        ranking = rank_learners(pool, small_matrix)
+        ranking = rank_learners(pool, small_matrix, RELIEF)
         assert ranking.order[0] == len(pool) - 1
 
     def test_identical_learners_get_equal_weights(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=4)
         twins = (pool[0], pool[0])
-        ranking = rank_learners(twins, small_matrix)
+        ranking = rank_learners(twins, small_matrix, RELIEF)
         assert ranking.weights[0] == pytest.approx(ranking.weights[1],
                                                    abs=1e-12)
 
     def test_pool_of_one(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=5)
-        ranking = rank_learners(pool, small_matrix)
+        ranking = rank_learners(pool, small_matrix, RELIEF)
         np.testing.assert_array_equal(ranking.order, [0])
 
     def test_constant_learner_demoted_to_bottom(self, small_matrix):
@@ -213,7 +216,7 @@ class TestRankLearners:
         object.__setattr__(flat, "model",
                            _ConstantModel(np.zeros(small_matrix.n_samples)))
         pool.insert(0, flat)
-        ranking = rank_learners(pool, small_matrix)
+        ranking = rank_learners(pool, small_matrix, RELIEF)
         assert ranking.order[-1] == 0
         assert ranking.weights[0] == -np.inf
 
@@ -319,7 +322,7 @@ class TestSelectLearners:
         pool = train_pool(small_matrix, fast_config(pool_size=8,
                                                     subsample_fraction=0.5),
                           seed=4)
-        ranking = rank_learners(pool, small_matrix)
+        ranking = rank_learners(pool, small_matrix, RELIEF)
         fits, predicted = [], []
         monkeypatch.setattr(ensemble, "fit_mlp",
                             lambda *args: fits.append(args))
@@ -338,11 +341,8 @@ class TestSelectLearners:
 
     @pytest.mark.parametrize("fraction,n", [(1.0, 50), (0.9, 9)])
     def test_a_subsample_of_every_row_is_refused(self, fraction, n):
-        m = FeatureMatrix(("x",), np.zeros((n, 1)), np.zeros(n))
-        pool = [stub_learner(np.ones(n), (), n, 0.1)]
         with pytest.raises(DataError) as info:
-            select_learners(pool, ranked_as_given(pool), m,
-                            fast_config(subsample_fraction=fraction))
+            check_out_of_bag(fast_config(subsample_fraction=fraction), n)
         assert str(info.value) == (
             f"[ensemble] subsample_fraction = {fraction} leaves no row out of "
             f"bag to select learners, got {n} rows")
@@ -364,7 +364,7 @@ class TestSelectLearners:
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=8)
         twin = BaseLearner(pool[0].model, (), pool[0].train_error)
         twins = (twin, twin, twin)
-        ranking = rank_learners(twins, small_matrix)
+        ranking = rank_learners(twins, small_matrix, RELIEF)
         sel = select_learners(twins, ranking, small_matrix,
                               replace(self.CFG, patience=1))
         assert len(sel.selected_positions) == 1
@@ -373,7 +373,7 @@ class TestSelectLearners:
     def test_trace_minimum_at_selected_size(self, small_matrix):
         cfg = fast_config(pool_size=10, subsample_fraction=0.5)
         pool = train_pool(small_matrix, cfg, seed=9)
-        ranking = rank_learners(pool, small_matrix)
+        ranking = rank_learners(pool, small_matrix, RELIEF)
         sel = select_learners(pool, ranking, small_matrix,
                               replace(cfg, patience=3))
         rmses = dict(sel.trace)
@@ -544,7 +544,7 @@ class TestPoolReport:
     def test_csv_shape_and_selected_prefix(self, small_matrix, tmp_path):
         cfg = fast_config(pool_size=5)
         pool = train_pool(small_matrix, cfg, seed=15)
-        ranking = rank_learners(pool, small_matrix)
+        ranking = rank_learners(pool, small_matrix, RELIEF)
         sel = select_learners(pool, ranking, small_matrix,
                               replace(cfg, patience=1))
         path = tmp_path / "pool.csv"

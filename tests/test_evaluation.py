@@ -54,10 +54,6 @@ class TestMetrics:
         assert metrics(a * y + b, a * p + b).r2 == pytest.approx(
             metrics(y, p).r2, abs=1e-9)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="equal length"):
-            metrics([1.0], [1.0, 2.0])
-
 
 class TestMakeFolds:
     def test_leave_one_out(self):
@@ -169,10 +165,6 @@ class TestHoldoutSplit:
         np.testing.assert_array_equal(a[0].values, b[0].values)
         np.testing.assert_array_equal(a[1].values, b[1].values)
 
-    def test_degenerate_fraction(self, rng):
-        with pytest.raises(DataError):
-            holdout_split(random_matrix(rng, 10, 2), 0.0, seed=0)
-
 
 class TestForwardSelect:
     SCORES = (3.0, 2.0, 2.0, 1.0, 5.0, 5.0, 0.5)
@@ -191,8 +183,3 @@ class TestForwardSelect:
         assert size == best
         assert calls == list(range(1, scored + 1))
         assert trace == tuple((s, self.SCORES[s - 1]) for s in calls)
-
-    @pytest.mark.parametrize("patience", [0, -1])
-    def test_patience_below_one_is_rejected(self, patience):
-        with pytest.raises(DataError, match="patience must be >= 1"):
-            forward_select(3, lambda size: 1.0, patience)

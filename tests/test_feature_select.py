@@ -3,7 +3,7 @@ import pytest
 
 from teayield import feature_select, kernels
 from teayield.dataset import FeatureMatrix
-from teayield.errors import DataError, FitError
+from teayield.errors import FitError
 from teayield.evaluation import cross_validate, make_folds, metrics
 from teayield.feature_select import (DECAY_SIGMA, neighbor_rank_weights,
                                      relief_weights_from_counts, rrelieff,
@@ -150,11 +150,6 @@ class TestRRelieff:
             top2 = dup.column_names[rrelieff(dup, k=8).order[0]]
             assert top2 == top
 
-    def test_k_must_be_below_n(self, rng):
-        m = random_matrix(rng, 10, 2)
-        with pytest.raises(DataError, match="k"):
-            rrelieff(m, k=10)
-
     def test_zero_range_feature_rejected(self, rng):
         m = FeatureMatrix(("a", "flat"),
                           np.column_stack([rng.normal(size=20), np.ones(20)]),
@@ -249,7 +244,7 @@ class TestSequentialForwardSelect:
         monkeypatch.setattr(feature_select, "ridge_predictions", broken)
         with pytest.raises(FitError, match="prefix of size 1"):
             sequential_forward_select(m, ranked, RIDGE_LAMBDA, folds=4,
-                                      seed=0)
+                                      seed=0, patience=1)
 
 
 def test_duplicated_copy_never_co_selected():

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from teayield.config import OPTIONS
+
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "teayield"
 
@@ -358,3 +360,48 @@ def test_the_scan_flags_a_derived_column_outside_the_reader(tmp_path):
         "pipeline.py:5: avg_temp", "pipeline.py:6: encode_months",
         "pipeline.py:9: avg_temp"]
     assert derived_column_owners(tmp_path / "dataset.py") == []
+
+
+# ``config.OPTIONS`` is the one source of every setting a command runs with:
+# the config types hold each live option's default and check its range.  A
+# function takes such a setting as a required argument, since a default of
+# its own would run, in a test that leaves it out, a setup no command runs.
+LIVE_KEYS = {key for _, key, attr, _, _ in OPTIONS if attr is not None}
+
+
+def shadow_defaults(path: Path) -> list[str]:
+    """Each parameter of a function in the module that is named like a
+    live INI key and has a default."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            found += [(arg.lineno, arg.arg) for arg in defaulted
+                      if arg.arg in LIVE_KEYS]
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_defaults_a_setting(path):
+    assert shadow_defaults(path) == []
+
+
+def test_the_scan_flags_a_default_for_a_live_option(tmp_path):
+    """Positional, keyword-only and lambda parameters count; a retired
+    key such as ``iterations`` and a parameter without a default do not."""
+    src = tmp_path / "mod.py"
+    src.write_text("def f(m, k=10, first=1):\n    pass\n"
+                   "class A:\n"
+                   "    def g(self, *, patience=2, seed):\n        pass\n"
+                   "h = lambda threshold=0.5: threshold\n"
+                   "def i(k, iterations='all'):\n    pass\n",
+                   encoding="utf-8")
+    assert shadow_defaults(src) == ["mod.py:1: k", "mod.py:4: patience",
+                                    "mod.py:6: threshold"]

@@ -224,6 +224,9 @@ CORRUPTIONS = {
     "chain is a list": ((), "preprocess", [0.5]),
     "string learner": (("learners",), 0, "learner"),
     "network is a list": (("learners", 0), "mlp", [0.5]),
+    "scaler is a list": (("preprocess",), "scaler", [0.5]),
+    "model is a list": (None, "model", [0.5]),
+    "string w_hidden": (FIRST_MLP, "w_hidden", "x"),
 }
 
 
@@ -271,6 +274,9 @@ COPY_PATHS = {
     "chain is a list": "model.preprocess",
     "string learner": "model.learners[0]",
     "network is a list": "model.learners[0].mlp",
+    "scaler is a list": "model.preprocess.scaler",
+    "model is a list": "model",
+    "string w_hidden": "model.learners[0].mlp.w_hidden",
 }
 
 
