@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .util import as_float_array, write_table
+from .util import as_float_array, generator, write_table
 
 # On-disk column order. Everything not carried and not the target is a
 # numeric feature; extra schema columns (e.g. synthetic distractors) are
@@ -554,7 +554,7 @@ def generate_synthetic(n: int, seed: int, spec: SyntheticSpec | None = None) -> 
         spec = SyntheticSpec()
     if n < 10:
         raise DataError(f"need at least 10 samples, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
 
     idx = np.arange(n)
     month = (idx % 12) + 1

@@ -41,7 +41,7 @@ from .feature_select import ReliefParams, rank_order, rrelieff
 from .preprocess import PreprocessState
 from .regressors import (HIDDEN_RANGE, MLPModel, MLPTrainConfig, fit_mlp,
                          predict, predict_mlp)
-from .util import derive_seed, write_table
+from .util import derive_seed, generator, write_table
 
 # Rows scored at once: ``predict_ensemble`` cuts a matrix into blocks of this
 # size, and ``teayield predict`` reads and scores its file in them.  At 30
@@ -182,7 +182,7 @@ def _subsample_size(n: int, cfg: EnsembleConfig) -> int:
     return max(1, math.ceil(cfg.subsample_fraction * n))
 
 
-def _draw_rows(rng: np.random.Generator, n: int, cfg: EnsembleConfig) -> np.ndarray:
+def _draw_rows(rng, n: int, cfg: EnsembleConfig) -> np.ndarray:
     return np.sort(rng.choice(n, size=_subsample_size(n, cfg), replace=False))
 
 
@@ -206,7 +206,7 @@ def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
     """
     pool = []
     for i in range(cfg.pool_size):
-        rng = np.random.default_rng(derive_seed(seed, i, 0))
+        rng = generator(derive_seed(seed, i, 0))
         hidden = int(rng.integers(HIDDEN_RANGE[0], HIDDEN_RANGE[1] + 1))
         rows = _draw_rows(rng, m.n_samples, cfg)
         with naming(f"learner {i}"):
@@ -214,21 +214,28 @@ def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
     return tuple(pool)
 
 
-def rank_learners(pool: Sequence[BaseLearner], m: FeatureMatrix,
+def pool_predictions(pool: Sequence[BaseLearner],
+                     m: FeatureMatrix) -> np.ndarray:
+    """Every learner's predictions for the rows of ``m``: row i of the
+    result is learner i's.  Ranking and selection both read this matrix."""
+    return np.vstack([predict(bl.model, m) for bl in pool])
+
+
+def rank_learners(preds: np.ndarray, target: np.ndarray,
                   relief: ReliefParams) -> LearnerRanking:
     """Rank the learners of a non-empty pool by relief weight of their
-    prediction columns.
+    prediction columns: ``preds`` is ``pool_predictions`` over the rows
+    whose targets are ``target``.
 
     Constant-prediction learners would make the relief range normalization
     degenerate; they get weight -inf and sink to the bottom of the ranking
     (ordered among themselves by pool index) instead of aborting the run.
     """
-    preds = np.vstack([predict(bl.model, m) for bl in pool])
-    weights = np.full(len(pool), -np.inf)
-    good = [i for i in range(len(pool)) if np.ptp(preds[i]) > 0.0]
+    weights = np.full(len(preds), -np.inf)
+    good = [i for i in range(len(preds)) if np.ptp(preds[i]) > 0.0]
     if good:
         derived = FeatureMatrix(
-            tuple(f"learner_{i:03d}" for i in good), preds[good].T, m.target)
+            tuple(f"learner_{i:03d}" for i in good), preds[good].T, target)
         ranked = rrelieff(derived, k=relief.k)
         for pos, i in enumerate(good):
             weights[i] = ranked.weights[pos]
@@ -303,36 +310,39 @@ def compute_weights(errors, b: float, c: float) -> np.ndarray:
 
 
 def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
-                    m: FeatureMatrix, cfg: EnsembleConfig) -> LearnerSelection:
+                    preds: np.ndarray, target: np.ndarray,
+                    cfg: EnsembleConfig) -> LearnerSelection:
     """Grow ranked prefixes while the out-of-bag RMSE of the combination
     improves.
 
-    Each member predicts every row of ``m`` once.  A prefix's prediction for
-    a row is the weighted mean of the prefix members whose subsample left
-    that row out, with the prefix's weights (``resolve_weight_params`` and
-    ``compute_weights`` over its members' errors) renormalised over those
-    members, so no member scores a row it trained on.  The search is
+    ``preds`` is ``pool_predictions`` over the rows whose targets are
+    ``target``, so each member has predicted every row once.  A prefix's
+    prediction for a row is the weighted mean of the prefix members whose
+    subsample left that row out, with the prefix's weights
+    (``resolve_weight_params`` and ``compute_weights`` over its members'
+    errors) renormalised over those members, so no member scores a row it
+    trained on.  The search is
     ``evaluation.forward_select`` from the first ranked prefix that leaves
     every row out: it stops after ``cfg.patience`` consecutive
     non-improving prefix sizes and keeps the best prefix of the ranked
     order.  When no prefix leaves every row out, the whole pool is kept in
     ranked order and no prefix is scored.  The pool is not empty, and
-    ``cfg`` must leave a row out of each subsample of ``m`` (see
+    ``cfg`` must leave a row out of each subsample of those rows (see
     ``check_out_of_bag``).
     """
     order = [int(i) for i in ranking.order]
-    out = np.ones((len(order), m.n_samples))  # 1 where a row is out of bag
+    out = np.ones((len(order), len(target)))  # 1 where a row is out of bag
     for row, pos in zip(out, order):
         row[list(pool[pos].subsample_indices)] = 0.0
     if not out.any(axis=0).all():
         return LearnerSelection(tuple(order), ())
-    out_preds = out * np.vstack([predict(pool[pos].model, m) for pos in order])
+    out_preds = out * preds[order]
     errors = [pool[pos].train_error for pos in order]
 
     def score(size: int) -> float:
         eps = errors[:size]
         w = compute_weights(eps, *resolve_weight_params(eps))
-        resid = (w @ out_preds[:size]) / (w @ out[:size]) - m.target
+        resid = (w @ out_preds[:size]) / (w @ out[:size]) - target
         return math.sqrt(float((resid * resid).mean()))
 
     # The first prefix to leave every row out ends at the latest rank at

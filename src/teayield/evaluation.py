@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import FeatureMatrix
 from .errors import DataError, naming
-from .util import as_float_array
+from .util import as_float_array, generator
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldPlan:
     """Seeded shuffle, then round-robin assignment: fold sizes differ by <= 1."""
     if not 2 <= k <= n:
         raise DataError(f"fold count must satisfy 2 <= k <= {n}, got {k}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = generator(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
     assignment[perm] = np.arange(n) % k
     return FoldPlan(int(k), assignment)
@@ -128,7 +128,7 @@ def holdout_split(m: FeatureMatrix, test_fraction: float,
     if n < 2:
         raise DataError("need at least 2 samples to split")
     n_test = min(n - 1, max(1, round(test_fraction * n)))
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = generator(seed).permutation(n)
     test_rows = np.sort(perm[:n_test])
     train_rows = np.sort(perm[n_test:])
     return m.take_rows(train_rows), m.take_rows(test_rows)

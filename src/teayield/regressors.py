@@ -17,6 +17,7 @@ from . import kernels
 from .dataset import FeatureMatrix
 from .errors import DataError, FitError
 from .preprocess import apply_scaler, fit_scaler, independent_columns
+from .util import generator
 
 HIDDEN_RANGE = (5, 30)
 
@@ -199,7 +200,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
     rows).  ``train_error`` is the final MSE over all given rows.
     """
     n, f = m.values.shape
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     h = config.hidden_size
     lim1 = 1.0 / math.sqrt(f)
     w1 = rng.uniform(-lim1, lim1, (f, h))

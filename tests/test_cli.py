@@ -436,15 +436,21 @@ def test_import_loads_no_process_machinery():
     assert run.stdout == "[]\n"
 
 
-# ``main`` of one command in a fresh process, then its exit status and the
-# modules of numpy.ma and multiprocessing it loaded.
+# ``main`` of one command in a fresh process; then its exit status, the
+# modules of numpy.ma, multiprocessing and OpenSSL's ``_hashlib`` it loaded
+# and whether it imported ``numpy.random``; then the module of the
+# ``pbkdf2_hmac`` that a later ``import hashlib`` gets, ``_hashlib`` when
+# OpenSSL is still in reach.
 _LOADED_SCRIPT = """\
 import sys
 from teayield.cli import main
 code = main(sys.argv[1:])
 print(code, sorted(k for k in sys.modules
                    if k.split('.')[:2] == ['numpy', 'ma']
-                   or k.split('.')[0] == 'multiprocessing'))
+                   or k.split('.')[0] in ('multiprocessing', '_hashlib')),
+      'numpy.random' in sys.modules)
+import hashlib
+print(hashlib.pbkdf2_hmac.__module__)
 """
 
 
@@ -452,14 +458,16 @@ def test_predict_loads_no_numpy_ma(workdir, model_doc):
     """``np.percentile``, ``np.median`` and ``np.setdiff1d`` import
     ``numpy.ma``, which put about 1.6 MB on ``predict``'s peak memory: in a
     fresh process, scoring a saved model loads no module of it, nor of
-    ``multiprocessing``."""
+    ``multiprocessing``.  It draws nothing, so it imports neither
+    ``numpy.random`` nor OpenSSL."""
     run = _run_python(
         "-c", _LOADED_SCRIPT, "predict", "--data", str(workdir / "data.csv"),
         "--model", str(workdir / "trained" / "m.json"),
         "--out", str(workdir / "no_ma.csv"),
         "--config", str(workdir / "tiny.ini"))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 []", run.stderr
+    assert run.stdout.splitlines()[-2:] == ["0 [] False", "_hashlib"], \
+        run.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -469,7 +477,8 @@ def test_fitting_loads_no_numpy_ma_or_multiprocessing(workdir, command):
     ``np.median`` import, and ``multiprocessing`` with ``socket``,
     ``selectors`` and ``subprocess`` cost ``evaluate`` about 2.2 MB.  In a
     fresh process, ``train`` and ``evaluate`` on the tiny config load
-    neither."""
+    neither.  They draw from ``numpy.random`` without loading OpenSSL's
+    ``_hashlib``, which a later ``import hashlib`` still gets."""
     out = workdir / f"loaded_{command}"
     where = (["--model", str(out / "m.json")] if command == "train"
              else ["--out", str(out)])
@@ -477,7 +486,48 @@ def test_fitting_loads_no_numpy_ma_or_multiprocessing(workdir, command):
                       "--data", str(workdir / "data.csv"), *where,
                       "--config", str(workdir / "tiny.ini"))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 []", run.stderr
+    assert run.stdout.splitlines()[-2:] == ["0 [] True", "_hashlib"], \
+        run.stderr
+
+
+def test_synth_draws_without_openssl(workdir):
+    """``numpy.random`` would load OpenSSL through ``secrets``, about 3.5 MB
+    of ``synth``'s peak memory; the package imports it without."""
+    run = _run_python("-c", _LOADED_SCRIPT, "synth",
+                      "--out", str(workdir / "loaded_synth.csv"),
+                      "--config", str(workdir / "tiny.ini"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2:] == ["0 [] True", "_hashlib"], \
+        run.stderr
+
+
+# ``main`` of one command in a fresh process whose Python has no built-in
+# md5 or SHA-512, as in a build that keeps only OpenSSL's digests; then its
+# exit status and whether it loaded OpenSSL's ``_hashlib``.  ``train``
+# writes one status line to stderr.
+_NO_BUILTIN_DIGESTS_SCRIPT = """\
+import sys
+from teayield.cli import main
+for name in ('_md5', '_sha2', '_sha512'):
+    sys.modules[name] = None
+code = main(sys.argv[1:])
+print(code, '_hashlib' in sys.modules)
+"""
+
+
+def test_train_without_built_in_digests_loads_openssl_quietly(workdir):
+    """Without OpenSSL, ``hashlib`` falls back to the built-in digests and
+    logs a traceback for each one missing, and ``random`` cannot import
+    ``sha512``.  Where a digest is missing, ``numpy.random`` is imported the
+    usual way, with OpenSSL."""
+    run = _run_python("-c", _NO_BUILTIN_DIGESTS_SCRIPT, "train",
+                      "--data", str(workdir / "data.csv"),
+                      "--model", str(workdir / "no_digests" / "m.json"),
+                      "--config", str(workdir / "tiny.ini"))
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.startswith("trained ensemble of "), run.stderr
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 True"
 
 
 def test_non_finite_predictions_exit_1(workdir, model_doc, capsys):

@@ -13,16 +13,16 @@ from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
                                EnsembleModel, LearnerRanking, PoolReport,
                                check_out_of_bag, compute_weights,
-                               predict_ensemble, rank_learners,
-                               resolve_weight_params, select_learners,
-                               train_pool)
+                               pool_predictions, predict_ensemble,
+                               rank_learners, resolve_weight_params,
+                               select_learners, train_pool)
 from teayield.errors import DataError, FitError
 from teayield.feature_select import ReliefParams
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
 from teayield.regressors import MLPModel, MLPTrainConfig, predict, predict_mlp
 
-from conftest import bench_config, block_sizes, random_matrix
+from conftest import bench_config, block_sizes, random_matrix, tiny_config
 
 # The ranking's neighbour count, as ``PipelineConfig`` holds it.
 RELIEF = ReliefParams()
@@ -32,6 +32,18 @@ FAST_MLP = MLPTrainConfig(hidden_size=5, epochs=150, early_stop_fraction=0.15,
 
 def fast_config(pool_size=6, **kw):
     return EnsembleConfig(pool_size=pool_size, mlp=FAST_MLP, **kw)
+
+
+def rank(pool, m):
+    """``pool`` ranked on the rows of ``m``, as the pipeline ranks it."""
+    return rank_learners(pool_predictions(pool, m), m.target, RELIEF)
+
+
+def select(pool, ranking, m, cfg):
+    """The learners of ``pool`` selected on the rows of ``m``, as the
+    pipeline selects them."""
+    return select_learners(pool, ranking, pool_predictions(pool, m),
+                           m.target, cfg)
 
 
 @pytest.fixture()
@@ -195,19 +207,19 @@ class TestRankLearners:
         perfect = replace(pool[0])
         object.__setattr__(perfect, "model", _ConstantModel(target))
         pool.append(perfect)
-        ranking = rank_learners(pool, small_matrix, RELIEF)
+        ranking = rank(pool, small_matrix)
         assert ranking.order[0] == len(pool) - 1
 
     def test_identical_learners_get_equal_weights(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=4)
         twins = (pool[0], pool[0])
-        ranking = rank_learners(twins, small_matrix, RELIEF)
+        ranking = rank(twins, small_matrix)
         assert ranking.weights[0] == pytest.approx(ranking.weights[1],
                                                    abs=1e-12)
 
     def test_pool_of_one(self, small_matrix):
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=5)
-        ranking = rank_learners(pool, small_matrix, RELIEF)
+        ranking = rank(pool, small_matrix)
         np.testing.assert_array_equal(ranking.order, [0])
 
     def test_constant_learner_demoted_to_bottom(self, small_matrix):
@@ -216,7 +228,7 @@ class TestRankLearners:
         object.__setattr__(flat, "model",
                            _ConstantModel(np.zeros(small_matrix.n_samples)))
         pool.insert(0, flat)
-        ranking = rank_learners(pool, small_matrix, RELIEF)
+        ranking = rank(pool, small_matrix)
         assert ranking.order[-1] == 0
         assert ranking.weights[0] == -np.inf
 
@@ -270,7 +282,7 @@ class TestSelectLearners:
         out = {"A": (0, 1), "B": (2, 3), "C": (1, 2)}
         errors = {"A": 0.1, "B": 0.3, "C": 0.2}
         pool = [stub_learner(preds[k], out[k], 4, errors[k]) for k in "ABC"]
-        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG)
+        sel = select(pool, ranked_as_given(pool), m, self.CFG)
 
         def by_hand(names):
             eps = [errors[k] for k in names]
@@ -301,7 +313,7 @@ class TestSelectLearners:
         outs = [(0, 1), (0, 1), (2, 3), (4, 5), (1, 2)]
         pool = [stub_learner(rng.normal(size=n), rows, n, 0.1 * (i + 1))
                 for i, rows in enumerate(outs)]
-        sel = select_learners(pool, ranked_as_given(pool), m, self.CFG)
+        sel = select(pool, ranked_as_given(pool), m, self.CFG)
         assert [size for size, _ in sel.trace] == [4, 5]
         best = min(sel.trace, key=lambda t: t[1])[0]
         assert sel.selected_positions == tuple(range(best))
@@ -313,19 +325,35 @@ class TestSelectLearners:
         pool = [stub_learner(np.ones(n), rows, n, 0.1)
                 for rows in [(0,), (1, 2), (0, 2)]]
         ranking = LearnerRanking(np.array([0.1, 0.3, 0.2]))
-        sel = select_learners(pool, ranking, m, self.CFG)
+        sel = select(pool, ranking, m, self.CFG)
         assert sel.selected_positions == (1, 2, 0)
         assert sel.trace == ()
 
     def test_selection_fits_no_network(self, small_matrix, monkeypatch):
-        """Each member predicts the rows once, and nothing is refitted."""
+        """Selection reads the pool's predictions: it refits no network and
+        asks no member for a prediction."""
         pool = train_pool(small_matrix, fast_config(pool_size=8,
                                                     subsample_fraction=0.5),
                           seed=4)
-        ranking = rank_learners(pool, small_matrix, RELIEF)
-        fits, predicted = [], []
+        preds = pool_predictions(pool, small_matrix)
+        ranking = rank_learners(preds, small_matrix.target, RELIEF)
+        calls = []
         monkeypatch.setattr(ensemble, "fit_mlp",
-                            lambda *args: fits.append(args))
+                            lambda *args: calls.append("fit"))
+        monkeypatch.setattr(ensemble, "predict",
+                            lambda *args: calls.append("predict"))
+        sel = select_learners(pool, ranking, preds, small_matrix.target,
+                              replace(self.CFG, patience=3))
+        assert sel.trace
+        assert calls == []
+
+    def test_training_predicts_each_member_once(self, monkeypatch):
+        """Each pool fit scores its out-of-bag rows; then ranking and
+        selection share one prediction matrix, so each member predicts
+        every row once."""
+        cfg = tiny_config()
+        raw = generate_synthetic(120, 42, SyntheticSpec.canonical())
+        predicted = []
         real = ensemble.predict
 
         def counting(model, m):
@@ -333,11 +361,11 @@ class TestSelectLearners:
             return real(model, m)
 
         monkeypatch.setattr(ensemble, "predict", counting)
-        sel = select_learners(pool, ranking, small_matrix,
-                              replace(self.CFG, patience=3))
-        assert sel.trace
-        assert fits == []
-        assert predicted == [small_matrix.n_samples] * len(pool)
+        train_ensemble_pipeline(raw, cfg)
+        size, n = cfg.ensemble.pool_size, predicted[-1]
+        assert len(predicted) == 2 * size
+        assert max(predicted[:size]) < n
+        assert predicted[size:] == [n] * size
 
     @pytest.mark.parametrize("fraction,n", [(1.0, 50), (0.9, 9)])
     def test_a_subsample_of_every_row_is_refused(self, fraction, n):
@@ -354,7 +382,7 @@ class TestSelectLearners:
             pool_size=10, subsample_fraction=0.5), seed=7))
         oracle = stub_learner(small_matrix.target, range(50), 50, 0.0)
         ranking = LearnerRanking(np.arange(11, 0, -1, dtype=np.float64))
-        sel = select_learners(pool + [oracle], ranking, small_matrix,
+        sel = select(pool + [oracle], ranking, small_matrix,
                               replace(self.CFG, patience=11))
         assert sel.selected_positions == tuple(range(11))
         assert sel.trace[-1][1] < min(score for _, score in sel.trace[:-1])
@@ -364,8 +392,8 @@ class TestSelectLearners:
         pool = train_pool(small_matrix, fast_config(pool_size=1), seed=8)
         twin = BaseLearner(pool[0].model, (), pool[0].train_error)
         twins = (twin, twin, twin)
-        ranking = rank_learners(twins, small_matrix, RELIEF)
-        sel = select_learners(twins, ranking, small_matrix,
+        ranking = rank(twins, small_matrix)
+        sel = select(twins, ranking, small_matrix,
                               replace(self.CFG, patience=1))
         assert len(sel.selected_positions) == 1
         assert sel.trace[0][1] == sel.trace[1][1]
@@ -373,8 +401,8 @@ class TestSelectLearners:
     def test_trace_minimum_at_selected_size(self, small_matrix):
         cfg = fast_config(pool_size=10, subsample_fraction=0.5)
         pool = train_pool(small_matrix, cfg, seed=9)
-        ranking = rank_learners(pool, small_matrix, RELIEF)
-        sel = select_learners(pool, ranking, small_matrix,
+        ranking = rank(pool, small_matrix)
+        sel = select(pool, ranking, small_matrix,
                               replace(cfg, patience=3))
         rmses = dict(sel.trace)
         assert min(rmses.values()) == rmses[len(sel.selected_positions)]
@@ -544,8 +572,8 @@ class TestPoolReport:
     def test_csv_shape_and_selected_prefix(self, small_matrix, tmp_path):
         cfg = fast_config(pool_size=5)
         pool = train_pool(small_matrix, cfg, seed=15)
-        ranking = rank_learners(pool, small_matrix, RELIEF)
-        sel = select_learners(pool, ranking, small_matrix,
+        ranking = rank(pool, small_matrix)
+        sel = select(pool, ranking, small_matrix,
                               replace(cfg, patience=1))
         path = tmp_path / "pool.csv"
         PoolReport(pool, ranking, sel).to_csv(path)

@@ -405,3 +405,61 @@ def test_the_scan_flags_a_default_for_a_live_option(tmp_path):
                    encoding="utf-8")
     assert shadow_defaults(src) == ["mod.py:1: k", "mod.py:4: patience",
                                     "mod.py:6: threshold"]
+
+
+# ``util`` is the one door to ``numpy.random``: ``util.generator`` makes
+# every generator and ``util.derive_seed`` every seed, and ``util`` imports
+# ``numpy.random`` without OpenSSL, which ``secrets`` would otherwise load
+# for it (about 3.5 MB of resident memory under numpy 2.4).
+def random_users(path: Path) -> list[str]:
+    """Each place outside ``util`` that names or imports ``numpy.random``
+    in code."""
+    if path.stem == "util":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[:2] == ["numpy", "random"]]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[:2] == ["numpy", "random"]:
+                found.append((node.lineno, node.module))
+            elif node.module == "numpy":
+                found += [(node.lineno, "numpy.random") for alias in node.names
+                          if alias.name == "random"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_util_alone_touches_numpy_random(path):
+    assert random_users(path) == []
+
+
+def test_the_scan_flags_numpy_random_outside_util(tmp_path):
+    """Imports, calls, attribute reads and annotations count, at any depth;
+    strings and other ``random`` attributes do not."""
+    body = ("import numpy as np\n"
+            "import numpy.random\n"
+            "from numpy.random import default_rng\n"
+            "from numpy import random, sort\n"
+            "import random as stdlib_random\n"
+            "def f(rng: np.random.Generator, seed):\n"
+            "    g = np.random.default_rng(seed)\n"
+            "    return numpy.random.SeedSequence(seed), g, 'np.random'\n"
+            "class A:\n"
+            "    gen = np.random\n"
+            "    other = stdlib_random.random()\n")
+    for stem in ("ensemble", "util"):
+        (tmp_path / f"{stem}.py").write_text(body, encoding="utf-8")
+    assert random_users(tmp_path / "ensemble.py") == [
+        "ensemble.py:2: numpy.random", "ensemble.py:3: numpy.random",
+        "ensemble.py:4: numpy.random", "ensemble.py:6: np.random",
+        "ensemble.py:7: np.random", "ensemble.py:8: numpy.random",
+        "ensemble.py:10: np.random"]
+    assert random_users(tmp_path / "util.py") == []
