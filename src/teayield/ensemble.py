@@ -17,13 +17,14 @@ combination sum(w_i * y_i).  A learner's error is its out-of-bag MSE, on the
 rows its subsample left out (Breiman 1996, *Out-of-bag estimation*), or its
 training MSE when it trained on every row.
 
-The selection fits nothing.  Each member predicts every row once, and a
-prefix predicts a row by the weighted mean of the members whose subsample
-left that row out.  The walk starts at the first ranked prefix that leaves
-every row out at least once, so every row is scored from the first prefix
-on; with no such prefix, as in a pool of three on 120 rows, the whole pool
-is kept.  The fitted preprocessing needed to score raw records travels
-inside the model.
+The selection fits nothing.  ``train_pool`` has each member predict every
+row once, into one matrix that gives each member's error and that ranking
+and selection read.  A prefix predicts a row by the weighted mean of the
+members whose subsample left that row out.  The walk starts at the first
+ranked prefix that leaves every row out at least once, so every row is
+scored from the first prefix on; with no such prefix, as in a pool of three
+on 120 rows, the whole pool is kept.  The fitted preprocessing needed to
+score raw records travels inside the model.
 """
 
 from __future__ import annotations
@@ -161,29 +162,8 @@ class PoolReport:
                      for i, bl in enumerate(self.pool)))
 
 
-def _fit_member(m: FeatureMatrix, rows: np.ndarray, hidden: int,
-                fit_seed: int, cfg: EnsembleConfig) -> BaseLearner:
-    """A network fitted on ``rows`` of ``m``; its error is the MSE on the
-    other rows, or the training MSE when ``rows`` are all of them."""
-    sub = m.take_rows(rows)
-    model = fit_mlp(sub, replace(cfg.mlp, hidden_size=hidden), fit_seed)
-    eps = model.train_error
-    out_of_bag = np.ones(m.n_samples, dtype=bool)
-    out_of_bag[rows] = False
-    unused = np.flatnonzero(out_of_bag)
-    if unused.size:
-        rest = m.take_rows(unused)
-        resid = predict(model, rest) - rest.target
-        eps = float((resid * resid).mean())
-    return BaseLearner(model, tuple(int(r) for r in rows), eps)
-
-
 def _subsample_size(n: int, cfg: EnsembleConfig) -> int:
     return max(1, math.ceil(cfg.subsample_fraction * n))
-
-
-def _draw_rows(rng, n: int, cfg: EnsembleConfig) -> np.ndarray:
-    return np.sort(rng.choice(n, size=_subsample_size(n, cfg), replace=False))
 
 
 def check_out_of_bag(cfg: EnsembleConfig, n: int) -> None:
@@ -197,35 +177,43 @@ def check_out_of_bag(cfg: EnsembleConfig, n: int) -> None:
 
 
 def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
-               seed: int) -> tuple[BaseLearner, ...]:
-    """Train ``pool_size`` diverse learners.
+               seed: int) -> tuple[tuple[BaseLearner, ...], np.ndarray]:
+    """Train ``pool_size`` diverse learners, and score every row of ``m``
+    with each: row i of the returned matrix is learner i's predictions.
+    Ranking and selection both read this matrix.
 
     Learner i draws its hidden size uniformly in [5, 30] and its training
-    rows (without replacement) from a seed derived from
-    (seed, i), so the pool is identical however the fits are scheduled.
+    rows (without replacement) from a seed derived from (seed, i), so the
+    pool is identical however the fits are scheduled.  Its error is the
+    MSE of its row of the matrix over the rows it left out, or its
+    network's training MSE when it kept every row.
     """
-    pool = []
-    for i in range(cfg.pool_size):
+    n = m.n_samples
+    pool, preds = [], np.empty((cfg.pool_size, n))
+    for i, scored in enumerate(preds):
         rng = generator(derive_seed(seed, i, 0))
         hidden = int(rng.integers(HIDDEN_RANGE[0], HIDDEN_RANGE[1] + 1))
-        rows = _draw_rows(rng, m.n_samples, cfg)
+        out = np.ones(n, dtype=bool)
+        out[rng.choice(n, size=_subsample_size(n, cfg), replace=False)] = False
+        rows = np.flatnonzero(~out)
         with naming(f"learner {i}"):
-            pool.append(_fit_member(m, rows, hidden, derive_seed(seed, i, 1), cfg))
-    return tuple(pool)
-
-
-def pool_predictions(pool: Sequence[BaseLearner],
-                     m: FeatureMatrix) -> np.ndarray:
-    """Every learner's predictions for the rows of ``m``: row i of the
-    result is learner i's.  Ranking and selection both read this matrix."""
-    return np.vstack([predict(bl.model, m) for bl in pool])
+            model = fit_mlp(m.take_rows(rows),
+                            replace(cfg.mlp, hidden_size=hidden),
+                            derive_seed(seed, i, 1))
+        scored[:] = predict(model, m)
+        eps = model.train_error
+        if out.any():
+            resid = scored[out] - m.target[out]
+            eps = float((resid * resid).mean())
+        pool.append(BaseLearner(model, tuple(rows.tolist()), eps))
+    return tuple(pool), preds
 
 
 def rank_learners(preds: np.ndarray, target: np.ndarray,
                   relief: ReliefParams) -> LearnerRanking:
     """Rank the learners of a non-empty pool by relief weight of their
-    prediction columns: ``preds`` is ``pool_predictions`` over the rows
-    whose targets are ``target``.
+    prediction columns: ``preds`` is the matrix ``train_pool`` returns, over
+    the rows whose targets are ``target``.
 
     Constant-prediction learners would make the relief range normalization
     degenerate; they get weight -inf and sink to the bottom of the ranking
@@ -315,10 +303,10 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     """Grow ranked prefixes while the out-of-bag RMSE of the combination
     improves.
 
-    ``preds`` is ``pool_predictions`` over the rows whose targets are
-    ``target``, so each member has predicted every row once.  A prefix's
-    prediction for a row is the weighted mean of the prefix members whose
-    subsample left that row out, with the prefix's weights
+    ``preds`` is the matrix ``train_pool`` returns, over the rows whose
+    targets are ``target``, so each member has predicted every row once.  A
+    prefix's prediction for a row is the weighted mean of the prefix members
+    whose subsample left that row out, with the prefix's weights
     (``resolve_weight_params`` and ``compute_weights`` over its members'
     errors) renormalised over those members, so no member scores a row it
     trained on.  The search is

@@ -40,8 +40,8 @@ import numpy as np
 from .config import PipelineConfig
 from .dataset import FeatureMatrix
 from .ensemble import (EnsembleModel, PoolReport, check_out_of_bag,
-                       pool_predictions, predict_ensemble, rank_learners,
-                       select_learners, train_pool)
+                       predict_ensemble, rank_learners, select_learners,
+                       train_pool)
 from .errors import DataError, FitError, naming
 from .evaluation import (FoldPlan, MetricsReport, holdout_split,
                          make_folds, metrics)
@@ -179,8 +179,8 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
     """The full procedure: preprocess, pool, rank, select, weight."""
     processed, state, artifacts = fit_preprocess(m, cfg)
     _check_rows(cfg, processed.n_samples, "learners")
-    pool = train_pool(processed, cfg.ensemble, derive_seed(cfg.seed, _TAG_POOL))
-    preds = pool_predictions(pool, processed)
+    pool, preds = train_pool(processed, cfg.ensemble,
+                             derive_seed(cfg.seed, _TAG_POOL))
     ranking = rank_learners(preds, processed.target, cfg.relieff)
     selection = select_learners(pool, ranking, preds, processed.target,
                                 cfg.ensemble)

@@ -17,12 +17,9 @@ scaler's ``columns``, and the fixed chain's ``stage_order``,
 The loader converts each fact with its declared type (``int``, ``float``,
 or an array decoded from base64 and reshaped), builds the model, whose
 types refuse what no fit gives, and refuses a document that does not hold
-what the model writes: each written key with the same JSON type and
-value, a float in every bit.  Its own checks are those no type sees:
-retired options (``literal_weights``, ``month_encoding``,
-``log_features``) hold the one mode left, a network's ``learning_rate`` is
-checked and dropped, a config holds exactly the fields of
-``MLPTrainConfig``, and the chain has a scaler.  Every refusal reads
+exactly what the model writes: each written key with the same JSON type
+and value, a float in every bit, and no other key.  Its one other check,
+which no type sees, is that the chain has a scaler.  Every refusal reads
 ``<path>: corrupt model document (...)``.
 """
 
@@ -30,8 +27,7 @@ from __future__ import annotations
 
 import base64
 import json
-import math
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -65,16 +61,6 @@ def _enc_mlp(m: MLPModel) -> dict:
 
 
 def _dec_config(obj: dict) -> MLPTrainConfig:
-    """A network's training config: exactly the fields of ``MLPTrainConfig``,
-    and in a document written before iRprop⁻ the gradient-descent
-    ``learning_rate`` too, a finite number > 0 that nothing reads."""
-    keys = {f.name for f in fields(MLPTrainConfig)}
-    if set(obj) not in (keys, keys | {"learning_rate"}):
-        raise ValueError(f"network config has keys {sorted(obj)}")
-    rate = obj.get("learning_rate", 1.0)
-    if type(rate) not in (int, float) or not 0.0 < float(rate) < math.inf:
-        raise ValueError(f"learning_rate must be a finite number > 0, "
-                         f"got {rate!r}")
     return MLPTrainConfig(
         hidden_size=int(obj["hidden_size"]), epochs=int(obj["epochs"]),
         early_stop_fraction=float(obj["early_stop_fraction"]),
@@ -136,11 +122,21 @@ def _enc_ensemble(m: EnsembleModel) -> dict:
     return {**_enc_head(m), "learners": list(map(_enc_learner, m.learners))}
 
 
+def _refuse_unwritten(stored: dict, written, where: str) -> None:
+    """Refuse a key of ``stored`` that is not in ``written``, naming its
+    path: ``where`` followed by the key."""
+    unwritten = sorted(set(stored).difference(written))
+    if unwritten:
+        raise ValueError(f"{where}{unwritten[0]} is a key the model does "
+                         "not write")
+
+
 def _check_copies(stored, written, where: str) -> None:
-    """Refuse ``stored`` unless it holds ``written``, what the model writes
-    at ``where``: each written key with the same JSON type and value, and a
-    float in every bit.  Keys the model does not write are left alone."""
+    """Refuse ``stored`` unless it holds exactly ``written``, what the model
+    writes at ``where``: each written key with the same JSON type and value,
+    a float in every bit, and no other key."""
     if isinstance(written, dict) and isinstance(stored, dict):
+        _refuse_unwritten(stored, written, f"{where}.")
         for key, value in written.items():
             if key not in stored:
                 raise ValueError(f"{where}.{key} is missing")
@@ -160,13 +156,6 @@ def _dec_ensemble(stored) -> EnsembleModel:
     learner's encoding is held at once."""
     obj = _object(stored, "model")
     pre = _object(obj["preprocess"], "model.preprocess")
-    for holder, key, value in ((obj, "literal_weights", False),
-                               (pre, "month_encoding", "cyclic"),
-                               (pre, "log_features", [])):
-        got = holder[key] if key in holder else value
-        if type(got) is not type(value) or got != value:
-            raise ValueError(f"{key} is a retired option; it may only be "
-                             f"{json.dumps(value)}, got {json.dumps(got)}")
     if pre["scaler"] is None:
         raise ValueError("the chain has no scaler")
     where = "model.preprocess.scaler"
@@ -182,7 +171,8 @@ def _dec_ensemble(stored) -> EnsembleModel:
         for i, stored in enumerate(obj["learners"])), state)
     for i, (stored, bl) in enumerate(zip(obj["learners"], model.learners)):
         _check_copies(stored, _enc_learner(bl), f"model.learners[{i}]")
-    _check_copies(obj, _enc_head(model), "model")
+    head = {key: value for key, value in obj.items() if key != "learners"}
+    _check_copies(head, _enc_head(model), "model")
     return model
 
 
@@ -230,6 +220,7 @@ def load_model(path) -> EnsembleModel:
     if kind != "ensemble":
         raise DataError(f"{path}: unknown model kind {kind!r}")
     try:
+        _refuse_unwritten(doc, ("format", "version", "kind", "model"), "")
         return _dec_ensemble(doc["model"])
     except (KeyError, TypeError, ValueError, OverflowError, FitError,
             DataError) as exc:

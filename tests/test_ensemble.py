@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from teayield import ensemble
+from teayield import ensemble, pipeline
 from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
                                EnsembleModel, LearnerRanking, PoolReport,
                                check_out_of_bag, compute_weights,
-                               pool_predictions, predict_ensemble,
-                               rank_learners, resolve_weight_params,
-                               select_learners, train_pool)
+                               predict_ensemble, rank_learners,
+                               resolve_weight_params, select_learners,
+                               train_pool)
 from teayield.errors import DataError, FitError
 from teayield.feature_select import ReliefParams
 from teayield.pipeline import train_ensemble_pipeline
@@ -34,16 +34,17 @@ def fast_config(pool_size=6, **kw):
     return EnsembleConfig(pool_size=pool_size, mlp=FAST_MLP, **kw)
 
 
-def rank(pool, m):
-    """``pool`` ranked on the rows of ``m``, as the pipeline ranks it."""
-    return rank_learners(pool_predictions(pool, m), m.target, RELIEF)
+def rank(preds, m):
+    """The learners whose predictions of the rows of ``m`` are the rows of
+    ``preds``, the matrix ``train_pool`` returns, ranked as the pipeline
+    ranks them."""
+    return rank_learners(preds, m.target, RELIEF)
 
 
-def select(pool, ranking, m, cfg):
-    """The learners of ``pool`` selected on the rows of ``m``, as the
-    pipeline selects them."""
-    return select_learners(pool, ranking, pool_predictions(pool, m),
-                           m.target, cfg)
+def select(pool, preds, ranking, m, cfg):
+    """The learners of ``pool`` selected on the rows of ``m``, which they
+    predict as the rows of ``preds`` say, as the pipeline selects them."""
+    return select_learners(pool, ranking, preds, m.target, cfg)
 
 
 @pytest.fixture()
@@ -151,18 +152,19 @@ class TestResolveWeightParams:
 
 class TestTrainPool:
     def test_degenerate_pool_of_one_full_fraction(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=1,
-                                                    subsample_fraction=1.0),
-                          seed=0)
+        pool, preds = train_pool(small_matrix, fast_config(
+            pool_size=1, subsample_fraction=1.0), seed=0)
         assert len(pool) == 1
+        assert preds.shape == (1, small_matrix.n_samples)
         assert pool[0].subsample_indices == tuple(range(small_matrix.n_samples))
         # No row is left out, so the error is the training MSE.
         assert pool[0].train_error == pool[0].model.train_error
 
     def test_deterministic(self, small_matrix):
         cfg = fast_config()
-        a = train_pool(small_matrix, cfg, seed=5)
-        b = train_pool(small_matrix, cfg, seed=5)
+        (a, a_preds), (b, b_preds) = (train_pool(small_matrix, cfg, seed=5)
+                                      for _ in range(2))
+        assert a_preds.tobytes() == b_preds.tobytes()
         for la, lb in zip(a, b):
             assert la.model.seed == lb.model.seed
             assert la.model.hidden_size == lb.model.hidden_size
@@ -170,91 +172,71 @@ class TestTrainPool:
             np.testing.assert_array_equal(la.model.w_hidden, lb.model.w_hidden)
 
     def test_hidden_sizes_cover_range(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=100), seed=1)
+        pool, _ = train_pool(small_matrix, fast_config(pool_size=100), seed=1)
         distinct = {bl.model.hidden_size for bl in pool}
         assert len(distinct) >= 15
         assert all(5 <= h <= 30 for h in distinct)
 
     def test_subsample_sizes(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(subsample_fraction=0.8),
-                          seed=2)
+        pool, _ = train_pool(small_matrix,
+                             fast_config(subsample_fraction=0.8), seed=2)
         expected = math.ceil(0.8 * small_matrix.n_samples)
         assert all(len(bl.subsample_indices) == expected for bl in pool)
 
     def test_oof_errors_use_unseen_rows(self, small_matrix):
-        pool = train_pool(small_matrix,
-                          fast_config(subsample_fraction=0.7),
-                          seed=3)
-        for bl in pool:
-            rest = sorted(set(range(small_matrix.n_samples))
-                          - set(bl.subsample_indices))
-            sub = small_matrix.take_rows(rest)
-            resid = predict(bl.model, sub) - sub.target
-            assert bl.train_error == pytest.approx(float((resid ** 2).mean()),
-                                                    abs=1e-12)
+        """Each error is, bit for bit, the MSE that ``predict`` gives on the
+        rows the member left out, or its network's training MSE when it
+        left none out; and row i of the matrix is member i's predictions of
+        every row."""
+        n = small_matrix.n_samples
+        for fraction in (0.7, 0.9, 1.0):
+            pool, preds = train_pool(small_matrix, fast_config(
+                subsample_fraction=fraction), seed=3)
+            for bl, scored in zip(pool, preds, strict=True):
+                assert (scored.tobytes()
+                        == predict(bl.model, small_matrix).tobytes())
+                rest = sorted(set(range(n)) - set(bl.subsample_indices))
+                if not rest:
+                    assert fraction == 1.0
+                    assert bl.train_error == bl.model.train_error
+                    continue
+                sub = small_matrix.take_rows(rest)
+                resid = predict(bl.model, sub) - sub.target
+                assert bl.train_error == float((resid * resid).mean())
 
 
 class TestRankLearners:
-    def test_perfect_learner_ranked_first(self, small_matrix, rng):
-        pool = list(train_pool(small_matrix, fast_config(pool_size=4), seed=0))
-        # forge a learner whose predictions equal the target exactly
-        target = small_matrix.target
-
-        class Oracle:
-            def __init__(self, out):
-                self.out = out
-
-        perfect = replace(pool[0])
-        object.__setattr__(perfect, "model", _ConstantModel(target))
-        pool.append(perfect)
-        ranking = rank(pool, small_matrix)
-        assert ranking.order[0] == len(pool) - 1
+    def test_perfect_learner_ranked_first(self, small_matrix):
+        _, preds = train_pool(small_matrix, fast_config(pool_size=4), seed=0)
+        # a fifth learner whose predictions equal the target exactly
+        ranking = rank(np.vstack([preds, small_matrix.target]), small_matrix)
+        assert ranking.order[0] == len(preds)
 
     def test_identical_learners_get_equal_weights(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=1), seed=4)
-        twins = (pool[0], pool[0])
-        ranking = rank(twins, small_matrix)
+        _, preds = train_pool(small_matrix, fast_config(pool_size=1), seed=4)
+        ranking = rank(np.repeat(preds, 2, axis=0), small_matrix)
         assert ranking.weights[0] == pytest.approx(ranking.weights[1],
                                                    abs=1e-12)
 
     def test_pool_of_one(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=1), seed=5)
-        ranking = rank(pool, small_matrix)
+        _, preds = train_pool(small_matrix, fast_config(pool_size=1), seed=5)
+        ranking = rank(preds, small_matrix)
         np.testing.assert_array_equal(ranking.order, [0])
 
     def test_constant_learner_demoted_to_bottom(self, small_matrix):
-        pool = list(train_pool(small_matrix, fast_config(pool_size=3), seed=6))
-        flat = replace(pool[0])
-        object.__setattr__(flat, "model",
-                           _ConstantModel(np.zeros(small_matrix.n_samples)))
-        pool.insert(0, flat)
-        ranking = rank(pool, small_matrix)
+        _, preds = train_pool(small_matrix, fast_config(pool_size=3), seed=6)
+        # learner 0 predicts 0 for every row
+        flat = np.zeros((1, small_matrix.n_samples))
+        ranking = rank(np.vstack([flat, preds]), small_matrix)
         assert ranking.order[-1] == 0
         assert ranking.weights[0] == -np.inf
 
 
 class _ConstantModel:
-    """Stand-in model returning fixed predictions (test helper)."""
+    """Stand-in network that holds a stub member's predictions."""
 
     def __init__(self, out):
         self.out = np.asarray(out, dtype=np.float64)
-        self.w_hidden = np.zeros((3, 5))  # satisfies the dispatch check
-
-    def __call__(self):  # pragma: no cover
-        raise AssertionError
-
-
-@pytest.fixture(autouse=True)
-def _patch_predict_for_constant(monkeypatch):
-    import teayield.ensemble as ens
-    real = ens.predict
-
-    def dispatch(model, m):
-        if isinstance(model, _ConstantModel):
-            return model.out[:m.n_samples]
-        return real(model, m)
-
-    monkeypatch.setattr(ens, "predict", dispatch)
 
 
 def stub_learner(predictions, out_rows, n, error):
@@ -262,6 +244,12 @@ def stub_learner(predictions, out_rows, n, error):
     ``n`` but ``out_rows``, with the error ``error``."""
     kept = tuple(r for r in range(n) if r not in set(out_rows))
     return BaseLearner(_ConstantModel(predictions), kept, error)
+
+
+def stub_predictions(pool):
+    """The prediction matrix of stub members, as ``train_pool`` returns
+    one for the members it fits."""
+    return np.vstack([bl.model.out for bl in pool])
 
 
 def ranked_as_given(pool):
@@ -282,7 +270,8 @@ class TestSelectLearners:
         out = {"A": (0, 1), "B": (2, 3), "C": (1, 2)}
         errors = {"A": 0.1, "B": 0.3, "C": 0.2}
         pool = [stub_learner(preds[k], out[k], 4, errors[k]) for k in "ABC"]
-        sel = select(pool, ranked_as_given(pool), m, self.CFG)
+        sel = select(pool, stub_predictions(pool), ranked_as_given(pool), m,
+                     self.CFG)
 
         def by_hand(names):
             eps = [errors[k] for k in names]
@@ -313,7 +302,8 @@ class TestSelectLearners:
         outs = [(0, 1), (0, 1), (2, 3), (4, 5), (1, 2)]
         pool = [stub_learner(rng.normal(size=n), rows, n, 0.1 * (i + 1))
                 for i, rows in enumerate(outs)]
-        sel = select(pool, ranked_as_given(pool), m, self.CFG)
+        sel = select(pool, stub_predictions(pool), ranked_as_given(pool), m,
+                     self.CFG)
         assert [size for size, _ in sel.trace] == [4, 5]
         best = min(sel.trace, key=lambda t: t[1])[0]
         assert sel.selected_positions == tuple(range(best))
@@ -325,47 +315,47 @@ class TestSelectLearners:
         pool = [stub_learner(np.ones(n), rows, n, 0.1)
                 for rows in [(0,), (1, 2), (0, 2)]]
         ranking = LearnerRanking(np.array([0.1, 0.3, 0.2]))
-        sel = select(pool, ranking, m, self.CFG)
+        sel = select(pool, stub_predictions(pool), ranking, m, self.CFG)
         assert sel.selected_positions == (1, 2, 0)
         assert sel.trace == ()
 
     def test_selection_fits_no_network(self, small_matrix, monkeypatch):
         """Selection reads the pool's predictions: it refits no network and
         asks no member for a prediction."""
-        pool = train_pool(small_matrix, fast_config(pool_size=8,
-                                                    subsample_fraction=0.5),
-                          seed=4)
-        preds = pool_predictions(pool, small_matrix)
-        ranking = rank_learners(preds, small_matrix.target, RELIEF)
+        pool, preds = train_pool(small_matrix, fast_config(
+            pool_size=8, subsample_fraction=0.5), seed=4)
+        ranking = rank(preds, small_matrix)
         calls = []
         monkeypatch.setattr(ensemble, "fit_mlp",
                             lambda *args: calls.append("fit"))
         monkeypatch.setattr(ensemble, "predict",
                             lambda *args: calls.append("predict"))
-        sel = select_learners(pool, ranking, preds, small_matrix.target,
-                              replace(self.CFG, patience=3))
+        sel = select(pool, preds, ranking, small_matrix,
+                     replace(self.CFG, patience=3))
         assert sel.trace
         assert calls == []
 
     def test_training_predicts_each_member_once(self, monkeypatch):
-        """Each pool fit scores its out-of-bag rows; then ranking and
-        selection share one prediction matrix, so each member predicts
-        every row once."""
+        """The members' errors, ranking and selection share one prediction
+        matrix, so each member predicts every row of the pool's matrix
+        once."""
         cfg = tiny_config()
         raw = generate_synthetic(120, 42, SyntheticSpec.canonical())
-        predicted = []
-        real = ensemble.predict
+        pooled, predicted = [], []
+        real_pool, real_predict = pipeline.train_pool, ensemble.predict
+
+        def pooling(m, *args):
+            pooled.append(m.n_samples)
+            return real_pool(m, *args)
 
         def counting(model, m):
             predicted.append(m.n_samples)
-            return real(model, m)
+            return real_predict(model, m)
 
+        monkeypatch.setattr(pipeline, "train_pool", pooling)
         monkeypatch.setattr(ensemble, "predict", counting)
         train_ensemble_pipeline(raw, cfg)
-        size, n = cfg.ensemble.pool_size, predicted[-1]
-        assert len(predicted) == 2 * size
-        assert max(predicted[:size]) < n
-        assert predicted[size:] == [n] * size
+        assert predicted == pooled * cfg.ensemble.pool_size
 
     @pytest.mark.parametrize("fraction,n", [(1.0, 50), (0.9, 9)])
     def test_a_subsample_of_every_row_is_refused(self, fraction, n):
@@ -378,32 +368,32 @@ class TestSelectLearners:
     def test_pool_with_planted_oracle_selects_it(self, small_matrix):
         """Ranked last, a member that predicts every row exactly and left
         every row out is still added: it lowers the out-of-bag error."""
-        pool = list(train_pool(small_matrix, fast_config(
-            pool_size=10, subsample_fraction=0.5), seed=7))
+        pool, preds = train_pool(small_matrix, fast_config(
+            pool_size=10, subsample_fraction=0.5), seed=7)
         oracle = stub_learner(small_matrix.target, range(50), 50, 0.0)
         ranking = LearnerRanking(np.arange(11, 0, -1, dtype=np.float64))
-        sel = select(pool + [oracle], ranking, small_matrix,
-                              replace(self.CFG, patience=11))
+        sel = select(pool + (oracle,), np.vstack([preds, oracle.model.out]),
+                     ranking, small_matrix, replace(self.CFG, patience=11))
         assert sel.selected_positions == tuple(range(11))
         assert sel.trace[-1][1] < min(score for _, score in sel.trace[:-1])
 
     def test_identical_learners_collapse_to_one(self, small_matrix):
         """Twins that left every row out predict as one does."""
-        pool = train_pool(small_matrix, fast_config(pool_size=1), seed=8)
+        pool, preds = train_pool(small_matrix, fast_config(pool_size=1), seed=8)
         twin = BaseLearner(pool[0].model, (), pool[0].train_error)
-        twins = (twin, twin, twin)
-        ranking = rank(twins, small_matrix)
-        sel = select(twins, ranking, small_matrix,
-                              replace(self.CFG, patience=1))
+        twins, twin_preds = (twin, twin, twin), np.repeat(preds, 3, axis=0)
+        ranking = rank(twin_preds, small_matrix)
+        sel = select(twins, twin_preds, ranking, small_matrix,
+                     replace(self.CFG, patience=1))
         assert len(sel.selected_positions) == 1
         assert sel.trace[0][1] == sel.trace[1][1]
 
     def test_trace_minimum_at_selected_size(self, small_matrix):
         cfg = fast_config(pool_size=10, subsample_fraction=0.5)
-        pool = train_pool(small_matrix, cfg, seed=9)
-        ranking = rank(pool, small_matrix)
-        sel = select(pool, ranking, small_matrix,
-                              replace(cfg, patience=3))
+        pool, preds = train_pool(small_matrix, cfg, seed=9)
+        ranking = rank(preds, small_matrix)
+        sel = select(pool, preds, ranking, small_matrix,
+                     replace(cfg, patience=3))
         rmses = dict(sel.trace)
         assert min(rmses.values()) == rmses[len(sel.selected_positions)]
 
@@ -426,14 +416,14 @@ class TestPredictEnsemble:
         return EnsembleModel(tuple(pool), one_member_state(m))
 
     def test_singleton_equals_member(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=1), seed=10)
+        pool, _ = train_pool(small_matrix, fast_config(pool_size=1), seed=10)
         model = self.build(small_matrix, pool)
         np.testing.assert_array_equal(model.weights, [1.0])
         np.testing.assert_array_equal(predict_ensemble(model, small_matrix),
                                       predict(pool[0].model, small_matrix))
 
     def test_equal_weights_average(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=2), seed=11)
+        pool, _ = train_pool(small_matrix, fast_config(pool_size=2), seed=11)
         model = self.build(small_matrix, [replace(bl, train_error=0.1)
                                           for bl in pool])
         np.testing.assert_array_equal(model.weights, [0.5, 0.5])
@@ -443,7 +433,7 @@ class TestPredictEnsemble:
 
     def test_convex_combination_bounds(self, small_matrix):
         cfg = fast_config(pool_size=5)
-        pool = train_pool(small_matrix, cfg, seed=12)
+        pool, _ = train_pool(small_matrix, cfg, seed=12)
         sel_positions = tuple(range(5))
         eps = [bl.train_error for bl in pool]
         b, c = resolve_weight_params(eps)
@@ -457,9 +447,8 @@ class TestPredictEnsemble:
         assert np.all(combined <= members.max(axis=0) + 1e-12)
 
     def test_identical_members_reproduce_single(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=1,
-                                                    subsample_fraction=1.0),
-                          seed=13)
+        pool, _ = train_pool(small_matrix, fast_config(
+            pool_size=1, subsample_fraction=1.0), seed=13)
         twins = (pool[0], pool[0], pool[0], pool[0])
         model = self.build(small_matrix, twins)
         np.testing.assert_array_equal(model.weights, [0.25] * 4)
@@ -467,7 +456,7 @@ class TestPredictEnsemble:
                                       predict(pool[0].model, small_matrix))
 
     def test_weights_are_made_not_given(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
+        pool, _ = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
         for key, value in (("weights", np.array([0.5, 0.5])),
                            ("weight_b", 1.0), ("weight_c", 0.0)):
             with pytest.raises(TypeError, match=key):
@@ -479,7 +468,7 @@ class TestPredictEnsemble:
             self.build(small_matrix, ())
 
     def test_a_negative_subsample_index_is_refused(self, small_matrix):
-        pool = train_pool(small_matrix, fast_config(pool_size=1), seed=15)
+        pool, _ = train_pool(small_matrix, fast_config(pool_size=1), seed=15)
         with pytest.raises(FitError, match="subsample indices must be >= 0"):
             replace(pool[0], subsample_indices=(-1, 0, 1))
 
@@ -487,7 +476,7 @@ class TestPredictEnsemble:
         """A learner whose raw weight underflows to 0 is refused, not kept
         at weight 0: four equal errors make the IQR 0, so the logistic is
         steep enough to send the fifth, larger error's weight to 0.0."""
-        pool = train_pool(small_matrix, fast_config(pool_size=5), seed=14)
+        pool, _ = train_pool(small_matrix, fast_config(pool_size=5), seed=14)
         pool = [replace(bl, train_error=eps)
                 for bl, eps in zip(pool, (0.1, 0.1, 0.1, 0.1, 0.5))]
         with pytest.raises(DataError, match="strictly positive"):
@@ -571,10 +560,10 @@ class TestFullPipelineDeterminism:
 class TestPoolReport:
     def test_csv_shape_and_selected_prefix(self, small_matrix, tmp_path):
         cfg = fast_config(pool_size=5)
-        pool = train_pool(small_matrix, cfg, seed=15)
-        ranking = rank(pool, small_matrix)
-        sel = select(pool, ranking, small_matrix,
-                              replace(cfg, patience=1))
+        pool, preds = train_pool(small_matrix, cfg, seed=15)
+        ranking = rank(preds, small_matrix)
+        sel = select(pool, preds, ranking, small_matrix,
+                     replace(cfg, patience=1))
         path = tmp_path / "pool.csv"
         PoolReport(pool, ranking, sel).to_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -19,6 +19,8 @@ from teayield.serialize import (_enc_ensemble, load_model, model_to_json,
 
 from conftest import corrupt_model_doc, csv_edits, mutate_csv, tiny_config
 
+FIRST_MLP = ("learners", 0, "mlp")
+
 
 @pytest.fixture(scope="module")
 def model(canonical_raw):
@@ -37,49 +39,53 @@ def test_round_trip_is_byte_and_prediction_exact(model, canonical_raw,
                                   predict_ensemble(model, canonical_raw))
 
 
-# Keys of retired options that files of format version 1 may hold, at the
-# value of the one mode left.  Files written before avg_temp was built by the
-# reader hold ``"add_avg_temp": true`` in the chain; that key is ignored.
-# Files written before iRprop⁻ hold each network's gradient-descent
-# ``learning_rate``, any finite number > 0; it is checked and dropped.
-RETIRED_KEYS = [((), "literal_weights", False),
-                (("preprocess",), "month_encoding", "cyclic"),
-                (("preprocess",), "add_avg_temp", True)]
+# Keys that files written by earlier versions of format 1 may hold, each at
+# the value of the one mode left; the model writes none of them.  The
+# network's ``learning_rate`` is from before iRprop⁻, ``add_avg_temp`` from
+# before the reader built avg_temp.
+RETIRED_KEYS = {"model.literal_weights": ((), "literal_weights", False),
+                "model.preprocess.month_encoding": (
+                    ("preprocess",), "month_encoding", "cyclic"),
+                "model.preprocess.add_avg_temp": (
+                    ("preprocess",), "add_avg_temp", True),
+                "model.learners[1].mlp.config.learning_rate": (
+                    ("learners", 1, "mlp", "config"), "learning_rate", 0.01)}
 
 
-def test_a_model_file_with_retired_keys_loads(model, canonical_raw, tmp_path):
-    doc = json.loads(model_to_json(model))
-    for edit in RETIRED_KEYS:
+def test_a_model_file_with_retired_keys_is_refused(model, tmp_path):
+    for where, edit in RETIRED_KEYS.items():
+        doc = json.loads(model_to_json(model))
         corrupt_model_doc(doc, *edit)
-    for i, learner in enumerate(doc["model"]["learners"]):
-        learner["mlp"]["config"]["learning_rate"] = 0.01 * (i + 1)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: corrupt model document ({where} "
+                                   "is a key the model does not write)")
+
+
+# Each object of the document, by the path a refusal names it.
+OBJECTS = {"": None, "model.": (), "model.preprocess.": ("preprocess",),
+           "model.preprocess.scaler.": ("preprocess", "scaler"),
+           "model.weights.": ("weights",),
+           "model.learners[0].": ("learners", 0),
+           "model.learners[0].mlp.": FIRST_MLP,
+           "model.learners[0].mlp.config.": FIRST_MLP + ("config",)}
+
+
+@pytest.mark.parametrize("where", sorted(OBJECTS))
+def test_a_key_the_model_does_not_write_is_refused_by_path(model, tmp_path,
+                                                           where):
+    """Every object of a saved document holds only the keys the model
+    writes (the document as written reloads: see the round-trip test)."""
+    doc = json.loads(model_to_json(model))
+    corrupt_model_doc(doc, OBJECTS[where], "extra", 0)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    loaded = load_model(path)
-    assert model_to_json(loaded) == model_to_json(model)
-    assert (predict_ensemble(loaded, canonical_raw).tobytes()
-            == predict_ensemble(model, canonical_raw).tobytes())
-
-
-@pytest.mark.parametrize("path,key,value,message", [
-    ((), "literal_weights", True, "may only be false, got true"),
-    (("preprocess",), "month_encoding", "onehot",
-     'may only be "cyclic", got "onehot"'),
-    (("preprocess",), "month_encoding", "integer",
-     'may only be "cyclic", got "integer"'),
-    # The chain logs the target alone, and writes no logged feature.
-    (("preprocess",), "log_features", ["rainfall"],
-     'may only be [], got ["rainfall"]')])
-def test_a_retired_key_at_another_value_is_refused_by_name(
-        model, tmp_path, path, key, value, message):
-    doc = json.loads(model_to_json(model))
-    corrupt_model_doc(doc, path, key, value)
-    file = tmp_path / "model.json"
-    file.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError) as info:
-        load_model(file)
-    assert str(info.value) == (f"{file}: corrupt model document ({key} is a "
-                               f"retired option; it {message})")
+        load_model(path)
+    assert str(info.value) == (f"{path}: corrupt model document ({where}extra "
+                               "is a key the model does not write)")
 
 
 @pytest.mark.parametrize("kind", ["linear", "gpr", "mlp", "forest", None])
@@ -114,7 +120,6 @@ def one_nan(a: np.ndarray) -> np.ndarray:
     return a
 
 
-FIRST_MLP = ("learners", 0, "mlp")
 CORRUPTIONS = {
     "w_hidden 1-D": (FIRST_MLP, "w_hidden", lambda a: a[0]),
     "w_hidden too few hidden units": (FIRST_MLP, "w_hidden",
@@ -160,6 +165,7 @@ CORRUPTIONS = {
     "string learner train_error": (("learners", 0), "train_error", "abc"),
     "negative learner train_error": (("learners", 0), "train_error", -1),
     "negative network train_error": (FIRST_MLP, "train_error", -1.0),
+    # Retired options are keys the model does not write, at any value.
     "string literal_weights": ((), "literal_weights", "no"),
     # The weights are compute_weights of the learners' train errors.
     "reversed ensemble weights": ((), "weights", lambda a: a[::-1]),
@@ -200,6 +206,9 @@ CORRUPTIONS = {
         (("preprocess",), "stage_order", ["feature_transformation"]),
         (("preprocess",), "scaler", None)],
     "scaler dropped": (("preprocess",), "scaler", None),
+    # The chain logs the target alone, and writes no logged feature.
+    "log_features holds a feature": (("preprocess",), "log_features",
+                                     ["rainfall"]),
     "log_target flipped": (("preprocess",), "log_target", False),
     # The scaler scales every selected feature.  A list holds several edits:
     # this one drops the last scaler column with its mean and std.
@@ -269,6 +278,7 @@ COPY_PATHS = {
     "outlier_removal left out": "model.preprocess.stage_order",
     "stage_order reversed": "model.preprocess.stage_order[0]",
     "string log_target": "model.preprocess.log_target",
+    "log_features holds a feature": "model.preprocess.log_features",
     "log_target flipped": "model.preprocess.log_target",
     "scaler columns reordered": "model.preprocess.scaler.columns[0]",
     "chain is a list": "model.preprocess",
@@ -375,17 +385,6 @@ def _parts(obj, path=()):
         yield from _parts(value, path + (key,))
 
 
-def held_at(stored, written):
-    """``stored`` cut down to the keys of ``written``, the rest as stored."""
-    if isinstance(written, dict) and isinstance(stored, dict):
-        return {key: held_at(stored.get(key), value)
-                for key, value in written.items()}
-    if (isinstance(written, list) and isinstance(stored, list)
-            and len(stored) == len(written)):
-        return [held_at(item, value) for item, value in zip(stored, written)]
-    return stored
-
-
 @given(part=st.integers(0, 2**16), value=st.sampled_from(FUZZ_VALUES),
        edits=csv_edits())
 @settings(max_examples=150, deadline=None)
@@ -393,8 +392,8 @@ def test_mutated_model_files_load_and_score_or_raise(model, canonical_raw,
                                                      part, value, edits):
     """One part of the document is replaced by ``value``, then the JSON
     text is edited as comma-separated cells.  Loading raises a DataError or
-    ConfigError, or gives a model that writes what the document holds at
-    every key it writes and that scores rows or raises a TeaYieldError."""
+    ConfigError, or gives a model that writes what the document holds and
+    that scores rows or raises a TeaYieldError."""
     doc = json.loads(model_to_json(model))
     parts = list(_parts(doc))
     *head, last = parts[part % len(parts)]
@@ -407,9 +406,8 @@ def test_mutated_model_files_load_and_score_or_raise(model, canonical_raw,
         except (ConfigError, DataError):
             return
         stored = json.loads(path.read_text(encoding="utf-8"))["model"]
-    written = _enc_ensemble(loaded)
-    assert (json.dumps(held_at(stored, written), sort_keys=True)
-            == json.dumps(written, sort_keys=True))
+    assert (json.dumps(stored, sort_keys=True)
+            == json.dumps(_enc_ensemble(loaded), sort_keys=True))
     try:
         with np.errstate(over="ignore"):
             preds = predict_ensemble(loaded, canonical_raw)
