@@ -14,13 +14,14 @@ error eps_i,
 
 so lower-error learners get strictly larger weights; predict by the convex
 combination sum(w_i * y_i).  A learner's error is its out-of-bag MSE, on the
-rows its subsample left out (Breiman 1996, *Out-of-bag estimation*), or its
-training MSE when it trained on every row.
+rows its subsample left out (Breiman 1996, *Out-of-bag estimation*); every
+subsample leaves a row out.
 
 The selection fits nothing.  ``train_pool`` has each member predict every
 row once, into one matrix that gives each member's error and that ranking
-and selection read.  A prefix predicts a row by the weighted mean of the
-members whose subsample left that row out.  The walk starts at the first
+and selection read, and returns with it the matrix of the rows each member
+left out.  A prefix predicts a row by the weighted mean of the members
+whose subsample left that row out.  The walk starts at the first
 ranked prefix that leaves every row out at least once, so every row is
 scored from the first prefix on; with no such prefix, as in a pool of three
 on 120 rows, the whole pool is kept.  The fitted preprocessing needed to
@@ -77,17 +78,11 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class BaseLearner:
-    """A network, the rows it trained on and its error.  A FitError
-    refuses a negative subsample index."""
+    """A network and its error, the MSE of its predictions of the rows its
+    subsample left out."""
 
     model: MLPModel
-    subsample_indices: tuple[int, ...]
-    train_error: float
-
-    def __post_init__(self):
-        if min(self.subsample_indices, default=0) < 0:
-            raise FitError(f"subsample indices must be >= 0, got "
-                           f"{min(self.subsample_indices)}")
+    error: float
 
 
 @dataclass(frozen=True)
@@ -107,17 +102,15 @@ class LearnerSelection:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """The learners and the chain.  The weighting is derived from the
-    learners' errors, not given: ``weight_b`` and ``weight_c`` are
-    ``resolve_weight_params`` of them and ``weights`` is ``compute_weights``
-    of them, one strictly positive weight per learner.  A DataError refuses
-    an empty learner tuple, a network whose input count is not the number
-    of selected features, and a weight that is not > 0."""
+    """The learners and the chain.  The weights are derived from the
+    learners' errors, not given: ``compute_weights`` of them under the
+    ``resolve_weight_params`` of them, one strictly positive weight per
+    learner.  A DataError refuses an empty learner tuple, a network whose
+    input count is not the number of selected features, and a weight that
+    is not > 0."""
 
     learners: tuple[BaseLearner, ...]
     preprocess: PreprocessState
-    weight_b: float = field(init=False)
-    weight_c: float = field(init=False)
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -128,19 +121,18 @@ class EnsembleModel:
         if inputs != {n}:
             raise DataError(f"the chain selects {n} features, the networks "
                             f"take {sorted(inputs)}")
-        errors = [bl.train_error for bl in self.learners]
-        b, c = resolve_weight_params(errors)
-        w = compute_weights(errors, b, c)
+        errors = [bl.error for bl in self.learners]
+        w = compute_weights(errors, *resolve_weight_params(errors))
         if not np.all(w > 0.0):  # a weight that underflowed to 0
             raise DataError("weights must be strictly positive and sum to 1")
         w.flags.writeable = False
-        for name, value in (("weight_b", b), ("weight_c", c), ("weights", w)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
 class PoolReport:
     pool: tuple[BaseLearner, ...]
+    out_of_bag: np.ndarray  # True where a member left a row out
     ranking: LearnerRanking
     selection: LearnerSelection
 
@@ -152,13 +144,14 @@ class PoolReport:
 
     def to_csv(self, path) -> None:
         chosen = set(self.selection.selected_positions)
-        write_table(path, ["learner", "seed", "hidden", "train_mse",
+        kept = (~self.out_of_bag).sum(axis=1)
+        write_table(path, ["learner", "seed", "hidden", "oob_mse",
                            "relief_weight", "selected", "epochs_run",
                            "subsample_rows"],
                     ([i, bl.model.seed, bl.model.hidden_size,
-                      repr(float(bl.train_error)),
+                      repr(float(bl.error)),
                       repr(float(self.ranking.weights[i])), int(i in chosen),
-                      bl.model.epochs_run, len(bl.subsample_indices)]
+                      bl.model.epochs_run, int(kept[i])]
                      for i, bl in enumerate(self.pool)))
 
 
@@ -176,37 +169,35 @@ def check_out_of_bag(cfg: EnsembleConfig, n: int) -> None:
                         f"to select learners, got {n} rows")
 
 
-def train_pool(m: FeatureMatrix, cfg: EnsembleConfig,
-               seed: int) -> tuple[tuple[BaseLearner, ...], np.ndarray]:
+def train_pool(m: FeatureMatrix, cfg: EnsembleConfig, seed: int
+               ) -> tuple[tuple[BaseLearner, ...], np.ndarray, np.ndarray]:
     """Train ``pool_size`` diverse learners, and score every row of ``m``
-    with each: row i of the returned matrix is learner i's predictions.
-    Ranking and selection both read this matrix.
+    with each: row i of the first returned matrix is learner i's
+    predictions, and row i of the second, of booleans, is True on the rows
+    learner i left out.  Ranking and selection read these matrices.
 
-    Learner i draws its hidden size uniformly in [5, 30] and its training
-    rows (without replacement) from a seed derived from (seed, i), so the
-    pool is identical however the fits are scheduled.  Its error is the
-    MSE of its row of the matrix over the rows it left out, or its
-    network's training MSE when it kept every row.
+    ``check_out_of_bag`` runs before the first fit, so every learner leaves
+    a row out.  Learner i draws its hidden size uniformly in [5, 30] and its
+    training rows (without replacement) from a seed derived from (seed, i),
+    so the pool is identical however the fits are scheduled.  Its error is
+    the MSE of its row of predictions over the rows it left out.
     """
     n = m.n_samples
+    check_out_of_bag(cfg, n)
     pool, preds = [], np.empty((cfg.pool_size, n))
-    for i, scored in enumerate(preds):
+    out_of_bag = np.ones((cfg.pool_size, n), dtype=bool)
+    for i, (scored, out) in enumerate(zip(preds, out_of_bag)):
         rng = generator(derive_seed(seed, i, 0))
         hidden = int(rng.integers(HIDDEN_RANGE[0], HIDDEN_RANGE[1] + 1))
-        out = np.ones(n, dtype=bool)
         out[rng.choice(n, size=_subsample_size(n, cfg), replace=False)] = False
-        rows = np.flatnonzero(~out)
         with naming(f"learner {i}"):
-            model = fit_mlp(m.take_rows(rows),
+            model = fit_mlp(m.take_rows(np.flatnonzero(~out)),
                             replace(cfg.mlp, hidden_size=hidden),
                             derive_seed(seed, i, 1))
         scored[:] = predict(model, m)
-        eps = model.train_error
-        if out.any():
-            resid = scored[out] - m.target[out]
-            eps = float((resid * resid).mean())
-        pool.append(BaseLearner(model, tuple(rows.tolist()), eps))
-    return tuple(pool), preds
+        resid = scored[out] - m.target[out]
+        pool.append(BaseLearner(model, float((resid * resid).mean())))
+    return tuple(pool), preds, out_of_bag
 
 
 def rank_learners(preds: np.ndarray, target: np.ndarray,
@@ -298,34 +289,32 @@ def compute_weights(errors, b: float, c: float) -> np.ndarray:
 
 
 def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
-                    preds: np.ndarray, target: np.ndarray,
+                    preds: np.ndarray, out_of_bag: np.ndarray,
+                    target: np.ndarray,
                     cfg: EnsembleConfig) -> LearnerSelection:
     """Grow ranked prefixes while the out-of-bag RMSE of the combination
     improves.
 
-    ``preds`` is the matrix ``train_pool`` returns, over the rows whose
-    targets are ``target``, so each member has predicted every row once.  A
-    prefix's prediction for a row is the weighted mean of the prefix members
-    whose subsample left that row out, with the prefix's weights
-    (``resolve_weight_params`` and ``compute_weights`` over its members'
-    errors) renormalised over those members, so no member scores a row it
-    trained on.  The search is
-    ``evaluation.forward_select`` from the first ranked prefix that leaves
-    every row out: it stops after ``cfg.patience`` consecutive
-    non-improving prefix sizes and keeps the best prefix of the ranked
-    order.  When no prefix leaves every row out, the whole pool is kept in
-    ranked order and no prefix is scored.  The pool is not empty, and
-    ``cfg`` must leave a row out of each subsample of those rows (see
-    ``check_out_of_bag``).
+    ``preds`` and ``out_of_bag`` are the matrices ``train_pool`` returns,
+    over the rows whose targets are ``target``: each member has predicted
+    every row once, and left out the rows where its row of ``out_of_bag``
+    is True.  A prefix's prediction for a row is the weighted mean of the
+    prefix members whose subsample left that row out, with the prefix's
+    weights (``resolve_weight_params`` and ``compute_weights`` over its
+    members' errors) renormalised over those members, so no member scores a
+    row it trained on.  The search is ``evaluation.forward_select`` from the
+    first ranked prefix that leaves every row out: it stops after
+    ``cfg.patience`` consecutive non-improving prefix sizes and keeps the
+    best prefix of the ranked order.  When no prefix leaves every row out,
+    the whole pool is kept in ranked order and no prefix is scored.  The
+    pool is not empty, and each member leaves a row out.
     """
     order = [int(i) for i in ranking.order]
-    out = np.ones((len(order), len(target)))  # 1 where a row is out of bag
-    for row, pos in zip(out, order):
-        row[list(pool[pos].subsample_indices)] = 0.0
+    out = out_of_bag[order].astype(np.float64)  # 1 where a row is out of bag
     if not out.any(axis=0).all():
         return LearnerSelection(tuple(order), ())
     out_preds = out * preds[order]
-    errors = [pool[pos].train_error for pos in order]
+    errors = [pool[pos].error for pos in order]
 
     def score(size: int) -> float:
         eps = errors[:size]

@@ -61,7 +61,7 @@ product differ in the last bits.  A step follows only the gradient's sign,
 so in every such shape tested the parameters and epoch counts are still
 bit-identical and only the recorded losses differ, by about 1e-11 relative.
 
-``mlp_forward`` (scoring, training error, last early-stopping check) calls
+``mlp_forward`` (scoring and the last early-stopping check) calls
 no BLAS, whose kernel and thread split follow the row count.  Hidden unit j
 starts from ``b1[j]``, adds ``W1[k, j] * x_k`` over the inputs in order, then
 ``tanh``; the output adds ``w2[j] * z_j`` over the units in order, then ``b2``.

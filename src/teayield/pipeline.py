@@ -39,9 +39,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dataset import FeatureMatrix
-from .ensemble import (EnsembleModel, PoolReport, check_out_of_bag,
-                       predict_ensemble, rank_learners, select_learners,
-                       train_pool)
+from .ensemble import (EnsembleModel, PoolReport, predict_ensemble,
+                       rank_learners, select_learners, train_pool)
 from .errors import DataError, FitError, naming
 from .evaluation import (FoldPlan, MetricsReport, holdout_split,
                          make_folds, metrics)
@@ -91,15 +90,13 @@ def _check_rows(cfg: PipelineConfig, n: int, chosen: str) -> None:
     """Before RReliefF ranks ``chosen`` on ``n`` rows and the forward search
     scores them, raise a DataError naming the option, its value and ``n`` if
     the rows are too few for it: ``[relieff] k``; for features, which the
-    search folds, ``[evaluation] cv_folds``; for learners, which it scores
-    out of bag, ``[ensemble] subsample_fraction``."""
+    search folds, ``[evaluation] cv_folds``.  Learners are scored out of
+    bag, and ``train_pool`` checks that before it fits one."""
     k = cfg.relieff.k
     if k >= n:
         raise DataError(f"[relieff] k = {k} needs more than {k} rows to rank "
                         f"{chosen}, got {n}")
-    if chosen == "learners":
-        check_out_of_bag(cfg.ensemble, n)
-    elif cfg.cv_folds > n:
+    if chosen == "features" and cfg.cv_folds > n:
         raise DataError(f"[evaluation] cv_folds = {cfg.cv_folds} needs at "
                         f"least {cfg.cv_folds} rows to select {chosen}, "
                         f"got {n}")
@@ -179,14 +176,15 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
     """The full procedure: preprocess, pool, rank, select, weight."""
     processed, state, artifacts = fit_preprocess(m, cfg)
     _check_rows(cfg, processed.n_samples, "learners")
-    pool, preds = train_pool(processed, cfg.ensemble,
-                             derive_seed(cfg.seed, _TAG_POOL))
+    pool, preds, out_of_bag = train_pool(processed, cfg.ensemble,
+                                         derive_seed(cfg.seed, _TAG_POOL))
     ranking = rank_learners(preds, processed.target, cfg.relieff)
-    selection = select_learners(pool, ranking, preds, processed.target,
-                                cfg.ensemble)
+    selection = select_learners(pool, ranking, preds, out_of_bag,
+                                processed.target, cfg.ensemble)
     model = EnsembleModel(tuple(pool[pos] for pos in
                                 selection.selected_positions), state)
-    return TrainingResult(model, PoolReport(pool, ranking, selection), artifacts)
+    return TrainingResult(model, PoolReport(pool, out_of_bag, ranking,
+                                            selection), artifacts)
 
 
 def _stage_predictions(model: str, train: FeatureMatrix, test: FeatureMatrix,

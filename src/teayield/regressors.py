@@ -72,8 +72,8 @@ class MLPTrainConfig:
 @dataclass(frozen=True)
 class MLPModel:
     """One tanh hidden layer, identity output.  A FitError refuses weights
-    not shaped for ``config.hidden_size`` or not finite, a negative ``seed``
-    or ``epochs_run``, and a ``train_error`` that is not finite and >= 0."""
+    not shaped for ``config.hidden_size`` or not finite, and a negative
+    ``seed`` or ``epochs_run``."""
 
     w_hidden: np.ndarray
     b_hidden: np.ndarray
@@ -82,7 +82,6 @@ class MLPModel:
     config: MLPTrainConfig
     seed: int
     epochs_run: int
-    train_error: float
 
     def __post_init__(self):
         h = self.hidden_size
@@ -93,11 +92,9 @@ class MLPModel:
         if not all(np.isfinite(a).all() for a in (
                 self.w_hidden, self.b_hidden, self.w_out, self.b_out)):
             raise FitError("the network's weights are not all finite")
-        if min(self.seed, self.epochs_run) < 0 or not (
-                0.0 <= self.train_error < math.inf):
-            raise FitError(f"seed, epochs_run and train_error must be >= 0 "
-                           f"and finite, got {self.seed}, {self.epochs_run} "
-                           f"and {self.train_error!r}")
+        if min(self.seed, self.epochs_run) < 0:
+            raise FitError(f"seed and epochs_run must be >= 0, got "
+                           f"{self.seed} and {self.epochs_run}")
 
     @property
     def hidden_size(self) -> int:
@@ -197,7 +194,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
     initialized uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from the
     seeded generator, biases at zero; the generator then draws the
     early-stopping shard (a held-out ``early_stop_fraction`` of the given
-    rows).  ``train_error`` is the final MSE over all given rows.
+    rows).
     """
     n, f = m.values.shape
     rng = generator(seed)
@@ -227,11 +224,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
         kernels.DELTA0, config.epochs, config.patience)
     if status != 0:
         raise FitError(f"non-finite training loss at epoch {epochs_run}")
-
-    resid = kernels.mlp_forward(x, w1, b1, w2, b2) - y
-    train_error = float((resid * resid).mean())
-    return MLPModel(w1, b1, w2, float(b2), config, int(seed),
-                    int(epochs_run), train_error)
+    return MLPModel(w1, b1, w2, float(b2), config, int(seed), int(epochs_run))
 
 
 def predict_mlp(model: MLPModel, x: np.ndarray) -> np.ndarray:

@@ -187,7 +187,6 @@ CORRUPTIONS = {
     "boolean patience": (FIRST_MLP + ("config",), "patience", True),
     "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
                                float("inf")),
-    "reversed ensemble weights": ((), "weights", lambda a: a[::-1]),
 }
 
 
@@ -206,10 +205,11 @@ def test_predict_rejects_corrupt_model_arrays(workdir, model_doc, corruption,
 
 def test_predict_rejects_disagreeing_and_mistyped_learner_fields(
         workdir, model_doc, capsys):
-    """A learner seed that is not its network's, a string ``epochs_run`` and
-    a string ``literal_weights``: exit 1, and no predictions file."""
+    """A learner seed that is not its network's (a key the model does not
+    write), a string ``epochs_run`` and a string ``literal_weights``: exit
+    1, and no predictions file."""
     doc = json.loads(model_doc)
-    corrupt_model_doc(doc, ("learners", 0), "seed", lambda s: s + 1)
+    corrupt_model_doc(doc, ("learners", 0), "seed", -1)
     corrupt_model_doc(doc, FIRST_MLP, "epochs_run", "50")
     corrupt_model_doc(doc, (), "literal_weights", "no")
     bad = workdir / "trained" / "mistyped.json"
@@ -549,10 +549,10 @@ def test_non_finite_predictions_exit_1(workdir, model_doc, capsys):
 
 
 def test_underflowed_predictions_exit_1(workdir, model_doc, capsys):
-    """A far negative target center sends every log-target prediction's
-    ``exp`` to 0.0: an error, not a file of zeros."""
+    """Every saved chain logs the target, so a far negative target center
+    sends every prediction's ``exp`` to 0.0: an error, not a file of
+    zeros."""
     doc = json.loads(model_doc)
-    assert doc["model"]["preprocess"]["log_target"]
     corrupt_model_doc(doc, ("preprocess",), "target_center", -1e5)
     far = workdir / "trained" / "far_center.json"
     far.write_text(json.dumps(doc), encoding="utf-8")
@@ -843,8 +843,8 @@ def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
                              rng.normal(size=hidden),
                              rng.normal(size=hidden) / hidden,
                              float(rng.normal()),
-                             MLPTrainConfig(hidden_size=hidden), i, 1, eps),
-                    (0,), eps)
+                             MLPTrainConfig(hidden_size=hidden), i, 1),
+                    eps)
         for i, eps in enumerate(errors))
     return EnsembleModel(learners, state)
 

@@ -41,10 +41,11 @@ def rank(preds, m):
     return rank_learners(preds, m.target, RELIEF)
 
 
-def select(pool, preds, ranking, m, cfg):
+def select(pool, preds, out_of_bag, ranking, m, cfg):
     """The learners of ``pool`` selected on the rows of ``m``, which they
-    predict as the rows of ``preds`` say, as the pipeline selects them."""
-    return select_learners(pool, ranking, preds, m.target, cfg)
+    predict as the rows of ``preds`` say and left out where the rows of
+    ``out_of_bag`` are True, as the pipeline selects them."""
+    return select_learners(pool, ranking, preds, out_of_bag, m.target, cfg)
 
 
 @pytest.fixture()
@@ -151,80 +152,97 @@ class TestResolveWeightParams:
 
 
 class TestTrainPool:
-    def test_degenerate_pool_of_one_full_fraction(self, small_matrix):
-        pool, preds = train_pool(small_matrix, fast_config(
-            pool_size=1, subsample_fraction=1.0), seed=0)
-        assert len(pool) == 1
-        assert preds.shape == (1, small_matrix.n_samples)
-        assert pool[0].subsample_indices == tuple(range(small_matrix.n_samples))
-        # No row is left out, so the error is the training MSE.
-        assert pool[0].train_error == pool[0].model.train_error
+    def test_degenerate_pool_of_one_full_fraction(self, small_matrix,
+                                                  monkeypatch):
+        """A subsample of every row leaves none out to take an error on, so
+        the pool is refused before its first fit."""
+        fits = []
+        monkeypatch.setattr(ensemble, "fit_mlp", lambda *args: fits.append(1))
+        with pytest.raises(DataError) as info:
+            train_pool(small_matrix, fast_config(
+                pool_size=1, subsample_fraction=1.0), seed=0)
+        assert str(info.value) == (
+            "[ensemble] subsample_fraction = 1.0 leaves no row out of bag to "
+            "select learners, got 50 rows")
+        assert fits == []
 
     def test_deterministic(self, small_matrix):
         cfg = fast_config()
-        (a, a_preds), (b, b_preds) = (train_pool(small_matrix, cfg, seed=5)
-                                      for _ in range(2))
+        (a, a_preds, a_out), (b, b_preds, b_out) = (
+            train_pool(small_matrix, cfg, seed=5) for _ in range(2))
         assert a_preds.tobytes() == b_preds.tobytes()
+        np.testing.assert_array_equal(a_out, b_out)
         for la, lb in zip(a, b):
             assert la.model.seed == lb.model.seed
             assert la.model.hidden_size == lb.model.hidden_size
-            assert la.train_error == lb.train_error
+            assert la.error == lb.error
             np.testing.assert_array_equal(la.model.w_hidden, lb.model.w_hidden)
 
     def test_hidden_sizes_cover_range(self, small_matrix):
-        pool, _ = train_pool(small_matrix, fast_config(pool_size=100), seed=1)
+        pool, _, _ = train_pool(small_matrix, fast_config(pool_size=100),
+                                seed=1)
         distinct = {bl.model.hidden_size for bl in pool}
         assert len(distinct) >= 15
         assert all(5 <= h <= 30 for h in distinct)
 
     def test_subsample_sizes(self, small_matrix):
-        pool, _ = train_pool(small_matrix,
-                             fast_config(subsample_fraction=0.8), seed=2)
+        _, _, out_of_bag = train_pool(
+            small_matrix, fast_config(subsample_fraction=0.8), seed=2)
         expected = math.ceil(0.8 * small_matrix.n_samples)
-        assert all(len(bl.subsample_indices) == expected for bl in pool)
+        assert (~out_of_bag).sum(axis=1).tolist() == [expected] * 6
 
-    def test_oof_errors_use_unseen_rows(self, small_matrix):
-        """Each error is, bit for bit, the MSE that ``predict`` gives on the
-        rows the member left out, or its network's training MSE when it
-        left none out; and row i of the matrix is member i's predictions of
-        every row."""
-        n = small_matrix.n_samples
-        for fraction in (0.7, 0.9, 1.0):
-            pool, preds = train_pool(small_matrix, fast_config(
+    def test_oof_errors_use_unseen_rows(self, small_matrix, monkeypatch):
+        """Row i of the mask matrix is False exactly on the rows member i
+        trained on; its error is, bit for bit, the MSE that ``predict``
+        gives on the rows it left out; and row i of the prediction matrix is
+        its predictions of every row."""
+        real_fit, trained = ensemble.fit_mlp, []
+
+        def fitting(m, *args):
+            trained.append(m.values)
+            return real_fit(m, *args)
+
+        monkeypatch.setattr(ensemble, "fit_mlp", fitting)
+        for fraction in (0.7, 0.9):
+            trained.clear()
+            pool, preds, out_of_bag = train_pool(small_matrix, fast_config(
                 subsample_fraction=fraction), seed=3)
-            for bl, scored in zip(pool, preds, strict=True):
+            for bl, scored, out, values in zip(pool, preds, out_of_bag,
+                                               trained, strict=True):
+                # the rows of small_matrix are distinct
+                np.testing.assert_array_equal(
+                    small_matrix.values[~out], values)
                 assert (scored.tobytes()
                         == predict(bl.model, small_matrix).tobytes())
-                rest = sorted(set(range(n)) - set(bl.subsample_indices))
-                if not rest:
-                    assert fraction == 1.0
-                    assert bl.train_error == bl.model.train_error
-                    continue
-                sub = small_matrix.take_rows(rest)
+                sub = small_matrix.take_rows(np.flatnonzero(out))
                 resid = predict(bl.model, sub) - sub.target
-                assert bl.train_error == float((resid * resid).mean())
+                assert bl.error == float((resid * resid).mean())
 
 
 class TestRankLearners:
     def test_perfect_learner_ranked_first(self, small_matrix):
-        _, preds = train_pool(small_matrix, fast_config(pool_size=4), seed=0)
+        _, preds, _ = train_pool(small_matrix, fast_config(pool_size=4),
+                                 seed=0)
         # a fifth learner whose predictions equal the target exactly
         ranking = rank(np.vstack([preds, small_matrix.target]), small_matrix)
         assert ranking.order[0] == len(preds)
 
     def test_identical_learners_get_equal_weights(self, small_matrix):
-        _, preds = train_pool(small_matrix, fast_config(pool_size=1), seed=4)
+        _, preds, _ = train_pool(small_matrix, fast_config(pool_size=1),
+                                 seed=4)
         ranking = rank(np.repeat(preds, 2, axis=0), small_matrix)
         assert ranking.weights[0] == pytest.approx(ranking.weights[1],
                                                    abs=1e-12)
 
     def test_pool_of_one(self, small_matrix):
-        _, preds = train_pool(small_matrix, fast_config(pool_size=1), seed=5)
+        _, preds, _ = train_pool(small_matrix, fast_config(pool_size=1),
+                                 seed=5)
         ranking = rank(preds, small_matrix)
         np.testing.assert_array_equal(ranking.order, [0])
 
     def test_constant_learner_demoted_to_bottom(self, small_matrix):
-        _, preds = train_pool(small_matrix, fast_config(pool_size=3), seed=6)
+        _, preds, _ = train_pool(small_matrix, fast_config(pool_size=3),
+                                 seed=6)
         # learner 0 predicts 0 for every row
         flat = np.zeros((1, small_matrix.n_samples))
         ranking = rank(np.vstack([flat, preds]), small_matrix)
@@ -239,17 +257,25 @@ class _ConstantModel:
         self.out = np.asarray(out, dtype=np.float64)
 
 
-def stub_learner(predictions, out_rows, n, error):
-    """A pool member that predicts ``predictions``, trained on every row of
-    ``n`` but ``out_rows``, with the error ``error``."""
-    kept = tuple(r for r in range(n) if r not in set(out_rows))
-    return BaseLearner(_ConstantModel(predictions), kept, error)
+def stub_learner(predictions, error):
+    """A pool member that predicts ``predictions``, with the error
+    ``error``."""
+    return BaseLearner(_ConstantModel(predictions), error)
 
 
 def stub_predictions(pool):
     """The prediction matrix of stub members, as ``train_pool`` returns
     one for the members it fits."""
     return np.vstack([bl.model.out for bl in pool])
+
+
+def stub_out_of_bag(outs, n):
+    """The mask matrix of members that left out the rows of each of
+    ``outs`` of ``n`` rows, as ``train_pool`` returns one."""
+    out_of_bag = np.zeros((len(outs), n), dtype=bool)
+    for row, rows in zip(out_of_bag, outs):
+        row[list(rows)] = True
+    return out_of_bag
 
 
 def ranked_as_given(pool):
@@ -269,9 +295,10 @@ class TestSelectLearners:
                  "C": [9.0, -3.0, 1.5, 9.0]}
         out = {"A": (0, 1), "B": (2, 3), "C": (1, 2)}
         errors = {"A": 0.1, "B": 0.3, "C": 0.2}
-        pool = [stub_learner(preds[k], out[k], 4, errors[k]) for k in "ABC"]
-        sel = select(pool, stub_predictions(pool), ranked_as_given(pool), m,
-                     self.CFG)
+        pool = [stub_learner(preds[k], errors[k]) for k in "ABC"]
+        sel = select(pool, stub_predictions(pool),
+                     stub_out_of_bag([out[k] for k in "ABC"], 4),
+                     ranked_as_given(pool), m, self.CFG)
 
         def by_hand(names):
             eps = [errors[k] for k in names]
@@ -300,10 +327,10 @@ class TestSelectLearners:
         # Ranked first to last, the members leave out rows 0-1, 0-1 again,
         # 2-3, 4-5 and 1-2, so every row is out of bag from the fourth on.
         outs = [(0, 1), (0, 1), (2, 3), (4, 5), (1, 2)]
-        pool = [stub_learner(rng.normal(size=n), rows, n, 0.1 * (i + 1))
-                for i, rows in enumerate(outs)]
-        sel = select(pool, stub_predictions(pool), ranked_as_given(pool), m,
-                     self.CFG)
+        pool = [stub_learner(rng.normal(size=n), 0.1 * (i + 1))
+                for i in range(len(outs))]
+        sel = select(pool, stub_predictions(pool), stub_out_of_bag(outs, n),
+                     ranked_as_given(pool), m, self.CFG)
         assert [size for size, _ in sel.trace] == [4, 5]
         best = min(sel.trace, key=lambda t: t[1])[0]
         assert sel.selected_positions == tuple(range(best))
@@ -312,17 +339,18 @@ class TestSelectLearners:
         """Row 3 is in every member's subsample, so no prefix is scored."""
         n = 4
         m = FeatureMatrix(("x",), np.zeros((n, 1)), np.zeros(n))
-        pool = [stub_learner(np.ones(n), rows, n, 0.1)
-                for rows in [(0,), (1, 2), (0, 2)]]
+        outs = [(0,), (1, 2), (0, 2)]
+        pool = [stub_learner(np.ones(n), 0.1) for _ in outs]
         ranking = LearnerRanking(np.array([0.1, 0.3, 0.2]))
-        sel = select(pool, stub_predictions(pool), ranking, m, self.CFG)
+        sel = select(pool, stub_predictions(pool), stub_out_of_bag(outs, n),
+                     ranking, m, self.CFG)
         assert sel.selected_positions == (1, 2, 0)
         assert sel.trace == ()
 
     def test_selection_fits_no_network(self, small_matrix, monkeypatch):
         """Selection reads the pool's predictions: it refits no network and
         asks no member for a prediction."""
-        pool, preds = train_pool(small_matrix, fast_config(
+        pool, preds, out_of_bag = train_pool(small_matrix, fast_config(
             pool_size=8, subsample_fraction=0.5), seed=4)
         ranking = rank(preds, small_matrix)
         calls = []
@@ -330,7 +358,7 @@ class TestSelectLearners:
                             lambda *args: calls.append("fit"))
         monkeypatch.setattr(ensemble, "predict",
                             lambda *args: calls.append("predict"))
-        sel = select(pool, preds, ranking, small_matrix,
+        sel = select(pool, preds, out_of_bag, ranking, small_matrix,
                      replace(self.CFG, patience=3))
         assert sel.trace
         assert calls == []
@@ -368,31 +396,32 @@ class TestSelectLearners:
     def test_pool_with_planted_oracle_selects_it(self, small_matrix):
         """Ranked last, a member that predicts every row exactly and left
         every row out is still added: it lowers the out-of-bag error."""
-        pool, preds = train_pool(small_matrix, fast_config(
+        pool, preds, out_of_bag = train_pool(small_matrix, fast_config(
             pool_size=10, subsample_fraction=0.5), seed=7)
-        oracle = stub_learner(small_matrix.target, range(50), 50, 0.0)
+        oracle = stub_learner(small_matrix.target, 0.0)
         ranking = LearnerRanking(np.arange(11, 0, -1, dtype=np.float64))
         sel = select(pool + (oracle,), np.vstack([preds, oracle.model.out]),
+                     np.vstack([out_of_bag, np.ones(50, dtype=bool)]),
                      ranking, small_matrix, replace(self.CFG, patience=11))
         assert sel.selected_positions == tuple(range(11))
         assert sel.trace[-1][1] < min(score for _, score in sel.trace[:-1])
 
     def test_identical_learners_collapse_to_one(self, small_matrix):
         """Twins that left every row out predict as one does."""
-        pool, preds = train_pool(small_matrix, fast_config(pool_size=1), seed=8)
-        twin = BaseLearner(pool[0].model, (), pool[0].train_error)
-        twins, twin_preds = (twin, twin, twin), np.repeat(preds, 3, axis=0)
+        pool, preds, _ = train_pool(small_matrix, fast_config(pool_size=1),
+                                    seed=8)
+        twins, twin_preds = pool * 3, np.repeat(preds, 3, axis=0)
         ranking = rank(twin_preds, small_matrix)
-        sel = select(twins, twin_preds, ranking, small_matrix,
-                     replace(self.CFG, patience=1))
+        sel = select(twins, twin_preds, np.ones((3, 50), dtype=bool), ranking,
+                     small_matrix, replace(self.CFG, patience=1))
         assert len(sel.selected_positions) == 1
         assert sel.trace[0][1] == sel.trace[1][1]
 
     def test_trace_minimum_at_selected_size(self, small_matrix):
         cfg = fast_config(pool_size=10, subsample_fraction=0.5)
-        pool, preds = train_pool(small_matrix, cfg, seed=9)
+        pool, preds, out_of_bag = train_pool(small_matrix, cfg, seed=9)
         ranking = rank(preds, small_matrix)
-        sel = select(pool, preds, ranking, small_matrix,
+        sel = select(pool, preds, out_of_bag, ranking, small_matrix,
                      replace(cfg, patience=3))
         rmses = dict(sel.trace)
         assert min(rmses.values()) == rmses[len(sel.selected_positions)]
@@ -416,15 +445,17 @@ class TestPredictEnsemble:
         return EnsembleModel(tuple(pool), one_member_state(m))
 
     def test_singleton_equals_member(self, small_matrix):
-        pool, _ = train_pool(small_matrix, fast_config(pool_size=1), seed=10)
+        pool, _, _ = train_pool(small_matrix, fast_config(pool_size=1),
+                                seed=10)
         model = self.build(small_matrix, pool)
         np.testing.assert_array_equal(model.weights, [1.0])
         np.testing.assert_array_equal(predict_ensemble(model, small_matrix),
                                       predict(pool[0].model, small_matrix))
 
     def test_equal_weights_average(self, small_matrix):
-        pool, _ = train_pool(small_matrix, fast_config(pool_size=2), seed=11)
-        model = self.build(small_matrix, [replace(bl, train_error=0.1)
+        pool, _, _ = train_pool(small_matrix, fast_config(pool_size=2),
+                                seed=11)
+        model = self.build(small_matrix, [replace(bl, error=0.1)
                                           for bl in pool])
         np.testing.assert_array_equal(model.weights, [0.5, 0.5])
         members = member_predictions(model, small_matrix)
@@ -433,22 +464,19 @@ class TestPredictEnsemble:
 
     def test_convex_combination_bounds(self, small_matrix):
         cfg = fast_config(pool_size=5)
-        pool, _ = train_pool(small_matrix, cfg, seed=12)
-        sel_positions = tuple(range(5))
-        eps = [bl.train_error for bl in pool]
-        b, c = resolve_weight_params(eps)
+        pool, _, _ = train_pool(small_matrix, cfg, seed=12)
+        eps = [bl.error for bl in pool]
         model = self.build(small_matrix, pool)
-        assert (model.weight_b, model.weight_c) == (b, c)
-        np.testing.assert_array_equal(model.weights,
-                                      compute_weights(eps, b, c))
+        np.testing.assert_array_equal(
+            model.weights, compute_weights(eps, *resolve_weight_params(eps)))
         members = member_predictions(model, small_matrix)
         combined = predict_ensemble(model, small_matrix)
         assert np.all(combined >= members.min(axis=0) - 1e-12)
         assert np.all(combined <= members.max(axis=0) + 1e-12)
 
     def test_identical_members_reproduce_single(self, small_matrix):
-        pool, _ = train_pool(small_matrix, fast_config(
-            pool_size=1, subsample_fraction=1.0), seed=13)
+        pool, _, _ = train_pool(small_matrix, fast_config(pool_size=1),
+                                seed=13)
         twins = (pool[0], pool[0], pool[0], pool[0])
         model = self.build(small_matrix, twins)
         np.testing.assert_array_equal(model.weights, [0.25] * 4)
@@ -456,28 +484,23 @@ class TestPredictEnsemble:
                                       predict(pool[0].model, small_matrix))
 
     def test_weights_are_made_not_given(self, small_matrix):
-        pool, _ = train_pool(small_matrix, fast_config(pool_size=2), seed=14)
-        for key, value in (("weights", np.array([0.5, 0.5])),
-                           ("weight_b", 1.0), ("weight_c", 0.0)):
-            with pytest.raises(TypeError, match=key):
-                EnsembleModel(tuple(pool), one_member_state(small_matrix),
-                              **{key: value})
+        pool, _, _ = train_pool(small_matrix, fast_config(pool_size=2),
+                                seed=14)
+        with pytest.raises(TypeError, match="weights"):
+            EnsembleModel(tuple(pool), one_member_state(small_matrix),
+                          weights=np.array([0.5, 0.5]))
 
     def test_an_empty_ensemble_is_refused(self, small_matrix):
         with pytest.raises(DataError, match="no learners"):
             self.build(small_matrix, ())
 
-    def test_a_negative_subsample_index_is_refused(self, small_matrix):
-        pool, _ = train_pool(small_matrix, fast_config(pool_size=1), seed=15)
-        with pytest.raises(FitError, match="subsample indices must be >= 0"):
-            replace(pool[0], subsample_indices=(-1, 0, 1))
-
     def test_weights_must_be_strictly_positive(self, small_matrix):
         """A learner whose raw weight underflows to 0 is refused, not kept
         at weight 0: four equal errors make the IQR 0, so the logistic is
         steep enough to send the fifth, larger error's weight to 0.0."""
-        pool, _ = train_pool(small_matrix, fast_config(pool_size=5), seed=14)
-        pool = [replace(bl, train_error=eps)
+        pool, _, _ = train_pool(small_matrix, fast_config(pool_size=5),
+                                seed=14)
+        pool = [replace(bl, error=eps)
                 for bl, eps in zip(pool, (0.1, 0.1, 0.1, 0.1, 0.5))]
         with pytest.raises(DataError, match="strictly positive"):
             self.build(small_matrix, pool)
@@ -496,8 +519,8 @@ class TestBlockScoring:
                                  rng.normal(size=hidden),
                                  0.3 * rng.normal(size=hidden),
                                  float(rng.normal()),
-                                 MLPTrainConfig(hidden_size=hidden), i, 1, 0.1),
-                        (0,), eps)
+                                 MLPTrainConfig(hidden_size=hidden), i, 1),
+                        eps)
             for i, eps in enumerate(0.2 * rng.random(members)))
         state = replace(one_member_state(m), log_target=True,
                         target_center=3.8, target_scale=0.5)
@@ -560,14 +583,14 @@ class TestFullPipelineDeterminism:
 class TestPoolReport:
     def test_csv_shape_and_selected_prefix(self, small_matrix, tmp_path):
         cfg = fast_config(pool_size=5)
-        pool, preds = train_pool(small_matrix, cfg, seed=15)
+        pool, preds, out_of_bag = train_pool(small_matrix, cfg, seed=15)
         ranking = rank(preds, small_matrix)
-        sel = select(pool, preds, ranking, small_matrix,
+        sel = select(pool, preds, out_of_bag, ranking, small_matrix,
                      replace(cfg, patience=1))
         path = tmp_path / "pool.csv"
-        PoolReport(pool, ranking, sel).to_csv(path)
+        PoolReport(pool, out_of_bag, ranking, sel).to_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == ("learner,seed,hidden,train_mse,relief_weight,"
+        assert lines[0] == ("learner,seed,hidden,oob_mse,relief_weight,"
                             "selected,epochs_run,subsample_rows")
         assert len(lines) == 6
         with open(path, newline="", encoding="utf-8") as fh:
@@ -578,8 +601,10 @@ class TestPoolReport:
             (bl.model.seed, bl.model.hidden_size) for bl in pool]
         assert [int(r["epochs_run"]) for r in rows] == [
             bl.model.epochs_run for bl in pool]
+        # each member's error, and the rows it kept
+        assert [float(r["oob_mse"]) for r in rows] == [bl.error for bl in pool]
         assert [int(r["subsample_rows"]) for r in rows] == [
-            len(bl.subsample_indices) for bl in pool]
+            math.ceil(0.9 * small_matrix.n_samples)] * 5
         # epochs_run tells members that stopped early from those that ran
         # every epoch.
         assert any(bl.model.epochs_run < cfg.mlp.epochs for bl in pool)

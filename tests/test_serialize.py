@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teayield.ensemble import compute_weights, predict_ensemble
+from teayield.ensemble import predict_ensemble, resolve_weight_params
 from teayield.errors import ConfigError, DataError, TeaYieldError
 from teayield.pipeline import train_ensemble_pipeline
-from teayield.serialize import (_enc_ensemble, load_model, model_to_json,
-                                save_model)
+from teayield.preprocess import PIPELINE_STAGES
+from teayield.serialize import (_enc_array, _enc_ensemble, load_model,
+                                model_to_json, save_model)
 
 from conftest import corrupt_model_doc, csv_edits, mutate_csv, tiny_config
 
@@ -39,10 +40,59 @@ def test_round_trip_is_byte_and_prediction_exact(model, canonical_raw,
                                   predict_ensemble(model, canonical_raw))
 
 
-# Keys that files written by earlier versions of format 1 may hold, each at
-# the value of the one mode left; the model writes none of them.  The
-# network's ``learning_rate`` is from before iRprop⁻, ``add_avg_temp`` from
-# before the reader built avg_temp.
+def _keys(obj):
+    """Every key of every object inside a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _keys(value)
+
+
+def test_the_document_holds_the_fitted_facts_alone(model):
+    """No subsample indices, training MSE, weighting, or copy of a fact:
+    a network's hidden size is its config's alone."""
+    doc = json.loads(model_to_json(model))
+    assert doc["version"] == 2
+    assert set(_keys(doc)) == {
+        "format", "version", "kind", "model", "learners", "error", "mlp",
+        "w_hidden", "b_hidden", "w_out", "shape", "data", "b_out", "config",
+        "hidden_size", "epochs", "early_stop_fraction", "patience", "seed",
+        "epochs_run", "preprocess", "selected_features", "scaler", "means",
+        "stds", "target_center", "target_scale"}
+    learner = doc["model"]["learners"][0]
+    assert sorted(learner) == ["error", "mlp"]
+    assert "hidden_size" not in learner["mlp"]
+
+
+def test_a_version_1_file_is_refused_with_advice(model, tmp_path):
+    doc = json.loads(model_to_json(model))
+    doc["version"] = 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert str(info.value) == (f"{path}: the model format changed in version "
+                               "2, and version 1 no longer loads; train the "
+                               "model again")
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", None])
+def test_a_version_never_written_is_unsupported(model, tmp_path, version):
+    doc = json.loads(model_to_json(model))
+    doc["version"] = version
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: unsupported format version {version}"
+
+
+# Keys that model files once held, each at the value of the one mode left;
+# the model writes none of them.  The network's ``learning_rate`` is from
+# before iRprop⁻, ``add_avg_temp`` from before the reader built avg_temp.
 RETIRED_KEYS = {"model.literal_weights": ((), "literal_weights", False),
                 "model.preprocess.month_encoding": (
                     ("preprocess",), "month_encoding", "cyclic"),
@@ -67,6 +117,8 @@ def test_a_model_file_with_retired_keys_is_refused(model, tmp_path):
 # Each object of the document, by the path a refusal names it.
 OBJECTS = {"": None, "model.": (), "model.preprocess.": ("preprocess",),
            "model.preprocess.scaler.": ("preprocess", "scaler"),
+           "model.preprocess.scaler.means.": ("preprocess", "scaler",
+                                              "means"),
            "model.weights.": ("weights",),
            "model.learners[0].": ("learners", 0),
            "model.learners[0].mlp.": FIRST_MLP,
@@ -77,14 +129,20 @@ OBJECTS = {"": None, "model.": (), "model.preprocess.": ("preprocess",),
 def test_a_key_the_model_does_not_write_is_refused_by_path(model, tmp_path,
                                                            where):
     """Every object of a saved document holds only the keys the model
-    writes (the document as written reloads: see the round-trip test)."""
+    writes (the document as written reloads: see the round-trip test).
+    The ensemble weights, an array object in format 1, are written no more,
+    so an extra key inside them is refused at ``model.weights`` itself."""
     doc = json.loads(model_to_json(model))
+    refused = f"{where}extra"
+    if where == "model.weights.":
+        doc["model"]["weights"] = _enc_array(model.weights)
+        refused = "model.weights"
     corrupt_model_doc(doc, OBJECTS[where], "extra", 0)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError) as info:
         load_model(path)
-    assert str(info.value) == (f"{path}: corrupt model document ({where}extra "
+    assert str(info.value) == (f"{path}: corrupt model document ({refused} "
                                "is a key the model does not write)")
 
 
@@ -126,7 +184,6 @@ CORRUPTIONS = {
                                       lambda a: a[:, :-1]),
     "learners disagree on features": (("learners", -1, "mlp"), "w_hidden",
                                       lambda a: a[:-1]),
-    "NaN train_error": (FIRST_MLP, "train_error", float("nan")),
     "boolean b_out": (FIRST_MLP, "b_out", True),
     "integer b_out beyond float range": (FIRST_MLP, "b_out", 10**400),
     "scaler stds too long": (("preprocess", "scaler"), "stds",
@@ -134,7 +191,6 @@ CORRUPTIONS = {
     "NaN in w_hidden": (FIRST_MLP, "w_hidden", one_nan),
     "NaN in b_hidden": (FIRST_MLP, "b_hidden", one_nan),
     "NaN in w_out": (FIRST_MLP, "w_out", one_nan),
-    "NaN in the ensemble weights": ((), "weights", one_nan),
     "NaN target_center": (("preprocess",), "target_center", float("nan")),
     "NaN target_scale": (("preprocess",), "target_scale", float("nan")),
     # Both are sample standard deviations, so 0 and below are corrupt.
@@ -143,42 +199,25 @@ CORRUPTIONS = {
     "zero scaler std": (("preprocess", "scaler"), "stds",
                         lambda a: np.where(np.arange(a.size) == 0, 0.0, a)),
     "negative scaler stds": (("preprocess", "scaler"), "stds", lambda a: -a),
-    "string log_target": (("preprocess",), "log_target", "no"),
-    "NaN weight_b": ((), "weight_b", float("nan")),
-    "NaN weight_c": ((), "weight_c", float("nan")),
     "training patience 0": (FIRST_MLP + ("config",), "patience", 0),
-    # A learner's hidden size and seed copy its network's, and the network's
-    # hidden size copies its config's; hidden sizes lie in [5, 30].
-    "learner hidden_size differs": (("learners", 0), "hidden_size",
-                                    lambda h: 35 - h),
-    "learner seed differs": (("learners", 0), "seed", lambda s: s + 1),
-    "network hidden_size differs": (FIRST_MLP, "hidden_size",
-                                    lambda h: 35 - h),
+    # A network's hidden size is its config's; hidden sizes lie in [5, 30].
     "config hidden_size differs": (FIRST_MLP + ("config",), "hidden_size",
                                    lambda h: 35 - h),
+    # A learner's error is the MSE of its out-of-bag predictions.
+    "NaN learner error": (("learners", 0), "error", float("nan")),
+    "negative learner error": (("learners", 0), "error", -1.0),
+    "string learner error": (("learners", 0), "error", "abc"),
+    "integer learner error": (("learners", 0), "error", 1),
     # A held float is written as a JSON float, and an array as canonical
     # base64: the decoder drops characters outside its alphabet, so this
     # one decodes to the stored network.
     "integer b_out": (FIRST_MLP, "b_out", 1),
     "non-canonical base64": (FIRST_MLP + ("w_out",), "data",
                              lambda d: d[:4] + "\n!*" + d[4:]),
-    "string learner train_error": (("learners", 0), "train_error", "abc"),
-    "negative learner train_error": (("learners", 0), "train_error", -1),
-    "negative network train_error": (FIRST_MLP, "train_error", -1.0),
     # Retired options are keys the model does not write, at any value.
     "string literal_weights": ((), "literal_weights", "no"),
-    # The weights are compute_weights of the learners' train errors.
-    "reversed ensemble weights": ((), "weights", lambda a: a[::-1]),
     "literal_weights flipped": ((), "literal_weights", True),
-    "zero weight_b": ((), "weight_b", 0.0),
-    # weight_b and weight_c are resolve_weight_params of the train errors.
-    "weight_b scaled": ((), "weight_b", lambda b: b * 50.0),
-    "weight_c one ulp up": ((), "weight_c",
-                            lambda c: math.nextafter(c, math.inf)),
     "no learners": ((), "learners", []),
-    "string subsample index": (("learners", 0), "subsample_indices", ["x"]),
-    "boolean subsample index": (("learners", 0), "subsample_indices",
-                                [True]),
     "string network seed": (FIRST_MLP, "seed", "7"),
     "string epochs_run": (FIRST_MLP, "epochs_run", "50"),
     "negative epochs_run": (FIRST_MLP, "epochs_run", -1),
@@ -189,47 +228,63 @@ CORRUPTIONS = {
                                float("inf")),
     "zero learning_rate": (FIRST_MLP + ("config",), "learning_rate", 0.0),
     "string learning_rate": (FIRST_MLP + ("config",), "learning_rate", "0.01"),
-    # The chain is the full fixed one: ``stage_order`` names its stages in
-    # order, the chain holds a scaler and logs the target.
-    "feature_scaling left out": (("preprocess",), "stage_order",
-                                 lambda s: [x for x in s
-                                            if x != "feature_scaling"]),
-    "feature_scaling twice": (("preprocess",), "stage_order",
-                              lambda s: s + ["feature_scaling"]),
-    "unknown stage": (("preprocess",), "stage_order", lambda s: s + ["bogus"]),
-    "stage_order reversed": (("preprocess",), "stage_order",
-                             lambda s: s[::-1]),
-    "outlier_removal left out": (("preprocess",), "stage_order",
-                                 lambda s: [x for x in s
-                                            if x != "outlier_removal"]),
-    "transformation alone, no scaler": [
-        (("preprocess",), "stage_order", ["feature_transformation"]),
-        (("preprocess",), "scaler", None)],
+    # The chain holds a scaler.
     "scaler dropped": (("preprocess",), "scaler", None),
-    # The chain logs the target alone, and writes no logged feature.
-    "log_features holds a feature": (("preprocess",), "log_features",
-                                     ["rainfall"]),
-    "log_target flipped": (("preprocess",), "log_target", False),
     # The scaler scales every selected feature.  A list holds several edits:
-    # this one drops the last scaler column with its mean and std.
+    # this one drops the last feature's mean and std.
     "scaler drops a selected feature": [
-        (("preprocess", "scaler"), "columns", lambda c: c[:-1]),
         (("preprocess", "scaler"), "means", lambda a: a[:-1]),
         (("preprocess", "scaler"), "stds", lambda a: a[:-1])],
-    "scaler columns reordered": (("preprocess", "scaler"), "columns",
-                                 lambda c: c[::-1]),
     "unknown month_encoding": (("preprocess",), "month_encoding", "weekly"),
     # Each network takes one input per feature the chain selects.
     "chain selects a feature fewer": (("preprocess",), "selected_features",
                                       lambda f: f[:-1]),
-    # The chain selects distinct names, which the scaler's columns copy.
-    **{f"selected feature 0 is {json.dumps(value)}": [
-        (("preprocess", "selected_features"), 0, value),
-        (("preprocess", "scaler", "columns"), 0, value)]
+    # The chain selects distinct names.
+    **{f"selected feature 0 is {json.dumps(value)}": (
+        ("preprocess", "selected_features"), 0, value)
        for value in (0, None, ["x"])},
-    "selected feature 1 repeats feature 0": [
-        (("preprocess",), "selected_features", lambda f: f[:1] * 2 + f[2:]),
-        (("preprocess", "scaler"), "columns", lambda c: c[:1] * 2 + c[2:])],
+    "selected feature 1 repeats feature 0": (
+        ("preprocess",), "selected_features", lambda f: f[:1] * 2 + f[2:]),
+    # Keys that only format 1 wrote: the subsample indices, the training
+    # MSE, the weighting and the copies of facts.  At any value, each is a
+    # key the model does not write.
+    "NaN train_error": (FIRST_MLP, "train_error", float("nan")),
+    "negative network train_error": (FIRST_MLP, "train_error", -1.0),
+    "string learner train_error": (("learners", 0), "train_error", "abc"),
+    "negative learner train_error": (("learners", 0), "train_error", -1),
+    "string subsample index": (("learners", 0), "subsample_indices", ["x"]),
+    "boolean subsample index": (("learners", 0), "subsample_indices",
+                                [True]),
+    "NaN weight_b": ((), "weight_b", float("nan")),
+    "zero weight_b": ((), "weight_b", 0.0),
+    "NaN weight_c": ((), "weight_c", float("nan")),
+    # A steepness 50 times 1 and a centre one ulp above 1; format 1 refused
+    # such a weighting as not derived from the errors, format 2 at any value.
+    "weight_b scaled": ((), "weight_b", 50.0),
+    "weight_c one ulp up": ((), "weight_c", math.nextafter(1.0, math.inf)),
+    "NaN in the ensemble weights": ((), "weights",
+                                    _enc_array(np.array([np.nan, 1.0]))),
+    # hidden sizes lie in [5, 30], and seeds are >= 0
+    "learner hidden_size differs": (("learners", 0), "hidden_size", 4),
+    "learner seed differs": (("learners", 0), "seed", -1),
+    "network hidden_size differs": (FIRST_MLP, "hidden_size", 4),
+    "feature_scaling left out": (("preprocess",), "stage_order", [
+        x for x in PIPELINE_STAGES if x != "feature_scaling"]),
+    "feature_scaling twice": (("preprocess",), "stage_order",
+                              [*PIPELINE_STAGES, "feature_scaling"]),
+    "unknown stage": (("preprocess",), "stage_order",
+                      [*PIPELINE_STAGES, "bogus"]),
+    "stage_order reversed": (("preprocess",), "stage_order",
+                             list(PIPELINE_STAGES[::-1])),
+    "outlier_removal left out": (("preprocess",), "stage_order", [
+        x for x in PIPELINE_STAGES if x != "outlier_removal"]),
+    "transformation alone, no scaler": [
+        (("preprocess",), "stage_order", ["feature_transformation"]),
+        (("preprocess",), "scaler", None)],
+    "string log_target": (("preprocess",), "log_target", "no"),
+    "log_target flipped": (("preprocess",), "log_target", False),
+    "log_features holds a feature": (("preprocess",), "log_features",
+                                     ["rainfall"]),
     "chain is a list": ((), "preprocess", [0.5]),
     "string learner": (("learners",), 0, "learner"),
     "network is a list": (("learners", 0), "mlp", [0.5]),
@@ -254,39 +309,53 @@ TYPE_MESSAGES = {
     "zero target_scale": "target_center must be finite and target_scale",
     "learners disagree on features": "the chain selects",
     "no learners": "the ensemble has no learners",
+    "NaN learner error": "errors must be finite and >= 0",
+    "negative learner error": "errors must be finite and >= 0",
 }
 
 
-# The corruptions of a copy, which the loader refuses because the document
-# does not hold what the model writes, and the path each refusal names.
+# The corruptions the loader refuses because the document does not hold a
+# copy of what the model writes, and the path each refusal names.
 COPY_PATHS = {
-    "NaN in the ensemble weights": "model.weights.data",
-    "reversed ensemble weights": "model.weights.data",
-    "NaN weight_b": "model.weight_b",
-    "zero weight_b": "model.weight_b",
-    "weight_b scaled": "model.weight_b",
-    "NaN weight_c": "model.weight_c",
-    "weight_c one ulp up": "model.weight_c",
-    "learner hidden_size differs": "model.learners[0].hidden_size",
-    "learner seed differs": "model.learners[0].seed",
-    "network hidden_size differs": "model.learners[0].mlp.hidden_size",
     "integer b_out": "model.learners[0].mlp.b_out",
+    "integer learner error": "model.learners[0].error",
     "non-canonical base64": "model.learners[0].mlp.w_out.data",
-    "feature_scaling left out": "model.preprocess.stage_order",
-    "feature_scaling twice": "model.preprocess.stage_order",
-    "unknown stage": "model.preprocess.stage_order",
-    "outlier_removal left out": "model.preprocess.stage_order",
-    "stage_order reversed": "model.preprocess.stage_order[0]",
-    "string log_target": "model.preprocess.log_target",
-    "log_features holds a feature": "model.preprocess.log_features",
-    "log_target flipped": "model.preprocess.log_target",
-    "scaler columns reordered": "model.preprocess.scaler.columns[0]",
     "chain is a list": "model.preprocess",
     "string learner": "model.learners[0]",
     "network is a list": "model.learners[0].mlp",
     "scaler is a list": "model.preprocess.scaler",
     "model is a list": "model",
     "string w_hidden": "model.learners[0].mlp.w_hidden",
+}
+
+
+# The corruptions that add a key the model does not write, and its path.
+UNWRITTEN_PATHS = {
+    "NaN train_error": "model.learners[0].mlp.train_error",
+    "negative network train_error": "model.learners[0].mlp.train_error",
+    "string learner train_error": "model.learners[0].train_error",
+    "negative learner train_error": "model.learners[0].train_error",
+    "string subsample index": "model.learners[0].subsample_indices",
+    "boolean subsample index": "model.learners[0].subsample_indices",
+    "NaN weight_b": "model.weight_b",
+    "zero weight_b": "model.weight_b",
+    "NaN weight_c": "model.weight_c",
+    "weight_b scaled": "model.weight_b",
+    "weight_c one ulp up": "model.weight_c",
+    "NaN in the ensemble weights": "model.weights",
+    "learner hidden_size differs": "model.learners[0].hidden_size",
+    "learner seed differs": "model.learners[0].seed",
+    "network hidden_size differs": "model.learners[0].mlp.hidden_size",
+    "feature_scaling left out": "model.preprocess.stage_order",
+    "feature_scaling twice": "model.preprocess.stage_order",
+    "unknown stage": "model.preprocess.stage_order",
+    "stage_order reversed": "model.preprocess.stage_order",
+    "outlier_removal left out": "model.preprocess.stage_order",
+    "string log_target": "model.preprocess.log_target",
+    "log_target flipped": "model.preprocess.log_target",
+    "log_features holds a feature": "model.preprocess.log_features",
+    "literal_weights flipped": "model.literal_weights",
+    "unknown month_encoding": "model.preprocess.month_encoding",
 }
 
 
@@ -303,6 +372,9 @@ def test_corrupt_arrays_and_numbers_are_rejected(model, tmp_path, corruption):
     if corruption in COPY_PATHS:
         message += (f" ({COPY_PATHS[corruption]} differs from what the "
                     "model writes)")
+    if corruption in UNWRITTEN_PATHS:
+        message += (f" ({UNWRITTEN_PATHS[corruption]} is a key the model "
+                    "does not write)")
     if corruption in TYPE_MESSAGES:
         message += f" ({TYPE_MESSAGES[corruption]}"
     with pytest.raises(DataError, match=re.escape(message)):
@@ -317,18 +389,79 @@ def test_every_type_case_is_a_corruption():
     assert set(TYPE_MESSAGES) <= set(CORRUPTIONS)
 
 
+def test_every_unwritten_case_is_a_corruption():
+    assert set(UNWRITTEN_PATHS) <= set(CORRUPTIONS)
+
+
+def test_a_missing_key_is_refused_by_path(model, tmp_path):
+    """Deleting any one key under ``model``, at any depth, is refused with
+    the key's path."""
+    text = model_to_json(model)
+    keys = [path for path in _parts(json.loads(text))
+            if path[0] == "model" and type(path[-1]) is str]
+    assert len(keys) > 3 * 19
+    file = tmp_path / "model.json"
+    for *head, key in keys:
+        doc = json.loads(text)
+        del reduce(lambda obj, step: obj[step], head, doc)[key]
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        where = "".join(f"[{step}]" if type(step) is int else f".{step}"
+                        for step in (*head, key))[1:]
+        with pytest.raises(DataError) as info:
+            load_model(file)
+        assert str(info.value) == (f"{file}: corrupt model document "
+                                   f"({where} is missing)")
+
+
 @pytest.mark.parametrize("path,key", [((), "weight_b"),
                                       (("learners", 1), "seed"),
                                       (("preprocess", "scaler"), "columns")])
 def test_a_missing_copy_is_refused_by_path(model, tmp_path, path, key):
+    """Format 1 wrote ``weight_b``, each learner's seed and the scaler's
+    columns as copies of facts held elsewhere: the learners' errors, the
+    network's seed and the selected features.  Format 2 leaves each copy
+    out, and a document that puts one back, at the value format 1 wrote, is
+    refused by its path."""
     doc = json.loads(model_to_json(model))
-    del reduce(lambda obj, step: obj[step], path, doc["model"])[key]
+    head = doc["model"]
+    copies = {"weight_b": resolve_weight_params(
+                  [bl.error for bl in model.learners])[0],
+              "seed": head["learners"][1]["mlp"]["seed"],
+              "columns": head["preprocess"]["selected_features"]}
+    obj = reduce(lambda obj, step: obj[step], path, head)
+    assert key not in obj
+    obj[key] = copies[key]
     file = tmp_path / "model.json"
     file.write_text(json.dumps(doc), encoding="utf-8")
     where = "model" + "".join(f"[{step}]" if type(step) is int else f".{step}"
                               for step in path + (key,))
-    with pytest.raises(DataError, match=re.escape(f"({where} is missing)")):
+    with pytest.raises(DataError) as info:
         load_model(file)
+    assert str(info.value) == (f"{file}: corrupt model document ({where} is "
+                               "a key the model does not write)")
+
+
+@pytest.mark.parametrize("key,change", [
+    ("weight_b", lambda b: b * 50.0),
+    ("weight_c", lambda c: math.nextafter(c, math.inf))],
+    ids=["weight_b scaled", "weight_c one ulp up"])
+def test_a_weighting_train_never_writes_is_rejected(model, tmp_path, key,
+                                                    change):
+    """The model derives its weighting from the learners' errors and writes
+    none of it, so a document that stores the logistic's steepness
+    ``weight_b`` or centre ``weight_c``, here moved from the one the errors
+    give, is refused by the key's path."""
+    errors = [bl.error for bl in model.learners]
+    derived = dict(zip(("weight_b", "weight_c"),
+                       resolve_weight_params(errors)))
+    doc = json.loads(model_to_json(model))
+    corrupt_model_doc(doc, (), key, change(derived[key]))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert str(info.value) == (f"{path}: corrupt model document (model.{key} "
+                               "is a key the model does not write)")
 
 
 @pytest.mark.parametrize("edit", ["unknown key", "missing key"])
@@ -344,30 +477,6 @@ def test_network_config_keys_are_exactly_its_fields(model, tmp_path, edit):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="corrupt model document"):
-        load_model(path)
-
-
-@pytest.mark.parametrize("key,change", [
-    ("weight_b", lambda b: b * 50.0),
-    ("weight_c", lambda c: math.nextafter(c, math.inf))],
-    ids=["weight_b scaled", "weight_c one ulp up"])
-def test_a_weighting_train_never_writes_is_rejected(model, tmp_path, key,
-                                                    change):
-    """The document's ``weights`` are recomputed to agree with the edited
-    key; a ``weight_b`` 50 times too steep moves predictions by
-    kilograms."""
-    doc = json.loads(model_to_json(model))
-    weighting = {"weight_b": model.weight_b, "weight_c": model.weight_c}
-    weighting[key] = change(weighting[key])
-    corrupt_model_doc(doc, (), key, weighting[key])
-    errors = [bl.train_error for bl in model.learners]
-    corrupt_model_doc(doc, (), "weights", lambda _: compute_weights(
-        errors, weighting["weight_b"], weighting["weight_c"]))
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(DataError, match=re.escape(
-            f"corrupt model document (model.{key} differs from what the "
-            "model writes)")):
         load_model(path)
 
 
