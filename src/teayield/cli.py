@@ -24,7 +24,7 @@ from .dataset import (CANONICAL_SCHEMA, FeatureMatrix, SyntheticSpec,
 from .ensemble import SCORE_BLOCK, predict_ensemble
 from .errors import DataError, TeaYieldError
 from .pipeline import evaluate_pipeline, train_ensemble_pipeline
-from .preprocess import cooks_distance, independent_columns
+from .preprocess import cooks_distance
 from .serialize import load_model, save_model
 from .util import write_table
 
@@ -78,8 +78,7 @@ def cmd_inspect(args) -> int:
     out = _output(args.out, directory=True)
     report = correlation_report(m)
     report.to_csv(out / "correlation.csv")
-    outliers = cooks_distance(m.subset(independent_columns(m)),
-                              cfg.outlier_threshold)
+    outliers = cooks_distance(m, cfg.outlier_threshold)
     outliers.to_csv(out / "outliers.csv")
     print(f"correlation and outlier reports written to {out} "
           f"({len(outliers.flagged)} samples flagged at threshold "

@@ -10,12 +10,13 @@ list of INI options.  A retired option keeps its row, with the one value
 left to it, and sets nothing.  No option shapes the preprocessing chain's
 stages: it is the fixed chain of ``preprocess.PIPELINE_STAGES``, which
 scales every selected column and logs the target alone.  Nor does one
-choose RReliefF's instances or neighbor decay (every row is visited, at
-``feature_select.DECAY_SIGMA``), the networks' iRprop⁻ steps (the
-constants of ``kernels``), the ensemble's weighting constants (taken
-from the learners' errors), or the synthetic data: ``teayield synth``
-draws the canonical generator spec.  An error in a value names its
-``[section] key`` and the value given.
+choose RReliefF's instances or neighbor decay (every row is visited),
+the feature search's ridge penalty and patience, the stage-report GP's
+hyperparameters or the networks' iRprop⁻ steps (each a constant of its
+module), the ensemble's weighting constants (taken from the learners'
+errors), or the synthetic data: ``teayield synth`` draws the canonical
+generator spec.  An error in a value names its ``[section] key`` and
+the value given.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from functools import reduce
 from .dataset import SyntheticSpec
 from .ensemble import EnsembleConfig
 from .errors import ConfigError, DataError, FitError
-from .feature_select import DECAY_SIGMA, ReliefParams
+from .feature_select import (DECAY_SIGMA, SFS_PATIENCE, SFS_RIDGE_LAMBDA,
+                             ReliefParams)
 from .preprocess import PIPELINE_STAGES
-from .regressors import MLPTrainConfig
+from .regressors import (GPR_LENGTH_SCALE, GPR_NOISE_VAR, GPR_SIGNAL_VAR,
+                         MLPTrainConfig)
 
 
 @dataclass(frozen=True)
@@ -39,29 +42,17 @@ class PipelineConfig:
     feature_columns: tuple[str, ...] | None = None  # None = accept file extras
     outlier_threshold: float = 0.5
     relieff: ReliefParams = ReliefParams()
-    sfs_ridge_lambda: float = 1e-2
-    sfs_patience: int = 2
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=12)
-    gpr_signal_var: float = 1.0
-    gpr_length_scale: float = 2.0
-    gpr_noise_var: float = 0.1
     ensemble: EnsembleConfig = EnsembleConfig()
     cv_folds: int = 10
     holdout_fraction: float = 0.3
     mlp_replicates: int = 5
 
     def __post_init__(self):
-        for name, value in (("[gpr] signal_var", self.gpr_signal_var),
-                            ("[gpr] length_scale", self.gpr_length_scale),
-                            ("[outliers] threshold", self.outlier_threshold)):
-            if not value > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-        for name, value in (("[gpr] noise_var", self.gpr_noise_var),
-                            ("[sfs] ridge_lambda", self.sfs_ridge_lambda)):
-            if not value >= 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        for name, value, low in (("[sfs] patience", self.sfs_patience, 1),
-                                 ("[evaluation] cv_folds", self.cv_folds, 2),
+        if not self.outlier_threshold > 0.0:
+            raise ConfigError("[outliers] threshold must be > 0, got "
+                              f"{self.outlier_threshold}")
+        for name, value, low in (("[evaluation] cv_folds", self.cv_folds, 2),
                                  ("[evaluation] mlp_replicates",
                                   self.mlp_replicates, 1),
                                  ("[pipeline] seed", self.seed, 0)):
@@ -133,11 +124,11 @@ def _retired_synth(key: str, kind: str):
 # None if the option may be None); a retired row has the path None and its
 # one value last.  One field has no row (see ``_unwritten``):
 # ``ensemble.mlp`` is the [mlp] section with ``hidden_size=5``.
-# The 28 retired rows select modes the method no longer has, reorder, drop
+# The 33 retired rows select modes the method no longer has, reorder, drop
 # or bend the fixed preprocessing chain, set the gradient-descent rate that
-# iRprop⁻ replaced, or shape the synthetic data, which ``teayield synth``
-# draws at the canonical spec.  They remain because the
-# benchmark's committed config still lists them, and go when it is next
+# iRprop⁻ replaced, hold a package constant, or shape the synthetic data,
+# which ``teayield synth`` draws at the canonical spec.  They remain because
+# the benchmark's committed config still lists them, and go when it is next
 # regenerated.
 OPTIONS = (
     ("pipeline", "seed", ("seed",), "int", None),
@@ -154,16 +145,16 @@ OPTIONS = (
     _retired("relieff", "iterations", "str", "all"),
     _retired("relieff", "decay_sigma", "float", DECAY_SIGMA),
     _retired("sfs", "evaluator", "str", "ridge"),
-    ("sfs", "ridge_lambda", ("sfs_ridge_lambda",), "float", None),
-    ("sfs", "patience", ("sfs_patience",), "int", None),
+    _retired("sfs", "ridge_lambda", "float", SFS_RIDGE_LAMBDA),
+    _retired("sfs", "patience", "int", SFS_PATIENCE),
     _nested("mlp", "hidden_size", "int"),
     _retired("mlp", "learning_rate", "float", 0.01),
     _nested("mlp", "epochs", "int"),
     _nested("mlp", "early_stop_fraction", "float"),
     _nested("mlp", "patience", "int"),
-    ("gpr", "signal_var", ("gpr_signal_var",), "float", None),
-    ("gpr", "length_scale", ("gpr_length_scale",), "float", None),
-    ("gpr", "noise_var", ("gpr_noise_var",), "float", None),
+    _retired("gpr", "signal_var", "float", GPR_SIGNAL_VAR),
+    _retired("gpr", "length_scale", "float", GPR_LENGTH_SCALE),
+    _retired("gpr", "noise_var", "float", GPR_NOISE_VAR),
     _nested("ensemble", "pool_size", "int"),
     _nested("ensemble", "subsample_fraction", "float"),
     _retired("ensemble", "bootstrap", "bool", False),

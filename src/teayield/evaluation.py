@@ -97,8 +97,8 @@ def forward_select(n_candidates: int, score, patience: int, first: int = 1
     grow one candidate at a time from the first ``first``; a prefix becomes
     the best only when its score is strictly lower than every earlier one,
     and the walk stops after ``patience`` consecutive prefixes that are not.
-    ``patience`` is >= 1, as ``[sfs] patience`` and ``[ensemble] patience``
-    are.  Returns the best size (0 if no prefix was scored) and the
+    ``patience`` is >= 1, as ``feature_select.SFS_PATIENCE`` and
+    ``[ensemble] patience`` are.  Returns the best size (0 if no prefix was scored) and the
     ``(size, score)`` trace.
     """
     trace = []

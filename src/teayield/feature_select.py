@@ -14,9 +14,10 @@ which is positive for features whose variation coincides with target
 variation among near neighbors.  Subset selection then walks the ranked
 order with ``evaluation.forward_select``, the search learner selection uses
 too: each prefix is scored by the pooled cross-validated RMSE of ridge
-regression on its standardized columns (``regressors.ridge_predictions``),
-the walk stops after ``patience`` prefixes in a row that do not lower the
-best RMSE so far, and the best prefix is kept.
+regression at penalty ``SFS_RIDGE_LAMBDA`` on its standardized columns
+(``regressors.ridge_predictions``), the walk stops after ``SFS_PATIENCE``
+prefixes in a row that do not lower the best RMSE so far, and the best
+prefix is kept.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .util import write_table
 
 # Width of the neighbor influence decay, in neighbor ranks.
 DECAY_SIGMA = 20.0
+
+# The feature search's ridge penalty, and its patience in prefixes.
+SFS_RIDGE_LAMBDA, SFS_PATIENCE = 1e-2, 2
 
 
 @dataclass(frozen=True)
@@ -137,21 +141,20 @@ def _dedupe_exact(m: FeatureMatrix, names: list[str]) -> list[str]:
 
 
 def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
-                              ridge_lambda: float, folds: int, seed: int,
-                              patience: int) -> SelectionResult:
+                              folds: int, seed: int) -> SelectionResult:
     """Grow prefixes of the ranked order while CV RMSE strictly improves.
 
-    Every prefix is scored by ``ridge_predictions`` at ``ridge_lambda`` with
-    the same fold plan, drawn from ``seed``, so a trace entry can be
+    Every prefix is scored by ``ridge_predictions`` at ``SFS_RIDGE_LAMBDA``
+    with the same fold plan, drawn from ``seed``, so a trace entry can be
     reproduced by rerunning ``cross_validate`` on that prefix.  The search
-    is ``evaluation.forward_select``: it stops after ``patience``
+    is ``evaluation.forward_select``: it stops after ``SFS_PATIENCE``
     consecutive non-improving prefix sizes and keeps the best prefix seen.
     ``ranked`` holds at least one feature, as every matrix the reader
     builds does.
     """
     order_names = list(ranked.ordered_names())
     plan = make_folds(m.n_samples, folds, seed)
-    ridge = partial(ridge_predictions, ridge_lambda=ridge_lambda)
+    ridge = partial(ridge_predictions, ridge_lambda=SFS_RIDGE_LAMBDA)
 
     def score(size: int) -> float:
         prefix = order_names[:size]
@@ -160,5 +163,5 @@ def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
             oof = cross_validate(sub, ridge, plan)
         return metrics(sub.target, oof).rmse
 
-    best_size, trace = forward_select(len(order_names), score, patience)
+    best_size, trace = forward_select(len(order_names), score, SFS_PATIENCE)
     return SelectionResult(tuple(order_names[:best_size]), trace)

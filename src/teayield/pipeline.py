@@ -47,8 +47,7 @@ from .evaluation import (FoldPlan, MetricsReport, holdout_split,
 from .feature_select import (RankedFeatures, SelectionResult, rrelieff,
                              sequential_forward_select)
 from .preprocess import (PIPELINE_STAGES, OutlierReport, PreprocessState,
-                         cooks_distance, fit_scaler, independent_columns,
-                         remove_outliers)
+                         cooks_distance, fit_scaler, remove_outliers)
 from .regressors import gpr_predictions, mlp_predictions, ols_predictions
 from .util import derive_seed, write_table
 
@@ -111,10 +110,11 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
     of ``PIPELINE_STAGES`` with k = 0 .. 4, and the per-stage artifacts.
     The chain adds no column to ``m``: it only selects and scales columns
     and maps the target.  A stage only fits, and sets its part of the
-    chain: selection the selected features, scaling a scaler of every
-    selected column, the transformation the log of the target; outlier
-    removal sets no part, and drops rows from the kept raw rows.  Each
-    prefix matrix is then its chain replayed on the kept rows
+    chain: selection the selected features, which the forward search picks
+    at the ``feature_select`` constants, scaling a scaler of every selected
+    column, the transformation the log of the target; outlier removal sets
+    no part, and drops the rows ``cooks_distance`` flags from the kept raw
+    rows.  Each prefix matrix is then its chain replayed on the kept rows
     (``apply_features`` and ``transform_target``, the code that scores new
     rows), and the next stage fits on it.  The chain keeps target center 0
     and scale 1.  A log error names the row of the given matrix, also after
@@ -137,13 +137,11 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
 
     _check_rows(cfg, m.n_samples, "features")
     ranked = rrelieff(m, k=cfg.relieff.k)
-    selection = sequential_forward_select(
-        m, ranked, cfg.sfs_ridge_lambda, folds=cfg.cv_folds,
-        seed=derive_seed(seed, 2), patience=cfg.sfs_patience)
+    selection = sequential_forward_select(m, ranked, folds=cfg.cv_folds,
+                                          seed=derive_seed(seed, 2))
     next_prefix(selected_features=selection.selected)
     next_prefix(scaler=fit_scaler(m))
-    outliers = cooks_distance(m.subset(independent_columns(m)),
-                              cfg.outlier_threshold)
+    outliers = cooks_distance(m, cfg.outlier_threshold)
     kept = remove_outliers(kept, outliers)
     rows = np.delete(rows, outliers.flagged)
     next_prefix()
@@ -194,8 +192,7 @@ def _stage_predictions(model: str, train: FeatureMatrix, test: FeatureMatrix,
     if model == "mlr":
         return ols_predictions(train, test)
     if model == "gpr":
-        return gpr_predictions(train, test, cfg.gpr_signal_var,
-                               cfg.gpr_length_scale, cfg.gpr_noise_var)
+        return gpr_predictions(train, test)
     return mlp_predictions(train, test, cfg.mlp, seed)
 
 

@@ -171,13 +171,15 @@ def independent_columns(m: FeatureMatrix) -> tuple[str, ...]:
 
 
 def cooks_distance(m: FeatureMatrix, threshold: float) -> OutlierReport:
-    """Cook's distance of every sample under OLS of target on features.
+    """Cook's distance of every sample under OLS of target on
+    ``independent_columns(m)``, so a collinear column changes no distance.
 
     D_i = (e_i^2 / (p * s^2)) * (h_ii / (1 - h_ii)^2), where e_i is the OLS
     residual, h_ii the hat-matrix diagonal, p the number of fitted
-    coefficients (features + intercept), and s^2 the residual mean square.
-    Samples with D_i > threshold are flagged.
+    coefficients (independent features + intercept), and s^2 the residual
+    mean square.  Samples with D_i > threshold are flagged.
     """
+    m = m.subset(independent_columns(m))
     n = m.n_samples
     X = _design_matrix(m)
     p = X.shape[1]

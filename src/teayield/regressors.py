@@ -25,6 +25,10 @@ HIDDEN_RANGE = (5, 30)
 # O(n^2) in memory.
 GPR_MAX_ROWS = 5000
 
+# The stage report's GP: signal variance, length scale and noise variance,
+# fixed on the standardized target (no marginal-likelihood fit).
+GPR_SIGNAL_VAR, GPR_LENGTH_SCALE, GPR_NOISE_VAR = 1.0, 2.0, 0.1
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -147,8 +151,8 @@ def fit_gpr(m: FeatureMatrix, signal_var: float, length_scale: float,
             noise_var: float) -> GPRModel:
     """Factor K + noise_var*I once; inference is exact and O(n^3), so more
     than ``GPR_MAX_ROWS`` rows are a FitError.  ``signal_var`` and
-    ``length_scale`` are > 0 and ``noise_var`` >= 0, as ``PipelineConfig``
-    holds them.
+    ``length_scale`` are > 0 and ``noise_var`` >= 0, as the ``GPR_*``
+    constants are.
 
     If the Cholesky fails, a diagonal jitter starting at 1e-10 * mean(diag K)
     escalates tenfold up to 1e-4 * mean(diag K) before giving up.
@@ -286,13 +290,12 @@ def ols_predictions(train: FeatureMatrix, test: FeatureMatrix) -> np.ndarray:
     return predict(model, test.subset(columns))
 
 
-def gpr_predictions(train: FeatureMatrix, test: FeatureMatrix,
-                    signal_var: float, length_scale: float,
-                    noise_var: float) -> np.ndarray:
-    """The GP fitted on ``train`` with its target standardized (zero prior
-    mean), its predictions mapped back; features are used as given."""
+def gpr_predictions(train: FeatureMatrix, test: FeatureMatrix) -> np.ndarray:
+    """The GP at the ``GPR_*`` constants, fitted on ``train`` with its
+    target standardized (zero prior mean), its predictions mapped back;
+    features are used as given."""
     ztrain, mu, sd = _target_standardizer(train)
-    model = fit_gpr(ztrain, signal_var, length_scale, noise_var)
+    model = fit_gpr(ztrain, GPR_SIGNAL_VAR, GPR_LENGTH_SCALE, GPR_NOISE_VAR)
     return predict(model, test.subset(train.column_names)) * sd + mu
 
 

@@ -213,12 +213,13 @@ def load_model(path) -> EnsembleModel:
         raise DataError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError(f"{path}: not a {FORMAT_NAME} file")
-    if doc.get("version") == 1:
+    version = doc.get("version")  # an int: 2.0 and true only compare equal
+    if type(version) is int and version == 1:
         raise DataError(f"{path}: the model format changed in version "
                         f"{FORMAT_VERSION}, and version 1 no longer loads; "
                         "train the model again")
-    if doc.get("version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {doc.get('version')}")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported format version {version}")
     kind = doc.get("kind")
     if kind != "ensemble":
         raise DataError(f"{path}: unknown model kind {kind!r}")

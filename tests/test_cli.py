@@ -751,6 +751,12 @@ def test_a_failed_ensemble_process_exits_as_a_serial_run(
     assert_no_child_left()
 
 
+# ``[sfs] patience`` is retired at ``feature_select.SFS_PATIENCE``.
+ZERO_PATIENCE = {
+    "sfs": "[sfs] patience: retired option; it may only be 2, got '0'",
+    "ensemble": "[ensemble] patience must be >= 1, got 0"}
+
+
 @pytest.mark.parametrize("section", ["sfs", "ensemble"])
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_zero_patience_exits_1_before_any_fitting(workdir, section, command,
@@ -770,7 +776,7 @@ def test_zero_patience_exits_1_before_any_fitting(workdir, section, command,
     assert main([command, "--data", str(workdir / "data.csv"),
                  "--config", str(config), "--out", str(tmp_path / "out")]
                 + out) == 1
-    assert f"[{section}] patience must be >= 1, got 0" in capsys.readouterr().err
+    assert ZERO_PATIENCE[section] in capsys.readouterr().err
     assert fits == []
 
 

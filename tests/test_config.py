@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teayield import feature_select, regressors
 from teayield.config import OPTIONS, PipelineConfig, load_config, render_config
 from teayield.errors import ConfigError, DataError
 from teayield.preprocess import PIPELINE_STAGES
@@ -43,7 +44,6 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
     ("evaluation", "mlp_replicates", "0",
      "[evaluation] mlp_replicates must be >= 1, got 0"),
     ("pipeline", "seed", "-1", "[pipeline] seed must be >= 0, got -1"),
-    ("sfs", "patience", "0", "[sfs] patience must be >= 1, got 0"),
     ("ensemble", "pool_size", "0", "[ensemble] pool_size must be >= 1, got 0"),
     ("ensemble", "patience", "0", "[ensemble] patience must be >= 1, got 0"),
     ("ensemble", "subsample_fraction", "1.5",
@@ -57,11 +57,6 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
     ("mlp", "epochs", "0", "[mlp] epochs must be >= 1, got 0"),
     # Ranges that fitting would otherwise meet only once it had started.
     ("relieff", "k", "0", "[relieff] k must be >= 1, got 0"),
-    ("gpr", "signal_var", "0.0", "[gpr] signal_var must be > 0, got 0.0"),
-    ("gpr", "length_scale", "0.0", "[gpr] length_scale must be > 0, got 0.0"),
-    ("gpr", "noise_var", "-0.5", "[gpr] noise_var must be >= 0, got -0.5"),
-    ("sfs", "ridge_lambda", "-1.0",
-     "[sfs] ridge_lambda must be >= 0, got -1.0"),
     ("outliers", "threshold", "-1.0",
      "[outliers] threshold must be > 0, got -1.0"),
     # Retired options load only at the one value left to them.
@@ -130,6 +125,17 @@ def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
      "it may only be auto, got '-1.0'"),
     ("ensemble", "weight_c", "0.5", "[ensemble] weight_c: retired option; "
      "it may only be auto, got '0.5'"),
+    # The stage-report GP and the feature search run at package constants.
+    ("gpr", "signal_var", "0.0", "[gpr] signal_var: retired option; "
+     "it may only be 1.0, got '0.0'"),
+    ("gpr", "length_scale", "0.0", "[gpr] length_scale: retired option; "
+     "it may only be 2.0, got '0.0'"),
+    ("gpr", "noise_var", "-0.5", "[gpr] noise_var: retired option; "
+     "it may only be 0.1, got '-0.5'"),
+    ("sfs", "ridge_lambda", "-1.0", "[sfs] ridge_lambda: retired option; "
+     "it may only be 0.01, got '-1.0'"),
+    ("sfs", "patience", "0", "[sfs] patience: retired option; "
+     "it may only be 2, got '0'"),
     # The synthetic data is drawn at the canonical generator spec.
     ("synth", "n", "240",
      "[synth] n: retired option; it may only be 120, got '240'"),
@@ -202,16 +208,47 @@ def test_the_retired_options_may_be_left_out(tmp_path):
     assert [parser[row[0]][row[1]] for row in retired] == [
         "cyclic", "false", "feature_selection, feature_scaling, "
         "outlier_removal, feature_transformation", "all", "", "true",
-        "fixed", "all", "20.0", "ridge", "0.01", "false", "true", "auto",
-        "auto",
-        "false", "120", "0.16", "3", "3", "4.5", "0.55", "0.3", "-0.6",
-        "0.45", "0.4", "3.8", "2008"]
+        "fixed", "all", "20.0", "ridge", "0.01", "2", "0.01", "1.0", "2.0",
+        "0.1", "false", "true", "auto", "auto", "false", "120", "0.16", "3",
+        "3", "4.5", "0.55", "0.3", "-0.6", "0.45", "0.4", "3.8", "2008"]
     for section, key, *_ in retired:
         del parser[section][key]
     path = tmp_path / "retired.ini"
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
     assert load_config(path) == tiny_config()
+
+
+# The retired rows whose one value is a constant the package runs with.
+CONSTANT_ROWS = {
+    ("relieff", "decay_sigma"): feature_select.DECAY_SIGMA,
+    ("sfs", "ridge_lambda"): feature_select.SFS_RIDGE_LAMBDA,
+    ("sfs", "patience"): feature_select.SFS_PATIENCE,
+    ("gpr", "signal_var"): regressors.GPR_SIGNAL_VAR,
+    ("gpr", "length_scale"): regressors.GPR_LENGTH_SCALE,
+    ("gpr", "noise_var"): regressors.GPR_NOISE_VAR,
+}
+
+
+@pytest.mark.parametrize("section,key", sorted(CONSTANT_ROWS))
+def test_a_retired_row_holds_its_package_constant(tmp_path, section, key):
+    """The row's one value is the constant the code runs with, and a file
+    that sets another value is refused naming the option."""
+    constant = CONSTANT_ROWS[section, key]
+    _, _, attr, _, value = next(row for row in OPTIONS
+                                if row[:2] == (section, key))
+    assert attr is None and value == constant
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(render_config(tiny_config()))
+    parser[section][key] = str(constant * 3)
+    path = tmp_path / "constant.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == (
+        f"{path}: [{section}] {key}: retired option; it may only be "
+        f"{constant!r}, got {str(constant * 3)!r}")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 10, 42])
@@ -230,7 +267,6 @@ names = st.lists(st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1,
                          max_size=8).filter(lambda s: s not in NONE_WORDS),
                  max_size=4).map(tuple)
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
-non_negative = st.floats(0.0, allow_infinity=False)
 fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 VALUES = {
@@ -238,15 +274,10 @@ VALUES = {
     ("feature_columns",): st.none() | names,
     ("outlier_threshold",): positive,
     ("relieff", "k"): st.integers(min_value=1),
-    ("sfs_ridge_lambda",): non_negative,
-    ("sfs_patience",): st.integers(min_value=1),
     ("mlp", "hidden_size"): st.integers(*HIDDEN_RANGE),
     ("mlp", "epochs"): st.integers(min_value=1),
     ("mlp", "early_stop_fraction"): st.floats(0.0, 1.0, exclude_max=True),
     ("mlp", "patience"): st.integers(min_value=1),
-    ("gpr_signal_var",): positive,
-    ("gpr_length_scale",): positive,
-    ("gpr_noise_var",): non_negative,
     ("ensemble", "pool_size"): st.integers(min_value=1),
     ("ensemble", "subsample_fraction"): st.floats(0.0, 1.0, exclude_min=True),
     ("ensemble", "patience"): st.integers(min_value=1),

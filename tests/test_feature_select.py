@@ -4,7 +4,8 @@ import pytest
 from teayield import feature_select, kernels
 from teayield.dataset import FeatureMatrix
 from teayield.errors import FitError
-from teayield.evaluation import cross_validate, make_folds, metrics
+from teayield.evaluation import (cross_validate, forward_select, make_folds,
+                                 metrics)
 from teayield.feature_select import (DECAY_SIGMA, neighbor_rank_weights,
                                      relief_weights_from_counts, rrelieff,
                                      sequential_forward_select)
@@ -181,15 +182,11 @@ class TestRRelieff:
                                       raw / raw.sum())
 
 
-RIDGE_LAMBDA = 1e-2
-
-
 class TestSequentialForwardSelect:
     def test_single_sufficient_feature(self):
         m = planted_matrix(5)
         ranked = rrelieff(m, k=10)
-        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
-                                           folds=5, seed=0, patience=1)
+        result = sequential_forward_select(m, ranked, folds=5, seed=0)
         assert result.selected == ("signal",)
 
     def test_identical_copies_collapse_to_one(self, rng):
@@ -197,22 +194,20 @@ class TestSequentialForwardSelect:
         values = np.column_stack([x, x, x])
         m = FeatureMatrix(("a", "b", "c"), values, x + 0.05 * rng.normal(size=80))
         ranked = rrelieff(m, k=8)
-        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
-                                           folds=5, seed=0, patience=1)
+        result = sequential_forward_select(m, ranked, folds=5, seed=0)
         assert len(result.selected) == 1
 
     def test_trace_reproducible_by_rerunning_evaluator(self, rng):
         m = random_matrix(rng, 60, 4, target_noise=0.5)
         ranked = rrelieff(m, k=8)
-        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
-                                           folds=5, seed=3, patience=2)
+        result = sequential_forward_select(m, ranked, folds=5, seed=3)
         plan = make_folds(m.n_samples, 5, 3)
         order = list(ranked.ordered_names())
         for size, rmse in result.trace:
             oof = cross_validate(
                 m.subset(order[:size]),
-                lambda train, test: ridge_predictions(train, test,
-                                                      RIDGE_LAMBDA),
+                lambda train, test: ridge_predictions(
+                    train, test, feature_select.SFS_RIDGE_LAMBDA),
                 plan)
             assert metrics(m.target, oof).rmse == pytest.approx(rmse, abs=1e-12)
 
@@ -221,16 +216,14 @@ class TestSequentialForwardSelect:
             m = random_matrix(np.random.default_rng(seed), 40, 5,
                               target_noise=1.0)
             ranked = rrelieff(m, k=6)
-            result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
-                                               folds=4, seed=seed, patience=1)
+            result = sequential_forward_select(m, ranked, folds=4, seed=seed)
             assert 1 <= len(result.selected) <= 5
             assert result.selected == ranked.ordered_names()[:len(result.selected)]
 
     def test_trace_minimum_at_selected_size(self, rng):
         m = random_matrix(rng, 50, 5, target_noise=0.8)
         ranked = rrelieff(m, k=6)
-        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA,
-                                           folds=5, seed=2, patience=3)
+        result = sequential_forward_select(m, ranked, folds=5, seed=2)
         rmses = [r for _, r in result.trace]
         assert min(rmses) == rmses[len(result.selected) - 1]
 
@@ -243,11 +236,22 @@ class TestSequentialForwardSelect:
 
         monkeypatch.setattr(feature_select, "ridge_predictions", broken)
         with pytest.raises(FitError, match="prefix of size 1"):
-            sequential_forward_select(m, ranked, RIDGE_LAMBDA, folds=4,
-                                      seed=0, patience=1)
+            sequential_forward_select(m, ranked, folds=4, seed=0)
 
 
-def test_duplicated_copy_never_co_selected():
+def test_duplicated_copy_never_co_selected(monkeypatch):
+    """The prefix that adds an exact copy scores as the one before it, so
+    the copy never registers as an improvement, and a search at patience 1
+    (``forward_select`` over the feature search's own scores) keeps at most
+    one of the two.  At ``SFS_PATIENCE`` = 2 a feature ranked after the copy
+    that improves the score keeps both, as the selection is a prefix."""
+    scores = []
+
+    def recording(n_candidates, score, patience):
+        scores.append(score)
+        return forward_select(n_candidates, score, patience)
+
+    monkeypatch.setattr(feature_select, "forward_select", recording)
     for seed in range(20):
         r = np.random.default_rng(seed)
         n = 150
@@ -257,6 +261,10 @@ def test_duplicated_copy_never_co_selected():
         m = FeatureMatrix(("signal", "copy", "n1", "n2"), values,
                           signal + 0.1 * r.normal(size=n))
         ranked = rrelieff(m, k=10)
-        result = sequential_forward_select(m, ranked, RIDGE_LAMBDA, folds=5,
-                                           seed=seed, patience=1)
-        assert not ({"signal", "copy"} <= set(result.selected))
+        result = sequential_forward_select(m, ranked, folds=5, seed=seed)
+        order = ranked.ordered_names()
+        both = max(order.index("signal"), order.index("copy")) + 1
+        trace = dict(result.trace)
+        assert trace[both] == trace[both - 1]
+        size, _ = forward_select(len(order), scores[-1], 1)
+        assert not ({"signal", "copy"} <= set(order[:size]))

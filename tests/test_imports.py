@@ -366,12 +366,18 @@ def test_the_scan_flags_a_derived_column_outside_the_reader(tmp_path):
 # the config types hold each live option's default and check its range.  A
 # function takes such a setting as a required argument, since a default of
 # its own would run, in a test that leaves it out, a setup no command runs.
+# The same holds for the retired rows that a package constant fills, such as
+# ``fit_gpr``'s ``length_scale``.
 LIVE_KEYS = {key for _, key, attr, _, _ in OPTIONS if attr is not None}
+CONSTANT_KEYS = {"decay_sigma", "ridge_lambda", "patience", "signal_var",
+                 "length_scale", "noise_var"}
+SCANNED_KEYS = LIVE_KEYS | CONSTANT_KEYS
 
 
 def shadow_defaults(path: Path) -> list[str]:
     """Each parameter of a function in the module that is named like a
-    live INI key and has a default."""
+    live INI key, or a retired one a package constant fills, and has a
+    default."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -383,7 +389,7 @@ def shadow_defaults(path: Path) -> list[str]:
                 arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                 if default is not None]
             found += [(arg.lineno, arg.arg) for arg in defaulted
-                      if arg.arg in LIVE_KEYS]
+                      if arg.arg in SCANNED_KEYS]
     return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
 
 
@@ -394,17 +400,24 @@ def test_no_function_defaults_a_setting(path):
 
 
 def test_the_scan_flags_a_default_for_a_live_option(tmp_path):
-    """Positional, keyword-only and lambda parameters count; a retired
+    """Positional, keyword-only and lambda parameters count, and so does a
+    key retired at a package constant, such as ``length_scale``; a retired
     key such as ``iterations`` and a parameter without a default do not."""
+    assert CONSTANT_KEYS <= {key for _, key, attr, _, _ in OPTIONS
+                             if attr is None}
     src = tmp_path / "mod.py"
     src.write_text("def f(m, k=10, first=1):\n    pass\n"
                    "class A:\n"
                    "    def g(self, *, patience=2, seed):\n        pass\n"
                    "h = lambda threshold=0.5: threshold\n"
-                   "def i(k, iterations='all'):\n    pass\n",
+                   "def i(k, iterations='all'):\n    pass\n"
+                   "def fit_gpr(m, signal_var, length_scale=1.0,\n"
+                   "            noise_var=0.1):\n    pass\n",
                    encoding="utf-8")
     assert shadow_defaults(src) == ["mod.py:1: k", "mod.py:4: patience",
-                                    "mod.py:6: threshold"]
+                                    "mod.py:6: threshold",
+                                    "mod.py:9: length_scale",
+                                    "mod.py:10: noise_var"]
 
 
 # ``util`` is the one door to ``numpy.random``: ``util.generator`` makes

@@ -23,7 +23,7 @@ from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
 from teayield.ensemble import predict_ensemble
 from teayield.evaluation import holdout_split, metrics
 from teayield.pipeline import train_ensemble_pipeline
-from teayield.preprocess import cooks_distance, independent_columns
+from teayield.preprocess import cooks_distance
 
 from conftest import bench_config, planted_outlier_rows
 
@@ -82,6 +82,5 @@ def test_cooks_distance_flags_only_planted_rows(seed):
     flags no row the generator did not plant.  It misses most planted rows,
     so finding them is not asserted."""
     raw = generate_synthetic(120, seed, SPEC)
-    report = cooks_distance(raw.subset(independent_columns(raw)),
-                            bench_config().outlier_threshold)
+    report = cooks_distance(raw, bench_config().outlier_threshold)
     assert set(report.flagged) <= planted_outlier_rows(raw, SPEC)

@@ -18,7 +18,7 @@ from teayield.pipeline import (STAGE_MODELS, STAGE_NAMES, evaluate_pipeline,
                                fit_chain, fit_preprocess, stage_report,
                                train_ensemble_pipeline)
 from teayield.preprocess import (PIPELINE_STAGES, cooks_distance, fit_scaler,
-                                 independent_columns, remove_outliers)
+                                 remove_outliers)
 from teayield.regressors import ols_predictions
 from teayield.util import derive_seed
 
@@ -99,8 +99,7 @@ class TestFittedChain:
         assert scaler.means.shape == scaler.stds.shape == (len(selected),)
         np.testing.assert_array_equal(
             artifacts.outliers.distances,
-            cooks_distance(prefixes[2][0].subset(independent_columns(
-                prefixes[2][0])), outlier_threshold).distances)
+            cooks_distance(prefixes[2][0], outlier_threshold).distances)
         for k, (m, chain) in enumerate(prefixes):
             # Prefix k holds the parts of the first k stages, and no other.
             assert chain.selected_features == (selected if k >= 1
@@ -191,9 +190,9 @@ class TestFittedChain:
     def test_the_shipped_defaults_keep_soil_ph(self):
         """On the 84 training rows of canonical generator seed 1, feature
         selection under ``PipelineConfig()`` keeps ``soil_ph``, a real
-        feature that RReliefF ranks below a distractor.  Under
-        ``[sfs] patience = 1`` the search stops at the first rank that does
-        not improve and keeps only rainfall and humidity."""
+        feature that RReliefF ranks below a distractor.  At
+        patience 1 the search would stop at the first rank that does not
+        improve and keep only rainfall and humidity."""
         train, _ = holdout_split(
             generate_synthetic(120, 1, SyntheticSpec.canonical()), 0.3, 7)
         assert train.n_samples == 84

@@ -79,7 +79,9 @@ def test_a_version_1_file_is_refused_with_advice(model, tmp_path):
                                "model again")
 
 
-@pytest.mark.parametrize("version", [0, 3, "2", None])
+# 2.0 and true compare equal to a version the loader knows, but only a JSON
+# integer is one.
+@pytest.mark.parametrize("version", [0, 3, "2", None, 2.0, True, 1.0])
 def test_a_version_never_written_is_unsupported(model, tmp_path, version):
     doc = json.loads(model_to_json(model))
     doc["version"] = version
