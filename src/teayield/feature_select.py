@@ -12,9 +12,10 @@ feature is
 
 which is positive for features whose variation coincides with target
 variation among near neighbors.  Subset selection then walks the ranked
-order with ``evaluation.forward_select``, the search learner selection uses
-too: each prefix is scored by the pooled cross-validated RMSE of ridge
-regression at penalty ``SFS_RIDGE_LAMBDA`` on its standardized columns
+order, less the exact copies of an earlier column, with
+``evaluation.forward_select``, the search learner selection uses too: each
+prefix is scored by the pooled cross-validated RMSE of ridge regression at
+penalty ``SFS_RIDGE_LAMBDA`` on its standardized columns
 (``regressors.ridge_predictions``), the walk stops after ``SFS_PATIENCE``
 prefixes in a row that do not lower the best RMSE so far, and the best
 prefix is kept.
@@ -128,10 +129,8 @@ def rrelieff(m: FeatureMatrix, k: int) -> RankedFeatures:
     return RankedFeatures(m.column_names, weights)
 
 
-def _dedupe_exact(m: FeatureMatrix, names: list[str]) -> list[str]:
-    # Exact duplicate columns add no information to a prefix: evaluating the
-    # set with duplicates dropped keeps the score identical to the smaller
-    # prefix, so redundant copies can never register as an improvement.
+def _dedupe_exact(m: FeatureMatrix, names: tuple[str, ...]) -> list[str]:
+    # ``names`` without the exact copies of a column named before them.
     kept: list[str] = []
     for name in names:
         col = m.column(name)
@@ -144,6 +143,8 @@ def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
                               folds: int, seed: int) -> SelectionResult:
     """Grow prefixes of the ranked order while CV RMSE strictly improves.
 
+    An exact copy of a column ranked before it is dropped from the order
+    first, so the search never selects both and spends no prefix on a copy.
     Every prefix is scored by ``ridge_predictions`` at ``SFS_RIDGE_LAMBDA``
     with the same fold plan, drawn from ``seed``, so a trace entry can be
     reproduced by rerunning ``cross_validate`` on that prefix.  The search
@@ -152,13 +153,13 @@ def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
     ``ranked`` holds at least one feature, as every matrix the reader
     builds does.
     """
-    order_names = list(ranked.ordered_names())
+    order_names = _dedupe_exact(m, ranked.ordered_names())
     plan = make_folds(m.n_samples, folds, seed)
     ridge = partial(ridge_predictions, ridge_lambda=SFS_RIDGE_LAMBDA)
 
     def score(size: int) -> float:
         prefix = order_names[:size]
-        sub = m.subset(_dedupe_exact(m, prefix))
+        sub = m.subset(prefix)
         with naming(f"prefix of size {size} ({prefix})"):
             oof = cross_validate(sub, ridge, plan)
         return metrics(sub.target, oof).rmse

@@ -3,8 +3,9 @@
 Two inner loops dominate runtime in this package: full-batch iRprop⁻
 training of the shallow networks (a hundred fits per ensemble, and more in
 the stage report's folds) and the neighbor accumulation loop of the
-relief-style feature ranker.  The kernels start no threads of their own;
-BLAS threads are left at the library's default.
+relief-style feature ranker.  The kernels start no threads of their own
+and leave the BLAS thread count alone; only ``pipeline.evaluate_pipeline``
+sets it, to one thread in each of its two processes.
 
 ``mlp_train`` is iRprop⁻ (Igel & Hüsken 2000, *Improving the Rprop learning
 algorithm*).  Each parameter moves by its own step against the sign of its

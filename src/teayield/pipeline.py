@@ -19,14 +19,18 @@ results back as one pickle over a pipe and leaves through ``os._exit``.
 Every task is the same deterministic code on the same rows and seeds as in
 one process, so every output bit is the same whichever process ran it, and
 the error raised is the serial run's: the lowest failing fold's, or else
-the ensemble's.  ``train``, ``predict`` and each single fit run in one
-process.  No command imports ``multiprocessing``: its one fork would cost
-every ``evaluate`` the memory of ``socket``, ``selectors`` and
-``subprocess``, which it pulls in.
+the ensemble's.  Both processes run numpy's OpenBLAS at one thread: at
+1,200 rows, two processes of two BLAS threads each made ``evaluate`` about
+four times slower on two cores.  ``train``, ``predict`` and each single fit
+run in one process, at the library's thread count.  No command imports
+``multiprocessing``: its one fork would cost every ``evaluate`` the memory
+of ``socket``, ``selectors`` and ``subprocess``, which it pulls in.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import os
 import pickle
@@ -318,7 +322,8 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
     buffers before the fork, so the child writes no output twice, and the
     child flushes its own before ``os._exit``, which runs none of the exit
     handlers it inherited.  numpy's OpenBLAS shuts its thread pool down
-    before a fork.
+    before a fork; the parent sets it to one thread first, which the child
+    inherits, and restores the count on every exit (``_one_blas_thread``).
     """
     train_m, test_m = holdout_split(m, cfg.holdout_fraction,
                                     derive_seed(cfg.seed, _TAG_HOLDOUT))
@@ -342,28 +347,29 @@ def evaluate_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> HoldoutEvaluatio
     claim, spill = _task_queue(range(1, plan.k + 1))
     receive, send = os.pipe()
     _flush_stdio()  # or the child writes the parent's buffered output again
-    pid = os.fork()
-    if pid == 0:
-        _child_tasks(run, claim, send)
-    os.close(send)
-    reaped = False
-    try:
-        results = _run_tasks(itertools.chain(_claims(claim), spill), run)
-        _raise_first_error(results, serial)
+    with _one_blas_thread():  # the child inherits the count
+        pid = os.fork()
+        if pid == 0:
+            _child_tasks(run, claim, send)
+        os.close(send)
+        reaped = False
         try:
-            with open(receive, "rb", closefd=False) as fh:
-                results |= pickle.load(fh)
-        except Exception:  # EOFError, or a result that does not unpickle
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped = True
-            raise RuntimeError(f"the ensemble process sent no readable "
-                               f"result (exit status {status})") from None
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
-        os.close(receive)
-        os.close(claim)
+            results = _run_tasks(itertools.chain(_claims(claim), spill), run)
+            _raise_first_error(results, serial)
+            try:
+                with open(receive, "rb", closefd=False) as fh:
+                    results |= pickle.load(fh)
+            except Exception:  # EOFError, or a result that does not unpickle
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                reaped = True
+                raise RuntimeError(f"the ensemble process sent no readable "
+                                   f"result (exit status {status})") from None
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+            os.close(receive)
+            os.close(claim)
     _raise_first_error(results, serial)
     report = _assemble_report(train_m, cfg, cfg.seed,
                               [results[task] for task in range(1, plan.k + 1)])
@@ -420,6 +426,45 @@ def _raise_first_error(results: dict, order: list[int]) -> None:
             return
         if isinstance(results[task], Exception):
             raise results[task]
+
+
+def _openblas_threads():
+    """The ``(set, get)`` thread-count calls of the OpenBLAS that numpy's
+    wheels bundle under ``numpy.libs``, or None: numpy exposes no thread
+    control of its own, and a numpy built on another BLAS has no such
+    library, or one without these calls."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for name in sorted(os.listdir(libs) if os.path.isdir(libs) else []):
+        if name.startswith("libscipy_openblas64_"):
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            try:
+                set_threads = lib.scipy_openblas_set_num_threads64_
+                get_threads = lib.scipy_openblas_get_num_threads64_
+            except AttributeError:  # an OpenBLAS without these calls
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, and restore the
+    count it had on every exit from the block.  Where ``_openblas_threads``
+    finds no calls, this does nothing, and the BLAS keeps its threads."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _flush_stdio() -> None:

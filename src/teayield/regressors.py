@@ -2,8 +2,9 @@
 regression with a squared-exponential kernel, and the single-hidden-layer
 network used as the ensemble base learner.
 
-Fitted models are immutable and thread-safe for prediction; fitting is
-single-threaded and fully determined by (data, config, seed).
+Fitted models are immutable and thread-safe for prediction.  Fitting is
+determined by (data, config, seed) and starts no thread of its own; BLAS
+runs at the library's thread count, which only ``evaluate`` sets (to one).
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ class MLPTrainConfig:
     patience: int = 20
 
     def __post_init__(self):
-        lo, hi = HIDDEN_RANGE
-        if not lo <= self.hidden_size <= hi:
-            raise FitError(f"[mlp] hidden_size must be in [{lo}, {hi}], "
-                           f"got {self.hidden_size}")
+        if not HIDDEN_RANGE[0] <= self.hidden_size <= HIDDEN_RANGE[1]:
+            raise FitError(f"[mlp] hidden_size must be in {list(HIDDEN_RANGE)}"
+                           f", got {self.hidden_size}")
         if self.epochs < 1:
             raise FitError(f"[mlp] epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.early_stop_fraction < 1.0:
@@ -75,24 +75,26 @@ class MLPTrainConfig:
 
 @dataclass(frozen=True)
 class MLPModel:
-    """One tanh hidden layer, identity output.  A FitError refuses weights
-    not shaped for ``config.hidden_size`` or not finite, and a negative
-    ``seed`` or ``epochs_run``."""
+    """One tanh hidden layer, identity output.  Its width is ``w_hidden``'s
+    second dimension, and it keeps no training setting.  A FitError refuses
+    weights not shaped for one width or not finite, a width outside
+    ``HIDDEN_RANGE``, and a negative ``seed`` or ``epochs_run``."""
 
     w_hidden: np.ndarray
     b_hidden: np.ndarray
     w_out: np.ndarray
     b_out: float
-    config: MLPTrainConfig
     seed: int
     epochs_run: int
 
     def __post_init__(self):
-        h = self.hidden_size
         shapes = (self.w_hidden.shape, self.b_hidden.shape, self.w_out.shape)
-        if (shapes[0][1:], *shapes[1:]) != ((h,),) * 3:
+        if len(shapes[0]) != 2 or shapes[1:] != (shapes[0][1:],) * 2:
             raise FitError(f"w_hidden, b_hidden and w_out have shapes {shapes}"
-                           f", expected (features, {h}), ({h},) and ({h},)")
+                           ", expected (features, h), (h,) and (h,)")
+        if not HIDDEN_RANGE[0] <= self.hidden_size <= HIDDEN_RANGE[1]:
+            raise FitError(f"a network's width must be in {list(HIDDEN_RANGE)}"
+                           f", got {self.hidden_size}")
         if not all(np.isfinite(a).all() for a in (
                 self.w_hidden, self.b_hidden, self.w_out, self.b_out)):
             raise FitError("the network's weights are not all finite")
@@ -102,7 +104,7 @@ class MLPModel:
 
     @property
     def hidden_size(self) -> int:
-        return self.config.hidden_size
+        return self.w_hidden.shape[1]
 
 
 def _feature_array(m: FeatureMatrix) -> np.ndarray:
@@ -171,9 +173,7 @@ def fit_gpr(m: FeatureMatrix, signal_var: float, length_scale: float,
     k = _kernel(x, x, signal_var, length_scale)
     c = k + noise_var * np.eye(n)
     unit = float(np.trace(k)) / n
-    jitter = 0.0
-    step = 1e-10 * unit
-    cap = 1e-4 * unit
+    jitter, step, cap = 0.0, 1e-10 * unit, 1e-4 * unit
     while True:
         try:
             lower = np.linalg.cholesky(c + jitter * np.eye(n))
@@ -207,8 +207,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
     w1 = rng.uniform(-lim1, lim1, (f, h))
     lim2 = 1.0 / math.sqrt(h)
     w2 = rng.uniform(-lim2, lim2, h)
-    b1 = np.zeros(h)
-    b2 = 0.0
+    b1, b2 = np.zeros(h), 0.0
 
     x = _feature_array(m)
     y = np.ascontiguousarray(m.target)
@@ -228,7 +227,7 @@ def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
         kernels.DELTA0, config.epochs, config.patience)
     if status != 0:
         raise FitError(f"non-finite training loss at epoch {epochs_run}")
-    return MLPModel(w1, b1, w2, float(b2), config, int(seed), int(epochs_run))
+    return MLPModel(w1, b1, w2, float(b2), int(seed), int(epochs_run))
 
 
 def predict_mlp(model: MLPModel, x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Versioned model persistence.
 
-Format: one JSON document, ``{"format": "teayield-model", "version": 2,
+Format: one JSON document, ``{"format": "teayield-model", "version": 3,
 "kind": "ensemble", "model": ...}``; ensembles are the only kind the command
 line trains, saves and scores.  Float64 arrays are embedded as base64 of
 their little-endian bytes, scalars as plain JSON numbers, so a round trip is
@@ -8,12 +8,13 @@ prediction-exact; keys are sorted and separators fixed, so the same model
 always serializes to the same bytes.
 
 The document holds the fitted facts and nothing else: each learner's
-network (its weights, training config, seed and epochs run) and error, and
-the fitted chain (the selected features, the scaler's means and stds, and
-the target's centre and scale).  The weights, which the model derives from
-the errors, and the stages every chain has are not written.  Version 1 also
-held the learners' subsample indices and copies of the facts; a version-1
-file is refused with the advice to train again.
+network (its weights, seed and epochs run) and error, and the fitted chain
+(the selected features, the scaler's means and stds, and the target's
+centre and scale).  The weights, which the model derives from the errors,
+the stages every chain has, and a network's width, which is its weights'
+shape, are not written.  Version 1 also held the learners' subsample indices
+and copies of the facts, and versions 1 and 2 each network's training
+config; a file of either is refused with the advice to train again.
 
 The loader reads each fact with its declared type (``int``, ``float``, or
 an array decoded from base64 and reshaped), naming the path of a key it
@@ -28,17 +29,16 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict
 
 import numpy as np
 
 from .ensemble import BaseLearner, EnsembleModel
 from .errors import DataError, FitError
 from .preprocess import PreprocessState, ScalerState
-from .regressors import MLPModel, MLPTrainConfig
+from .regressors import MLPModel
 
 FORMAT_NAME = "teayield-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _at(where: str, key: str) -> str:
@@ -78,24 +78,15 @@ def _dec_array(stored, where: str) -> np.ndarray:
 def _enc_mlp(m: MLPModel) -> dict:
     return {"w_hidden": _enc_array(m.w_hidden),
             "b_hidden": _enc_array(m.b_hidden), "w_out": _enc_array(m.w_out),
-            "b_out": m.b_out, "config": asdict(m.config), "seed": m.seed,
-            "epochs_run": m.epochs_run}
-
-
-def _dec_config(stored, where: str) -> MLPTrainConfig:
-    read = _fields(stored, where)
-    return MLPTrainConfig(
-        hidden_size=int(read("hidden_size")), epochs=int(read("epochs")),
-        early_stop_fraction=float(read("early_stop_fraction")),
-        patience=int(read("patience")))
+            "b_out": m.b_out, "seed": m.seed, "epochs_run": m.epochs_run}
 
 
 def _dec_mlp(stored, where: str) -> MLPModel:
     read = _fields(stored, where)
     return MLPModel(*(read(key, _dec_array)
                       for key in ("w_hidden", "b_hidden", "w_out")),
-                    float(read("b_out")), read("config", _dec_config),
-                    int(read("seed")), int(read("epochs_run")))
+                    float(read("b_out")), int(read("seed")),
+                    int(read("epochs_run")))
 
 
 def _dec_learner(stored, where: str) -> BaseLearner:
@@ -214,10 +205,10 @@ def load_model(path) -> EnsembleModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError(f"{path}: not a {FORMAT_NAME} file")
     version = doc.get("version")  # an int: 2.0 and true only compare equal
-    if type(version) is int and version == 1:
+    if type(version) is int and version in (1, 2):
         raise DataError(f"{path}: the model format changed in version "
-                        f"{FORMAT_VERSION}, and version 1 no longer loads; "
-                        "train the model again")
+                        f"{FORMAT_VERSION}, and version {version} no longer "
+                        "loads; train the model again")
     if type(version) is not int or version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {version}")
     kind = doc.get("kind")

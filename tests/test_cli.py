@@ -21,7 +21,7 @@ from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleModel,
                                predict_ensemble)
 from teayield.errors import DataError
 from teayield.preprocess import PreprocessState, ScalerState
-from teayield.regressors import MLPModel, MLPTrainConfig
+from teayield.regressors import MLPModel
 from teayield.serialize import load_model, save_model
 from teayield.util import write_table
 
@@ -183,10 +183,12 @@ CORRUPTIONS = {
     "w_out shorter than hidden_size": (FIRST_MLP, "w_out", lambda a: a[:-1]),
     "string b_out": (FIRST_MLP, "b_out", "0.5"),
     "NaN target_scale": (("preprocess",), "target_scale", float("nan")),
-    "fractional epochs": (FIRST_MLP + ("config",), "epochs", 2.5),
-    "boolean patience": (FIRST_MLP + ("config",), "patience", True),
-    "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
-                               float("inf")),
+    # A network's training config, which the model no longer writes, at
+    # values that version 2 refused too.
+    "fractional epochs": (FIRST_MLP, "config", {"epochs": 2.5}),
+    "boolean patience": (FIRST_MLP, "config", {"patience": True}),
+    "infinite learning_rate": (FIRST_MLP, "config",
+                               {"learning_rate": float("inf")}),
 }
 
 
@@ -848,8 +850,7 @@ def scoring_model(hidden: int, scales: dict = SCALES) -> EnsembleModel:
         BaseLearner(MLPModel(0.3 * rng.normal(size=(f, hidden)),
                              rng.normal(size=hidden),
                              rng.normal(size=hidden) / hidden,
-                             float(rng.normal()),
-                             MLPTrainConfig(hidden_size=hidden), i, 1),
+                             float(rng.normal()), i, 1),
                     eps)
         for i, eps in enumerate(errors))
     return EnsembleModel(learners, state)

@@ -518,8 +518,7 @@ class TestBlockScoring:
             BaseLearner(MLPModel(rng.normal(size=(f, hidden)),
                                  rng.normal(size=hidden),
                                  0.3 * rng.normal(size=hidden),
-                                 float(rng.normal()),
-                                 MLPTrainConfig(hidden_size=hidden), i, 1),
+                                 float(rng.normal()), i, 1),
                         eps)
             for i, eps in enumerate(0.2 * rng.random(members)))
         state = replace(one_member_state(m), log_target=True,

@@ -4,14 +4,14 @@ import pytest
 from teayield import feature_select, kernels
 from teayield.dataset import FeatureMatrix
 from teayield.errors import FitError
-from teayield.evaluation import (cross_validate, forward_select, make_folds,
-                                 metrics)
+from teayield.evaluation import cross_validate, make_folds, metrics
 from teayield.feature_select import (DECAY_SIGMA, neighbor_rank_weights,
                                      relief_weights_from_counts, rrelieff,
                                      sequential_forward_select)
+from teayield.pipeline import fit_preprocess
 from teayield.regressors import ridge_predictions
 
-from conftest import random_matrix
+from conftest import bench_config, random_matrix
 
 
 def brute_force_relief(m, k, rank_w):
@@ -239,19 +239,11 @@ class TestSequentialForwardSelect:
             sequential_forward_select(m, ranked, folds=4, seed=0)
 
 
-def test_duplicated_copy_never_co_selected(monkeypatch):
-    """The prefix that adds an exact copy scores as the one before it, so
-    the copy never registers as an improvement, and a search at patience 1
-    (``forward_select`` over the feature search's own scores) keeps at most
-    one of the two.  At ``SFS_PATIENCE`` = 2 a feature ranked after the copy
-    that improves the score keeps both, as the selection is a prefix."""
-    scores = []
-
-    def recording(n_candidates, score, patience):
-        scores.append(score)
-        return forward_select(n_candidates, score, patience)
-
-    monkeypatch.setattr(feature_select, "forward_select", recording)
+def test_duplicated_copy_never_co_selected():
+    """An exact copy of a column ranked before it leaves the order before
+    any prefix is scored, so the search never selects both, and every
+    prefix it scores holds one of them at most: three distinct columns give
+    three prefixes at most."""
     for seed in range(20):
         r = np.random.default_rng(seed)
         n = 150
@@ -260,11 +252,24 @@ def test_duplicated_copy_never_co_selected(monkeypatch):
                                   r.normal(size=n), r.normal(size=n)])
         m = FeatureMatrix(("signal", "copy", "n1", "n2"), values,
                           signal + 0.1 * r.normal(size=n))
-        ranked = rrelieff(m, k=10)
-        result = sequential_forward_select(m, ranked, folds=5, seed=seed)
-        order = ranked.ordered_names()
-        both = max(order.index("signal"), order.index("copy")) + 1
-        trace = dict(result.trace)
-        assert trace[both] == trace[both - 1]
-        size, _ = forward_select(len(order), scores[-1], 1)
-        assert not ({"signal", "copy"} <= set(order[:size]))
+        result = sequential_forward_select(m, rrelieff(m, k=10), folds=5,
+                                           seed=seed)
+        assert not {"signal", "copy"} <= set(result.selected)
+        assert len(result.trace) <= 3
+
+
+def test_a_copy_of_rainfall_is_not_selected_with_it(canonical_raw):
+    """The 120-row canonical set with ``dup``, a copy of ``rainfall``,
+    appended, at the bench config: RReliefF ranks ``dup`` right after
+    ``rainfall``.  The search used to select the first eight ranked names,
+    both included, having scored the prefix that added ``dup`` at the bits
+    of the one before it.  It selects those names less the copy now, and no
+    two prefixes score alike."""
+    m = with_copy(canonical_raw, "dup", "rainfall")
+    _, _, artifacts = fit_preprocess(m, bench_config())
+    order = artifacts.ranked.ordered_names()
+    assert order.index("dup") == order.index("rainfall") + 1
+    assert artifacts.selection.selected == tuple(
+        name for name in order[:8] if name != "dup")
+    rmses = [rmse for _, rmse in artifacts.selection.trace]
+    assert len(set(rmses)) == len(rmses)

@@ -476,3 +476,66 @@ def test_the_scan_flags_numpy_random_outside_util(tmp_path):
         "ensemble.py:7: np.random", "ensemble.py:8: numpy.random",
         "ensemble.py:10: np.random"]
     assert random_users(tmp_path / "util.py") == []
+
+
+# ``pipeline.evaluate_pipeline`` is the one owner of the BLAS thread count:
+# it runs numpy's OpenBLAS at one thread in its two processes and restores
+# the count after.  No other module sets it, by the library's calls or by
+# the environment variable, and nothing sets it on import.
+BLAS_THREAD_NAMES = ("scipy_openblas_", "OPENBLAS_NUM_THREADS")
+
+
+def blas_thread_setters(path: Path) -> list[str]:
+    """Each place outside ``pipeline`` that names the OpenBLAS thread calls
+    or ``OPENBLAS_NUM_THREADS`` in code; a docstring may mention them."""
+    if path.stem == "pipeline":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            text = node.id
+        elif isinstance(node, ast.Attribute):
+            text = node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            text = node.value
+        else:
+            continue
+        found += [(node.lineno, name) for name in BLAS_THREAD_NAMES
+                  if name in text]
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_pipeline_alone_sets_the_blas_threads(path):
+    assert blas_thread_setters(path) == []
+
+
+def test_the_scan_flags_blas_threads_set_outside_pipeline(tmp_path):
+    """Names, attributes and strings count, f-strings too; docstrings and
+    other names do not."""
+    body = ('"""Sets OPENBLAS_NUM_THREADS."""\n'
+            "import ctypes\n"
+            "import os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+            "def f(lib, op):\n"
+            '    """Calls scipy_openblas_set_num_threads64_."""\n'
+            "    lib.scipy_openblas_set_num_threads64_(1)\n"
+            "    call = getattr(lib, f'scipy_openblas_{op}_num_threads64_')\n"
+            "    scipy_openblas_get = lib.openblas_get_num_threads\n"
+            "    return call, scipy_openblas_get, os.cpu_count()\n")
+    for stem in ("regressors", "pipeline"):
+        (tmp_path / f"{stem}.py").write_text(body, encoding="utf-8")
+    assert blas_thread_setters(tmp_path / "regressors.py") == [
+        "regressors.py:4: OPENBLAS_NUM_THREADS",
+        "regressors.py:7: scipy_openblas_",
+        "regressors.py:8: scipy_openblas_",
+        "regressors.py:9: scipy_openblas_",
+        "regressors.py:10: scipy_openblas_"]
+    assert blas_thread_setters(tmp_path / "pipeline.py") == []

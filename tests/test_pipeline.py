@@ -324,6 +324,20 @@ def serial_evaluation(canonical_raw):
     return serial, metrics(test_m.target, predict_ensemble(model, test_m))
 
 
+@pytest.fixture()
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to two for
+    the test and restored after it."""
+    calls = pipeline._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no thread-count calls")
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
 class TestEvaluateInTwoProcesses:
     """``evaluate_pipeline``'s forked child runs the ensemble, then claims
     stage-report folds along with the parent; it inherits the ``pipeline``
@@ -385,6 +399,35 @@ class TestEvaluateInTwoProcesses:
                             _raises(DataError("stage report")))
         with pytest.raises(DataError, match="^stage report$"):
             evaluate_pipeline(canonical_raw, tiny_config())
+
+    def test_each_process_runs_one_blas_thread(
+            self, canonical_raw, monkeypatch, tmp_path, blas_threads):
+        """Every task, the child's ensemble and the folds of both processes,
+        sees one BLAS thread, and the parent has its two back after."""
+        def seen(real):
+            def task(*args):
+                (tmp_path / f"{os.getpid()}-{blas_threads()}").touch()
+                return real(*args)
+            return task
+
+        for name in ("stage_fold", "train_ensemble_pipeline"):
+            monkeypatch.setattr(pipeline, name, seen(getattr(pipeline, name)))
+        evaluate_pipeline(canonical_raw, tiny_config())
+        marks = {tuple(path.name.split("-")) for path in tmp_path.iterdir()}
+        pids = {pid for pid, _ in marks}
+        assert str(os.getpid()) in pids and len(pids) == 2
+        assert {threads for _, threads in marks} == {"1"}
+        assert blas_threads() == 2
+
+    def test_a_failed_evaluation_restores_the_blas_threads(
+            self, canonical_raw, monkeypatch, blas_threads):
+        monkeypatch.setattr(pipeline, "train_ensemble_pipeline",
+                            _raises(FitError("ensemble")))
+        monkeypatch.setattr(pipeline, "stage_fold",
+                            _raises(DataError("stage report")))
+        with pytest.raises(DataError, match="^stage report$"):
+            evaluate_pipeline(canonical_raw, tiny_config())
+        assert blas_threads() == 2
 
     @pytest.mark.parametrize("fit,status", [(_killed, -signal.SIGKILL),
                                             (_unpicklable, 1)],

@@ -302,7 +302,12 @@ class TestMLP:
         ({"b_hidden": np.full(5, np.inf)}, "not all finite"),
         ({"b_out": np.nan}, "not all finite"),
         ({"seed": -1}, "got -1 and "),
-        ({"epochs_run": -1}, "got 1 and -1")])
+        ({"epochs_run": -1}, "got 1 and -1"),
+        # The width is w_hidden's; fits train 5 to 30 hidden units.
+        ({"w_out": np.zeros(6)}, "shapes ((3, 5), (5,), (6,))"),
+        *(({"w_hidden": np.zeros((3, h)), "b_hidden": np.zeros(h),
+            "w_out": np.zeros(h)}, f"width must be in [5, 30], got {h}")
+          for h in (4, 31))])
     def test_a_network_no_fit_gives_is_refused(self, rng, part, message):
         model = fit_mlp(random_matrix(rng, 20, 3), MLPTrainConfig(5, epochs=50),
                         seed=1)

@@ -52,36 +52,48 @@ def _keys(obj):
 
 
 def test_the_document_holds_the_fitted_facts_alone(model):
-    """No subsample indices, training MSE, weighting, or copy of a fact:
-    a network's hidden size is its config's alone."""
+    """No subsample indices, training MSE, weighting, training config or
+    copy of a fact: a network's width is the shape of its weights."""
     doc = json.loads(model_to_json(model))
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert set(_keys(doc)) == {
         "format", "version", "kind", "model", "learners", "error", "mlp",
-        "w_hidden", "b_hidden", "w_out", "shape", "data", "b_out", "config",
-        "hidden_size", "epochs", "early_stop_fraction", "patience", "seed",
+        "w_hidden", "b_hidden", "w_out", "shape", "data", "b_out", "seed",
         "epochs_run", "preprocess", "selected_features", "scaler", "means",
         "stds", "target_center", "target_scale"}
     learner = doc["model"]["learners"][0]
     assert sorted(learner) == ["error", "mlp"]
-    assert "hidden_size" not in learner["mlp"]
+    assert (learner["mlp"]["w_hidden"]["shape"][1]
+            == model.learners[0].model.hidden_size)
 
 
-def test_a_version_1_file_is_refused_with_advice(model, tmp_path):
+def _refusal_of_version(model, tmp_path, version) -> str:
     doc = json.loads(model_to_json(model))
-    doc["version"] = 1
+    doc["version"] = version
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError) as info:
         load_model(path)
-    assert str(info.value) == (f"{path}: the model format changed in version "
-                               "2, and version 1 no longer loads; train the "
-                               "model again")
+    return str(info.value).replace(str(path), "<path>")
+
+
+def test_a_version_1_file_is_refused_with_advice(model, tmp_path):
+    assert _refusal_of_version(model, tmp_path, 1) == (
+        "<path>: the model format changed in version 3, and version 1 no "
+        "longer loads; train the model again")
+
+
+def test_a_version_2_file_gets_the_same_advice(model, tmp_path):
+    """Version 2 wrote each network's training config; the document as it
+    stands, with its version set to 2, is refused by the version alone."""
+    assert _refusal_of_version(model, tmp_path, 2) == (
+        "<path>: the model format changed in version 3, and version 2 no "
+        "longer loads; train the model again")
 
 
 # 2.0 and true compare equal to a version the loader knows, but only a JSON
 # integer is one.
-@pytest.mark.parametrize("version", [0, 3, "2", None, 2.0, True, 1.0])
+@pytest.mark.parametrize("version", [0, 4, "2", None, 2.0, True, 1.0])
 def test_a_version_never_written_is_unsupported(model, tmp_path, version):
     doc = json.loads(model_to_json(model))
     doc["version"] = version
@@ -92,16 +104,23 @@ def test_a_version_never_written_is_unsupported(model, tmp_path, version):
     assert str(info.value) == f"{path}: unsupported format version {version}"
 
 
-# Keys that model files once held, each at the value of the one mode left;
-# the model writes none of them.  The network's ``learning_rate`` is from
-# before iRprop⁻, ``add_avg_temp`` from before the reader built avg_temp.
+# A network's training config as format 2 wrote it under ``tiny_config``,
+# for a network of 5 hidden units.
+FORMAT_2_CONFIG = {"early_stop_fraction": 0.15, "epochs": 50,
+                   "hidden_size": 5, "patience": 20}
+
+
+# Keys that model files once held, each at the value of the one mode left,
+# or as ``train`` last wrote it; the model writes none of them.
+# ``add_avg_temp`` is from before the reader built avg_temp, and a network's
+# ``config`` from before its width was read from its weights.
 RETIRED_KEYS = {"model.literal_weights": ((), "literal_weights", False),
                 "model.preprocess.month_encoding": (
                     ("preprocess",), "month_encoding", "cyclic"),
                 "model.preprocess.add_avg_temp": (
                     ("preprocess",), "add_avg_temp", True),
-                "model.learners[1].mlp.config.learning_rate": (
-                    ("learners", 1, "mlp", "config"), "learning_rate", 0.01)}
+                "model.learners[1].mlp.config": (
+                    ("learners", 1, "mlp"), "config", FORMAT_2_CONFIG)}
 
 
 def test_a_model_file_with_retired_keys_is_refused(model, tmp_path):
@@ -132,13 +151,17 @@ def test_a_key_the_model_does_not_write_is_refused_by_path(model, tmp_path,
                                                            where):
     """Every object of a saved document holds only the keys the model
     writes (the document as written reloads: see the round-trip test).
-    The ensemble weights, an array object in format 1, are written no more,
-    so an extra key inside them is refused at ``model.weights`` itself."""
+    The ensemble weights, an array object in format 1, and a network's
+    config, an object in formats 1 and 2, are written no more, so an extra
+    key inside one is refused at the object itself."""
     doc = json.loads(model_to_json(model))
     refused = f"{where}extra"
     if where == "model.weights.":
         doc["model"]["weights"] = _enc_array(model.weights)
         refused = "model.weights"
+    if where == "model.learners[0].mlp.config.":
+        corrupt_model_doc(doc, FIRST_MLP, "config", dict(FORMAT_2_CONFIG))
+        refused = "model.learners[0].mlp.config"
     corrupt_model_doc(doc, OBJECTS[where], "extra", 0)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -201,10 +224,12 @@ CORRUPTIONS = {
     "zero scaler std": (("preprocess", "scaler"), "stds",
                         lambda a: np.where(np.arange(a.size) == 0, 0.0, a)),
     "negative scaler stds": (("preprocess", "scaler"), "stds", lambda a: -a),
-    "training patience 0": (FIRST_MLP + ("config",), "patience", 0),
-    # A network's hidden size is its config's; hidden sizes lie in [5, 30].
-    "config hidden_size differs": (FIRST_MLP + ("config",), "hidden_size",
-                                   lambda h: 35 - h),
+    # A network's training config, which formats 1 and 2 wrote, at values
+    # they refused too.  At any value it is a key the model does not write.
+    "training patience 0": (FIRST_MLP, "config",
+                            {**FORMAT_2_CONFIG, "patience": 0}),
+    "config hidden_size differs": (FIRST_MLP, "config",
+                                   {**FORMAT_2_CONFIG, "hidden_size": 30}),
     # A learner's error is the MSE of its out-of-bag predictions.
     "NaN learner error": (("learners", 0), "error", float("nan")),
     "negative learner error": (("learners", 0), "error", -1.0),
@@ -223,13 +248,21 @@ CORRUPTIONS = {
     "string network seed": (FIRST_MLP, "seed", "7"),
     "string epochs_run": (FIRST_MLP, "epochs_run", "50"),
     "negative epochs_run": (FIRST_MLP, "epochs_run", -1),
-    # The training config is decoded field by field, as the network is.
-    "fractional epochs": (FIRST_MLP + ("config",), "epochs", 2.5),
-    "boolean patience": (FIRST_MLP + ("config",), "patience", True),
-    "infinite learning_rate": (FIRST_MLP + ("config",), "learning_rate",
-                               float("inf")),
-    "zero learning_rate": (FIRST_MLP + ("config",), "learning_rate", 0.0),
-    "string learning_rate": (FIRST_MLP + ("config",), "learning_rate", "0.01"),
+    "fractional epochs": (FIRST_MLP, "config",
+                          {**FORMAT_2_CONFIG, "epochs": 2.5}),
+    "boolean patience": (FIRST_MLP, "config",
+                         {**FORMAT_2_CONFIG, "patience": True}),
+    "infinite learning_rate": (FIRST_MLP, "config", {
+        **FORMAT_2_CONFIG, "learning_rate": float("inf")}),
+    "zero learning_rate": (FIRST_MLP, "config",
+                           {**FORMAT_2_CONFIG, "learning_rate": 0.0}),
+    "string learning_rate": (FIRST_MLP, "config",
+                             {**FORMAT_2_CONFIG, "learning_rate": "0.01"}),
+    "config with an unknown key": (FIRST_MLP, "config",
+                                   {**FORMAT_2_CONFIG, "momentum": 0.9}),
+    "config without epochs": (FIRST_MLP, "config", {
+        key: value for key, value in FORMAT_2_CONFIG.items()
+        if key != "epochs"}),
     # The chain holds a scaler.
     "scaler dropped": (("preprocess",), "scaler", None),
     # The scaler scales every selected feature.  A list holds several edits:
@@ -348,6 +381,11 @@ UNWRITTEN_PATHS = {
     "learner hidden_size differs": "model.learners[0].hidden_size",
     "learner seed differs": "model.learners[0].seed",
     "network hidden_size differs": "model.learners[0].mlp.hidden_size",
+    **{case: "model.learners[0].mlp.config" for case in (
+        "training patience 0", "config hidden_size differs",
+        "fractional epochs", "boolean patience", "infinite learning_rate",
+        "zero learning_rate", "string learning_rate",
+        "config with an unknown key", "config without epochs")},
     "feature_scaling left out": "model.preprocess.stage_order",
     "feature_scaling twice": "model.preprocess.stage_order",
     "unknown stage": "model.preprocess.stage_order",
@@ -401,7 +439,7 @@ def test_a_missing_key_is_refused_by_path(model, tmp_path):
     text = model_to_json(model)
     keys = [path for path in _parts(json.loads(text))
             if path[0] == "model" and type(path[-1]) is str]
-    assert len(keys) > 3 * 19
+    assert len(keys) > 3 * 14
     file = tmp_path / "model.json"
     for *head, key in keys:
         doc = json.loads(text)
@@ -464,22 +502,6 @@ def test_a_weighting_train_never_writes_is_rejected(model, tmp_path, key,
         load_model(path)
     assert str(info.value) == (f"{path}: corrupt model document (model.{key} "
                                "is a key the model does not write)")
-
-
-@pytest.mark.parametrize("edit", ["unknown key", "missing key"])
-def test_network_config_keys_are_exactly_its_fields(model, tmp_path, edit):
-    """A missing field is not filled with its default, and an unknown one
-    is not ignored."""
-    doc = json.loads(model_to_json(model))
-    config = doc["model"]["learners"][0]["mlp"]["config"]
-    if edit == "unknown key":
-        config["momentum"] = 0.9
-    else:
-        del config["epochs"]
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(DataError, match="corrupt model document"):
-        load_model(path)
 
 
 # Values the model fuzz property puts in place of one part of the document.
