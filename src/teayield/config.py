@@ -29,8 +29,7 @@ from functools import reduce
 from .dataset import SyntheticSpec
 from .ensemble import EnsembleConfig
 from .errors import ConfigError, DataError, FitError
-from .feature_select import (DECAY_SIGMA, SFS_PATIENCE, SFS_RIDGE_LAMBDA,
-                             ReliefParams)
+from .feature_select import DECAY_SIGMA, SFS_PATIENCE, SFS_RIDGE_LAMBDA
 from .preprocess import PIPELINE_STAGES
 from .regressors import (GPR_LENGTH_SCALE, GPR_NOISE_VAR, GPR_SIGNAL_VAR,
                          MLPTrainConfig)
@@ -41,7 +40,7 @@ class PipelineConfig:
     seed: int = 42
     feature_columns: tuple[str, ...] | None = None  # None = accept file extras
     outlier_threshold: float = 0.5
-    relieff: ReliefParams = ReliefParams()
+    relieff_k: int = 10  # RReliefF's neighbor count
     mlp: MLPTrainConfig = MLPTrainConfig(hidden_size=12)
     ensemble: EnsembleConfig = EnsembleConfig()
     cv_folds: int = 10
@@ -52,7 +51,8 @@ class PipelineConfig:
         if not self.outlier_threshold > 0.0:
             raise ConfigError("[outliers] threshold must be > 0, got "
                               f"{self.outlier_threshold}")
-        for name, value, low in (("[evaluation] cv_folds", self.cv_folds, 2),
+        for name, value, low in (("[relieff] k", self.relieff_k, 1),
+                                 ("[evaluation] cv_folds", self.cv_folds, 2),
                                  ("[evaluation] mlp_replicates",
                                   self.mlp_replicates, 1),
                                  ("[pipeline] seed", self.seed, 0)):
@@ -141,7 +141,7 @@ OPTIONS = (
     _retired("transform", "log_target", "bool", True),
     ("outliers", "threshold", ("outlier_threshold",), "float", None),
     _retired("outliers", "rule", "str", "fixed"),
-    _nested("relieff", "k", "int"),
+    ("relieff", "k", ("relieff_k",), "int", None),
     _retired("relieff", "iterations", "str", "all"),
     _retired("relieff", "decay_sigma", "float", DECAY_SIGMA),
     _retired("sfs", "evaluator", "str", "ridge"),

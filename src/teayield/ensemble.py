@@ -37,19 +37,19 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import ConfigError, DataError, FitError, naming
+from .errors import ConfigError, DataError, naming
 from .evaluation import forward_select
-from .feature_select import ReliefParams, rank_order, rrelieff
+from .feature_select import RankedFeatures, rrelieff
 from .preprocess import PreprocessState
 from .regressors import (HIDDEN_RANGE, MLPModel, MLPTrainConfig, fit_mlp,
                          predict, predict_mlp)
 from .util import derive_seed, generator, write_table
 
 # Rows scored at once: ``predict_ensemble`` cuts a matrix into blocks of this
-# size, and ``teayield predict`` reads and scores its file in them.  At 30
-# hidden units, the widest a member can be, one block's hidden activations
-# take about 0.5 MB, and ``kernels.mlp_forward`` holds a second array of that
-# size while it adds them up.
+# size, and ``teayield predict`` reads and scores its file in them.
+# ``kernels.mlp_forward`` works a block two hidden units at a time
+# (``UNIT_ROWS // SCORE_BLOCK``), so it holds 32 KB of activations, and as
+# much again for the terms it adds, whatever a member's width.
 SCORE_BLOCK = 2048
 
 
@@ -86,15 +86,6 @@ class BaseLearner:
 
 
 @dataclass(frozen=True)
-class LearnerRanking:
-    weights: np.ndarray
-
-    @property
-    def order(self) -> np.ndarray:
-        return rank_order(self.weights)
-
-
-@dataclass(frozen=True)
 class LearnerSelection:
     selected_positions: tuple[int, ...]
     trace: tuple[tuple[int, float], ...]
@@ -103,11 +94,10 @@ class LearnerSelection:
 @dataclass(frozen=True)
 class EnsembleModel:
     """The learners and the chain.  The weights are derived from the
-    learners' errors, not given: ``compute_weights`` of them under the
-    ``resolve_weight_params`` of them, one strictly positive weight per
-    learner.  A DataError refuses an empty learner tuple, a network whose
-    input count is not the number of selected features, and a weight that
-    is not > 0."""
+    learners' errors, not given: ``compute_weights`` of them, one strictly
+    positive weight per learner.  A DataError refuses an empty learner
+    tuple, a network whose input count is not the number of selected
+    features, and a weight that is not > 0."""
 
     learners: tuple[BaseLearner, ...]
     preprocess: PreprocessState
@@ -121,8 +111,7 @@ class EnsembleModel:
         if inputs != {n}:
             raise DataError(f"the chain selects {n} features, the networks "
                             f"take {sorted(inputs)}")
-        errors = [bl.error for bl in self.learners]
-        w = compute_weights(errors, *resolve_weight_params(errors))
+        w = compute_weights([bl.error for bl in self.learners])
         if not np.all(w > 0.0):  # a weight that underflowed to 0
             raise DataError("weights must be strictly positive and sum to 1")
         w.flags.writeable = False
@@ -133,7 +122,7 @@ class EnsembleModel:
 class PoolReport:
     pool: tuple[BaseLearner, ...]
     out_of_bag: np.ndarray  # True where a member left a row out
-    ranking: LearnerRanking
+    ranking: RankedFeatures
     selection: LearnerSelection
 
     @property
@@ -201,24 +190,24 @@ def train_pool(m: FeatureMatrix, cfg: EnsembleConfig, seed: int
 
 
 def rank_learners(preds: np.ndarray, target: np.ndarray,
-                  relief: ReliefParams) -> LearnerRanking:
-    """Rank the learners of a non-empty pool by relief weight of their
-    prediction columns: ``preds`` is the matrix ``train_pool`` returns, over
-    the rows whose targets are ``target``.
+                  k: int) -> RankedFeatures:
+    """Rank the learners of a non-empty pool by the relief weight, at ``k``
+    neighbors, of their prediction columns: ``preds`` is the matrix
+    ``train_pool`` returns, over the rows whose targets are ``target``.
+    Learner i is the feature ``learner_{i:03d}``.
 
     Constant-prediction learners would make the relief range normalization
     degenerate; they get weight -inf and sink to the bottom of the ranking
     (ordered among themselves by pool index) instead of aborting the run.
     """
+    names = tuple(f"learner_{i:03d}" for i in range(len(preds)))
     weights = np.full(len(preds), -np.inf)
     good = [i for i in range(len(preds)) if np.ptp(preds[i]) > 0.0]
     if good:
-        derived = FeatureMatrix(
-            tuple(f"learner_{i:03d}" for i in good), preds[good].T, target)
-        ranked = rrelieff(derived, k=relief.k)
-        for pos, i in enumerate(good):
-            weights[i] = ranked.weights[pos]
-    return LearnerRanking(weights)
+        derived = FeatureMatrix(tuple(names[i] for i in good), preds[good].T,
+                                target)
+        weights[good] = rrelieff(derived, k=k).weights
+    return RankedFeatures(names, weights)
 
 
 def _quantile(s: list[float], q: float) -> float:
@@ -270,25 +259,24 @@ def _falling_logistic(z: float) -> float:
         return 0.0
 
 
-def compute_weights(errors, b: float, c: float) -> np.ndarray:
+def compute_weights(errors) -> np.ndarray:
     """Normalized learner weights from their errors.
 
-    raw_i = 1 / (1 + exp(b * (eps_i - c))), a decreasing logistic for the
-    b > 0 that ``resolve_weight_params`` gives, so a strictly larger error
-    always gets a strictly smaller weight.
+    raw_i = 1 / (1 + exp(b * (eps_i - c))) under the b > 0 and c that
+    ``resolve_weight_params`` gives for these errors: a decreasing logistic,
+    so a strictly larger error always gets a strictly smaller weight.  As c
+    is the median, at least half the raw weights are >= 1/2, so the sum is
+    never 0.
     """
     eps = np.asarray(errors, dtype=np.float64)
     if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
         raise DataError("errors must be finite and >= 0")
+    b, c = resolve_weight_params(eps)
     raw = np.array([_falling_logistic(b * (e - c)) for e in eps.tolist()])
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise FitError(f"all raw weights underflowed to zero (b={b}, c={c}, "
-                       f"errors in [{eps.min():g}, {eps.max():g}])")
-    return raw / total
+    return raw / float(raw.sum())
 
 
-def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
+def select_learners(pool: Sequence[BaseLearner], ranking: RankedFeatures,
                     preds: np.ndarray, out_of_bag: np.ndarray,
                     target: np.ndarray,
                     cfg: EnsembleConfig) -> LearnerSelection:
@@ -300,14 +288,14 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     every row once, and left out the rows where its row of ``out_of_bag``
     is True.  A prefix's prediction for a row is the weighted mean of the
     prefix members whose subsample left that row out, with the prefix's
-    weights (``resolve_weight_params`` and ``compute_weights`` over its
-    members' errors) renormalised over those members, so no member scores a
-    row it trained on.  The search is ``evaluation.forward_select`` from the
-    first ranked prefix that leaves every row out: it stops after
-    ``cfg.patience`` consecutive non-improving prefix sizes and keeps the
-    best prefix of the ranked order.  When no prefix leaves every row out,
-    the whole pool is kept in ranked order and no prefix is scored.  The
-    pool is not empty, and each member leaves a row out.
+    weights (``compute_weights`` of its members' errors) renormalised over
+    those members, so no member scores a row it trained on.  The search is
+    ``evaluation.forward_select`` from the first ranked prefix that leaves
+    every row out: it stops after ``cfg.patience`` consecutive non-improving
+    prefix sizes and keeps the best prefix of the ranked order.  When no
+    prefix leaves every row out, the whole pool is kept in ranked order and
+    no prefix is scored.  The pool is not empty, and each member leaves a
+    row out.
     """
     order = [int(i) for i in ranking.order]
     out = out_of_bag[order].astype(np.float64)  # 1 where a row is out of bag
@@ -317,8 +305,7 @@ def select_learners(pool: Sequence[BaseLearner], ranking: LearnerRanking,
     errors = [pool[pos].error for pos in order]
 
     def score(size: int) -> float:
-        eps = errors[:size]
-        w = compute_weights(eps, *resolve_weight_params(eps))
+        w = compute_weights(errors[:size])
         resid = (w @ out_preds[:size]) / (w @ out[:size]) - target
         return math.sqrt(float((resid * resid).mean()))
 

@@ -12,7 +12,7 @@ feature is
 
 which is positive for features whose variation coincides with target
 variation among near neighbors.  Subset selection then walks the ranked
-order, less the exact copies of an earlier column, with
+order, less the affine copies of an earlier column, with
 ``evaluation.forward_select``, the search learner selection uses too: each
 prefix is scored by the pooled cross-validated RMSE of ridge regression at
 penalty ``SFS_RIDGE_LAMBDA`` on its standardized columns
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .dataset import FeatureMatrix
-from .errors import ConfigError, FitError, naming
+from .errors import FitError, naming
 from .evaluation import cross_validate, forward_select, make_folds, metrics
 from .regressors import ridge_predictions
 from .util import write_table
@@ -40,17 +40,6 @@ DECAY_SIGMA = 20.0
 
 # The feature search's ridge penalty, and its patience in prefixes.
 SFS_RIDGE_LAMBDA, SFS_PATIENCE = 1e-2, 2
-
-
-@dataclass(frozen=True)
-class ReliefParams:
-    """The neighbor count of RReliefF, which visits every instance once."""
-
-    k: int = 10
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"[relieff] k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +94,8 @@ def rrelieff(m: FeatureMatrix, k: int) -> RankedFeatures:
     """Rank features by the regression relief weight, visiting every
     instance once, so the ranking draws no random number.
 
-    ``k`` lies in [1, n) for the n rows of ``m``: ``ReliefParams`` holds
-    k >= 1, and ``pipeline._check_rows`` refuses k >= n naming
+    ``k`` lies in [1, n) for the n rows of ``m``: ``PipelineConfig`` holds
+    ``relieff_k`` >= 1, and ``pipeline._check_rows`` refuses k >= n naming
     ``[relieff] k``.  Features and target are internally normalized by
     their observed range, so the ranking is invariant under positive affine
     rescaling of any column.
@@ -129,22 +118,32 @@ def rrelieff(m: FeatureMatrix, k: int) -> RankedFeatures:
     return RankedFeatures(m.column_names, weights)
 
 
-def _dedupe_exact(m: FeatureMatrix, names: tuple[str, ...]) -> list[str]:
-    # ``names`` without the exact copies of a column named before them.
-    kept: list[str] = []
+# The |Pearson r| at which a column counts as an affine copy of another.
+COPY_CORRELATION = 1.0 - 1e-12
+
+
+def _dedupe_affine(m: FeatureMatrix, names: tuple[str, ...]) -> list[str]:
+    # ``names`` without the affine copies of a column named before them: the
+    # search standardizes each column, so a copy adds nothing to it.
+    with np.errstate(divide="ignore", invalid="ignore"):  # a constant column
+        r = np.abs(np.corrcoef(m.values, rowvar=False).reshape(
+            m.n_features, m.n_features))
+    col = {name: j for j, name in enumerate(m.column_names)}
+    kept: list[int] = []
     for name in names:
-        col = m.column(name)
-        if not any(np.array_equal(col, m.column(prev)) for prev in kept):
-            kept.append(name)
-    return kept
+        if not (r[col[name], kept] >= COPY_CORRELATION).any():
+            kept.append(col[name])
+    return [m.column_names[j] for j in kept]
 
 
 def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
                               folds: int, seed: int) -> SelectionResult:
     """Grow prefixes of the ranked order while CV RMSE strictly improves.
 
-    An exact copy of a column ranked before it is dropped from the order
-    first, so the search never selects both and spends no prefix on a copy.
+    A column whose |Pearson r| with one ranked before it is at least
+    ``COPY_CORRELATION`` (an affine copy, such as ``2 * x + 1``) is dropped
+    from the order first, so the search never selects both and spends no
+    prefix on a copy.
     Every prefix is scored by ``ridge_predictions`` at ``SFS_RIDGE_LAMBDA``
     with the same fold plan, drawn from ``seed``, so a trace entry can be
     reproduced by rerunning ``cross_validate`` on that prefix.  The search
@@ -153,7 +152,7 @@ def sequential_forward_select(m: FeatureMatrix, ranked: RankedFeatures,
     ``ranked`` holds at least one feature, as every matrix the reader
     builds does.
     """
-    order_names = _dedupe_exact(m, ranked.ordered_names())
+    order_names = _dedupe_affine(m, ranked.ordered_names())
     plan = make_folds(m.n_samples, folds, seed)
     ridge = partial(ridge_predictions, ridge_lambda=SFS_RIDGE_LAMBDA)
 

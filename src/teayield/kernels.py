@@ -66,7 +66,11 @@ bit-identical and only the recorded losses differ, by about 1e-11 relative.
 no BLAS, whose kernel and thread split follow the row count.  Hidden unit j
 starts from ``b1[j]``, adds ``W1[k, j] * x_k`` over the inputs in order, then
 ``tanh``; the output adds ``w2[j] * z_j`` over the units in order, then ``b2``.
-All elementwise, so a row's bits do not depend on the other rows.
+All elementwise, so a row's bits do not depend on the other rows.  The units
+are worked ``UNIT_ROWS // n`` at a time for n rows (at least one), so the
+activations held at once stay near ``UNIT_ROWS`` values, 32 KB, whatever
+the width, and each unit's weighted output is added to the one output row
+as its group finishes.
 """
 
 from __future__ import annotations
@@ -80,15 +84,27 @@ import numpy as np
 # Shallow network: one tanh hidden layer, identity output, MSE loss.
 # ---------------------------------------------------------------------------
 
+# The hidden activations ``mlp_forward`` holds at once, in values.
+UNIT_ROWS = 4096
+
+
 def mlp_forward(X, W1, b1, w2, b2):
-    Z = np.repeat(b1[:, None], X.shape[0], axis=1)  # a row per hidden unit
-    term = np.empty_like(Z)
-    for W1k, x in zip(W1, X.T.copy()):
-        np.add(Z, np.multiply(W1k[:, None], x, out=term), out=Z)
-    np.multiply(np.tanh(Z, out=Z), w2[:, None], out=Z)
-    for z in Z[1:]:
-        np.add(Z[0], z, out=Z[0])
-    return Z[0] + b2
+    n, h = X.shape[0], b1.shape[0]
+    per = min(h, max(1, UNIT_ROWS // max(n, 1)))  # hidden units at a time
+    XT = X.T.copy()
+    Zs, terms = np.empty((per, n)), np.empty((per, n))
+    for lo in range(0, h, per):
+        units = slice(lo, lo + per)
+        Z, term = Zs[:h - lo], terms[:h - lo]  # a row per hidden unit
+        Z[:] = b1[units, None]
+        for W1k, x in zip(W1[:, units], XT):
+            np.add(Z, np.multiply(W1k[:, None], x, out=term), out=Z)
+        np.multiply(np.tanh(Z, out=Z), w2[units, None], out=Z)
+        if not lo:
+            out, Z = Z[0].copy(), Z[1:]
+        for z in Z:
+            np.add(out, z, out=out)
+    return np.add(out, b2, out=out)
 
 
 # iRprop⁻ (Igel & Hüsken 2000): each parameter's first step, the bounds on
@@ -241,13 +257,18 @@ def relief_accumulate(Xn, yn, sample_idx, k, rank_w):
     plain sum of feature diffs.  ``rank_w`` holds the k neighbor influence
     weights (summing to 1).  Distance ties resolve toward the lower row
     index (a stable sort), and neighbors are added nearest first, so the
-    sums are accumulated in a fixed order.
+    sums are accumulated in a fixed order.  One buffer, allocated once,
+    holds each instance's feature diffs to every row, and a neighbor's
+    diffs are read from it.
     """
     ndc = 0.0
     nda = np.zeros(Xn.shape[1])
     ndcda = np.zeros(Xn.shape[1])
+    diff = np.empty_like(Xn)  # |Xn - Xn[i]|, one buffer for every instance
+    dist = np.empty(Xn.shape[0])
     for i in sample_idx:
-        dist = np.abs(Xn - Xn[i]).sum(axis=1)
+        np.abs(np.subtract(Xn, Xn[i], out=diff), out=diff)
+        diff.sum(axis=1, out=dist)
         dist[i] = np.inf
         nearest = np.argsort(dist, kind="stable")[:k]
         for r in range(k):
@@ -255,7 +276,7 @@ def relief_accumulate(Xn, yn, sample_idx, k, rank_w):
             w = rank_w[r]
             dy = abs(yn[i] - yn[j])
             ndc += w * dy
-            da = np.abs(Xn[i] - Xn[j])
+            da = diff[j]  # |Xn[j] - Xn[i]|, the bits of |Xn[i] - Xn[j]|
             nda += w * da
             ndcda += w * da * dy
     return ndc, nda, ndcda

@@ -95,7 +95,7 @@ def _check_rows(cfg: PipelineConfig, n: int, chosen: str) -> None:
     the rows are too few for it: ``[relieff] k``; for features, which the
     search folds, ``[evaluation] cv_folds``.  Learners are scored out of
     bag, and ``train_pool`` checks that before it fits one."""
-    k = cfg.relieff.k
+    k = cfg.relieff_k
     if k >= n:
         raise DataError(f"[relieff] k = {k} needs more than {k} rows to rank "
                         f"{chosen}, got {n}")
@@ -140,7 +140,7 @@ def fit_chain(m: FeatureMatrix, cfg: PipelineConfig, seed: int
         prefixes.append((m, chain))
 
     _check_rows(cfg, m.n_samples, "features")
-    ranked = rrelieff(m, k=cfg.relieff.k)
+    ranked = rrelieff(m, k=cfg.relieff_k)
     selection = sequential_forward_select(m, ranked, folds=cfg.cv_folds,
                                           seed=derive_seed(seed, 2))
     next_prefix(selected_features=selection.selected)
@@ -180,7 +180,7 @@ def train_ensemble_pipeline(m: FeatureMatrix, cfg: PipelineConfig) -> TrainingRe
     _check_rows(cfg, processed.n_samples, "learners")
     pool, preds, out_of_bag = train_pool(processed, cfg.ensemble,
                                          derive_seed(cfg.seed, _TAG_POOL))
-    ranking = rank_learners(preds, processed.target, cfg.relieff)
+    ranking = rank_learners(preds, processed.target, cfg.relieff_k)
     selection = select_learners(pool, ranking, preds, out_of_bag,
                                 processed.target, cfg.ensemble)
     model = EnsembleModel(tuple(pool[pos] for pos in

@@ -39,16 +39,15 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class GPRModel:
-    """Exact GP regressor with k(x, x') = signal_var * exp(-||x-x'||^2 / (2 l^2)).
+    """Exact GP regressor at the ``GPR_*`` constants, with the kernel
+    k(x, x') = GPR_SIGNAL_VAR * exp(-||x-x'||^2 / (2 GPR_LENGTH_SCALE^2)).
 
     The prior mean is zero, so callers are expected to center (typically
     standardize) the target before fitting.  ``alpha`` solves
-    (K + noise_var*I + jitter*I) alpha = y, with whatever diagonal jitter the
-    fit needed, so the posterior mean at a query is k(query, x_train) @ alpha.
+    (K + GPR_NOISE_VAR*I) alpha = y, so the posterior mean at a query is
+    k(query, x_train) @ alpha.
     """
 
-    signal_var: float
-    length_scale: float
     x_train: np.ndarray
     alpha: np.ndarray
 
@@ -144,49 +143,35 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, signal_var: float,
-            length_scale: float) -> np.ndarray:
-    return signal_var * np.exp(-_sq_dists(a, b) / (2.0 * length_scale ** 2))
+def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return GPR_SIGNAL_VAR * np.exp(-_sq_dists(a, b)
+                                   / (2.0 * GPR_LENGTH_SCALE ** 2))
 
 
-def fit_gpr(m: FeatureMatrix, signal_var: float, length_scale: float,
-            noise_var: float) -> GPRModel:
-    """Factor K + noise_var*I once; inference is exact and O(n^3), so more
-    than ``GPR_MAX_ROWS`` rows are a FitError.  ``signal_var`` and
-    ``length_scale`` are > 0 and ``noise_var`` >= 0, as the ``GPR_*``
-    constants are.
+def fit_gpr(m: FeatureMatrix) -> GPRModel:
+    """Factor K + GPR_NOISE_VAR*I once; inference is exact and O(n^3), so
+    more than ``GPR_MAX_ROWS`` rows are a FitError.
 
-    If the Cholesky fails, a diagonal jitter starting at 1e-10 * mean(diag K)
-    escalates tenfold up to 1e-4 * mean(diag K) before giving up.
-
-    With the lower factor L, ``alpha`` solves L z = y and then L^T alpha = z,
+    The noise keeps every eigenvalue of the factored matrix at least
+    GPR_NOISE_VAR, less the rounding of K (about 1e-11 at ``GPR_MAX_ROWS``
+    rows), so the Cholesky needs no jitter; a failure is a FitError.  With
+    the lower factor L, ``alpha`` solves L z = y and then L^T alpha = z,
     each by ``numpy.linalg.solve`` (Rasmussen & Williams 2006, Alg. 2.1).
-    It agrees with ``scipy.linalg.cho_solve`` to 1e-12 relative on
-    well-conditioned kernels, and to the condition number times the rounding
-    unit on a jittered, near-singular one; the tests check both.
+    It agrees with ``scipy.linalg.cho_solve`` to 1e-12 relative; the tests
+    check it.
     """
     n = m.n_samples
     if n > GPR_MAX_ROWS:
         raise FitError(f"{n} samples exceeds the exact-inference cap of "
                        f"{GPR_MAX_ROWS}")
     x = _feature_array(m)
-    k = _kernel(x, x, signal_var, length_scale)
-    c = k + noise_var * np.eye(n)
-    unit = float(np.trace(k)) / n
-    jitter, step, cap = 0.0, 1e-10 * unit, 1e-4 * unit
-    while True:
-        try:
-            lower = np.linalg.cholesky(c + jitter * np.eye(n))
-            break
-        except np.linalg.LinAlgError:
-            jitter = step if jitter == 0.0 else jitter * 10.0
-            if jitter > cap:
-                raise FitError(
-                    f"kernel matrix not positive definite even with jitter "
-                    f"{cap:g} (signal_var={signal_var}, length_scale="
-                    f"{length_scale}, noise_var={noise_var})") from None
+    try:
+        lower = np.linalg.cholesky(_kernel(x, x) + GPR_NOISE_VAR * np.eye(n))
+    except np.linalg.LinAlgError:
+        raise FitError("the GP's kernel matrix is not positive definite"
+                       ) from None
     alpha = np.linalg.solve(lower.T, np.linalg.solve(lower, m.target))
-    return GPRModel(float(signal_var), float(length_scale), x, alpha)
+    return GPRModel(x, alpha)
 
 
 def fit_mlp(m: FeatureMatrix, config: MLPTrainConfig, seed: int) -> MLPModel:
@@ -246,8 +231,7 @@ def predict(model, m: FeatureMatrix) -> np.ndarray:
     if isinstance(model, LinearModel):
         return x @ model.coefficients + model.intercept
     if isinstance(model, GPRModel):
-        return _kernel(x, model.x_train, model.signal_var,
-                       model.length_scale) @ model.alpha
+        return _kernel(x, model.x_train) @ model.alpha
     return predict_mlp(model, x)
 
 
@@ -294,7 +278,7 @@ def gpr_predictions(train: FeatureMatrix, test: FeatureMatrix) -> np.ndarray:
     target standardized (zero prior mean), its predictions mapped back;
     features are used as given."""
     ztrain, mu, sd = _target_standardizer(train)
-    model = fit_gpr(ztrain, GPR_SIGNAL_VAR, GPR_LENGTH_SCALE, GPR_NOISE_VAR)
+    model = fit_gpr(ztrain)
     return predict(model, test.subset(train.column_names)) * sd + mu
 
 

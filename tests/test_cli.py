@@ -617,8 +617,7 @@ def test_too_few_rows_to_split_or_scale_exits_1(workdir, tmp_path, capsys,
                                                 command, rows, message):
     config = tmp_path / "k1.ini"
     config.write_text(render_config(replace(
-        tiny_config(), cv_folds=2, relieff=replace(tiny_config().relieff,
-                                                   k=1))), encoding="utf-8")
+        tiny_config(), cv_folds=2, relieff_k=1)), encoding="utf-8")
     lines = (workdir / "data.csv").read_text(encoding="utf-8").splitlines(True)
     data = tmp_path / "small.csv"
     data.write_text("".join(lines[:rows + 1]), encoding="utf-8")
@@ -673,8 +672,7 @@ def test_evaluate_with_too_few_rows_for_relief_exits_1_naming_the_option(
      "out of bag to select learners, got 8 rows")])
 def test_too_few_rows_to_fold_exits_1_naming_cv_folds(
         workdir, tmp_path, capsys, command, rows, threshold, message):
-    cfg = replace(tiny_config(), cv_folds=10,
-                  relieff=replace(tiny_config().relieff, k=2))
+    cfg = replace(tiny_config(), cv_folds=10, relieff_k=2)
     config = tmp_path / "folds.ini"
     config.write_text(render_config(cfg if threshold is None else replace(
         cfg, outlier_threshold=threshold)), encoding="utf-8")

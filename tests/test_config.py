@@ -273,7 +273,7 @@ VALUES = {
     ("seed",): st.integers(min_value=0),
     ("feature_columns",): st.none() | names,
     ("outlier_threshold",): positive,
-    ("relieff", "k"): st.integers(min_value=1),
+    ("relieff_k",): st.integers(min_value=1),
     ("mlp", "hidden_size"): st.integers(*HIDDEN_RANGE),
     ("mlp", "epochs"): st.integers(min_value=1),
     ("mlp", "early_stop_fraction"): st.floats(0.0, 1.0, exclude_max=True),

@@ -9,15 +9,16 @@ import pytest
 from scipy.special import expit
 
 from teayield import ensemble, pipeline
+from teayield.config import PipelineConfig
 from teayield.dataset import FeatureMatrix, SyntheticSpec, generate_synthetic
 from teayield.ensemble import (SCORE_BLOCK, BaseLearner, EnsembleConfig,
-                               EnsembleModel, LearnerRanking, PoolReport,
+                               EnsembleModel, PoolReport,
                                check_out_of_bag, compute_weights,
                                predict_ensemble, rank_learners,
                                resolve_weight_params, select_learners,
                                train_pool)
-from teayield.errors import DataError, FitError
-from teayield.feature_select import ReliefParams
+from teayield.errors import DataError
+from teayield.feature_select import RankedFeatures
 from teayield.pipeline import train_ensemble_pipeline
 from teayield.preprocess import PreprocessState
 from teayield.regressors import MLPModel, MLPTrainConfig, predict, predict_mlp
@@ -25,7 +26,7 @@ from teayield.regressors import MLPModel, MLPTrainConfig, predict, predict_mlp
 from conftest import bench_config, block_sizes, random_matrix, tiny_config
 
 # The ranking's neighbour count, as ``PipelineConfig`` holds it.
-RELIEF = ReliefParams()
+RELIEF_K = PipelineConfig().relieff_k
 FAST_MLP = MLPTrainConfig(hidden_size=5, epochs=150, early_stop_fraction=0.15,
                           patience=30)
 
@@ -38,7 +39,7 @@ def rank(preds, m):
     """The learners whose predictions of the rows of ``m`` are the rows of
     ``preds``, the matrix ``train_pool`` returns, ranked as the pipeline
     ranks them."""
-    return rank_learners(preds, m.target, RELIEF)
+    return rank_learners(preds, m.target, RELIEF_K)
 
 
 def select(pool, preds, out_of_bag, ranking, m, cfg):
@@ -55,77 +56,77 @@ def small_matrix(rng):
     return m.with_target(std)
 
 
+def with_steepness(eps: np.ndarray, b: float) -> np.ndarray:
+    """``eps`` rescaled so that ``resolve_weight_params`` gives a steepness
+    of about ``b``: b = ln 9 / IQR, and the IQR scales with the errors."""
+    iqr = float(np.percentile(eps, 75) - np.percentile(eps, 25))
+    return eps * (math.log(9.0) / iqr / b)
+
+
 class TestComputeWeights:
     def test_midpoint_symmetry(self):
-        w = compute_weights([0.3, 0.3], b=5.0, c=0.3)
+        w = compute_weights([0.3, 0.3])
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
-    def test_small_b_approaches_uniform(self):
-        w = compute_weights([0.1, 0.5, 0.9], b=1e-9, c=0.5)
-        np.testing.assert_allclose(w, np.full(3, 1 / 3), atol=1e-9)
-
     def test_a_huge_error_gets_zero_weight_without_a_warning(self):
+        """Four equal errors leave no IQR, so the steepness is ln 9 / 1e-12.
+        A fifth error of 1e308 makes the logistic's exponent inf, and one of
+        1.0 makes it too large for ``math.exp``: either weight is 0."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = compute_weights([0.0, 1e308], 10.0, 0.0)
-        assert w.tolist() == [1.0, 0.0]
+            for huge in (1e308, 1.0):
+                w = compute_weights([0.0, 0.0, 0.0, 0.0, huge])
+                assert w.tolist() == [0.25, 0.25, 0.25, 0.25, 0.0]
 
     def test_hand_derived_example(self):
-        w = compute_weights([0.1, 0.2], b=10.0, c=0.15)
-        np.testing.assert_allclose(w, [0.6225, 0.3775], atol=1e-4)
+        """Two errors: c = 0.15 and the quartiles 0.125 and 0.175, so
+        b * (eps - c) = -+ln 9, and the raw weights are 0.9 and 0.1."""
+        w = compute_weights([0.1, 0.2])
+        np.testing.assert_allclose(w, [0.9, 0.1], rtol=1e-12)
 
     def test_strictly_monotone_decreasing_in_error(self, rng):
         eps = np.sort(rng.uniform(0.0, 2.0, size=12))
         eps = np.unique(eps)
-        w = compute_weights(eps, b=3.0, c=float(np.median(eps)))
+        w = compute_weights(eps)
         assert np.all(np.diff(w) < 0)
 
     def test_sums_to_one(self, rng):
         for _ in range(20):
             eps = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 30)))
-            b, c = resolve_weight_params(eps)
-            w = compute_weights(eps, b, c)
+            w = compute_weights(eps)
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w > 0)
 
     def test_permutation_equivariance(self, rng):
         eps = rng.uniform(0.0, 1.0, size=8)
         perm = rng.permutation(8)
-        w = compute_weights(eps, b=4.0, c=0.5)
-        w_perm = compute_weights(eps[perm], b=4.0, c=0.5)
+        w = compute_weights(eps)
+        w_perm = compute_weights(eps[perm])
         np.testing.assert_allclose(w[perm], w_perm, atol=1e-15)
 
     def test_rejects_negative_errors(self):
         with pytest.raises(DataError, match="finite"):
-            compute_weights([-0.1, 0.2], b=1.0, c=0.0)
-
-    def test_underflow_reported(self):
-        with pytest.raises(FitError, match="underflow"):
-            compute_weights([1000.0, 2000.0], b=10.0, c=0.0)
+            compute_weights([-0.1, 0.2])
 
     @pytest.mark.parametrize("b", [1e-9, 1e-4, 0.5, 3.0, 100.0, 1e6, 1e12])
     def test_bit_identical_to_scipy_expit(self, rng, b):
         """The weights equal ``expit(-b * (eps - c))``, normalized, bit for
-        bit, raw weights that underflow or whose exponent overflows
-        included; where every raw weight is 0 both forms give none."""
+        bit, under the b and c that ``resolve_weight_params`` gives, on
+        errors scaled to a steepness near ``b``.  The errors are log-normal,
+        some with tails far beyond the IQR, so raw weights that underflow
+        or whose exponent overflows are included."""
+        zeros = 0
         for _ in range(40):
-            eps = rng.exponential(10.0 ** rng.uniform(-3, 1),
-                                  size=int(rng.integers(1, 101)))
-            c = (float(np.median(eps)) if rng.random() < 0.5
-                 else float(rng.uniform(0.0, 2.0 * eps.max())))
-            raw = expit(-b * (eps - c))
-            if raw.sum() == 0.0:
-                with pytest.raises(FitError, match="underflow"):
-                    compute_weights(eps, b, c)
-            else:
-                w = compute_weights(eps, b, c)
-                assert w.tobytes() == (raw / raw.sum()).tobytes()
-
-    def test_every_raw_weight_underflows_as_with_scipy_expit(self):
-        eps, b, c = np.array([0.5, 700.0, 1000.0]), 1e12, 0.25
-        assert not expit(-b * (eps - c)).any()
-        with pytest.raises(FitError, match="underflow"):
-            compute_weights(eps, b, c)
+            eps = with_steepness(np.exp(rng.normal(
+                0.0, rng.uniform(0.1, 6.0), size=int(rng.integers(2, 101)))),
+                b)
+            steep, c = resolve_weight_params(eps)
+            assert steep == pytest.approx(b, rel=1e-9)
+            raw = expit(-steep * (eps - c))
+            want = raw / raw.sum()
+            assert compute_weights(eps).tobytes() == want.tobytes()
+            zeros += int((raw == 0.0).sum())
+        assert zeros > 0
 
 
 class TestResolveWeightParams:
@@ -248,6 +249,9 @@ class TestRankLearners:
         ranking = rank(np.vstack([flat, preds]), small_matrix)
         assert ranking.order[-1] == 0
         assert ranking.weights[0] == -np.inf
+        assert ranking.ordered_names()[-1] == "learner_000"
+        assert ranking.feature_names == (
+            "learner_000", "learner_001", "learner_002", "learner_003")
 
 
 class _ConstantModel:
@@ -278,9 +282,16 @@ def stub_out_of_bag(outs, n):
     return out_of_bag
 
 
+def ranked_by(weights):
+    """The learners of a pool ranked by ``weights``, one per member."""
+    return RankedFeatures(tuple(f"learner_{i:03d}" for i in
+                                range(len(weights))),
+                          np.asarray(weights, dtype=np.float64))
+
+
 def ranked_as_given(pool):
     """A ranking that orders ``pool`` as it is."""
-    return LearnerRanking(np.arange(len(pool), 0, -1, dtype=np.float64))
+    return ranked_by(np.arange(len(pool), 0, -1))
 
 
 class TestSelectLearners:
@@ -302,8 +313,7 @@ class TestSelectLearners:
 
         def by_hand(names):
             eps = [errors[k] for k in names]
-            w = dict(zip(names, compute_weights(eps,
-                                                *resolve_weight_params(eps))))
+            w = dict(zip(names, compute_weights(eps)))
             sq = 0.0
             for row in range(4):
                 left_out = [k for k in names if row in out[k]]
@@ -341,9 +351,8 @@ class TestSelectLearners:
         m = FeatureMatrix(("x",), np.zeros((n, 1)), np.zeros(n))
         outs = [(0,), (1, 2), (0, 2)]
         pool = [stub_learner(np.ones(n), 0.1) for _ in outs]
-        ranking = LearnerRanking(np.array([0.1, 0.3, 0.2]))
         sel = select(pool, stub_predictions(pool), stub_out_of_bag(outs, n),
-                     ranking, m, self.CFG)
+                     ranked_by([0.1, 0.3, 0.2]), m, self.CFG)
         assert sel.selected_positions == (1, 2, 0)
         assert sel.trace == ()
 
@@ -399,10 +408,10 @@ class TestSelectLearners:
         pool, preds, out_of_bag = train_pool(small_matrix, fast_config(
             pool_size=10, subsample_fraction=0.5), seed=7)
         oracle = stub_learner(small_matrix.target, 0.0)
-        ranking = LearnerRanking(np.arange(11, 0, -1, dtype=np.float64))
         sel = select(pool + (oracle,), np.vstack([preds, oracle.model.out]),
                      np.vstack([out_of_bag, np.ones(50, dtype=bool)]),
-                     ranking, small_matrix, replace(self.CFG, patience=11))
+                     ranked_as_given(pool + (oracle,)), small_matrix,
+                     replace(self.CFG, patience=11))
         assert sel.selected_positions == tuple(range(11))
         assert sel.trace[-1][1] < min(score for _, score in sel.trace[:-1])
 
@@ -467,8 +476,7 @@ class TestPredictEnsemble:
         pool, _, _ = train_pool(small_matrix, cfg, seed=12)
         eps = [bl.error for bl in pool]
         model = self.build(small_matrix, pool)
-        np.testing.assert_array_equal(
-            model.weights, compute_weights(eps, *resolve_weight_params(eps)))
+        np.testing.assert_array_equal(model.weights, compute_weights(eps))
         members = member_predictions(model, small_matrix)
         combined = predict_ensemble(model, small_matrix)
         assert np.all(combined >= members.min(axis=0) - 1e-12)

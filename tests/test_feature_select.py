@@ -240,36 +240,49 @@ class TestSequentialForwardSelect:
 
 
 def test_duplicated_copy_never_co_selected():
-    """An exact copy of a column ranked before it leaves the order before
-    any prefix is scored, so the search never selects both, and every
-    prefix it scores holds one of them at most: three distinct columns give
-    three prefixes at most."""
+    """An exact or affine copy of a column ranked before it leaves the
+    order before any prefix is scored, so the search never selects both,
+    and every prefix it scores holds one of them at most: three distinct
+    columns give three prefixes at most.  The search standardizes each
+    column, so ``2 * signal``, ``signal + 1`` and ``signal * (1 + 1e-15)``
+    add to it no more than ``signal`` itself does."""
+    copies = (lambda s: s, lambda s: 2.0 * s, lambda s: s + 1.0,
+              lambda s: s * (1.0 + 1e-15))
     for seed in range(20):
-        r = np.random.default_rng(seed)
-        n = 150
-        signal = np.sort(r.normal(size=n))
-        values = np.column_stack([signal, signal,
-                                  r.normal(size=n), r.normal(size=n)])
-        m = FeatureMatrix(("signal", "copy", "n1", "n2"), values,
-                          signal + 0.1 * r.normal(size=n))
-        result = sequential_forward_select(m, rrelieff(m, k=10), folds=5,
-                                           seed=seed)
-        assert not {"signal", "copy"} <= set(result.selected)
-        assert len(result.trace) <= 3
+        for copy in copies:
+            r = np.random.default_rng(seed)
+            n = 150
+            signal = np.sort(r.normal(size=n))
+            values = np.column_stack([signal, copy(signal),
+                                      r.normal(size=n), r.normal(size=n)])
+            m = FeatureMatrix(("signal", "copy", "n1", "n2"), values,
+                              signal + 0.1 * r.normal(size=n))
+            result = sequential_forward_select(m, rrelieff(m, k=10),
+                                               folds=5, seed=seed)
+            assert not {"signal", "copy"} <= set(result.selected)
+            assert len(result.trace) <= 3
 
 
 def test_a_copy_of_rainfall_is_not_selected_with_it(canonical_raw):
-    """The 120-row canonical set with ``dup``, a copy of ``rainfall``,
-    appended, at the bench config: RReliefF ranks ``dup`` right after
-    ``rainfall``.  The search used to select the first eight ranked names,
-    both included, having scored the prefix that added ``dup`` at the bits
-    of the one before it.  It selects those names less the copy now, and no
-    two prefixes score alike."""
-    m = with_copy(canonical_raw, "dup", "rainfall")
-    _, _, artifacts = fit_preprocess(m, bench_config())
-    order = artifacts.ranked.ordered_names()
-    assert order.index("dup") == order.index("rainfall") + 1
-    assert artifacts.selection.selected == tuple(
-        name for name in order[:8] if name != "dup")
-    rmses = [rmse for _, rmse in artifacts.selection.trace]
-    assert len(set(rmses)) == len(rmses)
+    """The 120-row canonical set with ``dup``, a copy of ``rainfall`` or an
+    affine map of it, appended, at the bench config: RReliefF ranks the two
+    next to each other, either first, since a map can move the relief
+    weight in its last bits.  The search used to select the first eight
+    ranked names, both included.  It selects those names less the second of
+    the two now, ``avg_temp`` among them, and no two prefixes score
+    alike."""
+    for change in (lambda x: x, lambda x: 2.0 * x, lambda x: x + 1.0,
+                   lambda x: x * (1.0 + 1e-15)):
+        values = with_copy(canonical_raw, "dup", "rainfall").values.copy()
+        values[:, -1] = change(values[:, -1])
+        m = FeatureMatrix(canonical_raw.column_names + ("dup",), values,
+                          canonical_raw.target)
+        _, _, artifacts = fit_preprocess(m, bench_config())
+        order = artifacts.ranked.ordered_names()
+        first, second = sorted(("rainfall", "dup"), key=order.index)
+        assert order.index(second) == order.index(first) + 1
+        assert artifacts.selection.selected == tuple(
+            name for name in order[:8] if name != second)
+        assert "avg_temp" in artifacts.selection.selected
+        rmses = [rmse for _, rmse in artifacts.selection.trace]
+        assert len(set(rmses)) == len(rmses)

@@ -367,7 +367,7 @@ def test_the_scan_flags_a_derived_column_outside_the_reader(tmp_path):
 # function takes such a setting as a required argument, since a default of
 # its own would run, in a test that leaves it out, a setup no command runs.
 # The same holds for the retired rows that a package constant fills, such as
-# ``fit_gpr``'s ``length_scale``.
+# the GP's ``length_scale``.
 LIVE_KEYS = {key for _, key, attr, _, _ in OPTIONS if attr is not None}
 CONSTANT_KEYS = {"decay_sigma", "ridge_lambda", "patience", "signal_var",
                  "length_scale", "noise_var"}

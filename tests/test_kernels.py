@@ -12,6 +12,10 @@ bit for bit.  Outside that range, and with a single fit row, the losses may
 differ in the last bits and must agree to ``rtol=1e-9``; a step follows the
 gradient's sign alone, so the parameters, epoch counts and status must still
 match exactly.
+
+The forward pass must follow its documented order bit for bit, and the
+relief accumulation, which reuses one distance buffer, must give the bits
+of the loop that allocates afresh for every instance.
 """
 
 from __future__ import annotations
@@ -287,7 +291,9 @@ def reference_forward_row(x, W1, b1, w2, b2):
     return out + b2
 
 
-@pytest.mark.parametrize("n,f,h", [(1, 1, 5), (7, 8, 30), (33, 14, 17)])
+@pytest.mark.parametrize("n,f,h", [(1, 1, 5), (7, 8, 30), (33, 14, 17),
+                                   (1, 11, 30), (2048, 11, 30), (2048, 6, 5),
+                                   (5000, 4, 30), (5000, 11, 5)])
 def test_forward_follows_the_documented_order(n, f, h):
     """Bit for bit with the per-row reference, and within rounding of the
     matrix-product form it replaced."""
@@ -299,3 +305,61 @@ def test_forward_follows_the_documented_order(n, f, h):
     assert got.tobytes() == np.array(want).tobytes()
     np.testing.assert_allclose(got, np.tanh(X @ W1 + b1) @ w2 + b2,
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [120, 2048, 5000])
+@pytest.mark.parametrize("h", [5, 30])
+def test_forward_peak_memory_does_not_grow_with_the_width(n, h):
+    """Past the inputs' transposed copy and the output row, a call holds
+    the activations of ``UNIT_ROWS`` values and the terms it adds to them,
+    whatever the number of hidden units, with room for as much again."""
+    f = 11
+    rng = np.random.default_rng(n + h)
+    X, W1 = rng.normal(size=(n, f)), rng.normal(size=(f, h))
+    b1, w2 = rng.normal(size=h), rng.normal(size=h)
+    tracemalloc.start()
+    try:
+        kernels.mlp_forward(X, W1, b1, w2, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * f + n + 4 * kernels.UNIT_ROWS)
+
+
+def reference_relief_accumulate(Xn, yn, sample_idx, k, rank_w):
+    """The relief accumulation with a fresh distance array per instance and
+    each neighbor's feature diffs taken anew."""
+    ndc = 0.0
+    nda = np.zeros(Xn.shape[1])
+    ndcda = np.zeros(Xn.shape[1])
+    for i in sample_idx:
+        dist = np.abs(Xn - Xn[i]).sum(axis=1)
+        dist[i] = np.inf
+        nearest = np.argsort(dist, kind="stable")[:k]
+        for r in range(k):
+            j = nearest[r]
+            w = rank_w[r]
+            dy = abs(yn[i] - yn[j])
+            ndc += w * dy
+            da = np.abs(Xn[i] - Xn[j])
+            nda += w * da
+            ndcda += w * da * dy
+    return ndc, nda, ndcda
+
+
+@pytest.mark.parametrize("n,f,k,ties", [(30, 4, 10, False), (30, 4, 29, False),
+                                        (40, 3, 10, True), (12, 2, 11, True)])
+def test_relief_accumulate_is_the_reference_loop(n, f, k, ties):
+    """Bit for bit, with distances tied (values on a coarse grid, where the
+    lower row index breaks each tie) and with every other row a neighbor
+    (k = n - 1)."""
+    rng = np.random.default_rng(n * f + k)
+    X = rng.integers(0, 3, size=(n, f)) / 2.0 if ties else rng.random((n, f))
+    y = rng.random(n)
+    rank_w = rng.random(k)
+    args = (X, y, np.arange(n), k, rank_w / rank_w.sum())
+    got = kernels.relief_accumulate(*args)
+    want = reference_relief_accumulate(*args)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()

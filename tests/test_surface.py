@@ -18,6 +18,15 @@ by attribute.  ``ALLOWED_FIELDS`` lists the exceptions and why each is kept.
 
 An entry of either list that names no function, class or field of the
 package is stale, and fails the test too.
+
+A parameter of a public top-level function is fixed when every call to
+that function in the package passes it the same literal or the same
+UPPER_CASE constant of the package, or leaves it at its default: it sets
+nothing, and the value belongs in the function.  Calls are matched by the
+function's name alone; a function that is also referred to other than by
+a call, such as one handed to ``partial``, is not scanned, since its
+calls cannot all be seen.  ``ALLOWED_FIXED`` lists the exceptions and
+why each is kept.
 """
 
 from __future__ import annotations
@@ -48,6 +57,15 @@ ALLOWED_FIELDS = {
     "pipeline.ChainArtifacts.outliers": "the rows the chain dropped, through "
                                         "which test_pipeline checks the "
                                         "target map",
+}
+
+
+ALLOWED_FIXED = {
+    "cli.main.argv": "tests and benchmarks/spans.py pass the command line",
+    "dataset.generate_synthetic.n": "benchmarks/helper.py draws 240 and "
+                                    "50,000 rows",
+    "kernels.mlp_train.delta0": "benchmarks/spans.py reads max_epochs as "
+                                "the tenth argument",
 }
 
 
@@ -141,15 +159,97 @@ def unread_fields(package: Path) -> list[str]:
             if name.rsplit(".", 1)[1] not in read and name not in ALLOWED_FIELDS]
 
 
+def _constants(trees: dict[str, ast.Module]) -> set[str]:
+    """The UPPER_CASE names assigned at the top level of a module."""
+    return {target.id for tree in trees.values() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in ast.walk(node)
+            if isinstance(target, ast.Name)
+            and isinstance(target.ctx, ast.Store) and target.id.isupper()}
+
+
+def _fixed_text(node: ast.expr, constants: set[str]) -> str | None:
+    """The source of a literal, or the name of a package constant, else
+    None."""
+    if isinstance(getattr(node, "operand", node), ast.Constant):  # -1 too
+        return ast.unparse(node)
+    name = (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None)
+    return name if name in constants else None
+
+
+def _call_values(call: ast.Call, fn: ast.FunctionDef,
+                 constants: set[str]) -> dict[str, str | None]:
+    """What ``call`` gives each named parameter of ``fn``: the text of a
+    fixed value or of the default it is left at, or None."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaults = dict(zip((a.arg for a in positional[::-1]),
+                        args.defaults[::-1]))
+    defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults) if d)
+    unpacked = (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg is None for kw in call.keywords))
+    given = dict(zip((a.arg for a in positional), call.args))
+    given.update((kw.arg, kw.value) for kw in call.keywords)
+    values = {}
+    for param in positional + args.kwonlyargs:
+        name = param.arg
+        if unpacked:
+            values[name] = None
+        elif name in given:
+            values[name] = _fixed_text(given[name], constants)
+        else:
+            default = defaults.get(name)
+            values[name] = None if default is None else ast.unparse(default)
+    return values
+
+
+def fixed_parameters(package: Path) -> list[str]:
+    """``module.function.parameter`` for each fixed parameter of a public
+    top-level function of ``package``."""
+    trees = _trees(package)
+    constants = _constants(trees)
+    functions = {node.name: (module, node) for module, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and not node.name.startswith("_")}
+    calls: dict[str, list[ast.Call]] = {name: [] for name in functions}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name in calls:
+                    calls[name].append(node)
+    referred = sum((_references(tree) for tree in trees.values()), Counter())
+    fixed = []
+    for name, (module, fn) in functions.items():
+        if not calls[name] or referred[name] != len(calls[name]):
+            continue
+        seen = [_call_values(call, fn, constants) for call in calls[name]]
+        for param, value in seen[0].items():
+            if value is not None and all(v[param] == value for v in seen):
+                fixed.append(f"{module}.{name}.{param}")
+    return sorted(set(fixed) - set(ALLOWED_FIXED))
+
+
 def stale_entries(package: Path, allowed=ALLOWED,
-                  allowed_fields=ALLOWED_FIELDS) -> list[str]:
+                  allowed_fields=ALLOWED_FIELDS,
+                  allowed_fixed=ALLOWED_FIXED) -> list[str]:
     """The allow-list entries that name no top-level function or class, or
-    method of one, or no dataclass field, of ``package``."""
+    method of one, no dataclass field, or no parameter of a top-level
+    function, of ``package``."""
     trees = _trees(package)
     names = {name for name, _ in _definitions(trees)}
     fields = {name for module, tree in trees.items()
               for name in _fields(module, tree)}
-    return sorted((set(allowed) - names) | (set(allowed_fields) - fields))
+    params = {f"{module}.{node.name}.{arg.arg}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              for arg in node.args.posonlyargs + node.args.args
+              + node.args.kwonlyargs}
+    return sorted((set(allowed) - names) | (set(allowed_fields) - fields)
+                  | (set(allowed_fixed) - params))
 
 
 def test_every_public_name_has_a_caller():
@@ -211,6 +311,36 @@ def test_the_scan_flags_an_unread_field(tmp_path):
                                        "b.Box.color"]
 
 
+def test_no_parameter_is_fixed_by_every_caller():
+    assert fixed_parameters(PACKAGE) == []
+
+
+def test_the_scan_flags_a_fixed_parameter(tmp_path):
+    """A literal, a constant by name or through its module, and a default
+    left alone are fixed values, and a variable is not; literals that differ
+    in sign differ.  A function also referred to as a value, a private one
+    and one no call reaches are not scanned."""
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n\n"
+        "def f(m, k, scale=1.0, *, mode='a'):\n    pass\n\n"
+        "def g(x, y=2):\n    pass\n\n"
+        "def h(v):\n    pass\n\n"
+        "def ridge(x, lam):\n    pass\n\n"
+        "def _private(z):\n    pass\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from functools import partial\n"
+        "from . import a\n"
+        "from .a import LIMIT, f, g, h, ridge\n\n"
+        "def main(m, n, rest):\n"
+        "    f(m, 10, mode='a')\n    a.f(n, k=10)\n"
+        "    g(n, LIMIT)\n    g(m, a.LIMIT)\n"
+        "    h(1)\n    h(-1)\n"
+        "    ridge(m, 0.1)\n    partial(ridge, lam=0.1)\n"
+        "    a._private(1)\n    a._private(1)\n", encoding="utf-8")
+    assert fixed_parameters(tmp_path) == ["a.f.k", "a.f.mode", "a.f.scale",
+                                          "a.g.y"]
+
+
 def test_no_allow_list_entry_is_stale():
     assert stale_entries(PACKAGE) == []
 
@@ -218,7 +348,7 @@ def test_no_allow_list_entry_is_stale():
 def test_the_scan_flags_a_stale_entry(tmp_path):
     (tmp_path / "a.py").write_text(
         "from dataclasses import dataclass\n\n"
-        "def kept():\n    pass\n\n"
+        "def kept(m):\n    pass\n\n"
         "@dataclass\n"
         "class Point:\n    x: float\n\n"
         "    def norm(self):\n        pass\n\n"
@@ -227,6 +357,7 @@ def test_the_scan_flags_a_stale_entry(tmp_path):
                "a.Point.norm": "", "a.Point.gone": ""}
     fields = {"a.Point.x": "", "a.Point.z": "", "a.Plain.y": "",
               "a.kept": ""}
-    assert stale_entries(tmp_path, allowed, fields) == [
-        "a.Plain.y", "a.Point.gone", "a.Point.z", "a.gone", "a.kept",
-        "b.kept"]
+    fixed = {"a.kept.m": "", "a.kept.gone": "", "a.Point.norm.self": ""}
+    assert stale_entries(tmp_path, allowed, fields, fixed) == [
+        "a.Plain.y", "a.Point.gone", "a.Point.norm.self", "a.Point.z",
+        "a.gone", "a.kept", "a.kept.gone", "b.kept"]
